@@ -4,8 +4,9 @@ package uvdiagram_test
 // database opened pager=mmap from a v5 page-image snapshot — leaf
 // reads are zero-copy views into the mapped file. The CI perf smoke
 // stage runs TestOutOfCorePerfSmoke against the committed ns/query
-// baseline (perf_baseline.json); `uvbench -exp outofcore` produces the
-// full heap-vs-mmap-vs-capped table in BENCH_outofcore.json.
+// baseline (perf_baseline.json); the heap-vs-mmap comparison end to end
+// is the cold-open workload of `go run ./bench` against pnn-serve
+// (setup_s, rss_mb, pnn_qps, pager.*).
 
 import (
 	"os"

@@ -3,9 +3,10 @@ package uvdiagram_test
 // Rebalance benchmarks: the per-event cost of an online Reshard (full
 // re-derivation + new layout, published with one pointer swap) and of
 // concurrent per-shard compaction at parallelism 1 vs 2. CI runs these
-// as the rebalance smoke stage (-bench 'Reshard|ConcurrentCompact');
-// BENCH_rebalance.json records the uvbench -exp rebalance sweep on the
-// reference container.
+// as the rebalance smoke stage (-bench 'Reshard|ConcurrentCompact').
+// These benchmarks and TestReshardBalancesSkew are what watches the
+// rebalance path; the end-to-end benchmark (bench/) has no reshard
+// workload.
 
 import (
 	"context"

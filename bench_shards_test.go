@@ -2,8 +2,9 @@ package uvdiagram_test
 
 // Sharded-engine benchmarks: query routing overhead, mixed churn, and
 // per-shard compaction at several shard counts. CI runs these as the
-// sharded smoke stage (-bench 'Sharded'); BENCH_shards.json records the
-// uvbench -exp shards sweep on the reference container.
+// sharded smoke stage (-bench 'Sharded'). They are what watches the
+// shard sweep; the end-to-end benchmark (bench/) serves one fixed
+// four-shard engine.
 
 import (
 	"context"

@@ -3,33 +3,14 @@
 //
 // Usage:
 //
-//	uvbench [-exp all|fig6|fig7|fig7f|fig7g|fig7h|table2|sensitivity|server|churn|shards|rebalance|derive|continuous|maintain|parity]
-//	        [-scale small|medium|paper] [-shards 1] [-quiet]
+//	uvbench [-exp all|fig6|fig7|fig7f|fig7g|fig7h|table2|sensitivity|extensions]
+//	        [-scale small|medium|paper] [-quiet]
 //	        [-cpuprofile cpu.out] [-memprofile mem.out]
 //
-// -shards builds the churn experiment's database with that many spatial
-// shards; -exp shards sweeps S ∈ {1, 2, 4, 8} and reports build and
-// per-shard compaction wall clock plus worst query latency during
-// compaction; -exp rebalance builds a skewed dataset over equal strips,
-// compacts disjoint shards concurrently under query load, reshards
-// online to weighted-median cuts and writes BENCH_rebalance.json;
-// -exp derive benchmarks the output-sensitive derivation fast path
-// against the retained naive reference (bitwise-identical cr-sets
-// verified) and writes BENCH_derive.json; -exp continuous drives fleets
-// of subscribed moving clients (fire-and-forget moves, server-pushed
-// answer deltas) with churn riding on a mutator connection and writes
-// BENCH_continuous.json; -exp maintain churns a uniform dataset toward
-// a Gaussian hot spot with the self-driving maintenance controller off
-// vs on (identical deterministic workloads, bitwise-compared answers)
-// and writes BENCH_maintain.json; -exp parity benchmarks the order-k
-// and 3D builds on the parallel scratch-threaded fast path against the
-// retained reference loops (bitwise-identical cr-sets, index stats and
-// query answers verified) and writes BENCH_orderk.json and
-// BENCH_uv3.json; -exp outofcore builds a database on disk as a v5
-// page-image snapshot and serves batched PNN off the mmap-backed file
-// under a resident-set cap below the index size (bitwise-identical
-// answers vs the in-heap engine verified) and writes
-// BENCH_outofcore.json.
+// The experiments are the registry of internal/exp (the list above is
+// checked against it by this package's test); "all" runs the Section VI
+// sweep, "extensions" the future-work tables. Serving performance is
+// measured by the end-to-end benchmark instead: `go run ./bench`.
 //
 // -cpuprofile and -memprofile write pprof profiles of the selected
 // experiment, so future perf work can be profiled in place (profiles
@@ -46,14 +27,27 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 
 	"uvdiagram/internal/exp"
 )
 
+// expHelp is the -exp flag's help text: one line per registry entry.
+func expHelp() string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "experiment, one of:\n  %-12s every experiment below except those marked, in this order", exp.AllName)
+	for _, e := range exp.Experiments() {
+		fmt.Fprintf(&sb, "\n  %-12s %s", e.Name, e.Doc)
+		if !e.InAll {
+			sb.WriteString(" (not in " + exp.AllName + ")")
+		}
+	}
+	return sb.String()
+}
+
 func main() {
-	expName := flag.String("exp", "all", "experiment: all, fig6, fig7, fig7f, fig7g, fig7h, table2, sensitivity, extensions, server, churn, shards, rebalance, derive, continuous, maintain, parity, outofcore")
+	expName := flag.String("exp", exp.AllName, expHelp())
 	scaleName := flag.String("scale", "small", "scale preset: small, medium, paper")
-	shards := flag.Int("shards", 1, "spatial shard count for -exp churn (1 = unsharded)")
 	quiet := flag.Bool("quiet", false, "suppress progress output")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile (post-GC) to this file at exit")
@@ -90,54 +84,13 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	sc.Shards = *shards
 	progress := func(msg string) {
 		if !*quiet {
 			fmt.Fprintln(os.Stderr, "... "+msg)
 		}
 	}
 
-	var tables []*exp.Table
-	switch *expName {
-	case "all":
-		tables, err = exp.RunAll(sc, progress)
-	case "fig6":
-		tables, err = exp.RunFig6(sc, progress)
-	case "fig7":
-		tables, err = exp.RunFig7Construction(sc, progress)
-	case "fig7f":
-		tables, err = single(exp.RunFig7f, sc, progress)
-	case "fig7g":
-		tables, err = single(exp.RunFig7g, sc, progress)
-	case "fig7h":
-		tables, err = single(exp.RunFig7h, sc, progress)
-	case "table2":
-		tables, err = single(exp.RunTable2, sc, progress)
-	case "sensitivity":
-		tables, err = single(exp.RunSensitivity, sc, progress)
-	case "extensions":
-		tables, err = exp.RunExtensions(sc, progress)
-	case "server":
-		tables, err = single(exp.RunServerThroughput, sc, progress)
-	case "churn":
-		tables, err = single(exp.RunChurn, sc, progress)
-	case "shards":
-		tables, err = single(exp.RunShards, sc, progress)
-	case "rebalance":
-		tables, err = single(exp.RunRebalance, sc, progress)
-	case "derive":
-		tables, err = single(exp.RunDerive, sc, progress)
-	case "continuous":
-		tables, err = single(exp.RunContinuous, sc, progress)
-	case "maintain":
-		tables, err = single(exp.RunMaintain, sc, progress)
-	case "parity":
-		tables, err = single(exp.RunParity, sc, progress)
-	case "outofcore":
-		tables, err = single(exp.RunOutOfCore, sc, progress)
-	default:
-		err = fmt.Errorf("unknown experiment %q", *expName)
-	}
+	tables, err := exp.Run(*expName, sc, progress)
 	if err != nil {
 		fatal(err)
 	}
@@ -147,14 +100,6 @@ func main() {
 			fatal(err)
 		}
 	}
-}
-
-func single(run func(exp.Scale, func(string)) (*exp.Table, error), sc exp.Scale, progress func(string)) ([]*exp.Table, error) {
-	t, err := run(sc, progress)
-	if err != nil {
-		return nil, err
-	}
-	return []*exp.Table{t}, nil
 }
 
 func fatal(err error) {

@@ -4,12 +4,15 @@ package uvdiagram_test
 // output-sensitive derivation hot path (lazy seeds, incremental radius
 // profiles, scratch arenas, pooled query buffers) must leave every
 // observable bit unchanged — cr-sets, PNN/TopK/KNN answers, and the
-// post-Insert/Delete re-derivations — versus the retained naive
-// reference implementation (core.DeriveCRSetsReference /
-// core.DeriveCRObjectsReference). internal/core/reference_test.go
-// covers the per-object algorithm; this file covers the DB plumbing
-// that threads scratches through Build, Insert, Delete and the batch
-// engine.
+// post-Insert/Delete re-derivations. The naive reference engine is
+// test-only code of internal/core (reference_oracle_test.go), where
+// TestDeriveEquivalenceProperty and TestDeriveCRMatchesDeriveCRObjects
+// hold the exported derivation (core.DeriveCRSets, core.DeriveCRObjects)
+// bitwise to it under the same strategies and parameters. This file
+// covers the DB plumbing that threads scratches through Build, Insert,
+// Delete and the batch engine, by comparing what the DB recorded with
+// that exported derivation called directly — equal to the reference by
+// transitivity.
 
 import (
 	"fmt"
@@ -33,7 +36,8 @@ func crEqual(a, b []int32) bool {
 }
 
 // TestDeriveEquivalenceDB: for IC, ICR and Basic strategies, a built
-// DB's registry must record exactly the reference derivation's sets,
+// DB's registry must record exactly the sets a direct sequential
+// core.DeriveCRSets call derives (bitwise the reference's),
 // and the full query surface (PNN, TopKPNN, PossibleKNN, batch PNN)
 // must answer bitwise identically whether the scratch paths are used
 // (batch) or not (single-point).
@@ -54,13 +58,14 @@ func TestDeriveEquivalenceDB(t *testing.T) {
 			bopts := core.DefaultBuildOptions()
 			bopts.Strategy = core.Strategy(strat)
 			bopts.SeedK = 60
-			want, err := core.DeriveCRSetsReference(db.Store(), db.Domain(), db.RTree(), bopts)
+			bopts.Workers = 1
+			want, _, err := core.DeriveCRSets(db.Store(), db.Domain(), db.RTree(), bopts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for id := int32(0); int(id) < len(want); id++ {
 				if !crEqual(db.Index().CRObjects(id), want[id]) {
-					t.Fatalf("object %d: registry %v, reference %v", id, db.Index().CRObjects(id), want[id])
+					t.Fatalf("object %d: registry %v, direct derivation %v", id, db.Index().CRObjects(id), want[id])
 				}
 			}
 
@@ -91,9 +96,10 @@ func TestDeriveEquivalenceDB(t *testing.T) {
 
 // TestDeriveEquivalenceAfterMutations: Insert derives the new object's
 // set with the DB's long-lived scratch, Delete re-derives every
-// dependent with it; both must be exactly what the naive reference
-// derives over the same population, and the full query surface must
-// match a reference-derived fresh database bit for bit afterwards.
+// dependent with it; the insert must record exactly what a scratch-free
+// core.DeriveCRObjects call derives over the same population (bitwise
+// the reference's), and the full query surface must match a freshly
+// built database bit for bit afterwards.
 func TestDeriveEquivalenceAfterMutations(t *testing.T) {
 	cfg := datagen.Config{N: 220, Side: 2000, Diameter: 40, Seed: 23}
 	objs := datagen.Uniform(cfg)
@@ -109,11 +115,11 @@ func TestDeriveEquivalenceAfterMutations(t *testing.T) {
 		if err := db.Insert(o); err != nil {
 			t.Fatal(err)
 		}
-		// The inserted object's registry entry must equal the reference
+		// The inserted object's registry entry must equal a direct
 		// derivation over the live population at insert time.
-		res := core.DeriveCRObjectsReference(db.RTree(), o, db.Store().Dense(), db.Domain(), 60, 8, 256)
+		res := core.DeriveCRObjects(db.RTree(), o, db.Store().Dense(), db.Domain(), 60, 8, 256)
 		if !crEqual(db.Index().CRObjects(o.ID), res.CR) {
-			t.Fatalf("insert %d: registry %v, reference %v", o.ID, db.Index().CRObjects(o.ID), res.CR)
+			t.Fatalf("insert %d: registry %v, direct derivation %v", o.ID, db.Index().CRObjects(o.ID), res.CR)
 		}
 	}
 	victims := []int32{3, 57, 120, 199}
@@ -128,7 +134,7 @@ func TestDeriveEquivalenceAfterMutations(t *testing.T) {
 	// lost a TIGHT constraint; the rest keep their set minus the victims
 	// (a live-ids-only set is always a sound superset representation, and
 	// the answers-fingerprint check below is the bitwise guarantee). So
-	// instead of per-dependent equality with the reference derivation,
+	// instead of per-dependent equality with a fresh derivation,
 	// assert the structural invariants every recorded set must satisfy:
 	// no victims, only live members, sorted ascending.
 	seen := map[int32]bool{}
@@ -162,7 +168,7 @@ func TestDeriveEquivalenceAfterMutations(t *testing.T) {
 	}
 
 	// Full query surface vs a fresh database built over the surviving
-	// population with REFERENCE-derived constraint sets: answers must be
+	// population with freshly derived constraint sets: answers must be
 	// bitwise identical (the incremental engine keeps leaf lists
 	// supersets, the dminmax filter removes the slack exactly).
 	qs := datagen.Queries(64, 2000, 29)
@@ -201,7 +207,7 @@ func TestDeriveEquivalenceAfterMutations(t *testing.T) {
 		refPrint += fmt.Sprintf("%v;", answers)
 	}
 	if mutated != refPrint {
-		t.Fatal("PNN answers diverged between the incrementally maintained DB and a fresh reference build")
+		t.Fatal("PNN answers diverged between the incrementally maintained DB and a fresh build")
 	}
 }
 

@@ -1,11 +1,10 @@
 package core
 
 // Property tests gating the order-k fast path on bitwise equivalence
-// with the retained reference loops (orderk_reference.go): identical
+// with the retained reference loops (orderk_reference_test.go): identical
 // cr-sets, identical index stats and identical PossibleKNN answers for
 // every worker count, order and data distribution. These run under
-// -race in CI, so the sizes are modest; the uvbench parity experiment
-// repeats the comparison at acceptance scale.
+// -race in CI, so the sizes are modest.
 
 import (
 	"math/rand"

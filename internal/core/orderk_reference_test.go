@@ -1,10 +1,11 @@
 package core
 
 // The pre-fast-path order-k build, retained VERBATIM as the equivalence
-// oracle — the same role reference.go plays for the order-1 derivation.
-// The fast path (orderk.go) must produce bitwise-identical cr-sets,
-// index stats and PossibleKNN answers; TestOrderKParity sweeps worker
-// counts and k against these loops.
+// oracle — the same role reference_oracle_test.go plays for the order-1
+// derivation, and test-only like it. The fast path (orderk.go) must
+// produce bitwise-identical cr-sets, index stats and PossibleKNN
+// answers; TestOrderKParity sweeps worker counts and k against these
+// loops.
 
 import (
 	"fmt"

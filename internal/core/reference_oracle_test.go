@@ -16,10 +16,11 @@ import (
 // radial sweep is re-evaluated from scratch on every MaxRadius /
 // Vertices use, and the id union builds a map per object. The optimized
 // path (DeriveCR, the Build workers) must produce bitwise-identical
-// cr-sets and therefore bitwise-identical indexes and answers; the
-// property tests and `uvbench -exp derive` hold it to that, and the
-// before/after numbers in BENCH_derive.json are measured against this
-// implementation on the same hardware.
+// cr-sets and therefore bitwise-identical indexes and answers. This is
+// test-only code: the property tests of reference_test.go hold the fast
+// path to it, and BenchmarkDeriveCRSetsReference there is the "before"
+// side of the speed ratio (BenchmarkDeriveCRSets in the root package is
+// the "after").
 
 // referenceSelectSeeds is the eager sectored seed choice: a full
 // (k+1)-NN query, then one pass over the materialized neighbors.
@@ -228,7 +229,7 @@ func DeriveCRObjectsReference(tree *rtree.Tree, oi uncertain.Object, objs []unce
 // (sequential): per live object the constraint set the pre-optimization
 // builder produced, under any strategy. It is the oracle of the
 // derivation-equivalence property tests and the "before" measurement of
-// `uvbench -exp derive`.
+// BenchmarkDeriveCRSetsReference.
 func DeriveCRSetsReference(store *uncertain.Store, domain geom.Rect, tree *rtree.Tree, opts BuildOptions) ([][]int32, error) {
 	opts.normalize()
 	objs := store.Dense()

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"uvdiagram/internal/datagen"
+	"uvdiagram/internal/geom"
 	"uvdiagram/internal/pager"
 	"uvdiagram/internal/rtree"
 	"uvdiagram/internal/uncertain"
@@ -85,7 +86,9 @@ func TestDeriveEquivalenceProperty(t *testing.T) {
 // TestDeriveCRMatchesDeriveCRObjects: the scratch-based mutation-path
 // derivation, the convenience form and the reference agree object by
 // object — including when one scratch is reused across many objects
-// (the buffer-poisoning hazard the arenas must not introduce).
+// (the buffer-poisoning hazard the arenas must not introduce), and for
+// objects appended to the store and inserted into the helper R-tree
+// after the bulk load (what DB.Insert derives over).
 func TestDeriveCRMatchesDeriveCRObjects(t *testing.T) {
 	cfg := datagen.Config{N: 250, Side: 2000, Diameter: 40, Seed: 77}
 	objs := datagen.Uniform(cfg)
@@ -94,11 +97,10 @@ func TestDeriveCRMatchesDeriveCRObjects(t *testing.T) {
 		t.Fatal(err)
 	}
 	tree := BuildHelperRTree(store, rtree.DefaultFanout)
-	dense := store.Dense()
 	sc := NewDeriveScratch()
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 60; trial++ {
-		i := rng.Intn(len(dense))
+	check := func(i int) {
+		t.Helper()
+		dense := store.Dense()
 		got := DeriveCR(tree, dense[i], dense, cfg.Domain(), 60, 8, 256, sc)
 		res := DeriveCRObjects(tree, dense[i], dense, cfg.Domain(), 60, 8, 256)
 		ref := DeriveCRObjectsReference(tree, dense[i], dense, cfg.Domain(), 60, 8, 256)
@@ -113,6 +115,39 @@ func TestDeriveCRMatchesDeriveCRObjects(t *testing.T) {
 		}
 		if res.NI != ref.NI || res.NC != ref.NC {
 			t.Fatalf("object %d: counters (%d,%d), reference (%d,%d)", i, res.NI, res.NC, ref.NI, ref.NC)
+		}
+	}
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 60; trial++ {
+		check(rng.Intn(store.Len()))
+	}
+	// Grow the population dynamically and derive each newcomer.
+	for k := 0.0; k < 8; k++ {
+		o := uncertain.New(int32(store.Len()), geom.Circle{C: geom.Pt(123+k*211, 1777-k*177), R: 20}, nil)
+		if err := store.Append(o); err != nil {
+			t.Fatal(err)
+		}
+		tree.Insert(rtree.Item{ID: o.ID, MBC: o.Region, Ptr: uint64(store.PageOf(o.ID))})
+		check(int(o.ID))
+	}
+}
+
+// BenchmarkDeriveCRSetsReference is the retained naive derivation over
+// the fixture of the root package's BenchmarkDeriveCRSets (n=800,
+// uniform, seed 7) — the "before" side of the fast path's speed ratio.
+func BenchmarkDeriveCRSetsReference(b *testing.B) {
+	cfg := datagen.Config{N: 800, Side: 10000, Diameter: datagen.DefaultDiameter, Seed: 7}
+	store, err := uncertain.NewStore(datagen.Uniform(cfg), pager.New(uncertain.ObjectPageBytes))
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := DefaultBuildOptions()
+	tree := BuildHelperRTree(store, opts.Fanout)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := DeriveCRSetsReference(store, cfg.Domain(), tree, opts); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -1,12 +1,11 @@
 package core3
 
 // Property tests gating the 3D fast path on bitwise equivalence with
-// the retained reference loops (reference3.go): identical cr-sets,
+// the retained reference loops (reference3_test.go): identical cr-sets,
 // identical octree stats and identical PNN answers — probabilities
 // included, since identical candidate lists integrate identically —
 // for every worker count and data distribution. These run under -race
-// in CI; the uvbench parity experiment repeats the comparison at
-// acceptance scale.
+// in CI, so the sizes are modest.
 
 import (
 	"errors"

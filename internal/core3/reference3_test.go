@@ -1,10 +1,10 @@
 package core3
 
 // The pre-fast-path 3D build, retained VERBATIM as the equivalence
-// oracle for the parallel, scratch-threaded path in build3.go. The
-// fast path must produce bitwise-identical cr-sets, index stats and
-// query answers; TestBuild3Parity sweeps worker counts against these
-// loops.
+// oracle for the parallel, scratch-threaded path in build3.go
+// (test-only code). The fast path must produce bitwise-identical
+// cr-sets, index stats and query answers; TestBuild3Parity sweeps
+// worker counts against these loops.
 
 import (
 	"time"

@@ -1,33 +1,103 @@
-// Package exp is the benchmark harness that regenerates every table and
-// figure of the paper's evaluation (Section VI). Each runner returns
-// paper-style tables; cmd/uvbench prints them and EXPERIMENTS.md records
-// paper-reported versus measured values.
+// Package exp regenerates every table and figure of the paper's
+// evaluation (Section VI). Each driver returns paper-style tables;
+// the registry in this file names them and cmd/uvbench prints them.
+// Serving performance (throughput, latency, churn, out-of-core) is not
+// measured here: that is the end-to-end benchmark in bench/, declared
+// by BENCHMARK.json.
 package exp
 
 import (
 	"fmt"
 	"io"
-	"os"
 	"strings"
-	"time"
 )
 
-// ReportHeader is the top-level schema shared by every BENCH_*.json
-// artifact the harness writes: the experiment name, the run date and
-// the host it ran on. Embedding it (untagged) flattens the fields into
-// the report's top level, so every report can be keyed and compared
-// with the same three fields.
-type ReportHeader struct {
-	Name string `json:"name"`
-	Date string `json:"date"`
-	Host string `json:"host"`
+// Experiment is one entry of the registry: a name `uvbench -exp`
+// accepts and the driver behind it.
+type Experiment struct {
+	Name  string
+	Doc   string // one line for the -exp flag help
+	InAll bool   // part of the Section VI sweep that "all" runs
+	Run   func(sc Scale, progress func(string)) ([]*Table, error)
 }
 
-// newReportHeader stamps a report with the experiment name, today's UTC
-// date and the hostname.
-func newReportHeader(name string) ReportHeader {
-	host, _ := os.Hostname()
-	return ReportHeader{Name: name, Date: time.Now().UTC().Format("2006-01-02"), Host: host}
+// AllName is the pseudo-experiment that runs every InAll entry of the
+// registry in presentation order.
+const AllName = "all"
+
+// experiments is the registry, in presentation order. It is the only
+// list of experiments: uvbench's flag help, its unknown-name error and
+// "all" are derived from it.
+var experiments = []Experiment{
+	{"fig6", "PNN query time, index I/O and time components vs |O| and diameter (Fig. 6(a-d))", true, RunFig6},
+	{"fig7", "construction time, pruning ratio and time breakdown of Basic/ICR/IC vs |O| (Fig. 7(a-e))", true, RunFig7Construction},
+	{"fig7f", "construction time vs uncertainty-region diameter (Fig. 7(f))", true, single(RunFig7f)},
+	{"fig7g", "IC construction time vs center skew σ (Fig. 7(g))", true, single(RunFig7g)},
+	{"fig7h", "UV-partition query time vs range size (Fig. 7(h))", true, single(RunFig7h)},
+	{"table2", "real-dataset query and construction summary (Table II)", true, single(RunTable2)},
+	{"sensitivity", "split-threshold Tθ sensitivity (Section VI-B.1)", true, single(RunSensitivity)},
+	{"extensions", "future-work extensions: RNN, order-k, continuous PNN, 3D", false, RunExtensions},
+}
+
+func single(run func(Scale, func(string)) (*Table, error)) func(Scale, func(string)) ([]*Table, error) {
+	return func(sc Scale, progress func(string)) ([]*Table, error) {
+		t, err := run(sc, progress)
+		if err != nil {
+			return nil, err
+		}
+		return []*Table{t}, nil
+	}
+}
+
+// Experiments returns the registry in presentation order.
+func Experiments() []Experiment { return experiments }
+
+// Names lists what Run accepts: AllName, then every registered
+// experiment in presentation order.
+func Names() []string {
+	names := []string{AllName}
+	for _, e := range experiments {
+		names = append(names, e.Name)
+	}
+	return names
+}
+
+// resolve maps a name to the registry entries it runs: AllName to
+// every InAll experiment, any other name to its own entry. An unknown
+// name is an error that lists the valid ones.
+func resolve(name string) ([]Experiment, error) {
+	var es []Experiment
+	for _, e := range experiments {
+		if name == e.Name || (name == AllName && e.InAll) {
+			es = append(es, e)
+		}
+	}
+	if len(es) == 0 {
+		return nil, fmt.Errorf("exp: unknown experiment %q (valid: %s)", name, strings.Join(Names(), ", "))
+	}
+	return es, nil
+}
+
+// Run executes the named experiment at the given scale and returns its
+// tables in presentation order. progress (optional) receives one line
+// per configuration.
+func Run(name string, sc Scale, progress func(string)) ([]*Table, error) {
+	es, err := resolve(name)
+	if err != nil {
+		return nil, err
+	}
+	if progress == nil {
+		progress = func(string) {}
+	}
+	var out []*Table
+	for _, e := range es {
+		tables, err := e.Run(sc, progress)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, tables...)
+	}
+	return out, nil
 }
 
 // Scale bundles the workload parameters of an experiment sweep. The
@@ -49,17 +119,6 @@ type Scale struct {
 	RealFrac   float64   // fraction of the real datasets' sizes
 	SeedK      int
 	Seed       int64
-	// Shards is the spatial shard count the churn experiment builds its
-	// database with (0 or 1 = unsharded). The shards experiment sweeps
-	// its own counts and ignores this.
-	Shards int
-}
-
-func (sc Scale) shardCount() int {
-	if sc.Shards <= 0 {
-		return 1
-	}
-	return sc.Shards
 }
 
 // Small is the quick-look preset (seconds to a few minutes).
@@ -82,9 +141,8 @@ func Small() Scale {
 	}
 }
 
-// Medium is the preset used to fill EXPERIMENTS.md: large enough for
-// the paper's shapes to be visible, small enough to run on a laptop
-// core in well under an hour.
+// Medium is large enough for the paper's shapes to be visible and
+// small enough to run on a laptop core in well under an hour.
 func Medium() Scale {
 	s := Small()
 	s.Name = "medium"

@@ -60,27 +60,3 @@ func RunTable2(sc Scale, progress func(string)) (*Table, error) {
 	}
 	return t, nil
 }
-
-// RunAll executes every experiment at the given scale and returns the
-// tables in presentation order.
-func RunAll(sc Scale, progress func(string)) ([]*Table, error) {
-	var out []*Table
-	t6, err := RunFig6(sc, progress)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, t6...)
-	t7, err := RunFig7Construction(sc, progress)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, t7...)
-	for _, run := range []func(Scale, func(string)) (*Table, error){RunFig7f, RunFig7g, RunFig7h, RunTable2, RunSensitivity} {
-		t, err := run(sc, progress)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-	}
-	return out, nil
-}

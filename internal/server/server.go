@@ -103,6 +103,10 @@ type Server struct {
 	submu sync.RWMutex
 	subs  map[uint64]*session
 	subid uint64 // last assigned subscription id (guarded by submu)
+	// beforeRegister, when set (tests only, before Serve), runs on the
+	// writer goroutine between a subscribe response's write and the
+	// session's registration — the window a racing teardown lands in.
+	beforeRegister func()
 
 	// metrics is the observability registry (see metrics.go), exposed
 	// through OpMetrics, MetricsSnapshot/MetricsMap and uvclient.
@@ -286,8 +290,10 @@ func (s *Server) serveConn(conn net.Conn) {
 	defer func() {
 		close(pending)
 		<-writerDone
-		conn.Close()
+		// Sessions go before the socket: a peer that observes the close
+		// must find them already torn down.
 		s.dropConnSessions(cs)
+		conn.Close()
 	}()
 
 	for {

@@ -78,6 +78,13 @@ func (cs *connState) write(kind byte, payload []byte, timeout time.Duration) err
 // session's mu, and Server.submu / connState.mu are never held while
 // acquiring either — the move path, the churn notifier and teardown all
 // follow this order.
+//
+// Lifecycle: closed is the session's whole state machine and only ever
+// goes false → true, under mu. register publishes a session to
+// Server.subs only while it is still open (checked under mu, so a
+// teardown that won the race leaves nothing behind); every teardown
+// path sets closed under mu FIRST and calls unregister afterwards, and
+// unregister is the only way out of the tables.
 type session struct {
 	id uint64
 	cs *connState
@@ -173,7 +180,22 @@ func diffIDs(prev, cur []int32) (added, removed []int32) {
 // response that tells the client its subscription id; the staleness gap
 // this leaves (a write landing between session creation and
 // registration) is closed by the revalidation below.
+//
+// The client knows its id by then, so a Move, an Unsubscribe or the
+// connection's teardown may already have closed the session: register
+// is a no-op on a closed session (its closer has unregistered it, or is
+// about to, and must not find it re-inserted afterwards).
 func (s *Server) register(ss *session) {
+	if s.beforeRegister != nil {
+		s.beforeRegister()
+	}
+	s.mu.RLock()
+	ss.mu.Lock()
+	if ss.closed {
+		ss.mu.Unlock()
+		s.mu.RUnlock()
+		return
+	}
 	s.submu.Lock()
 	s.subs[ss.id] = ss
 	s.submu.Unlock()
@@ -182,8 +204,6 @@ func (s *Server) register(ss *session) {
 	// between, the session's initial answer predates it and the notifier
 	// never saw the session. Revalidate once — the untouched case is one
 	// atomic generation comparison.
-	s.mu.RLock()
-	ss.mu.Lock()
 	ids, re, err := ss.sess.Revalidate()
 	safe := ss.sess.SafeRegion()
 	s.mu.RUnlock()
@@ -332,12 +352,12 @@ func (s *Server) handleUnsubscribe(cs *connState, payload []byte) ([]byte, error
 	if ss == nil {
 		return nil, fmt.Errorf("server: unsubscribe for unknown subscription %d", id)
 	}
-	s.unregister(ss)
 	ss.mu.Lock()
 	ss.closed = true
 	st := ss.sess.Stats()
 	pushes := ss.pushes
 	ss.mu.Unlock()
+	s.unregister(ss)
 	var b wire.Buffer
 	b.U64(uint64(st.Moves))
 	b.U64(uint64(st.Recomputes))

@@ -24,6 +24,13 @@ func startShardedServer(t *testing.T, n, shards int) (*Client, *Server, *uvdiagr
 		t.Fatal(err)
 	}
 	srv := New(db, t.Logf)
+	return serveForTest(t, srv), srv, db
+}
+
+// serveForTest starts srv on a loopback listener and dials it; both are
+// shut down with the test.
+func serveForTest(t *testing.T, srv *Server) *Client {
+	t.Helper()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +50,7 @@ func startShardedServer(t *testing.T, n, shards int) (*Client, *Server, *uvdiagr
 		<-done
 		srv.Wait()
 	})
-	return cli, srv, db
+	return cli
 }
 
 func dialExtra(t *testing.T, srv *Server) *Client {
@@ -225,6 +232,55 @@ func TestSubscriptionLifecycleErrors(t *testing.T) {
 	}
 	if srv.Subscriptions() != 1 {
 		t.Fatalf("poisoned conn's sessions not torn down: %d live", srv.Subscriptions())
+	}
+}
+
+// TestSubscriptionRegisterAfterTeardown forces the interleaving that used to leak:
+// the subscribe response is on the wire, the client's out-of-domain
+// Move fails and unregisters the session on the decode loop, and only
+// THEN does the writer goroutine reach register. Registration must be a
+// no-op on the closed session — re-inserting it would park it in the
+// server-wide table forever, for every churn sweep to touch.
+func TestSubscriptionRegisterAfterTeardown(t *testing.T) {
+	cfg := datagen.Config{N: 60, Side: 2000, Diameter: 30, Seed: 77}
+	db, err := uvdiagram.Build(datagen.Uniform(cfg), cfg.Domain(), &uvdiagram.Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(db, t.Logf)
+	reached, release := make(chan struct{}), make(chan struct{})
+	srv.beforeRegister = func() {
+		close(reached)
+		<-release
+	}
+	cli := serveForTest(t, srv)
+
+	deltas := make(chan Delta, 1)
+	sub, err := cli.Subscribe(uvdiagram.Pt(500, 500), func(d Delta) { deltas <- d })
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-reached // the writer is parked between the response and register
+	if err := sub.Move(uvdiagram.Pt(-50, -50)); err != nil {
+		t.Fatal(err)
+	}
+	// The terminal push is written by the decode loop itself, so it
+	// arrives while the writer goroutine is still parked.
+	select {
+	case d := <-deltas:
+		if d.Err == nil {
+			t.Fatalf("out-of-domain move pushed a non-error delta: %+v", d)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no terminal delta after out-of-domain move")
+	}
+	close(release)
+	// The Ping response is written after register returned.
+	if err := cli.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	if n := srv.Subscriptions(); n != 0 {
+		t.Fatalf("register re-inserted a closed session: %d registered", n)
 	}
 }
 

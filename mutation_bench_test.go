@@ -11,8 +11,8 @@ import (
 )
 
 // benchDB builds the shared mutation-bench database: mid-size uniform
-// population at the same density the churn experiment runs (n/side²
-// of scale "small"), 4 spatial shards (the sharded path is the
+// population at the density of the paper's mid-size dataset (4000
+// objects on a 10000² domain), 4 spatial shards (the sharded path is the
 // production shape; it exercises the per-shard no-op skip too).
 func benchDB(b *testing.B, n int) *DB {
 	b.Helper()

@@ -51,7 +51,7 @@ type perfBaseline struct {
 	// of three runs.
 	Build3NSPerObj int64 `json:"build3_ns_per_obj"`
 	// DeleteNSPerOp is the mean wall clock of one DB.Delete on a
-	// steady 2000-object population at the churn experiment's density
+	// steady 2000-object population at the paper's mid-size density
 	// (the output-sensitive path: tightness triage, selective
 	// re-derivation, COW leaf surgery), best of three runs.
 	DeleteNSPerOp int64 `json:"delete_ns_per_op"`
@@ -435,8 +435,8 @@ func TestMutationPerfSmoke(t *testing.T) {
 // per-query wall clock of a batched PNN round against a database
 // served mmap-backed off a v5 snapshot. A >2x regression means the
 // zero-copy read path started copying or the snapshot open stopped
-// handing queries page views (the full heap-vs-mmap-vs-capped economy
-// lives in `uvbench -exp outofcore` / BENCH_outofcore.json).
+// handing queries page views (the heap-vs-mmap economy end to end is
+// the cold-open workload of `go run ./bench` against pnn-serve).
 func TestOutOfCorePerfSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("perf smoke skipped with -short")
