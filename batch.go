@@ -365,6 +365,13 @@ func (r batchRoute) plan(qs []Point) (owner, order []int, err error) {
 // mutation, including Insert and Delete (copy-on-write snapshots; see
 // the DB locking notes).
 func (db *DB) BatchNN(qs []Point, opts *BatchOptions) ([][]Answer, error) {
+	return db.batchPNN(qs, opts, nil)
+}
+
+// batchPNN is the routed PNN loop behind BatchNN, BatchTopKPNN and
+// BatchThresholdNN: each point's full PNN answer passes through keep
+// (nil keeps it whole) before it is stored.
+func (db *DB) batchPNN(qs []Point, opts *BatchOptions, keep func([]Answer) []Answer) ([][]Answer, error) {
 	t := db.egc.Pin() // one pin covers every worker's page reads
 	defer db.egc.Unpin(t)
 	rt := db.route() // one layout + epoch set for the whole batch
@@ -379,8 +386,14 @@ func (db *DB) BatchNN(qs []Point, opts *BatchOptions) ([][]Answer, error) {
 		sc := db.batch.getScratch()
 		answers, _, err := rt.eps[si].index.PNNWith(qs[i], cacheAt(caches, si), sc)
 		db.batch.putScratch(sc)
+		if err != nil {
+			return err
+		}
+		if keep != nil {
+			answers = keep(answers)
+		}
 		out[i] = answers
-		return err
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -391,30 +404,7 @@ func (db *DB) BatchNN(qs []Point, opts *BatchOptions) ([][]Answer, error) {
 // BatchTopKPNN answers N top-k probable nearest-neighbor queries (the
 // batch form of TopKPNN), k shared by the whole batch.
 func (db *DB) BatchTopKPNN(qs []Point, k int, opts *BatchOptions) ([][]Answer, error) {
-	t := db.egc.Pin() // one pin covers every worker's page reads
-	defer db.egc.Unpin(t)
-	rt := db.route()
-	owner, order, err := rt.plan(qs)
-	if err != nil {
-		return nil, err
-	}
-	caches := db.batch.cachesGridFor(opts.cacheSize(), len(rt.eps))
-	out := make([][]Answer, len(qs))
-	err = runBatch(len(qs), opts.workers(), order, func(i int) error {
-		si := owner[i]
-		sc := db.batch.getScratch()
-		answers, _, err := rt.eps[si].index.PNNWith(qs[i], cacheAt(caches, si), sc)
-		db.batch.putScratch(sc)
-		if err != nil {
-			return err
-		}
-		out[i] = topKAnswers(answers, k)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return db.batchPNN(qs, opts, func(answers []Answer) []Answer { return topKAnswers(answers, k) })
 }
 
 // BatchThresholdNN answers N probability-threshold nearest-neighbor
@@ -422,36 +412,15 @@ func (db *DB) BatchTopKPNN(qs []Point, k int, opts *BatchOptions) ([][]Answer, e
 // is at least tau (the threshold variant of [14]'s PNN formulation).
 // tau ≤ 0 degenerates to BatchNN.
 func (db *DB) BatchThresholdNN(qs []Point, tau float64, opts *BatchOptions) ([][]Answer, error) {
-	t := db.egc.Pin() // one pin covers every worker's page reads
-	defer db.egc.Unpin(t)
-	rt := db.route()
-	owner, order, err := rt.plan(qs)
-	if err != nil {
-		return nil, err
-	}
-	caches := db.batch.cachesGridFor(opts.cacheSize(), len(rt.eps))
-	out := make([][]Answer, len(qs))
-	err = runBatch(len(qs), opts.workers(), order, func(i int) error {
-		si := owner[i]
-		sc := db.batch.getScratch()
-		answers, _, err := rt.eps[si].index.PNNWith(qs[i], cacheAt(caches, si), sc)
-		db.batch.putScratch(sc)
-		if err != nil {
-			return err
-		}
+	return db.batchPNN(qs, opts, func(answers []Answer) []Answer {
 		kept := answers[:0]
 		for _, a := range answers {
 			if a.Prob >= tau {
 				kept = append(kept, a)
 			}
 		}
-		out[i] = kept
-		return nil
+		return kept
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // BatchOrderK answers N possible-k-NN queries (the order-k batch

@@ -8,21 +8,19 @@
 //	uvbuild [-n 30000] [-dataset uniform|skewed|utility|roads|rrlines]
 //	        [-strategy ic|icr|basic] [-diameter 40] [-sigma 2500]
 //	        [-theta 1.0] [-seed 1] [-shards 1] [-layout equal|median]
-//	        [-workers 1] [-save db.uv] [-snapshot db.uvsnap]
+//	        [-workers 1] [-snapshot db.uvsnap]
 //
 // With -shards S > 1 the domain is split into S spatial shards whose
 // sub-grid indexes are built in parallel from one derivation pass; the
 // report then adds a per-shard shape table.
 //
-// With -save, the built database is written as a logical stream
-// (DB.Save: objects, cr-sets, layout — pages are rebuilt on load);
-// with -snapshot, as a version-5 page-image snapshot that
-// uvdiagram.Open (and uvserver -data) can serve straight off the
-// mmap'd file with zero rebuild. Both may be given at once.
+// With -snapshot, the built database is written as a version-5
+// page-image snapshot (DB.SaveSnapshot) that uvdiagram.Open (and
+// uvserver -data) can serve straight off the mmap'd file with zero
+// rebuild.
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -48,7 +46,6 @@ func main() {
 	shards := flag.Int("shards", 1, "spatial shard count (1 = unsharded)")
 	layout := flag.String("layout", "equal", "shard layout strategy: equal, median (weighted-median cuts)")
 	workers := flag.Int("workers", 0, "derivation worker pool size (0/1 = sequential)")
-	save := flag.String("save", "", "write the built database as a logical stream (DB.Save) to this path")
 	snapshot := flag.String("snapshot", "", "write the built database as a v5 page-image snapshot (DB.SaveSnapshot) to this path")
 	flag.Parse()
 
@@ -93,7 +90,7 @@ func main() {
 	var ist core.IndexStats
 	var shardStats []uvdiagram.ShardStat
 	// Persisting needs a whole DB; bare core.Build suffices otherwise.
-	if *shards > 1 || *save != "" || *snapshot != "" {
+	if *shards > 1 || *snapshot != "" {
 		strat, err := uvdiagram.LayoutByName(*layout)
 		if err != nil {
 			fatal(err)
@@ -113,12 +110,6 @@ func main() {
 		ist = db.IndexStats()
 		if *shards > 1 {
 			shardStats = db.ShardStats()
-		}
-		if *save != "" {
-			if err := saveStream(db, *save); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "uvbuild: saved logical stream to %s (%s)\n", *save, fileSize(*save))
 		}
 		if *snapshot != "" {
 			if err := db.SaveSnapshot(*snapshot); err != nil {
@@ -162,32 +153,6 @@ func main() {
 				i, sh.Rect, sh.Live, sh.Index.Leaves, sh.Index.Pages, sh.Index.MaxDepth, sh.Index.Entries)
 		}
 	}
-}
-
-// saveStream writes db as a logical stream via a buffered temp file
-// renamed into place.
-func saveStream(db *uvdiagram.DB, path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriterSize(f, 1<<20)
-	err = db.Save(bw)
-	if err == nil {
-		err = bw.Flush()
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
 }
 
 func fileSize(path string) string {

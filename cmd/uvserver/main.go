@@ -1,10 +1,10 @@
-// Command uvserver builds a UV-index over a synthetic dataset (or a
-// previously saved snapshot) and serves it over TCP with the binary
-// protocol of internal/wire. Query it with uvclient.
+// Command uvserver builds a UV-index over a synthetic dataset (or opens
+// a previously saved database file) and serves it over TCP with the
+// binary protocol of internal/wire. Query it with uvclient.
 //
 // Usage:
 //
-//	uvserver [-addr :7031] [-n 10000] [-seed 1] [-load db.uv]
+//	uvserver [-addr :7031] [-n 10000] [-seed 1]
 //	         [-data db.uvsnap] [-pager mmap|heap]
 //	         [-shards 1] [-layout equal|median] [-window 64]
 //	         [-workers N] [-cache 256] [-push-timeout 5s]
@@ -25,15 +25,16 @@
 // below -maintain-low (two-threshold hysteresis) with a
 // -maintain-cooldown between runs.
 //
-// With -data, the database file is opened with uvdiagram.Open — any
-// saved version works, and a version-5 page-image snapshot (uvbuild
-// -snapshot) is served straight off the mmap'd file with zero rebuild;
-// -pager heap copies it into memory instead. -load is the older
-// logical-stream reader (uvbuild -save / DB.Save); both take the
-// file's shard layout over -shards. With -shards S > 1 a fresh build
-// splits the domain into S spatial shards, each with its own sub-grid
-// index, epoch and slack counter — queries route to the owning shard,
-// and compaction is per-shard.
+// With -data, the database file is opened with uvdiagram.Open instead
+// of generating data: a version-5 page-image snapshot (uvbuild
+// -snapshot) is served straight off the mmap'd file with zero rebuild
+// (-pager heap copies it into memory instead), and the logical streams
+// earlier releases wrote are still read. The file's population and
+// shard layout win over -n, -seed, -shards and -layout, which only
+// shape a fresh build. With -shards S > 1 a fresh build splits the
+// domain into S spatial shards, each with its own sub-grid index, epoch
+// and slack counter — queries route to the owning shard, and compaction
+// is per-shard.
 package main
 
 import (
@@ -53,12 +54,11 @@ import (
 func main() {
 	addr := flag.String("addr", ":7031", "listen address")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
-	n := flag.Int("n", 10000, "number of synthetic objects (ignored with -load)")
+	n := flag.Int("n", 10000, "number of synthetic objects (ignored with -data)")
 	seed := flag.Int64("seed", 1, "random seed for the synthetic dataset")
-	load := flag.String("load", "", "load a logical-stream snapshot instead of generating data")
 	data := flag.String("data", "", "open a saved database file with uvdiagram.Open (v5 snapshots serve off the file) instead of generating data")
 	pagerMode := flag.String("pager", "", "page-store backend for -data v5 snapshots: mmap (default; zero-copy off the file) or heap (copy into memory)")
-	shards := flag.Int("shards", 1, "spatial shard count (ignored with -load; 1 = unsharded)")
+	shards := flag.Int("shards", 1, "spatial shard count of a fresh build (ignored with -data; 1 = unsharded)")
 	layout := flag.String("layout", "equal", "shard layout strategy for a fresh build: equal, median")
 	window := flag.Int("window", 0, "per-connection in-flight request window (0 = default 64)")
 	workers := flag.Int("workers", 0, "server-wide query worker pool size (0 = GOMAXPROCS)")
@@ -91,17 +91,6 @@ func main() {
 			logger.Fatal(err)
 		}
 		logger.Printf("opened %d objects from %s (pager=%s)", db.Len(), *data, db.PagerMode())
-	} else if *load != "" {
-		f, err := os.Open(*load)
-		if err != nil {
-			logger.Fatal(err)
-		}
-		db, err = uvdiagram.Load(f, nil)
-		f.Close()
-		if err != nil {
-			logger.Fatal(err)
-		}
-		logger.Printf("loaded %d objects from %s", db.Len(), *load)
 	} else {
 		cfg := datagen.Config{N: *n, Seed: *seed}
 		objs := datagen.Uniform(cfg)

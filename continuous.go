@@ -14,7 +14,7 @@ import (
 // touches the session's shard invalidates the safe circle through the
 // shard index's mutation generation (mutations confined to other shards
 // provably cannot change answers here and leave the circle valid), a
-// Rebuild/Compact epoch swap or a Reshard layout swap transparently
+// Compact epoch swap or a Reshard layout swap transparently
 // re-opens the session against the fresh index, and a move across a
 // shard boundary re-opens it on the owning shard — so a stale answer
 // set is never served. The safe circle never extends past the leaf
@@ -68,7 +68,7 @@ func (c *ContinuousPNN) Move(q Point) ([]int32, bool, error) {
 
 // Revalidate re-evaluates the session at its CURRENT position if — and
 // only if — the index state its safe circle was computed against has
-// changed: a mutation on the owning shard, a Compact/Rebuild epoch swap
+// changed: a mutation on the owning shard, a Compact epoch swap
 // or a Reshard layout swap. An untouched engine returns immediately on
 // atomic generation comparisons, so calling it after every database
 // write is cheap for the (typical) sessions the write did not affect.
@@ -86,7 +86,7 @@ func (c *ContinuousPNN) Revalidate() ([]int32, bool, error) {
 // advance is the ONE re-open + move path shared by Move, Revalidate and
 // DB.AdvanceAll. When the layout was replaced (Reshard), the point
 // crossed into another shard, or the shard's index was swapped
-// (Compact/Rebuild), the old session's safe circle argues about the
+// (Compact), the old session's safe circle argues about the
 // wrong index: the session re-opens on the owning shard's current
 // epoch, carrying the work counters forward. Otherwise the core
 // session's safe-circle check runs. Counters fold into prior only AFTER

@@ -134,7 +134,7 @@ func TestContinuousStatsExact(t *testing.T) {
 
 	// Phase 3: Compact swaps every epoch; Reshard swaps the layout. The
 	// session re-opens transparently, one recompute per swap crossing.
-	if err := db.Rebuild(); err != nil {
+	if err := db.Compact(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	move(q, "post-compact")
@@ -160,7 +160,7 @@ func TestContinuousStatsExact(t *testing.T) {
 	// the same out-of-domain move now goes down the re-open path and
 	// NewContinuousPNN fails — the session, its binding, and its
 	// counters must all survive untouched.
-	if err := db.Rebuild(); err != nil {
+	if err := db.Compact(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := sess.Move(uvdiagram.Pt(-5, -5)); err == nil {
@@ -255,7 +255,7 @@ func TestAdvanceAllMatchesSequential(t *testing.T) {
 	step("churn", func() error {
 		return db.Insert(uvdiagram.NewObject(db.NextID(), 500, 500, 10, nil))
 	})
-	step("compact", func() error { return db.Rebuild() })
+	step("compact", func() error { return db.Compact(context.Background()) })
 	step("reshard", func() error { return db.Reshard(context.Background()) })
 	step("bad-point", nil)
 	step("recover", nil)

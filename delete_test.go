@@ -28,7 +28,7 @@ func survivorReference(t *testing.T, all []Object, deadIDs []int32, domain Rect,
 			t.Fatal(err)
 		}
 	}
-	if err := db.Rebuild(); err != nil {
+	if err := db.Compact(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	return db

@@ -1,13 +1,13 @@
 package core
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
 	"uvdiagram/internal/geom"
 	"uvdiagram/internal/pager"
 	"uvdiagram/internal/uncertain"
+	"uvdiagram/internal/wire"
 )
 
 // FuzzLoadUVIndex: arbitrary bytes fed to the index loader must error
@@ -24,7 +24,7 @@ func FuzzLoadUVIndex(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	var valid bytes.Buffer
+	var valid wire.Buffer
 	if err := ix.Save(&valid); err != nil {
 		f.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func FuzzLoadUVIndex(f *testing.F) {
 	f.Add(valid.Bytes()[:20])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		loaded, err := LoadUVIndex(bytes.NewReader(data), store)
+		loaded, err := LoadUVIndex(wire.NewReader(data), store)
 		if err != nil {
 			return
 		}

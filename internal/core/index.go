@@ -319,17 +319,11 @@ func (ix *UVIndex) PNN(q geom.Point) ([]Answer, QueryStats, error) {
 	return ix.pnn(q, nil, nil)
 }
 
-// PNNCached is PNN with an optional leaf-tuple cache: on a cache hit the
-// leaf page list is not re-read or re-decoded (IndexIOs stays 0 for the
-// query). Answers are identical to PNN. A nil cache degrades to PNN.
-func (ix *UVIndex) PNNCached(q geom.Point, cache *LeafCache) ([]Answer, QueryStats, error) {
-	return ix.pnn(q, cache, nil)
-}
-
-// PNNWith is PNN with both an optional leaf-tuple cache and an optional
-// query scratch — the batch engine's hot path. Answers are bitwise
-// identical whatever combination is passed; nil arguments degrade to
-// the allocating paths.
+// PNNWith is PNN with both an optional leaf-tuple cache (on a hit the
+// leaf page list is not re-read or re-decoded: IndexIOs stays 0 for the
+// query) and an optional query scratch — the batch engine's hot path.
+// Answers are bitwise identical whatever combination is passed; nil
+// arguments degrade to the allocating paths.
 func (ix *UVIndex) PNNWith(q geom.Point, cache *LeafCache, sc *QueryScratch) ([]Answer, QueryStats, error) {
 	return ix.pnn(q, cache, sc)
 }

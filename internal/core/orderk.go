@@ -643,7 +643,7 @@ func (ix *UVIndex) PossibleKNN(q geom.Point) ([]int32, QueryStats, error) {
 }
 
 // PossibleKNNCached is PossibleKNN with an optional leaf-tuple cache
-// (see PNNCached); answers are identical, a nil cache degrades to
+// (see PNNWith); answers are identical, a nil cache degrades to
 // PossibleKNN.
 func (ix *UVIndex) PossibleKNNCached(q geom.Point, cache *LeafCache) ([]int32, QueryStats, error) {
 	return ix.possibleKNN(q, cache)

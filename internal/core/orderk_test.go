@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"sort"
@@ -12,6 +11,7 @@ import (
 	"uvdiagram/internal/pager"
 	"uvdiagram/internal/prob"
 	"uvdiagram/internal/uncertain"
+	"uvdiagram/internal/wire"
 )
 
 func orderKObjs(n int, seed int64) []uncertain.Object {
@@ -209,11 +209,11 @@ func TestOrderKSerializeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
+	var buf wire.Buffer
 	if err := ix.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadUVIndex(bytes.NewReader(buf.Bytes()), store)
+	got, err := LoadUVIndex(wire.NewReader(buf.Bytes()), store)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,11 @@
 package core
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"io"
-	"math"
 
 	"uvdiagram/internal/geom"
 	"uvdiagram/internal/uncertain"
+	"uvdiagram/internal/wire"
 )
 
 // Index persistence: a built UV-index can be written out and reopened
@@ -24,162 +21,158 @@ const (
 	indexVersion = 2
 )
 
-type countingWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (cw *countingWriter) u32(v uint32) {
-	if cw.err != nil {
-		return
-	}
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], v)
-	_, cw.err = cw.w.Write(buf[:])
-}
-
-func (cw *countingWriter) f64(v float64) {
-	if cw.err != nil {
-		return
-	}
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-	_, cw.err = cw.w.Write(buf[:])
-}
-
-func (cw *countingWriter) ids(ids []int32) {
-	cw.u32(uint32(len(ids)))
+// putIDs appends a count-prefixed id list.
+func putIDs(w *wire.Buffer, ids []int32) {
+	w.U32(uint32(len(ids)))
 	for _, id := range ids {
-		cw.u32(uint32(id))
+		w.I32(id)
 	}
 }
 
-// Save serializes the finished index structure to w.
-func (ix *UVIndex) Save(w io.Writer) error {
-	if !ix.finished {
-		return fmt.Errorf("core: Save before Finish")
-	}
-	bw := bufio.NewWriter(w)
-	cw := &countingWriter{w: bw}
-	cw.u32(indexMagic)
-	cw.u32(indexVersion)
-	cw.f64(ix.domain.Min.X)
-	cw.f64(ix.domain.Min.Y)
-	cw.f64(ix.domain.Max.X)
-	cw.f64(ix.domain.Max.Y)
-	cw.u32(uint32(ix.opts.M))
-	cw.f64(ix.opts.SplitTheta)
-	cw.u32(uint32(ix.opts.PageSize))
-	cw.u32(uint32(ix.opts.MaxDepth))
-	cw.u32(uint32(ix.orderK))
-	cw.u32(uint32(len(ix.cr.crOf)))
-	for _, cr := range ix.cr.crOf {
-		cw.ids(cr)
-	}
-	var walk func(n *qnode)
-	walk = func(n *qnode) {
-		if cw.err != nil {
-			return
-		}
-		if n.isLeaf() {
-			cw.u32(0)
-			cw.ids(n.ids)
-			return
-		}
-		cw.u32(1)
-		for _, c := range n.children {
-			walk(c)
-		}
-	}
-	walk(ix.snap().root)
-	if cw.err != nil {
-		return fmt.Errorf("core: saving index: %w", cw.err)
-	}
-	return bw.Flush()
-}
-
-type reader struct {
-	r   *bufio.Reader
-	err error
-}
-
-func (rd *reader) u32() uint32 {
-	if rd.err != nil {
-		return 0
-	}
-	var buf [4]byte
-	if _, err := io.ReadFull(rd.r, buf[:]); err != nil {
-		rd.err = err
-		return 0
-	}
-	return binary.LittleEndian.Uint32(buf[:])
-}
-
-func (rd *reader) f64() float64 {
-	if rd.err != nil {
-		return 0
-	}
-	var buf [8]byte
-	if _, err := io.ReadFull(rd.r, buf[:]); err != nil {
-		rd.err = err
-		return 0
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(buf[:]))
-}
-
-func (rd *reader) ids(max int) []int32 {
-	n := int(rd.u32())
-	if rd.err != nil {
-		return nil
-	}
-	if n > max {
-		rd.err = fmt.Errorf("id list of %d exceeds object count %d", n, max)
-		return nil
+// readIDs reads a count-prefixed id list whose ids must all lie below
+// max (the object count).
+func readIDs(r *wire.Reader, max int) ([]int32, error) {
+	n := int(r.U32())
+	if n < 0 || n > max {
+		return nil, fmt.Errorf("id list of %d exceeds object count %d", n, max)
 	}
 	out := make([]int32, n)
 	for i := range out {
-		v := rd.u32()
+		v := r.U32()
 		if int(v) >= max {
-			rd.err = fmt.Errorf("object id %d out of range", v)
-			return nil
+			return nil, fmt.Errorf("object id %d out of range", v)
 		}
 		out[i] = int32(v)
 	}
-	return out
+	return out, r.Err()
 }
 
-// LoadUVIndex reads an index saved with Save and reattaches it to the
-// store it was built over (the store provides MBCs and page pointers
-// for the re-materialized leaf pages).
-func LoadUVIndex(r io.Reader, store *uncertain.Store) (*UVIndex, error) {
-	rd := &reader{r: bufio.NewReader(r)}
-	if rd.u32() != indexMagic {
+// putHeader appends the fields Save and SnapshotManifest share: domain,
+// index options, cell order and object count.
+func (ix *UVIndex) putHeader(w *wire.Buffer, n int) {
+	w.F64(ix.domain.Min.X)
+	w.F64(ix.domain.Min.Y)
+	w.F64(ix.domain.Max.X)
+	w.F64(ix.domain.Max.Y)
+	w.U32(uint32(ix.opts.M))
+	w.F64(ix.opts.SplitTheta)
+	w.U32(uint32(ix.opts.PageSize))
+	w.U32(uint32(ix.opts.MaxDepth))
+	w.U32(uint32(ix.orderK))
+	w.U32(uint32(n))
+}
+
+// Save appends the finished index structure to w.
+func (ix *UVIndex) Save(w *wire.Buffer) error {
+	if !ix.finished {
+		return fmt.Errorf("core: Save before Finish")
+	}
+	w.U32(indexMagic)
+	w.U32(indexVersion)
+	ix.putHeader(w, len(ix.cr.crOf))
+	for _, cr := range ix.cr.crOf {
+		putIDs(w, cr)
+	}
+	putTree(w, ix.snap().root, nil)
+	return nil
+}
+
+// putTree appends a preorder walk of the tree under n: tag 0, the id
+// list and whatever leaf appends for a leaf; tag 1 and the four
+// children for a non-leaf.
+func putTree(w *wire.Buffer, n *qnode, leaf func(*qnode)) {
+	if !n.isLeaf() {
+		w.U32(1)
+		for _, c := range n.children {
+			putTree(w, c, leaf)
+		}
+		return
+	}
+	w.U32(0)
+	putIDs(w, n.ids)
+	if leaf != nil {
+		leaf(n)
+	}
+}
+
+// readHeader reads the fields putHeader wrote; a version-1 Save stream
+// predates the cell order and implies order 1.
+func readHeader(r *wire.Reader, hasOrder bool) (domain geom.Rect, opts IndexOptions, orderK, n int) {
+	domain = geom.Rect{
+		Min: geom.Pt(r.F64(), r.F64()),
+		Max: geom.Pt(r.F64(), r.F64()),
+	}
+	opts = IndexOptions{
+		M:          int(r.U32()),
+		SplitTheta: r.F64(),
+		PageSize:   int(r.U32()),
+		MaxDepth:   int(r.U32()),
+	}
+	orderK = 1
+	if hasOrder {
+		orderK = int(r.U32())
+	}
+	return domain, opts, orderK, int(r.U32())
+}
+
+// maxTreeNodes bounds the node count of a decoded tree against corrupt
+// streams.
+const maxTreeNodes = 1 << 24
+
+// readTree decodes the walk putTree wrote: the leaf callback builds each
+// leaf from its id list (reading from r whatever its writer appended).
+// It returns the root and the non-leaf count.
+func readTree(r *wire.Reader, n int, leaf func(ids []int32) (*qnode, error)) (*qnode, int, error) {
+	var nodes, nonleaf int
+	var walk func() (*qnode, error)
+	walk = func() (*qnode, error) {
+		if nodes++; nodes > maxTreeNodes {
+			return nil, fmt.Errorf("node count exceeds sanity bound")
+		}
+		switch tag := r.U32(); {
+		case r.Err() != nil:
+			return nil, r.Err()
+		case tag == 0:
+			ids, err := readIDs(r, n)
+			if err != nil {
+				return nil, err
+			}
+			return leaf(ids)
+		case tag == 1:
+			var kids [4]*qnode
+			for k := range kids {
+				var err error
+				if kids[k], err = walk(); err != nil {
+					return nil, err
+				}
+			}
+			nonleaf++
+			return &qnode{children: &kids}, nil
+		default:
+			return nil, fmt.Errorf("bad node tag")
+		}
+	}
+	root, err := walk()
+	return root, nonleaf, err
+}
+
+// LoadUVIndex reads an index written by Save from r's cursor and
+// reattaches it to the store it was built over (the store provides MBCs
+// and page pointers for the re-materialized leaf pages).
+func LoadUVIndex(r *wire.Reader, store *uncertain.Store) (*UVIndex, error) {
+	if r.U32() != indexMagic {
 		return nil, fmt.Errorf("core: not a UV-index stream")
 	}
-	v := rd.u32()
+	v := r.U32()
 	if v != 1 && v != indexVersion {
 		return nil, fmt.Errorf("core: unsupported UV-index version %d", v)
 	}
-	domain := geom.Rect{
-		Min: geom.Pt(rd.f64(), rd.f64()),
-		Max: geom.Pt(rd.f64(), rd.f64()),
-	}
-	opts := IndexOptions{
-		M:          int(rd.u32()),
-		SplitTheta: rd.f64(),
-		PageSize:   int(rd.u32()),
-		MaxDepth:   int(rd.u32()),
-	}
-	orderK := 1
-	if v >= 2 {
-		orderK = int(rd.u32())
+	domain, opts, orderK, n := readHeader(r, v >= 2)
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("core: loading index header: %w", err)
 	}
 	if orderK < 1 {
 		return nil, fmt.Errorf("core: invalid cell order %d", orderK)
-	}
-	n := int(rd.u32())
-	if rd.err != nil {
-		return nil, fmt.Errorf("core: loading index header: %w", rd.err)
 	}
 	if n != store.Len() {
 		return nil, fmt.Errorf("core: index stores %d objects, store has %d", n, store.Len())
@@ -187,54 +180,28 @@ func LoadUVIndex(r io.Reader, store *uncertain.Store) (*UVIndex, error) {
 	ix := NewUVIndex(store, domain, opts)
 	ix.orderK = orderK
 	for i := 0; i < n; i++ {
-		ix.cr.crOf[i] = rd.ids(n)
-	}
-	if rd.err == nil {
-		// Rebuild the reverse cr-map (the delete path's dependency
-		// index); it is derived state, so the stream does not carry it.
-		for i := 0; i < n; i++ {
-			ix.cr.addRev(int32(i), ix.cr.crOf[i])
+		ids, err := readIDs(r, n)
+		if err != nil {
+			return nil, fmt.Errorf("core: loading index registry: %w", err)
 		}
+		ix.cr.crOf[i] = ids
 	}
-	var nodes int
-	var walk func() *qnode
-	walk = func() *qnode {
-		if rd.err != nil {
-			return nil
-		}
-		nodes++
-		if nodes > 1<<24 {
-			rd.err = fmt.Errorf("node count exceeds sanity bound")
-			return nil
-		}
-		switch rd.u32() {
-		case 0:
-			leaf := &qnode{ids: rd.ids(n)}
-			leaf.pagesAlloc = 1
-			if need := (len(leaf.ids) + ix.capPerPage - 1) / ix.capPerPage; need > 1 {
-				leaf.pagesAlloc = need
-			}
-			return leaf
-		case 1:
-			nd := &qnode{}
-			var kids [4]*qnode
-			for k := 0; k < 4; k++ {
-				kids[k] = walk()
-			}
-			nd.children = &kids
-			ix.nonleaf++
-			return nd
-		default:
-			if rd.err == nil {
-				rd.err = fmt.Errorf("bad node tag")
-			}
-			return nil
-		}
+	// Rebuild the reverse cr-map (the delete path's dependency index); it
+	// is derived state, so the stream does not carry it.
+	for i := 0; i < n; i++ {
+		ix.cr.addRev(int32(i), ix.cr.crOf[i])
 	}
-	ix.root = walk()
-	if rd.err != nil {
-		return nil, fmt.Errorf("core: loading index tree: %w", rd.err)
+	root, nonleaf, err := readTree(r, n, func(ids []int32) (*qnode, error) {
+		leaf := &qnode{ids: ids, pagesAlloc: 1}
+		if need := (len(ids) + ix.capPerPage - 1) / ix.capPerPage; need > 1 {
+			leaf.pagesAlloc = need
+		}
+		return leaf, nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: loading index tree: %w", err)
 	}
+	ix.root, ix.nonleaf = root, nonleaf
 	ix.Finish() // re-materialize leaf pages
 	return ix, nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"uvdiagram/internal/geom"
+	"uvdiagram/internal/wire"
 )
 
 func TestIndexSaveLoadRoundTrip(t *testing.T) {
@@ -14,15 +15,23 @@ func TestIndexSaveLoadRoundTrip(t *testing.T) {
 	objs := randObjects(rng, 150, 1000, 20)
 	ix, _ := buildIndex(t, objs, domain, StrategyIC)
 
-	var buf bytes.Buffer
+	var buf wire.Buffer
 	if err := ix.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadUVIndex(bytes.NewReader(buf.Bytes()), ix.store)
+	loaded, err := LoadUVIndex(wire.NewReader(buf.Bytes()), ix.store)
 	if err != nil {
 		t.Fatal(err)
 	}
 
+	// Same bytes when saved again.
+	var again wire.Buffer
+	if err := loaded.Save(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), buf.Bytes()) {
+		t.Fatal("re-saved index differs from the stream it was loaded from")
+	}
 	// Same shape.
 	a, b := ix.Stats(), loaded.Stats()
 	if a != b {
@@ -71,7 +80,7 @@ func TestIndexSaveUnfinished(t *testing.T) {
 	objs := randObjects(rng, 10, 1000, 20)
 	st := makeStore(t, objs)
 	ix := NewUVIndex(st, geom.Square(1000), DefaultIndexOptions())
-	var buf bytes.Buffer
+	var buf wire.Buffer
 	if err := ix.Save(&buf); err == nil {
 		t.Error("saving an unfinished index succeeded")
 	}
@@ -81,7 +90,7 @@ func TestIndexLoadErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(911))
 	objs := randObjects(rng, 40, 1000, 20)
 	ix, _ := buildIndex(t, objs, geom.Square(1000), StrategyIC)
-	var buf bytes.Buffer
+	var buf wire.Buffer
 	if err := ix.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
@@ -89,18 +98,18 @@ func TestIndexLoadErrors(t *testing.T) {
 
 	// Wrong magic.
 	bad := append([]byte{9, 9, 9, 9}, data[4:]...)
-	if _, err := LoadUVIndex(bytes.NewReader(bad), ix.store); err == nil {
+	if _, err := LoadUVIndex(wire.NewReader(bad), ix.store); err == nil {
 		t.Error("bad magic accepted")
 	}
 	// Truncations at many offsets must error, never panic.
 	for _, cut := range []int{0, 4, 8, 20, len(data) / 2, len(data) - 1} {
-		if _, err := LoadUVIndex(bytes.NewReader(data[:cut]), ix.store); err == nil {
+		if _, err := LoadUVIndex(wire.NewReader(data[:cut]), ix.store); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
 	}
 	// Store size mismatch.
 	small := makeStore(t, objs[:10])
-	if _, err := LoadUVIndex(bytes.NewReader(data), small); err == nil {
+	if _, err := LoadUVIndex(wire.NewReader(data), small); err == nil {
 		t.Error("store size mismatch accepted")
 	}
 }

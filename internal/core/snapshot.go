@@ -1,13 +1,11 @@
 package core
 
 import (
-	"bufio"
-	"bytes"
 	"fmt"
 
-	"uvdiagram/internal/geom"
 	"uvdiagram/internal/pager"
 	"uvdiagram/internal/uncertain"
+	"uvdiagram/internal/wire"
 )
 
 // Page-image snapshots: unlike Save/LoadUVIndex — which persist the
@@ -36,41 +34,14 @@ func (ix *UVIndex) SnapshotManifest() ([]byte, []pager.PageID, error) {
 	if !ix.finished {
 		return nil, nil, fmt.Errorf("core: SnapshotManifest before Finish")
 	}
-	var buf bytes.Buffer
-	cw := &countingWriter{w: &buf}
-	cw.f64(ix.domain.Min.X)
-	cw.f64(ix.domain.Min.Y)
-	cw.f64(ix.domain.Max.X)
-	cw.f64(ix.domain.Max.Y)
-	cw.u32(uint32(ix.opts.M))
-	cw.f64(ix.opts.SplitTheta)
-	cw.u32(uint32(ix.opts.PageSize))
-	cw.u32(uint32(ix.opts.MaxDepth))
-	cw.u32(uint32(ix.orderK))
-	cw.u32(uint32(ix.store.Len()))
+	var w wire.Buffer
+	ix.putHeader(&w, ix.store.Len())
 	var pages []pager.PageID
-	var walk func(n *qnode)
-	walk = func(n *qnode) {
-		if cw.err != nil {
-			return
-		}
-		if n.isLeaf() {
-			cw.u32(0)
-			cw.ids(n.ids)
-			cw.u32(uint32(len(n.pages)))
-			pages = append(pages, n.pages...)
-			return
-		}
-		cw.u32(1)
-		for _, c := range n.children {
-			walk(c)
-		}
-	}
-	walk(ix.snap().root)
-	if cw.err != nil {
-		return nil, nil, fmt.Errorf("core: snapshot manifest: %w", cw.err)
-	}
-	return buf.Bytes(), pages, nil
+	putTree(&w, ix.snap().root, func(n *qnode) {
+		w.U32(uint32(len(n.pages)))
+		pages = append(pages, n.pages...)
+	})
+	return w.Bytes(), pages, nil
 }
 
 // OpenUVIndexSnapshot reconstructs an index from a manifest written by
@@ -83,21 +54,10 @@ func (ix *UVIndex) SnapshotManifest() ([]byte, []pager.PageID, error) {
 // cr is the engine-level constraint registry the leaves were built
 // from.
 func OpenUVIndexSnapshot(manifest []byte, store *uncertain.Store, cr *CRState, pg *pager.Pager) (*UVIndex, error) {
-	rd := &reader{r: bufio.NewReader(bytes.NewReader(manifest))}
-	domain := geom.Rect{
-		Min: geom.Pt(rd.f64(), rd.f64()),
-		Max: geom.Pt(rd.f64(), rd.f64()),
-	}
-	opts := IndexOptions{
-		M:          int(rd.u32()),
-		SplitTheta: rd.f64(),
-		PageSize:   int(rd.u32()),
-		MaxDepth:   int(rd.u32()),
-	}
-	orderK := int(rd.u32())
-	n := int(rd.u32())
-	if rd.err != nil {
-		return nil, fmt.Errorf("core: snapshot header: %w", rd.err)
+	r := wire.NewReader(manifest)
+	domain, opts, orderK, n := readHeader(r, true)
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("core: snapshot header: %w", err)
 	}
 	if orderK < 1 {
 		return nil, fmt.Errorf("core: snapshot cell order %d", orderK)
@@ -120,56 +80,26 @@ func OpenUVIndexSnapshot(manifest []byte, store *uncertain.Store, cr *CRState, p
 	}
 	total := pg.NumPages()
 	next := 0 // next unclaimed sequential page id
-	var nodes, nonleaf int
-	var walk func() *qnode
-	walk = func() *qnode {
-		if rd.err != nil {
-			return nil
+	root, nonleaf, err := readTree(r, n, func(ids []int32) (*qnode, error) {
+		count := int(r.U32())
+		if err := r.Err(); err != nil {
+			return nil, err
 		}
-		nodes++
-		if nodes > 1<<24 {
-			rd.err = fmt.Errorf("node count exceeds sanity bound")
-			return nil
+		if count < 1 || next+count > total {
+			return nil, fmt.Errorf("leaf claims pages [%d, %d) of %d", next, next+count, total)
 		}
-		switch rd.u32() {
-		case 0:
-			leaf := &qnode{ids: rd.ids(n)}
-			count := int(rd.u32())
-			if rd.err != nil {
-				return nil
-			}
-			if count < 1 || next+count > total {
-				rd.err = fmt.Errorf("leaf claims pages [%d, %d) of %d", next, next+count, total)
-				return nil
-			}
-			if count < (len(leaf.ids)+ix.capPerPage-1)/ix.capPerPage {
-				rd.err = fmt.Errorf("leaf of %d ids claims only %d pages", len(leaf.ids), count)
-				return nil
-			}
-			leaf.pages = make([]pager.PageID, count)
-			for i := range leaf.pages {
-				leaf.pages[i] = pager.PageID(next + i)
-			}
-			next += count
-			leaf.pagesAlloc = count
-			return leaf
-		case 1:
-			var kids [4]*qnode
-			for k := 0; k < 4; k++ {
-				kids[k] = walk()
-			}
-			nonleaf++
-			return &qnode{children: &kids}
-		default:
-			if rd.err == nil {
-				rd.err = fmt.Errorf("bad node tag")
-			}
-			return nil
+		if count < (len(ids)+ix.capPerPage-1)/ix.capPerPage {
+			return nil, fmt.Errorf("leaf of %d ids claims only %d pages", len(ids), count)
 		}
-	}
-	root := walk()
-	if rd.err != nil {
-		return nil, fmt.Errorf("core: snapshot tree: %w", rd.err)
+		leaf := &qnode{ids: ids, pages: make([]pager.PageID, count), pagesAlloc: count}
+		for i := range leaf.pages {
+			leaf.pages[i] = pager.PageID(next + i)
+		}
+		next += count
+		return leaf, nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: snapshot tree: %w", err)
 	}
 	if next != total {
 		return nil, fmt.Errorf("core: snapshot tree claims %d pages, section holds %d", next, total)

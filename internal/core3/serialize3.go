@@ -1,14 +1,11 @@
 package core3
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"io"
-	"math"
 
 	"uvdiagram/internal/geom3"
 	"uvdiagram/internal/uncertain3"
+	"uvdiagram/internal/wire"
 )
 
 // Octree persistence mirrors the 2D index serializer: header, per-object
@@ -21,202 +18,144 @@ const (
 	octVersion = 1
 )
 
-type writer3 struct {
-	w   *bufio.Writer
-	err error
-}
-
-func (cw *writer3) u32(v uint32) {
-	if cw.err != nil {
-		return
-	}
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], v)
-	_, cw.err = cw.w.Write(buf[:])
-}
-
-func (cw *writer3) f64(v float64) {
-	if cw.err != nil {
-		return
-	}
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-	_, cw.err = cw.w.Write(buf[:])
-}
-
-func (cw *writer3) ids(ids []int32) {
-	cw.u32(uint32(len(ids)))
+// putIDs appends a count-prefixed id list.
+func putIDs(w *wire.Buffer, ids []int32) {
+	w.U32(uint32(len(ids)))
 	for _, id := range ids {
-		cw.u32(uint32(id))
+		w.I32(id)
 	}
 }
 
-// Save serializes the finished octree structure to w.
-func (ix *OctIndex) Save(w io.Writer) error {
+// readIDs reads a count-prefixed id list whose ids must all lie below
+// max (the object count).
+func readIDs(r *wire.Reader, max int) ([]int32, error) {
+	n := int(r.U32())
+	if n < 0 || n > max {
+		return nil, fmt.Errorf("id list of %d exceeds bound %d", n, max)
+	}
+	out := make([]int32, n)
+	for i := range out {
+		v := r.U32()
+		if int(v) >= max {
+			return nil, fmt.Errorf("id %d out of range", v)
+		}
+		out[i] = int32(v)
+	}
+	return out, r.Err()
+}
+
+// Save appends the finished octree structure to w.
+func (ix *OctIndex) Save(w *wire.Buffer) error {
 	if !ix.finished {
 		return fmt.Errorf("core3: Save before Finish")
 	}
-	bw := bufio.NewWriter(w)
-	cw := &writer3{w: bw}
-	cw.u32(octMagic)
-	cw.u32(octVersion)
+	w.U32(octMagic)
+	w.U32(octVersion)
 	for _, v := range []float64{
 		ix.domain.Min.X, ix.domain.Min.Y, ix.domain.Min.Z,
 		ix.domain.Max.X, ix.domain.Max.Y, ix.domain.Max.Z,
 	} {
-		cw.f64(v)
+		w.F64(v)
 	}
-	cw.u32(uint32(ix.opts.M))
-	cw.f64(ix.opts.SplitTheta)
-	cw.u32(uint32(ix.opts.PageSize))
-	cw.u32(uint32(ix.opts.MaxDepth))
-	cw.u32(uint32(ix.opts.Dirs))
-	cw.u32(uint32(len(ix.crOf)))
+	w.U32(uint32(ix.opts.M))
+	w.F64(ix.opts.SplitTheta)
+	w.U32(uint32(ix.opts.PageSize))
+	w.U32(uint32(ix.opts.MaxDepth))
+	w.U32(uint32(ix.opts.Dirs))
+	w.U32(uint32(len(ix.crOf)))
 	for _, cr := range ix.crOf {
-		cw.ids(cr)
+		putIDs(w, cr)
 	}
 	var walk func(n *onode)
 	walk = func(n *onode) {
-		if cw.err != nil {
-			return
-		}
 		if n.isLeaf() {
-			cw.u32(0)
-			cw.ids(n.ids)
+			w.U32(0)
+			putIDs(w, n.ids)
 			return
 		}
-		cw.u32(1)
+		w.U32(1)
 		for _, c := range n.children {
 			walk(c)
 		}
 	}
 	walk(ix.root)
-	if cw.err != nil {
-		return fmt.Errorf("core3: saving octree: %w", cw.err)
-	}
-	return bw.Flush()
+	return nil
 }
 
-type reader3 struct {
-	r   *bufio.Reader
-	err error
-}
-
-func (rd *reader3) u32() uint32 {
-	if rd.err != nil {
-		return 0
-	}
-	var buf [4]byte
-	if _, err := io.ReadFull(rd.r, buf[:]); err != nil {
-		rd.err = err
-		return 0
-	}
-	return binary.LittleEndian.Uint32(buf[:])
-}
-
-func (rd *reader3) f64() float64 {
-	if rd.err != nil {
-		return 0
-	}
-	var buf [8]byte
-	if _, err := io.ReadFull(rd.r, buf[:]); err != nil {
-		rd.err = err
-		return 0
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(buf[:]))
-}
-
-func (rd *reader3) ids(max int) []int32 {
-	n := int(rd.u32())
-	if rd.err != nil {
-		return nil
-	}
-	if n < 0 || n > max {
-		rd.err = fmt.Errorf("id list of %d exceeds bound %d", n, max)
-		return nil
-	}
-	out := make([]int32, n)
-	for i := range out {
-		v := rd.u32()
-		if int(v) >= max {
-			rd.err = fmt.Errorf("id %d out of range", v)
-			return nil
-		}
-		out[i] = int32(v)
-	}
-	return out
-}
-
-// LoadOctIndex re-opens an octree written by Save against the same
-// object slice; leaf pages are re-materialized.
-func LoadOctIndex(r io.Reader, objs []uncertain3.Object3) (*OctIndex, error) {
-	rd := &reader3{r: bufio.NewReader(r)}
-	if rd.u32() != octMagic {
+// LoadOctIndex re-opens an octree written by Save, read from r's
+// cursor, against the same object slice; leaf pages are
+// re-materialized.
+func LoadOctIndex(r *wire.Reader, objs []uncertain3.Object3) (*OctIndex, error) {
+	if r.U32() != octMagic {
 		return nil, fmt.Errorf("core3: not an octree stream")
 	}
-	if v := rd.u32(); v != octVersion {
+	if v := r.U32(); v != octVersion {
 		return nil, fmt.Errorf("core3: unsupported octree version %d", v)
 	}
 	domain := geom3.Box{
-		Min: geom3.P3(rd.f64(), rd.f64(), rd.f64()),
-		Max: geom3.P3(rd.f64(), rd.f64(), rd.f64()),
+		Min: geom3.P3(r.F64(), r.F64(), r.F64()),
+		Max: geom3.P3(r.F64(), r.F64(), r.F64()),
 	}
 	opts := Options3{
-		M:          int(rd.u32()),
-		SplitTheta: rd.f64(),
-		PageSize:   int(rd.u32()),
-		MaxDepth:   int(rd.u32()),
-		Dirs:       int(rd.u32()),
+		M:          int(r.U32()),
+		SplitTheta: r.F64(),
+		PageSize:   int(r.U32()),
+		MaxDepth:   int(r.U32()),
+		Dirs:       int(r.U32()),
 	}
-	n := int(rd.u32())
-	if rd.err != nil {
-		return nil, fmt.Errorf("core3: loading octree header: %w", rd.err)
+	n := int(r.U32())
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("core3: loading octree header: %w", err)
 	}
 	if n != len(objs) {
 		return nil, fmt.Errorf("core3: octree stores %d objects, have %d", n, len(objs))
 	}
 	ix := NewOctIndex(objs, domain, opts)
 	for i := 0; i < n; i++ {
-		ix.crOf[i] = rd.ids(n)
+		ids, err := readIDs(r, n)
+		if err != nil {
+			return nil, fmt.Errorf("core3: loading octree registry: %w", err)
+		}
+		ix.crOf[i] = ids
 	}
 	var nodes int
-	var walk func() *onode
-	walk = func() *onode {
-		if rd.err != nil {
-			return nil
+	var walk func() (*onode, error)
+	walk = func() (*onode, error) {
+		if nodes++; nodes > 1<<24 {
+			return nil, fmt.Errorf("node count exceeds sanity bound")
 		}
-		nodes++
-		if nodes > 1<<24 {
-			rd.err = fmt.Errorf("node count exceeds sanity bound")
-			return nil
-		}
-		switch rd.u32() {
-		case 0:
-			leaf := &onode{ids: rd.ids(n), pagesAlloc: 1}
-			if need := (len(leaf.ids) + ix.capPerPage - 1) / ix.capPerPage; need > 1 {
+		switch tag := r.U32(); {
+		case r.Err() != nil:
+			return nil, r.Err()
+		case tag == 0:
+			ids, err := readIDs(r, n)
+			if err != nil {
+				return nil, err
+			}
+			leaf := &onode{ids: ids, pagesAlloc: 1}
+			if need := (len(ids) + ix.capPerPage - 1) / ix.capPerPage; need > 1 {
 				leaf.pagesAlloc = need
 			}
-			return leaf
-		case 1:
-			nd := &onode{}
+			return leaf, nil
+		case tag == 1:
 			var kids [8]*onode
-			for k := 0; k < 8; k++ {
-				kids[k] = walk()
+			for k := range kids {
+				var err error
+				if kids[k], err = walk(); err != nil {
+					return nil, err
+				}
 			}
-			nd.children = &kids
 			ix.nonleaf++
-			return nd
+			return &onode{children: &kids}, nil
 		default:
-			if rd.err == nil {
-				rd.err = fmt.Errorf("bad node tag")
-			}
-			return nil
+			return nil, fmt.Errorf("bad node tag")
 		}
 	}
-	ix.root = walk()
-	if rd.err != nil {
-		return nil, fmt.Errorf("core3: loading octree: %w", rd.err)
+	root, err := walk()
+	if err != nil {
+		return nil, fmt.Errorf("core3: loading octree: %w", err)
 	}
+	ix.root = root
 	ix.Finish()
 	return ix, nil
 }

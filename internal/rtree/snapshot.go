@@ -1,14 +1,11 @@
 package rtree
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"io"
-	"math"
 
 	"uvdiagram/internal/geom"
 	"uvdiagram/internal/pager"
+	"uvdiagram/internal/wire"
 )
 
 // Page-image snapshots, mirroring the UV-index's scheme (see
@@ -18,108 +15,57 @@ import (
 // a fresh tree at a pager already holding them — page ids are implicit
 // sequential positions, no leaf is re-encoded.
 
-type snapWriter struct {
-	buf bytes.Buffer
-	err error
+func putRect(w *wire.Buffer, r geom.Rect) {
+	w.F64(r.Min.X)
+	w.F64(r.Min.Y)
+	w.F64(r.Max.X)
+	w.F64(r.Max.Y)
 }
 
-func (w *snapWriter) u32(v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	w.buf.Write(b[:])
-}
-
-func (w *snapWriter) f64(v float64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-	w.buf.Write(b[:])
-}
-
-func (w *snapWriter) rect(r geom.Rect) {
-	w.f64(r.Min.X)
-	w.f64(r.Min.Y)
-	w.f64(r.Max.X)
-	w.f64(r.Max.Y)
-}
-
-type snapReader struct {
-	b   []byte
-	err error
-}
-
-func (r *snapReader) u32() uint32 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) < 4 {
-		r.err = io.ErrUnexpectedEOF
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.b)
-	r.b = r.b[4:]
-	return v
-}
-
-func (r *snapReader) f64() float64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) < 8 {
-		r.err = io.ErrUnexpectedEOF
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b))
-	r.b = r.b[8:]
-	return v
-}
-
-func (r *snapReader) rect() geom.Rect {
-	return geom.Rect{Min: geom.Pt(r.f64(), r.f64()), Max: geom.Pt(r.f64(), r.f64())}
+func readRect(r *wire.Reader) geom.Rect {
+	return geom.Rect{Min: geom.Pt(r.F64(), r.F64()), Max: geom.Pt(r.F64(), r.F64())}
 }
 
 // SnapshotManifest serializes the tree's node structure and returns the
 // leaf page ids in manifest walk order, for the caller to copy the page
 // images into the snapshot file.
-func (t *Tree) SnapshotManifest() ([]byte, []pager.PageID, error) {
+func (t *Tree) SnapshotManifest() ([]byte, []pager.PageID) {
 	hdr := t.hdr.Load()
-	w := &snapWriter{}
-	w.u32(uint32(t.fanout))
-	w.u32(uint32(hdr.height))
-	w.u32(uint32(hdr.size))
+	var w wire.Buffer
+	w.U32(uint32(t.fanout))
+	w.U32(uint32(hdr.height))
+	w.U32(uint32(hdr.size))
 	var pages []pager.PageID
 	var walk func(n *node)
 	walk = func(n *node) {
 		if n.isLeaf() {
-			w.u32(0)
-			w.rect(n.rect)
-			w.u32(uint32(n.count))
+			w.U32(0)
+			putRect(&w, n.rect)
+			w.U32(uint32(n.count))
 			pages = append(pages, n.page)
 			return
 		}
-		w.u32(1)
-		w.rect(n.rect)
-		w.u32(uint32(len(n.children)))
+		w.U32(1)
+		putRect(&w, n.rect)
+		w.U32(uint32(len(n.children)))
 		for _, c := range n.children {
 			walk(c)
 		}
 	}
 	walk(hdr.root)
-	if w.err != nil {
-		return nil, nil, fmt.Errorf("rtree: snapshot manifest: %w", w.err)
-	}
-	return w.buf.Bytes(), pages, nil
+	return w.Bytes(), pages
 }
 
 // OpenSnapshot reconstructs a tree from a manifest written by
 // SnapshotManifest and a pager already holding the leaf page images in
 // manifest order (ids 0..NumPages-1). No pages are written.
 func OpenSnapshot(manifest []byte, pg *pager.Pager) (*Tree, error) {
-	r := &snapReader{b: manifest}
-	fanout := int(r.u32())
-	height := int(r.u32())
-	size := int(r.u32())
-	if r.err != nil {
-		return nil, fmt.Errorf("rtree: snapshot header: %w", r.err)
+	r := wire.NewReader(manifest)
+	fanout := int(r.U32())
+	height := int(r.U32())
+	size := int(r.U32())
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("rtree: snapshot header: %w", err)
 	}
 	if fanout <= 1 || 2+fanout*pager.LeafTupleSize > pg.PageSize() {
 		return nil, fmt.Errorf("rtree: snapshot fanout %d does not fit page size %d", fanout, pg.PageSize())
@@ -130,58 +76,47 @@ func OpenSnapshot(manifest []byte, pg *pager.Pager) (*Tree, error) {
 	total := pg.NumPages()
 	next := 0 // next unclaimed sequential page id
 	var nodes int
-	var walk func() *node
-	walk = func() *node {
-		if r.err != nil {
-			return nil
+	var walk func() (*node, error)
+	walk = func() (*node, error) {
+		if nodes++; nodes > 1<<24 {
+			return nil, fmt.Errorf("node count exceeds sanity bound")
 		}
-		nodes++
-		if nodes > 1<<24 {
-			r.err = fmt.Errorf("node count exceeds sanity bound")
-			return nil
+		tag := r.U32()
+		n := &node{rect: readRect(r)}
+		count := int(r.U32())
+		if err := r.Err(); err != nil {
+			return nil, err
 		}
-		switch r.u32() {
+		switch tag {
 		case 0:
-			n := &node{rect: r.rect(), count: int(r.u32())}
-			if r.err != nil {
-				return nil
-			}
-			if n.count < 0 || n.count > fanout {
-				r.err = fmt.Errorf("leaf entry count %d exceeds fanout %d", n.count, fanout)
-				return nil
+			if count < 0 || count > fanout {
+				return nil, fmt.Errorf("leaf entry count %d exceeds fanout %d", count, fanout)
 			}
 			if next >= total {
-				r.err = fmt.Errorf("leaf claims page %d of %d", next, total)
-				return nil
+				return nil, fmt.Errorf("leaf claims page %d of %d", next, total)
 			}
+			n.count = count
 			n.page = pager.PageID(next)
 			next++
-			return n
 		case 1:
-			n := &node{rect: r.rect()}
-			nkids := int(r.u32())
-			if r.err != nil {
-				return nil
+			if count < 1 || count > fanout {
+				return nil, fmt.Errorf("non-leaf with %d children (fanout %d)", count, fanout)
 			}
-			if nkids < 1 || nkids > fanout {
-				r.err = fmt.Errorf("non-leaf with %d children (fanout %d)", nkids, fanout)
-				return nil
-			}
-			n.children = make([]*node, nkids)
+			n.children = make([]*node, count)
 			for k := range n.children {
-				n.children[k] = walk()
+				var err error
+				if n.children[k], err = walk(); err != nil {
+					return nil, err
+				}
 			}
-			return n
 		default:
-			if r.err == nil {
-				r.err = fmt.Errorf("bad node tag")
-			}
-			return nil
+			return nil, fmt.Errorf("bad node tag")
 		}
+		return n, nil
 	}
-	root := walk()
-	if r.err != nil {
-		return nil, fmt.Errorf("rtree: snapshot tree: %w", r.err)
+	root, err := walk()
+	if err != nil {
+		return nil, fmt.Errorf("rtree: snapshot tree: %w", err)
 	}
 	if next != total {
 		return nil, fmt.Errorf("rtree: snapshot tree claims %d pages, section holds %d", next, total)

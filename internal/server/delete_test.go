@@ -209,7 +209,7 @@ func TestRebuildDuringQueries(t *testing.T) {
 	}
 
 	for r := 0; r < rounds; r++ {
-		if err := srv.DB().Rebuild(); err != nil {
+		if err := srv.DB().Compact(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -348,7 +348,7 @@ func TestChurnStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.DB().Rebuild(); err != nil {
+	if err := srv.DB().Compact(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	after, _, err := srv.DB().PNN(q)

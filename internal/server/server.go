@@ -4,22 +4,25 @@
 // (e.g. the wireless broadcast services of [2], [3] front a spatial
 // index with exactly this kind of query endpoint).
 //
-// Concurrency model: queries take a read lock and run concurrently;
-// Insert and Delete take the write lock (incremental maintenance
-// rewrites live leaf pages in place). Index rebuilds are different:
-// DB.Compact and DB.Rebuild swap a freshly built index in with one
-// atomic epoch store, so they run WITHOUT the server lock and never
-// block queries.
+// Concurrency model: queries take no server lock and run concurrently
+// with everything — the DB is lock-free for readers (mutations write
+// copy-on-write pages and publish them atomically; retired pages
+// outlive in-flight readers). Server.mu only orders writes: Insert,
+// Delete and BatchDelete hold it exclusively, one at a time, and the
+// subscription engine holds it shared while it opens or revalidates a
+// session so no write lands mid-evaluation. DB.Compact and DB.Reshard
+// swap freshly built state in with one atomic store, so they run
+// WITHOUT the server lock and never block queries.
 //
 // Connections are pipelined: each connection runs a decode loop and a
 // response-writer goroutine, with up to Config.Window requests in
 // flight at once. Requests execute on a server-wide worker pool bounded
 // by Config.Workers, and responses are always written in request order,
 // so clients may stream requests without waiting for answers. Batch
-// opcodes fan their points out across the pool under one read lock. A
-// framing or checksum error poisons the connection, while an
-// application-level error (including a malformed request payload) is
-// reported in-band and the connection continues.
+// opcodes fan their points out across the pool. A framing or checksum
+// error poisons the connection, while an application-level error
+// (including a malformed request payload) is reported in-band and the
+// connection continues.
 package server
 
 import (

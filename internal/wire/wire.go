@@ -338,14 +338,18 @@ func (d *Reader) I32() int32 { return int32(d.U32()) }
 func (d *Reader) F64() float64 { return math.Float64frombits(d.U64()) }
 
 // Str reads a length-prefixed string (bounded by the payload size).
-func (d *Reader) Str() string {
+func (d *Reader) Str() string { return string(d.Bytes()) }
+
+// Bytes reads a length-prefixed byte string (bounded by the payload
+// size). The result aliases the payload.
+func (d *Reader) Bytes() []byte {
 	n := int(d.U32())
 	if d.err != nil {
-		return ""
+		return nil
 	}
 	if n < 0 || n > d.Remaining() {
-		d.err = fmt.Errorf("wire: string length %d exceeds remaining %d", n, d.Remaining())
-		return ""
+		d.err = fmt.Errorf("wire: byte string length %d exceeds remaining %d", n, d.Remaining())
+		return nil
 	}
-	return string(d.take(n))
+	return d.take(n)[:n:n]
 }

@@ -129,6 +129,29 @@ func TestReaderTruncationSticky(t *testing.T) {
 	}
 }
 
+// TestReaderBytes: Bytes reads what Str wrote, without copying, and is
+// capped so an append by the caller cannot overwrite the payload behind
+// it; an oversized length errors instead of slicing past the end.
+func TestReaderBytes(t *testing.T) {
+	var b Buffer
+	b.Str("manifest")
+	b.U8(7)
+	r := NewReader(b.Bytes())
+	got := r.Bytes()
+	if string(got) != "manifest" || cap(got) != len(got) {
+		t.Fatalf("Bytes = %q (len %d, cap %d)", got, len(got), cap(got))
+	}
+	if v := r.U8(); v != 7 || r.Err() != nil || r.Remaining() != 0 {
+		t.Fatalf("after Bytes: U8 = %d, err %v, remaining %d", v, r.Err(), r.Remaining())
+	}
+	var big Buffer
+	big.U32(1000)
+	r = NewReader(big.Bytes())
+	if got := r.Bytes(); got != nil || r.Err() == nil {
+		t.Fatalf("oversized byte string accepted: %q", got)
+	}
+}
+
 func TestReaderStrBounds(t *testing.T) {
 	var b Buffer
 	b.U32(1000) // claims 1000 bytes, none present

@@ -1,7 +1,7 @@
 package uvdiagram_test
 
 import (
-	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 
@@ -21,14 +21,7 @@ func TestFullLifecycle(t *testing.T) {
 	}
 
 	// Snapshot and reload.
-	var snap bytes.Buffer
-	if err := db.Save(&snap); err != nil {
-		t.Fatal(err)
-	}
-	db2, err := uvdiagram.Load(bytes.NewReader(snap.Bytes()), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	db2 := reopen(t, db)
 
 	// Insert a new object into both.
 	newObj := uvdiagram.NewObject(int32(db.Len()), 777, 888, 12, uvdiagram.GaussianPDF())
@@ -56,7 +49,7 @@ func TestFullLifecycle(t *testing.T) {
 			t.Fatalf("q=%v: PNN diverges after reload+insert: %v vs %v", q, a1, a2)
 		}
 		for i := range a1 {
-			if a1[i].ID != a2[i].ID {
+			if a1[i] != a2[i] {
 				t.Fatalf("q=%v: PNN diverges after reload+insert: %v vs %v", q, a1, a2)
 			}
 		}
@@ -127,12 +120,12 @@ func TestFullLifecycle(t *testing.T) {
 		t.Fatalf("inserted object invisible at its own center: %v", ans)
 	}
 
-	// Rebuild clears insert slack without changing answers.
+	// Compact clears insert slack without changing answers.
 	before, _, err := db.PNN(uvdiagram.Pt(1000, 1000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Rebuild(); err != nil {
+	if err := db.Compact(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	after, _, err := db.PNN(uvdiagram.Pt(1000, 1000))
@@ -174,15 +167,8 @@ func TestFullLifecycle(t *testing.T) {
 		t.Fatalf("PNN diverges after delete: %v vs %v", ans, a2)
 	}
 
-	// A database with tombstones round-trips through Save/Load.
-	var snap2 bytes.Buffer
-	if err := db.Save(&snap2); err != nil {
-		t.Fatal(err)
-	}
-	db3, err := uvdiagram.Load(bytes.NewReader(snap2.Bytes()), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A database with tombstones round-trips through a snapshot.
+	db3 := reopen(t, db)
 	if db3.Len() != db.Len() || db3.Alive(newObj.ID) {
 		t.Fatalf("tombstones lost in round-trip: live %d vs %d, alive(%d)=%v",
 			db3.Len(), db.Len(), newObj.ID, db3.Alive(newObj.ID))
@@ -194,55 +180,44 @@ func TestFullLifecycle(t *testing.T) {
 	if len(b3) != len(ans) {
 		t.Fatalf("PNN diverges after reload with tombstones: %v vs %v", b3, ans)
 	}
+	for i := range ans {
+		if b3[i] != ans[i] {
+			t.Fatalf("PNN diverges after reload with tombstones: %v vs %v", b3, ans)
+		}
+	}
 }
 
-// TestShardedLifecycle: a sharded database round-trips through the
-// version-3 stream — layout, tombstones and every shard's sub-grid —
-// and the reload answers bitwise like the original AND like an
-// unsharded reload of an unsharded snapshot of the same population.
+// TestShardedLifecycle: a sharded database round-trips through a
+// snapshot — layout, tombstones and every shard's sub-grid — answering
+// bitwise like the original AND like the unsharded engine over the same
+// population; and the version-3 / version-2 streams an earlier release
+// saved of the same two databases still open to the same answers.
 func TestShardedLifecycle(t *testing.T) {
-	cfg := datagen.Config{N: 50, Side: 2000, Diameter: 30, Seed: 4242}
-	objs := datagen.Uniform(cfg)
-	db, err := uvdiagram.Build(objs, cfg.Domain(), &uvdiagram.Options{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	flat, err := uvdiagram.Build(objs, cfg.Domain(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Both engines are churned identically, so tombstones and insert
+	// slack are in every file.
+	db := lifecycleDB(t, &uvdiagram.Options{Shards: 4})
+	flat := lifecycleDB(t, nil)
 
-	// Churn both engines identically so tombstones and insert slack are
-	// in the snapshot.
-	for _, d := range []*uvdiagram.DB{db, flat} {
-		if err := d.Delete(7); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.Insert(uvdiagram.NewObject(d.NextID(), 777, 888, 12, nil)); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	var snap bytes.Buffer
-	if err := db.Save(&snap); err != nil {
-		t.Fatal(err)
-	}
-	// Options.Shards on Load must NOT override the stream's layout.
-	db2, err := uvdiagram.Load(bytes.NewReader(snap.Bytes()), &uvdiagram.Options{Shards: 2})
+	re := reopen(t, db)
+	// Options.Shards on Open must NOT override the file's layout.
+	db2, err := uvdiagram.Open(legacyPath("v3-equal4.uvdb"), &uvdiagram.Options{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db2.Shards() != 4 {
-		t.Fatalf("reloaded shard count %d, want 4", db2.Shards())
+	for name, d := range map[string]*uvdiagram.DB{"snapshot": re, "v3 stream": db2} {
+		if d.Shards() != 4 {
+			t.Fatalf("%s: reloaded shard count %d, want 4", name, d.Shards())
+		}
+		gx, gy := d.ShardGrid()
+		wgx, wgy := db.ShardGrid()
+		if gx != wgx || gy != wgy {
+			t.Fatalf("%s: reloaded grid %d×%d, want %d×%d", name, gx, gy, wgx, wgy)
+		}
+		if d.Len() != db.Len() || d.Alive(7) {
+			t.Fatalf("%s: tombstones lost: live %d vs %d, alive(7)=%v", name, d.Len(), db.Len(), d.Alive(7))
+		}
 	}
-	gx, gy := db2.ShardGrid()
-	wgx, wgy := db.ShardGrid()
-	if gx != wgx || gy != wgy {
-		t.Fatalf("reloaded grid %d×%d, want %d×%d", gx, gy, wgx, wgy)
-	}
-	if db2.Len() != db.Len() || db2.Alive(7) {
-		t.Fatalf("tombstones lost: live %d vs %d, alive(7)=%v", db2.Len(), db.Len(), db2.Alive(7))
-	}
+	assertEquivalent(t, db, re, 17)
 
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 20; trial++ {
@@ -260,10 +235,10 @@ func TestShardedLifecycle(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The sharded and unsharded in-memory engines agree bitwise; the
-		// reload agrees on the answer IDs exactly and on probabilities up
-		// to the PDF re-normalization noise every Load carries (weights
-		// are re-normalized by NewHistogramPDF, shifting CDFs by ULPs —
-		// the same tolerance TestFullLifecycle uses).
+		// legacy stream agrees on the answer IDs exactly and on
+		// probabilities up to the PDF re-normalization noise its reader
+		// carries (weights are re-normalized by NewHistogramPDF, shifting
+		// CDFs by ULPs).
 		if len(got) != len(want) || len(got) != len(ref) {
 			t.Fatalf("q=%v: PNN diverges: reload %v, original %v, unsharded %v", q, got, want, ref)
 		}
@@ -288,20 +263,18 @@ func TestShardedLifecycle(t *testing.T) {
 		t.Fatal("delete after sharded reload did not stick")
 	}
 
-	// An UNsharded database still writes the version-2 stream, byte-wise
-	// loadable as before, and a sharded stream reloads under nil opts.
-	var flatSnap bytes.Buffer
-	if err := flat.Save(&flatSnap); err != nil {
-		t.Fatal(err)
-	}
-	flat2, err := uvdiagram.Load(bytes.NewReader(flatSnap.Bytes()), nil)
+	// The unsharded twin's version-2 stream opens single-shard with the
+	// same answers, and the sharded stream opened above under explicit
+	// Options also opens under nil.
+	flat2, err := uvdiagram.Open(legacyPath("v2-single.uvdb"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if flat2.Shards() != 1 {
 		t.Fatalf("unsharded reload has %d shards", flat2.Shards())
 	}
-	if _, err := uvdiagram.Load(bytes.NewReader(snap.Bytes()), nil); err != nil {
+	assertEquivalentTol(t, flat, flat2, 17, 1e-9)
+	if _, err := uvdiagram.Open(legacyPath("v3-equal4.uvdb"), nil); err != nil {
 		t.Fatalf("sharded stream under nil opts: %v", err)
 	}
 }
@@ -361,7 +334,7 @@ func TestContinuousPNNSurvivesDeleteAndCompact(t *testing.T) {
 
 	// Compact swaps the epoch; the session must re-open transparently
 	// and stay consistent with direct queries.
-	if err := db.Rebuild(); err != nil {
+	if err := db.Compact(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	ids, recomputed, err = sess.Move(uvdiagram.Pt(q.X+2e-9, q.Y))

@@ -45,7 +45,7 @@ const (
 	// MaintReshard is a full layout re-cut (Reshard/ReshardWith);
 	// ImbalanceBefore/After are populated.
 	MaintReshard = "reshard"
-	// MaintCompact is a full re-derivation rebuild (Compact/Rebuild).
+	// MaintCompact is a full re-derivation rebuild (Compact).
 	MaintCompact = "compact"
 	// MaintCompactShard is one shard's shadow rebuild (CompactShard,
 	// CompactAll, or the background auto-compaction watermark); Shard is

@@ -7,6 +7,7 @@ import (
 
 	"uvdiagram/internal/core"
 	"uvdiagram/internal/prob"
+	"uvdiagram/internal/wire"
 )
 
 // OrderKIndex is an order-k UV-index: an adaptive grid over the ORDER-k
@@ -22,7 +23,7 @@ type OrderKIndex struct {
 	hasBuilt bool       // false for loaded indexes: the stream carries no build stats
 	batch    batchState // leaf cache reused across Batch* calls
 	// snap pins the database state the order-k grid was built over,
-	// across every shard: a Compact/CompactShard/Rebuild (epoch swap)
+	// across every shard: a Compact/CompactShard (epoch swap)
 	// or an incremental Insert/Delete (shard-index mutation) makes this
 	// grid stale — its leaf lists could miss new objects or still list
 	// deleted ones — so queries refuse to answer rather than be
@@ -35,7 +36,7 @@ type OrderKIndex struct {
 // index is independent of the DB's primary UV-index and shares its
 // object store and helper R-tree.
 //
-// The index is a SNAPSHOT: after any Insert, Delete, Rebuild or
+// The index is a SNAPSHOT: after any Insert, Delete or
 // Compact on the database, its queries return an error and it must be
 // rebuilt with NewOrderKIndex (DB.PossibleKNN/BatchOrderK always track
 // the live population and need no rebuild).
@@ -63,7 +64,7 @@ func (db *DB) NewOrderKIndex(k int) (*OrderKIndex, error) {
 var ErrStaleSnapshot = errors.New("uvdiagram: snapshot index is stale")
 
 // StaleSnapshotError reports a query against an order-k snapshot whose
-// database has since mutated (Insert, Delete, Rebuild or Compact); the
+// database has since mutated (Insert, Delete or Compact); the
 // grid's leaf lists could miss new objects or still list deleted ones,
 // so queries refuse to answer rather than be silently wrong. It
 // matches ErrStaleSnapshot under errors.Is.
@@ -114,14 +115,25 @@ func (ix *OrderKIndex) PossibleKNN(q Point) ([]int32, QueryStats, error) {
 
 // Save serializes the order-k index structure (the stream carries the
 // cell order; reload it with LoadOrderKIndex against the same DB).
-func (ix *OrderKIndex) Save(w io.Writer) error { return ix.inner.Save(w) }
+func (ix *OrderKIndex) Save(w io.Writer) error {
+	var b wire.Buffer
+	if err := ix.inner.Save(&b); err != nil {
+		return err
+	}
+	_, err := w.Write(b.Bytes())
+	return err
+}
 
 // LoadOrderKIndex re-opens an order-k index previously written with
 // Save, against the database whose objects it was built over. Like
 // NewOrderKIndex, the loaded grid snapshots the database's CURRENT
 // state and goes stale on the next mutation.
 func LoadOrderKIndex(r io.Reader, db *DB) (*OrderKIndex, error) {
-	inner, err := core.LoadUVIndex(r, db.store)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("uvdiagram: reading order-k index: %w", err)
+	}
+	inner, err := core.LoadUVIndex(wire.NewReader(data), db.store)
 	if err != nil {
 		return nil, err
 	}

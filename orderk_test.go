@@ -3,6 +3,7 @@ package uvdiagram_test
 import (
 	"bytes"
 	"math"
+	"os"
 	"sort"
 	"strings"
 	"testing"
@@ -140,6 +141,29 @@ func TestOrderKSaveLoad(t *testing.T) {
 	}
 	if got.K() != 3 {
 		t.Fatalf("loaded K = %d, want 3", got.K())
+	}
+	// The stream format is frozen: the stream an earlier release wrote
+	// of this same index (testdata/legacy/README.md) loads, and saving
+	// what was loaded reproduces it byte for byte.
+	legacy, err := os.ReadFile(legacyPath("orderk3.uvix"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, stream := range map[string][]byte{"fresh": buf.Bytes(), "legacy": legacy} {
+		loaded, err := uvdiagram.LoadOrderKIndex(bytes.NewReader(stream), db)
+		if err != nil {
+			t.Fatalf("%s stream: %v", name, err)
+		}
+		var again bytes.Buffer
+		if err := loaded.Save(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), stream) {
+			t.Fatalf("%s stream: re-saved index differs from the stream it was loaded from", name)
+		}
+		if name == "legacy" {
+			got = loaded // the answers below must hold for the legacy stream
+		}
 	}
 	q := uvdiagram.Pt(1000, 1000)
 	a, _, err := ix.PossibleKNN(q)

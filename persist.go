@@ -1,335 +1,147 @@
 package uvdiagram
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"io"
-	"math"
+	"os"
 
 	"uvdiagram/internal/core"
-	"uvdiagram/internal/epoch"
 	"uvdiagram/internal/pager"
-	"uvdiagram/internal/rtree"
 	"uvdiagram/internal/uncertain"
+	"uvdiagram/internal/wire"
 )
 
-// Database persistence: Save writes the objects and the built
-// UV-index(es); Load reopens them without re-running construction (the
-// helper R-tree is re-bulk-loaded, which is cheap). The stream is
-// self-contained and versioned.
+// Legacy logical streams (versions 1–4), READ-ONLY: nothing writes them
+// any more (SaveSnapshot's version-5 page images are the one written
+// format), but every file an earlier release saved still opens through
+// Open. A logical stream carries the objects and one UV-index stream
+// per shard; pages and the helper R-tree are rebuilt in the heap.
+//
+// Version 2 added a per-object tombstone flag (version 1 implies every
+// object is live), version 3 the spatial shard grid (gx × gy) followed
+// by one index stream per shard, version 4 the layout's cut coordinates
+// for adaptive (weighted-median or resharded) layouts.
 
 const (
-	dbMagic = 0x55564442 // "UVDB"
-	// dbVersion 2 added a per-object tombstone flag so a database with
-	// deletions round-trips; version-1 streams are still readable and
-	// imply every object is live. Version 3 adds the spatial shard
-	// layout (gx × gy grid) followed by one index stream per shard.
-	// Version 4 adds the layout's cut coordinates for adaptive
-	// (weighted-median or resharded) layouts; a sharded database whose
-	// cuts are exactly the equal strips keeps writing the byte-
-	// compatible version 3, single-shard databases keep writing
-	// version 2, and Load accepts all four.
-	dbVersion        = 2
+	dbMagic          = 0x55564442 // "UVDB"
 	dbVersionSharded = 3
 	dbVersionCuts    = 4
+	// legacyMinObjectBytes is the smallest encoding of one object (centre,
+	// radius, bin count, one weight): it bounds the object count against
+	// the bytes actually present.
+	legacyMinObjectBytes = 3*8 + 4 + 8
 )
 
-// Save serializes the database (objects + UV-indexes) to w. A
-// single-shard database writes the backward-compatible version-2
-// stream; an equal-strip sharded one writes version 3 (byte-compatible
-// with pre-adaptive readers); an adaptively cut layout writes version 4
-// with its cut coordinates.
-func (db *DB) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	var scratch [8]byte
-	u32 := func(v uint32) error {
-		binary.LittleEndian.PutUint32(scratch[:4], v)
-		_, err := bw.Write(scratch[:4])
-		return err
-	}
-	f64 := func(v float64) error {
-		binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(v))
-		_, err := bw.Write(scratch[:])
-		return err
-	}
-	if err := u32(dbMagic); err != nil {
-		return err
-	}
-	lo := db.lo()
-	version := uint32(dbVersion)
-	if len(lo.shards) > 1 {
-		if equalStripLayout(lo, db.domain) {
-			version = dbVersionSharded
-		} else {
-			version = dbVersionCuts
-		}
-	}
-	if err := u32(version); err != nil {
-		return err
-	}
-	for _, v := range []float64{db.domain.Min.X, db.domain.Min.Y, db.domain.Max.X, db.domain.Max.Y} {
-		if err := f64(v); err != nil {
-			return err
-		}
-	}
-	if version >= dbVersionSharded {
-		if err := u32(uint32(lo.gx)); err != nil {
-			return err
-		}
-		if err := u32(uint32(lo.gy)); err != nil {
-			return err
-		}
-	}
-	if version >= dbVersionCuts {
-		for _, v := range lo.xs {
-			if err := f64(v); err != nil {
-				return err
-			}
-		}
-		for _, v := range lo.ys {
-			if err := f64(v); err != nil {
-				return err
-			}
-		}
-	}
-	// The dense slice keeps deleted slots in place: ids are positions,
-	// and the index stream refers to objects by id.
-	objs := db.store.Dense()
-	if err := u32(uint32(len(objs))); err != nil {
-		return err
-	}
-	for i, o := range objs {
-		aliveFlag := byte(0)
-		if db.store.Alive(int32(i)) {
-			aliveFlag = 1
-		}
-		if err := bw.WriteByte(aliveFlag); err != nil {
-			return err
-		}
-		if err := f64(o.Region.C.X); err != nil {
-			return err
-		}
-		if err := f64(o.Region.C.Y); err != nil {
-			return err
-		}
-		if err := f64(o.Region.R); err != nil {
-			return err
-		}
-		ws := o.PDF.Weights()
-		if err := u32(uint32(len(ws))); err != nil {
-			return err
-		}
-		for _, wgt := range ws {
-			if err := f64(wgt); err != nil {
-				return err
-			}
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	// One index stream per shard, in row-major shard order (a single
-	// shard reproduces the version-2 body exactly). Every stream writes
-	// the shared registry, so each shard stays independently loadable
-	// by pre-registry readers.
-	for i := range lo.shards {
-		if err := lo.epAt(i).index.Save(w); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// equalStripLayout reports whether a layout's cuts are exactly the
-// equal strips the grid dimensions imply — the layouts version-3
-// streams can represent.
-func equalStripLayout(lo *shardLayout, domain Rect) bool {
-	ex := cuts(domain.Min.X, domain.Max.X, lo.gx)
-	ey := cuts(domain.Min.Y, domain.Max.Y, lo.gy)
-	for i, v := range lo.xs {
-		if v != ex[i] {
-			return false
-		}
-	}
-	for i, v := range lo.ys {
-		if v != ey[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Load reopens a database written by Save. opts only affect future
-// Inserts and Reshards (seed/pruning parameters, layout strategy); the
-// index structure and shard layout come from the stream.
-func Load(r io.Reader, opts *Options) (*DB, error) {
-	br := bufio.NewReader(r)
-	var scratch [8]byte
-	u32 := func() (uint32, error) {
-		if _, err := io.ReadFull(br, scratch[:4]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint32(scratch[:4]), nil
-	}
-	f64 := func() (float64, error) {
-		if _, err := io.ReadFull(br, scratch[:]); err != nil {
-			return 0, err
-		}
-		return math.Float64frombits(binary.LittleEndian.Uint64(scratch[:])), nil
-	}
-	magic, err := u32()
+// openLegacy reopens the version 1–4 stream at path (Open has already
+// checked the magic and dispatched on the version). Every
+// malformed-stream failure is a *SnapshotError.
+func openLegacy(path string, opts *Options) (*DB, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("uvdiagram: reading header: %w", err)
+		return nil, err
 	}
-	if magic != dbMagic {
-		return nil, fmt.Errorf("uvdiagram: not a UV-diagram database stream")
+	db, err := decodeLegacy(data, opts)
+	if err != nil {
+		return nil, snapErr(path, "%v", err)
 	}
-	version, err := u32()
-	if err != nil || version < 1 || version > dbVersionCuts {
-		return nil, fmt.Errorf("uvdiagram: unsupported version %d (err=%v)", version, err)
+	if err := db.startConfiguredMaintainer(opts); err != nil {
+		return nil, err
 	}
-	var coords [4]float64
-	for i := range coords {
-		if coords[i], err = f64(); err != nil {
-			return nil, fmt.Errorf("uvdiagram: reading domain: %w", err)
-		}
-	}
-	domain := Rect{Min: Pt(coords[0], coords[1]), Max: Pt(coords[2], coords[3])}
+	return db, nil
+}
+
+// decodeLegacy rebuilds the database a version 1–4 stream describes;
+// every error it returns means the stream is malformed. opts only
+// affect future Inserts and Reshards; the index structure and shard
+// layout come from the stream.
+func decodeLegacy(data []byte, opts *Options) (*DB, error) {
+	r := wire.NewReader(data)
+	r.U32() // magic
+	version := r.U32()
+	domain := Rect{Min: Pt(r.F64(), r.F64()), Max: Pt(r.F64(), r.F64())}
 	gx, gy := 1, 1
 	if version >= dbVersionSharded {
-		gxu, err := u32()
-		if err == nil {
-			var gyu uint32
-			gyu, err = u32()
-			gx, gy = int(gxu), int(gyu)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("uvdiagram: reading shard layout: %w", err)
-		}
-		// Bound each axis before multiplying: a crafted stream with
-		// gx = gy = 0xFFFFFFFF would overflow gx*gy past the product
-		// check and die in allocation instead of erroring.
-		if gx < 1 || gy < 1 || gx > MaxShards || gy > MaxShards || gx*gy > MaxShards {
-			return nil, fmt.Errorf("uvdiagram: implausible shard layout %d×%d", gx, gy)
-		}
+		gx, gy = int(r.U32()), int(r.U32())
+	}
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("reading header: %w", err)
+	}
+	if !validShardGrid(gx, gy) {
+		return nil, fmt.Errorf("implausible shard layout %d×%d", gx, gy)
 	}
 	xs := cuts(domain.Min.X, domain.Max.X, gx)
 	ys := cuts(domain.Min.Y, domain.Max.Y, gy)
 	if version >= dbVersionCuts {
-		read := func(n int, ends [2]float64) ([]float64, error) {
-			out := make([]float64, n)
-			for i := range out {
-				if out[i], err = f64(); err != nil {
-					return nil, fmt.Errorf("uvdiagram: reading layout cuts: %w", err)
-				}
-				if i > 0 && !(out[i] > out[i-1]) {
-					return nil, fmt.Errorf("uvdiagram: layout cuts not increasing at %d", i)
-				}
-			}
-			if out[0] != ends[0] || out[n-1] != ends[1] {
-				return nil, fmt.Errorf("uvdiagram: layout cuts do not span the domain")
-			}
-			return out, nil
-		}
-		if xs, err = read(gx+1, [2]float64{domain.Min.X, domain.Max.X}); err != nil {
-			return nil, err
-		}
-		if ys, err = read(gy+1, [2]float64{domain.Min.Y, domain.Max.Y}); err != nil {
-			return nil, err
-		}
-	}
-	n, err := u32()
-	if err != nil {
-		return nil, fmt.Errorf("uvdiagram: reading object count: %w", err)
-	}
-	if n == 0 || n > 1<<26 {
-		return nil, fmt.Errorf("uvdiagram: implausible object count %d", n)
-	}
-	objs := make([]Object, n)
-	deadIDs := make([]int32, 0)
-	for i := range objs {
-		if version >= 2 {
-			flag, err := br.ReadByte()
-			if err != nil {
-				return nil, fmt.Errorf("uvdiagram: reading object %d tombstone: %w", i, err)
-			}
-			if flag == 0 {
-				deadIDs = append(deadIDs, int32(i))
-			}
-		}
-		var x, y, rad float64
-		if x, err = f64(); err == nil {
-			if y, err = f64(); err == nil {
-				rad, err = f64()
-			}
+		var err error
+		if xs, err = readCuts(r, gx, domain.Min.X, domain.Max.X); err == nil {
+			ys, err = readCuts(r, gy, domain.Min.Y, domain.Max.Y)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("uvdiagram: reading object %d: %w", i, err)
+			return nil, err
 		}
-		bins, err := u32()
-		if err != nil || bins == 0 || bins > 4096 {
-			return nil, fmt.Errorf("uvdiagram: object %d has bad pdf (%d bins, err=%v)", i, bins, err)
+	}
+	n := int(r.U32())
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("reading object count: %w", err)
+	}
+	if n <= 0 || n > snapMaxObjects || n > r.Remaining()/legacyMinObjectBytes {
+		return nil, fmt.Errorf("implausible object count %d", n)
+	}
+	objs := make([]Object, n)
+	var dead []int32
+	for i := range objs {
+		if version >= 2 && r.U8() == 0 {
+			dead = append(dead, int32(i))
+		}
+		x, y, rad := r.F64(), r.F64(), r.F64()
+		bins := int(r.U32())
+		if err := r.Err(); err != nil {
+			return nil, fmt.Errorf("reading object %d: %w", i, err)
+		}
+		if bins <= 0 || bins > 4096 {
+			return nil, fmt.Errorf("object %d has a pdf of %d bins", i, bins)
 		}
 		ws := make([]float64, bins)
 		for k := range ws {
-			if ws[k], err = f64(); err != nil {
-				return nil, fmt.Errorf("uvdiagram: reading object %d pdf: %w", i, err)
-			}
+			ws[k] = r.F64()
+		}
+		if err := r.Err(); err != nil {
+			return nil, fmt.Errorf("reading object %d pdf: %w", i, err)
 		}
 		pdf, err := uncertain.NewHistogramPDF(ws)
 		if err != nil {
-			return nil, fmt.Errorf("uvdiagram: object %d: %w", i, err)
+			return nil, fmt.Errorf("object %d: %w", i, err)
 		}
 		objs[i] = NewObject(int32(i), x, y, rad, pdf)
 	}
-
 	store, err := uncertain.NewStore(objs, pager.New(uncertain.ObjectPageBytes))
 	if err != nil {
 		return nil, err
 	}
-	for _, id := range deadIDs {
+	for _, id := range dead {
 		if err := store.Delete(id); err != nil {
 			return nil, err
 		}
 	}
-	bopts := opts.toBuildOptions()
-	db := &DB{store: store, domain: domain, bopts: bopts, strategy: opts.layout(), egc: epoch.NewDomain()}
 	// The layout comes from the stream: Options.Shards only affects
 	// freshly built databases, never a reopened one.
 	lo := newShardLayout(0, gx, gy, xs, ys)
-	// The index streams must decode sequentially, but the shared helper
-	// R-tree is an independent bulk-load over the live objects — build
-	// it concurrently with the decode.
-	treeDone := make(chan *rtree.Tree, 1)
-	go func() { treeDone <- core.BuildHelperRTree(store, bopts.Fanout) }()
-	// The deferred drain covers the error returns below, so a truncated
-	// index stream never leaks the tree build still running.
-	defer func() {
-		tree := <-treeDone
-		tree.SetReclaimDomain(db.egc)
-		db.tree.Store(tree)
-	}()
-	shapes := make([]core.IndexStats, len(lo.shards))
 	indexes := make([]*core.UVIndex, len(lo.shards))
 	for i := range lo.shards {
-		index, err := core.LoadUVIndex(br, store)
-		if err != nil {
-			return nil, fmt.Errorf("uvdiagram: shard %d: %w", i, err)
+		if indexes[i], err = core.LoadUVIndex(r, store); err != nil {
+			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
-		if index.Domain() != lo.shards[i].rect {
-			return nil, fmt.Errorf("uvdiagram: shard %d stream covers %v, layout expects %v",
-				i, index.Domain(), lo.shards[i].rect)
+		if indexes[i].Domain() != lo.shards[i].rect {
+			return nil, fmt.Errorf("shard %d covers %v, layout expects %v",
+				i, indexes[i].Domain(), lo.shards[i].rect)
 		}
-		indexes[i] = index
 	}
 	// Unify the per-shard registry copies into the one engine-wide
-	// CRState the runtime maintains. Streams written by this version
-	// carry identical copies (the shards shared one registry when they
-	// were saved), so sharing is free; a pre-registry snapshot whose
-	// shards diverged (old per-shard compaction re-derived locally) gets
-	// those shards' leaf structures rebuilt from shard 0's copy, so leaf
-	// lists and registry agree again — answers are exact either way.
+	// CRState the runtime maintains. Streams whose shards shared one
+	// registry when they were saved carry identical copies, so sharing
+	// is free; a pre-registry stream whose shards diverged (old per-shard
+	// compaction re-derived locally) gets those shards' leaf structures
+	// rebuilt from shard 0's copy, so leaf lists and registry agree again
+	// — answers are exact either way.
 	reg := indexes[0].CR()
 	for i := 1; i < len(indexes); i++ {
 		if indexes[i].CR().EqualCROf(reg) {
@@ -338,18 +150,6 @@ func Load(r io.Reader, opts *Options) (*DB, error) {
 			indexes[i] = indexes[i].ReindexCR(reg)
 		}
 	}
-	db.cr = reg
-	db.topo = core.NewTopology(reg.Len(), bopts.RegionSamples)
-	for i := range lo.shards {
-		indexes[i].SetReclaimDomain(db.egc)
-		lo.shards[i].epoch.Store(&indexEpoch{index: indexes[i]})
-		shapes[i] = indexes[i].Stats()
-	}
-	db.layout.Store(lo)
-	built := BuildStats{Strategy: bopts.Strategy, N: store.Live(), Index: aggregateIndexStats(shapes)}
-	db.built.Store(&built)
-	if err := db.startConfiguredMaintainer(opts); err != nil {
-		return nil, err
-	}
-	return db, nil
+	tree := core.BuildHelperRTree(store, opts.toBuildOptions().Fanout)
+	return assembleDB(store, domain, lo, indexes, reg, tree, opts), nil
 }

@@ -1,14 +1,12 @@
 package uvdiagram
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 
 	"uvdiagram/internal/core3"
 	"uvdiagram/internal/uncertain3"
+	"uvdiagram/internal/wire"
 )
 
 // 3D database persistence, mirroring the 2D Save/Load pair: objects
@@ -17,116 +15,81 @@ import (
 const (
 	db3Magic   = 0x55564433 // "UVD3"
 	db3Version = 1
+	// db3MinObjectBytes is the smallest encoding of one object (centre,
+	// radius, bin count of a nil pdf): it bounds the object count against
+	// the bytes actually present.
+	db3MinObjectBytes = 4*8 + 4
 )
 
 // Save serializes the 3D database (objects + octree) to w.
 func (db *DB3) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	var scratch [8]byte
-	u32 := func(v uint32) error {
-		binary.LittleEndian.PutUint32(scratch[:4], v)
-		_, err := bw.Write(scratch[:4])
-		return err
-	}
-	f64 := func(v float64) error {
-		binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(v))
-		_, err := bw.Write(scratch[:])
-		return err
-	}
-	if err := u32(db3Magic); err != nil {
-		return err
-	}
-	if err := u32(db3Version); err != nil {
-		return err
-	}
-	if err := u32(uint32(len(db.objs))); err != nil {
-		return err
-	}
+	var b wire.Buffer
+	b.U32(db3Magic)
+	b.U32(db3Version)
+	b.U32(uint32(len(db.objs)))
 	for _, o := range db.objs {
 		for _, v := range []float64{o.Region.C.X, o.Region.C.Y, o.Region.C.Z, o.Region.R} {
-			if err := f64(v); err != nil {
-				return err
-			}
+			b.F64(v)
 		}
 		var ws []float64
 		if o.PDF != nil {
 			ws = o.PDF.Weights()
 		}
-		if err := u32(uint32(len(ws))); err != nil {
-			return err
-		}
+		b.U32(uint32(len(ws)))
 		for _, wgt := range ws {
-			if err := f64(wgt); err != nil {
-				return err
-			}
+			b.F64(wgt)
 		}
 	}
-	if err := bw.Flush(); err != nil {
+	if err := db.index.Save(&b); err != nil {
 		return err
 	}
-	return db.index.Save(w)
+	_, err := w.Write(b.Bytes())
+	return err
 }
 
 // Load3 reopens a 3D database written by Save.
 func Load3(r io.Reader) (*DB3, error) {
-	br := bufio.NewReader(r)
-	var scratch [8]byte
-	u32 := func() (uint32, error) {
-		if _, err := io.ReadFull(br, scratch[:4]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint32(scratch[:4]), nil
-	}
-	f64 := func() (float64, error) {
-		if _, err := io.ReadFull(br, scratch[:]); err != nil {
-			return 0, err
-		}
-		return math.Float64frombits(binary.LittleEndian.Uint64(scratch[:])), nil
-	}
-	magic, err := u32()
+	data, err := io.ReadAll(r)
 	if err != nil {
+		return nil, fmt.Errorf("uvdiagram: reading 3D database: %w", err)
+	}
+	rd := wire.NewReader(data)
+	magic, version, n := rd.U32(), rd.U32(), int(rd.U32())
+	if err := rd.Err(); err != nil {
 		return nil, fmt.Errorf("uvdiagram: reading 3D header: %w", err)
 	}
 	if magic != db3Magic {
 		return nil, fmt.Errorf("uvdiagram: not a 3D UV-diagram database stream")
 	}
-	if v, err := u32(); err != nil || v != db3Version {
-		return nil, fmt.Errorf("uvdiagram: unsupported 3D version (err=%v)", err)
+	if version != db3Version {
+		return nil, fmt.Errorf("uvdiagram: unsupported 3D version %d", version)
 	}
-	n, err := u32()
-	if err != nil {
-		return nil, fmt.Errorf("uvdiagram: reading 3D object count: %w", err)
-	}
-	if n == 0 || n > 1<<26 {
+	if n <= 0 || n > snapMaxObjects || n > rd.Remaining()/db3MinObjectBytes {
 		return nil, fmt.Errorf("uvdiagram: implausible 3D object count %d", n)
 	}
 	objs := make([]Object3, n)
 	for i := range objs {
-		var c [4]float64
-		for k := range c {
-			if c[k], err = f64(); err != nil {
-				return nil, fmt.Errorf("uvdiagram: reading 3D object %d: %w", i, err)
-			}
+		x, y, z, rad := rd.F64(), rd.F64(), rd.F64(), rd.F64()
+		bins := int(rd.U32())
+		if bins < 0 || bins > 4096 {
+			return nil, fmt.Errorf("uvdiagram: 3D object %d has a pdf of %d bins", i, bins)
 		}
-		bins, err := u32()
-		if err != nil || bins > 4096 {
-			return nil, fmt.Errorf("uvdiagram: 3D object %d has bad pdf (%d bins, err=%v)", i, bins, err)
+		ws := make([]float64, bins)
+		for k := range ws {
+			ws[k] = rd.F64()
+		}
+		if err := rd.Err(); err != nil {
+			return nil, fmt.Errorf("uvdiagram: reading 3D object %d: %w", i, err)
 		}
 		var pdf *PDF3
 		if bins > 0 {
-			ws := make([]float64, bins)
-			for k := range ws {
-				if ws[k], err = f64(); err != nil {
-					return nil, fmt.Errorf("uvdiagram: reading 3D object %d pdf: %w", i, err)
-				}
-			}
 			if pdf, err = uncertain3.NewPDF3(ws); err != nil {
 				return nil, fmt.Errorf("uvdiagram: 3D object %d: %w", i, err)
 			}
 		}
-		objs[i] = NewObject3(int32(i), c[0], c[1], c[2], c[3], pdf)
+		objs[i] = NewObject3(int32(i), x, y, z, rad, pdf)
 	}
-	index, err := core3.LoadOctIndex(br, objs)
+	index, err := core3.LoadOctIndex(rd, objs)
 	if err != nil {
 		return nil, err
 	}
@@ -134,6 +97,6 @@ func Load3(r io.Reader) (*DB3, error) {
 		objs:   objs,
 		domain: index.Domain(),
 		index:  index,
-		built:  BuildStats3{N: int(n), Index: index.Stats()},
+		built:  BuildStats3{N: n, Index: index.Stats()},
 	}, nil
 }

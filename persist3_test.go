@@ -4,44 +4,70 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"os"
 	"testing"
 
 	"uvdiagram"
 )
 
+// TestSaveLoad3RoundTrip: a 3-D database loads back to the same answers,
+// and the stream format is frozen — the stream an earlier release wrote
+// (testdata/legacy/README.md) loads too, and saving what was loaded
+// reproduces either stream byte for byte.
 func TestSaveLoad3RoundTrip(t *testing.T) {
 	db := build3DB(t, 120, 21)
 	var buf bytes.Buffer
 	if err := db.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := uvdiagram.Load3(bytes.NewReader(buf.Bytes()))
+	legacy, err := os.ReadFile(legacyPath("db3.uvd3"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != db.Len() {
-		t.Fatalf("loaded %d objects, want %d", got.Len(), db.Len())
-	}
-	if got.Domain() != db.Domain() {
-		t.Fatalf("domain %v, want %v", got.Domain(), db.Domain())
-	}
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 20; trial++ {
-		q := uvdiagram.Pt3(rng.Float64()*200, rng.Float64()*200, rng.Float64()*200)
-		a, _, err := db.PNN(q)
+	for _, tc := range []struct {
+		name   string
+		db     *uvdiagram.DB3
+		stream []byte
+	}{
+		{"fresh", db, buf.Bytes()},
+		{"legacy", build3DB(t, 60, 21), legacy},
+	} {
+		db := tc.db
+		got, err := uvdiagram.Load3(bytes.NewReader(tc.stream))
 		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var again bytes.Buffer
+		if err := got.Save(&again); err != nil {
 			t.Fatal(err)
 		}
-		b, _, err := got.PNN(q)
-		if err != nil {
-			t.Fatal(err)
+		if !bytes.Equal(again.Bytes(), tc.stream) {
+			t.Fatalf("%s: re-saved database differs from the stream it was loaded from", tc.name)
 		}
-		if len(a) != len(b) {
-			t.Fatalf("q=%v: %v vs %v after reload", q, a, b)
+		if got.Len() != db.Len() {
+			t.Fatalf("%s: loaded %d objects, want %d", tc.name, got.Len(), db.Len())
 		}
-		for i := range a {
-			if a[i].ID != b[i].ID || math.Abs(a[i].Prob-b[i].Prob) > 1e-12 {
-				t.Fatalf("q=%v answer %d: %v vs %v after reload", q, i, a[i], b[i])
+		if got.Domain() != db.Domain() {
+			t.Fatalf("%s: domain %v, want %v", tc.name, got.Domain(), db.Domain())
+		}
+		rng := rand.New(rand.NewSource(5))
+		for trial := 0; trial < 20; trial++ {
+			q := uvdiagram.Pt3(rng.Float64()*200, rng.Float64()*200, rng.Float64()*200)
+			a, _, err := db.PNN(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, _, err := got.PNN(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(a) != len(b) {
+				t.Fatalf("%s: q=%v: %v vs %v after reload", tc.name, q, a, b)
+			}
+			for i := range a {
+				if a[i].ID != b[i].ID || math.Abs(a[i].Prob-b[i].Prob) > 1e-12 {
+					t.Fatalf("%s: q=%v answer %d: %v vs %v after reload", tc.name, q, i, a[i], b[i])
+				}
 			}
 		}
 	}

@@ -2,32 +2,30 @@ package uvdiagram
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
-	"time"
 
 	"uvdiagram/internal/core"
 	"uvdiagram/internal/epoch"
 	"uvdiagram/internal/pager"
 	"uvdiagram/internal/rtree"
 	"uvdiagram/internal/uncertain"
+	"uvdiagram/internal/wire"
 )
 
-// Out-of-core persistence (version 5): where Save/Load persist the
-// LOGICAL database and rebuild every disk page on load, SaveSnapshot
-// writes a page-image snapshot — the raw pages of the object store,
-// every shard's UV-index and the helper R-tree, each section aligned to
-// snapAlign, preceded by a metadata blob (domain, layout, tombstones,
-// constraint registry, per-section manifests). Open of a v5 file then
-// serves STRAIGHT OFF THE FILE: the page sections become mmap-backed
-// pager.FileStores (zero-copy reads, no rebuild, no per-page heap), so
-// a database much larger than RAM opens in milliseconds and the kernel
-// pages leaf data in and out on demand. Open falls back to Load for
-// version ≤ 4 streams, so uvdiagram.Open(path) is the universal opener.
+// Database persistence: SaveSnapshot is the one writer, Open the one
+// opener. SaveSnapshot writes a version-5 page-image snapshot — the raw
+// pages of the object store, every shard's UV-index and the helper
+// R-tree, each section aligned to snapAlign, preceded by a metadata
+// blob (domain, layout, tombstones, constraint registry, per-section
+// manifests). Open of a v5 file then serves STRAIGHT OFF THE FILE: the
+// page sections become mmap-backed pager.FileStores (zero-copy reads,
+// no rebuild, no per-page heap), so a database much larger than RAM
+// opens in milliseconds and the kernel pages leaf data in and out on
+// demand. Open also reads the version ≤ 4 logical streams earlier
+// releases wrote (see persist.go).
 //
 // File layout:
 //
@@ -48,14 +46,17 @@ const (
 	snapMaxMeta = 1 << 31
 	// snapMaxPageSize bounds any section's page size.
 	snapMaxPageSize = 1 << 20
+	// snapMaxObjects bounds a file's object count.
+	snapMaxObjects = 1 << 26
 )
 
-// ErrCorruptSnapshot is the sentinel every malformed-snapshot failure
-// matches through errors.Is, whatever field was damaged. Open never
-// returns a partially constructed DB alongside it.
+// ErrCorruptSnapshot is the sentinel every malformed-file failure of
+// Open matches through errors.Is, whatever the file's version and
+// whatever field was damaged. Open never returns a partially
+// constructed DB alongside it.
 var ErrCorruptSnapshot = errors.New("uvdiagram: corrupt snapshot")
 
-// SnapshotError is the concrete malformed-snapshot error: the file and
+// SnapshotError is the concrete malformed-file error: the file and
 // what was wrong with it. errors.Is(err, ErrCorruptSnapshot) matches
 // it.
 type SnapshotError struct {
@@ -101,60 +102,33 @@ type snapSection struct {
 	off       int64 // byte offset of the section's first page
 }
 
-type metaWriter struct{ buf []byte }
-
-func (w *metaWriter) u32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
-func (w *metaWriter) f64(v float64) {
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(v))
-}
-func (w *metaWriter) bytes(b []byte) {
-	w.u32(uint32(len(b)))
-	w.buf = append(w.buf, b...)
+// validShardGrid bounds a file's shard grid. Each axis is bounded
+// before multiplying: a crafted gx = gy = 0xFFFFFFFF would overflow
+// gx*gy past the product check and die in allocation instead of
+// erroring.
+func validShardGrid(gx, gy int) bool {
+	return gx >= 1 && gy >= 1 && gx <= MaxShards && gy <= MaxShards && gx*gy <= MaxShards
 }
 
-type metaReader struct {
-	b   []byte
-	err error
-}
-
-func (r *metaReader) u32() uint32 {
-	if r.err != nil {
-		return 0
+// readCuts reads the k+1 cut coordinates of one layout axis: strictly
+// increasing from lo to hi.
+func readCuts(r *wire.Reader, k int, lo, hi float64) ([]float64, error) {
+	out := make([]float64, k+1)
+	for i := range out {
+		out[i] = r.F64()
 	}
-	if len(r.b) < 4 {
-		r.err = io.ErrUnexpectedEOF
-		return 0
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("reading layout cuts: %w", err)
 	}
-	v := binary.LittleEndian.Uint32(r.b)
-	r.b = r.b[4:]
-	return v
-}
-
-func (r *metaReader) f64() float64 {
-	if r.err != nil {
-		return 0
+	for i := 1; i <= k; i++ {
+		if !(out[i] > out[i-1]) {
+			return nil, fmt.Errorf("layout cuts not increasing at %d", i)
+		}
 	}
-	if len(r.b) < 8 {
-		r.err = io.ErrUnexpectedEOF
-		return 0
+	if out[0] != lo || out[k] != hi {
+		return nil, fmt.Errorf("layout cuts do not span the domain")
 	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b))
-	r.b = r.b[8:]
-	return v
-}
-
-func (r *metaReader) bytes(max int) []byte {
-	n := int(r.u32())
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || n > max || n > len(r.b) {
-		r.err = fmt.Errorf("blob of %d bytes exceeds bound %d", n, max)
-		return nil
-	}
-	out := r.b[:n:n]
-	r.b = r.b[n:]
-	return out
+	return out, nil
 }
 
 func alignUp(off int64) int64 {
@@ -164,7 +138,7 @@ func alignUp(off int64) int64 {
 // SaveSnapshot writes the database as a version-5 page-image snapshot
 // to path (atomically: a temp file renamed into place), ready to be
 // served off-disk by Open. The caller must not run mutations
-// concurrently (queries are fine), matching Save's contract.
+// concurrently (queries are fine).
 func (db *DB) SaveSnapshot(path string) error {
 	db.smu.RLock()
 	defer db.smu.RUnlock()
@@ -176,60 +150,57 @@ func (db *DB) SaveSnapshot(path string) error {
 	n := db.store.Len()
 
 	// Metadata blob first: everything Open needs before touching pages.
-	w := &metaWriter{}
+	var w wire.Buffer
 	for _, v := range []float64{db.domain.Min.X, db.domain.Min.Y, db.domain.Max.X, db.domain.Max.Y} {
-		w.f64(v)
+		w.F64(v)
 	}
-	w.u32(uint32(lo.gx))
-	w.u32(uint32(lo.gy))
+	w.U32(uint32(lo.gx))
+	w.U32(uint32(lo.gy))
 	for _, v := range lo.xs {
-		w.f64(v)
+		w.F64(v)
 	}
 	for _, v := range lo.ys {
-		w.f64(v)
+		w.F64(v)
 	}
-	w.u32(uint32(n))
+	w.U32(uint32(n))
 	for i := 0; i < n; i++ {
 		flag := byte(0)
 		if db.store.Alive(int32(i)) {
 			flag = 1
 		}
-		w.buf = append(w.buf, flag)
+		w.U8(flag)
 	}
 	// The engine-wide constraint registry, once — not once per shard as
 	// the v≤4 index streams do.
 	for i := 0; i < n; i++ {
 		ids := db.cr.Of(int32(i))
-		w.u32(uint32(len(ids)))
+		w.U32(uint32(len(ids)))
 		for _, id := range ids {
-			w.u32(uint32(id))
+			w.I32(id)
 		}
 	}
-	w.u32(uint32(storePg.PageSize()))
+	w.U32(uint32(storePg.PageSize()))
 	type section struct {
-		pg       *pager.Pager
-		pages    []pager.PageID
-		manifest []byte
+		pg    *pager.Pager
+		pages []pager.PageID
 	}
 	sections := make([]section, 0, len(eps)+1)
+	addSection := func(pg *pager.Pager, manifest []byte, pages []pager.PageID) {
+		w.U32(uint32(pg.PageSize()))
+		w.Str(string(manifest))
+		w.U32(uint32(len(pages)))
+		sections = append(sections, section{pg: pg, pages: pages})
+	}
 	for i, ep := range eps {
 		manifest, pages, err := ep.index.SnapshotManifest()
 		if err != nil {
 			return fmt.Errorf("uvdiagram: snapshot shard %d: %w", i, err)
 		}
-		w.u32(uint32(ep.index.Pager().PageSize()))
-		w.bytes(manifest)
-		w.u32(uint32(len(pages)))
-		sections = append(sections, section{pg: ep.index.Pager(), pages: pages})
+		addSection(ep.index.Pager(), manifest, pages)
 	}
-	manifest, pages, err := tree.SnapshotManifest()
-	if err != nil {
-		return fmt.Errorf("uvdiagram: snapshot r-tree: %w", err)
-	}
-	w.u32(uint32(tree.Pager().PageSize()))
-	w.bytes(manifest)
-	w.u32(uint32(len(pages)))
-	sections = append(sections, section{pg: tree.Pager(), pages: pages})
+	manifest, pages := tree.SnapshotManifest()
+	addSection(tree.Pager(), manifest, pages)
+	meta := w.Bytes()
 
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
@@ -258,14 +229,14 @@ func (db *DB) SaveSnapshot(path string) error {
 		}
 		return nil
 	}
-	var hdr [16]byte
-	binary.LittleEndian.PutUint32(hdr[0:], dbMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], dbVersionSnapshot)
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(w.buf)))
-	if err := emit(hdr[:]); err != nil {
+	var hdr wire.Buffer
+	hdr.U32(dbMagic)
+	hdr.U32(dbVersionSnapshot)
+	hdr.U64(uint64(len(meta)))
+	if err := emit(hdr.Bytes()); err != nil {
 		return err
 	}
-	if err := emit(w.buf); err != nil {
+	if err := emit(meta); err != nil {
 		return err
 	}
 	if err := pad(); err != nil {
@@ -306,132 +277,100 @@ func (db *DB) SaveSnapshot(path string) error {
 
 // parseSnapMeta decodes and validates the metadata blob, computing each
 // section's byte offset and checking every section fits the file.
-func parseSnapMeta(path string, meta []byte, metaOff, fileSize int64) (*snapMeta, error) {
-	r := &metaReader{b: meta}
+func parseSnapMeta(meta []byte, metaOff, fileSize int64) (*snapMeta, error) {
+	r := wire.NewReader(meta)
 	m := &snapMeta{}
-	m.domain = Rect{Min: Pt(r.f64(), r.f64()), Max: Pt(r.f64(), r.f64())}
-	m.gx, m.gy = int(r.u32()), int(r.u32())
-	if r.err == nil && (m.gx < 1 || m.gy < 1 || m.gx > MaxShards || m.gy > MaxShards || m.gx*m.gy > MaxShards) {
-		return nil, snapErr(path, "implausible shard layout %d×%d", m.gx, m.gy)
+	m.domain = Rect{Min: Pt(r.F64(), r.F64()), Max: Pt(r.F64(), r.F64())}
+	m.gx, m.gy = int(r.U32()), int(r.U32())
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
-	readCuts := func(k int, lo, hi float64) []float64 {
-		out := make([]float64, k+1)
-		for i := range out {
-			out[i] = r.f64()
-			if r.err == nil && i > 0 && !(out[i] > out[i-1]) {
-				r.err = fmt.Errorf("layout cuts not increasing at %d", i)
-			}
+	if !validShardGrid(m.gx, m.gy) {
+		return nil, fmt.Errorf("implausible shard layout %d×%d", m.gx, m.gy)
+	}
+	var err error
+	if m.xs, err = readCuts(r, m.gx, m.domain.Min.X, m.domain.Max.X); err != nil {
+		return nil, err
+	}
+	if m.ys, err = readCuts(r, m.gy, m.domain.Min.Y, m.domain.Max.Y); err != nil {
+		return nil, err
+	}
+	m.n = int(r.U32())
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	if m.n <= 0 || m.n > snapMaxObjects || m.n > r.Remaining() {
+		return nil, fmt.Errorf("implausible object count %d", m.n)
+	}
+	m.dead = make([]bool, m.n)
+	for i := range m.dead {
+		m.dead[i] = r.U8() == 0
+	}
+	m.crSets = make([][]int32, m.n)
+	for i := range m.crSets {
+		k := int(r.U32())
+		if k < 0 || k > m.n || k > r.Remaining()/4 {
+			return nil, fmt.Errorf("object %d cr-set of %d exceeds object count %d", i, k, m.n)
 		}
-		if r.err == nil && (out[0] != lo || out[k] != hi) {
-			r.err = fmt.Errorf("layout cuts do not span the domain")
-		}
-		return out
-	}
-	if r.err == nil {
-		m.xs = readCuts(m.gx, m.domain.Min.X, m.domain.Max.X)
-		m.ys = readCuts(m.gy, m.domain.Min.Y, m.domain.Max.Y)
-	}
-	m.n = int(r.u32())
-	if r.err == nil && (m.n <= 0 || m.n > 1<<26) {
-		return nil, snapErr(path, "implausible object count %d", m.n)
-	}
-	if r.err == nil {
-		if len(r.b) < m.n {
-			r.err = io.ErrUnexpectedEOF
-		} else {
-			m.dead = make([]bool, m.n)
-			for i := 0; i < m.n; i++ {
-				m.dead[i] = r.b[i] == 0
+		ids := make([]int32, k)
+		for j := range ids {
+			v := r.U32()
+			if int(v) >= m.n {
+				return nil, fmt.Errorf("object %d cr-id %d out of range", i, v)
 			}
-			r.b = r.b[m.n:]
+			ids[j] = int32(v)
 		}
+		m.crSets[i] = ids
 	}
-	if r.err == nil {
-		m.crSets = make([][]int32, m.n)
-		for i := 0; i < m.n && r.err == nil; i++ {
-			k := int(r.u32())
-			if r.err != nil {
-				break
-			}
-			if k > m.n {
-				r.err = fmt.Errorf("object %d cr-set of %d exceeds object count %d", i, k, m.n)
-				break
-			}
-			ids := make([]int32, k)
-			for j := range ids {
-				v := r.u32()
-				if r.err == nil && int(v) >= m.n {
-					r.err = fmt.Errorf("object %d cr-id %d out of range", i, v)
-				}
-				ids[j] = int32(v)
-			}
-			m.crSets[i] = ids
+	m.storePageSize = int(r.U32())
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	// section locates the next page section at the running aligned
+	// offset and checks it fits the file.
+	off := metaOff + int64(len(meta))
+	section := func(name string, pageSize, pageCount int) (int64, error) {
+		if pageSize <= 0 || pageSize > snapMaxPageSize {
+			return 0, fmt.Errorf("%s page size %d", name, pageSize)
 		}
-	}
-	m.storePageSize = int(r.u32())
-	if r.err == nil && (m.storePageSize <= 0 || m.storePageSize > snapMaxPageSize) {
-		return nil, snapErr(path, "store page size %d", m.storePageSize)
-	}
-	off := alignUp(metaOff + int64(len(meta)))
-	if r.err == nil {
-		if end := off + int64(m.n)*int64(m.storePageSize); end > fileSize {
-			return nil, snapErr(path, "object section [%d, %d) exceeds file of %d bytes", off, end, fileSize)
+		start := alignUp(off)
+		off = start + int64(pageCount)*int64(pageSize)
+		if pageCount < 0 || off > fileSize {
+			return 0, fmt.Errorf("%s section [%d, %d) exceeds file of %d bytes", name, start, off, fileSize)
 		}
+		return start, nil
 	}
-	storeOff := off
-	off = alignUp(off + int64(m.n)*int64(m.storePageSize))
+	if m.storeOff, err = section("object", m.storePageSize, m.n); err != nil {
+		return nil, err
+	}
 	readSection := func(name string) (snapSection, error) {
-		var s snapSection
-		s.pageSize = int(r.u32())
-		if r.err == nil && (s.pageSize <= 0 || s.pageSize > snapMaxPageSize) {
-			return s, snapErr(path, "%s page size %d", name, s.pageSize)
+		s := snapSection{pageSize: int(r.U32()), manifest: r.Bytes(), pageCount: int(r.U32())}
+		if err := r.Err(); err != nil {
+			return s, err
 		}
-		s.manifest = r.bytes(len(r.b))
-		s.pageCount = int(r.u32())
-		if r.err != nil {
-			return s, nil
-		}
-		if s.pageCount < 0 {
-			return s, snapErr(path, "%s page count %d", name, s.pageCount)
-		}
-		s.off = off
-		end := off + int64(s.pageCount)*int64(s.pageSize)
-		if end > fileSize {
-			return s, snapErr(path, "%s section [%d, %d) exceeds file of %d bytes", name, off, end, fileSize)
-		}
-		off = alignUp(end)
-		return s, nil
+		var err error
+		s.off, err = section(name, s.pageSize, s.pageCount)
+		return s, err
 	}
-	if r.err == nil {
-		m.shards = make([]snapSection, m.gx*m.gy)
-		for i := range m.shards {
-			s, err := readSection(fmt.Sprintf("shard %d", i))
-			if err != nil {
-				return nil, err
-			}
-			m.shards[i] = s
-		}
-	}
-	if r.err == nil {
-		s, err := readSection("r-tree")
-		if err != nil {
+	m.shards = make([]snapSection, m.gx*m.gy)
+	for i := range m.shards {
+		if m.shards[i], err = readSection(fmt.Sprintf("shard %d", i)); err != nil {
 			return nil, err
 		}
-		m.rt = s
 	}
-	if r.err != nil {
-		return nil, snapErr(path, "metadata: %v", r.err)
+	if m.rt, err = readSection("r-tree"); err != nil {
+		return nil, err
 	}
-	if len(r.b) != 0 {
-		return nil, snapErr(path, "metadata has %d trailing bytes", len(r.b))
+	if r.Remaining() != 0 {
+		return nil, fmt.Errorf("metadata has %d trailing bytes", r.Remaining())
 	}
-	m.storeOff = storeOff
 	return m, nil
 }
 
-// Open opens a database file written by SaveSnapshot (version 5) or
-// Save (versions 1–4; Open falls back to Load for those, rebuilding
-// pages in the heap as Load always has).
+// Open opens a database file: a version-5 snapshot written by
+// SaveSnapshot, or a version 1–4 logical stream written by an earlier
+// release (read-only legacy input: pages are rebuilt in the heap, and
+// saving it again writes version 5).
 //
 // For a v5 snapshot, Options.Pager picks the backend: "mmap" (the
 // default) maps the file read-only and serves zero-copy page reads off
@@ -441,6 +380,9 @@ func parseSnapMeta(path string, meta []byte, metaOff, fileSize int64) (*snapMeta
 // independence from it. Either way the answers are identical to the
 // database that was saved. Call DB.Close when done with an mmap-backed
 // database.
+//
+// Every malformed-file failure, whatever the version, is a
+// *SnapshotError matching ErrCorruptSnapshot.
 func Open(path string, opts *Options) (*DB, error) {
 	mode, err := opts.pagerMode()
 	if err != nil {
@@ -455,20 +397,15 @@ func Open(path string, opts *Options) (*DB, error) {
 		f.Close()
 		return nil, snapErr(path, "reading header: %v", err)
 	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != dbMagic {
+	h := wire.NewReader(hdr[:]) // the second half is filled in once the version says it exists
+	if h.U32() != dbMagic {
 		f.Close()
-		return nil, fmt.Errorf("uvdiagram: %s is not a UV-diagram database file", path)
+		return nil, snapErr(path, "not a UV-diagram database file")
 	}
-	version := binary.LittleEndian.Uint32(hdr[4:])
+	version := h.U32()
 	if version >= 1 && version <= dbVersionCuts {
-		// Classic logical stream: rewind and hand it to Load.
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			f.Close()
-			return nil, err
-		}
-		db, err := Load(bufio.NewReaderSize(f, 1<<20), opts)
 		f.Close()
-		return db, err
+		return openLegacy(path, opts)
 	}
 	if version != dbVersionSnapshot {
 		f.Close()
@@ -484,7 +421,7 @@ func Open(path string, opts *Options) (*DB, error) {
 		f.Close()
 		return nil, snapErr(path, "reading header: %v", err)
 	}
-	metaLen := binary.LittleEndian.Uint64(hdr[8:])
+	metaLen := h.U64()
 	if metaLen > snapMaxMeta || 16+int64(metaLen) > fileSize {
 		f.Close()
 		return nil, snapErr(path, "metadata of %d bytes exceeds file of %d", metaLen, fileSize)
@@ -494,10 +431,10 @@ func Open(path string, opts *Options) (*DB, error) {
 		f.Close()
 		return nil, snapErr(path, "reading metadata: %v", err)
 	}
-	m, err := parseSnapMeta(path, meta, 16, fileSize)
+	m, err := parseSnapMeta(meta, 16, fileSize)
 	if err != nil {
 		f.Close()
-		return nil, err
+		return nil, snapErr(path, "metadata: %v", err)
 	}
 
 	// Materialize the page sections as pagers: FileStores over one
@@ -545,32 +482,20 @@ func Open(path string, opts *Options) (*DB, error) {
 	if err != nil {
 		return fail(snapErr(path, "%v", err))
 	}
-
-	bopts := opts.toBuildOptions()
 	reg := core.NewCRState(m.crSets)
-	db := &DB{store: store, domain: m.domain, bopts: bopts, strategy: opts.layout(), egc: epoch.NewDomain()}
-	db.cr = reg
-	db.topo = core.NewTopology(reg.Len(), bopts.RegionSamples)
-	db.pagerMode = mode
 	lo := newShardLayout(0, m.gx, m.gy, m.xs, m.ys)
-	shapes := make([]core.IndexStats, len(lo.shards))
-	t0 := time.Now()
-	for i := range lo.shards {
-		sec := m.shards[i]
+	indexes := make([]*core.UVIndex, len(lo.shards))
+	for i, sec := range m.shards {
 		pg, err := sectionPager(sec.off, sec.pageCount, sec.pageSize)
 		if err != nil {
 			return fail(err)
 		}
-		ix, err := core.OpenUVIndexSnapshot(sec.manifest, store, reg, pg)
-		if err != nil {
+		if indexes[i], err = core.OpenUVIndexSnapshot(sec.manifest, store, reg, pg); err != nil {
 			return fail(snapErr(path, "shard %d: %v", i, err))
 		}
-		if ix.Domain() != lo.shards[i].rect {
-			return fail(snapErr(path, "shard %d covers %v, layout expects %v", i, ix.Domain(), lo.shards[i].rect))
+		if indexes[i].Domain() != lo.shards[i].rect {
+			return fail(snapErr(path, "shard %d covers %v, layout expects %v", i, indexes[i].Domain(), lo.shards[i].rect))
 		}
-		ix.SetReclaimDomain(db.egc)
-		lo.shards[i].epoch.Store(&indexEpoch{index: ix})
-		shapes[i] = ix.Stats()
 	}
 	rtPg, err := sectionPager(m.rt.off, m.rt.pageCount, m.rt.pageSize)
 	if err != nil {
@@ -580,12 +505,8 @@ func Open(path string, opts *Options) (*DB, error) {
 	if err != nil {
 		return fail(snapErr(path, "%v", err))
 	}
-	tree.SetReclaimDomain(db.egc)
-	db.tree.Store(tree)
-	db.layout.Store(lo)
-	built := BuildStats{Strategy: bopts.Strategy, N: store.Live(), Index: aggregateIndexStats(shapes)}
-	built.TotalDur = time.Since(t0)
-	db.built.Store(&built)
+	db := assembleDB(store, m.domain, lo, indexes, reg, tree, opts)
+	db.pagerMode = mode
 	if mapping != nil {
 		db.closer = mapping.Close
 	} else {
@@ -596,4 +517,25 @@ func Open(path string, opts *Options) (*DB, error) {
 		return nil, err
 	}
 	return db, nil
+}
+
+// assembleDB wires the parts Open decoded — the store, one index per
+// shard of lo, the shared constraint registry and the helper R-tree —
+// into a serving DB. opts only affect future mutations and reshards.
+func assembleDB(store *uncertain.Store, domain Rect, lo *shardLayout, indexes []*core.UVIndex,
+	reg *core.CRState, tree *rtree.Tree, opts *Options) *DB {
+	bopts := opts.toBuildOptions()
+	db := &DB{store: store, domain: domain, bopts: bopts, strategy: opts.layout(), egc: epoch.NewDomain(), cr: reg}
+	db.topo = core.NewTopology(reg.Len(), bopts.RegionSamples)
+	shapes := make([]core.IndexStats, len(indexes))
+	for i, ix := range indexes {
+		ix.SetReclaimDomain(db.egc)
+		lo.shards[i].epoch.Store(&indexEpoch{index: ix})
+		shapes[i] = ix.Stats()
+	}
+	tree.SetReclaimDomain(db.egc)
+	db.tree.Store(tree)
+	db.layout.Store(lo)
+	db.built.Store(&BuildStats{Strategy: bopts.Strategy, N: store.Live(), Index: aggregateIndexStats(shapes)})
+	return db
 }

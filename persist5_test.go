@@ -1,8 +1,9 @@
 package uvdiagram_test
 
 import (
+	"bytes"
 	"encoding/binary"
-	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -38,8 +39,8 @@ func assertEquivalent(t *testing.T, want, got *uvdiagram.DB, seed int64) {
 }
 
 // assertEquivalentTol is assertEquivalent with a probability tolerance:
-// the classic Save/Load fallback re-normalizes pdf histograms on load,
-// which may move probabilities by an ulp (snapshot paths use 0 — they
+// the legacy stream reader re-normalizes pdf histograms on load, which
+// may move probabilities by an ulp (snapshot paths use 0 — they
 // preserve page images exactly).
 func assertEquivalentTol(t *testing.T, want, got *uvdiagram.DB, seed int64, tol float64) {
 	t.Helper()
@@ -182,69 +183,89 @@ func TestOpenSnapshotMutable(t *testing.T) {
 	assertEquivalent(t, db, re, 13)
 }
 
-// TestOpenClassicStream checks Open's fallback: a version ≤ 4 stream
-// written by Save loads through the classic path.
+// TestOpenClassicStream checks Open's legacy reader: every version ≤ 4
+// stream an earlier release saved opens heap-served with the layout it
+// was saved with and the answers of the database that was saved, and
+// keeps mutating in step with it.
 func TestOpenClassicStream(t *testing.T) {
-	cfg := datagen.Config{N: 150, Side: 2000, Diameter: 30, Seed: 42}
-	db, err := uvdiagram.Build(datagen.Uniform(cfg), cfg.Domain(), &uvdiagram.Options{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
+	for _, fx := range []struct {
+		name   string
+		shards int
+		want   *uvdiagram.DB
+	}{
+		{"v2-single.uvdb", 1, lifecycleDB(t, nil)},
+		{"v3-equal4.uvdb", 4, lifecycleDB(t, &uvdiagram.Options{Shards: 4})},
+		{"v4-median4.uvdb", 4, medianDB(t)},
+	} {
+		opened, err := uvdiagram.Open(legacyPath(fx.name), nil)
+		if err != nil {
+			t.Fatalf("%s: %v", fx.name, err)
+		}
+		if opened.PagerMode() != "heap" {
+			t.Fatalf("%s: legacy stream served as %q", fx.name, opened.PagerMode())
+		}
+		if opened.Shards() != fx.shards || opened.Len() != fx.want.Len() {
+			t.Fatalf("%s: %d shards, %d live; want %d, %d",
+				fx.name, opened.Shards(), opened.Len(), fx.shards, fx.want.Len())
+		}
+		assertEquivalentTol(t, fx.want, opened, 17, 1e-9)
+		for _, d := range []*uvdiagram.DB{fx.want, opened} {
+			if err := d.Delete(12); err != nil {
+				t.Fatalf("%s: %v", fx.name, err)
+			}
+			if err := d.Insert(uvdiagram.NewObject(d.NextID(), 1200, 600, 15, nil)); err != nil {
+				t.Fatalf("%s: %v", fx.name, err)
+			}
+		}
+		assertEquivalentTol(t, fx.want, opened, 19, 1e-9)
+		// Saving a legacy-opened database writes the current format.
+		assertEquivalent(t, opened, reopen(t, opened), 23)
 	}
-	path := filepath.Join(t.TempDir(), "db.uvdb")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestSnapshotResaveByteIdentical guards the file format: a snapshot
+// opened into the heap and saved again reproduces the input file byte
+// for byte, so nothing in the write or read path re-encodes a field
+// differently from how it was stored.
+func TestSnapshotResaveByteIdentical(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		_, path := saveSnapshotDB(t, 200, &uvdiagram.Options{Shards: shards})
+		opened, err := uvdiagram.Open(path, &uvdiagram.Options{Pager: "heap"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resaved := filepath.Join(t.TempDir(), "resaved.uv5")
+		if err := opened.SaveSnapshot(resaved); err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(resaved)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(want, got) {
+			t.Fatalf("shards=%d: re-saved snapshot differs from its input (%d vs %d bytes)", shards, len(got), len(want))
+		}
 	}
-	if err := db.Save(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	opened, err := uvdiagram.Open(path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer opened.Close()
-	if opened.PagerMode() != "heap" {
-		t.Fatalf("classic stream served as %q", opened.PagerMode())
-	}
-	assertEquivalentTol(t, db, opened, 17, 1e-12)
 }
 
 // TestOpenSnapshotCorrupt asserts the robustness contract: truncated or
-// bit-flipped snapshots yield a typed error matching ErrCorruptSnapshot
-// and never a partially constructed DB.
+// bit-flipped database files of any version yield a typed error
+// matching ErrCorruptSnapshot and never a partially constructed DB.
 func TestOpenSnapshotCorrupt(t *testing.T) {
 	_, path := saveSnapshotDB(t, 120, &uvdiagram.Options{Shards: 2})
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	check := func(name string, mutate func([]byte) []byte) {
 		t.Helper()
-		bad := mutate(append([]byte(nil), data...))
-		p := filepath.Join(t.TempDir(), name)
-		if err := os.WriteFile(p, bad, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		for _, mode := range []string{"mmap", "heap"} {
-			db, err := uvdiagram.Open(p, &uvdiagram.Options{Pager: mode})
-			if err == nil {
-				db.Close()
-				t.Fatalf("%s/%s: corrupt snapshot opened", name, mode)
-			}
-			if !errors.Is(err, uvdiagram.ErrCorruptSnapshot) {
-				t.Fatalf("%s/%s: error %v does not match ErrCorruptSnapshot", name, mode, err)
-			}
-			var se *uvdiagram.SnapshotError
-			if !errors.As(err, &se) {
-				t.Fatalf("%s/%s: error %v is not a *SnapshotError", name, mode, err)
-			}
-		}
+		openCorrupt(t, name, mutate(append([]byte(nil), data...)))
 	}
-
+	check("empty", func(b []byte) []byte { return nil })
 	check("truncated-meta", func(b []byte) []byte { return b[:40] })
 	check("truncated-pages", func(b []byte) []byte { return b[:len(b)-4096] })
 	check("meta-overrun", func(b []byte) []byte {
@@ -262,34 +283,44 @@ func TestOpenSnapshotCorrupt(t *testing.T) {
 		binary.LittleEndian.PutUint32(b[16+32:], 0xFFFFFFFF)
 		return b
 	})
+	check("bad-magic", func(b []byte) []byte {
+		binary.LittleEndian.PutUint32(b[0:], 0xDEADBEEF)
+		return b
+	})
+	check("bad-version", func(b []byte) []byte {
+		binary.LittleEndian.PutUint32(b[4:], 99)
+		return b
+	})
 
-	// Header-level failures are errors too (typed or not, they must not
-	// produce a DB).
+	// The same damage to a legacy stream gets the same typed error.
+	data, err = os.ReadFile(legacyPath("v3-equal4.uvdb"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("legacy-bad-magic", func(b []byte) []byte { return append([]byte{1, 2, 3, 4}, b[4:]...) })
+	for _, cut := range []int{6, 20, 60, len(data) / 2, len(data) - 2} {
+		check(fmt.Sprintf("legacy-truncated-%d", cut), func(b []byte) []byte { return b[:cut] })
+	}
+	check("legacy-bad-shard-grid", func([]byte) []byte { return implausibleGridStream() })
+	check("legacy-bad-object-count", func(b []byte) []byte {
+		binary.LittleEndian.PutUint32(b[8+32+8:], 1<<30) // n follows header, domain, gx/gy
+		return b
+	})
+	check("legacy-bad-registry-id", func(b []byte) []byte {
+		// The last four bytes are an object id in the last shard's
+		// last leaf list.
+		binary.LittleEndian.PutUint32(b[len(b)-4:], 1<<20)
+		return b
+	})
+
+	// A missing file is an error too (not a corrupt one).
 	if _, err := uvdiagram.Open(filepath.Join(t.TempDir(), "missing"), nil); err == nil {
 		t.Fatal("opening a missing file succeeded")
 	}
-	badMagic := append([]byte(nil), data...)
-	binary.LittleEndian.PutUint32(badMagic[0:], 0xDEADBEEF)
-	p := filepath.Join(t.TempDir(), "bad-magic")
-	if err := os.WriteFile(p, badMagic, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := uvdiagram.Open(p, nil); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-	badVer := append([]byte(nil), data...)
-	binary.LittleEndian.PutUint32(badVer[4:], 99)
-	p = filepath.Join(t.TempDir(), "bad-version")
-	if err := os.WriteFile(p, badVer, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := uvdiagram.Open(p, nil); !errors.Is(err, uvdiagram.ErrCorruptSnapshot) {
-		t.Fatalf("version 99: %v", err)
-	}
 }
 
-// FuzzOpenSnapshot feeds arbitrary bytes (seeded with a real snapshot)
-// through Open in heap mode: whatever the corruption, Open must return
+// FuzzOpenSnapshot feeds arbitrary bytes (seeded with a real snapshot
+// and a legacy stream) through Open in heap mode: whatever the corruption, Open must return
 // an error or a servable DB — never panic, never hang.
 func FuzzOpenSnapshot(f *testing.F) {
 	_, path := saveSnapshotDB(f, 60, nil)
@@ -302,6 +333,12 @@ func FuzzOpenSnapshot(f *testing.F) {
 	f.Add([]byte{})
 	trunc := append([]byte(nil), data[:len(data)/2]...)
 	f.Add(trunc)
+	// A legacy stream, so the fuzzer explores both branches of Open.
+	legacy, err := os.ReadFile(legacyPath("v2-single.uvdb"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(legacy)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		p := filepath.Join(t.TempDir(), "fuzz.uv5")
 		if err := os.WriteFile(p, b, 0o644); err != nil {

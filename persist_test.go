@@ -1,25 +1,72 @@
 package uvdiagram_test
 
 import (
-	"bytes"
-	"encoding/binary"
-	"math"
-	"math/rand"
+	"context"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"uvdiagram"
+	"uvdiagram/internal/datagen"
+	"uvdiagram/internal/wire"
 )
 
-func TestSaveLoadRoundTrip(t *testing.T) {
-	db, objs := buildSmallDB(t, 300, nil)
-	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
+// reopen round-trips db through the one persistence path — SaveSnapshot
+// to a temp file, Open with the heap pager — which preserves page
+// images exactly, so callers compare the result bitwise.
+func reopen(t testing.TB, db *uvdiagram.DB) *uvdiagram.DB {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "db.uv5")
+	if err := db.SaveSnapshot(path); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := uvdiagram.Load(bytes.NewReader(buf.Bytes()), nil)
+	re, err := uvdiagram.Open(path, &uvdiagram.Options{Pager: "heap"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return re
+}
+
+// legacyPath names a committed fixture written by the last release that
+// had a logical-stream writer (see testdata/legacy/README.md).
+func legacyPath(name string) string { return filepath.Join("testdata", "legacy", name) }
+
+// lifecycleDB rebuilds the database behind the v2-single (opts nil) and
+// v3-equal4 (Shards: 4) fixtures: a churned population with a tombstone
+// and insert slack.
+func lifecycleDB(t testing.TB, opts *uvdiagram.Options) *uvdiagram.DB {
+	t.Helper()
+	cfg := datagen.Config{N: 50, Side: 2000, Diameter: 30, Seed: 4242}
+	db, err := uvdiagram.Build(datagen.Uniform(cfg), cfg.Domain(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Delete(7); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Insert(uvdiagram.NewObject(db.NextID(), 777, 888, 12, nil)); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// medianDB rebuilds the database behind the v4-median4 fixture.
+func medianDB(t testing.TB) *uvdiagram.DB {
+	t.Helper()
+	cfg := datagen.Config{N: 80, Side: 2000, Diameter: 40, Seed: 13}
+	db, err := uvdiagram.Build(datagen.Skewed(cfg, 250), cfg.Domain(),
+		&uvdiagram.Options{Shards: 4, Layout: uvdiagram.WeightedMedian{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+func TestSaveLoadRoundTrip(t *testing.T) {
+	db, objs := buildSmallDB(t, 300, nil)
+	loaded := reopen(t, db)
 	if loaded.Len() != db.Len() {
 		t.Fatalf("Len %d after load, want %d", loaded.Len(), db.Len())
 	}
@@ -29,28 +76,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if loaded.IndexStats() != db.IndexStats() {
 		t.Fatalf("index stats differ: %+v vs %+v", loaded.IndexStats(), db.IndexStats())
 	}
-	rng := rand.New(rand.NewSource(31))
-	for k := 0; k < 40; k++ {
-		q := uvdiagram.Pt(rng.Float64()*2000, rng.Float64()*2000)
-		a1, _, err := db.PNN(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a2, _, err := loaded.PNN(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(a1) != len(a2) {
-			t.Fatalf("query %v: answer counts differ after reload", q)
-		}
-		for i := range a1 {
-			// Probabilities may differ by an ulp: reloading re-normalizes
-			// the pdf histograms.
-			if a1[i].ID != a2[i].ID || math.Abs(a1[i].Prob-a2[i].Prob) > 1e-12 {
-				t.Fatalf("query %v: answers differ: %v vs %v", q, a1, a2)
-			}
-		}
-	}
+	assertEquivalent(t, db, loaded, 31)
 	// Inserts keep working after a reload.
 	if err := loaded.Insert(uvdiagram.NewObject(int32(len(objs)), 1000, 1000, 15, nil)); err != nil {
 		t.Fatal(err)
@@ -70,24 +96,45 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLoadErrors(t *testing.T) {
-	db, _ := buildSmallDB(t, 50, nil)
-	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
+// openCorrupt writes data to a temp file and asserts the robustness
+// contract on it: Open returns no DB and a *SnapshotError matching
+// ErrCorruptSnapshot, under either pager.
+func openCorrupt(t *testing.T, name string, data []byte) {
+	t.Helper()
+	p := filepath.Join(t.TempDir(), "corrupt")
+	if err := os.WriteFile(p, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
-	if _, err := uvdiagram.Load(bytes.NewReader(nil), nil); err == nil {
-		t.Error("empty stream accepted")
-	}
-	bad := append([]byte{1, 2, 3, 4}, data[4:]...)
-	if _, err := uvdiagram.Load(bytes.NewReader(bad), nil); err == nil {
-		t.Error("bad magic accepted")
-	}
-	for _, cut := range []int{6, 20, 60, len(data) / 2, len(data) - 2} {
-		if _, err := uvdiagram.Load(bytes.NewReader(data[:cut]), nil); err == nil {
-			t.Errorf("truncation at %d accepted", cut)
+	for _, mode := range []string{"mmap", "heap"} {
+		db, err := uvdiagram.Open(p, &uvdiagram.Options{Pager: mode})
+		if err == nil {
+			db.Close()
+			t.Fatalf("%s/%s: corrupt file opened", name, mode)
 		}
+		if !errors.Is(err, uvdiagram.ErrCorruptSnapshot) {
+			t.Fatalf("%s/%s: error %v does not match ErrCorruptSnapshot", name, mode, err)
+		}
+		var se *uvdiagram.SnapshotError
+		if !errors.As(err, &se) {
+			t.Fatalf("%s/%s: error %v is not a *SnapshotError", name, mode, err)
+		}
+	}
+}
+
+// TestLoadErrors sweeps truncations of every legacy stream version:
+// wherever the file ends — header, layout, objects, any shard's index
+// stream — Open errors with the typed corrupt-file error, never panics
+// and never yields a partial DB.
+func TestLoadErrors(t *testing.T) {
+	for _, name := range []string{"v2-single.uvdb", "v3-equal4.uvdb", "v4-median4.uvdb", "v3-divergent4.uvdb"} {
+		data, err := os.ReadFile(legacyPath(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for cut := 0; cut < len(data); cut += 1 + len(data)/97 {
+			openCorrupt(t, fmt.Sprintf("%s[:%d]", name, cut), data[:cut])
+		}
+		openCorrupt(t, name+"[:len-1]", data[:len(data)-1])
 	}
 }
 
@@ -95,26 +142,51 @@ func TestLoadErrors(t *testing.T) {
 // huge gx×gy must error cleanly instead of dying in allocation (the
 // product check alone would overflow past the bound).
 func TestLoadRejectsImplausibleShardLayout(t *testing.T) {
-	var buf bytes.Buffer
-	u32 := func(v uint32) {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], v)
-		buf.Write(b[:])
+	openCorrupt(t, "huge-grid", implausibleGridStream())
+}
+
+// implausibleGridStream is a v3 header claiming a 0xFFFFFFFF² grid.
+func implausibleGridStream() []byte {
+	var b wire.Buffer
+	b.U32(0x55564442) // magic
+	b.U32(3)          // sharded version
+	for _, v := range []float64{0, 0, 1000, 1000} {
+		b.F64(v)
 	}
-	f64 := func(v float64) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-		buf.Write(b[:])
+	b.U32(0xFFFFFFFF) // gx
+	b.U32(0xFFFFFFFF) // gy
+	return b.Bytes()
+}
+
+// TestReshardPersistence: an adaptively cut database round-trips
+// through a snapshot (cuts preserved, answers bitwise identical), and
+// the version-4 stream an earlier release saved of the same database
+// still opens to the same cuts and answers.
+func TestReshardPersistence(t *testing.T) {
+	db := medianDB(t)
+	xs1, ys1 := db.ShardCuts()
+	re := reopen(t, db)
+	defer re.Close()
+	legacy, err := uvdiagram.Open(legacyPath("v4-median4.uvdb"), nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	u32(0x55564442) // magic
-	u32(3)          // sharded version
-	f64(0)
-	f64(0)
-	f64(1000)
-	f64(1000)
-	u32(0xFFFFFFFF) // gx
-	u32(0xFFFFFFFF) // gy
-	if _, err := uvdiagram.Load(bytes.NewReader(buf.Bytes()), nil); err == nil {
-		t.Fatal("Load accepted an implausible shard layout")
+	for name, db2 := range map[string]*uvdiagram.DB{"snapshot": re, "v4 stream": legacy} {
+		xs2, ys2 := db2.ShardCuts()
+		if fmt.Sprint(xs1) != fmt.Sprint(xs2) || fmt.Sprint(ys1) != fmt.Sprint(ys2) {
+			t.Fatalf("%s: cuts did not round-trip: %v/%v vs %v/%v", name, xs1, ys1, xs2, ys2)
+		}
+	}
+	assertEquivalent(t, db, re, 2)
+	// Answer IDs must match exactly; probabilities carry the PDF
+	// re-normalization noise the legacy reader has.
+	assertEquivalentTol(t, db, legacy, 2, 1e-9)
+
+	// Resharding a reopened database keeps working (no file carries a
+	// strategy — Reshard re-cuts adaptively from the live centers).
+	for _, db2 := range []*uvdiagram.DB{re, legacy} {
+		if err := db2.Reshard(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

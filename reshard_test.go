@@ -1,9 +1,7 @@
 package uvdiagram
 
 import (
-	"bytes"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -11,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"uvdiagram/internal/core"
 	"uvdiagram/internal/datagen"
 )
 
@@ -275,139 +272,31 @@ func TestReshardBalancesSkew(t *testing.T) {
 	}
 }
 
-// TestReshardPersistence covers the versioned layout streams: an
-// adaptively cut database round-trips through the version-4 stream
-// (cuts preserved, answers identical), an equal-strip sharded save
-// still writes the byte-compatible version 3, and a single-shard save
-// still writes version 2.
-func TestReshardPersistence(t *testing.T) {
-	const side = 2000.0
-	cfg := datagen.Config{N: 80, Side: side, Diameter: 40, Seed: 13}
-	objs := datagen.Skewed(cfg, side/8)
-	db, err := Build(objs, cfg.Domain(), &Options{Shards: 4, Layout: WeightedMedian{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamVersion := func(buf []byte) uint32 { return binary.LittleEndian.Uint32(buf[4:8]) }
-
-	var snap bytes.Buffer
-	if err := db.Save(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if v := streamVersion(snap.Bytes()); v != 4 {
-		t.Fatalf("median-layout save wrote version %d, want 4", v)
-	}
-	db2, err := Load(bytes.NewReader(snap.Bytes()), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xs1, ys1 := db.ShardCuts()
-	xs2, ys2 := db2.ShardCuts()
-	if fmt.Sprint(xs1) != fmt.Sprint(xs2) || fmt.Sprint(ys1) != fmt.Sprint(ys2) {
-		t.Fatalf("cuts did not round-trip: %v/%v vs %v/%v", xs1, ys1, xs2, ys2)
-	}
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 24; i++ {
-		q := Pt(rng.Float64()*side, rng.Float64()*side)
-		a1, _, err := db.PNN(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a2, _, err := db2.PNN(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Answer IDs must match exactly; probabilities carry the PDF
-		// re-normalization noise every Load has (same tolerance as
-		// TestFullLifecycle).
-		if len(a1) != len(a2) {
-			t.Fatalf("PNN(%v) diverges after v4 round-trip: %v vs %v", q, a1, a2)
-		}
-		for j := range a1 {
-			if a1[j].ID != a2[j].ID {
-				t.Fatalf("PNN(%v) ids diverge after v4 round-trip: %v vs %v", q, a1, a2)
-			}
-			if d := a1[j].Prob - a2[j].Prob; d > 1e-9 || d < -1e-9 {
-				t.Fatalf("PNN(%v) probability drifted after v4 round-trip: %v vs %v", q, a1, a2)
-			}
-		}
-	}
-
-	// Resharding a loaded database keeps working (the stream carries no
-	// strategy — Reshard re-cuts adaptively from the live centers).
-	if err := db2.Reshard(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-
-	// Equal strips still write version 3, single shard version 2.
-	equal, err := Build(objs, cfg.Domain(), &Options{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var esnap bytes.Buffer
-	if err := equal.Save(&esnap); err != nil {
-		t.Fatal(err)
-	}
-	if v := streamVersion(esnap.Bytes()); v != 3 {
-		t.Fatalf("equal-strip save wrote version %d, want 3", v)
-	}
-	flat, err := Build(objs, cfg.Domain(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fsnap bytes.Buffer
-	if err := flat.Save(&fsnap); err != nil {
-		t.Fatal(err)
-	}
-	if v := streamVersion(fsnap.Bytes()); v != 2 {
-		t.Fatalf("single-shard save wrote version %d, want 2", v)
-	}
-}
-
-// TestLoadUnifiesDivergentShardRegistries simulates a pre-shared-
-// registry snapshot: shard 1's stream carries constraint sets that
-// diverged from shard 0's (as the old per-shard CompactShard
-// re-derivation produced). Load must detect the divergence and rebuild
-// that shard's leaf structure from the unified registry, so post-load
-// answers and delete bookkeeping stay exact.
+// TestLoadUnifiesDivergentShardRegistries opens a pre-shared-registry
+// stream: shard 1 of the v3-divergent4 fixture carries constraint sets
+// that diverged from shard 0's (as the old per-shard CompactShard
+// re-derivation produced — see testdata/legacy/README.md). Open must
+// detect the divergence and rebuild that shard's leaf structure from
+// the unified registry, so post-load answers and delete bookkeeping
+// stay exact. Every legacy fixture must come out sharing one registry.
 func TestLoadUnifiesDivergentShardRegistries(t *testing.T) {
 	const side = 2000.0
 	cfg := datagen.Config{N: 70, Side: side, Diameter: 40, Seed: 29}
 	objs := datagen.Uniform(cfg)
-	db, err := Build(objs, cfg.Domain(), &Options{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A divergent-but-valid registry copy: dropping a constraint from
-	// one object's set keeps the representation a sound superset (fewer
-	// outside regions = larger represented cell).
-	sets := make([][]int32, db.store.Len())
-	for i := range sets {
-		sets[i] = append([]int32(nil), db.cr.Of(int32(i))...)
-	}
-	victim := int32(5)
-	if len(sets[victim]) < 2 {
-		t.Fatalf("object %d has too few cr-objects (%d) to diverge", victim, len(sets[victim]))
-	}
-	sets[victim] = sets[victim][:len(sets[victim])-1]
-	lo := db.lo()
-	ix, _ := core.BuildRegion(db.store, lo.shards[1].rect, sets, db.bopts.Index)
-	lo.shards[1].epoch.Store(&indexEpoch{index: ix})
-
-	var snap bytes.Buffer
-	if err := db.Save(&snap); err != nil {
-		t.Fatal(err)
-	}
-	db2, err := Load(bytes.NewReader(snap.Bytes()), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// All shards must share one registry again after Load.
-	lo2 := db2.lo()
-	for i := range lo2.shards {
-		if lo2.shards[i].ep().index.CR() != db2.cr {
-			t.Fatalf("shard %d does not share the engine registry after Load", i)
+	victim := int32(5) // the object whose set the fixture's shard 1 truncates
+	var db2 *DB
+	for _, name := range []string{"v2-single", "v3-equal4", "v4-median4", "v3-divergent4"} {
+		db, err := Open("testdata/legacy/"+name+".uvdb", nil)
+		if err != nil {
+			t.Fatal(err)
 		}
+		lo := db.lo()
+		for i := range lo.shards {
+			if lo.shards[i].ep().index.CR() != db.cr {
+				t.Fatalf("%s: shard %d does not share the engine registry after Open", name, i)
+			}
+		}
+		db2 = db
 	}
 	// Churn through the previously divergent object's neighborhood,
 	// then compare against a reference that saw the same mutations.

@@ -14,7 +14,7 @@ import (
 
 // Dynamic updates — the maintenance story the paper leaves as future
 // work. Insert and Delete mutate the current shard epochs incrementally;
-// Rebuild, Compact, CompactShard and Reshard construct fresh state
+// Compact, CompactShard and Reshard construct fresh state
 // off-thread and publish it with atomic swaps, so concurrent queries
 // are never blocked by (and never observe a torn state from) a rebuild.
 //
@@ -292,49 +292,64 @@ func (db *DB) deleteBatchLocked(ids []int32) error {
 	return nil
 }
 
-// Rebuild reconstructs every shard's UV-index, the constraint registry
+// Compact reconstructs every shard's UV-index, the constraint registry
 // and the helper R-tree from scratch over the live objects, clearing
-// the slack accumulated by Inserts and Deletes. Each fresh shard index
-// is published with one atomic epoch swap, so concurrent queries keep
-// answering throughout — they see either the old or the new index,
-// never a mixture.
-func (db *DB) Rebuild() error { return db.Compact(context.Background()) }
-
-// Compact is Rebuild with a context: the shadow build is skipped if ctx
-// is already cancelled when compaction starts (the build itself is one
-// uninterruptible pass). The live population is derived once — a FULL
-// re-derivation, refreshing every constraint set — and every shard's
-// sub-grid is then shadow-built in parallel and swapped in. Queries are
-// never blocked — they run against the old epochs until the atomic
-// swaps. Concurrent Inserts and Deletes serialize behind the
-// compaction. For maintenance bounded by one shard's size, use
-// CompactShard (or CompactAll to roll over every shard with bounded
-// parallelism).
+// the slack accumulated by Inserts and Deletes. The shadow build is
+// skipped if ctx is already cancelled when compaction starts (the build
+// itself is one uninterruptible pass). The live population is derived
+// once — a FULL re-derivation, refreshing every constraint set — and
+// every shard's sub-grid is then shadow-built in parallel and published
+// with one atomic epoch swap each. Queries are never blocked — they see
+// either the old or the new index, never a mixture. Concurrent Inserts
+// and Deletes serialize behind the compaction. For maintenance bounded
+// by one shard's size, use CompactShard (or CompactAll to roll over
+// every shard with bounded parallelism).
 func (db *DB) Compact(ctx context.Context) error {
+	return db.rederiveAll(ctx, MaintCompact, nil)
+}
+
+// rederiveAll is the full maintenance pass behind Compact and
+// ReshardWith: one re-derivation of every constraint set and a fresh
+// helper R-tree (the bulk-load drops the slack delete churn left
+// behind, and keeps the derivation's simulated-disk reads off the live
+// tree's I/O accounting), shadow-built into the current layout's shards
+// (recut == nil) or into the layout recut returns, which is then
+// published with ONE atomic layout-pointer swap.
+func (db *DB) rederiveAll(ctx context.Context, kind string, recut func(old *shardLayout) *shardLayout) error {
 	db.smu.Lock()
 	defer db.smu.Unlock()
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	tstart := time.Now()
+	ev := MaintEvent{Kind: kind, Shard: -1}
+	old := db.lo()
+	lo := old
+	if recut != nil {
+		ev.ImbalanceBefore = db.LoadImbalance()
+		ev.ImbalanceAfter = ev.ImbalanceBefore
+		lo = recut(old)
+	}
 	// Shadow build: nothing below mutates the live epochs or the store.
 	tree := core.BuildHelperRTree(db.store, db.bopts.Fanout)
 	tree.SetReclaimDomain(db.egc)
 	t0 := time.Now()
 	crSets, stats, err := core.DeriveCRSets(db.store, db.domain, tree, db.bopts)
-	if err != nil {
-		db.fireMaint(MaintEvent{Kind: MaintCompact, Shard: -1, Dur: time.Since(tstart), Err: err})
-		return err
+	if err == nil {
+		cr := core.NewCRState(crSets)
+		db.buildShards(lo, cr, &stats, t0, maxGen(old)+1)
+		db.cr = cr
+		db.topo = core.NewTopology(cr.Len(), db.bopts.RegionSamples)
+		db.tree.Store(tree)
+		if recut != nil {
+			db.layout.Store(lo) // the single publication point
+			ev.ImbalanceAfter = db.LoadImbalance()
+		}
+		db.built.Store(&stats)
 	}
-	cr := core.NewCRState(crSets)
-	lo := db.lo()
-	db.buildShards(lo, cr, &stats, t0, maxGen(lo)+1)
-	db.cr = cr
-	db.topo = core.NewTopology(cr.Len(), db.bopts.RegionSamples)
-	db.tree.Store(tree)
-	db.built.Store(&stats)
-	db.fireMaint(MaintEvent{Kind: MaintCompact, Shard: -1, Dur: time.Since(tstart)})
-	return nil
+	ev.Dur, ev.Err = time.Since(tstart), err
+	db.fireMaint(ev)
+	return err
 }
 
 // maxGen returns the highest epoch generation across a layout's shards;
@@ -447,45 +462,16 @@ func (db *DB) Reshard(ctx context.Context) error { return db.ReshardWith(ctx, ni
 // ReshardWith is Reshard with an explicit layout strategy (nil selects
 // the adaptive default described on Reshard).
 func (db *DB) ReshardWith(ctx context.Context, strategy LayoutStrategy) error {
-	db.smu.Lock()
-	defer db.smu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
 	if strategy == nil {
 		strategy = db.strategy
 		if _, equal := strategy.(EqualStrips); equal || strategy == nil {
 			strategy = WeightedMedian{}
 		}
 	}
-	tstart := time.Now()
-	imbBefore := db.LoadImbalance()
-	old := db.lo()
-	xs, ys := strategy.Cuts(db.domain, old.gx, old.gy, db.liveCenters())
-	lo := newShardLayout(old.gen+1, old.gx, old.gy, xs, ys)
-	// Like Compact, reshard is a full maintenance event: a fresh
-	// bulk-load drops the R-tree slack delete churn left behind, and
-	// keeps the derivation's simulated-disk reads off the live tree's
-	// I/O accounting.
-	tree := core.BuildHelperRTree(db.store, db.bopts.Fanout)
-	tree.SetReclaimDomain(db.egc)
-	t0 := time.Now()
-	crSets, stats, err := core.DeriveCRSets(db.store, db.domain, tree, db.bopts)
-	if err != nil {
-		db.fireMaint(MaintEvent{Kind: MaintReshard, Shard: -1, Dur: time.Since(tstart),
-			ImbalanceBefore: imbBefore, ImbalanceAfter: imbBefore, Err: err})
-		return err
-	}
-	cr := core.NewCRState(crSets)
-	db.buildShards(lo, cr, &stats, t0, maxGen(old)+1)
-	db.cr = cr
-	db.topo = core.NewTopology(cr.Len(), db.bopts.RegionSamples)
-	db.tree.Store(tree)
-	db.layout.Store(lo) // the single publication point
-	db.built.Store(&stats)
-	db.fireMaint(MaintEvent{Kind: MaintReshard, Shard: -1, Dur: time.Since(tstart),
-		ImbalanceBefore: imbBefore, ImbalanceAfter: db.LoadImbalance()})
-	return nil
+	return db.rederiveAll(ctx, MaintReshard, func(old *shardLayout) *shardLayout {
+		xs, ys := strategy.Cuts(db.domain, old.gx, old.gy, db.liveCenters())
+		return newShardLayout(old.gen+1, old.gx, old.gy, xs, ys)
+	})
 }
 
 // deriveCR derives object o's constraint set against the current live

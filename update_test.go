@@ -1,6 +1,7 @@
 package uvdiagram_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -189,7 +190,7 @@ func TestRebuildClearsSlack(t *testing.T) {
 		}
 	}
 	before := db.IndexStats().Entries
-	if err := db.Rebuild(); err != nil {
+	if err := db.Compact(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	after := db.IndexStats().Entries

@@ -32,7 +32,8 @@
 // for moving clients (NewContinuousPNN), full dynamic updates
 // (incremental Insert and Delete with non-blocking background
 // compaction — Compact swaps a freshly built index in atomically, so
-// queries are never paused by maintenance), persistence (Save/Load),
+// queries are never paused by maintenance), persistence
+// (SaveSnapshot/Open),
 // and a full three-dimensional UV-diagram (Build3/DB3).
 //
 // For streamed workloads the batch engine answers many points per call
@@ -185,8 +186,8 @@ type Options struct {
 	// page-image snapshot: "mmap" (or empty, the default) maps the file
 	// read-only and serves zero-copy page reads off the mapping — the
 	// out-of-core mode; "heap" copies the page images into in-heap
-	// pagers and closes the file. Build and Load ignore it (they are
-	// always in-heap). Answers are identical either way.
+	// pagers and closes the file. Build ignores it, as does Open of a
+	// legacy version ≤ 4 stream (both are always in-heap). Answers are identical either way.
 	Pager string
 	// Maintain, when non-nil, attaches a self-driving maintenance
 	// controller to the database as soon as it is built or loaded: a
@@ -273,7 +274,7 @@ func (o *Options) toBuildOptions() core.BuildOptions {
 // indexEpoch is one immutable-by-swap generation of a shard's index
 // state: the shard's sub-grid UV-index. Queries load the owning shard's
 // current epoch with one atomic pointer read and use it for their whole
-// execution; Rebuild, Compact, CompactShard and Reshard construct fresh
+// execution; Compact, CompactShard and Reshard construct fresh
 // epochs off to the side and publish each with one atomic store, so a
 // query never observes a torn (half-swapped) index and is never blocked
 // by a rebuild (RCU-style). The helper R-tree is NOT part of the epoch:
@@ -286,8 +287,8 @@ func (o *Options) toBuildOptions() core.BuildOptions {
 // queries need no synchronization against them either.
 type indexEpoch struct {
 	index *core.UVIndex
-	// gen numbers the epoch: it increases by one at every Rebuild /
-	// Compact / CompactShard swap of this shard, letting long-lived
+	// gen numbers the epoch: it increases by one at every Compact /
+	// CompactShard swap of this shard, letting long-lived
 	// sessions (ContinuousPNN) detect that the index they captured has
 	// been replaced.
 	gen uint64
@@ -304,7 +305,7 @@ type indexEpoch struct {
 //   - Level 1, the store-level lock (smu): guards the object store and
 //     dense-id allocation, the constraint registry and the shared
 //     helper R-tree. Insert/Delete/BatchDelete and the full-rebuild
-//     paths (Rebuild, Compact, Reshard) hold it EXCLUSIVELY;
+//     paths (Compact, Reshard) hold it EXCLUSIVELY;
 //     CompactShard/CompactAll hold it SHARED — they only read store and
 //     registry — which is what lets compactions of disjoint shards
 //     overlap in wall-clock.
@@ -369,7 +370,7 @@ type DB struct {
 	// queries from ever seeing a torn layout.
 	layout atomic.Pointer[shardLayout]
 	// built snapshots the statistics of the last full construction pass
-	// (Build, Load, Rebuild/Compact/Reshard); per-shard compaction
+	// (Build, Open, Compact/Reshard); per-shard compaction
 	// refreshes only the aggregated index shape.
 	built atomic.Pointer[BuildStats]
 	// smu is the store-level lock of the two-level scheme (see the
@@ -396,13 +397,13 @@ type DB struct {
 	// database opened with Open in mmap mode; nil otherwise. See Close.
 	closer func() error
 	// pagerMode records which page-store backend serves this database:
-	// "heap" for Build/Load (and heap-mode Open), "mmap" for an
+	// "heap" for Build (and heap-mode Open), "mmap" for an
 	// mmap-backed Open.
 	pagerMode string
 }
 
 // PagerMode reports which page-store backend serves the database:
-// "heap" (Build, Load, heap-mode Open) or "mmap" (out-of-core Open).
+// "heap" (Build, heap-mode Open) or "mmap" (out-of-core Open).
 func (db *DB) PagerMode() string {
 	if db.pagerMode == "" {
 		return pagerModeHeap
@@ -541,7 +542,7 @@ func (db *DB) Object(id int32) (Object, error) {
 }
 
 // BuildStats returns the statistics of the last full construction pass
-// (Build, Load, Rebuild/Compact/Reshard). With shards, phase durations
+// (Build, Open, Compact/Reshard). With shards, phase durations
 // are summed CPU time across shard builds and Index aggregates the
 // shard sub-grids.
 func (db *DB) BuildStats() BuildStats { return *db.built.Load() }
@@ -696,7 +697,7 @@ func (db *DB) CellRegions(id int32) []Rect {
 // Index exposes the underlying UV-index for advanced use (experiment
 // harness, visualization). With shards it is shard 0's sub-grid; use
 // ShardStats to enumerate the others. The pointer is the CURRENT
-// epoch's index; a Rebuild or Compact replaces it, so hold the result
+// epoch's index; a Compact replaces it, so hold the result
 // only briefly.
 func (db *DB) Index() *core.UVIndex { return db.lo().epAt(0).index }
 
