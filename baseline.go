@@ -24,9 +24,8 @@ func (db *DB) PNNViaRTree(q Point) ([]Answer, QueryStats, error) {
 	view := db.store.View()
 	tree := db.rtree()
 	before := tree.Pager().Reads()
-	items, dminmax := tree.PNNCandidates(q)
+	items, _ := tree.PNNCandidates(q)
 	st.IndexIOs = tree.Pager().Reads() - before
-	_ = dminmax
 	st.Candidates = len(items)
 	st.TraverseDur = time.Since(t0)
 

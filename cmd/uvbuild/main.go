@@ -30,8 +30,6 @@ import (
 	"uvdiagram/internal/core"
 	"uvdiagram/internal/datagen"
 	"uvdiagram/internal/geom"
-	"uvdiagram/internal/pager"
-	"uvdiagram/internal/uncertain"
 )
 
 func main() {
@@ -50,7 +48,7 @@ func main() {
 	flag.Parse()
 
 	cfg := datagen.Config{N: *n, Diameter: *diameter, Seed: *seed}
-	var objs []uncertain.Object
+	var objs []uvdiagram.Object
 	var err error
 	switch strings.ToLower(*dataset) {
 	case "uniform":
@@ -66,67 +64,42 @@ func main() {
 		fatal(err)
 	}
 
-	opts := core.DefaultBuildOptions()
-	opts.SeedK = *seedK
-	opts.Index.SplitTheta = *theta
+	var strat uvdiagram.Strategy
 	switch strings.ToLower(*strategy) {
 	case "ic":
-		opts.Strategy = core.StrategyIC
+		strat = uvdiagram.IC
 	case "icr":
-		opts.Strategy = core.StrategyICR
+		strat = uvdiagram.ICR
 	case "basic":
-		opts.Strategy = core.StrategyBasic
+		strat = uvdiagram.Basic
 		if *n > 5000 {
 			fmt.Fprintln(os.Stderr, "uvbuild: warning: Basic is quadratic; this will take a very long time")
 		}
 	default:
 		fatal(fmt.Errorf("unknown strategy %q", *strategy))
 	}
+	cuts, err := uvdiagram.LayoutByName(*layout)
+	if err != nil {
+		fatal(err)
+	}
 
-	opts.Workers = *workers
-
-	domain := geom.Square(datagen.DefaultSide)
-	var stats core.BuildStats
-	var ist core.IndexStats
-	var shardStats []uvdiagram.ShardStat
-	// Persisting needs a whole DB; bare core.Build suffices otherwise.
-	if *shards > 1 || *snapshot != "" {
-		strat, err := uvdiagram.LayoutByName(*layout)
-		if err != nil {
+	db, err := uvdiagram.Build(objs, geom.Square(datagen.DefaultSide), &uvdiagram.Options{
+		Strategy:   strat,
+		SplitTheta: *theta,
+		SeedK:      *seedK,
+		Workers:    *workers,
+		Shards:     *shards,
+		Layout:     cuts,
+	})
+	if err != nil {
+		fatal(err)
+	}
+	stats, ist, shardStats := db.BuildStats(), db.IndexStats(), db.ShardStats()
+	if *snapshot != "" {
+		if err := db.SaveSnapshot(*snapshot); err != nil {
 			fatal(err)
 		}
-		db, err := uvdiagram.Build(objs, domain, &uvdiagram.Options{
-			Strategy:   opts.Strategy,
-			SplitTheta: *theta,
-			SeedK:      *seedK,
-			Workers:    *workers,
-			Shards:     *shards,
-			Layout:     strat,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		stats = db.BuildStats()
-		ist = db.IndexStats()
-		if *shards > 1 {
-			shardStats = db.ShardStats()
-		}
-		if *snapshot != "" {
-			if err := db.SaveSnapshot(*snapshot); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "uvbuild: saved page-image snapshot to %s (%s)\n", *snapshot, fileSize(*snapshot))
-		}
-	} else {
-		store, err := uncertain.NewStore(objs, pager.New(uncertain.ObjectPageBytes))
-		if err != nil {
-			fatal(err)
-		}
-		ix, st, err := core.Build(store, domain, nil, opts)
-		if err != nil {
-			fatal(err)
-		}
-		stats, ist = st, ix.Stats()
+		fmt.Fprintf(os.Stderr, "uvbuild: saved page-image snapshot to %s (%s)\n", *snapshot, fileSize(*snapshot))
 	}
 
 	fmt.Printf("dataset        %s (|O|=%d, diameter=%.0f)\n", *dataset, len(objs), *diameter)
@@ -136,7 +109,7 @@ func main() {
 	fmt.Printf("  pruning      %v\n", stats.PruneDur)
 	fmt.Printf("  refinement   %v\n", stats.RefineDur)
 	fmt.Printf("  indexing     %v\n", stats.IndexDur)
-	if stats.Strategy != core.StrategyBasic {
+	if stats.Strategy != uvdiagram.Basic {
 		fmt.Printf("I-prune ratio  %.1f%%\n", 100*stats.IPruneRatio())
 		fmt.Printf("C-prune ratio  %.1f%%\n", 100*stats.CPruneRatio())
 		fmt.Printf("avg |CR|       %.1f\n", stats.AvgCR())

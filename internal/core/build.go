@@ -1,11 +1,12 @@
 package core
 
 import (
+	"context"
 	"fmt"
-	"slices"
-	"sync"
+	"runtime/pprof"
 	"time"
 
+	"uvdiagram/internal/derive"
 	"uvdiagram/internal/geom"
 	"uvdiagram/internal/pager"
 	"uvdiagram/internal/rtree"
@@ -180,7 +181,8 @@ func (d *deriveStats) add(o deriveStats) {
 	d.sumR += o.sumR
 }
 
-// builder carries the shared read-only state of a construction run.
+// builder is one derivation worker of a construction run: the shared
+// read-only inputs plus the worker's private scratch and counters.
 // objs is the store's DENSE slice (positions are ids); tombstoned slots
 // are skipped via alive, so a build over a store with deletions is
 // exactly a fresh build over the survivors.
@@ -194,70 +196,46 @@ type builder struct {
 	// buffer (NN browse heap, seeds, pruning ids, hull, region radius
 	// profiles) is reused across the worker's whole object stream, so
 	// steady-state derivation allocates only the retained cr-sets.
-	sc *DeriveScratch
+	sc    *DeriveScratch
+	total deriveStats
 }
 
 // deriveOne computes object i's cell representation (cr- or r-object
 // ids) according to the strategy.
-func (b *builder) deriveOne(i int) ([]int32, deriveStats) {
-	var ds deriveStats
+func (b *builder) deriveOne(i int) []int32 {
 	oi := b.objs[i]
-	sc := b.sc
+	var ids []int32
 	switch b.opts.Strategy {
 	case StrategyBasic:
-		tr := time.Now()
-		region := &sc.refine
-		region.Reset(oi.Region.C, b.domain)
+		ids = b.sc.ids[:0]
 		for j := range b.objs {
 			if j != i && b.alive(int32(j)) {
-				region.AddObject(oi, b.objs[j])
+				ids = append(ids, int32(j))
 			}
 		}
-		cell := region.Cell(oi.ID, b.opts.CellSamples)
-		ds.refine = time.Since(tr)
-		ds.sumR = int64(len(cell.RObjects))
-		return cell.RObjects, ds
-
+		b.sc.ids = ids
 	case StrategyICR, StrategyIC:
-		ts := time.Now()
-		sc.selectSeeds(b.tree, oi, b.opts.SeedK, b.opts.SeedSectors)
-		region := &sc.region
-		region.Reset(oi.Region.C, b.domain)
-		for _, id := range sc.seeds {
-			region.AddObject(oi, b.objs[id])
-		}
-		ds.seed = time.Since(ts)
-
-		tp := time.Now()
-		sc.ids = iPruneInto(b.tree, oi, region, b.opts.RegionSamples, sc.ids[:0])
-		kept := sc.ids
-		if !b.opts.DisableCPrune {
-			kept = cPruneInto(sc.ids, oi, region, b.opts.RegionSamples, b.objs, sc)
-		}
-		nI := len(sc.ids)
-		slices.Sort(kept)
-		sc.sorted = append(sc.sorted[:0], sc.seeds...)
-		slices.Sort(sc.sorted)
-		cr := mergeSorted(kept, sc.sorted)
-		ds.prune = time.Since(tp)
-		ds.sumI = int64(nI)
-		ds.sumCR = int64(len(cr))
-
+		cr, ds, _ := deriveCR(b.tree, oi, b.objs, b.domain, b.opts.SeedK, b.opts.SeedSectors, b.opts.RegionSamples, b.opts.DisableCPrune, b.sc)
+		b.total.add(ds)
 		if b.opts.Strategy == StrategyIC {
-			return cr, ds
+			return cr
 		}
-		tr := time.Now()
-		refined := &sc.refine
-		refined.Reset(oi.Region.C, b.domain)
-		for _, id := range cr {
-			refined.AddObject(oi, b.objs[id])
-		}
-		cell := refined.Cell(oi.ID, b.opts.CellSamples)
-		ds.refine = time.Since(tr)
-		ds.sumR = int64(len(cell.RObjects))
-		return cell.RObjects, ds
+		ids = cr
+	default:
+		panic(fmt.Sprintf("core: unknown strategy %v", b.opts.Strategy))
 	}
-	panic(fmt.Sprintf("core: unknown strategy %v", b.opts.Strategy))
+	// Exact cell against ids: every other object for Basic (Algorithm
+	// 1), the cr-objects for ICR.
+	tr := time.Now()
+	region := &b.sc.refine
+	region.Reset(oi.Region.C, b.domain)
+	for _, id := range ids {
+		region.AddObject(oi, b.objs[id])
+	}
+	cell := region.Cell(oi.ID, b.opts.CellSamples)
+	b.total.refine += time.Since(tr)
+	b.total.sumR += int64(len(cell.RObjects))
+	return cell.RObjects
 }
 
 // Build constructs the UV-index over the store's objects with the given
@@ -271,9 +249,18 @@ func Build(store *uncertain.Store, domain geom.Rect, tree *rtree.Tree, opts Buil
 	if err != nil {
 		return nil, stats, err
 	}
+	return indexDerived("uv", store, domain, crSets, 1, opts, stats, t0)
+}
+
+// indexDerived is the tail Build and BuildOrderK share: index the
+// derived sets at the given cell order — sequentially, the grid is not
+// concurrency-safe — and complete the stats.
+func indexDerived(engine string, store *uncertain.Store, domain geom.Rect, crSets [][]int32, order int, opts BuildOptions, stats BuildStats, t0 time.Time) (*UVIndex, BuildStats, error) {
 	opts.normalize()
-	ix, indexDur := BuildRegion(store, domain, crSets, opts.Index)
-	stats.IndexDur = indexDur
+	var ix *UVIndex
+	pprof.Do(context.Background(), pprof.Labels("engine", engine, "stage", "index"), func(context.Context) {
+		ix, stats.IndexDur = BuildRegionCR(store, domain, NewCRState(crSets), order, opts.Index)
+	})
 	stats.TotalDur = time.Since(t0)
 	stats.Index = ix.Stats()
 	return ix, stats, nil
@@ -283,7 +270,7 @@ func Build(store *uncertain.Store, domain geom.Rect, tree *rtree.Tree, opts Buil
 // (seeds, I-/C-pruning, optional refinement) over every live object and
 // returns the constraint sets, indexed by dense id (dead slots stay
 // nil). The sets are independent of any index region, so a spatially
-// sharded engine derives them once and feeds them to one BuildRegion
+// sharded engine derives them once and feeds them to one BuildRegionCR
 // call per shard. The returned stats carry the derivation components;
 // the caller fills in IndexDur/TotalDur/Index after indexing.
 func DeriveCRSets(store *uncertain.Store, domain geom.Rect, tree *rtree.Tree, opts BuildOptions) ([][]int32, BuildStats, error) {
@@ -300,88 +287,41 @@ func DeriveCRSets(store *uncertain.Store, domain geom.Rect, tree *rtree.Tree, op
 			return nil, stats, fmt.Errorf("core: object %d center %v outside domain %v", o.ID, o.Region.C, domain)
 		}
 	}
+	// The R-tree's simulated-disk reads during construction are the
+	// paper's "assumed available" index. Its readers are stateless and
+	// the pager's read path is lock-free, so every worker browses the
+	// one tree.
 	if tree == nil && opts.Strategy != StrategyBasic {
 		tree = BuildHelperRTree(store, opts.Fanout)
 	}
-	// The R-tree's simulated-disk reads during construction are the
-	// paper's "assumed available" index; workers may not share one tree
-	// pager concurrently, so each worker gets a private clone of the
-	// bulk-load when parallelism is requested.
-	b := &builder{objs: objs, alive: store.Alive, domain: domain, tree: tree, opts: opts, sc: NewDeriveScratch()}
-
 	crSets := make([][]int32, len(objs))
-
-	if opts.Workers > 1 {
-		var (
-			wg    sync.WaitGroup
-			mu    sync.Mutex
-			total deriveStats
-			next  = make(chan int)
-		)
-		for w := 0; w < opts.Workers; w++ {
-			wtree := tree
-			if wtree != nil && w > 0 {
-				wtree = BuildHelperRTree(store, opts.Fanout)
-			}
-			wg.Add(1)
-			go func(wtree *rtree.Tree) {
-				defer wg.Done()
-				wb := &builder{objs: objs, alive: store.Alive, domain: domain, tree: wtree, opts: opts, sc: NewDeriveScratch()}
-				var local deriveStats
-				for i := range next {
-					crSet, ds := wb.deriveOne(i)
-					crSets[i] = crSet
-					local.add(ds)
-				}
-				mu.Lock()
-				total.add(local)
-				mu.Unlock()
-			}(wtree)
-		}
-		for i := range objs {
-			if store.Alive(int32(i)) {
-				next <- i
-			}
-		}
-		close(next)
-		wg.Wait()
-		stats.SeedDur, stats.PruneDur, stats.RefineDur = total.seed, total.prune, total.refine
-		stats.SumI, stats.SumCR, stats.SumR = total.sumI, total.sumCR, total.sumR
-	} else {
-		var total deriveStats
-		for i := range objs {
-			if !store.Alive(int32(i)) {
-				continue
-			}
-			crSet, ds := b.deriveOne(i)
-			crSets[i] = crSet
-			total.add(ds)
-		}
-		stats.SeedDur, stats.PruneDur, stats.RefineDur = total.seed, total.prune, total.refine
-		stats.SumI, stats.SumCR, stats.SumR = total.sumI, total.sumCR, total.sumR
+	workers := derive.Each(len(objs), store.Alive, opts.Workers, pprof.Labels("engine", "uv", "stage", "derive"),
+		func() *builder {
+			return &builder{objs: objs, alive: store.Alive, domain: domain, tree: tree, opts: opts, sc: NewDeriveScratch()}
+		},
+		func(b *builder, i int) { crSets[i] = b.deriveOne(i) })
+	var total deriveStats
+	for _, b := range workers {
+		total.add(b.total)
 	}
+	stats.SeedDur, stats.PruneDur, stats.RefineDur = total.seed, total.prune, total.refine
+	stats.SumI, stats.SumCR, stats.SumR = total.sumI, total.sumCR, total.sumR
 	return crSets, stats, nil
 }
 
-// BuildRegion constructs a finished UV-index over region — the whole
-// domain, or one spatial shard of it — from constraint sets derived by
-// DeriveCRSets, recording them in a fresh registry the index owns. The
-// crSets slices are shared, never copied or mutated.
-func BuildRegion(store *uncertain.Store, region geom.Rect, crSets [][]int32, opts IndexOptions) (*UVIndex, time.Duration) {
-	return BuildRegionCR(store, region, NewCRState(crSets), opts)
-}
-
-// BuildRegionCR is BuildRegion over an external constraint registry —
-// the shards of one engine each build from the engine's single shared
-// CRState this way. Every live object is offered to the index; an
-// object whose UV-cell cannot reach region is dropped by the root-level
-// overlap test and contributes no leaf entries, while its registry
-// entry still lets incremental deletes find every dependent whose cell
-// might later grow into the region. The registry is only read, so
-// concurrent BuildRegionCR calls for disjoint shards may feed off one
-// derivation pass.
-func BuildRegionCR(store *uncertain.Store, region geom.Rect, cr *CRState, opts IndexOptions) (*UVIndex, time.Duration) {
+// BuildRegionCR constructs a finished UV-index of the given cell order
+// (1 = the paper's UV-diagram) over region — the whole domain, or one
+// spatial shard of it — from the constraint registry cr, which the
+// shards of one engine share. Every live object is offered to the
+// index; an object whose UV-cell cannot reach region is dropped by the
+// root-level overlap test and contributes no leaf entries, while its
+// registry entry still lets incremental deletes find every dependent
+// whose cell might later grow into the region. The registry is only
+// read, so concurrent BuildRegionCR calls for disjoint shards may feed
+// off one derivation pass.
+func BuildRegionCR(store *uncertain.Store, region geom.Rect, cr *CRState, order int, opts IndexOptions) (*UVIndex, time.Duration) {
 	ix := NewUVIndexCR(store, region, opts, cr)
+	ix.orderK = order
 	return ix, ix.fillFromCR()
 }
 
@@ -400,14 +340,13 @@ func (ix *UVIndex) fillFromCR() time.Duration {
 }
 
 // ReindexCR rebuilds a fresh finished index over the same domain,
-// options and cell order from the given registry. DB.Load uses it when
-// a shard's stream carried a registry copy that diverged from the
-// engine-wide one (pre-shared-registry snapshots), so the rebuilt leaf
-// lists are consistent with the registry the engine will maintain.
+// options and cell order from the given registry. Open's legacy reader
+// uses it when a shard's stream carried a registry copy that diverged
+// from the engine-wide one (pre-shared-registry snapshots), so the
+// rebuilt leaf lists are consistent with the registry the engine will
+// maintain.
 func (ix *UVIndex) ReindexCR(cr *CRState) *UVIndex {
-	nx := NewUVIndexCR(ix.store, ix.domain, ix.opts, cr)
-	nx.orderK = ix.orderK
-	nx.fillFromCR()
+	nx, _ := BuildRegionCR(ix.store, ix.domain, cr, ix.orderK, ix.opts)
 	return nx
 }
 

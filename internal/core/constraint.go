@@ -26,32 +26,3 @@ func NewConstraint(oi, oj uncertain.Object) (Constraint, bool) {
 
 // Excludes reports whether p lies strictly inside the outside region.
 func (c Constraint) Excludes(p geom.Point) bool { return c.Edge.InOutside(p) }
-
-// ExcludesRect reports whether the whole rectangle r lies inside the
-// outside region, via the 4-point test of Algorithm 5: the outside
-// region is convex, so containment of the four corners implies
-// containment of the rectangle.
-func (c Constraint) ExcludesRect(r geom.Rect) bool {
-	for _, corner := range r.Corners() {
-		if !c.Edge.InOutside(corner) {
-			return false
-		}
-	}
-	return true
-}
-
-// ConstraintsFromIDs builds the constraint list of object oi against the
-// reference candidates ids (overlapping objects are skipped — they
-// contribute no edge).
-func ConstraintsFromIDs(oi uncertain.Object, ids []int32, objs []uncertain.Object) []Constraint {
-	cons := make([]Constraint, 0, len(ids))
-	for _, id := range ids {
-		if id == oi.ID {
-			continue
-		}
-		if c, ok := NewConstraint(oi, objs[id]); ok {
-			cons = append(cons, c)
-		}
-	}
-	return cons
-}

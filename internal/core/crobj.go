@@ -36,7 +36,7 @@ type CRResult struct {
 // DeriveScratch instead. Both produce bitwise-identical cr-sets.
 func DeriveCRObjects(tree *rtree.Tree, oi uncertain.Object, objs []uncertain.Object, domain geom.Rect, k, ks, samples int) CRResult {
 	sc := NewDeriveScratch()
-	cr, nI, nC := deriveCR(tree, oi, objs, domain, k, ks, samples, false, sc)
+	cr, ds, nC := deriveCR(tree, oi, objs, domain, k, ks, samples, false, sc)
 	// The scratch is throwaway here, so its seeded region and seed list
 	// (in discovery order — deriveCR sorts a copy, not sc.seeds) can be
 	// handed out directly.
@@ -44,7 +44,7 @@ func DeriveCRObjects(tree *rtree.Tree, oi uncertain.Object, objs []uncertain.Obj
 		Seeds:  append([]int32(nil), sc.seeds...),
 		CR:     cr,
 		Region: &sc.region,
-		NI:     nI,
+		NI:     int(ds.sumI),
 		NC:     nC,
 	}
 }

@@ -156,8 +156,9 @@ func (cr *CRState) AffectedBy(victims []int32) []int32 {
 }
 
 // EqualCROf reports whether two registries record identical constraint
-// sets (order-sensitive, as serialized). DB.Load uses it to verify that
-// per-shard streams carry one shared registry before unifying them.
+// sets (order-sensitive, as serialized). Open's legacy reader uses it to
+// verify that per-shard streams carry one shared registry before
+// unifying them.
 func (cr *CRState) EqualCROf(other *CRState) bool {
 	if len(cr.crOf) != len(other.crOf) {
 		return false

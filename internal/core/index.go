@@ -207,8 +207,9 @@ func (ix *UVIndex) CR() *CRState { return ix.cr }
 
 // AttachCR repoints the index at an external registry. The caller must
 // guarantee the registry records the same constraint sets the leaf
-// lists were built from (DB.Load verifies with EqualCROf first);
-// attaching a divergent registry silently breaks delete bookkeeping.
+// lists were built from (Open's legacy reader verifies with EqualCROf
+// first); attaching a divergent registry silently breaks delete
+// bookkeeping.
 func (ix *UVIndex) AttachCR(cr *CRState) { ix.cr = cr }
 
 // CellReaches reports whether object id's UV-cell — as represented by

@@ -15,25 +15,16 @@ const (
 	stateSplit
 )
 
-// OverlapsRegion is Algorithm 5 (CheckOverlap) over materialized
-// constraints: the UV-cell represented by cons overlaps rectangle r
-// unless some single outside region contains all of r (4-point test;
-// Lemma 4). The test can report spurious overlaps (extra leaf entries,
-// slower queries) but never misses a true one (query correctness).
-func OverlapsRegion(cons []Constraint, r geom.Rect) bool {
-	for i := range cons {
-		if cons[i].ExcludesRect(r) {
-			return false
-		}
-	}
-	return true
-}
-
-// overlapsIDs is the same 4-point test evaluated directly from object
-// geometry: object oi's cell (represented by cr-object ids) versus
-// rectangle r. Avoiding materialized constraints keeps the index at
-// 4 bytes per cr-object — essential at paper densities where |Ci| runs
-// into the hundreds.
+// overlapsIDs is Algorithm 5 (CheckOverlap): the UV-cell of oi,
+// represented by its cr-object ids, overlaps rectangle r unless some
+// single outside region contains all of r — the 4-point test of
+// Lemma 4: an outside region is convex, so containing the four corners
+// means containing the rectangle. The test can report spurious overlaps
+// (extra leaf entries, slower queries) but never misses a true one
+// (query correctness). It is evaluated directly from object geometry:
+// avoiding materialized constraints keeps the index at 4 bytes per
+// cr-object — essential at paper densities where |Ci| runs into the
+// hundreds.
 //
 // For an order-k index the test generalizes: a point is outside the
 // order-k cell iff at least k outside regions contain it, so the

@@ -1,15 +1,14 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"runtime/pprof"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
+	"uvdiagram/internal/derive"
 	"uvdiagram/internal/geom"
 	"uvdiagram/internal/pager"
 	"uvdiagram/internal/rtree"
@@ -38,46 +37,18 @@ import (
 // constraint bound (the domain is a hard boundary at every order). For
 // k = 1 it agrees with RadiusDir.
 func (p *PossibleRegion) RadiusDirK(dir geom.Point, k int) float64 {
-	return p.radiusDirKWith(dir, k, nil)
-}
-
-// radiusDirKWith is RadiusDirK through a caller-owned k-smallest buffer
-// (nil allocates one), so a derivation worker's angular sweeps reuse a
-// single insertion-sort buffer. The arithmetic — and hence the result —
-// is exactly RadiusDirK's.
-func (p *PossibleRegion) radiusDirKWith(dir geom.Point, k int, kth []float64) float64 {
-	dom, _ := p.domainBound(dir)
 	if k <= 1 {
 		r, _ := p.RadiusDir(dir)
 		return r
 	}
-	// Keep the k smallest bounds seen so far in an insertion-sorted
-	// buffer; kth[k-1] is the k-th smallest once full.
-	if cap(kth) < k {
-		kth = make([]float64, 0, k)
-	}
-	kth = kth[:0]
+	dom, _ := domainBound(p.center, p.domain, dir)
+	kth := make([]float64, 0, k)
 	for i := range p.cons {
-		t, ok := p.cons[i].Edge.RadialBound(dir)
-		if !ok {
-			continue
-		}
-		if len(kth) < k {
-			kth = append(kth, t)
-			for j := len(kth) - 1; j > 0 && kth[j] < kth[j-1]; j-- {
-				kth[j], kth[j-1] = kth[j-1], kth[j]
-			}
-		} else if t < kth[k-1] {
-			kth[k-1] = t
-			for j := k - 1; j > 0 && kth[j] < kth[j-1]; j-- {
-				kth[j], kth[j-1] = kth[j-1], kth[j]
-			}
+		if t, ok := p.cons[i].Edge.RadialBound(dir); ok {
+			kth = derive.PushK(kth, k, t)
 		}
 	}
-	if len(kth) < k {
-		return dom
-	}
-	return math.Min(dom, kth[k-1])
+	return derive.KthOr(kth, k, dom)
 }
 
 // RadiusK is RadiusDirK at polar angle phi.
@@ -117,6 +88,15 @@ func (p *PossibleRegion) MaxRadiusK(samples, k int) float64 {
 	for i := range vals {
 		vals[i] = eval(2 * math.Pi * float64(i) / float64(samples))
 	}
+	return ringMax(vals, eval)
+}
+
+// ringMax returns the inflated maximum of the radial function eval,
+// given its values vals over the uniform angle ring 2πi/len(vals): the
+// best sample, improved by a golden-section polish around every local
+// maximum of the ring.
+func ringMax(vals []float64, eval func(phi float64) float64) float64 {
+	samples := len(vals)
 	best := 0.0
 	for i, v := range vals {
 		if v > best {
@@ -128,230 +108,6 @@ func (p *PossibleRegion) MaxRadiusK(samples, k int) float64 {
 			lo := 2 * math.Pi * float64(i-1) / float64(samples)
 			hi := 2 * math.Pi * float64(i+1) / float64(samples)
 			if r := goldenMaxPhi(eval, lo, hi, 40); r > best {
-				best = r
-			}
-		}
-	}
-	return best * (1 + 1e-6)
-}
-
-// beginOrderK starts one DeriveOrderKCR call through the scratch: it
-// (re)builds the sweep direction ring if the resolution changed,
-// refreshes the per-angle domain bounds for the new center (pure per
-// direction, shared by every fixpoint round), invalidates the bound
-// cache by bumping the generation stamp, and sizes the sweep buffers.
-func (sc *DeriveScratch) beginOrderK(pr *PossibleRegion, samples, k, n int) {
-	if len(sc.kDirs) != samples {
-		sc.kDirs = make([]geom.Point, samples)
-		sc.kDom = make([]float64, samples)
-		for i := range sc.kDirs {
-			sc.kDirs[i] = geom.PolarUnit(2 * math.Pi * float64(i) / float64(samples))
-		}
-	}
-	for i, dir := range sc.kDirs {
-		sc.kDom[i], _ = pr.domainBound(dir)
-	}
-	if len(sc.kRowIdx) < n {
-		sc.kRowIdx = make([]int32, n)
-		sc.kRowGen = make([]uint32, n)
-		sc.kGen = 0
-	}
-	sc.kGen++
-	if sc.kGen == 0 { // generation counter wrapped: drop every stamp
-		for i := range sc.kRowGen {
-			sc.kRowGen[i] = 0
-		}
-		sc.kGen = 1
-	}
-	sc.kUsed = 0
-	if cap(sc.kvals) < samples {
-		sc.kvals = make([]float64, samples)
-	}
-	if cap(sc.kth) < k {
-		sc.kth = make([]float64, 0, k)
-	}
-}
-
-// kRowFor returns the cached bound row of candidate oj against the
-// current object, building the constraint and evaluating its radial
-// bounds over the sweep ring on first touch. A negative index means the
-// uncertainty regions overlap (no edge, nothing to fold).
-func (sc *DeriveScratch) kRowFor(oi, oj uncertain.Object) int32 {
-	j := oj.ID
-	if sc.kRowGen[j] == sc.kGen {
-		return sc.kRowIdx[j]
-	}
-	sc.kRowGen[j] = sc.kGen
-	c, ok := NewConstraint(oi, oj)
-	if !ok {
-		sc.kRowIdx[j] = -1
-		return -1
-	}
-	if sc.kUsed == len(sc.kRows) {
-		sc.kRows = append(sc.kRows, make([]float64, len(sc.kDirs)))
-		sc.kEdges = append(sc.kEdges, Constraint{})
-		sc.kEval = append(sc.kEval, kEdgeEval{})
-	}
-	row := sc.kRows[sc.kUsed]
-	if cap(row) < len(sc.kDirs) {
-		row = make([]float64, len(sc.kDirs))
-	}
-	row = row[:len(sc.kDirs)]
-	// RadialBound with its pure per-edge subexpressions hoisted out of
-	// the per-angle loop (see kEdgeEval): the remaining arithmetic is
-	// operation-for-operation RadialBound's, so every row value is
-	// bitwise identical.
-	ev := kEdgeEval{w: c.Edge.Fi.Sub(c.Edge.Fj), s: c.Edge.S}
-	ev.num = ev.s*ev.s - ev.w.NormSq()
-	inf := math.Inf(1)
-	for i, dir := range sc.kDirs {
-		if den := ev.w.Dot(dir) + ev.s; den < 0 {
-			row[i] = ev.num / (2 * den)
-		} else {
-			row[i] = inf
-		}
-	}
-	sc.kRows[sc.kUsed] = row
-	sc.kEdges[sc.kUsed] = c
-	sc.kEval[sc.kUsed] = ev
-	sc.kRowIdx[j] = int32(sc.kUsed)
-	sc.kUsed++
-	return sc.kRowIdx[j]
-}
-
-// orderKRadiusFast evaluates the order-k radial function at angle phi
-// over the active rows' reduced edge forms — RadiusDirK's exact
-// arithmetic (domain bound, then the k-th smallest existing constraint
-// bound, folded in constraint order) with the per-edge subexpressions
-// precomputed — so the value is bitwise identical to pr.RadiusK(phi, k)
-// with pr holding the active constraints.
-func (sc *DeriveScratch) orderKRadiusFast(pr *PossibleRegion, phi float64, k int) float64 {
-	dir := geom.PolarUnit(phi)
-	dom, _ := pr.domainBound(dir)
-	if k <= 1 {
-		r := dom
-		for _, idx := range sc.kAct {
-			ev := &sc.kEval[idx]
-			den := ev.w.Dot(dir) + ev.s
-			if den >= 0 {
-				continue
-			}
-			if t := ev.num / (2 * den); t < r {
-				r = t
-			}
-		}
-		return r
-	}
-	kth := sc.kth[:0]
-	for _, idx := range sc.kAct {
-		ev := &sc.kEval[idx]
-		den := ev.w.Dot(dir) + ev.s
-		if den >= 0 {
-			continue
-		}
-		t := ev.num / (2 * den)
-		if len(kth) < k {
-			kth = append(kth, t)
-			for j := len(kth) - 1; j > 0 && kth[j] < kth[j-1]; j-- {
-				kth[j], kth[j-1] = kth[j-1], kth[j]
-			}
-		} else if t < kth[k-1] {
-			kth[k-1] = t
-			for j := k - 1; j > 0 && kth[j] < kth[j-1]; j-- {
-				kth[j], kth[j-1] = kth[j-1], kth[j]
-			}
-		}
-	}
-	if len(kth) < k {
-		return dom
-	}
-	return math.Min(dom, kth[k-1])
-}
-
-// goldenMaxPhiKFast is goldenMaxPhiK over the reduced edge forms — the
-// same golden-section schedule and evaluation order, each probe through
-// orderKRadiusFast — so the polish is bitwise identical to the
-// reference's while paying only the direction-dependent arithmetic.
-func (sc *DeriveScratch) goldenMaxPhiKFast(pr *PossibleRegion, k int, lo, hi float64, iters int) float64 {
-	const invPhi = 0.6180339887498949
-	a, b := lo, hi
-	x1 := b - invPhi*(b-a)
-	x2 := a + invPhi*(b-a)
-	f1 := sc.orderKRadiusFast(pr, x1, k)
-	f2 := sc.orderKRadiusFast(pr, x2, k)
-	best := math.Max(f1, f2)
-	for i := 0; i < iters; i++ {
-		if f1 < f2 {
-			a, x1, f1 = x1, x2, f2
-			x2 = a + invPhi*(b-a)
-			f2 = sc.orderKRadiusFast(pr, x2, k)
-		} else {
-			b, x2, f2 = x2, x1, f1
-			x1 = b - invPhi*(b-a)
-			f1 = sc.orderKRadiusFast(pr, x1, k)
-		}
-		if v := math.Max(f1, f2); v > best {
-			best = v
-		}
-	}
-	return best
-}
-
-// orderKMax is MaxRadiusK over the scratch's cached bound rows: per
-// sweep angle it takes the k-th smallest of the active rows' bounds
-// against the cached domain bound (+Inf rows land behind every finite
-// bound, so the order statistic is the value RadiusDirK computes), then
-// polishes each local maximum with the same golden-section schedule,
-// probing arbitrary angles through the reduced edge forms. The result
-// is bitwise identical to pr.MaxRadiusK(len(sc.kDirs), k) with pr
-// holding the active constraints.
-func (sc *DeriveScratch) orderKMax(pr *PossibleRegion, k int) float64 {
-	samples := len(sc.kDirs)
-	vals := sc.kvals[:samples]
-	for i := range vals {
-		dom := sc.kDom[i]
-		if k <= 1 {
-			r := dom
-			for _, idx := range sc.kAct {
-				if t := sc.kRows[idx][i]; t < r {
-					r = t
-				}
-			}
-			vals[i] = r
-			continue
-		}
-		kth := sc.kth[:0]
-		for _, idx := range sc.kAct {
-			t := sc.kRows[idx][i]
-			if len(kth) < k {
-				kth = append(kth, t)
-				for j := len(kth) - 1; j > 0 && kth[j] < kth[j-1]; j-- {
-					kth[j], kth[j-1] = kth[j-1], kth[j]
-				}
-			} else if t < kth[k-1] {
-				kth[k-1] = t
-				for j := k - 1; j > 0 && kth[j] < kth[j-1]; j-- {
-					kth[j], kth[j-1] = kth[j-1], kth[j]
-				}
-			}
-		}
-		if len(kth) < k {
-			vals[i] = dom
-		} else {
-			vals[i] = math.Min(dom, kth[k-1])
-		}
-	}
-	best := 0.0
-	for i, v := range vals {
-		if v > best {
-			best = v
-		}
-		prev := vals[(i+samples-1)%samples]
-		next := vals[(i+1)%samples]
-		if v >= prev && v >= next {
-			lo := 2 * math.Pi * float64(i-1) / float64(samples)
-			hi := 2 * math.Pi * float64(i+1) / float64(samples)
-			if r := sc.goldenMaxPhiKFast(pr, k, lo, hi, 40); r > best {
 				best = r
 			}
 		}
@@ -400,6 +156,151 @@ func goldenMaxPhi(f func(float64) float64, lo, hi float64, iters int) float64 {
 	return best
 }
 
+// orderKDeriver is the order-k engine's side of internal/derive for one
+// DeriveOrderKCR call: it fills the bound table's rows over a uniform
+// angle ring, answers the fixpoint's range queries off the R-tree and
+// bounds the region's radius with MaxRadiusK's sweep-and-polish. It
+// lives inside the DeriveScratch so that handing it to derive.Fixpoint
+// as an interface allocates nothing.
+type orderKDeriver struct {
+	tab   derive.Table
+	dirs  []geom.Point // sweep direction ring (depends only on samples)
+	edges []Constraint // cached constraints, by table row
+	eval  []kEdgeEval  // reduced edge forms, by table row (golden-section probes)
+	cands []int32      // seed ids, then the fixpoint's candidate set
+	kth   []float64    // k-smallest buffer of the polish probes
+
+	// The call in flight.
+	tree   *rtree.Tree
+	oi     uncertain.Object
+	objs   []uncertain.Object
+	domain geom.Rect
+	k      int
+}
+
+// kEdgeEval is a UVEdge reduced to the pure per-edge subexpressions of
+// RadialBound — the focal offset w = Fi−Fj and the numerator S²−|w|² —
+// so the golden-section polish, which probes arbitrary angles, pays
+// only the direction-dependent arithmetic per evaluation. The edge is
+// known to exist (FillRow filters), so the existence test is elided;
+// the remaining operations are RadialBound's exactly.
+type kEdgeEval struct {
+	w   geom.Point
+	s   float64
+	num float64
+}
+
+// begin starts one DeriveOrderKCR call: it (re)builds the sweep
+// direction ring if the resolution changed, drops the previous object's
+// rows and refreshes the per-angle domain bounds for the new center
+// (pure per direction, shared by every fixpoint round).
+func (e *orderKDeriver) begin(tree *rtree.Tree, oi uncertain.Object, objs []uncertain.Object, domain geom.Rect, k, samples int) {
+	e.tree, e.oi, e.objs, e.domain, e.k = tree, oi, objs, domain, k
+	if len(e.dirs) != samples {
+		e.dirs = make([]geom.Point, samples)
+		for i := range e.dirs {
+			e.dirs[i] = geom.PolarUnit(2 * math.Pi * float64(i) / float64(samples))
+		}
+	}
+	e.tab.Begin(len(objs), samples)
+	for i, dir := range e.dirs {
+		e.tab.Exit[i], _ = domainBound(oi.Region.C, domain, dir)
+	}
+	if cap(e.kth) < k {
+		e.kth = make([]float64, 0, k)
+	}
+}
+
+// FillRow implements derive.Filler: candidate j's constraint, its
+// radial bounds over the sweep ring and its reduced edge form.
+func (e *orderKDeriver) FillRow(j int32, idx int, row []float64) bool {
+	c, ok := NewConstraint(e.oi, e.objs[j])
+	if !ok {
+		return false
+	}
+	// RadialBound with its pure per-edge subexpressions hoisted out of
+	// the per-angle loop (see kEdgeEval): the remaining arithmetic is
+	// operation-for-operation RadialBound's, so every row value is
+	// bitwise identical.
+	ev := kEdgeEval{w: c.Edge.Fi.Sub(c.Edge.Fj), s: c.Edge.S}
+	ev.num = ev.s*ev.s - ev.w.NormSq()
+	inf := math.Inf(1)
+	for i, dir := range e.dirs {
+		if den := ev.w.Dot(dir) + ev.s; den < 0 {
+			row[i] = ev.num / (2 * den)
+		} else {
+			row[i] = inf
+		}
+	}
+	e.edges, e.eval = append(e.edges[:idx], c), append(e.eval[:idx], ev)
+	return true
+}
+
+// Range implements derive.Pruner over the helper R-tree (or by brute
+// force without one). The ids are unique, so ascending order is
+// canonical whatever the collection order.
+func (e *orderKDeriver) Range(radius float64, buf []int32) []int32 {
+	c, self := e.oi.Region.C, e.oi.ID
+	if e.tree != nil {
+		e.tree.CenterRangeFunc(geom.Circle{C: c, R: radius}, func(it rtree.Item) {
+			if it.ID != self {
+				buf = append(buf, it.ID)
+			}
+		})
+	} else {
+		for j := range e.objs {
+			if e.objs[j].ID != self && e.objs[j].Region.C.Dist(c) <= radius {
+				buf = append(buf, e.objs[j].ID)
+			}
+		}
+	}
+	slices.Sort(buf)
+	return buf
+}
+
+// Bound implements derive.Pruner: MaxRadiusK over the cached bound
+// rows. Per sweep angle the table folds the k-th smallest of the
+// candidates' bounds against the domain bound — the value RadiusDirK
+// computes — and each local maximum is polished with the same
+// golden-section schedule, probing arbitrary angles through the reduced
+// edge forms. The result is bitwise identical to
+// pr.MaxRadiusK(samples, k) with pr holding the candidates'
+// constraints.
+func (e *orderKDeriver) Bound(cands []int32) float64 {
+	e.tab.Activate(cands, e)
+	return ringMax(e.tab.Fold(e.k), e.radiusAt)
+}
+
+// radiusAt evaluates the order-k radial function at angle phi over the
+// active rows' reduced edge forms — RadiusDirK's exact arithmetic
+// (domain bound, then the k-th smallest existing constraint bound,
+// folded in constraint order) with the per-edge subexpressions
+// precomputed — so the value is bitwise identical to pr.RadiusK(phi, k)
+// with pr holding the active constraints.
+func (e *orderKDeriver) radiusAt(phi float64) float64 {
+	dir := geom.PolarUnit(phi)
+	r, _ := domainBound(e.oi.Region.C, e.domain, dir)
+	if e.k <= 1 {
+		for _, idx := range e.tab.Active() {
+			ev := &e.eval[idx]
+			if den := ev.w.Dot(dir) + ev.s; den < 0 {
+				if t := ev.num / (2 * den); t < r {
+					r = t
+				}
+			}
+		}
+		return r
+	}
+	kth := e.kth[:0]
+	for _, idx := range e.tab.Active() {
+		ev := &e.eval[idx]
+		if den := ev.w.Dot(dir) + ev.s; den < 0 {
+			kth = derive.PushK(kth, e.k, ev.num/(2*den))
+		}
+	}
+	return derive.KthOr(kth, e.k, r)
+}
+
 // DeriveOrderKCR derives the candidate reference objects of Oi's
 // ORDER-k cell by iterating the I-pruning filter (Lemma 2, which is
 // order-independent: a constraint whose center lies outside
@@ -408,23 +309,21 @@ func goldenMaxPhi(f func(float64) float64, lo, hi float64, iters int) float64 {
 // any point's k excluders). A seed phase first bounds the region with
 // the ~8(k+1) nearest neighbors — the order-k analogue of the paper's
 // sectored seeds: the k-th smallest radial bound needs at least k
-// crossings per direction before it leaves the domain scale. Seeding
-// is sound because a region built from fewer constraints is a
-// superset, so its max radius is a valid d for the first round; the
-// candidate set and radius then shrink monotonically to a fixpoint.
+// crossings per direction before it leaves the domain scale — and
+// derive.Fixpoint shrinks candidate set and radius from there.
 //
 // The returned region carries the surviving constraints; the returned
 // ids are the order-k cr-objects fed to the index.
 //
 // The derivation runs through sc's reusable buffers (NN-browse heap,
-// region with its constraint storage, candidate and sweep buffers, the
-// cross-round bound cache), so a long-lived scratch makes steady-state
-// derivation allocate only the returned cr-set — and the cache means
-// each candidate's sweep bounds are evaluated once per derive call
-// instead of once per fixpoint round. A nil sc uses a private one. The
-// returned region is OWNED BY THE SCRATCH and is only valid until its
-// next use; the cr-set is freshly allocated and safe to retain. Results
-// are bitwise identical to DeriveOrderKCRReference.
+// region with its constraint storage, candidate buffer, the cross-round
+// bound table), so a long-lived scratch makes steady-state derivation
+// allocate only the returned cr-set — and the table means each
+// candidate's sweep bounds are evaluated once per derive call instead
+// of once per fixpoint round. A nil sc uses a private one. The returned
+// region is OWNED BY THE SCRATCH and is only valid until its next use;
+// the cr-set is freshly allocated and safe to retain. Results are
+// bitwise identical to DeriveOrderKCRReference.
 func DeriveOrderKCR(tree *rtree.Tree, oi uncertain.Object, objs []uncertain.Object, domain geom.Rect, k, samples int, sc *DeriveScratch) ([]int32, *PossibleRegion) {
 	if sc == nil {
 		sc = NewDeriveScratch()
@@ -432,12 +331,11 @@ func DeriveOrderKCR(tree *rtree.Tree, oi uncertain.Object, objs []uncertain.Obje
 	if samples < 8 {
 		samples = 8 // MaxRadiusK's clamp, applied once up front
 	}
-	pr := &sc.region
-	pr.Reset(oi.Region.C, domain)
-	sc.beginOrderK(pr, samples, k, len(objs))
+	e := &sc.orderK
+	e.begin(tree, oi, objs, domain, k, samples)
 	// Seed phase: the lazy NN browse pops the exact prefix the eager
 	// KNN(c, 8(k+1)) materializes, without building the neighbor slice.
-	sc.kAct = sc.kAct[:0]
+	seeds := e.cands[:0]
 	if tree != nil {
 		sc.it.Reset(tree, oi.Region.C)
 		for pulled := 0; pulled < 8*(k+1); pulled++ {
@@ -446,187 +344,60 @@ func DeriveOrderKCR(tree *rtree.Tree, oi uncertain.Object, objs []uncertain.Obje
 				break
 			}
 			if nb.Item.ID != oi.ID {
-				if idx := sc.kRowFor(oi, objs[nb.Item.ID]); idx >= 0 {
-					pr.cons = append(pr.cons, sc.kEdges[idx])
-					sc.kAct = append(sc.kAct, idx)
-				}
+				seeds = append(seeds, nb.Item.ID)
 			}
 		}
 	}
-	d := sc.orderKMax(pr, k)
-	sc.cands = sc.cands[:0]
-	for iter := 0; iter < 8; iter++ {
-		radius := 2*d - oi.Region.R
-		if radius <= 0 {
-			radius = d
-		}
-		cands := sc.cands[:0]
-		if tree != nil {
-			tree.CenterRangeFunc(geom.Circle{C: oi.Region.C, R: radius}, func(it rtree.Item) {
-				if it.ID != oi.ID {
-					cands = append(cands, it.ID)
-				}
-			})
-		} else {
-			for j := range objs {
-				if objs[j].ID != oi.ID && objs[j].Region.C.Dist(oi.Region.C) <= radius {
-					cands = append(cands, objs[j].ID)
-				}
-			}
-		}
-		// The ids are unique, so ascending order is canonical: identical
-		// to the reference's sort regardless of collection order.
-		slices.Sort(cands)
-		sc.cands = cands
-		// Rebuild the round's region from cached constraints (the
-		// constructor is pure, so these are the exact constraints the
-		// reference's AddObject loop produces, in the same order).
-		pr.Reset(oi.Region.C, domain)
-		sc.kAct = sc.kAct[:0]
-		for _, j := range cands {
-			if idx := sc.kRowFor(oi, objs[j]); idx >= 0 {
-				pr.cons = append(pr.cons, sc.kEdges[idx])
-				sc.kAct = append(sc.kAct, idx)
-			}
-		}
-		d2 := sc.orderKMax(pr, k)
-		if d2 >= d*(1-1e-9) {
-			break
-		}
-		d = d2
+	e.cands = derive.Fixpoint(e, e.Bound(seeds), oi.Region.R, 8, seeds)
+	// Materialize the final round's region once, from cached constraints
+	// (the constructor is pure, so these are the exact constraints the
+	// reference's per-round AddObject loop ends with, in the same order).
+	pr := &sc.region
+	pr.Reset(oi.Region.C, domain)
+	for _, idx := range e.tab.Active() {
+		pr.Add(e.edges[idx])
 	}
-	if len(sc.cands) == 0 {
-		return nil, pr
-	}
-	ids := make([]int32, len(sc.cands))
-	copy(ids, sc.cands)
-	return ids, pr
+	return append([]int32(nil), e.cands...), pr // nil when empty
 }
 
-// DeriveOrderKCRSets runs the order-k derivation over every live object
-// and returns the cr-sets indexed by dense id (dead slots stay nil) —
-// the order-k analogue of DeriveCRSets, and like it Workers-parallel
-// over a shared work queue with per-worker scratch arenas and private
-// R-tree clones (the tree pager is not concurrency-safe). The sets are
-// independent of any index region, so a sharded engine can derive once
-// and feed BuildOrderKRegion per shard. The caller fills in
-// IndexDur/TotalDur/Index after indexing.
-func DeriveOrderKCRSets(store *uncertain.Store, domain geom.Rect, tree *rtree.Tree, k int, opts BuildOptions) ([][]int32, BuildStats, error) {
+// BuildOrderK constructs an order-k UV-index over the store: an
+// adaptive grid whose leaves list every object whose order-k cell
+// overlaps the leaf region. PossibleKNN answers exactly against it.
+// Derivation visits every live object on the same derive.Each driver
+// as DeriveCRSets (per-worker scratch arenas, one shared R-tree);
+// insertion is sequential. The index — leaf lists, stats and query
+// answers — is bitwise identical to BuildOrderKReference's at every
+// worker count.
+func BuildOrderK(store *uncertain.Store, domain geom.Rect, tree *rtree.Tree, k int, opts BuildOptions) (*UVIndex, BuildStats, error) {
 	if k < 1 {
 		return nil, BuildStats{}, fmt.Errorf("core: BuildOrderK needs k ≥ 1, got %d", k)
 	}
 	if store.Live() == 0 {
 		return nil, BuildStats{}, fmt.Errorf("core: BuildOrderK over empty store")
 	}
+	t0 := time.Now()
 	opts.normalize()
 	stats := BuildStats{Strategy: opts.Strategy, N: store.Live()}
 	objs := store.Dense() // position == id; tombstoned slots skipped
 	crSets := make([][]int32, len(objs))
-
-	if opts.Workers > 1 {
-		var (
-			wg     sync.WaitGroup
-			mu     sync.Mutex
-			prune  time.Duration
-			sumCR  int64
-			next   = make(chan int)
-			labels = pprof.Labels("engine", "orderk", "stage", "derive")
-		)
-		for w := 0; w < opts.Workers; w++ {
-			wtree := tree
-			if wtree != nil && w > 0 {
-				wtree = BuildHelperRTree(store, opts.Fanout)
-			}
-			wg.Add(1)
-			go func(wtree *rtree.Tree) {
-				defer wg.Done()
-				pprof.Do(context.Background(), labels, func(context.Context) {
-					sc := NewDeriveScratch()
-					var localDur time.Duration
-					var localCR int64
-					for i := range next {
-						p0 := time.Now()
-						ids, _ := DeriveOrderKCR(wtree, objs[i], objs, domain, k, opts.RegionSamples, sc)
-						localDur += time.Since(p0)
-						localCR += int64(len(ids))
-						crSets[i] = ids
-					}
-					mu.Lock()
-					prune += localDur
-					sumCR += localCR
-					mu.Unlock()
-				})
-			}(wtree)
-		}
-		for i := range objs {
-			if store.Alive(int32(i)) {
-				next <- i
-			}
-		}
-		close(next)
-		wg.Wait()
-		stats.PruneDur, stats.SumCR = prune, sumCR
-	} else {
-		pprof.Do(context.Background(), pprof.Labels("engine", "orderk", "stage", "derive"), func(context.Context) {
-			sc := NewDeriveScratch()
-			for i := range objs {
-				if !store.Alive(int32(i)) {
-					continue
-				}
-				p0 := time.Now()
-				ids, _ := DeriveOrderKCR(tree, objs[i], objs, domain, k, opts.RegionSamples, sc)
-				stats.PruneDur += time.Since(p0)
-				stats.SumCR += int64(len(ids))
-				crSets[i] = ids
-			}
+	type worker struct {
+		sc    *DeriveScratch
+		prune time.Duration
+		sumCR int64
+	}
+	workers := derive.Each(len(objs), store.Alive, opts.Workers, pprof.Labels("engine", "orderk", "stage", "derive"),
+		func() *worker { return &worker{sc: NewDeriveScratch()} },
+		func(w *worker, i int) {
+			p0 := time.Now()
+			crSets[i], _ = DeriveOrderKCR(tree, objs[i], objs, domain, k, opts.RegionSamples, w.sc)
+			w.prune += time.Since(p0)
+			w.sumCR += int64(len(crSets[i]))
 		})
+	for _, w := range workers {
+		stats.PruneDur += w.prune
+		stats.SumCR += w.sumCR
 	}
-	return crSets, stats, nil
-}
-
-// BuildOrderK constructs an order-k UV-index over the store: an
-// adaptive grid whose leaves list every object whose order-k cell
-// overlaps the leaf region. PossibleKNN answers exactly against it.
-// Derivation runs on the Workers-parallel fast path; insertion is
-// sequential (the grid is not concurrency-safe). The index — leaf
-// lists, stats and query answers — is bitwise identical to
-// BuildOrderKReference's at every worker count.
-func BuildOrderK(store *uncertain.Store, domain geom.Rect, tree *rtree.Tree, k int, opts BuildOptions) (*UVIndex, BuildStats, error) {
-	t0 := time.Now()
-	crSets, stats, err := DeriveOrderKCRSets(store, domain, tree, k, opts)
-	if err != nil {
-		return nil, stats, err
-	}
-	opts.normalize()
-	var ix *UVIndex
-	var indexDur time.Duration
-	pprof.Do(context.Background(), pprof.Labels("engine", "orderk", "stage", "index"), func(context.Context) {
-		ix, indexDur = BuildOrderKRegion(store, domain, crSets, k, opts.Index)
-	})
-	stats.IndexDur = indexDur
-	stats.TotalDur = time.Since(t0)
-	stats.Index = ix.Stats()
-	return ix, stats, nil
-}
-
-// BuildOrderKRegion constructs a finished order-k UV-index over region —
-// the whole domain, or one spatial shard of it — from cr-sets derived
-// by DeriveOrderKCRSets, recording them in a fresh registry the index
-// owns: the order-k counterpart of BuildRegion, so order-k grids can
-// later ride the shard layout the same way.
-func BuildOrderKRegion(store *uncertain.Store, region geom.Rect, crSets [][]int32, k int, opts IndexOptions) (*UVIndex, time.Duration) {
-	return BuildOrderKRegionCR(store, region, NewCRState(crSets), k, opts)
-}
-
-// BuildOrderKRegionCR is BuildOrderKRegion over an external constraint
-// registry (shared across shards; only read). The cell order must be
-// set before insertion — the leaf overlap test counts excluders against
-// it — which is why this constructor exists instead of reusing
-// BuildRegionCR.
-func BuildOrderKRegionCR(store *uncertain.Store, region geom.Rect, cr *CRState, k int, opts IndexOptions) (*UVIndex, time.Duration) {
-	ix := NewUVIndexCR(store, region, opts, cr)
-	ix.orderK = k
-	return ix, ix.fillFromCR()
+	return indexDerived("orderk", store, domain, crSets, k, opts, stats, t0)
 }
 
 // PossibleKNN answers the possible-k-NN query at q from an order-k

@@ -92,7 +92,7 @@ func TestOrderKDegenerateToWholeDomain(t *testing.T) {
 	k := len(pr.Constraints()) + 1
 	for i := 0; i < 32; i++ {
 		phi := 2 * math.Pi * float64(i) / 32
-		dom, _ := pr.domainBound(geom.PolarUnit(phi))
+		dom, _ := domainBound(pr.center, pr.domain, geom.PolarUnit(phi))
 		if r := pr.RadiusK(phi, k); math.Abs(r-dom) > 1e-9 {
 			t.Fatalf("phi=%v: R_k=%v, domain exit %v", phi, r, dom)
 		}

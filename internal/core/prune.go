@@ -34,24 +34,20 @@ func iPruneInto(tree *rtree.Tree, oi uncertain.Object, region *PossibleRegion, s
 	return ids
 }
 
-// CPrune performs computational-level pruning (Step 3 of Algorithm 2,
-// Lemma 3): with CH(Pi) the convex hull of the possible region and
+// cPruneInto performs computational-level pruning (Step 3 of Algorithm
+// 2, Lemma 3): with CH(Pi) the convex hull of the possible region and
 // d-bounds Cir(v, dist(v, ci)) at its vertices, an object whose center
 // lies outside every d-bound cannot reshape the region. Because
 // boundary arcs are concave toward the region, CH(Pi) is exactly the
 // hull of the region's breakpoints. d-bound radii carry a hair of slack
 // so that vertex refinement error can only weaken pruning, never drop
 // a true r-object.
-func CPrune(candidates []int32, oi uncertain.Object, region *PossibleRegion, samples int, objs []uncertain.Object) []int32 {
-	var sc DeriveScratch
-	return cPruneInto(candidates, oi, region, samples, objs, &sc)
-}
-
-// cPruneInto is CPrune through the derivation scratch: the hull, the
-// d-bounds and the survivor list live in sc's buffers (the result
-// aliases sc.kept unless it degenerates to the input), and the region's
-// cached Vertices sweep — already computed by I-pruning's MaxRadius —
-// is reused instead of re-extracted.
+//
+// It runs through the derivation scratch: the hull, the d-bounds and
+// the survivor list live in sc's buffers (the result aliases sc.kept
+// unless it degenerates to the input), and the region's cached Vertices
+// sweep — already computed by I-pruning's MaxRadius — is reused instead
+// of re-extracted.
 func cPruneInto(candidates []int32, oi uncertain.Object, region *PossibleRegion, samples int, objs []uncertain.Object, sc *DeriveScratch) []int32 {
 	vs := region.Vertices(samples)
 	sc.pts = sc.pts[:0]

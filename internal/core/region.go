@@ -95,7 +95,7 @@ func (p *PossibleRegion) syncProfile(samples int) *profile {
 			phi := 2 * math.Pi * float64(i) / float64(samples)
 			pr.phis[i] = phi
 			pr.dirs[i] = geom.PolarUnit(phi)
-			pr.radius[i], pr.active[i] = p.domainBound(pr.dirs[i])
+			pr.radius[i], pr.active[i] = domainBound(p.center, p.domain, pr.dirs[i])
 		}
 	}
 	for pr.applied < len(p.cons) {
@@ -138,7 +138,7 @@ func (p *PossibleRegion) AddObject(oi, oj uncertain.Object) bool {
 // direction dir, together with the id of the active (binding)
 // constraint: an index into Constraints, or a negative domain-edge code.
 func (p *PossibleRegion) RadiusDir(dir geom.Point) (float64, int) {
-	r, active := p.domainBound(dir)
+	r, active := domainBound(p.center, p.domain, dir)
 	for i := range p.cons {
 		if t, ok := p.cons[i].Edge.RadialBound(dir); ok && t < r {
 			r, active = t, i
@@ -152,22 +152,22 @@ func (p *PossibleRegion) Radius(phi float64) (float64, int) {
 	return p.RadiusDir(geom.PolarUnit(phi))
 }
 
-// domainBound returns the distance to the domain boundary along dir and
-// the edge code of the boundary hit.
-func (p *PossibleRegion) domainBound(dir geom.Point) (float64, int) {
+// domainBound returns the distance from c to the boundary of domain
+// along dir and the edge code of the boundary hit.
+func domainBound(c geom.Point, domain geom.Rect, dir geom.Point) (float64, int) {
 	t := math.Inf(1)
 	active := edgeEast
 	if dir.X > 0 {
-		t, active = (p.domain.Max.X-p.center.X)/dir.X, edgeEast
+		t, active = (domain.Max.X-c.X)/dir.X, edgeEast
 	} else if dir.X < 0 {
-		t, active = (p.domain.Min.X-p.center.X)/dir.X, edgeWest
+		t, active = (domain.Min.X-c.X)/dir.X, edgeWest
 	}
 	if dir.Y > 0 {
-		if ty := (p.domain.Max.Y - p.center.Y) / dir.Y; ty < t {
+		if ty := (domain.Max.Y - c.Y) / dir.Y; ty < t {
 			t, active = ty, edgeNorth
 		}
 	} else if dir.Y < 0 {
-		if ty := (p.domain.Min.Y - p.center.Y) / dir.Y; ty < t {
+		if ty := (domain.Min.Y - c.Y) / dir.Y; ty < t {
 			t, active = ty, edgeSouth
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"slices"
+	"time"
 
 	"uvdiagram/internal/geom"
 	"uvdiagram/internal/rtree"
@@ -30,42 +31,7 @@ type DeriveScratch struct {
 	region PossibleRegion // seeded region (profile buffers reused)
 	refine PossibleRegion // refinement region for ICR/Basic cells
 
-	// Order-k derivation buffers (DeriveOrderKCR): the candidate set of
-	// one fixpoint round, the angular sample ring of the max-radius
-	// sweep, and the k-smallest insertion buffer of the radial order
-	// statistic.
-	cands []int32
-	kvals []float64
-	kth   []float64
-
-	// Order-k cross-round bound cache, valid for one DeriveOrderKCR
-	// call. A candidate's radial bound along one sweep angle is a pure
-	// function of the two uncertainty regions, so the fixpoint rounds —
-	// whose candidate sets largely overlap — share one evaluation per
-	// (candidate, angle) pair; only the golden-section polish, which
-	// probes arbitrary angles, evaluates edges live.
-	kDirs   []geom.Point // sweep direction ring (depends only on samples)
-	kDom    []float64    // domain bound per sweep angle for the current center
-	kRowIdx []int32      // object id → row index (−1 = no edge); valid when kRowGen matches kGen
-	kRowGen []uint32     // generation stamp per object id
-	kGen    uint32       // current derive call's generation
-	kRows   [][]float64  // pooled bound rows over the sweep ring (+Inf = no bound)
-	kEdges  []Constraint // cached constraints parallel to kRows
-	kEval   []kEdgeEval  // reduced edge forms parallel to kRows (golden-section probes)
-	kUsed   int          // kRows/kEdges in use for the current object
-	kAct    []int32      // row indices of the current round's constraints
-}
-
-// kEdgeEval is a UVEdge reduced to the pure per-edge subexpressions of
-// RadialBound — the focal offset w = Fi−Fj and the numerator S²−|w|² —
-// so the golden-section polish, which probes arbitrary angles, pays
-// only the direction-dependent arithmetic per evaluation. The edge is
-// known to exist (kRowFor filters), so the existence test is elided;
-// the remaining operations are RadialBound's exactly.
-type kEdgeEval struct {
-	w   geom.Point
-	s   float64
-	num float64
+	orderK orderKDeriver // DeriveOrderKCR's bound table and buffers
 }
 
 // NewDeriveScratch returns an empty scratch; buffers grow on first use
@@ -106,14 +72,18 @@ func DeriveCRFrom(tree *rtree.Tree, oi uncertain.Object, prev []int32, objs []un
 }
 
 // deriveCR runs seeds + pruning + merge with sc's buffers, returning
-// the retained cr-set and the |I| / |C-pruning survivor| counters.
-func deriveCR(tree *rtree.Tree, oi uncertain.Object, objs []uncertain.Object, domain geom.Rect, k, ks, samples int, disableCPrune bool, sc *DeriveScratch) (cr []int32, nI, nC int) {
+// the retained cr-set, the build counters of this one object (seed and
+// prune time, |I|, |Ci|) and the C-pruning survivor count.
+func deriveCR(tree *rtree.Tree, oi uncertain.Object, objs []uncertain.Object, domain geom.Rect, k, ks, samples int, disableCPrune bool, sc *DeriveScratch) (cr []int32, ds deriveStats, nC int) {
+	ts := time.Now()
 	sc.selectSeeds(tree, oi, k, ks)
 	region := &sc.region
 	region.Reset(oi.Region.C, domain)
 	for _, id := range sc.seeds {
 		region.AddObject(oi, objs[id])
 	}
+	tp := time.Now()
+	ds.seed = tp.Sub(ts)
 	sc.ids = iPruneInto(tree, oi, region, samples, sc.ids[:0])
 	kept := sc.ids
 	if !disableCPrune {
@@ -122,5 +92,8 @@ func deriveCR(tree *rtree.Tree, oi uncertain.Object, objs []uncertain.Object, do
 	slices.Sort(kept)
 	sc.sorted = append(sc.sorted[:0], sc.seeds...)
 	slices.Sort(sc.sorted)
-	return mergeSorted(kept, sc.sorted), len(sc.ids), len(kept)
+	cr = mergeSorted(kept, sc.sorted)
+	ds.prune = time.Since(tp)
+	ds.sumI, ds.sumCR = int64(len(sc.ids)), int64(len(cr))
+	return cr, ds, len(kept)
 }

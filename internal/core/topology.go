@@ -56,8 +56,6 @@ type Topology struct {
 	prof     []*cellProfile // by object id; nil = not cached
 	min2     []float64      // scratch: second-minimum fold during a build
 	arg      []int32        // scratch: per-sample owner (member index) during a build
-
-	builds int64 // profiles built from scratch (observability)
 }
 
 // cellProfile is one object's cached radial boundary: the folded
@@ -86,9 +84,6 @@ func NewTopology(n, samples int) *Topology {
 	}
 	return t
 }
-
-// Builds returns how many profiles were computed from scratch.
-func (t *Topology) Builds() int64 { return t.builds }
 
 // grow extends the id space to cover id.
 func (t *Topology) grow(id int32) {
@@ -128,7 +123,6 @@ func (t *Topology) Ensure(id int32, oi uncertain.Object, members []int32, objs [
 	if p := t.prof[id]; p != nil {
 		return p
 	}
-	t.builds++
 	n := t.samples
 	p := &cellProfile{radius: make([]float64, n)}
 	if cap(t.min2) < n {
@@ -137,13 +131,12 @@ func (t *Topology) Ensure(id int32, oi uncertain.Object, members []int32, objs [
 	}
 	min2, arg := t.min2[:n], t.arg[:n]
 	for i, dir := range t.dirs {
-		p.radius[i] = domainRay(oi.Region.C, domain, dir)
+		p.radius[i], _ = domainBound(oi.Region.C, domain, dir)
 		min2[i] = math.Inf(1)
 		arg[i] = -1 // the domain boundary owns the sample
 	}
 	for m, j := range members {
-		_ = j
-		c, ok := NewConstraint(oi, objs[members[m]])
+		c, ok := NewConstraint(oi, objs[j])
 		if !ok {
 			continue
 		}
@@ -212,10 +205,6 @@ func (p *cellProfile) AnyTight(victims []int32) bool {
 	return false
 }
 
-// MaxR returns the profile's maximum boundary distance — the d of
-// Lemma 2 for the cached representation.
-func (p *cellProfile) MaxR() float64 { return p.maxR }
-
 // FoldIn folds a freshly inserted object's constraint into id's cached
 // profile, reporting whether the new constraint is tight (clips the
 // boundary by more than margin somewhere). A tight fold shrinks the
@@ -281,30 +270,6 @@ func (t *Topology) RepairOnInsert(cr *CRState, on uncertain.Object, objs []uncer
 		}
 	}
 	return repaired
-}
-
-// domainRay is the distance from c to the domain boundary along dir
-// (PossibleRegion.domainBound without the edge codes).
-func domainRay(c geom.Point, domain geom.Rect, dir geom.Point) float64 {
-	d := math.Inf(1)
-	if dir.X > 0 {
-		d = (domain.Max.X - c.X) / dir.X
-	} else if dir.X < 0 {
-		d = (domain.Min.X - c.X) / dir.X
-	}
-	if dir.Y > 0 {
-		if ty := (domain.Max.Y - c.Y) / dir.Y; ty < d {
-			d = ty
-		}
-	} else if dir.Y < 0 {
-		if ty := (domain.Min.Y - c.Y) / dir.Y; ty < d {
-			d = ty
-		}
-	}
-	if d < 0 {
-		d = 0
-	}
-	return d
 }
 
 func maxOf(xs []float64) float64 {

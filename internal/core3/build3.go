@@ -7,9 +7,9 @@ import (
 	"math"
 	"runtime/pprof"
 	"sort"
-	"sync"
 	"time"
 
+	"uvdiagram/internal/derive"
 	"uvdiagram/internal/geom3"
 	"uvdiagram/internal/uncertain3"
 )
@@ -65,12 +65,6 @@ func validate3(objs []uncertain3.Object3, domain geom3.Box) error {
 	return nil
 }
 
-// nearestSeeds returns up to m object ids nearest to oi's center,
-// found by expanding-ball search on the hash grid.
-func nearestSeeds(grid *HashGrid3, oi uncertain3.Object3, objs []uncertain3.Object3, domain geom3.Box, m int) []int32 {
-	return nearestSeedsInto(grid, oi, objs, domain, m, nil, &seedSorter3{})
-}
-
 // seedSorter3 orders seed candidates by center distance. sort.Sort over
 // a retained pointer receiver allocates nothing, and Go's sort package
 // generates the Interface and func variants of pdqsort from the same
@@ -88,10 +82,11 @@ func (s *seedSorter3) Less(a, b int) bool {
 	return s.objs[s.ids[a]].Region.C.DistSq(s.c) < s.objs[s.ids[b]].Region.C.DistSq(s.c)
 }
 
-// nearestSeedsInto is nearestSeeds through caller-owned buffers. Every
-// intermediate ball is collected in ascending id order (the grid's
-// canonical order), so the distance sort sees the same input as the
-// allocating form and ties break identically.
+// nearestSeedsInto returns, in buf's storage, up to m object ids
+// nearest to oi's center, found by expanding-ball search on the hash
+// grid. Every intermediate ball is collected in ascending id order (the
+// grid's canonical order), so the distance sort sees the same input
+// whatever the buffers and ties break identically.
 func nearestSeedsInto(grid *HashGrid3, oi uncertain3.Object3, objs []uncertain3.Object3, domain geom3.Box, m int, buf []int32, sorter *seedSorter3) []int32 {
 	if grid == nil {
 		return buf[:0]
@@ -124,18 +119,14 @@ func nearestSeedsInto(grid *HashGrid3, oi uncertain3.Object3, objs []uncertain3.
 }
 
 // DeriveCR3 derives the cr-objects of Oi's 3D UV-cell: a seed phase
-// bounds the possible region with the nearest neighbors, then the
-// I-pruning filter iterates to a fixpoint. Lemma 2's proof is
-// dimension-free: if cj lies outside Ball(ci, 2d − ri), where d bounds
-// the possible region's maximum distance from ci, then Oj's outside
-// region cannot intersect the region — and since a region built from
-// fewer constraints is a superset, the seed region's radius is a valid
-// d for the first round.
+// bounds the possible region with the nearest neighbors, then
+// derive.Fixpoint iterates the I-pruning filter (Lemma 2's proof is
+// dimension-free) from the seed region's radius.
 //
 // The derivation runs through sc's reusable buffers (seed and candidate
-// pools, the cross-round bound cache, the region's constraint storage),
+// pools, the cross-round bound table, the region's constraint storage),
 // so a long-lived scratch makes steady-state derivation allocate only
-// the returned cr-set — and the cache means each candidate's
+// the returned cr-set — and the table means each candidate's
 // hyperboloid bounds are evaluated over the lattice once per derive
 // call instead of once per fixpoint round. A nil sc uses a private one.
 // The returned region is OWNED BY THE SCRATCH and only valid until its
@@ -145,59 +136,23 @@ func DeriveCR3(grid *HashGrid3, oi uncertain3.Object3, objs []uncertain3.Object3
 	if sc == nil {
 		sc = NewDeriveScratch3()
 	}
-	sc.beginObject(oi, domain, dirs, len(objs))
+	e := &sc.run
+	e.begin(grid, oi, objs, domain, dirs)
 	sc.seeds = nearestSeedsInto(grid, oi, objs, domain, seedCount, sc.seeds, &sc.sorter)
-	d := sc.foldMax(oi, objs, sc.seeds, dirs)
+	d := e.Bound(sc.seeds)
 	if dd := domain.MaxDist(oi.Region.C); dd < d {
 		d = dd // region ⊆ domain: the corner distance is always valid
 	}
-	sc.cands = sc.cands[:0]
-	for iter := 0; iter < 6; iter++ {
-		radius := 2*d - oi.Region.R
-		if radius <= 0 {
-			radius = d
-		}
-		cands := sc.cands[:0]
-		if grid != nil {
-			cands = grid.CenterRangeInto(geom3.Sphere{C: oi.Region.C, R: radius}, cands)
-			w := 0
-			for _, id := range cands {
-				if id != oi.ID {
-					cands[w] = id
-					w++
-				}
-			}
-			cands = cands[:w]
-		} else {
-			for j := range objs {
-				if objs[j].ID != oi.ID && objs[j].Region.C.Dist(oi.Region.C) <= radius {
-					cands = append(cands, objs[j].ID)
-				}
-			}
-		}
-		sc.cands = cands
-		d2 := sc.foldMax(oi, objs, cands, dirs)
-		if d2 >= d*(1-1e-9) {
-			break
-		}
-		d = d2
-	}
+	e.cands = derive.Fixpoint(e, d, oi.Region.R, 6, e.cands)
 	// Materialize the final round's region once, from cached constraints
 	// (the constructor is pure, so these are the exact constraints the
 	// reference's per-round AddObject loop ends with).
 	pr := &sc.region
 	pr.Reset(oi.Region.C, domain)
-	for _, j := range sc.cands {
-		if idx := sc.rowFor(oi, objs[j], dirs); idx >= 0 {
-			pr.cons = append(pr.cons, sc.edges[idx])
-		}
+	for _, idx := range e.tab.Active() {
+		pr.cons = append(pr.cons, e.edges[idx])
 	}
-	if len(sc.cands) == 0 {
-		return nil, pr
-	}
-	ids := make([]int32, len(sc.cands))
-	copy(ids, sc.cands)
-	return ids, pr
+	return append([]int32(nil), e.cands...), pr // nil when empty
 }
 
 // BuildStats3 records 3D construction cost. With Workers > 1 PruneDur
@@ -238,88 +193,43 @@ func (s BuildStats3) PruneRatio() float64 {
 	return 1 - s.AvgCR()/float64(s.N-1)
 }
 
-// DeriveCR3Sets runs the 3D derivation over every object and returns
-// the cr-sets indexed by id — the 3D analogue of DeriveCRSets, and like
-// it Workers-parallel over a shared work queue with per-worker scratch
-// arenas. The hash grid and direction lattice are read-only and shared
-// by all workers. The caller fills in IndexDur/TotalDur/Index after
-// indexing.
-func DeriveCR3Sets(objs []uncertain3.Object3, domain geom3.Box, opts Options3) ([][]int32, BuildStats3, error) {
+// Build3 constructs the 3D UV-index over the objects: derive each
+// object's cr-set through the hash-grid substrate — on the same
+// derive.Each driver as the 2D engine, with per-worker scratch arenas;
+// the grid and direction lattice are read-only and shared — insert into
+// the octree sequentially (the octree is not concurrency-safe), seal.
+// Objects must carry dense IDs 0..n−1 (ErrSparseIDs) with in-domain
+// centers (ErrOutOfDomain3). The index — leaf lists, stats and query
+// answers — is bitwise identical to Build3Reference's at every worker
+// count.
+func Build3(objs []uncertain3.Object3, domain geom3.Box, opts Options3) (*OctIndex, BuildStats3, error) {
 	if err := validate3(objs, domain); err != nil {
 		return nil, BuildStats3{}, err
 	}
+	t0 := time.Now()
 	opts.normalize()
 	stats := BuildStats3{N: len(objs), Strategy: StrategyIC3}
 	grid := NewHashGrid3(objs, domain, 0)
 	dirs := geom3.FibonacciSphere(opts.Dirs)
 	crSets := make([][]int32, len(objs))
-
-	if opts.Workers > 1 {
-		var (
-			wg     sync.WaitGroup
-			mu     sync.Mutex
-			prune  time.Duration
-			sumCR  int64
-			next   = make(chan int)
-			labels = pprof.Labels("engine", "uv3", "stage", "derive")
-		)
-		for w := 0; w < opts.Workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				pprof.Do(context.Background(), labels, func(context.Context) {
-					sc := NewDeriveScratch3()
-					var localDur time.Duration
-					var localCR int64
-					for i := range next {
-						p0 := time.Now()
-						ids, _ := DeriveCR3(grid, objs[i], objs, domain, dirs, sc)
-						localDur += time.Since(p0)
-						localCR += int64(len(ids))
-						crSets[i] = ids
-					}
-					mu.Lock()
-					prune += localDur
-					sumCR += localCR
-					mu.Unlock()
-				})
-			}()
-		}
-		for i := range objs {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
-		stats.PruneDur, stats.SumCR = prune, sumCR
-	} else {
-		pprof.Do(context.Background(), pprof.Labels("engine", "uv3", "stage", "derive"), func(context.Context) {
-			sc := NewDeriveScratch3()
-			for i := range objs {
-				p0 := time.Now()
-				ids, _ := DeriveCR3(grid, objs[i], objs, domain, dirs, sc)
-				stats.PruneDur += time.Since(p0)
-				stats.SumCR += int64(len(ids))
-				crSets[i] = ids
-			}
+	type worker struct {
+		sc    *DeriveScratch3
+		prune time.Duration
+		sumCR int64
+	}
+	everyID := func(int32) bool { return true } // no tombstones in 3D
+	workers := derive.Each(len(objs), everyID, opts.Workers, pprof.Labels("engine", "uv3", "stage", "derive"),
+		func() *worker { return &worker{sc: NewDeriveScratch3()} },
+		func(w *worker, i int) {
+			p0 := time.Now()
+			crSets[i], _ = DeriveCR3(grid, objs[i], objs, domain, dirs, w.sc)
+			w.prune += time.Since(p0)
+			w.sumCR += int64(len(crSets[i]))
 		})
+	for _, w := range workers {
+		stats.PruneDur += w.prune
+		stats.SumCR += w.sumCR
 	}
-	return crSets, stats, nil
-}
-
-// Build3 constructs the 3D UV-index over the objects: derive each
-// object's cr-set through the hash-grid substrate (Workers-parallel,
-// per-worker scratch arenas), insert into the octree sequentially (the
-// octree is not concurrency-safe), seal. Objects must carry dense IDs
-// 0..n−1 (ErrSparseIDs) with in-domain centers (ErrOutOfDomain3). The
-// index — leaf lists, stats and query answers — is bitwise identical to
-// Build3Reference's at every worker count.
-func Build3(objs []uncertain3.Object3, domain geom3.Box, opts Options3) (*OctIndex, BuildStats3, error) {
-	t0 := time.Now()
-	crSets, stats, err := DeriveCR3Sets(objs, domain, opts)
-	if err != nil {
-		return nil, stats, err
-	}
-	opts.normalize()
 	ix := NewOctIndex(objs, domain, opts)
 	pprof.Do(context.Background(), pprof.Labels("engine", "uv3", "stage", "index"), func(context.Context) {
 		i0 := time.Now()

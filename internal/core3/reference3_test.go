@@ -19,7 +19,7 @@ import (
 // oracle the scratch-threaded DeriveCR3 is compared against.
 func DeriveCR3Reference(grid *HashGrid3, oi uncertain3.Object3, objs []uncertain3.Object3, domain geom3.Box, dirs []geom3.Point3) ([]int32, *PossibleRegion3) {
 	pr := NewPossibleRegion3(oi.Region.C, domain)
-	for _, id := range nearestSeeds(grid, oi, objs, domain, seedCount) {
+	for _, id := range nearestSeedsInto(grid, oi, objs, domain, seedCount, nil, &seedSorter3{}) {
 		pr.AddObject(oi, objs[id])
 	}
 	d := pr.MaxRadius(dirs)

@@ -33,18 +33,6 @@ func NewConstraint3(oi, oj uncertain3.Object3) (Constraint3, bool) {
 	return Constraint3{Obj: oj.ID, Edge: e}, true
 }
 
-// ExcludesBox reports whether the whole box lies inside the outside
-// region, by the 8-corner test: the outside region is convex, so
-// containment of all corners implies containment of the box.
-func (c Constraint3) ExcludesBox(b geom3.Box) bool {
-	for _, p := range b.Corners() {
-		if !c.Edge.InOutside(p) {
-			return false
-		}
-	}
-	return true
-}
-
 // PossibleRegion3 is a region covering an object's 3D UV-cell,
 // represented radially around the object center (star-shaped by the
 // same triangle-inequality argument as in 2D).
@@ -52,19 +40,6 @@ type PossibleRegion3 struct {
 	center geom3.Point3
 	domain geom3.Box
 	cons   []Constraint3
-	prof   profile3
-}
-
-// profile3 caches the region's radial extent over one direction
-// lattice: radius[i] is the fold of the domain exit and the first
-// `applied` constraints along dirs[i]. Constraints only ever shrink the
-// radius, so appending constraints needs just the suffix cons[applied:]
-// folded in — and the buffer is retained across Reset, so a derivation
-// worker's whole object stream shares one lattice-sized allocation.
-type profile3 struct {
-	dirs    []geom3.Point3 // lattice identity (length + base pointer)
-	applied int            // cons[:applied] are folded into radius
-	radius  []float64
 }
 
 // NewPossibleRegion3 starts the region as the whole domain.
@@ -73,14 +48,12 @@ func NewPossibleRegion3(center geom3.Point3, domain geom3.Box) *PossibleRegion3 
 }
 
 // Reset re-centers the region and drops every constraint while keeping
-// the constraint and profile storage for reuse — the steady-state entry
-// point of the derivation fast path.
+// the constraint storage for reuse — the steady-state entry point of
+// the derivation fast path.
 func (p *PossibleRegion3) Reset(center geom3.Point3, domain geom3.Box) {
 	p.center = center
 	p.domain = domain
 	p.cons = p.cons[:0]
-	p.prof.dirs = nil
-	p.prof.applied = 0
 }
 
 // Center returns the star center.
@@ -141,53 +114,14 @@ func (p *PossibleRegion3) MaxRadius(dirs []geom3.Point3) float64 {
 			d = r
 		}
 	}
-	// Lattice resolution: mean angular spacing ~ sqrt(4π/n); the radial
-	// function of a convex-complement region can overshoot a sample by
-	// a factor ~ 1/cos(spacing).
-	n := len(dirs)
-	if n < 1 {
-		n = 1
-	}
-	spacing := math.Sqrt(4 * math.Pi / float64(n))
-	return d * (1 + 2*spacing*spacing)
+	return inflate(d, len(dirs))
 }
 
-// maxRadiusProfiled is MaxRadius through the region's reusable radius
-// profile: the per-direction fold lives in a retained buffer and only
-// constraints added since the last call are folded in. The per-
-// direction values run RadiusDir's exact comparisons in the same order
-// and the max/inflation arithmetic is MaxRadius's, so the result is
-// bitwise identical to MaxRadius(dirs).
-func (p *PossibleRegion3) maxRadiusProfiled(dirs []geom3.Point3) float64 {
-	pr := &p.prof
-	same := len(pr.dirs) == len(dirs) &&
-		(len(dirs) == 0 || &pr.dirs[0] == &dirs[0])
-	if !same {
-		pr.dirs = dirs
-		pr.applied = 0
-		if cap(pr.radius) < len(dirs) {
-			pr.radius = make([]float64, len(dirs))
-		}
-		pr.radius = pr.radius[:len(dirs)]
-		for i, u := range dirs {
-			pr.radius[i] = p.domain.RayExit(p.center, u)
-		}
-	}
-	for ; pr.applied < len(p.cons); pr.applied++ {
-		c := &p.cons[pr.applied]
-		for i, u := range dirs {
-			if t, ok := c.Edge.RadialBound(u); ok && t < pr.radius[i] {
-				pr.radius[i] = t
-			}
-		}
-	}
-	d := 0.0
-	for _, r := range pr.radius {
-		if r > d {
-			d = r
-		}
-	}
-	n := len(dirs)
+// inflate applies MaxRadius's safety factor to d, the largest radius
+// sampled over a lattice of n directions: the mean angular spacing is
+// ~ sqrt(4π/n), and the radial function of a convex-complement region
+// can overshoot a sample by a factor ~ 1/cos(spacing).
+func inflate(d float64, n int) float64 {
 	if n < 1 {
 		n = 1
 	}

@@ -3,6 +3,7 @@ package core3
 import (
 	"math"
 
+	"uvdiagram/internal/derive"
 	"uvdiagram/internal/geom3"
 	"uvdiagram/internal/uncertain3"
 )
@@ -11,87 +12,56 @@ import (
 // worker: the expanding-ball seed buffer, the fixpoint candidate
 // buffer pooled with the hash grid's center-range collection, the
 // possible region whose constraint storage persists across the
-// worker's whole object stream, and the cross-round bound cache — so
+// worker's whole object stream, and the cross-round bound table — so
 // steady-state DeriveCR3 allocates only the returned cr-set. A scratch
 // is owned by exactly one goroutine; Build3 gives each worker its own.
 type DeriveScratch3 struct {
 	seeds  []int32
-	cands  []int32
 	region PossibleRegion3
 	sorter seedSorter3
-
-	// Cross-round bound cache, valid for one DeriveCR3 call. The radial
-	// bound of one candidate along one lattice direction is a pure
-	// function of the two uncertainty regions, so the fixpoint rounds —
-	// whose candidate sets largely overlap — share one evaluation per
-	// (candidate, direction) pair instead of re-deriving the hyperboloid
-	// bounds every round.
-	rowIdx  []int32       // object id → row index (−1 = no edge); valid when rowGen matches gen
-	rowGen  []uint32      // generation stamp per object id
-	gen     uint32        // current derive call's generation
-	rows    [][]float64   // pooled bound rows over the lattice (+Inf = no bound)
-	edges   []Constraint3 // cached constraints parallel to rows
-	used    int           // rows/edges in use for the current object
-	rayExit []float64     // domain exit per direction for the current center
-	radius  []float64     // per-direction working fold
+	run    deriver3
 }
 
 // NewDeriveScratch3 returns an empty scratch; buffers grow on first use
 // and are retained across calls.
 func NewDeriveScratch3() *DeriveScratch3 { return &DeriveScratch3{} }
 
-// beginObject starts a new derive call: it invalidates the bound cache
-// by bumping the generation stamp and precomputes the domain exits for
-// the object's center (pure per direction, shared by every round).
-func (sc *DeriveScratch3) beginObject(oi uncertain3.Object3, domain geom3.Box, dirs []geom3.Point3, n int) {
-	if len(sc.rowIdx) < n {
-		sc.rowIdx = make([]int32, n)
-		sc.rowGen = make([]uint32, n)
-		sc.gen = 0
-	}
-	sc.gen++
-	if sc.gen == 0 { // generation counter wrapped: drop every stamp
-		for i := range sc.rowGen {
-			sc.rowGen[i] = 0
-		}
-		sc.gen = 1
-	}
-	sc.used = 0
-	if cap(sc.rayExit) < len(dirs) {
-		sc.rayExit = make([]float64, len(dirs))
-		sc.radius = make([]float64, len(dirs))
-	}
-	sc.rayExit = sc.rayExit[:len(dirs)]
-	sc.radius = sc.radius[:len(dirs)]
+// deriver3 is the 3D engine's side of internal/derive for one DeriveCR3
+// call: it fills the bound table's rows over the direction lattice,
+// answers the fixpoint's range queries off the hash grid and bounds the
+// region's radius with MaxRadius's inflation. It lives inside the
+// DeriveScratch3 so that handing it to derive.Fixpoint as an interface
+// allocates nothing.
+type deriver3 struct {
+	tab   derive.Table
+	edges []Constraint3 // cached constraints, by table row
+	cands []int32       // the fixpoint's candidate set
+
+	// The call in flight.
+	grid *HashGrid3
+	oi   uncertain3.Object3
+	objs []uncertain3.Object3
+	dirs []geom3.Point3
+}
+
+// begin starts a new derive call: it drops the previous object's rows
+// and precomputes the domain exits for the object's center (pure per
+// direction, shared by every round).
+func (e *deriver3) begin(grid *HashGrid3, oi uncertain3.Object3, objs []uncertain3.Object3, domain geom3.Box, dirs []geom3.Point3) {
+	e.grid, e.oi, e.objs, e.dirs = grid, oi, objs, dirs
+	e.tab.Begin(len(objs), len(dirs))
 	for i, u := range dirs {
-		sc.rayExit[i] = domain.RayExit(oi.Region.C, u)
+		e.tab.Exit[i] = domain.RayExit(oi.Region.C, u)
 	}
 }
 
-// rowFor returns the cached bound row of candidate oj against the
-// current object, building the constraint and evaluating its radial
-// bounds over the lattice on first touch. A negative index means the
-// uncertainty regions overlap (no edge, nothing to fold).
-func (sc *DeriveScratch3) rowFor(oi, oj uncertain3.Object3, dirs []geom3.Point3) int32 {
-	j := oj.ID
-	if sc.rowGen[j] == sc.gen {
-		return sc.rowIdx[j]
-	}
-	sc.rowGen[j] = sc.gen
-	c, ok := NewConstraint3(oi, oj)
+// FillRow implements derive.Filler: candidate j's constraint and its
+// hyperboloid bounds over the lattice.
+func (e *deriver3) FillRow(j int32, idx int, row []float64) bool {
+	c, ok := NewConstraint3(e.oi, e.objs[j])
 	if !ok {
-		sc.rowIdx[j] = -1
-		return -1
+		return false
 	}
-	if sc.used == len(sc.rows) {
-		sc.rows = append(sc.rows, make([]float64, len(dirs)))
-		sc.edges = append(sc.edges, Constraint3{})
-	}
-	row := sc.rows[sc.used]
-	if cap(row) < len(dirs) {
-		row = make([]float64, len(dirs))
-	}
-	row = row[:len(dirs)]
 	// RadialBound with the edge's pure per-edge subexpressions (the
 	// existence test — true here by construction — the focal offset w
 	// and the numerator S²−|w|²) hoisted out of the per-direction loop:
@@ -101,51 +71,54 @@ func (sc *DeriveScratch3) rowFor(oi, oj uncertain3.Object3, dirs []geom3.Point3)
 	s := c.Edge.S
 	num := s*s - w.NormSq()
 	inf := math.Inf(1)
-	for i, u := range dirs {
+	for i, u := range e.dirs {
 		if den := w.Dot(u) + s; den < 0 {
 			row[i] = num / (2 * den)
 		} else {
 			row[i] = inf
 		}
 	}
-	sc.rows[sc.used] = row
-	sc.edges[sc.used] = c
-	sc.rowIdx[j] = int32(sc.used)
-	sc.used++
-	return sc.rowIdx[j]
+	e.edges = append(e.edges[:idx], c)
+	return true
 }
 
-// foldMax returns the inflated maximum radius of the region bounded by
-// the domain and the listed candidates' constraints. Per direction it
-// runs MaxRadius's exact fold — domain exit first, then each
-// constraint's bound in list order — over cached rows (+Inf compares
-// exactly like a missing bound), and applies MaxRadius's inflation, so
-// the value is bitwise identical to building the region and calling
-// MaxRadius(dirs).
-func (sc *DeriveScratch3) foldMax(oi uncertain3.Object3, objs []uncertain3.Object3, ids []int32, dirs []geom3.Point3) float64 {
-	copy(sc.radius, sc.rayExit)
-	for _, j := range ids {
-		idx := sc.rowFor(oi, objs[j], dirs)
-		if idx < 0 {
-			continue
-		}
-		row := sc.rows[idx]
-		for i, t := range row {
-			if t < sc.radius[i] {
-				sc.radius[i] = t
+// Range implements derive.Pruner over the hash grid, which collects in
+// ascending id order (or by brute force without one).
+func (e *deriver3) Range(radius float64, buf []int32) []int32 {
+	c, self := e.oi.Region.C, e.oi.ID
+	if e.grid == nil {
+		for j := range e.objs {
+			if e.objs[j].ID != self && e.objs[j].Region.C.Dist(c) <= radius {
+				buf = append(buf, e.objs[j].ID)
 			}
 		}
+		return buf
 	}
+	buf = e.grid.CenterRangeInto(geom3.Sphere{C: c, R: radius}, buf)
+	w := 0
+	for _, id := range buf {
+		if id != self {
+			buf[w] = id
+			w++
+		}
+	}
+	return buf[:w]
+}
+
+// Bound implements derive.Pruner: the inflated maximum radius of the
+// region bounded by the domain and the candidates' constraints. Per
+// direction the table runs MaxRadius's exact fold — domain exit first,
+// then each constraint's bound in list order — over cached rows (+Inf
+// compares exactly like a missing bound), and the max/inflation
+// arithmetic is MaxRadius's, so the value is bitwise identical to
+// building the region and calling MaxRadius(dirs).
+func (e *deriver3) Bound(cands []int32) float64 {
+	e.tab.Activate(cands, e)
 	d := 0.0
-	for _, r := range sc.radius {
+	for _, r := range e.tab.Fold(1) {
 		if r > d {
 			d = r
 		}
 	}
-	n := len(dirs)
-	if n < 1 {
-		n = 1
-	}
-	spacing := math.Sqrt(4 * math.Pi / float64(n))
-	return d * (1 + 2*spacing*spacing)
+	return inflate(d, len(e.dirs))
 }

@@ -70,11 +70,6 @@ func (r Rect) Union(s Rect) Rect {
 	}
 }
 
-// ExpandPoint returns the smallest rectangle containing r and p.
-func (r Rect) ExpandPoint(p Point) Rect {
-	return r.Union(Rect{p, p})
-}
-
 // Corners returns the four corner points of r in counter-clockwise order
 // starting at Min.
 func (r Rect) Corners() [4]Point {

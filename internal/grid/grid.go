@@ -74,9 +74,6 @@ func (g *Index) Len() int { return g.numItems }
 // Pager exposes the underlying pager for I/O accounting.
 func (g *Index) Pager() *pager.Pager { return g.pg }
 
-// CellsPerSide returns the grid resolution.
-func (g *Index) CellsPerSide() int { return g.n }
-
 func (g *Index) writeCell(objs []uncertain.Object, list []int32) []pager.PageID {
 	tuples := make([]pager.LeafTuple, len(list))
 	for i, id := range list {

@@ -66,7 +66,7 @@ func (sh *shard) ep() *indexEpoch { return sh.epoch.Load() }
 
 // shardLayout is one immutable generation of the shard layout: the grid
 // shape, the cut coordinates and the shard states. The DB publishes a
-// layout with one atomic pointer store (Build, Load, Reshard), so a
+// layout with one atomic pointer store (Build, Open, Reshard), so a
 // query routing through a loaded layout can never see half-updated
 // cuts or a shard slice that does not match them.
 type shardLayout struct {

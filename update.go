@@ -404,7 +404,7 @@ func (db *DB) compactShardLocked(lo *shardLayout, i int) {
 	}
 	t0 := time.Now()
 	old := sh.ep()
-	ix, _ := core.BuildRegionCR(db.store, sh.rect, db.cr, db.bopts.Index)
+	ix, _ := core.BuildRegionCR(db.store, sh.rect, db.cr, 1, db.bopts.Index)
 	ix.SetReclaimDomain(db.egc)
 	sh.epoch.Store(&indexEpoch{index: ix, gen: old.gen + 1})
 	// The full-build statistics snapshot keeps its phase timings; only

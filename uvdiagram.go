@@ -500,7 +500,7 @@ func (db *DB) buildShards(lo *shardLayout, cr *core.CRState, stats *BuildStats, 
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ix, dur := core.BuildRegionCR(db.store, lo.shards[i].rect, cr, db.bopts.Index)
+			ix, dur := core.BuildRegionCR(db.store, lo.shards[i].rect, cr, 1, db.bopts.Index)
 			results[i] = built{ix: ix, dur: dur}
 		}(i)
 	}
