@@ -37,6 +37,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -47,6 +48,18 @@ import (
 	"uvdiagram"
 	"uvdiagram/internal/server"
 )
+
+// printMetrics writes the server's flattened metric set as an aligned
+// name/value table.
+func printMetrics(w io.Writer, ms []server.Metric) {
+	width := 0
+	for _, m := range ms {
+		width = max(width, len(m.Name))
+	}
+	for _, m := range ms {
+		fmt.Fprintf(w, "%-*s  %g\n", width, m.Name, m.Value)
+	}
+}
 
 func main() {
 	addr := flag.String("addr", "localhost:7031", "server address")
@@ -93,13 +106,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		width := 0
-		for _, m := range ms {
-			width = max(width, len(m.Name))
-		}
-		for _, m := range ms {
-			fmt.Printf("%-*s  %g\n", width, m.Name, m.Value)
-		}
+		printMetrics(os.Stdout, ms)
 
 	case "pnn":
 		x, y := f64(rest, 0), f64(rest, 1)

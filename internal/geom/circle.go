@@ -50,25 +50,43 @@ func (c Circle) OverlapsRect(r Rect) bool {
 }
 
 // LensArea returns the area of the intersection of the two disks.
-// It is exact (up to floating point) via the standard circular-segment
-// formula and handles containment and disjointness.
 func LensArea(a, b Circle) float64 {
-	if a.R == 0 || b.R == 0 {
+	return LensAreaAt(a.C.Dist(b.C), a.R, b.R)
+}
+
+// LensAreaAt is LensArea on hoisted scalars: the intersection area of
+// two disks of radii ra and rb whose centres are d apart. It is exact
+// (up to floating point) and handles containment and disjointness.
+// Callers that sweep one radius against a fixed pair of centres (the
+// probability kernel) compute d once instead of once per evaluation.
+//
+// s = √((−d+ra+rb)(d+ra−rb)(d−ra+rb)(d+ra+rb)) is four times the area
+// of the triangle (d, ra, rb). The half-angles the chord subtends at the
+// two centres have sines s/(2·d·ra), s/(2·d·rb) and, by the cosine rule,
+// cosines (d²+ra²−rb²)/(2·d·ra), (d²+rb²−ra²)/(2·d·rb); atan2 takes each
+// pair without its common positive denominator, and the triangle terms
+// ra²·sinα·cosα + rb²·sinβ·cosβ sum to s/2. Taking the sine from the
+// factored product keeps the angle accurate near tangency, where acos
+// of the cosine alone loses the bits that used to cancel against
+// sin·cos.
+func LensAreaAt(d, ra, rb float64) float64 {
+	if ra == 0 || rb == 0 {
 		return 0
 	}
-	d := a.C.Dist(b.C)
-	if d >= a.R+b.R {
+	if d >= ra+rb {
 		return 0
 	}
-	if d <= math.Abs(a.R-b.R) {
-		r := math.Min(a.R, b.R)
+	if d <= math.Abs(ra-rb) {
+		r := math.Min(ra, rb)
 		return math.Pi * r * r
 	}
-	// Half-angles subtended by the chord at each center.
-	alpha := math.Acos(clamp((d*d+a.R*a.R-b.R*b.R)/(2*d*a.R), -1, 1))
-	beta := math.Acos(clamp((d*d+b.R*b.R-a.R*a.R)/(2*d*b.R), -1, 1))
-	return a.R*a.R*(alpha-math.Sin(alpha)*math.Cos(alpha)) +
-		b.R*b.R*(beta-math.Sin(beta)*math.Cos(beta))
+	k := (-d + ra + rb) * (d + ra - rb) * (d - ra + rb) * (d + ra + rb)
+	if k < 0 {
+		k = 0
+	}
+	s := math.Sqrt(k)
+	t := ra*ra - rb*rb
+	return ra*ra*math.Atan2(s, d*d+t) + rb*rb*math.Atan2(s, d*d-t) - s/2
 }
 
 // clamp restricts v to [lo, hi]; used to guard acos against rounding.

@@ -122,3 +122,86 @@ func TestLensAreaSymmetry(t *testing.T) {
 		}
 	}
 }
+
+// stripLensArea is the area of the intersection of the disks of radii
+// ra and rb whose centres are d apart, by integrating the height of the
+// overlap of their two chords over the abscissa — a check that shares
+// no formula with LensAreaAt (nor with the acos/sin/cos form it
+// replaced): square roots only. With disk A at the origin and disk B at
+// (d, 0), the chord at x has half-height √((ra−x)(ra+x)) in A and
+// √((rb−(x−d))(rb+(x−d))) in B, and the lower of the two switches only
+// at the radical line. Each side of it is integrated by composite
+// Simpson under x = a + (b−a)(3u²−2u³), which cancels the square-root
+// singularity where a chord closes.
+func stripLensArea(d, ra, rb float64) float64 {
+	lo, hi := math.Max(-ra, d-rb), math.Min(ra, d+rb)
+	if hi <= lo {
+		return 0
+	}
+	height := func(x float64) float64 {
+		ha := (ra - x) * (ra + x)
+		hb := (rb - (x - d)) * (rb + (x - d))
+		if h := math.Min(ha, hb); h > 0 {
+			return 2 * math.Sqrt(h)
+		}
+		return 0
+	}
+	piece := func(a, b float64) float64 {
+		const n = 4096 // Simpson intervals (even)
+		sum := 0.0
+		for i := 0; i <= n; i++ {
+			u := float64(i) / n
+			f := height(a+(b-a)*u*u*(3-2*u)) * 6 * u * (1 - u)
+			switch {
+			case i == 0 || i == n:
+				sum += f
+			case i%2 == 1:
+				sum += 4 * f
+			default:
+				sum += 2 * f
+			}
+		}
+		return sum * (b - a) / (3 * n)
+	}
+	if d > 0 {
+		if cut := (d*d + ra*ra - rb*rb) / (2 * d); cut > lo && cut < hi {
+			return piece(lo, cut) + piece(cut, hi)
+		}
+	}
+	return piece(lo, hi)
+}
+
+// TestLensAreaAtMatchesStripIntegration pins LensAreaAt to ≤ 1e-7
+// relative against stripLensArea on a seeded grid of generic,
+// near-tangent (the lens is a sliver 1e-2 … 1e-5 of the smaller radius
+// wide) and near-contained (the smaller disk pokes out by as little)
+// pairs.
+func TestLensAreaAtMatchesStripIntegration(t *testing.T) {
+	rng := rand.New(rand.NewSource(20100301))
+	worst := 0.0
+	for trial := 0; trial < 600; trial++ {
+		ra := math.Pow(10, rng.Float64()*5-2)
+		rb := ra * math.Pow(10, rng.Float64()*4-2)
+		small := math.Min(ra, rb)
+		gap := small * math.Pow(10, -2-3*rng.Float64())
+		var d float64
+		switch trial % 3 {
+		case 0: // generic partial overlap
+			d = math.Abs(ra-rb) + (ra+rb-math.Abs(ra-rb))*rng.Float64()
+		case 1: // near external tangency
+			d = ra + rb - gap
+		case 2: // near internal tangency
+			d = math.Abs(ra-rb) + gap
+		}
+		got, want := LensAreaAt(d, ra, rb), stripLensArea(d, ra, rb)
+		if got <= 0 || want <= 0 {
+			t.Fatalf("trial %d: d=%v ra=%v rb=%v: lens %v, strips %v", trial, d, ra, rb, got, want)
+		}
+		rel := math.Abs(got-want) / want
+		worst = math.Max(worst, rel)
+		if rel > 1e-7 {
+			t.Errorf("trial %d: d=%v ra=%v rb=%v: lens %v, strips %v (rel %.3g)", trial, d, ra, rb, got, want, rel)
+		}
+	}
+	t.Logf("max relative difference %.3g", worst)
+}

@@ -11,15 +11,18 @@ import (
 const DefaultSteps = 200
 
 // Scratch holds the reusable buffers of the probability integration —
-// the answer-set index list and the out/fPrev/fNext/fMid vectors that
-// Probs used to allocate per query. Batch engines keep one per worker
-// (pooled through batchState) so steady-state PNN probability
-// computation allocates nothing. A scratch is single-goroutine state;
-// slices returned through it are valid until the next call with the
-// same scratch.
+// the answer-set index list, the candidates' sweep state with the rings
+// behind it, and the out/fPrev/fNext/fMid vectors that Probs used
+// to allocate per query. Batch engines keep one per worker (pooled
+// through batchState) so steady-state PNN probability computation
+// allocates nothing. A scratch is single-goroutine state; slices
+// returned through it are valid until the next call with the same
+// scratch.
 type Scratch struct {
 	out   []float64
 	ans   []int
+	sw    []sweep // one per candidate
+	rings []ring  // backing store of the answer set's sweep rings
 	fPrev []float64
 	fNext []float64
 	fMid  []float64
@@ -64,7 +67,14 @@ func ProbsScratch(objs []uncertain.Object, q geom.Point, steps int, sc *Scratch)
 	for i := range out {
 		out[i] = 0
 	}
-	sc.ans = answerSetInto(sc.ans[:0], objs, q)
+	sw := sc.sw[:0]
+	for i := range objs {
+		sw = append(sw, reach(objs[i], q))
+	}
+	sc.sw = sw
+	sc.ans = answerSetInto(sc.ans[:0], len(sw), func(i int) (float64, float64) {
+		return sw[i].min, sw[i].max
+	})
 	ans := sc.ans
 	switch len(ans) {
 	case 0:
@@ -79,11 +89,13 @@ func ProbsScratch(objs []uncertain.Object, q geom.Point, steps int, sc *Scratch)
 	// survival factor kills every other product), so [lo, dminmax]
 	// suffices — which is also why the dminmax candidate filter of [14]
 	// is exact.
-	lo := math.Inf(1)
+	lo, hi := math.Inf(1), math.Inf(1)
 	for _, i := range ans {
-		lo = math.Min(lo, objs[i].DistMin(q))
+		lo = math.Min(lo, sw[i].min)
 	}
-	hi, _ := Dminmax(objs, q)
+	for i := range sw {
+		hi = math.Min(hi, sw[i].max)
+	}
 	if hi <= lo {
 		// Degenerate support (can happen with coincident point objects):
 		// split the mass evenly among answer objects.
@@ -98,15 +110,17 @@ func ProbsScratch(objs []uncertain.Object, q geom.Point, steps int, sc *Scratch)
 	fPrev := sc.floats(&sc.fPrev, k)
 	fNext := sc.floats(&sc.fNext, k)
 	fMid := sc.floats(&sc.fMid, k)
+	sc.rings = sc.rings[:0]
 	for a, i := range ans {
-		fPrev[a] = DistanceCDF(objs[i], q, lo)
+		sw[i], sc.rings = sw[i].arm(objs[i], sc.rings)
+		fPrev[a] = sw[i].cdf(lo)
 	}
 	for t := 0; t < steps; t++ {
 		r1 := lo + float64(t+1)*h
 		mid := lo + (float64(t)+0.5)*h
 		for a, i := range ans {
-			fNext[a] = DistanceCDF(objs[i], q, r1)
-			fMid[a] = DistanceCDF(objs[i], q, mid)
+			fNext[a] = sw[i].cdf(r1)
+			fMid[a] = sw[i].cdf(mid)
 		}
 		for a := range ans {
 			df := fNext[a] - fPrev[a]

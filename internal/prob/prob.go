@@ -2,8 +2,7 @@
 // objects: the exact answer-set predicate, distance distributions via
 // ring/disk lens areas, the numerical-integration method of Cheng et
 // al. (TKDE 2004, reference [14] of the paper), a Monte-Carlo estimator
-// in the spirit of [25], and verifier-style probability bounds in the
-// spirit of [15].
+// in the spirit of [25].
 package prob
 
 import (
@@ -13,41 +12,77 @@ import (
 	"uvdiagram/internal/uncertain"
 )
 
-// DistanceCDF returns F(r) = P(dist(q, X) ≤ r) where X is the object's
-// uncertain position. It is exact for the ring-histogram pdf model: the
-// mass of each ring inside the disk Cir(q, r) is proportional to the
-// lens area between that disk and the ring.
-func DistanceCDF(o uncertain.Object, q geom.Point, r float64) float64 {
-	if o.Region.R == 0 {
-		if r >= q.Dist(o.Region.C) {
+// sweep is the per-(object, query) state of the distance CDF: what is
+// fixed while the integration sweeps its 401 radii over one candidate.
+// reach fills the distances (one Hypot per candidate, read by the
+// answer-set predicate, the integration support and the CDF alike); arm
+// adds what only answer-set objects need to evaluate F.
+type sweep struct {
+	d        float64 // dist(q, centre)
+	min, max float64 // distmin, distmax (Equations 2 and 3)
+	area     float64 // πR²; 0 for a point object
+	rings    []ring
+}
+
+// ring is one term of the telescoped ring sum. Ring k of an n-bin pdf
+// has density u_k = Bin(k)·n²/(2k+1) per 1/(πR²) of area, and its outer
+// disk (radius R·(k+1)/n) is ring k+1's inner disk, so the mass of any
+// region A is (1/πR²)·Σ_j c_j·area(A ∩ disk(centre, R·j/n)) with
+// c_j = u_{j−1} − u_j, u_n = 0: n lens areas where summing ring by ring
+// takes 2n (one for a uniform pdf, up to rounding in its weights).
+type ring struct {
+	r float64 // R·j/n
+	c float64 // c_j; rings whose c_j is 0 are left out
+}
+
+func reach(o uncertain.Object, q geom.Point) sweep {
+	d := q.Dist(o.Region.C)
+	return sweep{d: d, min: math.Max(d-o.Region.R, 0), max: d + o.Region.R}
+}
+
+// arm returns s completed for o, appending its rings to buf (the
+// caller's reusable backing store) and returning the grown buffer.
+func (s sweep) arm(o uncertain.Object, buf []ring) (sweep, []ring) {
+	R, n, at := o.Region.R, o.PDF.Bins(), len(buf)
+	s.area = math.Pi * R * R
+	nn := float64(n) * float64(n)
+	u := o.PDF.Bin(0) * nn
+	for j := 1; j <= n; j++ {
+		next := 0.0
+		if j < n {
+			next = o.PDF.Bin(j) * nn / float64(2*j+1)
+		}
+		if u != next {
+			buf = append(buf, ring{r: R * float64(j) / float64(n), c: u - next})
+		}
+		u = next
+	}
+	s.rings = buf[at:]
+	return s, buf
+}
+
+// cdf returns F(r) = P(dist(q, X) ≤ r), exact for the ring-histogram
+// pdf model: the telescoped sum of the lens areas between the disk
+// Cir(q, r) and the ring boundary disks, all at the hoisted centre
+// distance.
+func (s *sweep) cdf(r float64) float64 {
+	if s.area == 0 {
+		if r >= s.d {
 			return 1
 		}
 		return 0
 	}
-	if r <= o.DistMin(q) {
+	if r <= s.min {
 		return 0
 	}
-	if r >= o.DistMax(q) {
+	if r >= s.max {
 		return 1
 	}
-	disk := geom.Circle{C: q, R: r}
-	n := o.PDF.Bins()
 	acc := 0.0
-	for k := 0; k < n; k++ {
-		w := o.PDF.Bin(k)
-		if w == 0 {
-			continue
-		}
-		a := o.Region.R * float64(k) / float64(n)
-		b := o.Region.R * float64(k+1) / float64(n)
-		ringArea := math.Pi * (b*b - a*a)
-		if ringArea <= 0 {
-			continue
-		}
-		part := geom.LensArea(disk, geom.Circle{C: o.Region.C, R: b}) -
-			geom.LensArea(disk, geom.Circle{C: o.Region.C, R: a})
-		acc += w * part / ringArea
+	for _, g := range s.rings {
+		acc += g.c * geom.LensAreaAt(s.d, r, g.r)
 	}
+	acc /= s.area
 	if acc < 0 {
 		return 0
 	}
@@ -55,6 +90,14 @@ func DistanceCDF(o uncertain.Object, q geom.Point, r float64) float64 {
 		return 1
 	}
 	return acc
+}
+
+// DistanceCDF returns F(r) = P(dist(q, X) ≤ r) where X is the object's
+// uncertain position: the sweep state set up and evaluated once.
+func DistanceCDF(o uncertain.Object, q geom.Point, r float64) float64 {
+	var rings [uncertain.DefaultBins]ring // larger pdfs spill to the heap
+	s, _ := reach(o, q).arm(o, rings[:0])
+	return s.cdf(r)
 }
 
 // Dminmax returns min_i distmax(q, Oi), the verification bound of [14]
@@ -74,13 +117,16 @@ func Dminmax(objs []uncertain.Object, q geom.Point) (float64, int) {
 // positive qualification probability at q: exactly those with
 // distmin(Oi, q) < min_{j≠i} distmax(Oj, q).
 func AnswerSet(objs []uncertain.Object, q geom.Point) []int {
-	return answerSetInto(nil, objs, q)
+	return answerSetInto(nil, len(objs), func(i int) (float64, float64) {
+		s := reach(objs[i], q)
+		return s.min, s.max
+	})
 }
 
-// answerSetInto is AnswerSet appending into a caller-owned buffer (the
-// integration scratch path).
-func answerSetInto(ans []int, objs []uncertain.Object, q geom.Point) []int {
-	n := len(objs)
+// answerSetInto is AnswerSet over n candidates whose (distmin, distmax)
+// the caller supplies, appending into a caller-owned buffer (the
+// integration scratch path reads them from its sweep state).
+func answerSetInto(ans []int, n int, span func(i int) (min, max float64)) []int {
 	if n == 0 {
 		return ans
 	}
@@ -90,20 +136,20 @@ func answerSetInto(ans []int, objs []uncertain.Object, q geom.Point) []int {
 	// Two smallest distmax values decide min_{j≠i}.
 	m1, m2 := math.Inf(1), math.Inf(1)
 	arg1 := -1
-	for i := range objs {
-		d := objs[i].DistMax(q)
+	for i := 0; i < n; i++ {
+		_, d := span(i)
 		if d < m1 {
 			m1, m2, arg1 = d, m1, i
 		} else if d < m2 {
 			m2 = d
 		}
 	}
-	for i := range objs {
+	for i := 0; i < n; i++ {
 		other := m1
 		if i == arg1 {
 			other = m2
 		}
-		if objs[i].DistMin(q) < other {
+		if near, _ := span(i); near < other {
 			ans = append(ans, i)
 		}
 	}

@@ -201,41 +201,3 @@ func TestProbsSingleAnswerShortcut(t *testing.T) {
 		t.Errorf("empty Probs = %v", ps)
 	}
 }
-
-func TestBoundsBracketProbs(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for trial := 0; trial < 20; trial++ {
-		n := 2 + rng.Intn(5)
-		objs := make([]uncertain.Object, n)
-		for i := range objs {
-			objs[i] = obj(int32(i), rng.Float64()*25, rng.Float64()*25, 0.5+rng.Float64()*4)
-		}
-		q := geom.Pt(rng.Float64()*25, rng.Float64()*25)
-		ps := Probs(objs, q, 600)
-		for _, pieces := range []int{4, 16, 64} {
-			bounds := Bounds(objs, q, pieces)
-			for i := range objs {
-				if !bounds[i].Contains(ps[i], 0.01) {
-					t.Fatalf("trial %d obj %d pieces %d: p=%v outside [%v,%v]",
-						trial, i, pieces, ps[i], bounds[i].Lo, bounds[i].Hi)
-				}
-			}
-		}
-		// More pieces must not widen the bounds materially.
-		b4 := Bounds(objs, q, 4)
-		b64 := Bounds(objs, q, 64)
-		for i := range objs {
-			if b64[i].Hi-b64[i].Lo > b4[i].Hi-b4[i].Lo+1e-9 {
-				t.Fatalf("trial %d obj %d: bounds widened with more pieces", trial, i)
-			}
-		}
-	}
-}
-
-func TestBoundsSingleAnswer(t *testing.T) {
-	objs := []uncertain.Object{obj(0, 0, 0, 1), obj(1, 1000, 0, 1)}
-	b := Bounds(objs, geom.Pt(0, 0), 8)
-	if b[0] != (Interval{1, 1}) || b[1] != (Interval{0, 0}) {
-		t.Errorf("Bounds = %v", b)
-	}
-}

@@ -27,6 +27,13 @@ type serverMetrics struct {
 	ops      [256]*metrics.Counter
 	opErrors *metrics.Counter
 
+	// The three phases of a PNN/TopK (the paper's Fig. 6(c) split), from
+	// the engine's own QueryStats. Not under ops.*: those are frame
+	// counts.
+	queryTraverse *metrics.Histogram
+	queryRetrieve *metrics.Histogram
+	queryProb     *metrics.Histogram
+
 	pushDeltas    *metrics.Counter
 	pushFlush     *metrics.Histogram
 	slowConsumers *metrics.Counter
@@ -65,6 +72,10 @@ func newServerMetrics() *serverMetrics {
 	m := &serverMetrics{
 		set:      set,
 		opErrors: set.Counter("ops.errors"),
+
+		queryTraverse: set.Histogram("query.traverse"),
+		queryRetrieve: set.Histogram("query.retrieve"),
+		queryProb:     set.Histogram("query.prob"),
 
 		pushDeltas:    set.Counter("push.deltas"),
 		pushFlush:     set.Histogram("push.flush"),
@@ -106,6 +117,15 @@ func newServerMetrics() *serverMetrics {
 		}
 	}
 	return m
+}
+
+// observeQuery records one answered PNN/TopK's phase timings, so a
+// running server shows where its query time goes (prob's share is
+// query.prob.sum_ns over the three sums).
+func (m *serverMetrics) observeQuery(st uvdiagram.QueryStats) {
+	m.queryTraverse.Observe(st.TraverseDur)
+	m.queryRetrieve.Observe(st.RetrieveDur)
+	m.queryProb.Observe(st.ProbDur)
 }
 
 // observeMaint is the DB maintenance observer (see DB.OnMaintenance):

@@ -171,3 +171,39 @@ func TestMetricsSnapshotSorted(t *testing.T) {
 		}
 	}
 }
+
+// TestMetricsQueryPhases: every answered PNN and TopK observes its
+// traverse/retrieve/prob timings exactly once, under names outside
+// ops.* (whose sum is the exact frame count).
+func TestMetricsQueryPhases(t *testing.T) {
+	cli, srv := startServer(t, 60)
+	dom := srv.DB().Domain()
+	q := uvdiagram.Pt((dom.Min.X+dom.Max.X)/2, (dom.Min.Y+dom.Max.Y)/2)
+	phases := []string{"query.traverse", "query.retrieve", "query.prob"}
+
+	before := metricsMap(t, cli)
+	for _, p := range phases {
+		if got := before[p+".count"]; got != 0 {
+			t.Errorf("%s.count = %g before any query", p, got)
+		}
+	}
+	if _, err := cli.PNN(q); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cli.TopKPNN(q, 2); err != nil {
+		t.Fatal(err)
+	}
+	// An out-of-domain PNN fails in-band and is not an observation.
+	if _, err := cli.PNN(uvdiagram.Pt(dom.Max.X+1, dom.Max.Y+1)); err == nil {
+		t.Fatal("out-of-domain PNN succeeded")
+	}
+	after := metricsMap(t, cli)
+	for _, p := range phases {
+		if got := after[p+".count"]; got != 2 {
+			t.Errorf("%s.count = %g after one PNN and one TopK, want 2", p, got)
+		}
+	}
+	if after["query.prob.sum_ns"] <= 0 {
+		t.Errorf("query.prob.sum_ns = %g, want > 0", after["query.prob.sum_ns"])
+	}
+}

@@ -431,10 +431,11 @@ func (s *Server) dispatch(op byte, payload []byte) ([]byte, error) {
 		if err := r.Err(); err != nil {
 			return nil, err
 		}
-		answers, _, err := s.db.PNN(q)
+		answers, st, err := s.db.PNN(q)
 		if err != nil {
 			return nil, err
 		}
+		s.metrics.observeQuery(st)
 		return encodeAnswers(answers), nil
 
 	case wire.OpTopK:
@@ -443,10 +444,11 @@ func (s *Server) dispatch(op byte, payload []byte) ([]byte, error) {
 		if err := r.Err(); err != nil {
 			return nil, err
 		}
-		answers, _, err := s.db.TopKPNN(q, k)
+		answers, st, err := s.db.TopKPNN(q, k)
 		if err != nil {
 			return nil, err
 		}
+		s.metrics.observeQuery(st)
 		return encodeAnswers(answers), nil
 
 	case wire.OpPossibleKNN:
