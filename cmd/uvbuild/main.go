@@ -8,7 +8,7 @@
 //	uvbuild [-n 30000] [-dataset uniform|skewed|utility|roads|rrlines]
 //	        [-strategy ic|icr|basic] [-diameter 40] [-sigma 2500]
 //	        [-theta 1.0] [-seed 1] [-shards 1] [-layout equal|median]
-//	        [-workers 1] [-snapshot db.uvsnap]
+//	        [-workers 0] [-snapshot db.uvsnap]
 //
 // With -shards S > 1 the domain is split into S spatial shards whose
 // sub-grid indexes are built in parallel from one derivation pass; the
@@ -43,7 +43,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	shards := flag.Int("shards", 1, "spatial shard count (1 = unsharded)")
 	layout := flag.String("layout", "equal", "shard layout strategy: equal, median (weighted-median cuts)")
-	workers := flag.Int("workers", 0, "derivation worker pool size (0/1 = sequential)")
+	workers := flag.Int("workers", 0, "derivation goroutines (0 = GOMAXPROCS, 1 = sequential)")
 	snapshot := flag.String("snapshot", "", "write the built database as a v5 page-image snapshot (DB.SaveSnapshot) to this path")
 	flag.Parse()
 
@@ -104,6 +104,7 @@ func main() {
 
 	fmt.Printf("dataset        %s (|O|=%d, diameter=%.0f)\n", *dataset, len(objs), *diameter)
 	fmt.Printf("strategy       %v\n", stats.Strategy)
+	fmt.Printf("workers        %d (total is wall clock; seeds/pruning/refinement are CPU time summed across them)\n", stats.Workers)
 	fmt.Printf("total Tc       %v\n", stats.TotalDur)
 	fmt.Printf("  seeds        %v\n", stats.SeedDur)
 	fmt.Printf("  pruning      %v\n", stats.PruneDur)

@@ -56,6 +56,7 @@ type BuildOptions struct {
 	// pruning, refinement) across goroutines; results are identical to
 	// a sequential build. 0 or 1 means sequential — the paper's
 	// single-threaded setting, which the timing figures assume.
+	// (uvdiagram.Build maps its own 0 to GOMAXPROCS before calling in.)
 	Workers int
 	// DisableCPrune skips computational-level pruning (Lemma 3), keeping
 	// every I-pruning survivor as a cr-object. Ablation knob: isolates
@@ -111,6 +112,9 @@ func (o *BuildOptions) normalize() {
 type BuildStats struct {
 	Strategy Strategy
 	N        int
+	// Workers is the derivation goroutine count the phase durations
+	// were summed over (0 on an opened database: nothing was derived).
+	Workers int
 
 	SeedDur   time.Duration // initPossibleRegion (seeds + initial region)
 	PruneDur  time.Duration // I- and C-pruning
@@ -128,8 +132,8 @@ type BuildStats struct {
 // String summarizes the build for logs: strategy, size, the phase
 // breakdown and the pruning outcome.
 func (s BuildStats) String() string {
-	return fmt.Sprintf("build[%s]: n=%d total=%v (seed %v, prune %v, refine %v, index %v), avg|CR|=%.1f, pruned %.1f%%",
-		s.Strategy, s.N, s.TotalDur.Round(time.Millisecond),
+	return fmt.Sprintf("build[%s]: n=%d workers=%d total=%v (seed %v, prune %v, refine %v, index %v), avg|CR|=%.1f, pruned %.1f%%",
+		s.Strategy, s.N, s.Workers, s.TotalDur.Round(time.Millisecond),
 		s.SeedDur.Round(time.Millisecond), s.PruneDur.Round(time.Millisecond),
 		s.RefineDur.Round(time.Millisecond), s.IndexDur.Round(time.Millisecond),
 		s.AvgCR(), 100*s.CPruneRatio())
@@ -278,7 +282,7 @@ func DeriveCRSets(store *uncertain.Store, domain geom.Rect, tree *rtree.Tree, op
 	// The dense slice keeps position == id; tombstoned slots are skipped
 	// everywhere, so this is a fresh derivation over the survivors.
 	objs := store.Dense()
-	stats := BuildStats{Strategy: opts.Strategy, N: store.Live()}
+	stats := BuildStats{Strategy: opts.Strategy, N: store.Live(), Workers: opts.Workers}
 	for i, o := range objs {
 		if !store.Alive(int32(i)) {
 			continue

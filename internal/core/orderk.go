@@ -44,7 +44,7 @@ func (p *PossibleRegion) RadiusDirK(dir geom.Point, k int) float64 {
 	dom, _ := domainBound(p.center, p.domain, dir)
 	kth := make([]float64, 0, k)
 	for i := range p.cons {
-		if t, ok := p.cons[i].Edge.RadialBound(dir); ok {
+		if t, ok := p.cons[i].Bound(dir); ok {
 			kth = derive.PushK(kth, k, t)
 		}
 	}
@@ -165,8 +165,7 @@ func goldenMaxPhi(f func(float64) float64, lo, hi float64, iters int) float64 {
 type orderKDeriver struct {
 	tab   derive.Table
 	dirs  []geom.Point // sweep direction ring (depends only on samples)
-	edges []Constraint // cached constraints, by table row
-	eval  []kEdgeEval  // reduced edge forms, by table row (golden-section probes)
+	edges []Constraint // cached constraints, by table row (golden-section probes)
 	cands []int32      // seed ids, then the fixpoint's candidate set
 	kth   []float64    // k-smallest buffer of the polish probes
 
@@ -176,18 +175,6 @@ type orderKDeriver struct {
 	objs   []uncertain.Object
 	domain geom.Rect
 	k      int
-}
-
-// kEdgeEval is a UVEdge reduced to the pure per-edge subexpressions of
-// RadialBound — the focal offset w = Fi−Fj and the numerator S²−|w|² —
-// so the golden-section polish, which probes arbitrary angles, pays
-// only the direction-dependent arithmetic per evaluation. The edge is
-// known to exist (FillRow filters), so the existence test is elided;
-// the remaining operations are RadialBound's exactly.
-type kEdgeEval struct {
-	w   geom.Point
-	s   float64
-	num float64
 }
 
 // begin starts one DeriveOrderKCR call: it (re)builds the sweep
@@ -211,28 +198,22 @@ func (e *orderKDeriver) begin(tree *rtree.Tree, oi uncertain.Object, objs []unce
 	}
 }
 
-// FillRow implements derive.Filler: candidate j's constraint, its
-// radial bounds over the sweep ring and its reduced edge form.
+// FillRow implements derive.Filler: candidate j's constraint and its
+// radial bounds over the sweep ring.
 func (e *orderKDeriver) FillRow(j int32, idx int, row []float64) bool {
 	c, ok := NewConstraint(e.oi, e.objs[j])
 	if !ok {
 		return false
 	}
-	// RadialBound with its pure per-edge subexpressions hoisted out of
-	// the per-angle loop (see kEdgeEval): the remaining arithmetic is
-	// operation-for-operation RadialBound's, so every row value is
-	// bitwise identical.
-	ev := kEdgeEval{w: c.Edge.Fi.Sub(c.Edge.Fj), s: c.Edge.S}
-	ev.num = ev.s*ev.s - ev.w.NormSq()
 	inf := math.Inf(1)
 	for i, dir := range e.dirs {
-		if den := ev.w.Dot(dir) + ev.s; den < 0 {
-			row[i] = ev.num / (2 * den)
+		if t, ok := c.Bound(dir); ok {
+			row[i] = t
 		} else {
 			row[i] = inf
 		}
 	}
-	e.edges, e.eval = append(e.edges[:idx], c), append(e.eval[:idx], ev)
+	e.edges = append(e.edges[:idx], c)
 	return true
 }
 
@@ -262,8 +243,8 @@ func (e *orderKDeriver) Range(radius float64, buf []int32) []int32 {
 // rows. Per sweep angle the table folds the k-th smallest of the
 // candidates' bounds against the domain bound — the value RadiusDirK
 // computes — and each local maximum is polished with the same
-// golden-section schedule, probing arbitrary angles through the reduced
-// edge forms. The result is bitwise identical to
+// golden-section schedule, probing arbitrary angles through the cached
+// constraints. The result is bitwise identical to
 // pr.MaxRadiusK(samples, k) with pr holding the candidates'
 // constraints.
 func (e *orderKDeriver) Bound(cands []int32) float64 {
@@ -272,30 +253,25 @@ func (e *orderKDeriver) Bound(cands []int32) float64 {
 }
 
 // radiusAt evaluates the order-k radial function at angle phi over the
-// active rows' reduced edge forms — RadiusDirK's exact arithmetic
-// (domain bound, then the k-th smallest existing constraint bound,
-// folded in constraint order) with the per-edge subexpressions
-// precomputed — so the value is bitwise identical to pr.RadiusK(phi, k)
-// with pr holding the active constraints.
+// active rows' constraints — RadiusDirK's exact arithmetic (domain
+// bound, then the k-th smallest existing constraint bound, folded in
+// constraint order) — so the value is bitwise identical to
+// pr.RadiusK(phi, k) with pr holding the active constraints.
 func (e *orderKDeriver) radiusAt(phi float64) float64 {
 	dir := geom.PolarUnit(phi)
 	r, _ := domainBound(e.oi.Region.C, e.domain, dir)
 	if e.k <= 1 {
 		for _, idx := range e.tab.Active() {
-			ev := &e.eval[idx]
-			if den := ev.w.Dot(dir) + ev.s; den < 0 {
-				if t := ev.num / (2 * den); t < r {
-					r = t
-				}
+			if t, ok := e.edges[idx].Bound(dir); ok && t < r {
+				r = t
 			}
 		}
 		return r
 	}
 	kth := e.kth[:0]
 	for _, idx := range e.tab.Active() {
-		ev := &e.eval[idx]
-		if den := ev.w.Dot(dir) + ev.s; den < 0 {
-			kth = derive.PushK(kth, e.k, ev.num/(2*den))
+		if t, ok := e.edges[idx].Bound(dir); ok {
+			kth = derive.PushK(kth, e.k, t)
 		}
 	}
 	return derive.KthOr(kth, e.k, r)
@@ -377,7 +353,7 @@ func BuildOrderK(store *uncertain.Store, domain geom.Rect, tree *rtree.Tree, k i
 	}
 	t0 := time.Now()
 	opts.normalize()
-	stats := BuildStats{Strategy: opts.Strategy, N: store.Live()}
+	stats := BuildStats{Strategy: opts.Strategy, N: store.Live(), Workers: opts.Workers}
 	objs := store.Dense() // position == id; tombstoned slots skipped
 	crSets := make([][]int32, len(objs))
 	type worker struct {

@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -16,6 +17,40 @@ import (
 	"uvdiagram/internal/rtree"
 	"uvdiagram/internal/uncertain"
 )
+
+// referenceMaxRadiusK is MaxRadiusK with the radial function evaluated
+// through the specification (geom.UVEdge.RadialBound, see
+// referenceRadius) instead of the prepared Constraint.Bound: the domain
+// bound against the k-th smallest existing constraint bound.
+func referenceMaxRadiusK(p *PossibleRegion, samples, k int) float64 {
+	if samples < 8 {
+		samples = 8
+	}
+	eval := func(phi float64) float64 {
+		if k <= 1 {
+			r, _ := referenceRadius(p, phi)
+			return r
+		}
+		dir := geom.PolarUnit(phi)
+		dom, _ := domainBound(p.Center(), p.Domain(), dir)
+		var bounds []float64
+		for _, c := range p.Constraints() {
+			if t, ok := c.Edge.RadialBound(dir); ok {
+				bounds = append(bounds, t)
+			}
+		}
+		if len(bounds) < k {
+			return dom
+		}
+		sort.Float64s(bounds)
+		return math.Min(dom, bounds[k-1])
+	}
+	vals := make([]float64, samples)
+	for i := range vals {
+		vals[i] = eval(2 * math.Pi * float64(i) / float64(samples))
+	}
+	return ringMax(vals, eval)
+}
 
 // DeriveOrderKCRReference is the original allocating derivation of one
 // object's order-k cr-set: eager k-NN seed materialization, a fresh
@@ -31,7 +66,7 @@ func DeriveOrderKCRReference(tree *rtree.Tree, oi uncertain.Object, objs []uncer
 			}
 		}
 	}
-	d := pr.MaxRadiusK(samples, k)
+	d := referenceMaxRadiusK(pr, samples, k)
 	var ids []int32
 	for iter := 0; iter < 8; iter++ {
 		radius := 2*d - oi.Region.R
@@ -58,7 +93,7 @@ func DeriveOrderKCRReference(tree *rtree.Tree, oi uncertain.Object, objs []uncer
 			pr.AddObject(oi, objs[j])
 		}
 		ids = cands
-		d2 := pr.MaxRadiusK(samples, k)
+		d2 := referenceMaxRadiusK(pr, samples, k)
 		if d2 >= d*(1-1e-9) {
 			break
 		}

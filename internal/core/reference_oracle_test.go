@@ -56,8 +56,25 @@ func referenceSelectSeeds(tree *rtree.Tree, oi uncertain.Object, k, ks int) []in
 	return seeds
 }
 
+// referenceRadius is Radius through the SPECIFICATION: the domain
+// bound, then geom.UVEdge.RadialBound — existence test and per-edge
+// subexpressions re-derived per call — folded over the constraints in
+// order. The reference must not ride on Constraint.Bound, the prepared
+// form the fast path evaluates, or the equivalence tests would compare
+// it against itself.
+func referenceRadius(p *PossibleRegion, phi float64) (float64, int) {
+	dir := geom.PolarUnit(phi)
+	r, active := domainBound(p.Center(), p.Domain(), dir)
+	for i, c := range p.Constraints() {
+		if t, ok := c.Edge.RadialBound(dir); ok && t < r {
+			r, active = t, i
+		}
+	}
+	return r, active
+}
+
 // referenceVertices is the from-scratch angular sweep: every sample
-// angle re-evaluates the full constraint list through Radius.
+// angle re-evaluates the full constraint list through referenceRadius.
 func referenceVertices(p *PossibleRegion, samples int) []Vertex {
 	if samples < 16 {
 		samples = 16
@@ -67,7 +84,7 @@ func referenceVertices(p *PossibleRegion, samples int) []Vertex {
 	actives := make([]int, n)
 	for i := 0; i < n; i++ {
 		phis[i] = 2 * math.Pi * float64(i) / float64(n)
-		_, actives[i] = p.Radius(phis[i])
+		_, actives[i] = referenceRadius(p, phis[i])
 	}
 	var vs []Vertex
 	for i := 0; i < n; i++ {
@@ -79,14 +96,14 @@ func referenceVertices(p *PossibleRegion, samples int) []Vertex {
 		aLo := actives[i]
 		for hi-lo > vertexTol {
 			mid := lo + (hi-lo)/2
-			if _, am := p.Radius(mid); am == aLo {
+			if _, am := referenceRadius(p, mid); am == aLo {
 				lo = mid
 			} else {
 				hi = mid
 			}
 		}
 		phi := geom.NormalizeAngle(lo + (hi-lo)/2)
-		r, _ := p.Radius(phi)
+		r, _ := referenceRadius(p, phi)
 		vs = append(vs, Vertex{
 			Phi:    phi,
 			R:      r,
@@ -110,7 +127,7 @@ func referenceMaxRadius(p *PossibleRegion, samples int) float64 {
 	}
 	if len(vs) == 0 {
 		for i := 0; i < samples; i++ {
-			if r, _ := p.Radius(2 * math.Pi * float64(i) / float64(samples)); r > d {
+			if r, _ := referenceRadius(p, 2*math.Pi*float64(i)/float64(samples)); r > d {
 				d = r
 			}
 		}
@@ -203,7 +220,7 @@ func referenceCell(p *PossibleRegion, samples int) []int32 {
 		record(v.After)
 	}
 	if len(vs) == 0 {
-		_, a := p.Radius(0)
+		_, a := referenceRadius(p, 0)
 		record(a)
 	}
 	sort.Slice(robjs, func(i, j int) bool { return robjs[i] < robjs[j] })

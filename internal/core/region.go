@@ -99,9 +99,9 @@ func (p *PossibleRegion) syncProfile(samples int) *profile {
 		}
 	}
 	for pr.applied < len(p.cons) {
-		e := &p.cons[pr.applied].Edge
+		c := &p.cons[pr.applied]
 		for i, dir := range pr.dirs {
-			if t, ok := e.RadialBound(dir); ok && t < pr.radius[i] {
+			if t, ok := c.Bound(dir); ok && t < pr.radius[i] {
 				pr.radius[i], pr.active[i] = t, pr.applied
 			}
 		}
@@ -140,7 +140,7 @@ func (p *PossibleRegion) AddObject(oi, oj uncertain.Object) bool {
 func (p *PossibleRegion) RadiusDir(dir geom.Point) (float64, int) {
 	r, active := domainBound(p.center, p.domain, dir)
 	for i := range p.cons {
-		if t, ok := p.cons[i].Edge.RadialBound(dir); ok && t < r {
+		if t, ok := p.cons[i].Bound(dir); ok && t < r {
 			r, active = t, i
 		}
 	}

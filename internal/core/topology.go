@@ -141,7 +141,7 @@ func (t *Topology) Ensure(id int32, oi uncertain.Object, members []int32, objs [
 			continue
 		}
 		for i, dir := range t.dirs {
-			b, hit := c.Edge.RadialBound(dir)
+			b, hit := c.Bound(dir)
 			if !hit {
 				continue
 			}
@@ -225,7 +225,7 @@ func (t *Topology) FoldIn(id int32, oi uncertain.Object, on uncertain.Object, ne
 	}
 	tight := false
 	for i, dir := range t.dirs {
-		b, hit := c.Edge.RadialBound(dir)
+		b, hit := c.Bound(dir)
 		if !hit {
 			continue
 		}

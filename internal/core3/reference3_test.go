@@ -13,6 +13,27 @@ import (
 	"uvdiagram/internal/uncertain3"
 )
 
+// referenceMaxRadius3 is MaxRadius with the radial function evaluated
+// through the SPECIFICATION — geom3.UVEdge3.RadialBound, existence test
+// and per-edge subexpressions re-derived per call — instead of the
+// prepared Constraint3.Bound the fast path uses, so the parity tests
+// compare prepared against spec rather than prepared against itself.
+func referenceMaxRadius3(p *PossibleRegion3, dirs []geom3.Point3) float64 {
+	d := 0.0
+	for _, u := range dirs {
+		r := p.Domain().RayExit(p.Center(), u)
+		for _, c := range p.Constraints() {
+			if t, ok := c.Edge.RadialBound(u); ok && t < r {
+				r = t
+			}
+		}
+		if r > d {
+			d = r
+		}
+	}
+	return inflate(d, len(dirs))
+}
+
 // DeriveCR3Reference is the original allocating derivation of one
 // object's 3D cr-set: a fresh PossibleRegion3 and candidate slice per
 // fixpoint round, per-call center-range result slices. Kept as the
@@ -22,7 +43,7 @@ func DeriveCR3Reference(grid *HashGrid3, oi uncertain3.Object3, objs []uncertain
 	for _, id := range nearestSeedsInto(grid, oi, objs, domain, seedCount, nil, &seedSorter3{}) {
 		pr.AddObject(oi, objs[id])
 	}
-	d := pr.MaxRadius(dirs)
+	d := referenceMaxRadius3(pr, dirs)
 	if dd := domain.MaxDist(oi.Region.C); dd < d {
 		d = dd // region ⊆ domain: the corner distance is always valid
 	}
@@ -51,7 +72,7 @@ func DeriveCR3Reference(grid *HashGrid3, oi uncertain3.Object3, objs []uncertain
 			pr.AddObject(oi, objs[j])
 		}
 		ids = cands
-		d2 := pr.MaxRadius(dirs)
+		d2 := referenceMaxRadius3(pr, dirs)
 		if d2 >= d*(1-1e-9) {
 			break
 		}

@@ -17,10 +17,15 @@ import (
 )
 
 // Constraint3 is the outside region of one 3D UV-edge, tagged with the
-// reference object's identity.
+// reference object's identity. Like core.Constraint it is prepared:
+// NewConstraint3 proves the edge exists and stores the per-edge
+// subexpressions of geom3.UVEdge3.RadialBound (w = Fi − Fj and
+// S² − |w|²) for Bound.
 type Constraint3 struct {
 	Obj  int32
 	Edge geom3.UVEdge3
+	w    geom3.Point3
+	num  float64
 }
 
 // NewConstraint3 builds the constraint Oi gains from Oj; ok is false
@@ -30,7 +35,20 @@ func NewConstraint3(oi, oj uncertain3.Object3) (Constraint3, bool) {
 	if !e.Exists() {
 		return Constraint3{}, false
 	}
-	return Constraint3{Obj: oj.ID, Edge: e}, true
+	w := e.Fi.Sub(e.Fj)
+	return Constraint3{Obj: oj.ID, Edge: e, w: w, num: e.S*e.S - w.NormSq()}, true
+}
+
+// Bound is Edge.RadialBound(dir) with the existence test and the
+// per-edge subexpressions taken from construction: the remaining
+// operations are RadialBound's, one for one, so (t, ok) is bitwise
+// identical. The zero Constraint3 reports no bound (den = 0).
+func (c *Constraint3) Bound(dir geom3.Point3) (t float64, ok bool) {
+	den := c.w.Dot(dir) + c.Edge.S
+	if den >= 0 {
+		return 0, false
+	}
+	return c.num / (2 * den), true
 }
 
 // PossibleRegion3 is a region covering an object's 3D UV-cell,
@@ -80,7 +98,7 @@ func (p *PossibleRegion3) AddObject(oi, oj uncertain3.Object3) bool {
 func (p *PossibleRegion3) RadiusDir(dir geom3.Point3) float64 {
 	r := p.domain.RayExit(p.center, dir)
 	for i := range p.cons {
-		if t, ok := p.cons[i].Edge.RadialBound(dir); ok && t < r {
+		if t, ok := p.cons[i].Bound(dir); ok && t < r {
 			r = t
 		}
 	}

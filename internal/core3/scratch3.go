@@ -62,18 +62,10 @@ func (e *deriver3) FillRow(j int32, idx int, row []float64) bool {
 	if !ok {
 		return false
 	}
-	// RadialBound with the edge's pure per-edge subexpressions (the
-	// existence test — true here by construction — the focal offset w
-	// and the numerator S²−|w|²) hoisted out of the per-direction loop:
-	// the remaining arithmetic is operation-for-operation RadialBound's,
-	// so every row value is bitwise identical.
-	w := c.Edge.Fi.Sub(c.Edge.Fj)
-	s := c.Edge.S
-	num := s*s - w.NormSq()
 	inf := math.Inf(1)
 	for i, u := range e.dirs {
-		if den := w.Dot(u) + s; den < 0 {
-			row[i] = num / (2 * den)
+		if t, ok := c.Bound(u); ok {
+			row[i] = t
 		} else {
 			row[i] = inf
 		}

@@ -37,25 +37,41 @@ func EncodeLeafTuples(ts []LeafTuple) []byte {
 	return buf
 }
 
-// DecodeLeafTuples parses a page written by EncodeLeafTuples.
-func DecodeLeafTuples(page []byte) ([]LeafTuple, error) {
+// LeafTupleCount validates a page written by EncodeLeafTuples and
+// returns how many tuples it holds; LeafTupleAt then decodes any of
+// them in place, without materializing the slice.
+func LeafTupleCount(page []byte) (int, error) {
 	if len(page) < 2 {
-		return nil, fmt.Errorf("pager: leaf page too short (%d bytes)", len(page))
+		return 0, fmt.Errorf("pager: leaf page too short (%d bytes)", len(page))
 	}
 	n := int(binary.LittleEndian.Uint16(page))
-	need := 2 + n*LeafTupleSize
-	if len(page) < need {
-		return nil, fmt.Errorf("pager: leaf page truncated: need %d bytes, have %d", need, len(page))
+	if need := 2 + n*LeafTupleSize; len(page) < need {
+		return 0, fmt.Errorf("pager: leaf page truncated: need %d bytes, have %d", need, len(page))
+	}
+	return n, nil
+}
+
+// LeafTupleAt decodes tuple i < LeafTupleCount(page).
+func LeafTupleAt(page []byte, i int) LeafTuple {
+	b := page[2+i*LeafTupleSize:]
+	return LeafTuple{
+		ID:      int32(binary.LittleEndian.Uint32(b)),
+		CX:      math.Float64frombits(binary.LittleEndian.Uint64(b[4:])),
+		CY:      math.Float64frombits(binary.LittleEndian.Uint64(b[12:])),
+		R:       math.Float64frombits(binary.LittleEndian.Uint64(b[20:])),
+		Pointer: binary.LittleEndian.Uint64(b[28:]),
+	}
+}
+
+// DecodeLeafTuples parses a page written by EncodeLeafTuples.
+func DecodeLeafTuples(page []byte) ([]LeafTuple, error) {
+	n, err := LeafTupleCount(page)
+	if err != nil {
+		return nil, err
 	}
 	ts := make([]LeafTuple, n)
-	off := 2
 	for i := range ts {
-		ts[i].ID = int32(binary.LittleEndian.Uint32(page[off:]))
-		ts[i].CX = math.Float64frombits(binary.LittleEndian.Uint64(page[off+4:]))
-		ts[i].CY = math.Float64frombits(binary.LittleEndian.Uint64(page[off+12:]))
-		ts[i].R = math.Float64frombits(binary.LittleEndian.Uint64(page[off+20:]))
-		ts[i].Pointer = binary.LittleEndian.Uint64(page[off+28:])
-		off += LeafTupleSize
+		ts[i] = LeafTupleAt(page, i)
 	}
 	return ts, nil
 }

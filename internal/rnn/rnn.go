@@ -252,7 +252,10 @@ func collect(objs []uncertain.Object, tree *rtree.Tree, q geom.Point, radius flo
 	if tree != nil && !math.IsInf(radius, 1) {
 		r := geom.Circle{C: q, R: radius}.BoundingRect()
 		for _, it := range tree.SearchCollect(r) {
-			if keep(objs[it.ID]) {
+			// The tree can be newer than objs (the DB captures its store
+			// view first): an id a concurrent insert added past the view
+			// is not part of this query's snapshot.
+			if int(it.ID) < len(objs) && keep(objs[it.ID]) {
 				ids = append(ids, it.ID)
 			}
 		}

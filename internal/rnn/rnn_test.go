@@ -3,6 +3,7 @@ package rnn
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"uvdiagram/internal/datagen"
@@ -264,5 +265,28 @@ func TestQConBoundAgainstUVEdge(t *testing.T) {
 		if ok1 && math.Abs(t1-t2) > 1e-9*(1+math.Abs(t1)) {
 			t.Fatalf("bound disagrees: %v vs %v", t1, t2)
 		}
+	}
+}
+
+// TestTreeNewerThanView: the DB captures its store view before the
+// helper tree, so a concurrent insert can leave the tree listing an id
+// the view does not cover. The query answers over its view and ignores
+// the newcomer (it used to index past the slice).
+func TestTreeNewerThanView(t *testing.T) {
+	// A ring around q: every direction is bounded twice, so the cutoff
+	// is finite and candidates come from the tree.
+	q := geom.Pt(500, 500)
+	var objs []uncertain.Object
+	for i := 0; i < 8; i++ {
+		u := geom.PolarUnit(2 * math.Pi * float64(i) / 8)
+		objs = append(objs, obj(int32(i), 500+100*u.X, 500+100*u.Y, 10))
+	}
+	want, st := PossibleRNN(objs, buildTree(objs), q, Options{})
+	if math.IsInf(st.Cutoff, 1) {
+		t.Fatal("fixture: infinite cutoff, the tree is not consulted")
+	}
+	got, _ := PossibleRNN(objs, buildTree(append(objs[:8:8], obj(8, 505, 505, 10))), q, Options{})
+	if !slices.Equal(got, want) {
+		t.Fatalf("answers over a newer tree %v, over the view's own tree %v", got, want)
 	}
 }

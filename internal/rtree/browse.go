@@ -16,8 +16,8 @@ import (
 // The pop sequence is bitwise identical to the prefix KNN would return
 // for any k: the heap algorithm below replicates container/heap's sift
 // rules on the same pqEntry ordering, so ties resolve exactly as they
-// do in KNN. Reset reuses the heap storage, making steady-state
-// browsing allocation-free apart from leaf page decodes.
+// do in KNN. Reset reuses the heap storage and leaves are decoded in
+// place, making steady-state browsing allocation-free.
 type NNIterator struct {
 	t *Tree
 	q geom.Point
@@ -56,10 +56,10 @@ func (it *NNIterator) Next() (Neighbor, bool) {
 		case e.leaf:
 			return Neighbor{Item: e.item, DistMin: e.key}, true
 		case e.node.isLeaf():
-			for _, item := range it.t.readLeaf(e.node) {
+			it.t.visitLeaf(e.node, func(item Item) {
 				dmin := math.Max(0, it.q.Dist(item.MBC.C)-item.MBC.R)
 				it.h.push(pqEntry{key: dmin, item: item, leaf: true})
-			}
+			})
 		default:
 			for _, c := range e.node.children {
 				it.h.push(pqEntry{key: c.rect.MinDist(it.q), node: c})

@@ -71,11 +71,11 @@ func (t *Tree) CenterRangeFunc(c geom.Circle, visit func(Item)) {
 			return
 		}
 		if n.isLeaf() {
-			for _, it := range t.readLeaf(n) {
+			t.visitLeaf(n, func(it Item) {
 				if it.MBC.C.Dist(c.C) <= c.R {
 					visit(it)
 				}
-			}
+			})
 			return
 		}
 		for _, ch := range n.children {

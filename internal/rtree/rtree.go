@@ -170,17 +170,25 @@ func (t *Tree) newLeaf(items []Item) *node {
 	return &node{rect: r, page: id, count: len(items)}
 }
 
-// readLeaf fetches and decodes a leaf's items (one page read).
-func (t *Tree) readLeaf(n *node) []Item {
-	ts, err := pager.DecodeLeafTuples(t.pg.Read(n.page))
+// visitLeaf decodes a leaf's items in place (one page read, no
+// allocation) and hands them to visit in page order — the read path of
+// the traversals that look at each item once.
+func (t *Tree) visitLeaf(n *node, visit func(Item)) {
+	page := t.pg.Read(n.page)
+	cnt, err := pager.LeafTupleCount(page)
 	if err != nil {
 		// Pages are written only by this package; a decode failure is a
 		// programming error, not an input error.
 		panic("rtree: corrupt leaf page: " + err.Error())
 	}
-	items := make([]Item, len(ts))
-	for i, tu := range ts {
-		items[i] = fromTuple(tu)
+	for i := 0; i < cnt; i++ {
+		visit(fromTuple(pager.LeafTupleAt(page, i)))
 	}
+}
+
+// readLeaf is visitLeaf collected into a slice the caller may keep.
+func (t *Tree) readLeaf(n *node) []Item {
+	items := make([]Item, 0, n.count)
+	t.visitLeaf(n, func(it Item) { items = append(items, it) })
 	return items
 }

@@ -323,6 +323,13 @@ func TestManySubscribersUnderChurn(t *testing.T) {
 			fleets[ci].subs[i] = sub
 		}
 	}
+	// A session registers after its Subscribe response is written; the
+	// connection's next response is written after register returned.
+	for _, c := range clients {
+		if err := c.Ping(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if got := srv.Subscriptions(); got != conns*perConn {
 		t.Fatalf("registered %d sessions, want %d", got, conns*perConn)
 	}

@@ -1,9 +1,13 @@
 package uvdiagram
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -372,5 +376,59 @@ func TestShardLayoutRouting(t *testing.T) {
 	}
 	if want := db.Domain().Area(); area != want {
 		t.Fatalf("shard areas sum to %v, domain is %v", area, want)
+	}
+}
+
+// TestBuildWorkersInvariant: Options.Workers only chooses how many
+// goroutines derive — 0 is GOMAXPROCS in Build, 1 sequential — never
+// what they derive: the registries are EqualCROf-identical and the
+// snapshots byte-identical at 0, 1 and 4. BuildStats reports the count
+// the phase CPU sums were taken over; the background rebuilds keep the
+// option's literal value (0 and 1 both sequential).
+func TestBuildWorkersInvariant(t *testing.T) {
+	cfg := datagen.Config{N: 500, Side: 4000, Diameter: 40, Seed: 22}
+	objs := datagen.Uniform(cfg)
+	dir := t.TempDir()
+	var ref, zero *DB
+	var refBytes []byte
+	for _, w := range []int{1, 0, 4} {
+		db, err := Build(objs, cfg.Domain(), &Options{Workers: w, Shards: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := w
+		if w == 0 {
+			zero, want = db, runtime.GOMAXPROCS(0)
+		}
+		if got := db.BuildStats().Workers; got != want {
+			t.Errorf("Workers %d: BuildStats.Workers = %d, want %d", w, got, want)
+		}
+		if db.bopts.Workers != w {
+			t.Errorf("Workers %d: background rebuilds would derive with %d", w, db.bopts.Workers)
+		}
+		path := filepath.Join(dir, fmt.Sprintf("w%d.uv5", w))
+		if err := db.SaveSnapshot(path); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref, refBytes = db, raw
+			continue
+		}
+		if !db.cr.EqualCROf(ref.cr) {
+			t.Errorf("Workers %d: registry differs from the sequential build's", w)
+		}
+		if !bytes.Equal(raw, refBytes) {
+			t.Errorf("Workers %d: snapshot (%d bytes) differs from the sequential build's (%d bytes)", w, len(raw), len(refBytes))
+		}
+	}
+	if err := zero.Compact(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := zero.BuildStats().Workers; got != 1 {
+		t.Errorf("Compact of a Workers-0 database derived with %d workers, want 1 (sequential)", got)
 	}
 }

@@ -61,6 +61,7 @@ package uvdiagram
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -158,8 +159,11 @@ type Options struct {
 	CellSamples int
 	// RegionSamples is the angular resolution of the pruning bounds.
 	RegionSamples int
-	// Workers parallelizes per-object derivation during Build; results
-	// are identical to a sequential build (0/1 = sequential).
+	// Workers is the number of goroutines deriving objects' cr-sets;
+	// results are identical at any count. Build reads 0 as
+	// runtime.GOMAXPROCS (1 = sequential). The background rebuilds that
+	// run beside live readers (Compact, CompactShard, Reshard, the
+	// maintainer) use the value literally: 0 and 1 are both sequential.
 	Workers int
 	// CompactSlack, when positive, arms automatic background
 	// compaction: once a shard's accumulated insert/delete slack —
@@ -428,11 +432,11 @@ func (db *DB) Close() error {
 }
 
 // Build indexes the objects (dense IDs 0..n-1 required) over the given
-// domain. opts may be nil for the paper's defaults. With Options.Shards
-// > 1, the expensive per-object derivation runs once (parallelized by
-// Options.Workers) and the shard sub-grids are then built concurrently,
-// one goroutine per shard, all feeding off one shared constraint
-// registry.
+// domain. opts may be nil for the paper's defaults. The expensive
+// per-object derivation runs once, on Options.Workers goroutines (0 =
+// all cores, see Options.Workers); with Options.Shards > 1 the shard
+// sub-grids are then built concurrently, one goroutine per shard, all
+// feeding off one shared constraint registry.
 func Build(objects []Object, domain Rect, opts *Options) (*DB, error) {
 	if len(objects) == 0 {
 		return nil, fmt.Errorf("uvdiagram: no objects to index")
@@ -458,7 +462,11 @@ func Build(objects []Object, domain Rect, opts *Options) (*DB, error) {
 	tree.SetReclaimDomain(db.egc)
 	db.tree.Store(tree)
 	t0 := time.Now()
-	crSets, stats, err := core.DeriveCRSets(store, domain, tree, bopts)
+	dopts := bopts // db.bopts keeps Workers literal for the background rebuilds
+	if dopts.Workers == 0 {
+		dopts.Workers = runtime.GOMAXPROCS(0)
+	}
+	crSets, stats, err := core.DeriveCRSets(store, domain, tree, dopts)
 	if err != nil {
 		return nil, err
 	}
