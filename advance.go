@@ -3,9 +3,9 @@ package uvdiagram
 // Bulk session advancement: the fleet-scale half of the continuous
 // moving-query engine. A server holding thousands of open ContinuousPNN
 // sessions advances (or, after a write, re-validates) all of them in
-// one shard-grouped pass through the batch engine's worker pool and
-// per-shard leaf caches, instead of paying a full routing + page-read
-// round per session.
+// one pass through the batch engine's worker pool, under one epoch pin
+// and one layout snapshot, instead of paying a full routing round per
+// session.
 
 // AdvanceAll advances many moving-query sessions in one batch. qs[i] is
 // session i's new position; a nil qs re-validates every session at its
@@ -16,9 +16,7 @@ package uvdiagram
 // The layout and every shard's epoch are pinned ONCE for the whole
 // batch, and session re-opens across epoch/layout swaps are handled
 // centrally here (the same advance path Move uses) rather than
-// per-call. Sessions are dispatched grouped by owning shard, so
-// sessions landing in the same leaf share one decoded page read through
-// that shard's leaf cache.
+// per-call.
 //
 // recomputed[i] reports whether session i re-evaluated its answer set;
 // errs[i] carries that session's error. A failing session does not fail
@@ -51,51 +49,20 @@ func (db *DB) AdvanceAll(sessions []*ContinuousPNN, qs []Point, opts *BatchOptio
 		return qs[i]
 	}
 
-	// Stable counting sort of the sessions by owning shard, exactly like
-	// batchRoute.plan: feeding the pool shard-by-shard keeps one shard's
-	// leaf pages hot in its cache. Out-of-domain positions are rejected
-	// up front with a typed per-session *DomainError (matching
-	// ErrOutOfDomain) and never dispatched — the session stays at its
-	// last valid position. (They previously clamped to an edge shard
-	// whose index reported a shard-level string error, which serving
-	// layers could only string-match.)
-	owner := make([]int, n)
-	counts := make([]int, len(lo.shards)+1)
-	valid := 0
-	for i := 0; i < n; i++ {
+	// Out-of-domain positions are rejected with a typed
+	// per-session *DomainError (matching ErrOutOfDomain) and never reach
+	// a shard — the session stays at its last valid position. (They
+	// previously clamped to an edge shard whose index reported a
+	// shard-level string error, which serving layers could only
+	// string-match.)
+	runPool(n, opts.workers(), "session", func(i int) error {
 		p := pos(i)
 		if !db.domain.Contains(p) {
 			errs[i] = &DomainError{Point: p, Domain: db.domain}
-			owner[i] = -1
-			continue
+			return nil
 		}
-		owner[i] = lo.shardIdx(p)
-		counts[owner[i]+1]++
-		valid++
-	}
-	var order []int
-	if len(lo.shards) > 1 && valid > 1 {
-		for s := 1; s < len(counts); s++ {
-			counts[s] += counts[s-1]
-		}
-		order = make([]int, valid)
-		for i := 0; i < n; i++ {
-			if owner[i] < 0 {
-				continue
-			}
-			order[counts[owner[i]]] = i
-			counts[owner[i]]++
-		}
-	}
-
-	caches := db.batch.cachesGridFor(opts.cacheSize(), len(eps))
-	runPool(n, opts.workers(), order, "session", func(i int) error {
-		si := owner[i]
-		if si < 0 {
-			return nil // out-of-domain: typed error already recorded
-		}
-		_, re, err := sessions[i].advance(lo, si, eps[si], pos(i), cacheAt(caches, si), qs != nil)
-		recomputed[i], errs[i] = re, err
+		si := lo.shardIdx(p)
+		_, recomputed[i], errs[i] = sessions[i].advance(lo, si, eps[si], p, qs != nil)
 		return nil // per-session errors land in errs; the batch never aborts
 	})
 	return recomputed, errs

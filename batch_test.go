@@ -10,8 +10,9 @@ import (
 )
 
 // queryPoints returns a deterministic mix of uniform and skewed
-// (repeated-hotspot) points inside the domain — the skew exercises the
-// leaf cache, the repeats exercise cache hits.
+// (repeated-hotspot) points inside the domain — the skew and the exact
+// repeats land many points in one leaf, which a batch must read once
+// per point exactly like sequential calls do.
 func queryPoints(rng *rand.Rand, side float64, n int) []uvdiagram.Point {
 	qs := make([]uvdiagram.Point, 0, n)
 	hot := uvdiagram.Pt(rng.Float64()*side, rng.Float64()*side)
@@ -67,7 +68,7 @@ func sameIDLists(t *testing.T, label string, got, want [][]int32) {
 }
 
 // TestBatchEquivalence is the batch engine's core property: for every
-// build strategy, seed and worker/cache configuration, the Batch*
+// build strategy, seed and worker configuration, the Batch*
 // methods return results identical to N sequential single-point
 // queries.
 func TestBatchEquivalence(t *testing.T) {
@@ -84,8 +85,8 @@ func TestBatchEquivalence(t *testing.T) {
 	configs := []*uvdiagram.BatchOptions{
 		nil,
 		{Workers: 1},
-		{Workers: 7, CacheSize: 4},
-		{Workers: 3, CacheSize: 64},
+		{Workers: 7},
+		{Workers: 3},
 	}
 	for _, strat := range strategies {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -179,7 +180,7 @@ func TestBatchEquivalenceOrderKIndex(t *testing.T) {
 		}
 		want[i] = ids
 	}
-	for _, opts := range []*uvdiagram.BatchOptions{nil, {Workers: 4, CacheSize: 16}} {
+	for _, opts := range []*uvdiagram.BatchOptions{nil, {Workers: 4}} {
 		got, err := ix.BatchPossibleKNN(qs, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -188,9 +189,9 @@ func TestBatchEquivalenceOrderKIndex(t *testing.T) {
 	}
 }
 
-// TestBatchEquivalenceAfterInsert checks that the leaf caches are
-// invalidated by Insert: batch answers must track the mutated database,
-// not the cached pre-insert pages.
+// TestBatchEquivalenceAfterInsert checks that batch answers track the
+// mutated database after an Insert: the R-tree's leaf memo, warm from
+// the batches before it, must not serve a pre-insert leaf.
 func TestBatchEquivalenceAfterInsert(t *testing.T) {
 	const side = 2000.0
 	cfg := datagen.Config{N: 40, Side: side, Diameter: 35, Seed: 5}
@@ -200,9 +201,9 @@ func TestBatchEquivalenceAfterInsert(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(77))
 	qs := queryPoints(rng, side, 24)
-	opts := &uvdiagram.BatchOptions{Workers: 4, CacheSize: 32}
+	opts := &uvdiagram.BatchOptions{Workers: 4}
 
-	// Warm the caches.
+	// Warm the R-tree memo.
 	if _, err := db.BatchNN(qs, opts); err != nil {
 		t.Fatal(err)
 	}
@@ -234,6 +235,62 @@ func TestBatchEquivalenceAfterInsert(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameIDLists(t, "post-insert BatchOrderK", [][]int32{gotKNN[i]}, [][]int32{wantIDs})
+	}
+}
+
+// TestBatchNNReadsWhatSequentialReads: N points through BatchNN cost
+// exactly the pager reads of N sequential PNN calls — no hidden cache
+// makes a batch cheaper — and return bitwise the same answers, at
+// every worker count, on 1 and 4 shards, before and after an Insert, a
+// Delete and a Compact.
+func TestBatchNNReadsWhatSequentialReads(t *testing.T) {
+	const side = 2000.0
+	for _, shards := range []int{1, 4} {
+		cfg := datagen.Config{N: 60, Side: side, Diameter: 35, Seed: 19}
+		db, err := uvdiagram.Build(datagen.Uniform(cfg), cfg.Domain(), &uvdiagram.Options{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs := queryPoints(rand.New(rand.NewSource(91)), side, 45)
+		check := func(stage string) {
+			t.Helper()
+			r0 := db.BufferPoolStats().PagerReads
+			want := make([][]uvdiagram.Answer, len(qs))
+			for i, q := range qs {
+				if want[i], _, err = db.PNN(q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			seqReads := db.BufferPoolStats().PagerReads - r0
+			if seqReads == 0 {
+				t.Fatalf("%d shards, %s: sequential PNN read no pages", shards, stage)
+			}
+			for _, workers := range []int{1, 3, 7} {
+				r0 := db.BufferPoolStats().PagerReads
+				got, err := db.BatchNN(qs, &uvdiagram.BatchOptions{Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if reads := db.BufferPoolStats().PagerReads - r0; reads != seqReads {
+					t.Fatalf("%d shards, %s, %d workers: BatchNN read %d pages, sequential PNN %d",
+						shards, stage, workers, reads, seqReads)
+				}
+				sameAnswerLists(t, stage, got, want)
+			}
+		}
+		check("fresh")
+		if err := db.Insert(uvdiagram.NewObject(int32(db.Len()), qs[1].X, qs[1].Y, 20, nil)); err != nil {
+			t.Fatal(err)
+		}
+		check("after Insert")
+		if err := db.Delete(7); err != nil {
+			t.Fatal(err)
+		}
+		check("after Delete")
+		if err := db.Compact(t.Context()); err != nil {
+			t.Fatal(err)
+		}
+		check("after Compact")
 	}
 }
 

@@ -82,12 +82,12 @@ func BenchmarkDeriveOne(b *testing.B) {
 }
 
 // BenchmarkBatchPNN measures the scratch-pooled batched PNN hot path
-// (leaf caches warm); allocs/op divided by the batch size is the
+// (scratch pool warm); allocs/op divided by the batch size is the
 // per-query allocation count the acceptance bar bounds.
 func BenchmarkBatchPNN(b *testing.B) {
 	f := getFixture(b, 4000, datagen.DefaultDiameter)
 	qs := f.queries
-	opts := &uvdiagram.BatchOptions{CacheSize: 256}
+	opts := &uvdiagram.BatchOptions{}
 	if _, err := f.db.BatchNN(qs, opts); err != nil {
 		b.Fatal(err)
 	}

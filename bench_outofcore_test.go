@@ -65,7 +65,7 @@ func getOutOfCoreFixture(tb testing.TB) *outOfCoreFixture {
 // queries, 4 workers) served off the mapped snapshot.
 func BenchmarkOutOfCoreBatchPNN(b *testing.B) {
 	f := getOutOfCoreFixture(b)
-	opts := &uvdiagram.BatchOptions{Workers: 4, CacheSize: 256}
+	opts := &uvdiagram.BatchOptions{Workers: 4}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -7,7 +7,7 @@
 //	uvserver [-addr :7031] [-n 10000] [-seed 1]
 //	         [-data db.uvsnap] [-pager mmap|heap]
 //	         [-shards 1] [-layout equal|median] [-window 64]
-//	         [-workers N] [-cache 256] [-push-timeout 5s]
+//	         [-workers N] [-push-timeout 5s]
 //	         [-pprof localhost:6060]
 //	         [-maintain] [-maintain-interval 2s]
 //	         [-maintain-high 1.6] [-maintain-low 1.25]
@@ -62,7 +62,6 @@ func main() {
 	layout := flag.String("layout", "equal", "shard layout strategy for a fresh build: equal, median")
 	window := flag.Int("window", 0, "per-connection in-flight request window (0 = default 64)")
 	workers := flag.Int("workers", 0, "server-wide query worker pool size (0 = GOMAXPROCS)")
-	cache := flag.Int("cache", 0, "batch leaf-cache size (0 = default 256, negative disables)")
 	pushTimeout := flag.Duration("push-timeout", 0, "per-write deadline for subscription pushes; a slower consumer is disconnected (0 = default 5s)")
 	maintain := flag.Bool("maintain", false, "run the self-driving maintenance controller")
 	maintInterval := flag.Duration("maintain-interval", 0, "maintenance sampling period (0 = default 2s)")
@@ -127,8 +126,7 @@ func main() {
 	}
 
 	srv, err := server.NewWithConfig(db, server.Logf(logger),
-		server.Config{Window: *window, Workers: *workers, CacheSize: *cache,
-			PushTimeout: *pushTimeout})
+		server.Config{Window: *window, Workers: *workers, PushTimeout: *pushTimeout})
 	if err != nil {
 		logger.Fatal(err)
 	}

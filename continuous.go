@@ -63,7 +63,7 @@ func (c *ContinuousPNN) Move(q Point) ([]int32, bool, error) {
 	defer c.db.egc.Unpin(t)
 	lo := c.db.lo()
 	si := lo.shardIdx(q)
-	return c.advance(lo, si, lo.epAt(si), q, nil, true)
+	return c.advance(lo, si, lo.epAt(si), q, true)
 }
 
 // Revalidate re-evaluates the session at its CURRENT position if — and
@@ -80,7 +80,7 @@ func (c *ContinuousPNN) Revalidate() ([]int32, bool, error) {
 	lo := c.db.lo()
 	q := c.sess.Position()
 	si := lo.shardIdx(q)
-	return c.advance(lo, si, lo.epAt(si), q, nil, false)
+	return c.advance(lo, si, lo.epAt(si), q, false)
 }
 
 // advance is the ONE re-open + move path shared by Move, Revalidate and
@@ -94,9 +94,9 @@ func (c *ContinuousPNN) Revalidate() ([]int32, bool, error) {
 // on an out-of-domain point) the live session and its tallies stay
 // current, so the next successful call neither double-counts the folded
 // work nor leaves the session bound to a dead epoch forever.
-func (c *ContinuousPNN) advance(lo *shardLayout, si int, ep *indexEpoch, q Point, cache *core.LeafCache, move bool) ([]int32, bool, error) {
+func (c *ContinuousPNN) advance(lo *shardLayout, si int, ep *indexEpoch, q Point, move bool) ([]int32, bool, error) {
 	if lo != c.lo || si != c.si || ep.gen != c.ep.gen {
-		sess, err := ep.index.NewContinuousPNNCached(q, cache)
+		sess, err := ep.index.NewContinuousPNN(q)
 		if err != nil {
 			return nil, true, err
 		}
@@ -111,9 +111,9 @@ func (c *ContinuousPNN) advance(lo *shardLayout, si int, ep *indexEpoch, q Point
 		return sess.AnswerIDs(), true, nil
 	}
 	if move {
-		return c.sess.MoveCached(q, cache)
+		return c.sess.Move(q)
 	}
-	return c.sess.RevalidateCached(cache)
+	return c.sess.Revalidate()
 }
 
 // AnswerIDs returns the answer set at the current position (sorted,

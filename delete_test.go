@@ -87,7 +87,7 @@ func assertDBsEquivalent(t *testing.T, label string, got, want *DB, qs []Point) 
 	}
 
 	// Batch engines against the same reference, bitwise.
-	bopts := &BatchOptions{Workers: 2, CacheSize: 16}
+	bopts := &BatchOptions{Workers: 2}
 	gb, err := got.BatchNN(qs, bopts)
 	if err != nil {
 		t.Fatal(err)

@@ -71,7 +71,7 @@ func TestDeriveEquivalenceDB(t *testing.T) {
 
 			// Single-point vs batch (scratch-pooled) answers, bitwise.
 			qs := datagen.Queries(48, 2000, 11)
-			batch, err := db.BatchNN(qs, &uvdiagram.BatchOptions{Workers: 3, CacheSize: 64})
+			batch, err := db.BatchNN(qs, &uvdiagram.BatchOptions{Workers: 3})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -46,16 +46,8 @@ type ContinuousStats struct {
 
 // NewContinuousPNN opens a session at the starting point q.
 func (ix *UVIndex) NewContinuousPNN(q geom.Point) (*ContinuousPNN, error) {
-	return ix.NewContinuousPNNCached(q, nil)
-}
-
-// NewContinuousPNNCached opens a session whose initial evaluation reads
-// its leaf through cache (nil for direct page reads) — the bulk
-// session-advance path shares one decoded leaf across every session
-// landing in it.
-func (ix *UVIndex) NewContinuousPNNCached(q geom.Point, cache *LeafCache) (*ContinuousPNN, error) {
 	c := &ContinuousPNN{ix: ix}
-	if err := c.recompute(q, cache); err != nil {
+	if err := c.recompute(q); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -69,35 +61,29 @@ func (ix *UVIndex) NewContinuousPNNCached(q geom.Point, cache *LeafCache) (*Cont
 // the circle. Move therefore re-evaluates whenever the index's mutation
 // generation has advanced since the last recompute.
 func (c *ContinuousPNN) Move(q geom.Point) ([]int32, bool, error) {
-	return c.MoveCached(q, nil)
-}
-
-// MoveCached is Move with a leaf cache for any re-evaluation it needs
-// (nil for direct page reads).
-func (c *ContinuousPNN) MoveCached(q geom.Point, cache *LeafCache) ([]int32, bool, error) {
 	if c.safe.R > 0 && c.safe.C.Dist(q) < c.safe.R && c.gen == c.ix.gen.Load() {
 		c.q = q
 		c.st.Moves++
 		return c.ids, false, nil
 	}
-	if err := c.recompute(q, cache); err != nil {
+	if err := c.recompute(q); err != nil {
 		return nil, true, err
 	}
 	c.st.Moves++
 	return c.ids, true, nil
 }
 
-// RevalidateCached re-evaluates the session at its CURRENT position if
-// — and only if — the index has mutated since the safe circle was
-// computed; an untouched index returns immediately on one atomic
-// generation comparison. It reports whether a re-evaluation ran and,
-// unlike Move, does not count a move: it is the churn-notification
-// path, not a client movement.
-func (c *ContinuousPNN) RevalidateCached(cache *LeafCache) ([]int32, bool, error) {
+// Revalidate re-evaluates the session at its CURRENT position if — and
+// only if — the index has mutated since the safe circle was computed;
+// an untouched index returns immediately on one atomic generation
+// comparison. It reports whether a re-evaluation ran and, unlike Move,
+// does not count a move: it is the churn-notification path, not a
+// client movement.
+func (c *ContinuousPNN) Revalidate() ([]int32, bool, error) {
 	if c.gen == c.ix.gen.Load() {
 		return c.ids, false, nil
 	}
-	if err := c.recompute(c.q, cache); err != nil {
+	if err := c.recompute(c.q); err != nil {
 		return nil, true, err
 	}
 	return c.ids, true, nil
@@ -118,34 +104,15 @@ func (c *ContinuousPNN) Stats() ContinuousStats { return c.st }
 // Position returns the current query point.
 func (c *ContinuousPNN) Position() geom.Point { return c.q }
 
-func (c *ContinuousPNN) recompute(q geom.Point, cache *LeafCache) error {
-	ix := c.ix
-	if !ix.finished {
-		return fmt.Errorf("core: continuous PNN before Finish")
-	}
-	if !ix.domain.Contains(q) {
-		return fmt.Errorf("core: query point %v outside domain %v", q, ix.domain)
-	}
+func (c *ContinuousPNN) recompute(q geom.Point) error {
 	// Snapshot the generation before reading pages: a mutation landing
 	// mid-read bumps gen past the snapshot, forcing the next Move to
 	// re-evaluate rather than trust a torn answer set.
-	gen := ix.gen.Load()
+	gen := c.ix.gen.Load()
 
-	n, region := ix.snap().root, ix.domain
-	for !n.isLeaf() {
-		k := region.QuadrantFor(q)
-		n = n.children[k]
-		region = region.Quadrant(k)
-	}
-	tuples, ok := cache.get(ix, n)
-	var ios int64
-	if !ok {
-		var err error
-		tuples, ios, err = ix.readLeafTuples(n)
-		if err != nil {
-			return err
-		}
-		cache.put(ix, n, tuples)
+	tuples, region, _, ios, err := c.ix.leafAt("continuous PNN", q)
+	if err != nil {
+		return err
 	}
 	if len(tuples) == 0 {
 		return fmt.Errorf("core: empty leaf at %v", q)

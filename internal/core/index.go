@@ -119,9 +119,10 @@ type UVIndex struct {
 	// k-th order Voronoi generalization ([30]) the paper lists as
 	// future work.
 	orderK int
-	// gen counts structural mutations (live inserts). Leaf caches
-	// compare it against the generation they were filled at, so a cache
-	// can never serve tuples from before an insert.
+	// gen counts structural mutations (live inserts and deletes).
+	// Continuous sessions compare it against the generation their safe
+	// circle was computed at, so a session never trusts a circle from
+	// before a mutation.
 	gen atomic.Uint64
 }
 
@@ -270,33 +271,36 @@ func (s QueryStats) Total() time.Duration {
 	return s.TraverseDur + s.RetrieveDur + s.ProbDur
 }
 
-// descend walks the in-memory non-leaf nodes to the leaf containing q,
-// returning the leaf and its depth.
-func (ix *UVIndex) descend(q geom.Point) (*qnode, int) {
-	n, region, depth := ix.snap().root, ix.domain, 0
+// leafAt is the one leaf lookup behind PNN, PossibleKNN and the
+// continuous session (op names the caller in the precondition error):
+// check the index is finished and q in the domain, walk the in-memory
+// non-leaf nodes to the leaf containing q, and read and decode its page
+// list from the simulated disk. It returns the leaf's tuples, its
+// region, its depth and the number of page reads.
+func (ix *UVIndex) leafAt(op string, q geom.Point) (tuples []pager.LeafTuple, region geom.Rect, depth int, ios int64, err error) {
+	if !ix.finished {
+		return nil, region, 0, 0, fmt.Errorf("core: %s before Finish", op)
+	}
+	if !ix.domain.Contains(q) {
+		return nil, region, 0, 0, fmt.Errorf("core: query point %v outside domain %v", q, ix.domain)
+	}
+	n := ix.snap().root
+	region = ix.domain
 	for !n.isLeaf() {
 		k := region.QuadrantFor(q)
 		n = n.children[k]
 		region = region.Quadrant(k)
 		depth++
 	}
-	return n, depth
-}
-
-// readLeafTuples reads and decodes a leaf's page list from the
-// simulated disk, returning the tuples and the number of page reads.
-func (ix *UVIndex) readLeafTuples(n *qnode) ([]pager.LeafTuple, int64, error) {
-	var tuples []pager.LeafTuple
-	var ios int64
 	for _, pid := range n.pages {
 		ts, err := pager.DecodeLeafTuples(ix.pg.Read(pid))
 		if err != nil {
-			return nil, ios, fmt.Errorf("core: leaf page %d: %w", pid, err)
+			return nil, region, depth, ios, fmt.Errorf("core: leaf page %d: %w", pid, err)
 		}
 		tuples = append(tuples, ts...)
 		ios++
 	}
-	return tuples, ios, nil
+	return tuples, region, depth, ios, nil
 }
 
 // QueryScratch carries the reusable buffers of the PNN hot path — the
@@ -317,26 +321,18 @@ type QueryScratch struct {
 // dminmax bound of [14], fetch the survivors' uncertainty information
 // and compute qualification probabilities by numerical integration.
 func (ix *UVIndex) PNN(q geom.Point) ([]Answer, QueryStats, error) {
-	return ix.pnn(q, nil, nil)
+	return ix.PNNWith(q, nil)
 }
 
-// PNNWith is PNN with both an optional leaf-tuple cache (on a hit the
-// leaf page list is not re-read or re-decoded: IndexIOs stays 0 for the
-// query) and an optional query scratch — the batch engine's hot path.
-// Answers are bitwise identical whatever combination is passed; nil
-// arguments degrade to the allocating paths.
-func (ix *UVIndex) PNNWith(q geom.Point, cache *LeafCache, sc *QueryScratch) ([]Answer, QueryStats, error) {
-	return ix.pnn(q, cache, sc)
-}
-
-func (ix *UVIndex) pnn(q geom.Point, cache *LeafCache, sc *QueryScratch) ([]Answer, QueryStats, error) {
+// PNNWith is PNN over a caller-owned query scratch — the pooled hot
+// path of the DB's single and batch queries. Answers are bitwise
+// identical with or without one (the scratch only recycles buffers);
+// nil uses a fresh scratch.
+func (ix *UVIndex) PNNWith(q geom.Point, sc *QueryScratch) ([]Answer, QueryStats, error) {
+	if sc == nil {
+		sc = new(QueryScratch)
+	}
 	var st QueryStats
-	if !ix.finished {
-		return nil, st, fmt.Errorf("core: PNN before Finish")
-	}
-	if !ix.domain.Contains(q) {
-		return nil, st, fmt.Errorf("core: query point %v outside domain %v", q, ix.domain)
-	}
 
 	// Snapshot the population BEFORE the tree. Writers order a delete as
 	// leaf-publish THEN tombstone and an insert as store-append THEN
@@ -347,24 +343,15 @@ func (ix *UVIndex) pnn(q geom.Point, cache *LeafCache, sc *QueryScratch) ([]Answ
 	// never a hybrid, and never fetches a tombstoned record.
 	view := ix.store.View()
 
-	// Phase 1: index traversal (non-leaf nodes are in memory; leaf page
-	// list is read from disk unless the cache still holds it).
+	// Phase 1: index traversal (non-leaf nodes are in memory; the leaf
+	// page list is read from disk).
 	t0 := time.Now()
-	n, depth := ix.descend(q)
-	st.Depth = depth
-	var tuples []pager.LeafTuple
-	if cached, ok := cache.get(ix, n); ok {
-		tuples = cached
-	} else {
-		var err error
-		var ios int64
-		tuples, ios, err = ix.readLeafTuples(n)
-		if err != nil {
-			return nil, st, err
-		}
-		st.IndexIOs += ios
-		cache.put(ix, n, tuples)
+	tuples, _, depth, ios, err := ix.leafAt("PNN", q)
+	if err != nil {
+		return nil, st, err
 	}
+	st.Depth = depth
+	st.IndexIOs = ios
 	st.LeafEntries = len(tuples)
 
 	// dminmax filter on MBCs only (no object I/O yet). Tuples outside
@@ -382,10 +369,7 @@ func (ix *UVIndex) pnn(q geom.Point, cache *LeafCache, sc *QueryScratch) ([]Answ
 			dminmax = d
 		}
 	}
-	var candIDs []int32
-	if sc != nil {
-		candIDs = sc.candIDs[:0]
-	}
+	candIDs := sc.candIDs[:0]
 	for _, t := range tuples {
 		if int(t.ID) >= view.Len() || !view.Alive(t.ID) {
 			continue
@@ -398,9 +382,7 @@ func (ix *UVIndex) pnn(q geom.Point, cache *LeafCache, sc *QueryScratch) ([]Answ
 			candIDs = append(candIDs, t.ID)
 		}
 	}
-	if sc != nil {
-		sc.candIDs = candIDs
-	}
+	sc.candIDs = candIDs
 	// Canonical candidate order. A fresh build lists leaf tuples in id
 	// order already, but incremental maintenance (DeleteLive re-inserts,
 	// splits) appends out of order, and the probability integration's
@@ -413,35 +395,22 @@ func (ix *UVIndex) pnn(q geom.Point, cache *LeafCache, sc *QueryScratch) ([]Answ
 
 	// Phase 2: object retrieval.
 	t1 := time.Now()
-	var cands []uncertain.Object
-	var fetch *uncertain.FetchScratch
-	if sc != nil {
-		cands = sc.cands[:0]
-		fetch = &sc.fetch
-		fetch.Reset()
-	} else {
-		cands = make([]uncertain.Object, 0, len(candIDs))
-	}
+	cands := sc.cands[:0]
+	sc.fetch.Reset()
 	for _, id := range candIDs {
-		o, err := view.FetchWith(id, fetch)
+		o, err := view.FetchWith(id, &sc.fetch)
 		if err != nil {
 			return nil, st, err
 		}
 		cands = append(cands, o)
 		st.ObjectIOs++
 	}
-	if sc != nil {
-		sc.cands = cands
-	}
+	sc.cands = cands
 	st.RetrieveDur = time.Since(t1)
 
 	// Phase 3: probability computation.
 	t2 := time.Now()
-	var probSc *prob.Scratch
-	if sc != nil {
-		probSc = &sc.prob
-	}
-	ps := prob.ProbsScratch(cands, q, 0, probSc)
+	ps := prob.ProbsScratch(cands, q, 0, &sc.prob)
 	var answers []Answer
 	for i, p := range ps {
 		if p > 0 {

@@ -10,7 +10,6 @@ import (
 
 	"uvdiagram/internal/derive"
 	"uvdiagram/internal/geom"
-	"uvdiagram/internal/pager"
 	"uvdiagram/internal/rtree"
 	"uvdiagram/internal/uncertain"
 )
@@ -386,41 +385,14 @@ func BuildOrderK(store *uncertain.Store, domain geom.Rect, tree *rtree.Tree, k i
 // k-NNs, so both the potential answers and enough blockers to reject
 // every non-answer appear in the leaf list.
 func (ix *UVIndex) PossibleKNN(q geom.Point) ([]int32, QueryStats, error) {
-	return ix.possibleKNN(q, nil)
-}
-
-// PossibleKNNCached is PossibleKNN with an optional leaf-tuple cache
-// (see PNNWith); answers are identical, a nil cache degrades to
-// PossibleKNN.
-func (ix *UVIndex) PossibleKNNCached(q geom.Point, cache *LeafCache) ([]int32, QueryStats, error) {
-	return ix.possibleKNN(q, cache)
-}
-
-func (ix *UVIndex) possibleKNN(q geom.Point, cache *LeafCache) ([]int32, QueryStats, error) {
 	var st QueryStats
-	if !ix.finished {
-		return nil, st, fmt.Errorf("core: PossibleKNN before Finish")
-	}
-	if !ix.domain.Contains(q) {
-		return nil, st, fmt.Errorf("core: query point %v outside domain %v", q, ix.domain)
-	}
-
 	t0 := time.Now()
-	n, depth := ix.descend(q)
-	st.Depth = depth
-	var tuples []pager.LeafTuple
-	if cached, ok := cache.get(ix, n); ok {
-		tuples = cached
-	} else {
-		var err error
-		var ios int64
-		tuples, ios, err = ix.readLeafTuples(n)
-		if err != nil {
-			return nil, st, err
-		}
-		st.IndexIOs += ios
-		cache.put(ix, n, tuples)
+	tuples, _, depth, ios, err := ix.leafAt("PossibleKNN", q)
+	if err != nil {
+		return nil, st, err
 	}
+	st.Depth = depth
+	st.IndexIOs = ios
 	st.LeafEntries = len(tuples)
 
 	// Possible-k-NN predicate over the candidates: count sure excluders

@@ -1,80 +1,99 @@
 package rtree
 
 import (
-	"sync/atomic"
-
-	"uvdiagram/internal/lru"
+	"container/list"
+	"sync"
 )
 
-// LeafCache is a small LRU cache of decoded leaf items, keyed by leaf
-// node — the R-tree counterpart of the UV-index leaf cache. The
-// branch-and-prune traversals visit (and re-decode) the same leaf pages
-// for every nearby query point, so batch engines running many lookups
-// share one cache. It is safe for concurrent readers. Correctness
+// leafMemoCap bounds the tree's decoded-leaf memo: 256 leaves of up to
+// DefaultFanout 40-byte items is about 1 MB. It is a constant, not an
+// option — measured (CHANGES.md, PR 23), the memo is worth 2.3× on
+// batched k-NN retrieval and nothing evicts at the benchmark's sizes.
+const leafMemoCap = 256
+
+// leafMemo is the tree's own LRU memo of decoded leaf items, keyed by
+// leaf node. The branch-and-prune k-NN traversal visits (and would
+// re-decode) the same leaf pages for every nearby query point, in both
+// of its phases; every KNNCandidates call, single or batched, reads
+// through the memo. It is safe for concurrent readers. Correctness
 // under mutation comes from copy-on-write: a mutation replaces every
-// node it changes, so a cached tuple list keyed by node identity can
-// never go stale — entries for replaced nodes simply stop being looked
-// up and age out, while unchanged leaves stay warm across mutations. A
-// nil cache is valid and disables caching.
-type LeafCache struct {
-	c *lru.Cache[*node, []Item]
-	// hits/misses feed the server's buffer-pool gauges, mirroring the
-	// UV-index leaf cache's accounting.
-	hits   atomic.Int64
-	misses atomic.Int64
+// node it changes, so an item list keyed by node identity can never go
+// stale — entries for replaced nodes simply stop being looked up and
+// age out, while unchanged leaves stay warm across mutations.
+type leafMemo struct {
+	mu      sync.Mutex
+	cap     int
+	order   *list.List              // front = most recently used
+	entries map[*node]*list.Element // element value is *memoEntry
+	// hits/misses/evictions feed the server's cache.rtree_* gauges;
+	// evictions is the sizing signal (a high rate means the working
+	// set exceeds the memo).
+	hits, misses, evictions int64
 }
 
-// NewLeafCache returns a cache holding up to capacity leaves
-// (capacity ≤ 0 yields a nil cache).
-func NewLeafCache(capacity int) *LeafCache {
-	c := lru.New[*node, []Item](capacity)
-	if c == nil {
-		return nil
-	}
-	return &LeafCache{c: c}
+type memoEntry struct {
+	key   *node
+	items []Item
 }
 
-// Len returns the number of cached leaves.
-func (c *LeafCache) Len() int {
-	if c == nil {
-		return 0
+func newLeafMemo(capacity int) *leafMemo {
+	return &leafMemo{
+		cap:     capacity,
+		order:   list.New(),
+		entries: make(map[*node]*list.Element, capacity),
 	}
-	return c.c.Len()
 }
 
-// Stats returns the cache's cumulative hit and miss counts (zero for a
-// nil cache).
-func (c *LeafCache) Stats() (hits, misses int64) {
-	if c == nil {
-		return 0, 0
+// get returns the items memoised under n, counting a hit or a miss.
+func (m *leafMemo) get(n *node) ([]Item, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	el, ok := m.entries[n]
+	if !ok {
+		m.misses++
+		return nil, false
 	}
-	return c.hits.Load(), c.misses.Load()
+	m.hits++
+	m.order.MoveToFront(el)
+	return el.Value.(*memoEntry).items, true
 }
 
-// Evictions returns how many entries capacity pressure has pushed out
-// (zero for a nil cache).
-func (c *LeafCache) Evictions() int64 {
-	if c == nil {
-		return 0
+// put stores items under n, evicting the least recently used entry
+// when full.
+func (m *leafMemo) put(n *node, items []Item) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if el, ok := m.entries[n]; ok {
+		el.Value.(*memoEntry).items = items
+		m.order.MoveToFront(el)
+		return
 	}
-	return c.c.Evictions()
+	if len(m.entries) >= m.cap {
+		oldest := m.order.Back()
+		m.order.Remove(oldest)
+		delete(m.entries, oldest.Value.(*memoEntry).key)
+		m.evictions++
+	}
+	m.entries[n] = m.order.PushFront(&memoEntry{key: n, items: items})
 }
 
-// readLeafCached is readLeaf through an optional cache. Cache hits
-// skip the page read (and its I/O accounting) and the decode; the
-// returned slice is shared and must be treated as read-only.
-func (t *Tree) readLeafCached(n *node, cache *LeafCache) []Item {
-	if cache == nil {
-		return t.readLeaf(n)
-	}
-	// Constant generation: node identity alone keys the immutable COW
-	// nodes (see the type comment).
-	if items, ok := cache.c.Get(0, n); ok {
-		cache.hits.Add(1)
+// MemoStats returns the cumulative hit, miss and eviction counts of
+// the tree's decoded-leaf memo.
+func (t *Tree) MemoStats() (hits, misses, evictions int64) {
+	m := t.memo
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.hits, m.misses, m.evictions
+}
+
+// readLeafMemo is readLeaf through the tree's memo. A hit skips the
+// page read (and its I/O accounting) and the decode; the returned
+// slice is shared and must be treated as read-only.
+func (t *Tree) readLeafMemo(n *node) []Item {
+	if items, ok := t.memo.get(n); ok {
 		return items
 	}
-	cache.misses.Add(1)
 	items := t.readLeaf(n)
-	cache.c.Put(0, n, items)
+	t.memo.put(n, items)
 	return items
 }

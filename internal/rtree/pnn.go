@@ -74,18 +74,9 @@ func (t *Tree) PNNCandidates(q geom.Point) (cands []Item, dminmax float64) {
 // it returns every object whose minimum distance does not exceed the
 // k-th smallest maximum distance (the bound below which k objects are
 // guaranteed to exist), a superset of the exact possible-k-NN set.
+// Leaves are read through the tree's memo (see leafMemo): a hit skips
+// the page read and the decode.
 func (t *Tree) KNNCandidates(q geom.Point, k int) (cands []Item, bound float64) {
-	return t.knnCandidates(q, k, nil)
-}
-
-// KNNCandidatesCached is KNNCandidates through an optional decoded-leaf
-// cache (see LeafCache); results are identical, cache hits skip page
-// reads and decodes.
-func (t *Tree) KNNCandidatesCached(q geom.Point, k int, cache *LeafCache) (cands []Item, bound float64) {
-	return t.knnCandidates(q, k, cache)
-}
-
-func (t *Tree) knnCandidates(q geom.Point, k int, cache *LeafCache) (cands []Item, bound float64) {
 	hd := t.hdr.Load()
 	if hd.size == 0 || k <= 0 {
 		return nil, math.Inf(1)
@@ -120,7 +111,7 @@ func (t *Tree) knnCandidates(q geom.Point, k int, cache *LeafCache) (cands []Ite
 			break
 		}
 		if e.node.isLeaf() {
-			for _, it := range t.readLeafCached(e.node, cache) {
+			for _, it := range t.readLeafMemo(e.node) {
 				push(q.Dist(it.MBC.C) + it.MBC.R)
 			}
 			continue
@@ -140,7 +131,7 @@ func (t *Tree) knnCandidates(q geom.Point, k int, cache *LeafCache) (cands []Ite
 			return
 		}
 		if n.isLeaf() {
-			for _, it := range t.readLeafCached(n, cache) {
+			for _, it := range t.readLeafMemo(n) {
 				if math.Max(0, q.Dist(it.MBC.C)-it.MBC.R) <= bound {
 					cands = append(cands, it)
 				}

@@ -7,7 +7,10 @@
 //
 // Following the paper's setup, non-leaf nodes live in main memory while
 // every leaf node occupies one simulated disk page (4 KB, fanout 100),
-// so leaf visits are the unit of query I/O.
+// so leaf visits are the unit of query I/O. The one exception is the
+// possible-k-NN retrieval (KNNCandidates), which reads leaves through a
+// small memo of decoded leaves the tree owns (see leafMemo); the paper's
+// PNN baseline (PNNCandidates) and every other traversal read pages.
 package rtree
 
 import (
@@ -78,6 +81,10 @@ type Tree struct {
 	// gen counts mutations; derived structures snapshot it to detect
 	// that the tree has changed under them.
 	gen atomic.Uint64
+	// memo is the tree-owned, always-on memo of decoded leaves behind
+	// KNNCandidates (see leafMemo): bounded at leafMemoCap leaves,
+	// keyed by immutable COW node, so no mutation has to flush it.
+	memo *leafMemo
 }
 
 // New returns an empty tree with the given fanout (DefaultFanout when
@@ -89,7 +96,7 @@ func New(fanout int, pg *pager.Pager) *Tree {
 	if 2+fanout*pager.LeafTupleSize > pg.PageSize() {
 		panic(fmt.Sprintf("rtree: fanout %d does not fit page size %d", fanout, pg.PageSize()))
 	}
-	t := &Tree{fanout: fanout, pg: pg}
+	t := &Tree{fanout: fanout, pg: pg, memo: newLeafMemo(leafMemoCap)}
 	t.hdr.Store(&treeHdr{root: t.newLeaf(nil), height: 1})
 	return t
 }

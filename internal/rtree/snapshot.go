@@ -121,8 +121,7 @@ func OpenSnapshot(manifest []byte, pg *pager.Pager) (*Tree, error) {
 	if next != total {
 		return nil, fmt.Errorf("rtree: snapshot tree claims %d pages, section holds %d", next, total)
 	}
-	t := &Tree{fanout: fanout}
-	t.pg = pg
+	t := &Tree{fanout: fanout, pg: pg, memo: newLeafMemo(leafMemoCap)}
 	t.hdr.Store(&treeHdr{root: root, height: height, size: size})
 	return t, nil
 }

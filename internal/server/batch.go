@@ -176,7 +176,7 @@ func (s *Server) dispatchBatch(op byte, r *wire.Reader) ([]byte, error) {
 
 	borrowed, release := s.borrowWorkers(s.cfg.Workers - 1)
 	defer release()
-	opts := &uvdiagram.BatchOptions{Workers: 1 + borrowed, CacheSize: s.cfg.CacheSize}
+	opts := &uvdiagram.BatchOptions{Workers: 1 + borrowed}
 
 	switch op {
 	case wire.OpBatchPNN:

@@ -92,8 +92,7 @@ func BenchmarkPipelinedNN(b *testing.B) {
 }
 
 // BenchmarkBatchNN ships the queries as batch frames of up to 1024
-// points, answered by the server's worker-pool fan-out with the shared
-// leaf cache.
+// points, answered by the server's worker-pool fan-out.
 func BenchmarkBatchNN(b *testing.B) {
 	cli, qs := benchServer(b, benchObjects)
 	b.ResetTimer()

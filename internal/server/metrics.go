@@ -52,9 +52,6 @@ type serverMetrics struct {
 	dbLive      *metrics.Gauge
 	dbSlack     *metrics.Gauge
 	dbImbalance *metrics.Gauge
-	cacheHits   *metrics.Gauge
-	cacheMisses *metrics.Gauge
-	cacheEvict  *metrics.Gauge
 	rtHits      *metrics.Gauge
 	rtMisses    *metrics.Gauge
 	rtEvict     *metrics.Gauge
@@ -94,9 +91,6 @@ func newServerMetrics() *serverMetrics {
 		dbLive:      set.Gauge("db.live"),
 		dbSlack:     set.Gauge("db.slack"),
 		dbImbalance: set.Gauge("db.imbalance"),
-		cacheHits:   set.Gauge("cache.leaf_hits"),
-		cacheMisses: set.Gauge("cache.leaf_misses"),
-		cacheEvict:  set.Gauge("cache.leaf_evictions"),
 		rtHits:      set.Gauge("cache.rtree_hits"),
 		rtMisses:    set.Gauge("cache.rtree_misses"),
 		rtEvict:     set.Gauge("cache.rtree_evictions"),
@@ -163,9 +157,6 @@ func (s *Server) MetricsSnapshot() []metrics.Value {
 	m.dbSlack.Set(float64(s.db.Slack()))
 	m.dbImbalance.Set(s.db.LoadImbalance())
 	bp := s.db.BufferPoolStats()
-	m.cacheHits.Set(float64(bp.LeafHits))
-	m.cacheMisses.Set(float64(bp.LeafMisses))
-	m.cacheEvict.Set(float64(bp.LeafEvictions))
 	m.rtHits.Set(float64(bp.RTreeHits))
 	m.rtMisses.Set(float64(bp.RTreeMisses))
 	m.rtEvict.Set(float64(bp.RTreeEvictions))

@@ -94,7 +94,8 @@ func TestMetricsExactness(t *testing.T) {
 
 // TestMetricsMaintenanceFeed verifies the DB-observer wiring: engine
 // maintenance fired through the server's DB shows up in the maint.*
-// counters, and the leaf-cache gauges mirror DB.LeafCacheStats.
+// counters, and the cache.rtree_* gauges mirror the R-tree memo
+// counters of DB.BufferPoolStats.
 func TestMetricsMaintenanceFeed(t *testing.T) {
 	cli, srv := startServer(t, 60)
 	db := srv.DB()
@@ -108,10 +109,20 @@ func TestMetricsMaintenanceFeed(t *testing.T) {
 	if got := m["maint.compact.count"]; got != 1 {
 		t.Errorf("maint.compact.count = %g, want 1", got)
 	}
-	hits, misses := db.LeafCacheStats()
-	if m["cache.leaf_hits"] != float64(hits) || m["cache.leaf_misses"] != float64(misses) {
-		t.Errorf("cache gauges (%g, %g) != LeafCacheStats (%d, %d)",
-			m["cache.leaf_hits"], m["cache.leaf_misses"], hits, misses)
+	if _, err := cli.PossibleKNN(uvdiagram.Pt(500, 500), 2); err != nil {
+		t.Fatal(err)
+	}
+	m = metricsMap(t, cli)
+	bp := db.BufferPoolStats()
+	if bp.RTreeHits+bp.RTreeMisses == 0 {
+		t.Error("a k-NN request left the R-tree memo counters at zero")
+	}
+	if m["cache.rtree_hits"] != float64(bp.RTreeHits) || m["cache.rtree_misses"] != float64(bp.RTreeMisses) {
+		t.Errorf("cache gauges (%g, %g) != BufferPoolStats (%d, %d)",
+			m["cache.rtree_hits"], m["cache.rtree_misses"], bp.RTreeHits, bp.RTreeMisses)
+	}
+	if _, ok := m["cache.leaf_hits"]; ok {
+		t.Error("cache.leaf_hits still exported; the grid has no leaf cache")
 	}
 }
 

@@ -50,9 +50,6 @@ type Config struct {
 	// across the whole server, and the fan-out width of one batch
 	// request (default GOMAXPROCS).
 	Workers int
-	// CacheSize is the size of the batch engine's leaf-lookup LRU cache
-	// (default 256; negative disables caching).
-	CacheSize int
 	// PushTimeout bounds one out-of-band push write to a subscriber: a
 	// consumer that stopped reading long enough for its socket buffer
 	// to fill would otherwise stall whoever produces its deltas, so
@@ -69,11 +66,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.CacheSize == 0 {
-		c.CacheSize = 256
-	} else if c.CacheSize < 0 {
-		c.CacheSize = 0
 	}
 	if c.PushTimeout == 0 {
 		c.PushTimeout = 5 * time.Second

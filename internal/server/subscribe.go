@@ -402,10 +402,7 @@ func (s *Server) notifySessions() {
 		live = append(live, ss)
 		cursors = append(cursors, ss.sess)
 	}
-	recomputed, errs := s.db.AdvanceAll(cursors, nil, &uvdiagram.BatchOptions{
-		Workers:   s.cfg.Workers,
-		CacheSize: s.cfg.CacheSize,
-	})
+	recomputed, errs := s.db.AdvanceAll(cursors, nil, &uvdiagram.BatchOptions{Workers: s.cfg.Workers})
 	s.mu.RUnlock()
 
 	var failed []*session

@@ -20,8 +20,7 @@ type OrderKIndex struct {
 	inner    *core.UVIndex
 	k        int
 	built    BuildStats
-	hasBuilt bool       // false for loaded indexes: the stream carries no build stats
-	batch    batchState // leaf cache reused across Batch* calls
+	hasBuilt bool // false for loaded indexes: the stream carries no build stats
 	// snap pins the database state the order-k grid was built over,
 	// across every shard: a Compact/CompactShard (epoch swap)
 	// or an incremental Insert/Delete (shard-index mutation) makes this

@@ -446,7 +446,7 @@ func TestOutOfCorePerfSmoke(t *testing.T) {
 	}
 
 	f := getOutOfCoreFixture(t)
-	opts := &uvdiagram.BatchOptions{Workers: 4, CacheSize: 256}
+	opts := &uvdiagram.BatchOptions{Workers: 4}
 	best := time.Duration(1<<63 - 1)
 	for run := 0; run < 3; run++ {
 		t0 := time.Now()

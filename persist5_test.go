@@ -97,7 +97,7 @@ func assertEquivalentTol(t *testing.T, want, got *uvdiagram.DB, seed int64, tol 
 			}
 		}
 	}
-	bopts := &uvdiagram.BatchOptions{Workers: 4, CacheSize: 64}
+	bopts := &uvdiagram.BatchOptions{Workers: 4}
 	b1, err1 := want.BatchNN(qs, bopts)
 	b2, err2 := got.BatchNN(qs, bopts)
 	if err1 != nil || err2 != nil {

@@ -76,9 +76,9 @@ func assertShardInvariant(t *testing.T, label string, got, want *DB, qs []Point)
 		}
 	}
 
-	// Batch engines, with workers and caches exercised on the sharded
-	// side so per-shard cache routing is covered.
-	bopts := &BatchOptions{Workers: 3, CacheSize: 16}
+	// Batch engines, with a worker pool on the sharded side so the
+	// per-shard routing is covered.
+	bopts := &BatchOptions{Workers: 3}
 	gb, err := got.BatchNN(qs, bopts)
 	if err != nil {
 		t.Fatal(err)

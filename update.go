@@ -157,9 +157,9 @@ func (db *DB) Delete(id int32) error {
 // all-or-nothing: every id is validated (known, live, no duplicates)
 // before the first deletion, so a failing batch changes nothing. The
 // index repair is shared across the batch — per touched shard, one leaf
-// walk strips every victim and dependent, dirty pages flush once, and
-// the leaf caches are invalidated once, instead of per victim;
-// dependent re-derivation runs once for the whole engine.
+// walk strips every victim and dependent and dirty pages flush once,
+// instead of per victim; dependent re-derivation runs once for the
+// whole engine.
 func (db *DB) BatchDelete(ids []int32) error {
 	db.smu.Lock()
 	defer db.smu.Unlock()
@@ -437,7 +437,7 @@ func (db *DB) CompactAll(ctx context.Context, parallelism int) error {
 	if parallelism > n {
 		parallelism = n
 	}
-	return runPool(n, parallelism, nil, "shard", func(i int) error {
+	return runPool(n, parallelism, "shard", func(i int) error {
 		return db.CompactShard(ctx, i)
 	})
 }
@@ -563,18 +563,19 @@ func (db *DB) autoCompact(lo *shardLayout, i int) {
 func (db *DB) PossibleKNN(q Point, k int) ([]int32, error) {
 	t := db.egc.Pin()
 	defer db.egc.Unpin(t)
-	return db.possibleKNN(db.rtree(), q, k, nil)
+	return db.possibleKNN(db.rtree(), q, k)
 }
 
-// possibleKNN answers through an optional R-tree leaf cache against one
-// pinned tree. The candidates' distance bounds come straight from the
-// leaf entries' bounding circles (identical to the objects' regions),
-// so the objects themselves are never materialized.
-func (db *DB) possibleKNN(tree *rtree.Tree, q Point, k int, cache *rtree.LeafCache) ([]int32, error) {
+// possibleKNN answers against one pinned tree (through its decoded-leaf
+// memo, single call or batch alike). The candidates' distance bounds
+// come straight from the leaf entries' bounding circles (identical to
+// the objects' regions), so the objects themselves are never
+// materialized.
+func (db *DB) possibleKNN(tree *rtree.Tree, q Point, k int) ([]int32, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("uvdiagram: PossibleKNN needs k ≥ 1, got %d", k)
 	}
-	items, _ := tree.KNNCandidatesCached(q, k, cache)
+	items, _ := tree.KNNCandidates(q, k)
 	mins := make([]float64, len(items))
 	maxes := make([]float64, len(items))
 	for i, it := range items {

@@ -37,7 +37,7 @@
 // and a full three-dimensional UV-diagram (Build3/DB3).
 //
 // For streamed workloads the batch engine answers many points per call
-// with a worker pool and shared leaf-page caches: BatchNN, BatchOrderK,
+// with a worker pool and pooled query buffers: BatchNN, BatchOrderK,
 // BatchTopKPNN and BatchThresholdNN return results identical to the
 // equivalent sequence of single-point queries. A pipelined TCP server
 // and client for a built database live in internal/server with the
@@ -379,8 +379,8 @@ type DB struct {
 	built atomic.Pointer[BuildStats]
 	// smu is the store-level lock of the two-level scheme (see the
 	// locking notes above).
-	smu   sync.RWMutex
-	batch batchState // per-shard leaf caches reused across Batch* calls
+	smu     sync.RWMutex
+	scratch sync.Pool // of *core.QueryScratch, shared by single and batch PNN (see pnnOn)
 	// dscratch is the derivation scratch of the live mutation paths
 	// (Insert, Delete re-derivation). Guarded by smu held exclusively —
 	// exactly the sections that derive — so it is never shared.
@@ -578,7 +578,7 @@ func (db *DB) PNN(q Point) ([]Answer, QueryStats, error) {
 	if err := checkDomain(lo, db.domain, q); err != nil {
 		return nil, QueryStats{}, err
 	}
-	return lo.epFor(q).index.PNN(q)
+	return db.pnnOn(lo.epFor(q).index, q)
 }
 
 // mutationCounters are the DB's atomic mutation-path tallies.
