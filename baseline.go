@@ -42,7 +42,9 @@ func (db *DB) PNNViaRTree(q Point) ([]Answer, QueryStats, error) {
 	st.RetrieveDur = time.Since(t1)
 
 	t2 := time.Now()
-	ps := prob.Probs(cands, q, 0)
+	var sc prob.Scratch
+	ps := prob.ProbsScratch(cands, q, &sc)
+	st.CDFEvals, st.QuadCapped = sc.CDFEvals, sc.Capped
 	var answers []Answer
 	for i, p := range ps {
 		if p > 0 {
@@ -58,7 +60,7 @@ func (db *DB) PNNViaRTree(q Point) ([]Answer, QueryStats, error) {
 // object set by the numerical-integration method of [14]; useful for
 // verification and for workloads that bypass the index.
 func Probabilities(objects []Object, q Point) []float64 {
-	return prob.Probs(objects, q, 0)
+	return prob.Probs(objects, q)
 }
 
 // MonteCarloProbabilities estimates qualification probabilities by

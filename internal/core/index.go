@@ -261,9 +261,11 @@ type QueryStats struct {
 	TraverseDur time.Duration
 	RetrieveDur time.Duration
 	ProbDur     time.Duration
-	LeafEntries int // tuples read from the leaf's page list
-	Candidates  int // survivors of the dminmax filter
-	Depth       int // leaf depth reached
+	LeafEntries int  // tuples read from the leaf's page list
+	Candidates  int  // survivors of the dminmax filter
+	Depth       int  // leaf depth reached
+	CDFEvals    int  // distance-CDF evaluations of the quadrature: radii × answer-set size
+	QuadCapped  bool // the quadrature stopped at its cap without converging (prob.Integrate)
 }
 
 // Total returns the summed duration of all components.
@@ -410,7 +412,8 @@ func (ix *UVIndex) PNNWith(q geom.Point, sc *QueryScratch) ([]Answer, QueryStats
 
 	// Phase 3: probability computation.
 	t2 := time.Now()
-	ps := prob.ProbsScratch(cands, q, 0, &sc.prob)
+	ps := prob.ProbsScratch(cands, q, &sc.prob)
+	st.CDFEvals, st.QuadCapped = sc.prob.CDFEvals, sc.prob.Capped
 	var answers []Answer
 	for i, p := range ps {
 		if p > 0 {

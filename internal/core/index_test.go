@@ -46,7 +46,7 @@ func TestPNNMatchesBruteForce(t *testing.T) {
 		ix, _ := buildIndex(t, objs, domain, strategy)
 		for k := 0; k < 60; k++ {
 			q := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
-			answers, _, err := ix.PNN(q)
+			answers, qst, err := ix.PNN(q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -55,7 +55,15 @@ func TestPNNMatchesBruteForce(t *testing.T) {
 				t.Fatalf("%v: query %v: got %d answers, want %d (%v vs %v)",
 					strategy, q, len(answers), len(want), answers, want)
 			}
-			wantProbs := prob.Probs(objs, q, 0)
+			// The quadrature's cost is reported per query: whole radii
+			// over the answer set (513 each when it ran out of levels),
+			// none when one object answers alone.
+			radii := qst.CDFEvals / len(want)
+			if integrated := len(want) > 1; (radii > 0) != integrated || qst.CDFEvals%len(want) != 0 || radii > 513 || qst.QuadCapped && radii != 513 {
+				t.Fatalf("%v: query %v: CDFEvals = %d, QuadCapped = %v over %d answers",
+					strategy, q, qst.CDFEvals, qst.QuadCapped, len(want))
+			}
+			wantProbs := prob.Probs(objs, q)
 			for a, ans := range answers {
 				if int(ans.ID) != want[a] {
 					t.Fatalf("%v: query %v: answer ids %v, want %v", strategy, q, answers, want)

@@ -27,9 +27,6 @@ type Options3 struct {
 	// Dirs is the size of the Fibonacci direction lattice used for
 	// radial bounds (default 1024).
 	Dirs int
-	// ProbSteps is the resolution of query-time probability integration
-	// (default prob3.DefaultSteps).
-	ProbSteps int
 	// Workers parallelizes the per-object derivation phase of Build3
 	// across goroutines; results are identical to a sequential build.
 	// 0 or 1 means sequential.
@@ -56,9 +53,6 @@ func (o *Options3) normalize() {
 	}
 	if o.Dirs <= 0 {
 		o.Dirs = 1024
-	}
-	if o.ProbSteps <= 0 {
-		o.ProbSteps = prob3.DefaultSteps
 	}
 	if o.Workers <= 0 {
 		o.Workers = 1
@@ -334,7 +328,7 @@ func (ix *OctIndex) PNN(q geom3.Point3) ([]Answer3, QueryStats3, error) {
 	st.TraverseDur = time.Since(t0)
 
 	t1 := time.Now()
-	ps := prob3.Probs3(cands, q, ix.opts.ProbSteps)
+	ps := prob3.Probs3(cands, q)
 	var answers []Answer3
 	for i, p := range ps {
 		if p > 0 {

@@ -18,6 +18,7 @@ type queryAverages struct {
 	TraverseMs float64
 	RetrieveMs float64
 	ProbMs     float64
+	CDFEvals   float64
 	Answers    float64
 }
 
@@ -34,6 +35,7 @@ func runWorkload(run func(q geom.Point) (uvdiagram.QueryStats, int, error), quer
 		agg.TraverseMs += st.TraverseDur.Seconds() * 1000
 		agg.RetrieveMs += st.RetrieveDur.Seconds() * 1000
 		agg.ProbMs += st.ProbDur.Seconds() * 1000
+		agg.CDFEvals += float64(st.CDFEvals)
 		agg.Answers += float64(answers)
 	}
 	n := float64(len(queries))
@@ -43,6 +45,7 @@ func runWorkload(run func(q geom.Point) (uvdiagram.QueryStats, int, error), quer
 	agg.TraverseMs /= n
 	agg.RetrieveMs /= n
 	agg.ProbMs /= n
+	agg.CDFEvals /= n
 	agg.Answers /= n
 	return agg, nil
 }
@@ -134,6 +137,7 @@ func RunFig6(sc Scale, progress func(string)) ([]*Table, error) {
 	c.AddRow("index traversal", ms(uv.TraverseMs), ms(rt.TraverseMs))
 	c.AddRow("object retrieval", ms(uv.RetrieveMs), ms(rt.RetrieveMs))
 	c.AddRow("QP calculation", ms(uv.ProbMs), ms(rt.ProbMs))
+	c.Notes = []string{fmt.Sprintf("QP calculation evaluates %.0f distance CDFs per query on average (quadrature radii × answer-set size)", uv.CDFEvals)}
 	progress("fig6c done")
 
 	// (d) uncertainty-size sweep at MidN.

@@ -7,25 +7,26 @@ import (
 	"uvdiagram/internal/uncertain"
 )
 
-// DefaultSteps is the default resolution of the numerical integration.
-const DefaultSteps = 200
-
 // Scratch holds the reusable buffers of the probability integration —
 // the answer-set index list, the candidates' sweep state with the rings
-// behind it, and the out/fPrev/fNext/fMid vectors that Probs used
-// to allocate per query. Batch engines keep one per worker (pooled
-// through batchState) so steady-state PNN probability computation
-// allocates nothing. A scratch is single-goroutine state; slices
-// returned through it are valid until the next call with the same
-// scratch.
+// behind it, and the quadrature's node table and level vectors that
+// Probs used to allocate per query. Batch engines keep one per worker
+// (pooled through batchState) so steady-state PNN probability
+// computation allocates nothing. A scratch is single-goroutine state;
+// slices returned through it are valid until the next call with the
+// same scratch.
 type Scratch struct {
-	out   []float64
-	ans   []int
-	sw    []sweep // one per candidate
-	rings []ring  // backing store of the answer set's sweep rings
-	fPrev []float64
-	fNext []float64
-	fMid  []float64
+	out    []float64
+	ans    []int
+	sw     []sweep   // one per candidate
+	rings  []ring    // backing store of the answer set's sweep rings
+	nodes  []float64 // F_a at the dyadic radii: node j, object a at [j·k+a]
+	levels []float64 // this level's sums, the last level's, its extrapolates
+
+	// The last ProbsScratch call's cost in CDF evaluations (radii ×
+	// answer-set size) and whether its quadrature ran out of levels.
+	CDFEvals int
+	Capped   bool
 }
 
 func (sc *Scratch) floats(buf *[]float64, n int) []float64 {
@@ -41,14 +42,13 @@ func (sc *Scratch) floats(buf *[]float64, n int) []float64 {
 //
 //	P_i = ∫ (dF_i/dr)(r) · Π_{j≠i} (1 − F_j(r)) dr
 //
-// evaluated as a Riemann–Stieltjes sum over a uniform grid of the
-// support [min distmin, second-smallest distmax]. Objects outside the
-// answer set get exactly 0. steps ≤ 0 selects DefaultSteps.
+// evaluated by Integrate over the support [min distmin, second-smallest
+// distmax]. Objects outside the answer set get exactly 0.
 //
 // The caller typically passes the candidate set produced by an index;
 // passing the full dataset is valid, only slower.
-func Probs(objs []uncertain.Object, q geom.Point, steps int) []float64 {
-	return ProbsScratch(objs, q, steps, nil)
+func Probs(objs []uncertain.Object, q geom.Point) []float64 {
+	return ProbsScratch(objs, q, nil)
 }
 
 // ProbsScratch is Probs through an optional scratch: the returned slice
@@ -56,17 +56,13 @@ func Probs(objs []uncertain.Object, q geom.Point, steps int) []float64 {
 // scratch. A nil scratch allocates fresh buffers, making it identical
 // to Probs. The arithmetic — and therefore every probability, bitwise —
 // is the same on both paths.
-func ProbsScratch(objs []uncertain.Object, q geom.Point, steps int, sc *Scratch) []float64 {
+func ProbsScratch(objs []uncertain.Object, q geom.Point, sc *Scratch) []float64 {
 	if sc == nil {
 		sc = &Scratch{}
 	}
-	if steps <= 0 {
-		steps = DefaultSteps
-	}
+	sc.CDFEvals, sc.Capped = 0, false
 	out := sc.floats(&sc.out, len(objs))
-	for i := range out {
-		out[i] = 0
-	}
+	clear(out)
 	sw := sc.sw[:0]
 	for i := range objs {
 		sw = append(sw, reach(objs[i], q))
@@ -105,41 +101,119 @@ func ProbsScratch(objs []uncertain.Object, q geom.Point, steps int, sc *Scratch)
 		return out
 	}
 
-	k := len(ans)
-	h := (hi - lo) / float64(steps)
-	fPrev := sc.floats(&sc.fPrev, k)
-	fNext := sc.floats(&sc.fNext, k)
-	fMid := sc.floats(&sc.fMid, k)
 	sc.rings = sc.rings[:0]
-	for a, i := range ans {
+	for _, i := range ans {
 		sw[i], sc.rings = sw[i].arm(objs[i], sc.rings)
-		fPrev[a] = sw[i].cdf(lo)
 	}
-	for t := 0; t < steps; t++ {
-		r1 := lo + float64(t+1)*h
-		mid := lo + (float64(t)+0.5)*h
-		for a, i := range ans {
-			fNext[a] = sw[i].cdf(r1)
-			fMid[a] = sw[i].cdf(mid)
+	p := Integrate(len(ans), lo, hi, func(a int, r float64) float64 {
+		return sw[ans[a]].cdf(r)
+	}, sc)
+	for a, i := range ans {
+		out[i] = p[a]
+	}
+	return out
+}
+
+// The quadrature. The Riemann–Stieltjes sum of the PNN integral over S
+// uniform panels,
+//
+//	P_S[a] = Σ_t (F_a(r_{t+1}) − F_a(r_t)) · Π_{b≠a} (1 − F_b(mid_t)),
+//
+// is off by a multiple of h² where the CDFs are smooth, so it is taken
+// on the dyadic levels S = quadFirst, 2·quadFirst, … (each evaluates
+// only its midpoints: its panel ends are the level before) and
+// extrapolated, R_S = (4·P_S − P_{S/2})/3, until two consecutive
+// extrapolates agree to quadTol for every object and no CDF rises by
+// more than quadRise across one panel — a step inside a panel moves no
+// level's sum, and the extrapolates would agree on a wrong value.
+const (
+	quadFirst = 8
+	quadCap   = 256
+	quadTol   = 3e-6
+	quadRise  = 0.25
+)
+
+// Integrate evaluates P_a = ∫ dF_a · Π_{b≠a} (1 − F_b) over [lo, hi]
+// for the k distributions cdf(a, ·) into a slice of sc, with the cost
+// in sc.CDFEvals. Where a uniform grid cannot resolve the CDFs (point
+// objects, concentric regions) the levels run out: sc.Capped is set
+// and p is the plain quadCap-panel sum. An extrapolate outside (0, 1]
+// yields to its level's plain sum too: p[a] > 0 exactly when that is.
+func Integrate(k int, lo, hi float64, cdf func(a int, r float64) float64, sc *Scratch) (p []float64) {
+	nodes := sc.floats(&sc.nodes, (2*quadCap+1)*k)
+	lv := sc.floats(&sc.levels, 3*k)
+	p, coarse, rich := lv[:k], lv[k:2*k], lv[2*k:]
+	for s := quadFirst; ; s *= 2 {
+		sc.CDFEvals = (2*s + 1) * k
+		rise := refine(p, nodes, s, lo, hi, cdf)
+		if s > quadFirst {
+			worst := 0.0
+			for a := range p {
+				r := (4*p[a] - coarse[a]) / 3
+				worst = math.Max(worst, math.Abs(r-rich[a]))
+				rich[a] = r
+			}
+			if s > 2*quadFirst && worst <= quadTol && rise <= quadRise {
+				for a, r := range rich {
+					if r > 0 && r <= 1 {
+						p[a] = r
+					}
+				}
+				return p
+			}
 		}
-		for a := range ans {
+		sc.Capped = s == quadCap
+		if sc.Capped {
+			return p
+		}
+		copy(coarse, p)
+	}
+}
+
+// refine completes the node table for level s — the panel midpoints,
+// and at the first level the panel ends (later they are the coarser
+// level's nodes) — and sets p to the plain s-panel sum in a fixed
+// s-panel rule's arithmetic: its radii lo + t·h and lo + (t+½)·h with
+// h = (hi−lo)/s, bitwise, since s is a power of two. It returns the
+// largest rise of one CDF across one panel.
+func refine(p, nodes []float64, s int, lo, hi float64, cdf func(a int, r float64) float64) (rise float64) {
+	k := len(p)
+	h := (hi - lo) / float64(s)
+	step := 2 * quadCap / s // node-table distance between a panel's ends
+	row := func(j int) []float64 { return nodes[j*k : (j+1)*k] }
+	if s == quadFirst {
+		for t := 0; t <= s; t++ {
+			for a := range p {
+				row(t * step)[a] = cdf(a, lo+float64(t)*h)
+			}
+		}
+	}
+	for t := 0; t < s; t++ {
+		for a := range p {
+			row(t*step + step/2)[a] = cdf(a, lo+(float64(t)+0.5)*h)
+		}
+	}
+	clear(p)
+	for t := 0; t < s; t++ {
+		fPrev, fMid, fNext := row(t*step), row(t*step+step/2), row((t+1)*step)
+		for a := range p {
 			df := fNext[a] - fPrev[a]
 			if df <= 0 {
 				continue
 			}
+			rise = math.Max(rise, df)
 			prod := 1.0
-			for b := range ans {
+			for b, f := range fMid {
 				if b == a {
 					continue
 				}
-				prod *= 1 - fMid[b]
+				prod *= 1 - f
 				if prod == 0 {
 					break
 				}
 			}
-			out[ans[a]] += df * prod
+			p[a] += df * prod
 		}
-		copy(fPrev, fNext)
 	}
-	return out
+	return rise
 }

@@ -232,8 +232,8 @@ func TestKernelParity(t *testing.T) {
 					}
 				}
 			}
-			got := ProbsScratch(objs, q, 0, &sc)
-			want := refProbs(objs, q, 0, &rsc)
+			got := ProbsScratch(objs, q, &sc)
+			want := refProbs(objs, q, &rsc)
 			for i := range want {
 				if want[i] > 0 {
 					tolP = math.Max(tolP, parityTol(objs[i], q))
@@ -263,8 +263,8 @@ func TestKernelParity(t *testing.T) {
 // 50 bins — on overlapping neighbours. MonteCarloProbs shares nothing
 // with the integration but the sampler. Its estimate of p over n draws
 // has σ = √(p(1−p)/n); the bar is 5σ (one false alarm in ~1.7 million
-// comparisons; this test makes ~160) plus 1e-3 for the 400-step rule on
-// the discontinuous densities.
+// comparisons; this test makes ~160) plus 1e-3 for the quadrature on the
+// discontinuous densities.
 func TestProbsMatchMonteCarloShapes(t *testing.T) {
 	const draws = 60000
 	rng := rand.New(rand.NewSource(20100302))
@@ -276,7 +276,7 @@ func TestProbsMatchMonteCarloShapes(t *testing.T) {
 			objs[i] = uncertain.New(int32(i), c, parityPDF(rng))
 		}
 		q := geom.Pt(rng.Float64()*12, rng.Float64()*12)
-		ana := Probs(objs, q, 400)
+		ana := Probs(objs, q)
 		mc := MonteCarloProbs(objs, q, draws, int64(trial)+500)
 		for i := range objs {
 			sigma := math.Sqrt(ana[i] * (1 - ana[i]) / draws)
@@ -328,10 +328,10 @@ func TestKernelRatio(t *testing.T) {
 	}
 	fast, ref := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
 	for rep := 0; rep < 5; rep++ {
-		if d := pass(func(c kcase) { ProbsScratch(c.objs, c.q, 0, &sc) }); d < fast {
+		if d := pass(func(c kcase) { ProbsScratch(c.objs, c.q, &sc) }); d < fast {
 			fast = d
 		}
-		if d := pass(func(c kcase) { refProbs(c.objs, c.q, 0, &rsc) }); d < ref {
+		if d := pass(func(c kcase) { refProbs(c.objs, c.q, &rsc) }); d < ref {
 			ref = d
 		}
 	}

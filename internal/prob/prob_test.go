@@ -158,7 +158,7 @@ func TestProbsSumToOne(t *testing.T) {
 			objs[i] = obj(int32(i), rng.Float64()*30, rng.Float64()*30, 0.5+rng.Float64()*4)
 		}
 		q := geom.Pt(rng.Float64()*30, rng.Float64()*30)
-		ps := Probs(objs, q, 300)
+		ps := Probs(objs, q)
 		sum := 0.0
 		for _, p := range ps {
 			if p < 0 || p > 1+1e-9 {
@@ -181,7 +181,7 @@ func TestProbsMatchMonteCarlo(t *testing.T) {
 			objs[i] = uobj(int32(i), rng.Float64()*20, rng.Float64()*20, 1+rng.Float64()*4)
 		}
 		q := geom.Pt(rng.Float64()*20, rng.Float64()*20)
-		ana := Probs(objs, q, 400)
+		ana := Probs(objs, q)
 		mc := MonteCarloProbs(objs, q, 60000, int64(trial)+100)
 		for i := range objs {
 			if math.Abs(ana[i]-mc[i]) > 0.02 {
@@ -193,11 +193,11 @@ func TestProbsMatchMonteCarlo(t *testing.T) {
 
 func TestProbsSingleAnswerShortcut(t *testing.T) {
 	objs := []uncertain.Object{obj(0, 0, 0, 1), obj(1, 1000, 0, 1)}
-	ps := Probs(objs, geom.Pt(0, 0), 0)
+	ps := Probs(objs, geom.Pt(0, 0))
 	if ps[0] != 1 || ps[1] != 0 {
 		t.Errorf("Probs = %v", ps)
 	}
-	if ps := Probs(nil, geom.Pt(0, 0), 0); len(ps) != 0 {
+	if ps := Probs(nil, geom.Pt(0, 0)); len(ps) != 0 {
 		t.Errorf("empty Probs = %v", ps)
 	}
 }

@@ -7,12 +7,14 @@ import (
 	"uvdiagram/internal/uncertain"
 )
 
-// The reference kernel: the arithmetic LensArea, DistanceCDF and
-// ProbsScratch had before the radial-sweep kernel replaced them — one
-// Hypot, two Acos, two Sin and two Cos per lens, two lenses per ring,
-// everything recomputed at each of the 401 radii — kept verbatim so the
-// parity and ratio tests (parity_test.go) have a fixed point to compare
-// against. Nothing outside the tests calls it.
+// The reference kernel: the arithmetic LensArea, DistanceCDF and the
+// answer-set/support set-up of ProbsScratch had before the radial-sweep
+// kernel replaced them — one Hypot, two Acos, two Sin and two Cos per
+// lens, two lenses per ring, everything recomputed at every radius —
+// kept verbatim so the parity and ratio tests (parity_test.go) have a
+// fixed point to compare against. It integrates on the shared driver
+// (Integrate), at the same radii as the sweep kernel, so those tests
+// isolate the F machinery. Nothing outside the tests calls it.
 
 // refLensArea is the pre-sweep geom.LensArea.
 func refLensArea(a, b geom.Circle) float64 {
@@ -117,32 +119,19 @@ func refAnswerSetInto(ans []int, objs []uncertain.Object, q geom.Point) []int {
 	return ans
 }
 
-// refScratch is the pre-sweep Scratch.
+// refScratch is the pre-sweep Scratch, with the shared driver's.
 type refScratch struct {
-	out   []float64
-	ans   []int
-	fPrev []float64
-	fNext []float64
-	fMid  []float64
-}
-
-func (sc *refScratch) floats(buf *[]float64, n int) []float64 {
-	if cap(*buf) < n {
-		*buf = make([]float64, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
+	out  []float64
+	ans  []int
+	quad Scratch
 }
 
 // refProbs is the pre-sweep ProbsScratch.
-func refProbs(objs []uncertain.Object, q geom.Point, steps int, sc *refScratch) []float64 {
+func refProbs(objs []uncertain.Object, q geom.Point, sc *refScratch) []float64 {
 	if sc == nil {
 		sc = &refScratch{}
 	}
-	if steps <= 0 {
-		steps = DefaultSteps
-	}
-	out := sc.floats(&sc.out, len(objs))
+	out := sc.quad.floats(&sc.out, len(objs))
 	for i := range out {
 		out[i] = 0
 	}
@@ -175,39 +164,11 @@ func refProbs(objs []uncertain.Object, q geom.Point, steps int, sc *refScratch) 
 		return out
 	}
 
-	k := len(ans)
-	h := (hi - lo) / float64(steps)
-	fPrev := sc.floats(&sc.fPrev, k)
-	fNext := sc.floats(&sc.fNext, k)
-	fMid := sc.floats(&sc.fMid, k)
+	p := Integrate(len(ans), lo, hi, func(a int, r float64) float64 {
+		return refDistanceCDF(objs[ans[a]], q, r)
+	}, &sc.quad)
 	for a, i := range ans {
-		fPrev[a] = refDistanceCDF(objs[i], q, lo)
-	}
-	for t := 0; t < steps; t++ {
-		r1 := lo + float64(t+1)*h
-		mid := lo + (float64(t)+0.5)*h
-		for a, i := range ans {
-			fNext[a] = refDistanceCDF(objs[i], q, r1)
-			fMid[a] = refDistanceCDF(objs[i], q, mid)
-		}
-		for a := range ans {
-			df := fNext[a] - fPrev[a]
-			if df <= 0 {
-				continue
-			}
-			prod := 1.0
-			for b := range ans {
-				if b == a {
-					continue
-				}
-				prod *= 1 - fMid[b]
-				if prod == 0 {
-					break
-				}
-			}
-			out[ans[a]] += df * prod
-		}
-		copy(fPrev, fNext)
+		out[i] = p[a]
 	}
 	return out
 }

@@ -10,11 +10,9 @@ import (
 	"math/rand"
 
 	"uvdiagram/internal/geom3"
+	"uvdiagram/internal/prob"
 	"uvdiagram/internal/uncertain3"
 )
-
-// DefaultSteps is the default resolution of the numerical integration.
-const DefaultSteps = 200
 
 // DistanceCDF3 returns F(r) = P(dist(q, X) ≤ r) where X is the
 // object's uncertain 3D position: the mass of each pdf shell inside the
@@ -111,12 +109,8 @@ func AnswerSet3(objs []uncertain3.Object3, q geom3.Point3) []int {
 //
 //	P_i = ∫ (dF_i/dr)(r) · Π_{j≠i} (1 − F_j(r)) dr
 //
-// over the support [min distmin, dminmax]. steps ≤ 0 selects
-// DefaultSteps.
-func Probs3(objs []uncertain3.Object3, q geom3.Point3, steps int) []float64 {
-	if steps <= 0 {
-		steps = DefaultSteps
-	}
+// over the support [min distmin, dminmax], on the 2-D quadrature.
+func Probs3(objs []uncertain3.Object3, q geom3.Point3) []float64 {
 	out := make([]float64, len(objs))
 	ans := AnswerSet3(objs, q)
 	switch len(ans) {
@@ -139,39 +133,11 @@ func Probs3(objs []uncertain3.Object3, q geom3.Point3, steps int) []float64 {
 		return out
 	}
 
-	k := len(ans)
-	h := (hi - lo) / float64(steps)
-	fPrev := make([]float64, k)
-	fNext := make([]float64, k)
-	fMid := make([]float64, k)
+	p := prob.Integrate(len(ans), lo, hi, func(a int, r float64) float64 {
+		return DistanceCDF3(objs[ans[a]], q, r)
+	}, new(prob.Scratch))
 	for a, i := range ans {
-		fPrev[a] = DistanceCDF3(objs[i], q, lo)
-	}
-	for t := 0; t < steps; t++ {
-		r1 := lo + float64(t+1)*h
-		mid := lo + (float64(t)+0.5)*h
-		for a, i := range ans {
-			fNext[a] = DistanceCDF3(objs[i], q, r1)
-			fMid[a] = DistanceCDF3(objs[i], q, mid)
-		}
-		for a := range ans {
-			df := fNext[a] - fPrev[a]
-			if df <= 0 {
-				continue
-			}
-			prod := 1.0
-			for b := range ans {
-				if b == a {
-					continue
-				}
-				prod *= 1 - fMid[b]
-				if prod == 0 {
-					break
-				}
-			}
-			out[ans[a]] += df * prod
-		}
-		copy(fPrev, fNext)
+		out[i] = p[a]
 	}
 	return out
 }

@@ -73,7 +73,7 @@ func TestDistanceCDF3PointObject(t *testing.T) {
 func TestProbs3SumToOne(t *testing.T) {
 	objs := randObjs3(12, 50, 6, 1)
 	q := geom3.P3(25, 25, 25)
-	ps := Probs3(objs, q, 300)
+	ps := Probs3(objs, q)
 	sum := 0.0
 	for _, p := range ps {
 		if p < 0 || p > 1 {
@@ -89,7 +89,7 @@ func TestProbs3SumToOne(t *testing.T) {
 func TestProbs3MatchesMonteCarlo(t *testing.T) {
 	objs := randObjs3(8, 30, 5, 2)
 	q := geom3.P3(15, 15, 15)
-	integ := Probs3(objs, q, 400)
+	integ := Probs3(objs, q)
 	mc := MonteCarloProbs3(objs, q, 60000, 3)
 	for i := range objs {
 		if math.Abs(integ[i]-mc[i]) > 0.03 {
@@ -101,7 +101,7 @@ func TestProbs3MatchesMonteCarlo(t *testing.T) {
 func TestProbs3ZeroOutsideAnswerSet(t *testing.T) {
 	objs := randObjs3(20, 100, 4, 4)
 	q := geom3.P3(50, 50, 50)
-	ps := Probs3(objs, q, 200)
+	ps := Probs3(objs, q)
 	inSet := make(map[int]bool)
 	for _, i := range AnswerSet3(objs, q) {
 		inSet[i] = true

@@ -116,7 +116,7 @@ func (db *DB3) PNN(q Point3) ([]Answer3, QueryStats3, error) {
 // PNNBruteForce answers the same query by scanning every object — the
 // baseline used in tests and benchmarks.
 func (db *DB3) PNNBruteForce(q Point3) []Answer3 {
-	ps := prob3.Probs3(db.objs, q, 0)
+	ps := prob3.Probs3(db.objs, q)
 	var answers []Answer3
 	for i, p := range ps {
 		if p > 0 {
