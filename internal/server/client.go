@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"fmt"
 	"net"
 	"sync"
@@ -12,20 +13,40 @@ import (
 // Client is a pipelined UV-diagram protocol client. Any number of
 // requests may be in flight at once: Go queues a request without
 // waiting for its response, the synchronous methods are Go plus a wait.
-// The server answers strictly in request order, so a background reader
-// goroutine matches responses to calls FIFO. A Client is safe for
-// concurrent use from multiple goroutines.
+// A background writer goroutine puts every frame queued since its last
+// write on the wire in one write call. The server answers strictly in
+// request order, so a background reader goroutine matches responses to
+// calls FIFO. A Client is safe for concurrent use from multiple
+// goroutines.
 type Client struct {
-	wmu  sync.Mutex // serializes frame writes and queue appends
 	conn net.Conn
 
-	mu    sync.Mutex // guards queue and err
-	queue []*Call    // outstanding calls, oldest first
-	err   error      // sticky transport error; set once, fails everything after
+	mu      sync.Mutex // guards queue, out and err
+	queue   []*Call    // outstanding calls, oldest first
+	out     []byte     // encoded frames the writer has not taken yet
+	err     error      // sticky transport error; set once, fails everything after
+	ready   sync.Cond  // signalled when out gains frames or err is set
+	drained sync.Cond  // broadcast when the writer takes out or err is set
+
+	writerDone chan struct{} // closed when the writer goroutine has exited
 
 	submu sync.Mutex               // guards subs
 	subs  map[uint64]*Subscription // live subscriptions by server id
 }
+
+const (
+	// maxQueued bounds the bytes of frames queued for the writer. A
+	// caller whose frame does not fit waits for the writer to take the
+	// queue, as a blocking write waits on a full socket. A single frame
+	// larger than the bound is queued alone.
+	maxQueued = 64 << 10
+	// readBufSize is the client's read buffer: one read call takes up to
+	// this many bytes of response frames.
+	readBufSize = 32 << 10
+)
+
+// errClosed fails every call made after Close.
+var errClosed = fmt.Errorf("client: %w", net.ErrClosed)
 
 // Call is one in-flight request. When the response (or a transport
 // error) arrives, the call is sent on Done.
@@ -61,16 +82,25 @@ func Dial(addr string) (*Client, error) {
 }
 
 // NewClient wraps an existing connection (e.g. a net.Pipe end in
-// tests) and starts the response reader. Close releases it.
+// tests) and starts the request writer and the response reader. Close
+// releases them.
 func NewClient(conn net.Conn) *Client {
-	c := &Client{conn: conn}
+	c := &Client{conn: conn, writerDone: make(chan struct{})}
+	c.ready.L = &c.mu
+	c.drained.L = &c.mu
+	go c.writeLoop()
 	go c.readLoop()
 	return c
 }
 
-// Close closes the connection; outstanding calls complete with an
-// error.
-func (c *Client) Close() error { return c.conn.Close() }
+// Close closes the connection and returns once the writer goroutine has
+// exited. Queued frames not yet written are dropped; outstanding calls
+// and every later call fail with an error.
+func (c *Client) Close() error {
+	c.fail(errClosed)
+	<-c.writerDone
+	return nil
+}
 
 // Go queues one request and returns immediately. done may be nil for a
 // fresh buffered channel, otherwise it must be buffered with room for
@@ -96,41 +126,72 @@ func (c *Client) goCall(op byte, payload []byte, done chan *Call, sub *Subscript
 		panic("server: Go done channel is unbuffered")
 	}
 	call := &Call{Op: op, Done: done, sub: sub}
-	// An oversized request is rejected before anything touches the
-	// socket: the stream is still in sync, so only this call fails, not
-	// the connection.
-	if n := 1 + len(payload) + 4; n > wire.MaxFrame {
-		call.Err = fmt.Errorf("client: request of %d bytes exceeds frame limit %d; split the batch", n, wire.MaxFrame)
-		call.complete()
-		return call
-	}
-	c.wmu.Lock()
-	c.mu.Lock()
-	if c.err != nil {
-		err := c.err
-		c.mu.Unlock()
-		c.wmu.Unlock()
+	if err := c.enqueue(op, payload, call); err != nil {
 		call.Err = err
 		call.complete()
-		return call
-	}
-	// Queue order must equal write order; both happen under wmu.
-	c.queue = append(c.queue, call)
-	c.mu.Unlock()
-	err := wire.WriteFrame(c.conn, op, payload)
-	c.wmu.Unlock()
-	if err != nil {
-		c.fail(fmt.Errorf("client: send: %w", err))
 	}
 	return call
+}
+
+// enqueue waits until the frame fits the write queue, then appends it
+// and, for a request, its call — both under mu, so queue order equals
+// write order. It fails once the client has failed or closed, and for
+// an oversized frame: that is rejected before anything is queued, so
+// the stream stays in sync and only this frame fails.
+func (c *Client) enqueue(op byte, payload []byte, call *Call) error {
+	n := 1 + len(payload) + 4
+	if n > wire.MaxFrame {
+		return fmt.Errorf("client: request of %d bytes exceeds frame limit %d; split the batch", n, wire.MaxFrame)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for c.err == nil && len(c.out) > 0 && len(c.out)+4+n > maxQueued {
+		c.drained.Wait()
+	}
+	if c.err != nil {
+		return c.err
+	}
+	c.out, _ = wire.AppendFrame(c.out, op, payload) // size checked above
+	if call != nil {
+		c.queue = append(c.queue, call)
+	}
+	c.ready.Signal()
+	return nil
+}
+
+// writeLoop is the writer goroutine: it takes every queued frame at
+// once and puts them on the wire in one write call, swapping between
+// two buffers. It exits on the first write error or once the client
+// has failed.
+func (c *Client) writeLoop() {
+	defer close(c.writerDone)
+	var buf []byte
+	for {
+		c.mu.Lock()
+		for c.err == nil && len(c.out) == 0 {
+			c.ready.Wait()
+		}
+		if c.err != nil {
+			c.mu.Unlock()
+			return
+		}
+		buf, c.out = c.out, buf[:0]
+		c.drained.Broadcast()
+		c.mu.Unlock()
+		if _, err := c.conn.Write(buf); err != nil {
+			c.fail(fmt.Errorf("client: send: %w", err))
+			return
+		}
+	}
 }
 
 // readLoop receives response frames and completes outstanding calls in
 // FIFO order. It exits on the first transport error, failing every
 // outstanding and future call.
 func (c *Client) readLoop() {
+	br := bufio.NewReaderSize(c.conn, readBufSize)
 	for {
-		status, resp, err := wire.ReadFrame(c.conn)
+		status, resp, err := wire.ReadFrame(br)
 		if err != nil {
 			c.fail(fmt.Errorf("client: receive: %w", err))
 			return
@@ -175,8 +236,9 @@ func (c *Client) readLoop() {
 	}
 }
 
-// fail records the first transport error and completes every
-// outstanding call with it.
+// fail records the first transport error, drops the unwritten frames,
+// wakes the writer and every caller waiting for queue room, closes the
+// connection and completes every outstanding call with the error.
 func (c *Client) fail(err error) {
 	c.mu.Lock()
 	if c.err == nil {
@@ -185,7 +247,9 @@ func (c *Client) fail(err error) {
 		err = c.err
 	}
 	queue := c.queue
-	c.queue = nil
+	c.queue, c.out = nil, nil
+	c.ready.Signal()
+	c.drained.Broadcast()
 	c.mu.Unlock()
 	c.conn.Close()
 	for _, call := range queue {
@@ -194,24 +258,11 @@ func (c *Client) fail(err error) {
 	}
 }
 
-// send writes one fire-and-forget frame (OpMove): no call is queued and
-// no response will arrive for it.
+// send queues one fire-and-forget frame (OpMove): no call is queued and
+// no response will arrive for it. It returns once the frame is queued;
+// a later write failure fails the client instead.
 func (c *Client) send(op byte, payload []byte) error {
-	c.wmu.Lock()
-	c.mu.Lock()
-	if c.err != nil {
-		err := c.err
-		c.mu.Unlock()
-		c.wmu.Unlock()
-		return err
-	}
-	c.mu.Unlock()
-	err := wire.WriteFrame(c.conn, op, payload)
-	c.wmu.Unlock()
-	if err != nil {
-		c.fail(fmt.Errorf("client: send: %w", err))
-	}
-	return err
+	return c.enqueue(op, payload, nil)
 }
 
 // roundTrip sends one request and waits for its response.

@@ -15,7 +15,12 @@ import (
 //
 // Counter semantics are EXACT: a request frame increments exactly one
 // ops.* counter at decode time, so under any concurrency the counts
-// equal the number of frames the server decoded. Gauges (db.*, sub.*,
+// equal the number of frames the server decoded. The conn.* counters
+// are exact too: conn.read_calls and conn.write_calls count the read and
+// write calls every connection made on its socket, conn.frames_out the
+// response and push frames put into the write buffers. Frames per
+// syscall are then the sum of ops.* over conn.read_calls, and
+// conn.frames_out over conn.write_calls. Gauges (db.*, sub.*,
 // cache.*, maint.ticks…) are sampled at snapshot time from the live
 // engine.
 type serverMetrics struct {
@@ -26,6 +31,10 @@ type serverMetrics struct {
 	// never touches the registry lock.
 	ops      [256]*metrics.Counter
 	opErrors *metrics.Counter
+
+	connReads  *metrics.Counter
+	connWrites *metrics.Counter
+	framesOut  *metrics.Counter
 
 	// The three phases of a PNN/TopK (the paper's Fig. 6(c) split), from
 	// the engine's own QueryStats. Not under ops.*: those are frame
@@ -69,6 +78,10 @@ func newServerMetrics() *serverMetrics {
 	m := &serverMetrics{
 		set:      set,
 		opErrors: set.Counter("ops.errors"),
+
+		connReads:  set.Counter("conn.read_calls"),
+		connWrites: set.Counter("conn.write_calls"),
+		framesOut:  set.Counter("conn.frames_out"),
 
 		queryTraverse: set.Histogram("query.traverse"),
 		queryRetrieve: set.Histogram("query.retrieve"),

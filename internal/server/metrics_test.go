@@ -87,6 +87,18 @@ func TestMetricsExactness(t *testing.T) {
 	if got := m["ops.metrics"]; got != 1 {
 		t.Errorf("ops.metrics = %g, want 1", got)
 	}
+	// Every answered request put one frame out before the snapshot; the
+	// snapshot's own response had not.
+	frames := float64(4 * workers * perOp)
+	if got := m["conn.frames_out"]; got != frames {
+		t.Errorf("conn.frames_out = %g, want %g", got, frames)
+	}
+	if w := m["conn.write_calls"]; w < 1 || w > frames {
+		t.Errorf("conn.write_calls = %g, want 1..%g", w, frames)
+	}
+	if r := m["conn.read_calls"]; r < 1 {
+		t.Errorf("conn.read_calls = %g, want ≥ 1", r)
+	}
 	if got := m["db.live"]; got != 60 {
 		t.Errorf("db.live = %g, want 60", got)
 	}

@@ -14,18 +14,22 @@
 // swap freshly built state in with one atomic store, so they run
 // WITHOUT the server lock and never block queries.
 //
-// Connections are pipelined: each connection runs a decode loop and a
-// response-writer goroutine, with up to Config.Window requests in
-// flight at once. Requests execute on a server-wide worker pool bounded
-// by Config.Workers, and responses are always written in request order,
-// so clients may stream requests without waiting for answers. Batch
-// opcodes fan their points out across the pool. A framing or checksum
-// error poisons the connection, while an application-level error
-// (including a malformed request payload) is reported in-band and the
-// connection continues.
+// Connections are pipelined: each connection runs a decode loop over a
+// buffered reader, a response-writer goroutine over a buffered writer,
+// and a set of reused worker goroutines, with up to Config.Window
+// requests in flight at once. At most Config.Workers requests execute at
+// once across the whole server, and responses are always written in
+// request order, so clients may stream requests without waiting for
+// answers. The writer coalesces: it appends every finished response and
+// flushes only when the next one is unfinished or nothing is pending.
+// Batch opcodes fan their points out across the pool. A framing or
+// checksum error poisons the connection, while an application-level
+// error (including a malformed request payload) is reported in-band and
+// the connection continues.
 package server
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -36,6 +40,7 @@ import (
 	"time"
 
 	"uvdiagram"
+	"uvdiagram/internal/metrics"
 	"uvdiagram/internal/uncertain"
 	"uvdiagram/internal/wire"
 )
@@ -102,6 +107,10 @@ type Server struct {
 	// writer goroutine between a subscribe response's write and the
 	// session's registration — the window a racing teardown lands in.
 	beforeRegister func()
+	// aroundFinish, when set (tests only, before Serve), runs on the
+	// worker in place of finishing a query's slot and must call finish —
+	// so a test can hold one response unfinished while later ones finish.
+	aroundFinish func(op byte, finish func())
 
 	// metrics is the observability registry (see metrics.go), exposed
 	// through OpMetrics, MetricsSnapshot/MetricsMap and uvclient.
@@ -197,9 +206,10 @@ func (s *Server) ListenAndServe(addr string, bound chan<- net.Addr) error {
 	return s.Serve(lis)
 }
 
-// Close stops accepting and waits for in-flight connections to finish
-// their current request loop (their sockets are not force-closed; they
-// end when the client disconnects).
+// Close stops accepting connections and returns at once. It neither
+// closes nor waits for open connections: each ends when its client
+// disconnects, or after the next request it decodes. Wait blocks until
+// all have ended.
 func (s *Server) Close() error {
 	select {
 	case <-s.closed:
@@ -246,45 +256,82 @@ func (sl *slot) finish(resp []byte, err error) {
 	close(sl.done)
 }
 
+func (sl *slot) finished() bool {
+	select {
+	case <-sl.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// connBufSize is the size of each connection's read and write buffers.
+// One read or write call moves up to this many bytes of frames.
+const connBufSize = 32 << 10
+
+// countedConn counts the read and write calls the connection's buffers
+// make on the socket (conn.read_calls, conn.write_calls).
+type countedConn struct {
+	net.Conn
+	reads, writes *metrics.Counter
+}
+
+func (c countedConn) Read(p []byte) (int, error) {
+	c.reads.Inc()
+	return c.Conn.Read(p)
+}
+
+func (c countedConn) Write(p []byte) (int, error) {
+	c.writes.Inc()
+	return c.Conn.Write(p)
+}
+
+// job is one query handed from the decode loop to a worker.
+type job struct {
+	sl      *slot
+	op      byte
+	payload []byte
+}
+
 // serveConn pipelines one connection: the calling goroutine decodes
-// frames and hands each request to the worker pool, while a writer
-// goroutine emits responses strictly in request order. The pending
-// channel is the in-flight window; when it is full the decode loop
-// blocks, which is the protocol's backpressure.
+// frames and hands each query to one of the connection's workers, while
+// a writer goroutine emits responses strictly in request order (see
+// writeResponses). The pending channel is the in-flight window; when it
+// is full the decode loop blocks, which is the protocol's backpressure.
+//
+// Workers are reused: a query goes to an idle worker over the
+// unbuffered jobs channel, and only when none is idle does a new one
+// start (at most Window per connection). Each stays until the
+// connection ends. The server-wide token pool s.sem bounds how many
+// run at once across all connections.
 //
 // Write requests (Insert, Delete, BatchDelete) are per-connection
 // execution barriers: the decode loop waits for the connection's
 // in-flight queries to finish, runs the write inline, and only then
 // decodes further frames — so a pipelined stream keeps
 // read-your-writes ordering on its own connection. Queries pipelined
-// across *different* connections order only by the database's
-// read/write lock.
+// across *different* connections are not ordered against writes: each
+// sees the database state before or after a write, never a mix.
 func (s *Server) serveConn(conn net.Conn) {
-	cs := &connState{s: s, conn: conn, subs: make(map[uint64]*session)}
+	m := s.metrics
+	cc := countedConn{Conn: conn, reads: m.connReads, writes: m.connWrites}
+	cs := &connState{s: s, conn: conn, bw: bufio.NewWriterSize(cc, connBufSize), subs: make(map[uint64]*session)}
+	br := bufio.NewReaderSize(cc, connBufSize)
 	pending := make(chan *slot, s.cfg.Window)
+	jobs := make(chan job)      // unbuffered: a send succeeds only when a worker is idle
 	var inflight sync.WaitGroup // this connection's executing queries
+	var workers sync.WaitGroup
+	started := 0
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
-		broken := false
-		for sl := range pending {
-			<-sl.done
-			if broken {
-				continue // drain so the decode loop never blocks forever
-			}
-			if err := cs.write(sl.status, sl.payload, 0); err != nil {
-				broken = true
-				conn.Close() // unblocks the decode loop's ReadFrame
-				continue
-			}
-			if sl.written != nil {
-				sl.written()
-			}
-		}
+		cs.writeResponses(pending)
 	}()
 	defer func() {
+		close(jobs)
 		close(pending)
 		<-writerDone
+		workers.Wait()
 		// Sessions go before the socket: a peer that observes the close
 		// must find them already torn down.
 		s.dropConnSessions(cs)
@@ -297,7 +344,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		default:
 		}
-		op, payload, err := wire.ReadFrame(conn)
+		op, payload, err := wire.ReadFrame(br)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 				s.logf("server: %v: read: %v", conn.RemoteAddr(), err)
@@ -338,15 +385,77 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		inflight.Add(1)
 		s.sem <- struct{}{}
-		go func() {
-			defer func() { <-s.sem }()
-			defer inflight.Done()
-			resp, err := s.dispatchConn(cs, sl, op, payload)
-			if err != nil {
-				s.metrics.opErrors.Inc()
-			}
-			sl.finish(resp, err)
-		}()
+		j := job{sl: sl, op: op, payload: payload}
+		if started == s.cfg.Window {
+			jobs <- j // every worker this connection may start exists
+			continue
+		}
+		select {
+		case jobs <- j:
+		default:
+			started++
+			workers.Add(1)
+			go func() {
+				defer workers.Done()
+				s.work(cs, j, jobs, &inflight)
+			}()
+		}
+	}
+}
+
+// work is one connection worker: it runs j, then every job it receives
+// while idle, until the connection's decode loop closes jobs.
+func (s *Server) work(cs *connState, j job, jobs <-chan job, inflight *sync.WaitGroup) {
+	for ok := true; ok; j, ok = <-jobs {
+		resp, err := s.dispatchConn(cs, j.sl, j.op, j.payload)
+		if err != nil {
+			s.metrics.opErrors.Inc()
+		}
+		if s.aroundFinish != nil {
+			s.aroundFinish(j.op, func() { j.sl.finish(resp, err) })
+		} else {
+			j.sl.finish(resp, err)
+		}
+		inflight.Done()
+		<-s.sem
+	}
+}
+
+// writeResponses is the connection's response writer. It appends every
+// finished slot to the write buffer in request order and flushes only
+// when the next slot is unfinished or nothing is pending — a burst of
+// finished responses leaves in one write, and a lone response leaves at
+// once (there is no timer). A subscribe response is flushed before its
+// written hook registers the session.
+func (cs *connState) writeResponses(pending <-chan *slot) {
+	var next *slot // received from pending, not yet written
+	broken := false
+	for {
+		sl, ok := next, true
+		if sl == nil {
+			sl, ok = <-pending
+		}
+		if !ok {
+			return
+		}
+		<-sl.done
+		next = nil
+		if broken {
+			continue // drain so the decode loop never blocks forever
+		}
+		select {
+		case next = <-pending: // nil once pending is closed
+		default:
+		}
+		flush := next == nil || !next.finished() || sl.written != nil
+		if err := cs.respond(sl, flush); err != nil {
+			broken = true
+			cs.conn.Close() // unblocks the decode loop's read
+			continue
+		}
+		if sl.written != nil {
+			sl.written()
+		}
 	}
 }
 

@@ -245,9 +245,13 @@ func (s *Subscription) Err() error {
 }
 
 // Move streams a new position, fire-and-forget: it returns once the
-// frame is written, without waiting for any server evaluation. If the
-// move changes the answer set, a delta push follows; a Ping afterwards
-// guarantees every delta for previously sent moves has been applied.
+// frame is queued for the client's writer goroutine — queued, not yet
+// written — without waiting for the write or any server evaluation.
+// Moves queued together leave in one write. It waits only while the
+// write queue is full, and fails only once the client has failed or
+// closed; a later write failure fails the client. If the move changes
+// the answer set, a delta push follows; a Ping afterwards guarantees
+// every delta for previously queued moves has been applied.
 func (s *Subscription) Move(q uvdiagram.Point) error {
 	var b wire.Buffer
 	b.U64(s.id)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"fmt"
 	"net"
 	"sort"
@@ -45,29 +46,59 @@ import (
 // the push.slow_consumer_disconnects metric.
 
 // connState is one connection's write path and subscription table. All
-// frame writes — ordered responses from the writer goroutine and
-// out-of-band pushes — go through write, so frames never interleave
-// mid-frame.
+// frames — ordered responses from the writer goroutine and out-of-band
+// pushes — are appended to one buffered writer under wmu, so frames
+// never interleave mid-frame and a flush puts everything appended
+// before it on the wire in order.
 type connState struct {
 	s    *Server
 	conn net.Conn
-	wmu  sync.Mutex // serializes every frame write on conn
+	wmu  sync.Mutex    // serializes every frame append and flush
+	bw   *bufio.Writer // the connection's write buffer (guarded by wmu)
 
 	mu   sync.Mutex          // guards subs
 	subs map[uint64]*session // sessions opened on THIS connection
 }
 
-// write emits one frame under the connection's write mutex. A non-zero
-// timeout arms a write deadline (pushes); response writes pass zero and
-// block like before.
-func (cs *connState) write(kind byte, payload []byte, timeout time.Duration) error {
+// appendFrame encodes one frame into the write buffer; the caller holds
+// wmu.
+func (cs *connState) appendFrame(kind byte, payload []byte) error {
+	buf, err := wire.AppendFrame(cs.bw.AvailableBuffer(), kind, payload)
+	if err != nil {
+		return err
+	}
+	if _, err := cs.bw.Write(buf); err != nil {
+		return err
+	}
+	cs.s.metrics.framesOut.Inc()
+	return nil
+}
+
+// respond appends one response frame and, when flush is set, puts the
+// buffer on the wire. Response writes block without a deadline.
+func (cs *connState) respond(sl *slot, flush bool) error {
 	cs.wmu.Lock()
 	defer cs.wmu.Unlock()
-	if timeout > 0 {
-		cs.conn.SetWriteDeadline(time.Now().Add(timeout))
-		defer cs.conn.SetWriteDeadline(time.Time{})
+	if err := cs.appendFrame(sl.status, sl.payload); err != nil {
+		return err
 	}
-	return wire.WriteFrame(cs.conn, kind, payload)
+	if !flush {
+		return nil
+	}
+	return cs.bw.Flush()
+}
+
+// push writes one out-of-band push frame and flushes at once, under a
+// Config.PushTimeout write deadline.
+func (cs *connState) push(payload []byte) error {
+	cs.wmu.Lock()
+	defer cs.wmu.Unlock()
+	cs.conn.SetWriteDeadline(time.Now().Add(cs.s.cfg.PushTimeout))
+	defer cs.conn.SetWriteDeadline(time.Time{})
+	if err := cs.appendFrame(wire.PushAnswerDelta, payload); err != nil {
+		return err
+	}
+	return cs.bw.Flush()
 }
 
 // session is one server-side moving-query subscription: the root
@@ -125,7 +156,7 @@ func (ss *session) pushDelta(ids []int32, safe uvdiagram.Circle) {
 	}
 	m := ss.cs.s.metrics
 	t0 := time.Now()
-	if err := ss.cs.write(wire.PushAnswerDelta, b.Bytes(), ss.cs.s.cfg.PushTimeout); err != nil {
+	if err := ss.cs.push(b.Bytes()); err != nil {
 		m.slowConsumers.Inc()
 		ss.cs.conn.Close() // poisons the subscriber's connection
 		return
@@ -146,7 +177,7 @@ func (ss *session) fail(cause error) {
 	b.U64(ss.seq)
 	b.U8(1)
 	b.Str(cause.Error())
-	if err := ss.cs.write(wire.PushAnswerDelta, b.Bytes(), ss.cs.s.cfg.PushTimeout); err != nil {
+	if err := ss.cs.push(b.Bytes()); err != nil {
 		ss.cs.s.metrics.slowConsumers.Inc()
 		ss.cs.conn.Close()
 	}

@@ -197,23 +197,34 @@ const PushAnswerDelta byte = 0x80
 // MaxFrame bounds a frame's post-length size (kind + payload + crc).
 const MaxFrame = 1 << 20
 
-// WriteFrame writes one frame.
-func WriteFrame(w io.Writer, kind byte, payload []byte) error {
+// AppendFrame appends one encoded frame to dst and returns the extended
+// slice — the one frame encoder, so callers can coalesce many frames
+// into one buffer and one write. An oversized frame is an error and
+// leaves dst unchanged.
+func AppendFrame(dst []byte, kind byte, payload []byte) ([]byte, error) {
 	n := 1 + len(payload) + 4
 	if n > MaxFrame {
-		return fmt.Errorf("wire: frame of %d bytes exceeds limit %d", n, MaxFrame)
+		return dst, fmt.Errorf("wire: frame of %d bytes exceeds limit %d", n, MaxFrame)
 	}
-	buf := make([]byte, 4+n)
-	binary.LittleEndian.PutUint32(buf, uint32(n))
-	buf[4] = kind
-	copy(buf[5:], payload)
-	crc := crc32.ChecksumIEEE(buf[4 : 4+1+len(payload)])
-	binary.LittleEndian.PutUint32(buf[4+1+len(payload):], crc)
-	_, err := w.Write(buf)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
+	start := len(dst)
+	dst = append(dst, kind)
+	dst = append(dst, payload...)
+	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:])), nil
+}
+
+// WriteFrame writes one frame with one Write call.
+func WriteFrame(w io.Writer, kind byte, payload []byte) error {
+	buf, err := AppendFrame(nil, kind, payload)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(buf)
 	return err
 }
 
-// ReadFrame reads one frame, verifying length bounds and checksum.
+// ReadFrame reads one frame, verifying length bounds and checksum. It
+// issues two reads per frame, so over a socket r should be buffered.
 func ReadFrame(r io.Reader) (kind byte, payload []byte, err error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {

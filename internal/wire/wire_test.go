@@ -38,6 +38,40 @@ func TestFrameEmptyPayload(t *testing.T) {
 	}
 }
 
+// TestAppendFrameCoalesces: frames appended back to back into one
+// buffer decode in order, byte-identical to WriteFrame's, and an
+// oversized frame leaves the buffer untouched.
+func TestAppendFrameCoalesces(t *testing.T) {
+	prefix := []byte("keep")
+	buf := append([]byte(nil), prefix...)
+	var want bytes.Buffer
+	want.Write(prefix)
+	for i := 0; i < 3; i++ {
+		payload := bytes.Repeat([]byte{byte(i)}, i*7)
+		var err error
+		if buf, err = AppendFrame(buf, OpPNN+byte(i), payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteFrame(&want, OpPNN+byte(i), payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(buf, want.Bytes()) {
+		t.Fatalf("AppendFrame %x, WriteFrame %x", buf, want.Bytes())
+	}
+	r := bytes.NewReader(buf[len(prefix):])
+	for i := 0; i < 3; i++ {
+		kind, payload, err := ReadFrame(r)
+		if err != nil || kind != OpPNN+byte(i) || len(payload) != i*7 {
+			t.Fatalf("frame %d: kind %d, %d bytes, err %v", i, kind, len(payload), err)
+		}
+	}
+	before := len(buf)
+	if out, err := AppendFrame(buf, OpPing, make([]byte, MaxFrame)); err == nil || len(out) != before {
+		t.Fatalf("oversized append: err %v, len %d → %d", err, before, len(out))
+	}
+}
+
 func TestFrameChecksumRejectsCorruption(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteFrame(&buf, OpStats, []byte("hello")); err != nil {
