@@ -205,3 +205,36 @@ func TestLensAreaAtMatchesStripIntegration(t *testing.T) {
 	}
 	t.Logf("max relative difference %.3g", worst)
 }
+
+// TestAtan2MatchesMath holds the lens core's angle helper to
+// math.Atan2, bitwise, on its domain (y ≥ 0, both finite): every zero
+// and sign case of the prologue it skips, quotients that underflow to 0
+// or overflow to ∞, then a seeded log-uniform sweep.
+func TestAtan2MatchesMath(t *testing.T) {
+	const tiny, huge = 5e-324, 1e300
+	negZero := math.Copysign(0, -1)
+	cases := [][2]float64{ // {y, x}
+		{0, 1}, {0, tiny}, {0, huge}, // y = 0, x > 0
+		{0, 0}, {0, negZero}, // y = 0, x = ±0
+		{0, -1}, {0, -tiny}, // y = 0, x < 0
+		{negZero, 1}, {negZero, 0}, {negZero, -1}, // y = −0, as √(−0) gives
+		{1, 0}, {tiny, 0}, {huge, negZero}, // x = 0, y > 0
+		{1, -1}, {3, -4}, {1, -1e-3}, {1e-3, -1}, // negative x
+		{1, 1}, {4, 3}, {1e-3, 1}, // positive x
+		{1 / huge, huge}, {tiny, 1}, {1 / huge, -huge}, {tiny, -1}, // y/x → ±0
+		{huge, 1 / huge}, {1, tiny}, {huge, -1 / huge}, {1, -tiny}, // y/x → ±∞
+	}
+	rng := rand.New(rand.NewSource(20100307))
+	for i := 0; i < 20000; i++ {
+		y, x := math.Pow(10, rng.Float64()*40-20), math.Pow(10, rng.Float64()*40-20)
+		if rng.Intn(2) == 0 {
+			x = -x
+		}
+		cases = append(cases, [2]float64{y, x})
+	}
+	for _, c := range cases {
+		if got, want := atan2(c[0], c[1]), math.Atan2(c[0], c[1]); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("atan2(%v, %v) = %v, math.Atan2 %v", c[0], c[1], got, want)
+		}
+	}
+}

@@ -9,7 +9,7 @@ import (
 
 // Scratch holds the reusable buffers of the probability integration —
 // the answer-set index list, the candidates' sweep state with the rings
-// behind it, and the quadrature's node table and level vectors that
+// behind it, and the quadrature's node tables and level vectors that
 // Probs used to allocate per query. Batch engines keep one per worker
 // (pooled through batchState) so steady-state PNN probability
 // computation allocates nothing. A scratch is single-goroutine state;
@@ -21,6 +21,7 @@ type Scratch struct {
 	sw     []sweep   // one per candidate
 	rings  []ring    // backing store of the answer set's sweep rings
 	nodes  []float64 // F_a at the dyadic radii: node j, object a at [j·k+a]
+	surv   []float64 // G_a = Π_{b≠a} (1 − F_b) at the same nodes, same layout
 	levels []float64 // this level's sums, the last level's, its extrapolates
 
 	// The last ProbsScratch call's cost in CDF evaluations (radii ×
@@ -114,18 +115,22 @@ func ProbsScratch(objs []uncertain.Object, q geom.Point, sc *Scratch) []float64 
 	return out
 }
 
-// The quadrature. The Riemann–Stieltjes sum of the PNN integral over S
-// uniform panels,
+// The quadrature. Level S of the PNN integral holds the CDFs at the
+// 2S+1 radii r_u = lo + u·h/2 of S uniform panels of width h — the
+// panel ends and their midpoints — and its sum is the trapezoid-product
+// Riemann–Stieltjes sum over the 2S half-panels,
 //
-//	P_S[a] = Σ_t (F_a(r_{t+1}) − F_a(r_t)) · Π_{b≠a} (1 − F_b(mid_t)),
+//	P_S[a] = Σ_u (F_a(r_{u+1}) − F_a(r_u)) · (G_a(r_u) + G_a(r_{u+1}))/2,
+//	G_a = Π_{b≠a} (1 − F_b),
 //
-// is off by a multiple of h² where the CDFs are smooth, so it is taken
-// on the dyadic levels S = quadFirst, 2·quadFirst, … (each evaluates
-// only its midpoints: its panel ends are the level before) and
-// extrapolated, R_S = (4·P_S − P_{S/2})/3, until two consecutive
-// extrapolates agree to quadTol for every object and no CDF rises by
-// more than quadRise across one panel — a step inside a panel moves no
-// level's sum, and the extrapolates would agree on a wrong value.
+// with each node's G computed once, when its F is. The sum is off by a
+// multiple of h² where the CDFs are smooth, so it is taken on the
+// dyadic levels S = quadFirst, 2·quadFirst, … (each evaluates only its
+// midpoints: its panel ends are the level before) and extrapolated,
+// R_S = (4·P_S − P_{S/2})/3, until two consecutive extrapolates agree
+// to quadTol for every object and no CDF rises by more than quadRise
+// across one panel — a step inside a panel moves no level's sum, and
+// the extrapolates would agree on a wrong value.
 const (
 	quadFirst = 8
 	quadCap   = 256
@@ -137,15 +142,16 @@ const (
 // for the k distributions cdf(a, ·) into a slice of sc, with the cost
 // in sc.CDFEvals. Where a uniform grid cannot resolve the CDFs (point
 // objects, concentric regions) the levels run out: sc.Capped is set
-// and p is the plain quadCap-panel sum. An extrapolate outside (0, 1]
+// and p is the plain quadCap-level sum. An extrapolate outside (0, 1]
 // yields to its level's plain sum too: p[a] > 0 exactly when that is.
 func Integrate(k int, lo, hi float64, cdf func(a int, r float64) float64, sc *Scratch) (p []float64) {
 	nodes := sc.floats(&sc.nodes, (2*quadCap+1)*k)
+	surv := sc.floats(&sc.surv, (2*quadCap+1)*k)
 	lv := sc.floats(&sc.levels, 3*k)
 	p, coarse, rich := lv[:k], lv[k:2*k], lv[2*k:]
 	for s := quadFirst; ; s *= 2 {
 		sc.CDFEvals = (2*s + 1) * k
-		rise := refine(p, nodes, s, lo, hi, cdf)
+		rise := refine(p, nodes, surv, s, lo, hi, cdf)
 		if s > quadFirst {
 			worst := 0.0
 			for a := range p {
@@ -170,49 +176,57 @@ func Integrate(k int, lo, hi float64, cdf func(a int, r float64) float64, sc *Sc
 	}
 }
 
-// refine completes the node table for level s — the panel midpoints,
-// and at the first level the panel ends (later they are the coarser
-// level's nodes) — and sets p to the plain s-panel sum in a fixed
-// s-panel rule's arithmetic: its radii lo + t·h and lo + (t+½)·h with
-// h = (hi−lo)/s, bitwise, since s is a power of two. It returns the
-// largest rise of one CDF across one panel.
-func refine(p, nodes []float64, s int, lo, hi float64, cdf func(a int, r float64) float64) (rise float64) {
+// refine completes the node tables for level s — F and G at the panel
+// midpoints, and at the first level at the panel ends (later they are
+// the coarser level's nodes) — and sets p to the plain level-s sum in a
+// fixed s-panel rule's arithmetic: its radii lo + t·h and lo + (t+½)·h
+// with h = (hi−lo)/s, bitwise, since s is a power of two. It returns
+// the largest rise of one CDF across one panel (two half-panels).
+func refine(p, nodes, surv []float64, s int, lo, hi float64, cdf func(a int, r float64) float64) (rise float64) {
 	k := len(p)
 	h := (hi - lo) / float64(s)
 	step := 2 * quadCap / s // node-table distance between a panel's ends
-	row := func(j int) []float64 { return nodes[j*k : (j+1)*k] }
+	half := step / 2
+	row := func(tab []float64, j int) []float64 { return tab[j*k : (j+1)*k] }
+	fill := func(j int, r float64) {
+		f, g := row(nodes, j), row(surv, j)
+		for a := range f {
+			f[a] = cdf(a, r)
+		}
+		for a := range g {
+			prod := 1.0
+			for b, fb := range f {
+				if b != a {
+					prod *= 1 - fb
+				}
+			}
+			g[a] = prod
+		}
+	}
 	if s == quadFirst {
 		for t := 0; t <= s; t++ {
-			for a := range p {
-				row(t * step)[a] = cdf(a, lo+float64(t)*h)
-			}
+			fill(t*step, lo+float64(t)*h)
 		}
 	}
 	for t := 0; t < s; t++ {
-		for a := range p {
-			row(t*step + step/2)[a] = cdf(a, lo+(float64(t)+0.5)*h)
-		}
+		fill(t*step+half, lo+(float64(t)+0.5)*h)
 	}
 	clear(p)
-	for t := 0; t < s; t++ {
-		fPrev, fMid, fNext := row(t*step), row(t*step+step/2), row((t+1)*step)
+	for u := 0; u < 2*s; u++ {
+		f0, f1 := row(nodes, u*half), row(nodes, (u+1)*half)
+		g0, g1 := row(surv, u*half), row(surv, (u+1)*half)
 		for a := range p {
-			df := fNext[a] - fPrev[a]
-			if df <= 0 {
-				continue
+			if df := f1[a] - f0[a]; df > 0 {
+				p[a] += df * (g0[a] + g1[a]) / 2
 			}
-			rise = math.Max(rise, df)
-			prod := 1.0
-			for b, f := range fMid {
-				if b == a {
-					continue
-				}
-				prod *= 1 - f
-				if prod == 0 {
-					break
-				}
+		}
+	}
+	for t := 0; t < s; t++ {
+		f0, f1 := row(nodes, t*step), row(nodes, (t+1)*step)
+		for a := range f0 {
+			if df := f1[a] - f0[a]; df > rise {
+				rise = df
 			}
-			p[a] += df * prod
 		}
 	}
 	return rise

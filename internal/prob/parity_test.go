@@ -177,8 +177,9 @@ func axisPoint(i int, d float64) geom.Point {
 
 // parityRadii returns the radii at which one object's CDF is compared:
 // a spread over its distance range, and every external (r = d − R_j)
-// and internal (r = d + R_j, r = R_j − d) tangency with a ring boundary
-// to the ulp on both sides.
+// and internal (r = d + R_j, r = R_j − d) tangency with every ring
+// boundary j = 1…n to the ulp on both sides — exactly where the sweep
+// kernel's ring classification (apart, crossing, inside, around) flips.
 func parityRadii(rng *rand.Rand, o uncertain.Object, q geom.Point) []float64 {
 	lo, hi := o.DistMin(q), o.DistMax(q)
 	rs := []float64{lo, hi, math.Nextafter(lo, hi), math.Nextafter(hi, lo)}
@@ -187,7 +188,7 @@ func parityRadii(rng *rand.Rand, o uncertain.Object, q geom.Point) []float64 {
 	}
 	d := q.Dist(o.Region.C)
 	n := o.PDF.Bins()
-	for _, j := range []int{1, 1 + rng.Intn(n), n} {
+	for j := 1; j <= n; j++ {
 		rj := o.Region.R * float64(j) / float64(n)
 		for _, r := range []float64{d - rj, d + rj, rj - d} {
 			if r > 0 {

@@ -7,6 +7,7 @@ package prob
 
 import (
 	"math"
+	"slices"
 
 	"uvdiagram/internal/geom"
 	"uvdiagram/internal/uncertain"
@@ -20,6 +21,7 @@ import (
 type sweep struct {
 	d        float64 // dist(q, centre)
 	min, max float64 // distmin, distmax (Equations 2 and 3)
+	d2       float64 // d²
 	area     float64 // πR²; 0 for a point object
 	rings    []ring
 }
@@ -30,9 +32,16 @@ type sweep struct {
 // region A is (1/πR²)·Σ_j c_j·area(A ∩ disk(centre, R·j/n)) with
 // c_j = u_{j−1} − u_j, u_n = 0: n lens areas where summing ring by ring
 // takes 2n (one for a uniform pdf, up to rounding in its weights).
+//
+// The rings are in ascending radius, so at any r the disks that lie
+// inside Cir(q, r) are a prefix and the disks that contain it a suffix;
+// inside and cover carry those runs' sums, and only the rings between
+// evaluate a lens.
 type ring struct {
-	r float64 // R·j/n
-	c float64 // c_j; rings whose c_j is 0 are left out
+	r, r2  float64 // R_j = R·j/n and its square
+	c      float64 // c_j; rings whose c_j is 0 are left out
+	inside float64 // Σ_{i≤j} c_i·π·R_i²: rings 0…j with their disks inside Cir(q, r)
+	cover  float64 // Σ_{i≥j} c_i: rings j… with their disks around Cir(q, r), per π·r²
 }
 
 func reach(o uncertain.Object, q geom.Point) sweep {
@@ -44,27 +53,47 @@ func reach(o uncertain.Object, q geom.Point) sweep {
 // caller's reusable backing store) and returning the grown buffer.
 func (s sweep) arm(o uncertain.Object, buf []ring) (sweep, []ring) {
 	R, n, at := o.Region.R, o.PDF.Bins(), len(buf)
+	s.d2 = s.d * s.d
 	s.area = math.Pi * R * R
 	nn := float64(n) * float64(n)
 	u := o.PDF.Bin(0) * nn
+	inside := 0.0
+	// A ring has too many fields for the compiler to keep one in
+	// registers: building one and appending it copies it through the
+	// stack, so each field is written in its slot instead.
+	buf = slices.Grow(buf, n)
 	for j := 1; j <= n; j++ {
 		next := 0.0
 		if j < n {
 			next = o.PDF.Bin(j) * nn / float64(2*j+1)
 		}
 		if u != next {
-			buf = append(buf, ring{r: R * float64(j) / float64(n), c: u - next})
+			buf = buf[:len(buf)+1]
+			g := &buf[len(buf)-1]
+			g.r = R * float64(j) / float64(n)
+			g.r2 = g.r * g.r
+			g.c = u - next
+			inside += g.c * (math.Pi * g.r2)
+			g.inside = inside
 		}
 		u = next
 	}
 	s.rings = buf[at:]
+	cover := 0.0
+	for j := len(s.rings) - 1; j >= 0; j-- {
+		cover += s.rings[j].c
+		s.rings[j].cover = cover
+	}
 	return s, buf
 }
 
 // cdf returns F(r) = P(dist(q, X) ≤ r), exact for the ring-histogram
 // pdf model: the telescoped sum of the lens areas between the disk
 // Cir(q, r) and the ring boundary disks, all at the hoisted centre
-// distance.
+// distance. A ring disk with R_j ≤ |d − r| lies inside Cir(q, r) (when
+// r > d) or apart from it, one with R_j ≥ d + r contains it; both runs
+// come from the ring's prefix and suffix sums, and only the rings whose
+// circles cross Cir(q, r) evaluate geom.LensCrossing.
 func (s *sweep) cdf(r float64) float64 {
 	if s.area == 0 {
 		if r >= s.d {
@@ -78,9 +107,21 @@ func (s *sweep) cdf(r float64) float64 {
 	if r >= s.max {
 		return 1
 	}
+	rs, apart, around := s.rings, math.Abs(s.d-r), s.d+r
+	j := 0
+	for j < len(rs) && rs[j].r <= apart {
+		j++
+	}
 	acc := 0.0
-	for _, g := range s.rings {
-		acc += g.c * geom.LensAreaAt(s.d, r, g.r)
+	if r > s.d && j > 0 {
+		acc = rs[j-1].inside
+	}
+	r2 := r * r
+	for ; j < len(rs) && rs[j].r < around; j++ {
+		acc += rs[j].c * geom.LensCrossing(s.d, s.d2, r, r2, rs[j].r, rs[j].r2)
+	}
+	if j < len(rs) {
+		acc += math.Pi * r2 * rs[j].cover
 	}
 	acc /= s.area
 	if acc < 0 {
@@ -95,7 +136,7 @@ func (s *sweep) cdf(r float64) float64 {
 // DistanceCDF returns F(r) = P(dist(q, X) ≤ r) where X is the object's
 // uncertain position: the sweep state set up and evaluated once.
 func DistanceCDF(o uncertain.Object, q geom.Point, r float64) float64 {
-	var rings [uncertain.DefaultBins]ring // larger pdfs spill to the heap
+	var rings [uncertain.DefaultBins]ring // 800 bytes; larger pdfs spill to the heap
 	s, _ := reach(o, q).arm(o, rings[:0])
 	return s.cdf(r)
 }

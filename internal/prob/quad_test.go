@@ -11,28 +11,24 @@ import (
 	"uvdiagram/internal/uncertain"
 )
 
-// fixedProbs is the fixed rule Integrate replaced — ProbsScratch's
-// set-up, then one plain steps-panel sum over the sweep kernel — kept
-// so the quadrature has something to be measured against: at 200 steps
-// it is the old rule, at a power of two it is what refine must
-// reproduce bitwise, and extrapolated from thousands of panels it is
-// the converged reference. ok is false where a shortcut answered and
-// nothing was integrated.
-func fixedProbs(objs []uncertain.Object, q geom.Point, steps int) (out []float64, ok bool) {
+// fixedSetup is ProbsScratch's set-up for a fixed rule: the answer
+// set, its armed sweeps and the integration support. ok is false where
+// a shortcut answered (out holds its answer) and nothing is integrated.
+func fixedSetup(objs []uncertain.Object, q geom.Point) (out []float64, ans []int, sw []sweep, lo, hi float64, ok bool) {
 	out = make([]float64, len(objs))
-	sw := make([]sweep, len(objs))
+	sw = make([]sweep, len(objs))
 	for i := range objs {
 		sw[i] = reach(objs[i], q)
 	}
-	ans := answerSetInto(nil, len(sw), func(i int) (float64, float64) { return sw[i].min, sw[i].max })
+	ans = answerSetInto(nil, len(sw), func(i int) (float64, float64) { return sw[i].min, sw[i].max })
 	switch len(ans) {
 	case 0:
-		return out, false
+		return out, ans, sw, 0, 0, false
 	case 1:
 		out[ans[0]] = 1
-		return out, false
+		return out, ans, sw, 0, 0, false
 	}
-	lo, hi := math.Inf(1), math.Inf(1)
+	lo, hi = math.Inf(1), math.Inf(1)
 	for _, i := range ans {
 		lo = math.Min(lo, sw[i].min)
 	}
@@ -43,14 +39,70 @@ func fixedProbs(objs []uncertain.Object, q geom.Point, steps int) (out []float64
 		for _, i := range ans {
 			out[i] = 1 / float64(len(ans))
 		}
+		return out, ans, sw, lo, hi, false
+	}
+	for _, i := range ans {
+		sw[i], _ = sw[i].arm(objs[i], nil)
+	}
+	return out, ans, sw, lo, hi, true
+}
+
+// trapezoidProbs is the rule refine computes at level steps, restated
+// on its own: the trapezoid-product sum over 2·steps half-panels, with
+// G_a = Π_{b≠a} (1 − F_b) at both ends of each. Capped, a query's
+// answer is this rule at quadCap steps, bitwise.
+func trapezoidProbs(objs []uncertain.Object, q geom.Point, steps int) (out []float64, ok bool) {
+	out, ans, sw, lo, hi, ok := fixedSetup(objs, q)
+	if !ok {
 		return out, false
 	}
+	k := len(ans)
+	h := (hi - lo) / float64(steps)
+	f0, f1, g0, g1 := make([]float64, k), make([]float64, k), make([]float64, k), make([]float64, k)
+	at := func(f, g []float64, r float64) {
+		for a, i := range ans {
+			f[a] = sw[i].cdf(r)
+		}
+		for a := range g {
+			g[a] = 1
+			for b := range f {
+				if b != a {
+					g[a] *= 1 - f[b]
+				}
+			}
+		}
+	}
+	at(f0, g0, lo)
+	for u := 1; u <= 2*steps; u++ {
+		r := lo + float64(u/2)*h // a panel end
+		if u%2 == 1 {
+			r = lo + (float64(u/2)+0.5)*h // a midpoint
+		}
+		at(f1, g1, r)
+		for a, i := range ans {
+			if df := f1[a] - f0[a]; df > 0 {
+				out[i] += df * (g0[a] + g1[a]) / 2
+			}
+		}
+		f0, f1, g0, g1 = f1, f0, g1, g0
+	}
+	return out, true
+}
 
+// fixedProbs is the midpoint-product rule — one plain steps-panel sum
+// Σ_t ΔF_a·Π_{b≠a} (1 − F_b(mid_t)) over the sweep kernel — kept so the
+// quadrature has a rule it shares no sum with to be measured against:
+// at 200 steps it is the fixed rule Integrate replaced, and
+// extrapolated from thousands of panels it is the converged reference.
+func fixedProbs(objs []uncertain.Object, q geom.Point, steps int) (out []float64, ok bool) {
+	out, ans, sw, lo, hi, ok := fixedSetup(objs, q)
+	if !ok {
+		return out, false
+	}
 	k := len(ans)
 	h := (hi - lo) / float64(steps)
 	fPrev, fNext, fMid := make([]float64, k), make([]float64, k), make([]float64, k)
 	for a, i := range ans {
-		sw[i], _ = sw[i].arm(objs[i], nil)
 		fPrev[a] = sw[i].cdf(lo)
 	}
 	for t := 0; t < steps; t++ {
@@ -142,8 +194,8 @@ func (e errStats) quantile(p float64) float64 {
 // reference are each no worse than the 200-step rule's, and Σp is
 // within 1e-5 of 1. On every parity family a query that converged is
 // within 10·quadTol of the reference and a query that hit the cap is
-// the plain quadCap-panel sum, bitwise; neither rule converges there
-// (step CDFs), so both errors are logged side by side.
+// the plain quadCap-level trapezoid-product sum, bitwise; neither rule
+// converges there (step CDFs), so both errors are logged side by side.
 func TestQuadratureAccuracy(t *testing.T) {
 	stream, perFamily := 600, 120
 	if testing.Short() || raceEnabled {
@@ -199,10 +251,10 @@ func TestQuadratureAccuracy(t *testing.T) {
 				got := ProbsScratch(objs, q, &sc)
 				if sc.Capped {
 					capped++
-					plain, _ := fixedProbs(objs, q, quadCap)
+					plain, _ := trapezoidProbs(objs, q, quadCap)
 					for i := range plain {
 						if math.Float64bits(got[i]) != math.Float64bits(plain[i]) {
-							t.Fatalf("case %d capped: p[%d] = %v, plain %d-panel sum %v", c, i, got[i], quadCap, plain[i])
+							t.Fatalf("case %d capped: p[%d] = %v, plain %d-panel trapezoid-product sum %v", c, i, got[i], quadCap, plain[i])
 						}
 					}
 					capQuad.add(got, want)
@@ -258,17 +310,17 @@ func TestQuadratureNested(t *testing.T) {
 				}
 			}
 		}
-		if _, ok := fixedProbs(objs, q, quadFirst); !ok {
+		if _, ok := trapezoidProbs(objs, q, quadFirst); !ok {
 			if evals != 0 || hitCap {
 				t.Fatalf("case %d: a shortcut answered but CDFEvals = %d, Capped = %v", c, evals, hitCap)
 			}
 			continue
 		}
 
-		// Every level's sum off the shared node table is the plain rule
-		// of that many panels, bitwise.
+		// Every level's sum off the shared node tables is the plain
+		// trapezoid-product rule of that many panels, bitwise.
 		k := len(ans)
-		nodes, p := make([]float64, (2*quadCap+1)*k), make([]float64, k)
+		nodes, surv, p := make([]float64, (2*quadCap+1)*k), make([]float64, (2*quadCap+1)*k), make([]float64, k)
 		lo := math.Inf(1)
 		for _, o := range ans {
 			lo = math.Min(lo, o.DistMin(q))
@@ -278,8 +330,8 @@ func TestQuadratureNested(t *testing.T) {
 			t.Fatalf("case %d: %d CDF evaluations over %d answer objects (capped %v)", c, evals, k, hitCap)
 		}
 		for s := quadFirst; s <= quadCap; s *= 2 {
-			refine(p, nodes, s, lo, hi, func(a int, r float64) float64 { return DistanceCDF(ans[a], q, r) })
-			plain, _ := fixedProbs(objs, q, s)
+			refine(p, nodes, surv, s, lo, hi, func(a int, r float64) float64 { return DistanceCDF(ans[a], q, r) })
+			plain, _ := trapezoidProbs(objs, q, s)
 			for a, i := range ansIdx {
 				if math.Float64bits(p[a]) != math.Float64bits(plain[i]) {
 					t.Fatalf("case %d level %d: p[%d] = %v off the node table, plain rule %v", c, s, i, p[a], plain[i])
@@ -296,7 +348,7 @@ func TestQuadratureNested(t *testing.T) {
 
 	// A point object beside a region is a step CDF against a smooth one:
 	// no level agrees with the last, and the answer is the plain
-	// quadCap-panel sum.
+	// quadCap-level sum.
 	objs := []uncertain.Object{
 		uncertain.New(0, geom.Circle{C: geom.Pt(3, 0), R: 0}, nil),
 		obj(1, 0, 4, 3),
@@ -306,10 +358,10 @@ func TestQuadratureNested(t *testing.T) {
 	if !sc.Capped || sc.CDFEvals != (2*quadCap+1)*len(objs) {
 		t.Fatalf("point-object case: Capped = %v after %d CDF evaluations", sc.Capped, sc.CDFEvals)
 	}
-	plain, _ := fixedProbs(objs, q, quadCap)
+	plain, _ := trapezoidProbs(objs, q, quadCap)
 	for i := range got {
 		if math.Float64bits(got[i]) != math.Float64bits(plain[i]) {
-			t.Fatalf("point-object case: p[%d] = %v, plain %d-panel sum %v", i, got[i], quadCap, plain[i])
+			t.Fatalf("point-object case: p[%d] = %v, plain %d-panel trapezoid-product sum %v", i, got[i], quadCap, plain[i])
 		}
 	}
 
@@ -328,10 +380,11 @@ func TestQuadratureNested(t *testing.T) {
 }
 
 // TestQuadratureEvals is the blocking, host-independent cost gate of
-// the quadrature: a count, not a time. The fixed rule evaluated 401
-// radii per answer-set object whatever the input.
+// the quadrature: a count, not a time. The fixed 200-step rule
+// evaluated 401 radii per answer-set object whatever the input, the
+// nested midpoint-product rule 129 on this stream.
 func TestQuadratureEvals(t *testing.T) {
-	const maxMeanRadii = 160
+	const maxMeanRadii = 110
 	var sc Scratch
 	cases, qs := servingStream(600)
 	evals, objects, worst := 0, 0, 0
