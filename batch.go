@@ -218,7 +218,7 @@ func (db *DB) route() batchRoute {
 func (r batchRoute) plan(qs []Point) (owner []int, err error) {
 	owner = make([]int, len(qs))
 	for i, q := range qs {
-		if err := checkDomain(r.lo, r.db.domain, q); err != nil {
+		if err := checkDomain(r.db.domain, q); err != nil {
 			return nil, fmt.Errorf("query %d: %w", i, err)
 		}
 		owner[i] = r.lo.shardIdx(q)

@@ -1,6 +1,7 @@
 package uvdiagram_test
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -347,6 +348,36 @@ func TestBatchErrorNamesQuery(t *testing.T) {
 		}
 		if got != nil {
 			t.Fatalf("partial results returned alongside error: %v", got)
+		}
+	}
+}
+
+// TestOutOfDomainMatchesSentinel: every point-query entry point fails
+// an out-of-domain point with an error matching ErrOutOfDomain, at one
+// shard (the default) as at several.
+func TestOutOfDomainMatchesSentinel(t *testing.T) {
+	cfg := datagen.Config{N: 40, Side: 2000, Diameter: 35, Seed: 3}
+	out := uvdiagram.Pt(-5, 40)
+	batch := []uvdiagram.Point{uvdiagram.Pt(100, 100), out}
+	for _, shards := range []int{1, 4} {
+		db, err := uvdiagram.Build(datagen.Uniform(cfg), cfg.Domain(), &uvdiagram.Options{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries := []struct {
+			name string
+			run  func() error
+		}{
+			{"PNN", func() error { _, _, err := db.PNN(out); return err }},
+			{"TopKPNN", func() error { _, _, err := db.TopKPNN(out, 2); return err }},
+			{"BatchNN", func() error { _, err := db.BatchNN(batch, nil); return err }},
+			{"BatchTopKPNN", func() error { _, err := db.BatchTopKPNN(batch, 2, nil); return err }},
+			{"BatchThresholdNN", func() error { _, err := db.BatchThresholdNN(batch, 0.1, nil); return err }},
+		}
+		for _, e := range entries {
+			if err := e.run(); !errors.Is(err, uvdiagram.ErrOutOfDomain) {
+				t.Errorf("Shards %d: %s out of domain: err = %v, want ErrOutOfDomain", shards, e.name, err)
+			}
 		}
 	}
 }

@@ -257,8 +257,8 @@ func Build(store *uncertain.Store, domain geom.Rect, tree *rtree.Tree, opts Buil
 }
 
 // indexDerived is the tail Build and BuildOrderK share: index the
-// derived sets at the given cell order — sequentially, the grid is not
-// concurrency-safe — and complete the stats.
+// derived sets at the given cell order in one write pass and complete
+// the stats.
 func indexDerived(engine string, store *uncertain.Store, domain geom.Rect, crSets [][]int32, order int, opts BuildOptions, stats BuildStats, t0 time.Time) (*UVIndex, BuildStats, error) {
 	opts.normalize()
 	var ix *UVIndex
@@ -313,37 +313,34 @@ func DeriveCRSets(store *uncertain.Store, domain geom.Rect, tree *rtree.Tree, op
 	return crSets, stats, nil
 }
 
-// BuildRegionCR constructs a finished UV-index of the given cell order
-// (1 = the paper's UV-diagram) over region — the whole domain, or one
-// spatial shard of it — from the constraint registry cr, which the
-// shards of one engine share. Every live object is offered to the
-// index; an object whose UV-cell cannot reach region is dropped by the
-// root-level overlap test and contributes no leaf entries, while its
-// registry entry still lets incremental deletes find every dependent
-// whose cell might later grow into the region. The registry is only
-// read, so concurrent BuildRegionCR calls for disjoint shards may feed
-// off one derivation pass.
+// BuildRegionCR constructs a UV-index of the given cell order (1 = the
+// paper's UV-diagram) over region — the whole domain, or one spatial
+// shard of it — from the constraint registry cr, which the shards of
+// one engine share. The build is one write pass over an empty root: it
+// inserts every live object in id order (Algorithm 3, the same
+// insertCOW a live insert runs) and publishes the tree once, with Slack
+// and Gen left at 0. An object whose UV-cell cannot reach region is
+// dropped by the root-level overlap test and contributes no leaf
+// entries, while its registry entry still lets incremental deletes find
+// every dependent whose cell might later grow into the region. The
+// registry is only read, so concurrent BuildRegionCR calls for disjoint
+// shards may feed off one derivation pass. The duration returned is the
+// pass's wall clock.
 func BuildRegionCR(store *uncertain.Store, region geom.Rect, cr *CRState, order int, opts IndexOptions) (*UVIndex, time.Duration) {
-	ix := NewUVIndexCR(store, region, opts, cr)
-	ix.orderK = order
-	return ix, ix.fillFromCR()
-}
-
-// fillFromCR inserts every live object from the registry and seals the
-// index — the one registry-driven build loop (cell order must be set
-// BEFORE this runs; the overlap test depends on it).
-func (ix *UVIndex) fillFromCR() time.Duration {
-	ti := time.Now()
-	for i := 0; i < ix.cr.Len(); i++ {
-		if ix.store.Alive(int32(i)) {
-			ix.InsertShared(int32(i))
+	t0 := time.Now()
+	ix := newIndex(store, region, opts, cr, order, nil)
+	p := &cowPass{ix: ix}
+	root := p.leaf(nil)
+	for i := 0; i < cr.Len(); i++ {
+		if store.Alive(int32(i)) {
+			root = p.insertCOW(int32(i), store.At(i), cr.crOf[i], root, region, 0)
 		}
 	}
-	ix.Finish()
-	return time.Since(ti)
+	p.install(root)
+	return ix, time.Since(t0)
 }
 
-// ReindexCR rebuilds a fresh finished index over the same domain,
+// ReindexCR rebuilds a fresh index over the same domain,
 // options and cell order from the given registry. Open's legacy reader
 // uses it when a shard's stream carried a registry copy that diverged
 // from the engine-wide one (pre-shared-registry snapshots), so the

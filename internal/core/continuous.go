@@ -110,7 +110,7 @@ func (c *ContinuousPNN) recompute(q geom.Point) error {
 	// re-evaluate rather than trust a torn answer set.
 	gen := c.ix.gen.Load()
 
-	tuples, region, _, ios, err := c.ix.leafAt("continuous PNN", q)
+	tuples, region, _, ios, err := c.ix.leafAt(q)
 	if err != nil {
 		return err
 	}

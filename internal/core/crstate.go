@@ -38,12 +38,6 @@ func NewCRState(crSets [][]int32) *CRState {
 	return cr
 }
 
-// NewEmptyCRState returns a registry for n objects with no sets
-// recorded yet (construction fills it object by object).
-func NewEmptyCRState(n int) *CRState {
-	return &CRState{crOf: make([][]int32, n), revCR: make([][]int32, n)}
-}
-
 // Len returns the size of the dense id space covered.
 func (cr *CRState) Len() int { return len(cr.crOf) }
 

@@ -58,8 +58,10 @@ func TestDenseSeedsNeverOverlap(t *testing.T) {
 	rng := rand.New(rand.NewSource(1103))
 	objs := randObjects(rng, 200, 1000, 70)
 	tree := buildTestTree(objs)
+	var sc DeriveScratch
 	for i := 0; i < len(objs); i += 7 {
-		for _, id := range SelectSeeds(tree, objs[i], 100, 8) {
+		sc.selectSeeds(tree, objs[i], 100, 8)
+		for _, id := range sc.seeds {
 			if objs[i].Region.Overlaps(objs[id].Region) {
 				t.Fatalf("object %d got overlapping seed %d", i, id)
 			}

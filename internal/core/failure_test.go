@@ -21,7 +21,7 @@ func TestPNNCorruptLeafPage(t *testing.T) {
 	// Find the leaf for a query point and clobber its first page with a
 	// tuple count far larger than the payload.
 	q := geom.Pt(333, 777)
-	n, region := ix.snap().root, ix.domain
+	n, region := ix.ts.Load().root, ix.domain
 	for !n.isLeaf() {
 		k := region.QuadrantFor(q)
 		n = n.children[k]

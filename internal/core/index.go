@@ -59,15 +59,19 @@ type qnode struct {
 	ids        []int32
 	pagesAlloc int // pages allocated so far (Algorithm 3 OVERFLOW)
 	pages      []pager.PageID
-	dirty      bool // leaf list changed since its pages were written
+	// fresh marks a node the write pass in flight created: the pass
+	// mutates it in place, and seal clears the mark (and writes a fresh
+	// leaf's pages) before publication. A published node is never fresh.
+	fresh bool
 }
 
 func (n *qnode) isLeaf() bool { return n.children == nil }
 
 // treeState is one immutable published snapshot of the adaptive grid:
-// the root and the non-leaf budget spent. Live mutations copy the
-// nodes they change and publish a new treeState with a single pointer
-// store; readers pinned on the old one keep a consistent tree.
+// the root and the non-leaf budget spent. Every write pass — a build,
+// a legacy load or a live mutation — copies the nodes it changes and
+// publishes a new treeState with a single pointer store; readers
+// pinned on the old one keep a consistent tree.
 type treeState struct {
 	root    *qnode
 	nonleaf int
@@ -87,23 +91,16 @@ type UVIndex struct {
 	// engine all point at the engine's single shared CRState, so cell
 	// representations are recorded once, not once per shard.
 	cr *CRState
-	// root/nonleaf are the CONSTRUCTION staging tree: Insert/checkSplit
-	// grow it in place (no readers exist before Finish). Finish
-	// publishes it as the first treeState; from then on every reader
-	// goes through ts and live mutations path-copy (copy-on-write) and
-	// publish a fresh treeState, never touching a published node again.
-	root    *qnode
-	nonleaf int
 	// ts is the published tree snapshot: {root, nonleaf} behind one
 	// atomic pointer, so lock-free readers traverse a consistent tree
-	// while a mutation builds the next one.
+	// while a mutation builds the next one. Every constructor publishes
+	// the first tree before it returns the index.
 	ts atomic.Pointer[treeState]
 	// dom, when set, reclaims the page slots COW mutations replace once
-	// every reader pinned before publication has finished. Nil orphans
+	// every reader pinned before publication has unpinned. Nil orphans
 	// retired pages (the pre-reclamation behavior).
 	dom        *epoch.Domain
 	capPerPage int
-	finished   bool
 	// slack counts the leaf-list churn accumulated by live mutations
 	// since construction, weighted by the number of leaf-list ENTRIES
 	// actually touched (added or removed) rather than per object, so
@@ -126,45 +123,31 @@ type UVIndex struct {
 	gen atomic.Uint64
 }
 
-// NewUVIndex prepares an empty index over the store's objects. Objects
-// are inserted with Insert and the index is sealed with Finish.
+// newIndex returns an index of cell order orderK over domain with no
+// tree yet: BuildRegionCR, LoadUVIndex and OpenUVIndexSnapshot each
+// publish the first one before they return the index. The index reads
+// cell representations from cr, which the spatial shards of one engine
+// share. A nil pg gets a fresh in-memory pager.
 //
 // Cells are represented by cr-object ID lists rather than materialized
 // constraints: at paper densities an object has hundreds of cr-objects
 // (the 95% pruning ratio of Figure 7(b) still leaves |Ci| ≈ 0.05·n), so
 // the index keeps 4 bytes per cr-object and derives each outside-region
 // test from the two objects' geometry on the fly.
-func NewUVIndex(store *uncertain.Store, domain geom.Rect, opts IndexOptions) *UVIndex {
-	return NewUVIndexCR(store, domain, opts, NewEmptyCRState(store.Len()))
-}
-
-// NewUVIndexCR is NewUVIndex over an external constraint registry:
-// the index reads cell representations from cr instead of recording
-// its own. Spatial shards share one registry this way; Insert must not
-// be used on a shared registry (use InsertShared, the caller keeps the
-// registry itself in step).
-func NewUVIndexCR(store *uncertain.Store, domain geom.Rect, opts IndexOptions, cr *CRState) *UVIndex {
+func newIndex(store *uncertain.Store, domain geom.Rect, opts IndexOptions, cr *CRState, orderK int, pg *pager.Pager) *UVIndex {
 	opts.normalize()
+	if pg == nil {
+		pg = pager.New(opts.PageSize)
+	}
 	return &UVIndex{
 		domain:     domain,
 		opts:       opts,
-		pg:         pager.New(opts.PageSize),
+		pg:         pg,
 		store:      store,
 		cr:         cr,
-		root:       &qnode{pagesAlloc: 1},
 		capPerPage: pager.TuplesPerPage(opts.PageSize),
-		orderK:     1,
+		orderK:     orderK,
 	}
-}
-
-// snap returns the current tree snapshot: the published treeState
-// after Finish, or a wrapper over the construction staging tree before
-// it (construction is single-threaded, so the wrapper is consistent).
-func (ix *UVIndex) snap() *treeState {
-	if ts := ix.ts.Load(); ts != nil {
-		return ts
-	}
-	return &treeState{root: ix.root, nonleaf: ix.nonleaf}
 }
 
 // SetReclaimDomain attaches the epoch domain used to reclaim the page
@@ -173,7 +156,7 @@ func (ix *UVIndex) snap() *treeState {
 func (ix *UVIndex) SetReclaimDomain(d *epoch.Domain) { ix.dom = d }
 
 // retirePages schedules replaced page slots for reuse once every
-// reader pinned before the mutation published has finished.
+// reader pinned before the mutation published has unpinned.
 func (ix *UVIndex) retirePages(ids []pager.PageID) {
 	if len(ids) == 0 || ix.dom == nil {
 		return
@@ -236,14 +219,16 @@ func (ix *UVIndex) RepReaches(id int32, crIDs []int32, r geom.Rect) bool {
 	return ix.overlapsIDs(ix.store.At(int(id)), crIDs, r)
 }
 
-// Slack returns the accumulated live-mutation churn since construction
-// (see DeleteLive); a freshly built index has slack 0. It is the signal
-// behind the CompactSlack auto-compaction watermark.
+// Slack returns the accumulated live-mutation churn since construction:
+// the leaf entries InsertLeafLive and RemoveAndReinsertLive touched. A
+// freshly built or loaded index has slack 0. It is the signal behind
+// the CompactSlack auto-compaction watermark.
 func (ix *UVIndex) Slack() int64 { return ix.slack.Load() }
 
-// Gen returns the index's mutation generation (bumped by every
-// InsertLive/DeleteLive). Derived structures snapshot it to detect that
-// the population they were built over has changed.
+// Gen returns the index's mutation generation, bumped by every
+// InsertLeafLive or RemoveAndReinsertLive that changed the tree (0 on a
+// freshly built or loaded index). Derived structures snapshot it to
+// detect that the population they were built over has changed.
 func (ix *UVIndex) Gen() uint64 { return ix.gen.Load() }
 
 // Answer is one PNN result: an object and its qualification probability.
@@ -274,19 +259,15 @@ func (s QueryStats) Total() time.Duration {
 }
 
 // leafAt is the one leaf lookup behind PNN, PossibleKNN and the
-// continuous session (op names the caller in the precondition error):
-// check the index is finished and q in the domain, walk the in-memory
+// continuous session: check q is in the domain, walk the in-memory
 // non-leaf nodes to the leaf containing q, and read and decode its page
 // list from the simulated disk. It returns the leaf's tuples, its
 // region, its depth and the number of page reads.
-func (ix *UVIndex) leafAt(op string, q geom.Point) (tuples []pager.LeafTuple, region geom.Rect, depth int, ios int64, err error) {
-	if !ix.finished {
-		return nil, region, 0, 0, fmt.Errorf("core: %s before Finish", op)
-	}
+func (ix *UVIndex) leafAt(q geom.Point) (tuples []pager.LeafTuple, region geom.Rect, depth int, ios int64, err error) {
 	if !ix.domain.Contains(q) {
 		return nil, region, 0, 0, fmt.Errorf("core: query point %v outside domain %v", q, ix.domain)
 	}
-	n := ix.snap().root
+	n := ix.ts.Load().root
 	region = ix.domain
 	for !n.isLeaf() {
 		k := region.QuadrantFor(q)
@@ -348,7 +329,7 @@ func (ix *UVIndex) PNNWith(q geom.Point, sc *QueryScratch) ([]Answer, QueryStats
 	// Phase 1: index traversal (non-leaf nodes are in memory; the leaf
 	// page list is read from disk).
 	t0 := time.Now()
-	tuples, _, depth, ios, err := ix.leafAt("PNN", q)
+	tuples, _, depth, ios, err := ix.leafAt(q)
 	if err != nil {
 		return nil, st, err
 	}
@@ -386,7 +367,7 @@ func (ix *UVIndex) PNNWith(q geom.Point, sc *QueryScratch) ([]Answer, QueryStats
 	}
 	sc.candIDs = candIDs
 	// Canonical candidate order. A fresh build lists leaf tuples in id
-	// order already, but incremental maintenance (DeleteLive re-inserts,
+	// order already, but incremental maintenance (delete re-inserts,
 	// splits) appends out of order, and the probability integration's
 	// floating-point products depend on operand order — sorting keeps
 	// answers BITWISE identical to a fresh build over the same
@@ -440,7 +421,7 @@ type IndexStats struct {
 
 // Stats walks the tree and reports its shape.
 func (ix *UVIndex) Stats() IndexStats {
-	ts := ix.snap()
+	ts := ix.ts.Load()
 	var st IndexStats
 	st.NonLeaf = ts.nonleaf
 	var walk func(n *qnode, depth int)

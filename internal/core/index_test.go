@@ -88,13 +88,13 @@ func TestLeafListsAreSupersets(t *testing.T) {
 	ix, _ := buildIndex(t, objs, domain, StrategyIC)
 	for k := 0; k < 400; k++ {
 		q := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
-		ids, err := ix.LeafObjects(q)
+		tuples, _, _, _, err := ix.leafAt(q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		listed := map[int32]bool{}
-		for _, id := range ids {
-			listed[id] = true
+		for _, tu := range tuples {
+			listed[tu.ID] = true
 		}
 		for _, i := range prob.AnswerSet(objs, q) {
 			if !listed[int32(i)] {
@@ -119,7 +119,7 @@ func TestLeavesTileDomain(t *testing.T) {
 		if n.isLeaf() {
 			total += region.Area()
 			if len(n.pages) == 0 {
-				t.Fatal("leaf with no pages after Finish")
+				t.Fatal("leaf with no pages after the build")
 			}
 			if len(n.pages) != maxInt(1, (len(n.ids)+ix.capPerPage-1)/ix.capPerPage) {
 				t.Fatalf("leaf with %d ids has %d pages (cap %d)", len(n.ids), len(n.pages), ix.capPerPage)
@@ -133,7 +133,7 @@ func TestLeavesTileDomain(t *testing.T) {
 			walk(n.children[k], region.Quadrant(k), depth+1)
 		}
 	}
-	walk(ix.snap().root, domain, 0)
+	walk(ix.ts.Load().root, domain, 0)
 	if math.Abs(total-domain.Area()) > 1e-6*domain.Area() {
 		t.Errorf("leaf areas sum to %v, want %v", total, domain.Area())
 	}
@@ -247,11 +247,6 @@ func TestPNNErrors(t *testing.T) {
 	ix, _ := buildIndex(t, objs, domain, StrategyIC)
 	if _, _, err := ix.PNN(geom.Pt(-5, 20)); err == nil {
 		t.Error("query outside the domain must fail")
-	}
-	st := makeStore(t, objs)
-	raw := NewUVIndex(st, domain, DefaultIndexOptions())
-	if _, _, err := raw.PNN(geom.Pt(1, 1)); err == nil {
-		t.Error("query before Finish must fail")
 	}
 }
 

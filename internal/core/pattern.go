@@ -42,7 +42,7 @@ func (ix *UVIndex) Partitions(r geom.Rect) ([]Partition, time.Duration) {
 			walk(n.children[k], region.Quadrant(k))
 		}
 	}
-	walk(ix.snap().root, ix.domain)
+	walk(ix.ts.Load().root, ix.domain)
 	return out, time.Since(t0)
 }
 
@@ -73,7 +73,7 @@ func (ix *UVIndex) CellArea(id int32) (float64, error) {
 			walk(n.children[k], region.Quadrant(k))
 		}
 	}
-	walk(ix.snap().root, ix.domain)
+	walk(ix.ts.Load().root, ix.domain)
 	return area, nil
 }
 
@@ -96,7 +96,7 @@ func (ix *UVIndex) CellRegions(id int32) []geom.Rect {
 			walk(n.children[k], region.Quadrant(k))
 		}
 	}
-	walk(ix.snap().root, ix.domain)
+	walk(ix.ts.Load().root, ix.domain)
 	return out
 }
 
@@ -117,38 +117,6 @@ func (ix *UVIndex) BuildCellAreas() map[int32]float64 {
 			walk(n.children[k], region.Quadrant(k))
 		}
 	}
-	walk(ix.snap().root, ix.domain)
+	walk(ix.ts.Load().root, ix.domain)
 	return areas
-}
-
-// LeafRegionFor returns the leaf region containing q (diagnostics and
-// visualization).
-func (ix *UVIndex) LeafRegionFor(q geom.Point) (geom.Rect, error) {
-	if !ix.domain.Contains(q) {
-		return geom.Rect{}, fmt.Errorf("core: point %v outside domain", q)
-	}
-	n, region := ix.snap().root, ix.domain
-	for !n.isLeaf() {
-		k := region.QuadrantFor(q)
-		n = n.children[k]
-		region = region.Quadrant(k)
-	}
-	return region, nil
-}
-
-// LeafObjects returns the ids listed at the leaf containing q without
-// touching disk (diagnostics; PNN is the accounted path).
-func (ix *UVIndex) LeafObjects(q geom.Point) ([]int32, error) {
-	if !ix.domain.Contains(q) {
-		return nil, fmt.Errorf("core: point %v outside domain", q)
-	}
-	n, region := ix.snap().root, ix.domain
-	for !n.isLeaf() {
-		k := region.QuadrantFor(q)
-		n = n.children[k]
-		region = region.Quadrant(k)
-	}
-	out := make([]int32, len(n.ids))
-	copy(out, n.ids)
-	return out, nil
 }

@@ -111,14 +111,14 @@ func TestCellRegionsAndLeafRegion(t *testing.T) {
 	if !found {
 		t.Error("object center not covered by its own cell regions")
 	}
-	leaf, err := ix.LeafRegionFor(c)
+	_, leaf, _, _, err := ix.leafAt(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !leaf.Contains(c) {
-		t.Error("LeafRegionFor returned a region not containing the point")
+		t.Error("leafAt returned a region not containing the point")
 	}
-	if _, err := ix.LeafRegionFor(geom.Pt(-1, -1)); err == nil {
+	if _, _, _, _, err := ix.leafAt(geom.Pt(-1, -1)); err == nil {
 		t.Error("outside point accepted")
 	}
 }

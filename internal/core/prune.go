@@ -6,20 +6,15 @@ import (
 	"uvdiagram/internal/uncertain"
 )
 
-// IPrune performs index-level pruning (Step 2 of Algorithm 2, Lemma 2):
-// only objects whose center lies within the circle Cout = Cir(ci, 2d−ri)
-// can reshape the possible region, where d is the maximum distance of
-// the region from ci. The circular range query runs on the R-tree and
-// Oi itself is excluded. The returned ids form the set I.
-func IPrune(tree *rtree.Tree, oi uncertain.Object, region *PossibleRegion, samples int) []int32 {
-	return iPruneInto(tree, oi, region, samples, nil)
-}
-
-// iPruneInto is IPrune appending into a caller-owned buffer (the
-// derivation scratch), collecting ids straight off the R-tree walk
-// without materializing an []Item per call. MaxRadius reads the
-// region's cached profile, so the O(samples × constraints) re-sweep the
-// eager implementation paid here is gone.
+// iPruneInto performs index-level pruning (Step 2 of Algorithm 2,
+// Lemma 2): only objects whose center lies within the circle
+// Cout = Cir(ci, 2d−ri) can reshape the possible region, where d is the
+// maximum distance of the region from ci. The circular range query runs
+// on the R-tree and Oi itself is excluded; the ids of the set I are
+// appended to a caller-owned buffer (the derivation scratch), straight
+// off the R-tree walk. MaxRadius reads the region's cached profile, so
+// the O(samples × constraints) re-sweep the eager implementation paid
+// here is gone.
 func iPruneInto(tree *rtree.Tree, oi uncertain.Object, region *PossibleRegion, samples int, ids []int32) []int32 {
 	d := region.MaxRadius(samples)
 	radius := 2*d - oi.Region.R

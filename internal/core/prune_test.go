@@ -24,7 +24,9 @@ func TestSelectSeeds(t *testing.T) {
 	objs := randObjects(rng, 200, 1000, 10)
 	tree := buildTestTree(objs)
 	oi := objs[50]
-	seeds := SelectSeeds(tree, oi, 100, 8)
+	var sc DeriveScratch
+	sc.selectSeeds(tree, oi, 100, 8)
+	seeds := sc.seeds
 	if len(seeds) == 0 || len(seeds) > 8 {
 		t.Fatalf("got %d seeds", len(seeds))
 	}
@@ -69,7 +71,9 @@ func TestSelectSeedsSmallDataset(t *testing.T) {
 	rng := rand.New(rand.NewSource(303))
 	objs := randObjects(rng, 3, 1000, 10)
 	tree := buildTestTree(objs)
-	seeds := SelectSeeds(tree, objs[0], 300, 8)
+	var sc DeriveScratch
+	sc.selectSeeds(tree, objs[0], 300, 8)
+	seeds := sc.seeds
 	if len(seeds) > 2 {
 		t.Fatalf("got %d seeds from a 3-object dataset", len(seeds))
 	}
@@ -86,18 +90,19 @@ func TestSelectSeedsSmallDataset(t *testing.T) {
 func TestIPruneSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(307))
 	domain := geom.Square(1000)
+	var sc DeriveScratch
 	for trial := 0; trial < 5; trial++ {
 		objs := randObjects(rng, 60, 1000, 20)
 		tree := buildTestTree(objs)
 		i := rng.Intn(len(objs))
 		oi := objs[i]
-		seeds := SelectSeeds(tree, oi, 30, 8)
+		sc.selectSeeds(tree, oi, 30, 8)
 		region := NewPossibleRegion(oi.Region.C, domain)
-		for _, id := range seeds {
+		for _, id := range sc.seeds {
 			region.AddObject(oi, objs[id])
 		}
 		kept := map[int32]bool{}
-		for _, id := range IPrune(tree, oi, region, 256) {
+		for _, id := range iPruneInto(tree, oi, region, 256, nil) {
 			kept[id] = true
 		}
 		for j := range objs {

@@ -12,7 +12,7 @@ import (
 
 // Reference (naive) derivation — the pre-optimization Algorithm 2,
 // retained verbatim as the equivalence oracle for the output-sensitive
-// fast path: SelectSeeds materializes the full (k+1)-NN up front, the
+// fast path: the seed choice materializes the full (k+1)-NN up front, the
 // radial sweep is re-evaluated from scratch on every MaxRadius /
 // Vertices use, and the id union builds a map per object. The optimized
 // path (DeriveCR, the Build workers) must produce bitwise-identical

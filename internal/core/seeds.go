@@ -15,10 +15,11 @@ const (
 	DefaultSeedSectors = 8
 )
 
-// SelectSeeds implements initPossibleRegion's seed choice (Section
-// IV-B): the domain is divided into ks sectors centered at ci and the
-// closest object of each sector becomes a seed, considering the k
-// nearest objects by minimum distance. Fewer than ks seeds may be
+// selectSeeds implements initPossibleRegion's seed choice (Section
+// IV-B), filling sc.seeds and reusing sc's iterator and sector buffers:
+// the domain is divided into ks sectors centered at ci and the closest
+// object of each sector becomes a seed, considering the k nearest
+// objects by minimum distance. Fewer than ks seeds may be
 // returned when sectors are empty — the initial region is then merely
 // larger (the paper notes this does not affect the later steps).
 //
@@ -36,13 +37,6 @@ const (
 // Lemma 2. At the paper's densest settings (40k objects of diameter 40
 // in a 10k×10k domain) most objects overlap one or two neighbors, so
 // this filter is what keeps the pruning ratio at the reported ~90%.
-func SelectSeeds(tree *rtree.Tree, oi uncertain.Object, k, ks int) []int32 {
-	var sc DeriveScratch
-	sc.selectSeeds(tree, oi, k, ks)
-	return sc.seeds
-}
-
-// selectSeeds fills sc.seeds, reusing sc's iterator and sector buffers.
 func (sc *DeriveScratch) selectSeeds(tree *rtree.Tree, oi uncertain.Object, k, ks int) {
 	if k <= 0 {
 		k = DefaultSeedK

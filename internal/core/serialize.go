@@ -11,8 +11,8 @@ import (
 // Index persistence: a built UV-index can be written out and reopened
 // against the same object store without re-running construction (the
 // expensive phase). The format stores the quad-tree shape, the leaf
-// object lists and each object's cr-object ids; leaf pages are
-// re-materialized on load.
+// object lists and each object's cr-object ids; the loader writes the
+// leaf pages through the write pass's seal, as a build does.
 
 const (
 	indexMagic = 0x55564958 // "UVIX"
@@ -62,19 +62,15 @@ func (ix *UVIndex) putHeader(w *wire.Buffer, n int) {
 	w.U32(uint32(n))
 }
 
-// Save appends the finished index structure to w.
-func (ix *UVIndex) Save(w *wire.Buffer) error {
-	if !ix.finished {
-		return fmt.Errorf("core: Save before Finish")
-	}
+// Save appends the index structure to w.
+func (ix *UVIndex) Save(w *wire.Buffer) {
 	w.U32(indexMagic)
 	w.U32(indexVersion)
 	ix.putHeader(w, len(ix.cr.crOf))
 	for _, cr := range ix.cr.crOf {
 		putIDs(w, cr)
 	}
-	putTree(w, ix.snap().root, nil)
-	return nil
+	putTree(w, ix.ts.Load().root, nil)
 }
 
 // putTree appends a preorder walk of the tree under n: tag 0, the id
@@ -121,7 +117,8 @@ const maxTreeNodes = 1 << 24
 
 // readTree decodes the walk putTree wrote: the leaf callback builds each
 // leaf from its id list (reading from r whatever its writer appended).
-// It returns the root and the non-leaf count.
+// A non-leaf is fresh when a child is, so seal reaches fresh leaves. It
+// returns the root and the non-leaf count.
 func readTree(r *wire.Reader, n int, leaf func(ids []int32) (*qnode, error)) (*qnode, int, error) {
 	var nodes, nonleaf int
 	var walk func() (*qnode, error)
@@ -139,15 +136,17 @@ func readTree(r *wire.Reader, n int, leaf func(ids []int32) (*qnode, error)) (*q
 			}
 			return leaf(ids)
 		case tag == 1:
-			var kids [4]*qnode
-			for k := range kids {
-				var err error
-				if kids[k], err = walk(); err != nil {
+			node := &qnode{children: new([4]*qnode)}
+			for k := range node.children {
+				c, err := walk()
+				if err != nil {
 					return nil, err
 				}
+				node.children[k] = c
+				node.fresh = node.fresh || c.fresh
 			}
 			nonleaf++
-			return &qnode{children: &kids}, nil
+			return node, nil
 		default:
 			return nil, fmt.Errorf("bad node tag")
 		}
@@ -158,7 +157,8 @@ func readTree(r *wire.Reader, n int, leaf func(ids []int32) (*qnode, error)) (*q
 
 // LoadUVIndex reads an index written by Save from r's cursor and
 // reattaches it to the store it was built over (the store provides MBCs
-// and page pointers for the re-materialized leaf pages).
+// and page pointers for the leaf pages). The decoded leaves go through
+// one write pass, whose seal writes their pages.
 func LoadUVIndex(r *wire.Reader, store *uncertain.Store) (*UVIndex, error) {
 	if r.U32() != indexMagic {
 		return nil, fmt.Errorf("core: not a UV-index stream")
@@ -177,31 +177,23 @@ func LoadUVIndex(r *wire.Reader, store *uncertain.Store) (*UVIndex, error) {
 	if n != store.Len() {
 		return nil, fmt.Errorf("core: index stores %d objects, store has %d", n, store.Len())
 	}
-	ix := NewUVIndex(store, domain, opts)
-	ix.orderK = orderK
-	for i := 0; i < n; i++ {
+	crSets := make([][]int32, n)
+	for i := range crSets {
 		ids, err := readIDs(r, n)
 		if err != nil {
 			return nil, fmt.Errorf("core: loading index registry: %w", err)
 		}
-		ix.cr.crOf[i] = ids
+		crSets[i] = ids
 	}
-	// Rebuild the reverse cr-map (the delete path's dependency index); it
-	// is derived state, so the stream does not carry it.
-	for i := 0; i < n; i++ {
-		ix.cr.addRev(int32(i), ix.cr.crOf[i])
-	}
-	root, nonleaf, err := readTree(r, n, func(ids []int32) (*qnode, error) {
-		leaf := &qnode{ids: ids, pagesAlloc: 1}
-		if need := (len(ids) + ix.capPerPage - 1) / ix.capPerPage; need > 1 {
-			leaf.pagesAlloc = need
-		}
-		return leaf, nil
-	})
+	// NewCRState rebuilds the reverse cr-map (the delete path's dependency
+	// index); it is derived state, so the stream does not carry it.
+	ix := newIndex(store, domain, opts, NewCRState(crSets), orderK, nil)
+	p := &cowPass{ix: ix}
+	root, nonleaf, err := readTree(r, n, func(ids []int32) (*qnode, error) { return p.leaf(ids), nil })
 	if err != nil {
 		return nil, fmt.Errorf("core: loading index tree: %w", err)
 	}
-	ix.root, ix.nonleaf = root, nonleaf
-	ix.Finish() // re-materialize leaf pages
+	p.nonleaf = nonleaf
+	p.install(root)
 	return ix, nil
 }

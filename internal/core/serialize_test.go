@@ -16,9 +16,7 @@ func TestIndexSaveLoadRoundTrip(t *testing.T) {
 	ix, _ := buildIndex(t, objs, domain, StrategyIC)
 
 	var buf wire.Buffer
-	if err := ix.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
+	ix.Save(&buf)
 	loaded, err := LoadUVIndex(wire.NewReader(buf.Bytes()), ix.store)
 	if err != nil {
 		t.Fatal(err)
@@ -26,9 +24,7 @@ func TestIndexSaveLoadRoundTrip(t *testing.T) {
 
 	// Same bytes when saved again.
 	var again wire.Buffer
-	if err := loaded.Save(&again); err != nil {
-		t.Fatal(err)
-	}
+	loaded.Save(&again)
 	if !bytes.Equal(again.Bytes(), buf.Bytes()) {
 		t.Fatal("re-saved index differs from the stream it was loaded from")
 	}
@@ -69,20 +65,9 @@ func TestIndexSaveLoadRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	// Live inserts keep working on the loaded index.
-	if err := loaded.InsertLive(999, nil); err == nil {
+	// Live inserts keep validating on the loaded index.
+	if _, err := loaded.InsertLeafLive(999); err == nil {
 		t.Error("invalid live insert accepted after load")
-	}
-}
-
-func TestIndexSaveUnfinished(t *testing.T) {
-	rng := rand.New(rand.NewSource(907))
-	objs := randObjects(rng, 10, 1000, 20)
-	st := makeStore(t, objs)
-	ix := NewUVIndex(st, geom.Square(1000), DefaultIndexOptions())
-	var buf wire.Buffer
-	if err := ix.Save(&buf); err == nil {
-		t.Error("saving an unfinished index succeeded")
 	}
 }
 
@@ -91,9 +76,7 @@ func TestIndexLoadErrors(t *testing.T) {
 	objs := randObjects(rng, 40, 1000, 20)
 	ix, _ := buildIndex(t, objs, geom.Square(1000), StrategyIC)
 	var buf wire.Buffer
-	if err := ix.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
+	ix.Save(&buf)
 	data := buf.Bytes()
 
 	// Wrong magic.

@@ -9,7 +9,7 @@ import (
 )
 
 // Page-image snapshots: unlike Save/LoadUVIndex — which persist the
-// logical structure and RE-MATERIALIZE every leaf page on load — a
+// logical structure and write every leaf page again on load — a
 // snapshot separates the index into a compact MANIFEST (tree shape,
 // leaf id lists, per-leaf page counts) and the raw page images
 // themselves, which the caller persists verbatim in manifest walk
@@ -25,29 +25,25 @@ import (
 // snapshot allocates ids 0,1,2,… in Alloc order (heap replay) or
 // addresses the file section directly (FileStore).
 
-// SnapshotManifest serializes the finished index's structure — without
-// the constraint registry, which the engine persists once at the
-// database level — and returns the leaf page ids in manifest order so
-// the caller can copy the page images out of ix.Pager() into the
-// snapshot file.
-func (ix *UVIndex) SnapshotManifest() ([]byte, []pager.PageID, error) {
-	if !ix.finished {
-		return nil, nil, fmt.Errorf("core: SnapshotManifest before Finish")
-	}
+// SnapshotManifest serializes the index's structure — without the
+// constraint registry, which the engine persists once at the database
+// level — and returns the leaf page ids in manifest order so the caller
+// can copy the page images out of ix.Pager() into the snapshot file.
+func (ix *UVIndex) SnapshotManifest() ([]byte, []pager.PageID) {
 	var w wire.Buffer
 	ix.putHeader(&w, ix.store.Len())
 	var pages []pager.PageID
-	putTree(&w, ix.snap().root, func(n *qnode) {
+	putTree(&w, ix.ts.Load().root, func(n *qnode) {
 		w.U32(uint32(len(n.pages)))
 		pages = append(pages, n.pages...)
 	})
-	return w.Bytes(), pages, nil
+	return w.Bytes(), pages
 }
 
 // OpenUVIndexSnapshot reconstructs an index from a manifest written by
 // SnapshotManifest and a pager already holding the page images in
-// manifest order (ids 0..NumPages-1). No pages are written and Finish
-// is never called: the tree is published as-is, which is the whole
+// manifest order (ids 0..NumPages-1). No pages are written and no write
+// pass runs: the decoded tree is published as-is, which is the whole
 // point — opening a snapshot costs only the manifest parse.
 //
 // The store provides object geometry for future queries and mutations;
@@ -69,15 +65,7 @@ func OpenUVIndexSnapshot(manifest []byte, store *uncertain.Store, cr *CRState, p
 	if opts.PageSize != pg.PageSize() {
 		return nil, fmt.Errorf("core: snapshot page size %d, pager %d", opts.PageSize, pg.PageSize())
 	}
-	ix := &UVIndex{
-		domain:     domain,
-		opts:       opts,
-		pg:         pg,
-		store:      store,
-		cr:         cr,
-		capPerPage: pager.TuplesPerPage(opts.PageSize),
-		orderK:     orderK,
-	}
+	ix := newIndex(store, domain, opts, cr, orderK, pg)
 	total := pg.NumPages()
 	next := 0 // next unclaimed sequential page id
 	root, nonleaf, err := readTree(r, n, func(ids []int32) (*qnode, error) {
@@ -104,9 +92,6 @@ func OpenUVIndexSnapshot(manifest []byte, store *uncertain.Store, cr *CRState, p
 	if next != total {
 		return nil, fmt.Errorf("core: snapshot tree claims %d pages, section holds %d", next, total)
 	}
-	ix.root = root
-	ix.nonleaf = nonleaf
-	ix.finished = true
 	ix.ts.Store(&treeState{root: root, nonleaf: nonleaf})
 	return ix, nil
 }

@@ -1,12 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"uvdiagram/internal/geom"
-	"uvdiagram/internal/pager"
-	"uvdiagram/internal/uncertain"
-)
+import "fmt"
 
 // Incremental updates — the extension the paper lists as future work
 // ("it would be interesting to study how the UV-diagram can be extended
@@ -41,61 +35,26 @@ import (
 // tree with one treeState store. Readers never synchronize with
 // writers — a query pinned on the old snapshot keeps a consistent
 // tree whose pages are retired through the epoch domain only once
-// every such reader has finished. Mutators themselves must still be
+// every such reader has unpinned. Mutators themselves must still be
 // externally serialized per index (the per-shard wmu is that
 // writer-writer lock).
 //
 // The registry mutations (CRState) and the leaf surgery are separate
 // layers: a sharded engine updates the shared registry once under its
 // store-level lock and then runs InsertLeafLive / RemoveAndReinsertLive
-// on each shard its cells reach under that shard's write mutex. The
-// single-index InsertLive / DeleteLiveBatch wrappers below compose both
-// layers for standalone indexes (and the order-k grid).
-
-// cowPass carries one live mutation through the tree: the running
-// non-leaf budget, the entry-weighted churn, the fresh leaves whose
-// pages are not yet written, and the replaced pages to retire after
-// publication. Fresh nodes are recognizable by dirty == true (published
-// nodes always have dirty == false), which lets a multi-step pass
-// (remove, then many reinserts) mutate its OWN nodes in place instead
-// of copying them again.
-type cowPass struct {
-	ix      *UVIndex
-	nonleaf int
-	entries int  // leaf entries touched (removed + created)
-	changed bool // any structural change (splits can change without entries)
-	fresh   []*qnode
-	retired []pager.PageID
-}
-
-// copyLeaf returns a fresh, mutable copy of published leaf n with its
-// pages retired; the copy's pages are written at seal time.
-func (p *cowPass) copyLeaf(n *qnode) *qnode {
-	nl := &qnode{
-		ids:        append([]int32(nil), n.ids...),
-		pagesAlloc: n.pagesAlloc,
-		dirty:      true,
-	}
-	p.retired = append(p.retired, n.pages...)
-	p.fresh = append(p.fresh, nl)
-	return nl
-}
+// on each shard its cells reach under that shard's write mutex. Both
+// are one cowPass (insert.go), the write path a build runs too.
 
 // removeCOW strips every id in remove from the leaf lists of the
 // subtree rooted at n, returning the replacement node (n itself when
 // nothing below changed).
 func (p *cowPass) removeCOW(n *qnode, remove map[int32]bool) *qnode {
 	if !n.isLeaf() {
-		var kids [4]*qnode
-		changed := false
-		for k := 0; k < 4; k++ {
-			kids[k] = p.removeCOW(n.children[k], remove)
-			changed = changed || kids[k] != n.children[k]
+		kids := *n.children
+		for k := range kids {
+			kids[k] = p.removeCOW(kids[k], remove)
 		}
-		if !changed {
-			return n
-		}
-		return &qnode{children: &kids}
+		return p.withKids(n, kids)
 	}
 	removed := 0
 	for _, id := range n.ids {
@@ -107,7 +66,7 @@ func (p *cowPass) removeCOW(n *qnode, remove map[int32]bool) *qnode {
 		return n
 	}
 	nl := n
-	if !n.dirty {
+	if !n.fresh {
 		nl = p.copyLeaf(n)
 	}
 	kept := nl.ids[:0]
@@ -122,107 +81,27 @@ func (p *cowPass) removeCOW(n *qnode, remove map[int32]bool) *qnode {
 	return nl
 }
 
-// insertCOW descends the grid adding id to every leaf its cell can
-// overlap (the live-mutation counterpart of insertObj), returning the
-// replacement node. Split decisions follow Algorithm 4 exactly as the
-// in-place path did, against the pass's running non-leaf budget.
-func (p *cowPass) insertCOW(id int32, oi uncertain.Object, crIDs []int32, n *qnode, region geom.Rect, depth int) *qnode {
-	ix := p.ix
-	if !ix.overlapsIDs(oi, crIDs, region) {
-		return n
-	}
-	if !n.isLeaf() {
-		var kids [4]*qnode
-		changed := false
-		for k := 0; k < 4; k++ {
-			kids[k] = p.insertCOW(id, oi, crIDs, n.children[k], region.Quadrant(k), depth+1)
-			changed = changed || kids[k] != n.children[k]
-		}
-		if !changed {
-			return n
-		}
-		return &qnode{children: &kids}
-	}
-	state, kids := ix.checkSplit(id, oi, crIDs, n, region, depth, p.nonleaf)
-	switch state {
-	case stateNormal, stateOverflow:
-		nl := n
-		if !n.dirty {
-			nl = p.copyLeaf(n)
-		}
-		if state == stateOverflow && len(nl.ids) >= nl.pagesAlloc*ix.capPerPage {
-			nl.pagesAlloc++ // grant a new page (Algorithm 3 OVERFLOW)
-		}
-		nl.ids = append(nl.ids, id)
-		p.entries++
-		p.changed = true
-		return nl
-	default: // stateSplit
-		// The tentative children (which already include id where it
-		// overlaps) replace the leaf; its pages are retired. A fresh
-		// leaf replaced by its own split is unlinked from the pass so
-		// seal skips it.
-		if n.dirty {
-			n.dirty = false
-			n.ids = nil
-		} else {
-			p.retired = append(p.retired, n.pages...)
-		}
-		for k := 0; k < 4; k++ {
-			kids[k].dirty = true
-			p.fresh = append(p.fresh, kids[k])
-		}
-		p.nonleaf++
-		for k := 0; k < 4; k++ {
-			for _, v := range kids[k].ids {
-				if v == id {
-					p.entries++
-					break
-				}
-			}
-		}
-		p.changed = true
-		return &qnode{children: kids}
-	}
-}
-
-// seal writes the page lists of every fresh leaf still linked into the
-// new tree and clears their dirty flags, making them publishable.
-func (p *cowPass) seal() {
-	for _, n := range p.fresh {
-		if !n.dirty {
-			continue // replaced by a later split within the same pass
-		}
-		n.pages = p.ix.writeLeafPages(n.ids)
-		n.dirty = false
-	}
-}
-
-// publish seals and atomically installs the new tree, retires the
-// replaced pages and accrues the entry-weighted slack. No-op when the
-// pass changed nothing.
+// publish installs the new tree, retires the replaced pages, accrues
+// the entry-weighted slack and bumps the mutation generation. No-op
+// when the pass changed nothing.
 func (p *cowPass) publish(root *qnode) {
 	if !p.changed {
 		return
 	}
-	p.seal()
+	p.install(root)
 	ix := p.ix
-	ix.ts.Store(&treeState{root: root, nonleaf: p.nonleaf})
 	ix.slack.Add(int64(p.entries))
 	ix.gen.Add(1)
 	ix.retirePages(p.retired)
 }
 
 // InsertLeafLive adds object id — whose representation must already be
-// recorded in the registry — to a finished index's leaf lists. It
-// returns the number of leaf entries created: 0 means the object's cell
-// cannot reach this index's region, and the structure (slack, gen,
-// caches, safe circles) is untouched, which is how a spatial shard
-// ignores mutations elsewhere in the domain.
+// recorded in the registry — to the index's leaf lists. It returns the
+// number of leaf entries created: 0 means the object's cell cannot
+// reach this index's region, and the structure (slack, gen, caches,
+// safe circles) is untouched, which is how a spatial shard ignores
+// mutations elsewhere in the domain.
 func (ix *UVIndex) InsertLeafLive(id int32) (int, error) {
-	if !ix.finished {
-		return 0, fmt.Errorf("core: InsertLeafLive before Finish (use Insert during construction)")
-	}
 	if int(id) >= ix.store.Len() {
 		return 0, fmt.Errorf("core: object %d not in the store", id)
 	}
@@ -246,9 +125,6 @@ func (ix *UVIndex) InsertLeafLive(id int32) (int, error) {
 // victims dropped and stripped, tight survivors re-derived, all before
 // this runs.
 func (ix *UVIndex) RemoveAndReinsertLive(remove, reinsert []int32) (int, error) {
-	if !ix.finished {
-		return 0, fmt.Errorf("core: RemoveAndReinsertLive before Finish")
-	}
 	rm := make(map[int32]bool, len(remove))
 	for _, v := range remove {
 		if v < 0 || int(v) >= len(ix.cr.crOf) {
@@ -264,68 +140,4 @@ func (ix *UVIndex) RemoveAndReinsertLive(remove, reinsert []int32) (int, error) 
 	}
 	p.publish(root)
 	return p.entries, nil
-}
-
-// InsertLive adds object id (already appended to the store) to a
-// standalone finished index, represented by its cr-object ids: the
-// registry append and the leaf insertion in one call. Indexes sharing a
-// registry must not use this (the DB appends to the shared registry
-// once and calls InsertLeafLive per shard).
-func (ix *UVIndex) InsertLive(id int32, crIDs []int32) error {
-	if !ix.finished {
-		return fmt.Errorf("core: InsertLive before Finish (use Insert during construction)")
-	}
-	if int(id) >= ix.store.Len() {
-		return fmt.Errorf("core: object %d not in the store", id)
-	}
-	if err := ix.cr.Append(id, crIDs); err != nil {
-		return err
-	}
-	_, err := ix.InsertLeafLive(id)
-	return err
-}
-
-// DeleteLive removes object victim from a standalone finished index.
-// rederive must return a fresh cr-set for a surviving object, computed
-// WITHOUT the victim (the caller has already tombstoned it in the store
-// and removed it from the helper R-tree).
-//
-// Soundness: the victim's entries are dropped from every leaf; the
-// objects whose cr-set contains the victim (Dependents) are the only
-// ones whose UV-cell can grow, so each is stripped from the leaves,
-// given a freshly derived cr-set and re-inserted — leaf lists are
-// supersets of the true overlaps again and answers remain exact. The
-// returned slice holds the re-derived ids (sorted), mainly for
-// instrumentation.
-func (ix *UVIndex) DeleteLive(victim int32, rederive func(id int32) []int32) ([]int32, error) {
-	return ix.DeleteLiveBatch([]int32{victim}, rederive)
-}
-
-// DeleteLiveBatch is DeleteLive over many victims at once, sharing the
-// expensive whole-tree passes: the victims and the union of their
-// dependents are stripped in ONE leaf walk, fresh pages are written
-// once, and the mutation generation bumps once. Every victim must
-// already be tombstoned in the store and gone from the helper R-tree,
-// so the rederive callbacks see the final post-batch population.
-func (ix *UVIndex) DeleteLiveBatch(victims []int32, rederive func(id int32) []int32) ([]int32, error) {
-	if !ix.finished {
-		return nil, fmt.Errorf("core: DeleteLive before Finish")
-	}
-	for _, v := range victims {
-		if v < 0 || int(v) >= len(ix.cr.crOf) {
-			return nil, fmt.Errorf("core: DeleteLive of unknown object %d", v)
-		}
-	}
-	affected := ix.cr.AffectedBy(victims)
-	remove := make([]int32, 0, len(victims)+len(affected))
-	remove = append(remove, victims...)
-	remove = append(remove, affected...)
-	ix.cr.Drop(victims)
-	for _, a := range affected {
-		ix.cr.Replace(a, rederive(a))
-	}
-	if _, err := ix.RemoveAndReinsertLive(remove, affected); err != nil {
-		return nil, err
-	}
-	return affected, nil
 }

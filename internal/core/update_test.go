@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"uvdiagram/internal/geom"
@@ -9,6 +10,7 @@ import (
 	"uvdiagram/internal/prob"
 	"uvdiagram/internal/rtree"
 	"uvdiagram/internal/uncertain"
+	"uvdiagram/internal/wire"
 )
 
 // TestInsertLiveCorrectness: build over a prefix of a dataset, insert
@@ -40,9 +42,7 @@ func TestInsertLiveCorrectness(t *testing.T) {
 		}
 		tree.Insert(treeItem(st, o))
 		res := DeriveCRObjects(tree, o, st.All(), domain, opts.SeedK, opts.SeedSectors, opts.RegionSamples)
-		if err := ix.InsertLive(o.ID, res.CR); err != nil {
-			t.Fatal(err)
-		}
+		insertLive(t, ix, o.ID, res.CR)
 	}
 
 	for k := 0; k < 80; k++ {
@@ -68,6 +68,19 @@ func treeItem(st *uncertain.Store, o uncertain.Object) rtree.Item {
 	return rtree.Item{ID: o.ID, MBC: o.Region, Ptr: uint64(st.PageOf(o.ID))}
 }
 
+// insertLive records object id's constraint set in a standalone index's
+// registry and inserts it into the leaf lists — the two layers a live
+// insert composes (the object must already be in the store).
+func insertLive(t testing.TB, ix *UVIndex, id int32, crIDs []int32) {
+	t.Helper()
+	if err := ix.CR().Append(id, crIDs); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ix.InsertLeafLive(id); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestInsertLiveValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(607))
 	domain := geom.Square(1000)
@@ -79,18 +92,24 @@ func TestInsertLiveValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Out-of-order id.
-	if err := ix.InsertLive(99, nil); err == nil {
+	// Ids not in the store.
+	for _, id := range []int32{50, 99} {
+		if _, err := ix.InsertLeafLive(id); err == nil {
+			t.Errorf("id %d missing from store accepted", id)
+		}
+	}
+	// In the store, but with no constraint set recorded.
+	extra := randObjects(rng, 1, 1000, 20)[0]
+	extra.ID = 50
+	if err := st.Append(extra); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ix.InsertLeafLive(50); err == nil {
+		t.Error("id without a recorded constraint set accepted")
+	}
+	// A constraint set out of dense-id order.
+	if err := ix.CR().Append(51, nil); err == nil {
 		t.Error("out-of-order id accepted")
-	}
-	// Id not in store.
-	if err := ix.InsertLive(50, nil); err == nil {
-		t.Error("id missing from store accepted")
-	}
-	// Unfinished index.
-	raw := NewUVIndex(st, domain, DefaultIndexOptions())
-	if err := raw.InsertLive(0, nil); err == nil {
-		t.Error("InsertLive before Finish accepted")
 	}
 }
 
@@ -115,9 +134,7 @@ func TestInsertLiveFlushesPages(t *testing.T) {
 	}
 	tree.Insert(treeItem(st, o))
 	res := DeriveCRObjects(tree, o, st.All(), domain, opts.SeedK, opts.SeedSectors, opts.RegionSamples)
-	if err := ix.InsertLive(o.ID, res.CR); err != nil {
-		t.Fatal(err)
-	}
+	insertLive(t, ix, o.ID, res.CR)
 	// Query at the new object's center: it must be an answer, read from
 	// the on-disk pages.
 	answers, _, err := ix.PNN(o.Region.C)
@@ -132,5 +149,146 @@ func TestInsertLiveFlushesPages(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("live-inserted object %d not answered at its own center (answers %v)", o.ID, answers)
+	}
+}
+
+// checkPublished walks ix's published tree: no node may still carry
+// the fresh mark (the write pass that created it would otherwise keep
+// mutating it under pinned readers), and every leaf owns at least the
+// pages its list needs.
+func checkPublished(t *testing.T, label string, ix *UVIndex) {
+	t.Helper()
+	var walk func(n *qnode)
+	walk = func(n *qnode) {
+		if n.fresh {
+			t.Fatalf("%s: a published node still carries the fresh mark (leaf %v)", label, n.isLeaf())
+		}
+		if !n.isLeaf() {
+			for _, c := range n.children {
+				walk(c)
+			}
+			return
+		}
+		if need := max(1, (len(n.ids)+ix.capPerPage-1)/ix.capPerPage); len(n.pages) < need {
+			t.Fatalf("%s: leaf of %d ids owns %d pages, needs %d", label, len(n.ids), len(n.pages), need)
+		}
+	}
+	walk(ix.ts.Load().root)
+}
+
+// TestPublishedTreeHasNoFreshNodes checks the publication invariant of
+// the write pass after every way an index gets a tree: a build, a
+// legacy load, a snapshot open, live inserts and delete surgery.
+func TestPublishedTreeHasNoFreshNodes(t *testing.T) {
+	rng := rand.New(rand.NewSource(617))
+	domain := geom.Square(1000)
+	objs := randObjects(rng, 200, 1000, 20)
+	st := makeStore(t, objs[:160])
+	opts := DefaultBuildOptions()
+	opts.SeedK = 60
+	opts.Index.PageSize = 512 // small pages: splits during build and during live surgery
+	tree := BuildHelperRTree(st, opts.Fanout)
+	ix, _, err := Build(st, domain, tree, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPublished(t, "build", ix)
+
+	var buf wire.Buffer
+	ix.Save(&buf)
+	loaded, err := LoadUVIndex(wire.NewReader(buf.Bytes()), st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPublished(t, "load", loaded)
+
+	manifest, pages := ix.SnapshotManifest()
+	pg := pager.New(opts.Index.PageSize)
+	for _, pid := range pages {
+		pg.Alloc(ix.Pager().Read(pid))
+	}
+	opened, err := OpenUVIndexSnapshot(manifest, st, ix.CR(), pg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPublished(t, "snapshot open", opened)
+
+	nonleaf := ix.Stats().NonLeaf
+	sc := NewDeriveScratch()
+	for _, o := range objs[160:] {
+		if err := st.Append(o); err != nil {
+			t.Fatal(err)
+		}
+		tree.Insert(treeItem(st, o))
+		insertLive(t, ix, o.ID, DeriveCR(tree, o, st.Dense(), domain, opts.SeedK, opts.SeedSectors, opts.RegionSamples, sc))
+		checkPublished(t, "InsertLeafLive", ix)
+	}
+
+	// Delete surgery: strip each victim from its dependents (a subset of
+	// live constraints is a sound representation) and reinsert them.
+	for _, v := range []int32{3, 77, 150, 190} {
+		affected := ix.CR().AffectedBy([]int32{v})
+		for _, a := range affected {
+			ix.CR().Strip(a, map[int32]bool{v: true})
+		}
+		ix.CR().Drop([]int32{v})
+		if _, err := ix.RemoveAndReinsertLive(append([]int32{v}, affected...), affected); err != nil {
+			t.Fatal(err)
+		}
+		checkPublished(t, "RemoveAndReinsertLive", ix)
+	}
+	if ix.Stats().NonLeaf == nonleaf {
+		t.Error("no live split happened; the live passes never created internal nodes")
+	}
+}
+
+// TestBuildEqualsIncrementalGrowth: an index built in one pass equals
+// one grown from an empty tree by one InsertLeafLive per object — the
+// same leaf id lists in walk order, the same non-leaf count and pages.
+func TestBuildEqualsIncrementalGrowth(t *testing.T) {
+	rng := rand.New(rand.NewSource(619))
+	domain := geom.Square(1000)
+	objs := randObjects(rng, 200, 1000, 20)
+	st := makeStore(t, objs)
+	opts := DefaultBuildOptions()
+	opts.SeedK = 60
+	opts.Index.PageSize = 512
+	sets, _, err := DeriveCRSets(st, domain, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cr := NewCRState(sets)
+	built, _ := BuildRegionCR(st, domain, cr, 1, opts.Index)
+
+	grown := newIndex(st, domain, opts.Index, cr, 1, nil)
+	p := &cowPass{ix: grown}
+	p.install(p.leaf(nil))
+	for id := int32(0); int(id) < st.Len(); id++ {
+		if _, err := grown.InsertLeafLive(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	a, b := built.Stats(), grown.Stats()
+	if a.NonLeaf == 0 || a.NonLeaf != b.NonLeaf || a.Pages != b.Pages || a != b {
+		t.Fatalf("one-pass build %+v, grown %+v", a, b)
+	}
+	leaves := func(ix *UVIndex) [][]int32 {
+		var out [][]int32
+		var walk func(n *qnode)
+		walk = func(n *qnode) {
+			if n.isLeaf() {
+				out = append(out, n.ids)
+				return
+			}
+			for _, c := range n.children {
+				walk(c)
+			}
+		}
+		walk(ix.ts.Load().root)
+		return out
+	}
+	if !reflect.DeepEqual(leaves(built), leaves(grown)) {
+		t.Fatal("leaf id lists differ between the one-pass build and the grown index")
 	}
 }

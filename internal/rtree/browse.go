@@ -72,8 +72,8 @@ func (it *NNIterator) Next() (Neighbor, bool) {
 // push and pop replicate container/heap's Push/Pop (up/down sift order
 // included) without the interface boxing, so they are allocation-free
 // AND order-identical to the heap.Push/heap.Pop calls KNN makes on the
-// same pq type — the property SelectSeeds' bitwise-equivalence bar
-// rests on.
+// same pq type — the property core's seed-selection bitwise-equivalence
+// bar rests on.
 
 func (q *pq) push(e pqEntry) {
 	h := append(*q, e)

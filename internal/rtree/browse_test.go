@@ -24,7 +24,7 @@ func browseTree(t *testing.T, n int, seed int64) *Tree {
 
 // TestNNIteratorMatchesKNN: for every prefix length, the iterator's pop
 // sequence must be identical — ids, ties and all — to the materialized
-// KNN result. SelectSeeds' bitwise-equivalence bar rests on this.
+// KNN result. core's seed-selection bitwise-equivalence bar rests on this.
 func TestNNIteratorMatchesKNN(t *testing.T) {
 	for _, n := range []int{1, 7, 64, 500} {
 		tree := browseTree(t, n, int64(n))

@@ -170,8 +170,8 @@ func (s *Server) dispatchBatch(op byte, r *wire.Reader) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if rem := r.Remaining(); rem != 0 {
-		return nil, fmt.Errorf("batch payload has %d trailing bytes", rem)
+	if err := payloadDone(r, "batch"); err != nil {
+		return nil, err
 	}
 
 	borrowed, release := s.borrowWorkers(s.cfg.Workers - 1)

@@ -529,7 +529,7 @@ func (s *Server) dispatch(op byte, payload []byte) ([]byte, error) {
 
 	case wire.OpPNN:
 		q := uvdiagram.Pt(r.F64(), r.F64())
-		if err := r.Err(); err != nil {
+		if err := payloadDone(r, "pnn"); err != nil {
 			return nil, err
 		}
 		answers, st, err := s.db.PNN(q)
@@ -542,7 +542,7 @@ func (s *Server) dispatch(op byte, payload []byte) ([]byte, error) {
 	case wire.OpTopK:
 		q := uvdiagram.Pt(r.F64(), r.F64())
 		k := int(r.U32())
-		if err := r.Err(); err != nil {
+		if err := payloadDone(r, "top-k"); err != nil {
 			return nil, err
 		}
 		answers, st, err := s.db.TopKPNN(q, k)
@@ -555,7 +555,7 @@ func (s *Server) dispatch(op byte, payload []byte) ([]byte, error) {
 	case wire.OpPossibleKNN:
 		q := uvdiagram.Pt(r.F64(), r.F64())
 		k := int(r.U32())
-		if err := r.Err(); err != nil {
+		if err := payloadDone(r, "possible-k-NN"); err != nil {
 			return nil, err
 		}
 		ids, err := s.db.PossibleKNN(q, k)
@@ -571,7 +571,7 @@ func (s *Server) dispatch(op byte, payload []byte) ([]byte, error) {
 
 	case wire.OpRNN:
 		q := uvdiagram.Pt(r.F64(), r.F64())
-		if err := r.Err(); err != nil {
+		if err := payloadDone(r, "rnn"); err != nil {
 			return nil, err
 		}
 		answers, _ := s.db.RNN(q)
@@ -585,7 +585,7 @@ func (s *Server) dispatch(op byte, payload []byte) ([]byte, error) {
 
 	case wire.OpCellArea:
 		id := r.I32()
-		if err := r.Err(); err != nil {
+		if err := payloadDone(r, "cell-area"); err != nil {
 			return nil, err
 		}
 		area, err := s.db.CellArea(id)
@@ -601,7 +601,7 @@ func (s *Server) dispatch(op byte, payload []byte) ([]byte, error) {
 			Min: uvdiagram.Pt(r.F64(), r.F64()),
 			Max: uvdiagram.Pt(r.F64(), r.F64()),
 		}
-		if err := r.Err(); err != nil {
+		if err := payloadDone(r, "partitions"); err != nil {
 			return nil, err
 		}
 		parts := s.db.Partitions(rect)
@@ -618,8 +618,8 @@ func (s *Server) dispatch(op byte, payload []byte) ([]byte, error) {
 		return b.Bytes(), nil
 
 	case wire.OpMetrics:
-		if rem := r.Remaining(); rem != 0 {
-			return nil, fmt.Errorf("server: metrics payload has %d trailing bytes", rem)
+		if err := payloadDone(r, "metrics"); err != nil {
+			return nil, err
 		}
 		snap := s.MetricsSnapshot()
 		var b wire.Buffer
@@ -644,7 +644,7 @@ func (s *Server) dispatch(op byte, payload []byte) ([]byte, error) {
 		for i := range weights {
 			weights[i] = r.F64()
 		}
-		if err := r.Err(); err != nil {
+		if err := payloadDone(r, "insert"); err != nil {
 			return nil, err
 		}
 		var pdf *uvdiagram.PDF
@@ -663,11 +663,8 @@ func (s *Server) dispatch(op byte, payload []byte) ([]byte, error) {
 
 	case wire.OpDelete:
 		id := r.I32()
-		if err := r.Err(); err != nil {
+		if err := payloadDone(r, "delete"); err != nil {
 			return nil, err
-		}
-		if rem := r.Remaining(); rem != 0 {
-			return nil, fmt.Errorf("server: delete payload has %d trailing bytes", rem)
 		}
 		s.mu.Lock()
 		err := s.db.Delete(id)
@@ -689,11 +686,8 @@ func (s *Server) dispatch(op byte, payload []byte) ([]byte, error) {
 		for i := range ids {
 			ids[i] = r.I32()
 		}
-		if err := r.Err(); err != nil {
+		if err := payloadDone(r, "batch delete"); err != nil {
 			return nil, err
-		}
-		if rem := r.Remaining(); rem != 0 {
-			return nil, fmt.Errorf("server: batch delete payload has %d trailing bytes", rem)
 		}
 		s.mu.Lock()
 		err := s.db.BatchDelete(ids)
@@ -708,6 +702,19 @@ func (s *Server) dispatch(op byte, payload []byte) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("server: unknown opcode 0x%02x", op)
 	}
+}
+
+// payloadDone returns the decode error of a request payload, or an
+// error naming its unread trailing bytes: a payload longer than its
+// opcode's layout is malformed, not a request to answer.
+func payloadDone(r *wire.Reader, what string) error {
+	if err := r.Err(); err != nil {
+		return err
+	}
+	if rem := r.Remaining(); rem != 0 {
+		return fmt.Errorf("server: %s payload has %d trailing bytes", what, rem)
+	}
+	return nil
 }
 
 func encodeAnswers(answers []uvdiagram.Answer) []byte {

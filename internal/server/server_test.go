@@ -297,10 +297,52 @@ func TestUnknownOpcode(t *testing.T) {
 }
 
 func TestMalformedPayloadRejected(t *testing.T) {
-	cli, _ := startServer(t, 10)
+	cli, srv := startServer(t, 10)
 	// PNN with a half payload: in-band error.
 	if _, err := cli.roundTrip(wire.OpPNN, []byte{1, 2, 3}); err == nil {
 		t.Fatal("truncated payload accepted")
+	}
+
+	// A well-formed payload with one stray byte behind it is rejected
+	// in-band too, and the connection answers the next request.
+	var point, pointK, id, rect, insert wire.Buffer
+	point.F64(500)
+	point.F64(500)
+	pointK.F64(500)
+	pointK.F64(500)
+	pointK.U32(2)
+	id.I32(0)
+	for _, v := range []float64{0, 0, 1000, 1000} {
+		rect.F64(v)
+	}
+	insert.I32(srv.DB().NextID())
+	insert.F64(700)
+	insert.F64(700)
+	insert.F64(10)
+	insert.U16(0)
+	for _, c := range []struct {
+		name    string
+		op      byte
+		payload []byte
+	}{
+		{"pnn", wire.OpPNN, point.Bytes()},
+		{"top-k", wire.OpTopK, pointK.Bytes()},
+		{"possible-k-NN", wire.OpPossibleKNN, pointK.Bytes()},
+		{"rnn", wire.OpRNN, point.Bytes()},
+		{"cell-area", wire.OpCellArea, id.Bytes()},
+		{"partitions", wire.OpPartitions, rect.Bytes()},
+		{"insert", wire.OpInsert, insert.Bytes()},
+	} {
+		payload := append(append([]byte(nil), c.payload...), 0x01)
+		if _, err := cli.roundTrip(c.op, payload); err == nil || !strings.Contains(err.Error(), "trailing bytes") {
+			t.Errorf("%s with a trailing byte: err = %v, want an in-band trailing-bytes error", c.name, err)
+		}
+		if _, err := cli.PNN(uvdiagram.Pt(500, 500)); err != nil {
+			t.Fatalf("connection unusable after a %s with a trailing byte: %v", c.name, err)
+		}
+	}
+	if srv.DB().Len() != 10 {
+		t.Fatalf("rejected insert mutated the DB: %d objects", srv.DB().Len())
 	}
 }
 

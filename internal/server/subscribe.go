@@ -285,11 +285,8 @@ func (s *Server) dropConnSessions(cs *connState) {
 func (s *Server) handleSubscribe(cs *connState, sl *slot, payload []byte) ([]byte, error) {
 	r := wire.NewReader(payload)
 	q := uvdiagram.Pt(r.F64(), r.F64())
-	if err := r.Err(); err != nil {
+	if err := payloadDone(r, "subscribe"); err != nil {
 		return nil, err
-	}
-	if rem := r.Remaining(); rem != 0 {
-		return nil, fmt.Errorf("server: subscribe payload has %d trailing bytes", rem)
 	}
 	s.mu.RLock()
 	sess, err := s.db.NewContinuousPNN(q)
@@ -330,11 +327,8 @@ func (s *Server) handleMove(cs *connState, payload []byte) error {
 	r := wire.NewReader(payload)
 	id := r.U64()
 	q := uvdiagram.Pt(r.F64(), r.F64())
-	if err := r.Err(); err != nil {
+	if err := payloadDone(r, "move"); err != nil {
 		return err
-	}
-	if rem := r.Remaining(); rem != 0 {
-		return fmt.Errorf("server: move payload has %d trailing bytes", rem)
 	}
 	cs.mu.Lock()
 	ss := cs.subs[id]
@@ -371,11 +365,8 @@ func (s *Server) handleMove(cs *connState, payload []byte) error {
 func (s *Server) handleUnsubscribe(cs *connState, payload []byte) ([]byte, error) {
 	r := wire.NewReader(payload)
 	id := r.U64()
-	if err := r.Err(); err != nil {
+	if err := payloadDone(r, "unsubscribe"); err != nil {
 		return nil, err
-	}
-	if rem := r.Remaining(); rem != 0 {
-		return nil, fmt.Errorf("server: unsubscribe payload has %d trailing bytes", rem)
 	}
 	cs.mu.Lock()
 	ss := cs.subs[id]

@@ -116,9 +116,7 @@ func (ix *OrderKIndex) PossibleKNN(q Point) ([]int32, QueryStats, error) {
 // cell order; reload it with LoadOrderKIndex against the same DB).
 func (ix *OrderKIndex) Save(w io.Writer) error {
 	var b wire.Buffer
-	if err := ix.inner.Save(&b); err != nil {
-		return err
-	}
+	ix.inner.Save(&b)
 	_, err := w.Write(b.Bytes())
 	return err
 }

@@ -191,11 +191,8 @@ func (db *DB) SaveSnapshot(path string) error {
 		w.U32(uint32(len(pages)))
 		sections = append(sections, section{pg: pg, pages: pages})
 	}
-	for i, ep := range eps {
-		manifest, pages, err := ep.index.SnapshotManifest()
-		if err != nil {
-			return fmt.Errorf("uvdiagram: snapshot shard %d: %w", i, err)
-		}
+	for _, ep := range eps {
+		manifest, pages := ep.index.SnapshotManifest()
 		addSection(ep.index.Pager(), manifest, pages)
 	}
 	manifest, pages := tree.SnapshotManifest()

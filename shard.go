@@ -95,8 +95,7 @@ func newShardLayout(gen uint64, gx, gy int, xs, ys []float64) *shardLayout {
 }
 
 // shardIdx returns the index of the shard owning q. Points outside the
-// domain clamp to the nearest edge shard (whose index then reports the
-// domain violation exactly like the single-shard engine).
+// domain clamp to the nearest edge shard.
 func (lo *shardLayout) shardIdx(q Point) int {
 	return lastLE(lo.ys, q.Y)*lo.gx + lastLE(lo.xs, q.X)
 }

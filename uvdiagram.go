@@ -574,11 +574,10 @@ func (db *DB) IndexStats() core.IndexStats {
 func (db *DB) PNN(q Point) ([]Answer, QueryStats, error) {
 	t := db.egc.Pin()
 	defer db.egc.Unpin(t)
-	lo := db.lo()
-	if err := checkDomain(lo, db.domain, q); err != nil {
+	if err := checkDomain(db.domain, q); err != nil {
 		return nil, QueryStats{}, err
 	}
-	return db.pnnOn(lo.epFor(q).index, q)
+	return db.pnnOn(db.lo().epFor(q).index, q)
 }
 
 // mutationCounters are the DB's atomic mutation-path tallies.
@@ -640,13 +639,12 @@ func (e *DomainError) Error() string {
 // Is makes every DomainError match the ErrOutOfDomain sentinel.
 func (e *DomainError) Is(target error) bool { return target == ErrOutOfDomain }
 
-// checkDomain rejects query points outside a multi-shard engine's
-// domain (with one shard, the index's own domain check reproduces the
-// original core error text). Shared by the single-point and batch
-// routing paths so their semantics can never drift apart. The returned
-// error is a *DomainError, so it matches ErrOutOfDomain.
-func checkDomain(lo *shardLayout, domain Rect, q Point) error {
-	if len(lo.shards) > 1 && !domain.Contains(q) {
+// checkDomain rejects query points outside the engine's domain, whatever
+// its shard layout. Shared by the single-point and batch routing paths
+// so their semantics can never drift apart. The returned error is a
+// *DomainError, so it matches ErrOutOfDomain.
+func checkDomain(domain Rect, q Point) error {
+	if !domain.Contains(q) {
 		return &DomainError{Point: q, Domain: domain}
 	}
 	return nil
