@@ -11,9 +11,6 @@ import (
 // cell-boundary extraction.
 const DefaultCellSamples = 720
 
-// vertexTol is the angular bisection tolerance for breakpoints.
-const vertexTol = 1e-10
-
 // Vertex is a breakpoint of a region boundary: the meeting point of two
 // boundary arcs (UV-edges or domain edges).
 type Vertex struct {
@@ -24,11 +21,14 @@ type Vertex struct {
 	After  int        // active id for angles just above Phi
 }
 
-// Vertices extracts the region's boundary breakpoints by an angular
-// sweep of the radial function at the given resolution, refining each
-// change of active constraint by bisection. Vertices are returned in
-// increasing angle order. Arcs narrower than 2π/samples can be missed;
-// the callers that need guarantees use generous resolutions.
+// Vertices extracts the region's boundary breakpoints: an angular sweep
+// of the radial function at the given resolution finds every sample
+// bracket whose ends are bounded by different arcs, and the breakpoint
+// inside it is solved in closed form (see breakpoint). One vertex is
+// reported per such bracket, labeled with the arcs owning its two ends.
+// Vertices are returned in increasing angle order. Arcs narrower than
+// 2π/samples can be missed; the callers that need guarantees use
+// generous resolutions.
 //
 // The sweep reads the region's incrementally maintained radius profile
 // (O(samples) per added constraint instead of O(samples × constraints)
@@ -51,22 +51,12 @@ func (p *PossibleRegion) Vertices(samples int) []Vertex {
 		if pr.active[i] == pr.active[j] {
 			continue
 		}
-		lo, hi := pr.phis[i], pr.phis[i]+2*math.Pi/float64(n)
-		aLo := pr.active[i]
-		for hi-lo > vertexTol {
-			mid := lo + (hi-lo)/2
-			if _, am := p.Radius(mid); am == aLo {
-				lo = mid
-			} else {
-				hi = mid
-			}
-		}
-		phi := geom.NormalizeAngle(lo + (hi-lo)/2)
-		r, _ := p.Radius(phi)
+		lo := pr.ring.phis[i]
+		phi, r, dir := p.breakpoint(lo, lo+2*math.Pi/float64(n), pr.active[i], pr.active[j])
 		vs = append(vs, Vertex{
 			Phi:    phi,
 			R:      r,
-			P:      p.center.Add(geom.PolarUnit(phi).Scale(r)),
+			P:      p.center.Add(dir.Scale(r)),
 			Before: pr.active[i],
 			After:  pr.active[j],
 		})
@@ -75,6 +65,86 @@ func (p *PossibleRegion) Vertices(samples int) []Vertex {
 	pr.verts = vs
 	pr.vertsAt = len(p.cons)
 	return vs
+}
+
+// breakpoint locates where arc a, which owns the boundary at lo, gives
+// way inside the bracket [lo, hi] whose end hi arc b owns. It returns
+// the angle (normalized), the radius there and its unit direction. The
+// crossing of a and b is accepted when Radius there names one of them.
+// When a third arc c owns the boundary there instead, c intrudes
+// between the two, and a gives way to c first: the search repeats on
+// (a, c) over [lo, φ]. Each step adds a distinct arc in exact
+// arithmetic, so the steps are capped at the number of arcs; at the cap
+// the last crossing is kept.
+func (p *PossibleRegion) breakpoint(lo, hi float64, a, b int) (phi, r float64, dir geom.Point) {
+	for step := 0; ; step++ {
+		x := p.crossing(lo, hi, a, b)
+		phi = geom.NormalizeAngle(x)
+		dir = geom.PolarUnit(phi)
+		var c int
+		r, c = p.RadiusDir(dir)
+		p.prof.evals++
+		if c == a || c == b || step > len(p.cons)+4 {
+			return phi, r, dir
+		}
+		hi, b = x, c
+	}
+}
+
+// crossing returns the angle in [lo, hi] where arcs a and b bound the
+// region equally. Every arc's radial bound has the form
+// t(u) = n / (l·u + m) along the unit direction u (see radialForm), so
+// t_a = t_b is linear in u: A cos φ + B sin φ = C with
+// (A, B) = n_a·l_b − n_b·l_a and C = n_b·m_a − n_a·m_b, whose roots are
+// φ = atan2(B, A) ± acos(C / √(A² + B²)). Of the two, the root nearest
+// the bracket (shifted by whole turns) is returned, clamped into it:
+// with a owning lo and b owning hi, a root lies inside the bracket in
+// exact arithmetic (where both bounds are positive, or, when their
+// domains of validity do not meet, where both are negative — inside a
+// third arc), so the clamp absorbs only rounding. A = B = 0 means the
+// two bounds are proportional everywhere; no angle is preferred and the
+// bracket midpoint is returned.
+func (p *PossibleRegion) crossing(lo, hi float64, a, b int) float64 {
+	na, la, ma := p.radialForm(a)
+	nb, lb, mb := p.radialForm(b)
+	A := na*lb.X - nb*la.X
+	B := na*lb.Y - nb*la.Y
+	rho := math.Sqrt(A*A + B*B)
+	mid := lo + (hi-lo)/2
+	if rho == 0 {
+		return mid
+	}
+	base := math.Atan2(B, A)
+	half := math.Acos(max(-1, min(1, (nb*ma-na*mb)/rho)))
+	best, gap := mid, math.Inf(1)
+	for _, root := range [2]float64{base - half, base + half} {
+		root += 2 * math.Pi * math.Round((mid-root)/(2*math.Pi))
+		phi := min(max(root, lo), hi)
+		if g := math.Abs(phi - root); g < gap {
+			best, gap = phi, g
+		}
+	}
+	return best
+}
+
+// radialForm returns the coefficients of arc id's radial bound
+// t(u) = n / (l·u + m), positive exactly where the arc bounds the ray:
+// a constraint's prepared numerator half, focal offset and S (the form
+// Constraint.Bound evaluates), or a domain edge's signed offset from the
+// center along its axis (m = 0).
+func (p *PossibleRegion) radialForm(id int) (n float64, l geom.Point, m float64) {
+	switch id {
+	case edgeEast:
+		return p.domain.Max.X - p.center.X, geom.Point{X: 1}, 0
+	case edgeWest:
+		return p.domain.Min.X - p.center.X, geom.Point{X: 1}, 0
+	case edgeNorth:
+		return p.domain.Max.Y - p.center.Y, geom.Point{Y: 1}, 0
+	case edgeSouth:
+		return p.domain.Min.Y - p.center.Y, geom.Point{Y: 1}, 0
+	}
+	c := &p.cons[id]
+	return c.num / 2, c.w, c.Edge.S
 }
 
 // Area returns the region area ½∮R(φ)²dφ by composite Simpson

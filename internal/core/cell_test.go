@@ -188,7 +188,8 @@ func TestHullContainsRegion(t *testing.T) {
 			p := region.Center().Add(geom.PolarUnit(phi).Scale(r * (1 - 1e-9)))
 			if !geom.PointInConvex(hull, p) {
 				// Shrink once more before failing: hull vertices carry
-				// bisection error ~1e-10 rad.
+				// rounding error, and an arc narrower than a sample
+				// bracket contributes no vertex.
 				p2 := region.Center().Add(geom.PolarUnit(phi).Scale(r * 0.999))
 				if !geom.PointInConvex(hull, p2) {
 					t.Fatalf("trial %d: boundary point %v outside CH(Pi)", trial, p)

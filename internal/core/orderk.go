@@ -163,7 +163,7 @@ func goldenMaxPhi(f func(float64) float64, lo, hi float64, iters int) float64 {
 // as an interface allocates nothing.
 type orderKDeriver struct {
 	tab   derive.Table
-	dirs  []geom.Point // sweep direction ring (depends only on samples)
+	dirs  []geom.Point // the shared sweep directions of its resolution (ringOf)
 	edges []Constraint // cached constraints, by table row (golden-section probes)
 	cands []int32      // seed ids, then the fixpoint's candidate set
 	kth   []float64    // k-smallest buffer of the polish probes
@@ -176,17 +176,14 @@ type orderKDeriver struct {
 	k      int
 }
 
-// begin starts one DeriveOrderKCR call: it (re)builds the sweep
-// direction ring if the resolution changed, drops the previous object's
+// begin starts one DeriveOrderKCR call: it picks up the shared sweep
+// directions if the resolution changed, drops the previous object's
 // rows and refreshes the per-angle domain bounds for the new center
 // (pure per direction, shared by every fixpoint round).
 func (e *orderKDeriver) begin(tree *rtree.Tree, oi uncertain.Object, objs []uncertain.Object, domain geom.Rect, k, samples int) {
 	e.tree, e.oi, e.objs, e.domain, e.k = tree, oi, objs, domain, k
 	if len(e.dirs) != samples {
-		e.dirs = make([]geom.Point, samples)
-		for i := range e.dirs {
-			e.dirs[i] = geom.PolarUnit(2 * math.Pi * float64(i) / float64(samples))
-		}
+		e.dirs = ringOf(samples).dirs
 	}
 	e.tab.Begin(len(objs), samples)
 	for i, dir := range e.dirs {

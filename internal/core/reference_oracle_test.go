@@ -73,8 +73,14 @@ func referenceRadius(p *PossibleRegion, phi float64) (float64, int) {
 	return r, active
 }
 
+// referenceVertexTol is the reference sweep's angular bisection
+// tolerance: 28 halvings of a 256-sample bracket.
+const referenceVertexTol = 1e-10
+
 // referenceVertices is the from-scratch angular sweep: every sample
-// angle re-evaluates the full constraint list through referenceRadius.
+// angle re-evaluates the full constraint list through referenceRadius,
+// and every breakpoint is refined by bisection on the active id — the
+// fast path's closed-form breakpoints are held to it.
 func referenceVertices(p *PossibleRegion, samples int) []Vertex {
 	if samples < 16 {
 		samples = 16
@@ -94,7 +100,7 @@ func referenceVertices(p *PossibleRegion, samples int) []Vertex {
 		}
 		lo, hi := phis[i], phis[i]+2*math.Pi/float64(n)
 		aLo := actives[i]
-		for hi-lo > vertexTol {
+		for hi-lo > referenceVertexTol {
 			mid := lo + (hi-lo)/2
 			if _, am := referenceRadius(p, mid); am == aLo {
 				lo = mid

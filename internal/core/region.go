@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync"
 
 	"uvdiagram/internal/geom"
 	"uvdiagram/internal/uncertain"
@@ -33,7 +34,7 @@ type PossibleRegion struct {
 }
 
 // profile is the region's incremental radial representation at a fixed
-// angular resolution: radius[i] and active[i] mirror Radius(phis[i])
+// angular resolution: radius[i] and active[i] mirror Radius(ring.phis[i])
 // bitwise — the same first-minimum-wins fold over the same constraint
 // order — but are maintained in O(samples) per ADDED constraint instead
 // of re-evaluated in O(samples × constraints) on every MaxRadius /
@@ -44,12 +45,42 @@ type PossibleRegion struct {
 type profile struct {
 	samples int // angular resolution; 0 = unbuilt (or invalidated by Reset)
 	applied int // prefix of cons folded into radius/active
-	phis    []float64
-	dirs    []geom.Point
+	ring    *dirRing
 	radius  []float64
 	active  []int
 	verts   []Vertex
 	vertsAt int // len(cons) the cached verts were extracted at; -1 = invalid
+	// evals counts the Radius evaluations vertex extraction has spent
+	// since the last Reset: one per breakpoint, plus one per intruding
+	// arc (see breakpoint).
+	evals int
+}
+
+// dirRing is the immutable sweep table of one angular resolution:
+// phis[i] = 2πi/samples and dirs[i] = geom.PolarUnit(phis[i]). Every
+// uniform angular sweep of the package — PossibleRegion's profile,
+// Topology and the order-k deriver — reads the one shared table of its
+// resolution instead of re-deriving the directions per region.
+type dirRing struct {
+	phis []float64
+	dirs []geom.Point
+}
+
+var dirRings sync.Map // samples → *dirRing
+
+// ringOf returns the shared sweep table of the given resolution,
+// building it on first use.
+func ringOf(samples int) *dirRing {
+	if r, ok := dirRings.Load(samples); ok {
+		return r.(*dirRing)
+	}
+	r := &dirRing{phis: make([]float64, samples), dirs: make([]geom.Point, samples)}
+	for i := range r.phis {
+		r.phis[i] = 2 * math.Pi * float64(i) / float64(samples)
+		r.dirs[i] = geom.PolarUnit(r.phis[i])
+	}
+	v, _ := dirRings.LoadOrStore(samples, r)
+	return v.(*dirRing)
 }
 
 // NewPossibleRegion starts a possible region as the whole domain D
@@ -69,6 +100,7 @@ func (p *PossibleRegion) Reset(center geom.Point, domain geom.Rect) {
 	p.cons = p.cons[:0]
 	p.prof.samples = 0 // center/domain moved: force re-init on next sync
 	p.prof.vertsAt = -1
+	p.prof.evals = 0
 }
 
 // syncProfile brings the profile to resolution samples with every
@@ -80,27 +112,23 @@ func (p *PossibleRegion) syncProfile(samples int) *profile {
 		pr.samples = samples
 		pr.applied = 0
 		pr.vertsAt = -1
-		if cap(pr.phis) < samples {
-			pr.phis = make([]float64, samples)
-			pr.dirs = make([]geom.Point, samples)
+		if pr.ring == nil || len(pr.ring.dirs) != samples {
+			pr.ring = ringOf(samples)
+		}
+		if cap(pr.radius) < samples {
 			pr.radius = make([]float64, samples)
 			pr.active = make([]int, samples)
 		} else {
-			pr.phis = pr.phis[:samples]
-			pr.dirs = pr.dirs[:samples]
 			pr.radius = pr.radius[:samples]
 			pr.active = pr.active[:samples]
 		}
-		for i := 0; i < samples; i++ {
-			phi := 2 * math.Pi * float64(i) / float64(samples)
-			pr.phis[i] = phi
-			pr.dirs[i] = geom.PolarUnit(phi)
-			pr.radius[i], pr.active[i] = domainBound(p.center, p.domain, pr.dirs[i])
+		for i, dir := range pr.ring.dirs {
+			pr.radius[i], pr.active[i] = domainBound(p.center, p.domain, dir)
 		}
 	}
 	for pr.applied < len(p.cons) {
 		c := &p.cons[pr.applied]
-		for i, dir := range pr.dirs {
+		for i, dir := range pr.ring.dirs {
 			if t, ok := c.Bound(dir); ok && t < pr.radius[i] {
 				pr.radius[i], pr.active[i] = t, pr.applied
 			}

@@ -52,7 +52,7 @@ type Topology struct {
 	// answers stay exact either way (queries filter by true distance
 	// bounds, never by the representation).
 	growFrac float64
-	dirs     []geom.Point   // shared unit-direction ring, built once
+	dirs     []geom.Point   // the shared sweep directions of its resolution (ringOf)
 	prof     []*cellProfile // by object id; nil = not cached
 	min2     []float64      // scratch: second-minimum fold during a build
 	arg      []int32        // scratch: per-sample owner (member index) during a build
@@ -72,17 +72,13 @@ type cellProfile struct {
 // resolution (the build's RegionSamples keeps tightness decisions at
 // the same granularity as derivation's pruning bounds).
 func NewTopology(n, samples int) *Topology {
-	t := &Topology{
+	return &Topology{
 		samples:  samples,
 		margin:   1e-3,
 		growFrac: 0.03,
-		dirs:     make([]geom.Point, samples),
+		dirs:     ringOf(samples).dirs,
 		prof:     make([]*cellProfile, n),
 	}
-	for i := range t.dirs {
-		t.dirs[i] = geom.PolarUnit(2 * math.Pi * float64(i) / float64(samples))
-	}
-	return t
 }
 
 // grow extends the id space to cover id.

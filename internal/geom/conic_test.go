@@ -45,7 +45,7 @@ func TestIntersectUVEdgesAgainstScan(t *testing.T) {
 		// Scan e1's branch (hyperbolic parameter u) for sign changes of
 		// e2.Delta.
 		f := func(u float64) float64 { return e2.Delta(e1.PointAt(u)) }
-		scan := FindRoots(f, -4, 4, 4000, 1e-11)
+		scan := scanRoots(f, -4, 4, 4000)
 		// Every scanned crossing must be found analytically (within the
 		// parameter window covered by the rational parameterization).
 		for _, u := range scan {
@@ -92,4 +92,34 @@ func TestIntersectUVEdgesDegenerate(t *testing.T) {
 	// everywhere; the routine must not blow up (result content is not
 	// specified for coincident curves, only that it terminates).
 	_ = IntersectUVEdges(e2, e2)
+}
+
+// scanRoots is the brute-force side of the comparison above: it samples
+// f at n+1 equally spaced points of [lo, hi] and bisects every sign
+// change down to a 1e-11 bracket.
+func scanRoots(f func(float64) float64, lo, hi float64, n int) []float64 {
+	var roots []float64
+	step := (hi - lo) / float64(n)
+	x0, f0 := lo, f(lo)
+	for i := 1; i <= n; i++ {
+		x1 := lo + float64(i)*step
+		f1 := f(x1)
+		switch {
+		case f0 == 0:
+			roots = append(roots, x0)
+		case (f0 > 0) != (f1 > 0):
+			a, b, fa := x0, x1, f0
+			for b-a > 1e-11 {
+				mid := a + (b-a)/2
+				if (f(mid) > 0) == (fa > 0) {
+					a = mid
+				} else {
+					b = mid
+				}
+			}
+			roots = append(roots, a+(b-a)/2)
+		}
+		x0, f0 = x1, f1
+	}
+	return roots
 }

@@ -1,7 +1,6 @@
 // Package geom provides the exact planar geometry underlying the
 // UV-diagram: points, rectangles, circles, convex hulls, minimum
-// enclosing circles, hyperbolic UV-edges and small numeric helpers
-// (bracketed root finding, scanning maximization).
+// enclosing circles, hyperbolic UV-edges and their conic intersections.
 //
 // All coordinates are float64. The package is purely computational and
 // allocation-light; it has no dependencies outside the standard library.
@@ -33,8 +32,11 @@ func (p Point) Dot(q Point) float64 { return p.X*q.X + p.Y*q.Y }
 // It is positive when q lies counter-clockwise of p.
 func (p Point) Cross(q Point) float64 { return p.X*q.Y - p.Y*q.X }
 
-// Norm returns the Euclidean length of p.
-func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
+// Norm returns the Euclidean length of p: the plain square root of the
+// squared length. math.Hypot's rescaling only guards x² + y² against
+// overflow, and derivation squares the same coordinates anyway (the
+// UV-edge numerator S² − |w|²), so that guard could never matter.
+func (p Point) Norm() float64 { return math.Sqrt(p.X*p.X + p.Y*p.Y) }
 
 // NormSq returns the squared Euclidean length of p.
 func (p Point) NormSq() float64 { return p.X*p.X + p.Y*p.Y }

@@ -115,11 +115,12 @@ func (r Rect) QuadrantFor(p Point) int {
 }
 
 // MinDist returns the smallest Euclidean distance from p to r
-// (zero when p is inside).
+// (zero when p is inside). Like Point.Norm it takes the plain square
+// root; the builtin max has math.Max's NaN and signed-zero rules.
 func (r Rect) MinDist(p Point) float64 {
-	dx := math.Max(math.Max(r.Min.X-p.X, 0), p.X-r.Max.X)
-	dy := math.Max(math.Max(r.Min.Y-p.Y, 0), p.Y-r.Max.Y)
-	return math.Hypot(dx, dy)
+	dx := max(r.Min.X-p.X, 0, p.X-r.Max.X)
+	dy := max(r.Min.Y-p.Y, 0, p.Y-r.Max.Y)
+	return Point{dx, dy}.Norm()
 }
 
 // MaxDist returns the largest Euclidean distance from p to a point of r,

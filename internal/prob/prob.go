@@ -15,7 +15,7 @@ import (
 
 // sweep is the per-(object, query) state of the distance CDF: what is
 // fixed while the quadrature sweeps its radii over one candidate.
-// reach fills the distances (one Hypot per candidate, read by the
+// reach fills the distances (one per candidate, read by the
 // answer-set predicate, the integration support and the CDF alike); arm
 // adds what only answer-set objects need to evaluate F.
 type sweep struct {

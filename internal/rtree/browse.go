@@ -1,9 +1,8 @@
 package rtree
 
 import (
-	"math"
-
 	"uvdiagram/internal/geom"
+	"uvdiagram/internal/pager"
 )
 
 // NNIterator browses the tree's items in ascending distmin order,
@@ -13,15 +12,27 @@ import (
 // as many neighbors as they need — the output-sensitive replacement for
 // materializing a full k-NN result up front.
 //
-// The pop sequence is bitwise identical to the prefix KNN would return
-// for any k: the heap algorithm below replicates container/heap's sift
-// rules on the same pqEntry ordering, so ties resolve exactly as they
-// do in KNN. Reset reuses the heap storage and leaves are decoded in
-// place, making steady-state browsing allocation-free.
+// A heap entry is only a key and an index: items decoded from a leaf
+// land in the iterator's item buffer and nodes in its node buffer, so a
+// sift moves 16 bytes however large an Item is. The pop sequence is
+// bitwise identical to the prefix KNN would return for any k: the heap
+// below replicates container/heap's sift rules on the same keys pushed
+// in the same order, so ties resolve exactly as they do in KNN. Reset
+// reuses every buffer and leaves are decoded straight off their pages,
+// making steady-state browsing allocation-free.
 type NNIterator struct {
-	t *Tree
-	q geom.Point
-	h pq
+	t     *Tree
+	q     geom.Point
+	h     []nnEntry
+	items []Item  // leaf items decoded so far
+	nodes []*node // nodes pushed so far
+}
+
+// nnEntry is one browse-heap element: ref ≥ 0 names items[ref], ref < 0
+// names nodes[^ref].
+type nnEntry struct {
+	key float64
+	ref int32
 }
 
 // NewNNIterator starts browsing the tree's items around q.
@@ -31,17 +42,15 @@ func (t *Tree) NewNNIterator(q geom.Point) *NNIterator {
 	return it
 }
 
-// Reset re-targets the iterator at (t, q), reusing its heap storage. A
-// nil or empty tree yields an exhausted iterator.
+// Reset re-targets the iterator at (t, q), reusing its buffers. A nil
+// or empty tree yields an exhausted iterator.
 func (it *NNIterator) Reset(t *Tree, q geom.Point) {
 	it.t, it.q = t, q
-	for i := range it.h {
-		it.h[i] = pqEntry{} // release node/item references
-	}
-	it.h = it.h[:0]
+	clear(it.nodes) // release node references
+	it.h, it.items, it.nodes = it.h[:0], it.items[:0], it.nodes[:0]
 	if t != nil {
 		if hd := t.hdr.Load(); hd.size > 0 {
-			it.h.push(pqEntry{key: hd.root.rect.MinDist(q), node: hd.root})
+			it.pushNode(hd.root.rect.MinDist(q), hd.root)
 		}
 	}
 }
@@ -51,32 +60,42 @@ func (it *NNIterator) Reset(t *Tree, q geom.Point) {
 // time the traversal reaches it.
 func (it *NNIterator) Next() (Neighbor, bool) {
 	for len(it.h) > 0 {
-		e := it.h.pop()
-		switch {
-		case e.leaf:
-			return Neighbor{Item: e.item, DistMin: e.key}, true
-		case e.node.isLeaf():
-			it.t.visitLeaf(e.node, func(item Item) {
-				dmin := math.Max(0, it.q.Dist(item.MBC.C)-item.MBC.R)
-				it.h.push(pqEntry{key: dmin, item: item, leaf: true})
-			})
-		default:
-			for _, c := range e.node.children {
-				it.h.push(pqEntry{key: c.rect.MinDist(it.q), node: c})
+		e := it.pop()
+		if e.ref >= 0 {
+			return Neighbor{Item: it.items[e.ref], DistMin: e.key}, true
+		}
+		n := it.nodes[^e.ref]
+		if !n.isLeaf() {
+			for _, c := range n.children {
+				it.pushNode(c.rect.MinDist(it.q), c)
 			}
+			continue
+		}
+		page, cnt := it.t.leafPage(n)
+		for i := 0; i < cnt; i++ {
+			item := fromTuple(pager.LeafTupleAt(page, i))
+			// KNN's key, math.Max(0, …): the builtin has the same NaN and
+			// signed-zero rules.
+			it.push(nnEntry{key: max(0, it.q.Dist(item.MBC.C)-item.MBC.R), ref: int32(len(it.items))})
+			it.items = append(it.items, item)
 		}
 	}
 	return Neighbor{}, false
 }
 
+func (it *NNIterator) pushNode(key float64, n *node) {
+	it.push(nnEntry{key: key, ref: ^int32(len(it.nodes))})
+	it.nodes = append(it.nodes, n)
+}
+
 // push and pop replicate container/heap's Push/Pop (up/down sift order
 // included) without the interface boxing, so they are allocation-free
-// AND order-identical to the heap.Push/heap.Pop calls KNN makes on the
-// same pq type — the property core's seed-selection bitwise-equivalence
+// AND order-identical to the heap.Push/heap.Pop calls KNN makes with the
+// same keys — the property core's seed-selection bitwise-equivalence
 // bar rests on.
 
-func (q *pq) push(e pqEntry) {
-	h := append(*q, e)
+func (it *NNIterator) push(e nnEntry) {
+	h := append(it.h, e)
 	j := len(h) - 1
 	for j > 0 {
 		i := (j - 1) / 2
@@ -86,11 +105,11 @@ func (q *pq) push(e pqEntry) {
 		h[i], h[j] = h[j], h[i]
 		j = i
 	}
-	*q = h
+	it.h = h
 }
 
-func (q *pq) pop() pqEntry {
-	h := *q
+func (it *NNIterator) pop() nnEntry {
+	h := it.h
 	n := len(h) - 1
 	h[0], h[n] = h[n], h[0]
 	i := 0
@@ -108,8 +127,6 @@ func (q *pq) pop() pqEntry {
 		h[i], h[j] = h[j], h[i]
 		i = j
 	}
-	e := h[n]
-	h[n] = pqEntry{} // release node/item references
-	*q = h[:n]
-	return e
+	it.h = h[:n]
+	return h[n]
 }

@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -45,6 +46,80 @@ func TestNNIteratorMatchesKNN(t *testing.T) {
 			}
 			if _, ok := it.Next(); ok {
 				t.Fatalf("n=%d trial=%d: iterator yields more than %d items", n, trial, n)
+			}
+		}
+	}
+}
+
+// TestNNIteratorOrderProperty: on random trees full of ties —
+// duplicated objects, coincident centers with different radii, and
+// queries on object centers, inside regions and at random — the
+// iterator's pop sequence equals KNN(q, k) for every k ≤ n, bit for bit
+// (id, pointer, region and distmin), and never decreases in distmin.
+// Trees are both bulk-loaded and grown by Insert, at two fanouts.
+func TestNNIteratorOrderProperty(t *testing.T) {
+	same := func(a, b Neighbor) bool {
+		return a.Item.ID == b.Item.ID && a.Item.Ptr == b.Item.Ptr &&
+			math.Float64bits(a.DistMin) == math.Float64bits(b.DistMin) &&
+			math.Float64bits(a.Item.MBC.C.X) == math.Float64bits(b.Item.MBC.C.X) &&
+			math.Float64bits(a.Item.MBC.C.Y) == math.Float64bits(b.Item.MBC.C.Y) &&
+			math.Float64bits(a.Item.MBC.R) == math.Float64bits(b.Item.MBC.R)
+	}
+	for trial := 0; trial < 24; trial++ {
+		rng := rand.New(rand.NewSource(int64(1000 + trial)))
+		n := 1 + rng.Intn(180)
+		items := make([]Item, 0, n)
+		for len(items) < n {
+			id := int32(len(items))
+			switch k := rng.Intn(4); {
+			case k == 0 && len(items) > 0: // duplicate of an earlier object
+				it := items[rng.Intn(len(items))]
+				items = append(items, Item{ID: id, MBC: it.MBC, Ptr: uint64(id)})
+			case k == 1 && len(items) > 0: // coincident center, other radius
+				it := items[rng.Intn(len(items))]
+				items = append(items, Item{ID: id, MBC: geom.Circle{C: it.MBC.C, R: float64(rng.Intn(4)) * 5}, Ptr: uint64(id)})
+			default: // on a coarse grid, so distances tie too
+				c := geom.Pt(float64(rng.Intn(20))*50, float64(rng.Intn(20))*50)
+				items = append(items, Item{ID: id, MBC: geom.Circle{C: c, R: float64(rng.Intn(4)) * 5}, Ptr: uint64(id)})
+			}
+		}
+		fanout := []int{4, 16}[trial%2]
+		var tree *Tree
+		if trial%4 < 2 {
+			tree = BulkLoad(items, fanout, pager.New(pager.DefaultPageSize))
+		} else {
+			tree = New(fanout, pager.New(pager.DefaultPageSize))
+			for _, it := range items {
+				tree.Insert(it)
+			}
+		}
+		queries := []geom.Point{
+			items[rng.Intn(n)].MBC.C, // on a center: a run of zero distmins
+			items[rng.Intn(n)].MBC.C.Add(geom.Pt(1, 1)),
+			geom.Pt(rng.Float64()*1000, rng.Float64()*1000),
+			geom.Pt(-200, 500), // outside every object
+		}
+		for qi, q := range queries {
+			var pops []Neighbor
+			for it := tree.NewNNIterator(q); ; {
+				nb, ok := it.Next()
+				if !ok {
+					break
+				}
+				if len(pops) > 0 && nb.DistMin < pops[len(pops)-1].DistMin {
+					t.Fatalf("trial %d query %d: pop %d distmin %v after %v", trial, qi, len(pops), nb.DistMin, pops[len(pops)-1].DistMin)
+				}
+				pops = append(pops, nb)
+			}
+			if len(pops) != n {
+				t.Fatalf("trial %d query %d: %d pops, %d items", trial, qi, len(pops), n)
+			}
+			for k := 1; k <= n; k++ {
+				for i, w := range tree.KNN(q, k) {
+					if !same(pops[i], w) {
+						t.Fatalf("trial %d query %d: KNN(%d)[%d] = %+v, iterator popped %+v", trial, qi, k, i, w, pops[i])
+					}
+				}
 			}
 		}
 	}

@@ -177,10 +177,9 @@ func (t *Tree) newLeaf(items []Item) *node {
 	return &node{rect: r, page: id, count: len(items)}
 }
 
-// visitLeaf decodes a leaf's items in place (one page read, no
-// allocation) and hands them to visit in page order — the read path of
-// the traversals that look at each item once.
-func (t *Tree) visitLeaf(n *node, visit func(Item)) {
+// leafPage reads a leaf's page (one page read) and returns it with its
+// tuple count, for decoding in place with pager.LeafTupleAt.
+func (t *Tree) leafPage(n *node) ([]byte, int) {
 	page := t.pg.Read(n.page)
 	cnt, err := pager.LeafTupleCount(page)
 	if err != nil {
@@ -188,6 +187,14 @@ func (t *Tree) visitLeaf(n *node, visit func(Item)) {
 		// programming error, not an input error.
 		panic("rtree: corrupt leaf page: " + err.Error())
 	}
+	return page, cnt
+}
+
+// visitLeaf decodes a leaf's items in place (one page read, no
+// allocation) and hands them to visit in page order — the read path of
+// the traversals that look at each item once.
+func (t *Tree) visitLeaf(n *node, visit func(Item)) {
+	page, cnt := t.leafPage(n)
 	for i := 0; i < cnt; i++ {
 		visit(fromTuple(pager.LeafTupleAt(page, i)))
 	}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"math"
 	"net"
 	"sync"
 	"testing"
@@ -61,7 +62,9 @@ func FuzzBatchPayload(f *testing.F) {
 }
 
 // FuzzDispatchAnyOpcode widens the fuzz to every opcode byte: no
-// request payload may panic the dispatcher.
+// request payload may panic the dispatcher. Inserts run against a DB of
+// the target's own (a valid one grows it; anything else must fail
+// in-band), and the DB must still answer a PNN after each.
 func FuzzDispatchAnyOpcode(f *testing.F) {
 	f.Add(uint8(wire.OpPNN), []byte{1, 2, 3})
 	f.Add(uint8(wire.OpInsert), []byte{})
@@ -70,15 +73,34 @@ func FuzzDispatchAnyOpcode(f *testing.F) {
 	b.F64(100)
 	b.F64(100)
 	f.Add(uint8(wire.OpPNN), b.Bytes())
+	// A NaN radius once reached the R-tree's quadratic split (this DB's
+	// next insert splits a leaf) and panicked the server.
+	var nanIns wire.Buffer
+	nanIns.I32(200)
+	nanIns.F64(1000)
+	nanIns.F64(1000)
+	nanIns.F64(math.NaN())
+	nanIns.U16(0)
+	f.Add(uint8(wire.OpInsert), nanIns.Bytes())
 
-	srv := New(fuzzDB(), nil)
+	cfg := datagen.Config{N: 200, Side: 2000, Diameter: 30, Seed: 77}
+	db, err := uvdiagram.Build(datagen.Uniform(cfg), cfg.Domain(), nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	srv := New(db, nil)
 	f.Fuzz(func(t *testing.T, op uint8, payload []byte) {
-		if op == wire.OpInsert || op == wire.OpDelete || op == wire.OpBatchDelete {
-			// Writes mutate the shared DB; FuzzDeletePayload owns the
-			// delete path with a DB it is allowed to chew up.
+		if op == wire.OpDelete || op == wire.OpBatchDelete {
+			// FuzzDeletePayload owns the delete path.
 			return
 		}
 		_, _ = srv.dispatch(op, payload)
+		if op != wire.OpInsert {
+			return
+		}
+		if _, err := srv.dispatch(wire.OpPNN, pnnPayload(1000, 1000)); err != nil {
+			t.Fatalf("PNN broken after insert fuzz input: %v", err)
+		}
 	})
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -270,6 +271,59 @@ func TestInsertOverWire(t *testing.T) {
 	}
 	if err := cli.Ping(); err != nil {
 		t.Fatalf("connection unusable after in-band error: %v", err)
+	}
+}
+
+// TestInvalidObjectRejected: a region that is not a finite circle — a
+// NaN, negative or infinite radius, or a NaN center — is refused by
+// Build, by DB.Insert and by OpInsert alike, with an error matching
+// uvdiagram.ErrInvalidObject (in-band over the wire). A NaN radius once
+// reached the R-tree's quadratic split and panicked the server; after
+// every rejected OpInsert the same connection must still answer a PNN,
+// and nothing may have been stored.
+func TestInvalidObjectRejected(t *testing.T) {
+	cli, srv := startServer(t, 200) // its R-tree root splits on the next insert
+	db := srv.DB()
+	cfg := datagen.Config{N: 40, Side: 2000, Diameter: 30, Seed: 5}
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name      string
+		x, y, rad float64
+	}{
+		{"nan-radius", 1000, 1000, nan},
+		{"negative-radius", 1000, 1000, -1},
+		{"inf-radius", 1000, 1000, math.Inf(1)},
+		{"nan-center", nan, 1000, 10},
+	} {
+		t.Run(tc.name+"/Build", func(t *testing.T) {
+			objs := datagen.Uniform(cfg)
+			objs[7] = uvdiagram.NewObject(7, tc.x, tc.y, tc.rad, nil)
+			if _, err := uvdiagram.Build(objs, cfg.Domain(), nil); !errors.Is(err, uvdiagram.ErrInvalidObject) {
+				t.Fatalf("Build: err = %v, want ErrInvalidObject", err)
+			}
+		})
+		t.Run(tc.name+"/Insert", func(t *testing.T) {
+			next, n := db.NextID(), db.Len()
+			if err := db.Insert(uvdiagram.NewObject(next, tc.x, tc.y, tc.rad, nil)); !errors.Is(err, uvdiagram.ErrInvalidObject) {
+				t.Fatalf("Insert: err = %v, want ErrInvalidObject", err)
+			}
+			if db.NextID() != next || db.Len() != n {
+				t.Fatalf("rejected Insert changed the DB: next id %d → %d, len %d → %d", next, db.NextID(), n, db.Len())
+			}
+		})
+		t.Run(tc.name+"/OpInsert", func(t *testing.T) {
+			next, n := db.NextID(), db.Len()
+			err := cli.Insert(next, tc.x, tc.y, tc.rad, nil)
+			if err == nil || !strings.Contains(err.Error(), uvdiagram.ErrInvalidObject.Error()) {
+				t.Fatalf("OpInsert: err = %v, want an in-band %q", err, uvdiagram.ErrInvalidObject)
+			}
+			if db.NextID() != next || db.Len() != n {
+				t.Fatalf("rejected OpInsert changed the DB: next id %d → %d, len %d → %d", next, db.NextID(), n, db.Len())
+			}
+			if ans, err := cli.PNN(uvdiagram.Pt(1000, 1000)); err != nil || len(ans) == 0 {
+				t.Fatalf("PNN on the same connection after a rejected insert: %v answers, err %v", len(ans), err)
+			}
+		})
 	}
 }
 

@@ -45,7 +45,7 @@ import (
 
 // Insert adds a new uncertain object to a built database. The object's
 // ID must be the next dense ID (db.NextID(); deleted IDs are never
-// reused).
+// reused), and its region a finite circle (see ErrInvalidObject).
 //
 // Soundness: a new object only shrinks other objects' UV-cells, and
 // index leaf lists are supersets of the true overlaps, so existing
@@ -65,6 +65,9 @@ func (db *DB) Insert(o Object) error {
 	defer db.smu.Unlock()
 	if int(o.ID) != db.store.Len() {
 		return fmt.Errorf("uvdiagram: Insert with ID %d, want next dense id %d", o.ID, db.store.Len())
+	}
+	if err := checkObject(o); err != nil {
+		return err
 	}
 	if !db.domain.Contains(o.Region.C) {
 		return fmt.Errorf("uvdiagram: object center %v outside domain %v", o.Region.C, db.domain)

@@ -61,6 +61,7 @@ package uvdiagram
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -431,8 +432,9 @@ func (db *DB) Close() error {
 	return nil
 }
 
-// Build indexes the objects (dense IDs 0..n-1 required) over the given
-// domain. opts may be nil for the paper's defaults. The expensive
+// Build indexes the objects (dense IDs 0..n-1 required, every region a
+// finite circle: see ErrInvalidObject) over the given domain. opts may
+// be nil for the paper's defaults. The expensive
 // per-object derivation runs once, on Options.Workers goroutines (0 =
 // all cores, see Options.Workers); with Options.Shards > 1 the shard
 // sub-grids are then built concurrently, one goroutine per shard, all
@@ -440,6 +442,11 @@ func (db *DB) Close() error {
 func Build(objects []Object, domain Rect, opts *Options) (*DB, error) {
 	if len(objects) == 0 {
 		return nil, fmt.Errorf("uvdiagram: no objects to index")
+	}
+	for _, o := range objects {
+		if err := checkObject(o); err != nil {
+			return nil, err
+		}
 	}
 	nshards, err := opts.shardCount()
 	if err != nil {
@@ -638,6 +645,24 @@ func (e *DomainError) Error() string {
 
 // Is makes every DomainError match the ErrOutOfDomain sentinel.
 func (e *DomainError) Is(target error) bool { return target == ErrOutOfDomain }
+
+// ErrInvalidObject is the sentinel every rejected object matches
+// through errors.Is: Build and Insert refuse an object whose center is
+// not a finite point or whose radius is negative or not finite, before
+// it reaches the store, the R-tree or a derivation.
+var ErrInvalidObject = errors.New("uvdiagram: invalid object")
+
+// checkObject rejects an object whose uncertainty region is not a
+// finite circle; the error wraps ErrInvalidObject.
+func checkObject(o Object) error {
+	c, r := o.Region.C, o.Region.R
+	if !finite(c.X) || !finite(c.Y) || !finite(r) || r < 0 {
+		return fmt.Errorf("%w %d: center %v, radius %v", ErrInvalidObject, o.ID, c, r)
+	}
+	return nil
+}
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // checkDomain rejects query points outside the engine's domain, whatever
 // its shard layout. Shared by the single-point and batch routing paths
