@@ -262,9 +262,13 @@ func Build(store *uncertain.Store, domain geom.Rect, tree *rtree.Tree, opts Buil
 func indexDerived(engine string, store *uncertain.Store, domain geom.Rect, crSets [][]int32, order int, opts BuildOptions, stats BuildStats, t0 time.Time) (*UVIndex, BuildStats, error) {
 	opts.normalize()
 	var ix *UVIndex
+	var err error
 	pprof.Do(context.Background(), pprof.Labels("engine", engine, "stage", "index"), func(context.Context) {
-		ix, stats.IndexDur = BuildRegionCR(store, domain, NewCRState(crSets), order, opts.Index)
+		ix, stats.IndexDur, err = BuildRegionCR(store, domain, NewCRState(crSets), order, opts.Index)
 	})
+	if err != nil {
+		return nil, stats, err
+	}
 	stats.TotalDur = time.Since(t0)
 	stats.Index = ix.Stats()
 	return ix, stats, nil
@@ -318,26 +322,28 @@ func DeriveCRSets(store *uncertain.Store, domain geom.Rect, tree *rtree.Tree, op
 // shard of it — from the constraint registry cr, which the shards of
 // one engine share. The build is one write pass over an empty root: it
 // inserts every live object in id order (Algorithm 3, the same
-// insertCOW a live insert runs) and publishes the tree once, with Slack
+// agrid pass a live insert runs) and publishes the tree once, with Slack
 // and Gen left at 0. An object whose UV-cell cannot reach region is
 // dropped by the root-level overlap test and contributes no leaf
 // entries, while its registry entry still lets incremental deletes find
 // every dependent whose cell might later grow into the region. The
 // registry is only read, so concurrent BuildRegionCR calls for disjoint
 // shards may feed off one derivation pass. The duration returned is the
-// pass's wall clock.
-func BuildRegionCR(store *uncertain.Store, region geom.Rect, cr *CRState, order int, opts IndexOptions) (*UVIndex, time.Duration) {
+// pass's wall clock. It fails only on a page size no leaf page fits.
+func BuildRegionCR(store *uncertain.Store, region geom.Rect, cr *CRState, order int, opts IndexOptions) (*UVIndex, time.Duration, error) {
 	t0 := time.Now()
-	ix := newIndex(store, region, opts, cr, order, nil)
-	p := &cowPass{ix: ix}
-	root := p.leaf(nil)
+	ix, err := newIndex(store, region, opts, cr, order, nil)
+	if err != nil {
+		return nil, 0, err
+	}
+	p, root := ix.g.Begin()
 	for i := 0; i < cr.Len(); i++ {
 		if store.Alive(int32(i)) {
-			root = p.insertCOW(int32(i), store.At(i), cr.crOf[i], root, region, 0)
+			root = p.Insert(int32(i), root)
 		}
 	}
-	p.install(root)
-	return ix, time.Since(t0)
+	p.Install(root)
+	return ix, time.Since(t0), nil
 }
 
 // ReindexCR rebuilds a fresh index over the same domain,
@@ -346,9 +352,9 @@ func BuildRegionCR(store *uncertain.Store, region geom.Rect, cr *CRState, order 
 // from the engine-wide one (pre-shared-registry snapshots), so the
 // rebuilt leaf lists are consistent with the registry the engine will
 // maintain.
-func (ix *UVIndex) ReindexCR(cr *CRState) *UVIndex {
-	nx, _ := BuildRegionCR(ix.store, ix.domain, cr, ix.orderK, ix.opts)
-	return nx
+func (ix *UVIndex) ReindexCR(cr *CRState) (*UVIndex, error) {
+	nx, _, err := BuildRegionCR(ix.store, ix.Domain(), cr, ix.orderK, ix.opts)
+	return nx, err
 }
 
 // BuildHelperRTree bulk-loads the R-tree over the LIVE uncertain

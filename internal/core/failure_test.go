@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"uvdiagram/internal/agrid"
 	"uvdiagram/internal/geom"
 	"uvdiagram/internal/pager"
 	"uvdiagram/internal/uncertain"
@@ -21,16 +22,14 @@ func TestPNNCorruptLeafPage(t *testing.T) {
 	// Find the leaf for a query point and clobber its first page with a
 	// tuple count far larger than the payload.
 	q := geom.Pt(333, 777)
-	n, region := ix.ts.Load().root, ix.domain
-	for !n.isLeaf() {
-		k := region.QuadrantFor(q)
-		n = n.children[k]
-		region = region.Quadrant(k)
-	}
-	if len(n.pages) == 0 {
+	var pages []pager.PageID
+	ix.g.Leaves(func(r geom.Rect) bool { return r.Contains(q) }, func(_ geom.Rect, _ int, leaf *agrid.Node) {
+		pages = leaf.Pages()
+	})
+	if len(pages) == 0 {
 		t.Fatal("leaf without pages")
 	}
-	ix.pg.Write(n.pages[0], []byte{0xff, 0xff}) // count = 65535, no payload
+	ix.Pager().Write(pages[0], []byte{0xff, 0xff}) // count = 65535, no payload
 
 	_, _, err := ix.PNN(q)
 	if err == nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -29,6 +30,11 @@ func FuzzLoadUVIndex(f *testing.F) {
 	f.Add(valid.Bytes())
 	f.Add([]byte{})
 	f.Add(valid.Bytes()[:20])
+	// Pages of 8 bytes hold no leaf tuple.
+	const pageSizeOff = 4 + 4 + 4*8 + 4 + 8 // past magic, version, domain, M and Tθ
+	small := append([]byte(nil), valid.Bytes()...)
+	binary.LittleEndian.PutUint32(small[pageSizeOff:], 8)
+	f.Add(small)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		loaded, err := LoadUVIndex(wire.NewReader(data), store)

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"uvdiagram/internal/agrid"
 	"uvdiagram/internal/epoch"
 	"uvdiagram/internal/geom"
 	"uvdiagram/internal/pager"
@@ -50,57 +51,26 @@ func (o *IndexOptions) normalize() {
 	}
 }
 
-// qnode is one node of the adaptive grid. Non-leaf nodes hold four
-// children covering the quadrants of their region; leaf nodes hold the
-// ids of the objects whose UV-cell (may) overlap their region, plus the
-// disk pages storing the corresponding <ID, MBC, pointer> tuples.
-type qnode struct {
-	children   *[4]*qnode
-	ids        []int32
-	pagesAlloc int // pages allocated so far (Algorithm 3 OVERFLOW)
-	pages      []pager.PageID
-	// fresh marks a node the write pass in flight created: the pass
-	// mutates it in place, and seal clears the mark (and writes a fresh
-	// leaf's pages) before publication. A published node is never fresh.
-	fresh bool
-}
-
-func (n *qnode) isLeaf() bool { return n.children == nil }
-
-// treeState is one immutable published snapshot of the adaptive grid:
-// the root and the non-leaf budget spent. Every write pass — a build,
-// a legacy load or a live mutation — copies the nodes it changes and
-// publishes a new treeState with a single pointer store; readers
-// pinned on the old one keep a consistent tree.
-type treeState struct {
-	root    *qnode
-	nonleaf int
-}
-
 // UVIndex is the UV-diagram index: an adaptive quad-tree whose leaves
 // list every object whose UV-cell overlaps the leaf region. Cells are
 // never materialized — overlap is decided from cr-object constraint
 // sets by the 4-point test (Algorithm 5).
 type UVIndex struct {
-	domain geom.Rect
-	opts   IndexOptions
-	pg     *pager.Pager
-	store  *uncertain.Store
+	opts  IndexOptions
+	store *uncertain.Store
 	// cr is the constraint bookkeeping the leaf lists were built from.
 	// A standalone index owns its registry; the spatial shards of one
 	// engine all point at the engine's single shared CRState, so cell
 	// representations are recorded once, not once per shard.
 	cr *CRState
-	// ts is the published tree snapshot: {root, nonleaf} behind one
-	// atomic pointer, so lock-free readers traverse a consistent tree
-	// while a mutation builds the next one. Every constructor publishes
-	// the first tree before it returns the index.
-	ts atomic.Pointer[treeState]
+	// g is the adaptive grid over the index's domain: quadrants, the
+	// 4-point overlap test and <ID, MBC, pointer> leaf tuples. Every
+	// constructor publishes its first tree before it returns the index.
+	g *agrid.Grid[geom.Rect]
 	// dom, when set, reclaims the page slots COW mutations replace once
 	// every reader pinned before publication has unpinned. Nil orphans
 	// retired pages (the pre-reclamation behavior).
-	dom        *epoch.Domain
-	capPerPage int
+	dom *epoch.Domain
 	// slack counts the leaf-list churn accumulated by live mutations
 	// since construction, weighted by the number of leaf-list ENTRIES
 	// actually touched (added or removed) rather than per object, so
@@ -127,27 +97,34 @@ type UVIndex struct {
 // tree yet: BuildRegionCR, LoadUVIndex and OpenUVIndexSnapshot each
 // publish the first one before they return the index. The index reads
 // cell representations from cr, which the spatial shards of one engine
-// share. A nil pg gets a fresh in-memory pager.
+// share. A nil pg gets a fresh in-memory pager. It fails when a page of
+// opts.PageSize bytes holds no leaf tuple, or more than its count
+// prefix can number.
 //
 // Cells are represented by cr-object ID lists rather than materialized
 // constraints: at paper densities an object has hundreds of cr-objects
 // (the 95% pruning ratio of Figure 7(b) still leaves |Ci| ≈ 0.05·n), so
 // the index keeps 4 bytes per cr-object and derives each outside-region
 // test from the two objects' geometry on the fly.
-func newIndex(store *uncertain.Store, domain geom.Rect, opts IndexOptions, cr *CRState, orderK int, pg *pager.Pager) *UVIndex {
+func newIndex(store *uncertain.Store, domain geom.Rect, opts IndexOptions, cr *CRState, orderK int, pg *pager.Pager) (*UVIndex, error) {
 	opts.normalize()
 	if pg == nil {
 		pg = pager.New(opts.PageSize)
 	}
-	return &UVIndex{
-		domain:     domain,
-		opts:       opts,
-		pg:         pg,
-		store:      store,
-		cr:         cr,
-		capPerPage: pager.TuplesPerPage(opts.PageSize),
-		orderK:     orderK,
+	ix := &UVIndex{opts: opts, store: store, cr: cr, orderK: orderK}
+	shape := agrid.Shape[geom.Rect]{
+		Fanout:     4,
+		Child:      geom.Rect.Quadrant,
+		Overlaps:   ix.overlaps,
+		PerPage:    pager.TuplesPerPage(opts.PageSize),
+		EncodeLeaf: ix.encodeLeaf,
 	}
+	g, err := agrid.New(domain, shape, agrid.Options{M: opts.M, SplitTheta: opts.SplitTheta, MaxDepth: opts.MaxDepth}, pg)
+	if err != nil {
+		return nil, err
+	}
+	ix.g = g
+	return ix, nil
 }
 
 // SetReclaimDomain attaches the epoch domain used to reclaim the page
@@ -161,7 +138,7 @@ func (ix *UVIndex) retirePages(ids []pager.PageID) {
 	if len(ids) == 0 || ix.dom == nil {
 		return
 	}
-	pg := ix.pg
+	pg := ix.g.Pager()
 	ix.dom.Retire(func() { pg.Free(ids) })
 }
 
@@ -170,10 +147,10 @@ func (ix *UVIndex) retirePages(ids []pager.PageID) {
 func (ix *UVIndex) OrderK() int { return ix.orderK }
 
 // Domain returns the indexed domain D.
-func (ix *UVIndex) Domain() geom.Rect { return ix.domain }
+func (ix *UVIndex) Domain() geom.Rect { return ix.g.Domain() }
 
 // Pager exposes the index's simulated disk for I/O accounting.
-func (ix *UVIndex) Pager() *pager.Pager { return ix.pg }
+func (ix *UVIndex) Pager() *pager.Pager { return ix.g.Pager() }
 
 // CRObjects returns the ids whose outside regions represent object id's
 // UV-cell in the index (its cr-objects, or exact r-objects under
@@ -264,19 +241,20 @@ func (s QueryStats) Total() time.Duration {
 // list from the simulated disk. It returns the leaf's tuples, its
 // region, its depth and the number of page reads.
 func (ix *UVIndex) leafAt(q geom.Point) (tuples []pager.LeafTuple, region geom.Rect, depth int, ios int64, err error) {
-	if !ix.domain.Contains(q) {
-		return nil, region, 0, 0, fmt.Errorf("core: query point %v outside domain %v", q, ix.domain)
+	region = ix.g.Domain()
+	if !region.Contains(q) {
+		return nil, region, 0, 0, fmt.Errorf("core: query point %v outside domain %v", q, region)
 	}
-	n := ix.ts.Load().root
-	region = ix.domain
-	for !n.isLeaf() {
+	n := ix.g.Root()
+	for !n.IsLeaf() {
 		k := region.QuadrantFor(q)
-		n = n.children[k]
+		n = n.Kid(k)
 		region = region.Quadrant(k)
 		depth++
 	}
-	for _, pid := range n.pages {
-		ts, err := pager.DecodeLeafTuples(ix.pg.Read(pid))
+	pg := ix.g.Pager()
+	for _, pid := range n.Pages() {
+		ts, err := pager.DecodeLeafTuples(pg.Read(pid))
 		if err != nil {
 			return nil, region, depth, ios, fmt.Errorf("core: leaf page %d: %w", pid, err)
 		}
@@ -409,40 +387,7 @@ func (ix *UVIndex) PNNWith(q geom.Point, sc *QueryScratch) ([]Answer, QueryStats
 const infinity = 1e308
 
 // IndexStats summarize the built index.
-type IndexStats struct {
-	NonLeaf    int
-	Leaves     int
-	Pages      int
-	MaxDepth   int
-	Entries    int64   // total leaf-list entries
-	AvgEntries float64 // average leaf-list length
-	MemBytes   int64   // non-leaf footprint at 16 bytes per node (paper)
-}
+type IndexStats = agrid.Stats
 
 // Stats walks the tree and reports its shape.
-func (ix *UVIndex) Stats() IndexStats {
-	ts := ix.ts.Load()
-	var st IndexStats
-	st.NonLeaf = ts.nonleaf
-	var walk func(n *qnode, depth int)
-	walk = func(n *qnode, depth int) {
-		if depth > st.MaxDepth {
-			st.MaxDepth = depth
-		}
-		if n.isLeaf() {
-			st.Leaves++
-			st.Pages += len(n.pages)
-			st.Entries += int64(len(n.ids))
-			return
-		}
-		for _, c := range n.children {
-			walk(c, depth+1)
-		}
-	}
-	walk(ts.root, 0)
-	if st.Leaves > 0 {
-		st.AvgEntries = float64(st.Entries) / float64(st.Leaves)
-	}
-	st.MemBytes = int64(st.NonLeaf) * 16
-	return st
-}
+func (ix *UVIndex) Stats() IndexStats { return ix.g.Stats() }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"uvdiagram/internal/agrid"
 	"uvdiagram/internal/geom"
 	"uvdiagram/internal/pager"
 	"uvdiagram/internal/prob"
@@ -110,30 +111,20 @@ func TestLeavesTileDomain(t *testing.T) {
 	domain := geom.Square(1000)
 	objs := randObjects(rng, 150, 1000, 20)
 	ix, _ := buildIndex(t, objs, domain, StrategyIC)
+	if err := ix.g.Verify(); err != nil {
+		t.Fatal(err)
+	}
 	total := 0.0
-	var walk func(n *qnode, region geom.Rect, depth int)
-	walk = func(n *qnode, region geom.Rect, depth int) {
+	per := pager.TuplesPerPage(ix.opts.PageSize)
+	ix.g.Leaves(nil, func(region geom.Rect, depth int, leaf *agrid.Node) {
 		if depth > 40 {
 			t.Fatal("runaway depth")
 		}
-		if n.isLeaf() {
-			total += region.Area()
-			if len(n.pages) == 0 {
-				t.Fatal("leaf with no pages after the build")
-			}
-			if len(n.pages) != maxInt(1, (len(n.ids)+ix.capPerPage-1)/ix.capPerPage) {
-				t.Fatalf("leaf with %d ids has %d pages (cap %d)", len(n.ids), len(n.pages), ix.capPerPage)
-			}
-			return
+		total += region.Area()
+		if len(leaf.Pages()) != max(1, (len(leaf.IDs())+per-1)/per) {
+			t.Fatalf("leaf with %d ids has %d pages (cap %d)", len(leaf.IDs()), len(leaf.Pages()), per)
 		}
-		for k := 0; k < 4; k++ {
-			if n.children[k] == nil {
-				t.Fatal("non-leaf with missing child")
-			}
-			walk(n.children[k], region.Quadrant(k), depth+1)
-		}
-	}
-	walk(ix.ts.Load().root, domain, 0)
+	})
 	if math.Abs(total-domain.Area()) > 1e-6*domain.Area() {
 		t.Errorf("leaf areas sum to %v, want %v", total, domain.Area())
 	}
@@ -144,13 +135,6 @@ func TestLeavesTileDomain(t *testing.T) {
 	if st.NonLeaf > DefaultIndexOptions().M {
 		t.Errorf("non-leaf count %d exceeds M", st.NonLeaf)
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // TestRefinementStats: r-objects are a subset of cr-objects (so

@@ -128,7 +128,10 @@ func BuildOrderKReference(store *uncertain.Store, domain geom.Rect, tree *rtree.
 	}
 	stats.PruneDur = time.Since(t0)
 
-	ix, indexDur := BuildRegionCR(store, domain, NewCRState(crSets), k, opts.Index)
+	ix, indexDur, err := BuildRegionCR(store, domain, NewCRState(crSets), k, opts.Index)
+	if err != nil {
+		return nil, stats, err
+	}
 	stats.IndexDur = indexDur
 	stats.TotalDur = time.Since(t0)
 	stats.Index = ix.Stats()

@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
+	"uvdiagram/internal/agrid"
 	"uvdiagram/internal/geom"
 )
 
@@ -25,24 +27,13 @@ type Partition struct {
 func (ix *UVIndex) Partitions(r geom.Rect) ([]Partition, time.Duration) {
 	t0 := time.Now()
 	var out []Partition
-	var walk func(n *qnode, region geom.Rect)
-	walk = func(n *qnode, region geom.Rect) {
-		if !region.Overlaps(r) {
-			return
+	ix.g.Leaves(r.Overlaps, func(region geom.Rect, _ int, leaf *agrid.Node) {
+		p := Partition{Region: region, Count: len(leaf.IDs())}
+		if a := region.Area(); a > 0 {
+			p.Density = float64(p.Count) / a
 		}
-		if n.isLeaf() {
-			p := Partition{Region: region, Count: len(n.ids)}
-			if a := region.Area(); a > 0 {
-				p.Density = float64(p.Count) / a
-			}
-			out = append(out, p)
-			return
-		}
-		for k := 0; k < 4; k++ {
-			walk(n.children[k], region.Quadrant(k))
-		}
-	}
-	walk(ix.ts.Load().root, ix.domain)
+		out = append(out, p)
+	})
 	return out, time.Since(t0)
 }
 
@@ -58,22 +49,9 @@ func (ix *UVIndex) CellArea(id int32) (float64, error) {
 		return 0, fmt.Errorf("core: object %d is deleted", id)
 	}
 	area := 0.0
-	var walk func(n *qnode, region geom.Rect)
-	walk = func(n *qnode, region geom.Rect) {
-		if n.isLeaf() {
-			for _, oid := range n.ids {
-				if oid == id {
-					area += region.Area()
-					return
-				}
-			}
-			return
-		}
-		for k := 0; k < 4; k++ {
-			walk(n.children[k], region.Quadrant(k))
-		}
+	for _, region := range ix.CellRegions(id) {
+		area += region.Area()
 	}
-	walk(ix.ts.Load().root, ix.domain)
 	return area, nil
 }
 
@@ -81,22 +59,11 @@ func (ix *UVIndex) CellArea(id int32) (float64, error) {
 // displayable approximate extent of its UV-cell.
 func (ix *UVIndex) CellRegions(id int32) []geom.Rect {
 	var out []geom.Rect
-	var walk func(n *qnode, region geom.Rect)
-	walk = func(n *qnode, region geom.Rect) {
-		if n.isLeaf() {
-			for _, oid := range n.ids {
-				if oid == id {
-					out = append(out, region)
-					return
-				}
-			}
-			return
+	ix.g.Leaves(nil, func(region geom.Rect, _ int, leaf *agrid.Node) {
+		if slices.Contains(leaf.IDs(), id) {
+			out = append(out, region)
 		}
-		for k := 0; k < 4; k++ {
-			walk(n.children[k], region.Quadrant(k))
-		}
-	}
-	walk(ix.ts.Load().root, ix.domain)
+	})
 	return out
 }
 
@@ -104,19 +71,11 @@ func (ix *UVIndex) CellRegions(id int32) []geom.Rect {
 // one tree walk (the offline speed-up of Section V-C).
 func (ix *UVIndex) BuildCellAreas() map[int32]float64 {
 	areas := make(map[int32]float64, ix.store.Len())
-	var walk func(n *qnode, region geom.Rect)
-	walk = func(n *qnode, region geom.Rect) {
-		if n.isLeaf() {
-			a := region.Area()
-			for _, oid := range n.ids {
-				areas[oid] += a
-			}
-			return
+	ix.g.Leaves(nil, func(region geom.Rect, _ int, leaf *agrid.Node) {
+		a := region.Area()
+		for _, oid := range leaf.IDs() {
+			areas[oid] += a
 		}
-		for k := 0; k < 4; k++ {
-			walk(n.children[k], region.Quadrant(k))
-		}
-	}
-	walk(ix.ts.Load().root, ix.domain)
+	})
 	return areas
 }

@@ -2,10 +2,14 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"testing"
 
+	"uvdiagram/internal/agrid"
 	"uvdiagram/internal/geom"
+	"uvdiagram/internal/pager"
 	"uvdiagram/internal/wire"
 )
 
@@ -94,5 +98,25 @@ func TestIndexLoadErrors(t *testing.T) {
 	small := makeStore(t, objs[:10])
 	if _, err := LoadUVIndex(wire.NewReader(data), small); err == nil {
 		t.Error("store size mismatch accepted")
+	}
+}
+
+// TestOpenUVIndexSnapshotRejectsLeafPageSize: a snapshot section whose
+// pages are too small for one leaf tuple is refused with an error, not
+// a division by zero.
+func TestOpenUVIndexSnapshotRejectsLeafPageSize(t *testing.T) {
+	rng := rand.New(rand.NewSource(907))
+	objs := randObjects(rng, 40, 1000, 20)
+	ix, _ := buildIndex(t, objs, geom.Square(1000), StrategyIC)
+	manifest, pages := ix.SnapshotManifest()
+	const pageSizeOff = 4*8 + 4 + 8 // past the domain, M and Tθ
+	const small = 30
+	binary.LittleEndian.PutUint32(manifest[pageSizeOff:], small)
+	pg := pager.New(small)
+	for range pages {
+		pg.Alloc(make([]byte, small))
+	}
+	if _, err := OpenUVIndexSnapshot(manifest, ix.store, ix.CR(), pg); !errors.Is(err, agrid.ErrPageCapacity) {
+		t.Fatalf("err = %v, want ErrPageCapacity", err)
 	}
 }

@@ -33,9 +33,9 @@ func (ix *UVIndex) SnapshotManifest() ([]byte, []pager.PageID) {
 	var w wire.Buffer
 	ix.putHeader(&w, ix.store.Len())
 	var pages []pager.PageID
-	putTree(&w, ix.ts.Load().root, func(n *qnode) {
-		w.U32(uint32(len(n.pages)))
-		pages = append(pages, n.pages...)
+	ix.g.PutTree(&w, func(leaf []pager.PageID) {
+		w.U32(uint32(len(leaf)))
+		pages = append(pages, leaf...)
 	})
 	return w.Bytes(), pages
 }
@@ -65,10 +65,13 @@ func OpenUVIndexSnapshot(manifest []byte, store *uncertain.Store, cr *CRState, p
 	if opts.PageSize != pg.PageSize() {
 		return nil, fmt.Errorf("core: snapshot page size %d, pager %d", opts.PageSize, pg.PageSize())
 	}
-	ix := newIndex(store, domain, opts, cr, orderK, pg)
+	ix, err := newIndex(store, domain, opts, cr, orderK, pg)
+	if err != nil {
+		return nil, err
+	}
 	total := pg.NumPages()
 	next := 0 // next unclaimed sequential page id
-	root, nonleaf, err := readTree(r, n, func(ids []int32) (*qnode, error) {
+	err = ix.g.Load(r, n, func([]int32) ([]pager.PageID, error) {
 		count := int(r.U32())
 		if err := r.Err(); err != nil {
 			return nil, err
@@ -76,15 +79,12 @@ func OpenUVIndexSnapshot(manifest []byte, store *uncertain.Store, cr *CRState, p
 		if count < 1 || next+count > total {
 			return nil, fmt.Errorf("leaf claims pages [%d, %d) of %d", next, next+count, total)
 		}
-		if count < (len(ids)+ix.capPerPage-1)/ix.capPerPage {
-			return nil, fmt.Errorf("leaf of %d ids claims only %d pages", len(ids), count)
-		}
-		leaf := &qnode{ids: ids, pages: make([]pager.PageID, count), pagesAlloc: count}
-		for i := range leaf.pages {
-			leaf.pages[i] = pager.PageID(next + i)
+		pages := make([]pager.PageID, count)
+		for i := range pages {
+			pages[i] = pager.PageID(next + i)
 		}
 		next += count
-		return leaf, nil
+		return pages, nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: snapshot tree: %w", err)
@@ -92,6 +92,5 @@ func OpenUVIndexSnapshot(manifest []byte, store *uncertain.Store, cr *CRState, p
 	if next != total {
 		return nil, fmt.Errorf("core: snapshot tree claims %d pages, section holds %d", next, total)
 	}
-	ix.ts.Store(&treeState{root: root, nonleaf: nonleaf})
 	return ix, nil
 }

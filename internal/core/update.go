@@ -1,6 +1,11 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"uvdiagram/internal/agrid"
+	"uvdiagram/internal/geom"
+)
 
 // Incremental updates — the extension the paper lists as future work
 // ("it would be interesting to study how the UV-diagram can be extended
@@ -32,7 +37,7 @@ import "fmt"
 //
 // All live leaf surgery is COPY-ON-WRITE: a mutation path-copies the
 // nodes it changes, writes fresh leaf pages, and publishes the new
-// tree with one treeState store. Readers never synchronize with
+// tree with one pointer store. Readers never synchronize with
 // writers — a query pinned on the old snapshot keeps a consistent
 // tree whose pages are retired through the epoch domain only once
 // every such reader has unpinned. Mutators themselves must still be
@@ -43,56 +48,19 @@ import "fmt"
 // layers: a sharded engine updates the shared registry once under its
 // store-level lock and then runs InsertLeafLive / RemoveAndReinsertLive
 // on each shard its cells reach under that shard's write mutex. Both
-// are one cowPass (insert.go), the write path a build runs too.
+// are one agrid write pass, the write path a build runs too.
 
-// removeCOW strips every id in remove from the leaf lists of the
-// subtree rooted at n, returning the replacement node (n itself when
-// nothing below changed).
-func (p *cowPass) removeCOW(n *qnode, remove map[int32]bool) *qnode {
-	if !n.isLeaf() {
-		kids := *n.children
-		for k := range kids {
-			kids[k] = p.removeCOW(kids[k], remove)
-		}
-		return p.withKids(n, kids)
-	}
-	removed := 0
-	for _, id := range n.ids {
-		if remove[id] {
-			removed++
-		}
-	}
-	if removed == 0 {
-		return n
-	}
-	nl := n
-	if !n.fresh {
-		nl = p.copyLeaf(n)
-	}
-	kept := nl.ids[:0]
-	for _, id := range nl.ids {
-		if !remove[id] {
-			kept = append(kept, id)
-		}
-	}
-	nl.ids = kept
-	p.entries += removed
-	p.changed = true
-	return nl
-}
-
-// publish installs the new tree, retires the replaced pages, accrues
-// the entry-weighted slack and bumps the mutation generation. No-op
-// when the pass changed nothing.
-func (p *cowPass) publish(root *qnode) {
-	if !p.changed {
+// publish installs the pass's tree, retires the replaced pages,
+// accrues the entry-weighted slack and bumps the mutation generation.
+// No-op when the pass changed nothing.
+func (ix *UVIndex) publish(p *agrid.Pass[geom.Rect], root *agrid.Node) {
+	if !p.Changed() {
 		return
 	}
-	p.install(root)
-	ix := p.ix
-	ix.slack.Add(int64(p.entries))
+	p.Install(root)
+	ix.slack.Add(int64(p.Entries()))
 	ix.gen.Add(1)
-	ix.retirePages(p.retired)
+	ix.retirePages(p.Retired())
 }
 
 // InsertLeafLive adds object id — whose representation must already be
@@ -108,11 +76,9 @@ func (ix *UVIndex) InsertLeafLive(id int32) (int, error) {
 	if int(id) >= len(ix.cr.crOf) {
 		return 0, fmt.Errorf("core: object %d has no recorded constraint set", id)
 	}
-	ts := ix.ts.Load()
-	p := &cowPass{ix: ix, nonleaf: ts.nonleaf}
-	root := p.insertCOW(id, ix.store.At(int(id)), ix.cr.crOf[id], ts.root, ix.domain, 0)
-	p.publish(root)
-	return p.entries, nil
+	p, root := ix.g.Begin()
+	ix.publish(p, p.Insert(id, root))
+	return p.Entries(), nil
 }
 
 // RemoveAndReinsertLive is the leaf-surgery half of a delete batch: one
@@ -132,12 +98,11 @@ func (ix *UVIndex) RemoveAndReinsertLive(remove, reinsert []int32) (int, error) 
 		}
 		rm[v] = true
 	}
-	ts := ix.ts.Load()
-	p := &cowPass{ix: ix, nonleaf: ts.nonleaf}
-	root := p.removeCOW(ts.root, rm)
+	p, root := ix.g.Begin()
+	root = p.Remove(root, rm)
 	for _, a := range reinsert {
-		root = p.insertCOW(a, ix.store.At(int(a)), ix.cr.crOf[a], root, ix.domain, 0)
+		root = p.Insert(a, root)
 	}
-	p.publish(root)
-	return p.entries, nil
+	ix.publish(p, root)
+	return p.Entries(), nil
 }

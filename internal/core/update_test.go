@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"uvdiagram/internal/agrid"
 	"uvdiagram/internal/geom"
 	"uvdiagram/internal/pager"
 	"uvdiagram/internal/prob"
@@ -152,28 +153,13 @@ func TestInsertLiveFlushesPages(t *testing.T) {
 	}
 }
 
-// checkPublished walks ix's published tree: no node may still carry
-// the fresh mark (the write pass that created it would otherwise keep
-// mutating it under pinned readers), and every leaf owns at least the
-// pages its list needs.
+// checkPublished checks the grid's publication invariants on ix's
+// published tree (agrid.Grid.Verify).
 func checkPublished(t *testing.T, label string, ix *UVIndex) {
 	t.Helper()
-	var walk func(n *qnode)
-	walk = func(n *qnode) {
-		if n.fresh {
-			t.Fatalf("%s: a published node still carries the fresh mark (leaf %v)", label, n.isLeaf())
-		}
-		if !n.isLeaf() {
-			for _, c := range n.children {
-				walk(c)
-			}
-			return
-		}
-		if need := max(1, (len(n.ids)+ix.capPerPage-1)/ix.capPerPage); len(n.pages) < need {
-			t.Fatalf("%s: leaf of %d ids owns %d pages, needs %d", label, len(n.ids), len(n.pages), need)
-		}
+	if err := ix.g.Verify(); err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
-	walk(ix.ts.Load().root)
 }
 
 // TestPublishedTreeHasNoFreshNodes checks the publication invariant of
@@ -258,11 +244,17 @@ func TestBuildEqualsIncrementalGrowth(t *testing.T) {
 		t.Fatal(err)
 	}
 	cr := NewCRState(sets)
-	built, _ := BuildRegionCR(st, domain, cr, 1, opts.Index)
+	built, _, err := BuildRegionCR(st, domain, cr, 1, opts.Index)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	grown := newIndex(st, domain, opts.Index, cr, 1, nil)
-	p := &cowPass{ix: grown}
-	p.install(p.leaf(nil))
+	grown, err := newIndex(st, domain, opts.Index, cr, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, root := grown.g.Begin()
+	p.Install(root)
 	for id := int32(0); int(id) < st.Len(); id++ {
 		if _, err := grown.InsertLeafLive(id); err != nil {
 			t.Fatal(err)
@@ -275,17 +267,7 @@ func TestBuildEqualsIncrementalGrowth(t *testing.T) {
 	}
 	leaves := func(ix *UVIndex) [][]int32 {
 		var out [][]int32
-		var walk func(n *qnode)
-		walk = func(n *qnode) {
-			if n.isLeaf() {
-				out = append(out, n.ids)
-				return
-			}
-			for _, c := range n.children {
-				walk(c)
-			}
-		}
-		walk(ix.ts.Load().root)
+		ix.g.Leaves(nil, func(_ geom.Rect, _ int, leaf *agrid.Node) { out = append(out, leaf.IDs()) })
 		return out
 	}
 	if !reflect.DeepEqual(leaves(built), leaves(grown)) {

@@ -196,10 +196,12 @@ func (s BuildStats3) PruneRatio() float64 {
 // Build3 constructs the 3D UV-index over the objects: derive each
 // object's cr-set through the hash-grid substrate — on the same
 // derive.Each driver as the 2D engine, with per-worker scratch arenas;
-// the grid and direction lattice are read-only and shared — insert into
-// the octree sequentially (the octree is not concurrency-safe), seal.
-// Objects must carry dense IDs 0..n−1 (ErrSparseIDs) with in-domain
-// centers (ErrOutOfDomain3). The index — leaf lists, stats and query
+// the grid and direction lattice are read-only and shared — then index
+// them in one write pass over an empty root, as the 2D BuildRegionCR
+// does. Objects must carry dense IDs 0..n−1 (ErrSparseIDs) with
+// in-domain centers (ErrOutOfDomain3), and a page of opts.PageSize
+// bytes must hold 1 to pager.MaxLeafTuples leaf tuples
+// (agrid.ErrPageCapacity). The index — leaf lists, stats and query
 // answers — is bitwise identical to Build3Reference's at every worker
 // count.
 func Build3(objs []uncertain3.Object3, domain geom3.Box, opts Options3) (*OctIndex, BuildStats3, error) {
@@ -207,11 +209,14 @@ func Build3(objs []uncertain3.Object3, domain geom3.Box, opts Options3) (*OctInd
 		return nil, BuildStats3{}, err
 	}
 	t0 := time.Now()
-	opts.normalize()
+	ix, err := newOctIndex(objs, domain, opts)
+	if err != nil {
+		return nil, BuildStats3{}, err
+	}
+	opts = ix.opts
 	stats := BuildStats3{N: len(objs), Strategy: StrategyIC3}
 	grid := NewHashGrid3(objs, domain, 0)
 	dirs := geom3.FibonacciSphere(opts.Dirs)
-	crSets := make([][]int32, len(objs))
 	type worker struct {
 		sc    *DeriveScratch3
 		prune time.Duration
@@ -222,21 +227,21 @@ func Build3(objs []uncertain3.Object3, domain geom3.Box, opts Options3) (*OctInd
 		func() *worker { return &worker{sc: NewDeriveScratch3()} },
 		func(w *worker, i int) {
 			p0 := time.Now()
-			crSets[i], _ = DeriveCR3(grid, objs[i], objs, domain, dirs, w.sc)
+			ix.crOf[i], _ = DeriveCR3(grid, objs[i], objs, domain, dirs, w.sc)
 			w.prune += time.Since(p0)
-			w.sumCR += int64(len(crSets[i]))
+			w.sumCR += int64(len(ix.crOf[i]))
 		})
 	for _, w := range workers {
 		stats.PruneDur += w.prune
 		stats.SumCR += w.sumCR
 	}
-	ix := NewOctIndex(objs, domain, opts)
 	pprof.Do(context.Background(), pprof.Labels("engine", "uv3", "stage", "index"), func(context.Context) {
 		i0 := time.Now()
+		p, root := ix.g.Begin()
 		for i := range objs {
-			ix.Insert(int32(i), crSets[i])
+			root = p.Insert(int32(i), root)
 		}
-		ix.Finish()
+		p.Install(root)
 		stats.IndexDur = time.Since(i0)
 	})
 	stats.TotalDur = time.Since(t0)

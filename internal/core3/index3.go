@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"uvdiagram/internal/agrid"
 	"uvdiagram/internal/geom3"
 	"uvdiagram/internal/pager"
 	"uvdiagram/internal/prob3"
@@ -59,62 +60,54 @@ func (o *Options3) normalize() {
 	}
 }
 
-// onode is one octree node.
-type onode struct {
-	children   *[8]*onode
-	ids        []int32
-	pagesAlloc int
-	pages      []pager.PageID
-}
-
-func (n *onode) isLeaf() bool { return n.children == nil }
-
 // OctIndex is the 3D UV-index: an adaptive octree whose leaves list
 // every object whose 3D UV-cell (represented by cr-object ids) overlaps
-// the leaf box, decided by the 8-corner test.
+// the leaf box, decided by the 8-corner test. The grid itself is the
+// shared agrid.Grid; the octree supplies its octants, the overlap test
+// and <ID, MBS, pointer> leaf tuples.
 type OctIndex struct {
-	domain     geom3.Box
-	opts       Options3
-	pg         *pager.Pager
-	objs       []uncertain3.Object3
-	crOf       [][]int32
-	root       *onode
-	nonleaf    int
-	capPerPage int
-	finished   bool
+	opts Options3
+	objs []uncertain3.Object3
+	crOf [][]int32
+	g    *agrid.Grid[geom3.Box]
 }
 
-// NewOctIndex prepares an empty octree over the objects.
-func NewOctIndex(objs []uncertain3.Object3, domain geom3.Box, opts Options3) *OctIndex {
+// newOctIndex prepares an octree over the objects, with an empty
+// registry and no tree yet: Build3 and LoadOctIndex fill the registry
+// and publish the tree. It fails when a page of opts.PageSize bytes
+// holds no leaf tuple, or more than its count prefix can number.
+func newOctIndex(objs []uncertain3.Object3, domain geom3.Box, opts Options3) (*OctIndex, error) {
 	opts.normalize()
-	return &OctIndex{
-		domain:     domain,
-		opts:       opts,
-		pg:         pager.New(opts.PageSize),
-		objs:       objs,
-		crOf:       make([][]int32, len(objs)),
-		root:       &onode{pagesAlloc: 1},
-		capPerPage: pager.TuplesPerPage3(opts.PageSize),
+	ix := &OctIndex{opts: opts, objs: objs, crOf: make([][]int32, len(objs))}
+	shape := agrid.Shape[geom3.Box]{
+		Fanout:     8,
+		Child:      geom3.Box.Octant,
+		Overlaps:   ix.overlaps,
+		PerPage:    pager.TuplesPerPage3(opts.PageSize),
+		EncodeLeaf: ix.encodeLeaf,
 	}
+	g, err := agrid.New(domain, shape, agrid.Options{M: opts.M, SplitTheta: opts.SplitTheta, MaxDepth: opts.MaxDepth}, pager.New(opts.PageSize))
+	if err != nil {
+		return nil, err
+	}
+	ix.g = g
+	return ix, nil
 }
 
 // Domain returns the indexed domain.
-func (ix *OctIndex) Domain() geom3.Box { return ix.domain }
-
-// Pager exposes the simulated disk for I/O accounting.
-func (ix *OctIndex) Pager() *pager.Pager { return ix.pg }
+func (ix *OctIndex) Domain() geom3.Box { return ix.g.Domain() }
 
 // CRObjects returns object id's cr-object ids (shared slice).
 func (ix *OctIndex) CRObjects(id int32) []int32 { return ix.crOf[id] }
 
-// overlapsIDs3 is the 3D lift of Algorithm 5: the box is certainly
-// disjoint from Oi's cell once a single outside region contains all
-// eight corners (outside regions are convex in 3D too). Spurious
-// overlaps are possible, missed overlaps are not.
-func (ix *OctIndex) overlapsIDs3(oi uncertain3.Object3, crIDs []int32, b geom3.Box) bool {
-	ci, ri := oi.Region.C, oi.Region.R
+// overlaps is the 3D lift of Algorithm 5 on object id's recorded
+// cr-set: the box is certainly disjoint from the cell once a single
+// outside region contains all eight corners (outside regions are convex
+// in 3D too). Spurious overlaps are possible, missed overlaps are not.
+func (ix *OctIndex) overlaps(id int32, b geom3.Box) bool {
+	ci, ri := ix.objs[id].Region.C, ix.objs[id].Region.R
 	corners := b.Corners()
-	for _, j := range crIDs {
+	for _, j := range ix.crOf[id] {
 		oj := ix.objs[j].Region
 		s := ri + oj.R
 		if ci.Dist(oj.C) <= s {
@@ -134,107 +127,8 @@ func (ix *OctIndex) overlapsIDs3(oi uncertain3.Object3, crIDs []int32, b geom3.B
 	return true
 }
 
-// Insert adds object id, represented by its cr-object ids (Algorithm 3
-// with eight children).
-func (ix *OctIndex) Insert(id int32, crIDs []int32) {
-	if ix.finished {
-		panic("core3: Insert after Finish")
-	}
-	ix.crOf[id] = crIDs
-	ix.insertObj(id, ix.objs[id], crIDs, ix.root, ix.domain, 0)
-}
-
-func (ix *OctIndex) insertObj(id int32, oi uncertain3.Object3, crIDs []int32, g *onode, region geom3.Box, depth int) {
-	if !ix.overlapsIDs3(oi, crIDs, region) {
-		return
-	}
-	if !g.isLeaf() {
-		for k := 0; k < 8; k++ {
-			ix.insertObj(id, oi, crIDs, g.children[k], region.Octant(k), depth+1)
-		}
-		return
-	}
-	state, kids := ix.checkSplit(id, oi, g, region, depth)
-	switch state {
-	case stateNormal3:
-		g.ids = append(g.ids, id)
-	case stateOverflow3:
-		if len(g.ids) >= g.pagesAlloc*ix.capPerPage {
-			g.pagesAlloc++
-		}
-		g.ids = append(g.ids, id)
-	case stateSplit3:
-		g.ids = nil
-		g.pages = nil
-		g.pagesAlloc = 0
-		g.children = kids
-		ix.nonleaf++
-	}
-}
-
-type splitState3 int
-
-const (
-	stateNormal3 splitState3 = iota
-	stateOverflow3
-	stateSplit3
-)
-
-func (ix *OctIndex) checkSplit(id int32, oi uncertain3.Object3, g *onode, region geom3.Box, depth int) (splitState3, *[8]*onode) {
-	if len(g.ids) < g.pagesAlloc*ix.capPerPage {
-		return stateNormal3, nil
-	}
-	if ix.nonleaf+1 > ix.opts.M || depth >= ix.opts.MaxDepth {
-		return stateOverflow3, nil
-	}
-	var kids [8]*onode
-	minCount := -1
-	for k := 0; k < 8; k++ {
-		child := &onode{pagesAlloc: 1}
-		sub := region.Octant(k)
-		if ix.overlapsIDs3(oi, ix.crOf[id], sub) {
-			child.ids = append(child.ids, id)
-		}
-		for _, j := range g.ids {
-			if ix.overlapsIDs3(ix.objs[j], ix.crOf[j], sub) {
-				child.ids = append(child.ids, j)
-			}
-		}
-		if need := (len(child.ids) + ix.capPerPage - 1) / ix.capPerPage; need > 1 {
-			child.pagesAlloc = need
-		}
-		kids[k] = child
-		if minCount < 0 || len(child.ids) < minCount {
-			minCount = len(child.ids)
-		}
-	}
-	theta := float64(minCount) / float64(len(g.ids))
-	if theta < ix.opts.SplitTheta {
-		return stateSplit3, &kids
-	}
-	return stateOverflow3, nil
-}
-
-// Finish seals the index: leaf lists are serialized into pages.
-func (ix *OctIndex) Finish() {
-	if ix.finished {
-		return
-	}
-	var walk func(n *onode)
-	walk = func(n *onode) {
-		if !n.isLeaf() {
-			for _, c := range n.children {
-				walk(c)
-			}
-			return
-		}
-		n.pages = ix.writeLeafPages(n.ids)
-	}
-	walk(ix.root)
-	ix.finished = true
-}
-
-func (ix *OctIndex) writeLeafPages(ids []int32) []pager.PageID {
+// encodeLeaf encodes one leaf page of <ID, MBS, pointer> tuples.
+func (ix *OctIndex) encodeLeaf(ids []int32) []byte {
 	tuples := make([]pager.LeafTuple3, len(ids))
 	for i, id := range ids {
 		o := ix.objs[id]
@@ -244,22 +138,7 @@ func (ix *OctIndex) writeLeafPages(ids []int32) []pager.PageID {
 			R: o.Region.R,
 		}
 	}
-	var pages []pager.PageID
-	for off := 0; ; off += ix.capPerPage {
-		end := off + ix.capPerPage
-		if end > len(tuples) {
-			end = len(tuples)
-		}
-		var chunk []pager.LeafTuple3
-		if off < len(tuples) {
-			chunk = tuples[off:end]
-		}
-		pages = append(pages, ix.pg.Alloc(pager.EncodeLeafTuples3(chunk)))
-		if end >= len(tuples) {
-			break
-		}
-	}
-	return pages
+	return pager.EncodeLeafTuples3(tuples)
 }
 
 // Answer3 is one 3D PNN result.
@@ -282,24 +161,22 @@ type QueryStats3 struct {
 // descent to the leaf, dminmax filter, probability integration.
 func (ix *OctIndex) PNN(q geom3.Point3) ([]Answer3, QueryStats3, error) {
 	var st QueryStats3
-	if !ix.finished {
-		return nil, st, fmt.Errorf("core3: PNN before Finish")
-	}
-	if !ix.domain.Contains(q) {
-		return nil, st, fmt.Errorf("core3: query point %v outside domain %v", q, ix.domain)
+	domain := ix.g.Domain()
+	if !domain.Contains(q) {
+		return nil, st, fmt.Errorf("core3: query point %v outside domain %v", q, domain)
 	}
 
 	t0 := time.Now()
-	n, region := ix.root, ix.domain
-	for !n.isLeaf() {
+	n, region := ix.g.Root(), domain
+	for !n.IsLeaf() {
 		k := region.OctantFor(q)
-		n = n.children[k]
+		n = n.Kid(k)
 		region = region.Octant(k)
 		st.Depth++
 	}
 	var tuples []pager.LeafTuple3
-	for _, pid := range n.pages {
-		ts, err := pager.DecodeLeafTuples3(ix.pg.Read(pid))
+	for _, pid := range n.Pages() {
+		ts, err := pager.DecodeLeafTuples3(ix.g.Pager().Read(pid))
 		if err != nil {
 			return nil, st, fmt.Errorf("core3: leaf page %d: %w", pid, err)
 		}
@@ -341,37 +218,7 @@ func (ix *OctIndex) PNN(q geom3.Point3) ([]Answer3, QueryStats3, error) {
 }
 
 // IndexStats3 summarize the octree shape.
-type IndexStats3 struct {
-	NonLeaf    int
-	Leaves     int
-	Pages      int
-	MaxDepth   int
-	Entries    int64
-	AvgEntries float64
-}
+type IndexStats3 = agrid.Stats
 
 // Stats walks the octree and reports its shape.
-func (ix *OctIndex) Stats() IndexStats3 {
-	var st IndexStats3
-	st.NonLeaf = ix.nonleaf
-	var walk func(n *onode, depth int)
-	walk = func(n *onode, depth int) {
-		if depth > st.MaxDepth {
-			st.MaxDepth = depth
-		}
-		if n.isLeaf() {
-			st.Leaves++
-			st.Pages += len(n.pages)
-			st.Entries += int64(len(n.ids))
-			return
-		}
-		for _, c := range n.children {
-			walk(c, depth+1)
-		}
-	}
-	walk(ix.root, 0)
-	if st.Leaves > 0 {
-		st.AvgEntries = float64(st.Entries) / float64(st.Leaves)
-	}
-	return st
-}
+func (ix *OctIndex) Stats() IndexStats3 { return ix.g.Stats() }

@@ -82,19 +82,24 @@ func DeriveCR3Reference(grid *HashGrid3, oi uncertain3.Object3, objs []uncertain
 }
 
 // Build3Reference is the original single-threaded 3D build loop: derive
-// and insert object by object, no worker pool, no scratch reuse.
-// Retained verbatim as the fast path's equivalence oracle.
+// and insert object by object, no worker pool, no scratch reuse. Each
+// insert goes through the shared grid's write pass, published once at
+// the end. Retained as the fast path's equivalence oracle.
 func Build3Reference(objs []uncertain3.Object3, domain geom3.Box, opts Options3) (*OctIndex, BuildStats3, error) {
 	if err := validate3(objs, domain); err != nil {
 		return nil, BuildStats3{}, err
 	}
-	opts.normalize()
+	ix, err := newOctIndex(objs, domain, opts)
+	if err != nil {
+		return nil, BuildStats3{}, err
+	}
+	opts = ix.opts
 	stats := BuildStats3{N: len(objs), Strategy: StrategyIC3}
 	t0 := time.Now()
 
 	grid := NewHashGrid3(objs, domain, 0)
 	dirs := geom3.FibonacciSphere(opts.Dirs)
-	ix := NewOctIndex(objs, domain, opts)
+	p, root := ix.g.Begin()
 
 	for i := range objs {
 		p0 := time.Now()
@@ -103,11 +108,12 @@ func Build3Reference(objs []uncertain3.Object3, domain geom3.Box, opts Options3)
 		stats.SumCR += int64(len(ids))
 
 		i0 := time.Now()
-		ix.Insert(int32(i), ids)
+		ix.crOf[i] = ids
+		root = p.Insert(int32(i), root)
 		stats.IndexDur += time.Since(i0)
 	}
 	i1 := time.Now()
-	ix.Finish()
+	p.Install(root)
 	stats.IndexDur += time.Since(i1)
 	stats.TotalDur = time.Since(t0)
 	stats.Index = ix.Stats()

@@ -7,6 +7,10 @@
 // around the object center, so the radial representation carries over
 // with directions sampled from a Fibonacci sphere lattice instead of a
 // uniform angular sweep.
+//
+// The octree is the 2D index's adaptive grid (internal/agrid) at fanout
+// 8: this package supplies only the 8-corner test and the leaf tuple.
+// The UVOC octree stream it writes and reads is unchanged.
 package core3
 
 import (

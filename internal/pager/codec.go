@@ -21,6 +21,10 @@ type LeafTuple struct {
 // LeafTupleSize is the encoded size of a LeafTuple in bytes.
 const LeafTupleSize = 4 + 8 + 8 + 8 + 8
 
+// MaxLeafTuples is the most tuples one leaf page can hold, 2D or 3D:
+// the page's count prefix is a uint16.
+const MaxLeafTuples = 1<<16 - 1
+
 // EncodeLeafTuples serializes tuples, prefixed by a uint16 count.
 func EncodeLeafTuples(ts []LeafTuple) []byte {
 	buf := make([]byte, 2+len(ts)*LeafTupleSize)

@@ -146,8 +146,8 @@ func decodeLegacy(data []byte, opts *Options) (*DB, error) {
 	for i := 1; i < len(indexes); i++ {
 		if indexes[i].CR().EqualCROf(reg) {
 			indexes[i].AttachCR(reg)
-		} else {
-			indexes[i] = indexes[i].ReindexCR(reg)
+		} else if indexes[i], err = indexes[i].ReindexCR(reg); err != nil {
+			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
 	}
 	tree := core.BuildHelperRTree(store, opts.toBuildOptions().Fanout)

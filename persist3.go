@@ -40,9 +40,7 @@ func (db *DB3) Save(w io.Writer) error {
 			b.F64(wgt)
 		}
 	}
-	if err := db.index.Save(&b); err != nil {
-		return err
-	}
+	db.index.Save(&b)
 	_, err := w.Write(b.Bytes())
 	return err
 }

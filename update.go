@@ -338,9 +338,12 @@ func (db *DB) rederiveAll(ctx context.Context, kind string, recut func(old *shar
 	tree.SetReclaimDomain(db.egc)
 	t0 := time.Now()
 	crSets, stats, err := core.DeriveCRSets(db.store, db.domain, tree, db.bopts)
+	var cr *core.CRState
 	if err == nil {
-		cr := core.NewCRState(crSets)
-		db.buildShards(lo, cr, &stats, t0, maxGen(old)+1)
+		cr = core.NewCRState(crSets)
+		err = db.buildShards(lo, cr, &stats, t0, maxGen(old)+1)
+	}
+	if err == nil {
 		db.cr = cr
 		db.topo = core.NewTopology(cr.Len(), db.bopts.RegionSamples)
 		db.tree.Store(tree)
@@ -389,8 +392,7 @@ func (db *DB) CompactShard(ctx context.Context, i int) error {
 	if i < 0 || i >= len(lo.shards) {
 		return fmt.Errorf("uvdiagram: shard %d out of range [0, %d)", i, len(lo.shards))
 	}
-	db.compactShardLocked(lo, i)
-	return nil
+	return db.compactShardLocked(lo, i)
 }
 
 // compactShardLocked is CompactShard's body: the shadow build and epoch
@@ -398,7 +400,9 @@ func (db *DB) CompactShard(ctx context.Context, i int) error {
 // is the layout current under that hold — smu is what keeps Reshard
 // (which takes it exclusively) from swapping the layout mid-build, so
 // the fresh epoch can never be stored into a retired layout's shard.
-func (db *DB) compactShardLocked(lo *shardLayout, i int) {
+// A failed build (a page size no leaf page fits) leaves the shard as it
+// was.
+func (db *DB) compactShardLocked(lo *shardLayout, i int) error {
 	sh := lo.shards[i]
 	sh.wmu.Lock()
 	defer sh.wmu.Unlock()
@@ -407,7 +411,11 @@ func (db *DB) compactShardLocked(lo *shardLayout, i int) {
 	}
 	t0 := time.Now()
 	old := sh.ep()
-	ix, _ := core.BuildRegionCR(db.store, sh.rect, db.cr, 1, db.bopts.Index)
+	ix, _, err := core.BuildRegionCR(db.store, sh.rect, db.cr, 1, db.bopts.Index)
+	if err != nil {
+		db.fireMaint(MaintEvent{Kind: MaintCompactShard, Shard: i, Dur: time.Since(t0), Err: err})
+		return err
+	}
 	ix.SetReclaimDomain(db.egc)
 	sh.epoch.Store(&indexEpoch{index: ix, gen: old.gen + 1})
 	// The full-build statistics snapshot keeps its phase timings; only
@@ -424,6 +432,7 @@ func (db *DB) compactShardLocked(lo *shardLayout, i int) {
 		}
 	}
 	db.fireMaint(MaintEvent{Kind: MaintCompactShard, Shard: i, Dur: time.Since(t0)})
+	return nil
 }
 
 // CompactAll compacts every shard with CompactShard on a bounded worker
@@ -553,7 +562,7 @@ func (db *DB) autoCompact(lo *shardLayout, i int) {
 	if db.lo() != lo {
 		return
 	}
-	db.compactShardLocked(lo, i)
+	db.compactShardLocked(lo, i) // a failure reaches OnMaintenance as the event's Err
 }
 
 // PossibleKNN returns the IDs of every object with non-zero probability

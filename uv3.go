@@ -125,6 +125,3 @@ func (db *DB3) PNNBruteForce(q Point3) []Answer3 {
 	}
 	return answers
 }
-
-// Index exposes the underlying octree index for advanced use.
-func (db *DB3) Index() *core3.OctIndex { return db.index }

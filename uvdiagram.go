@@ -479,7 +479,9 @@ func Build(objects []Object, domain Rect, opts *Options) (*DB, error) {
 	}
 	db.cr = core.NewCRState(crSets)
 	db.topo = core.NewTopology(len(crSets), bopts.RegionSamples)
-	db.buildShards(lo, db.cr, &stats, t0, 0)
+	if err := db.buildShards(lo, db.cr, &stats, t0, 0); err != nil {
+		return nil, fmt.Errorf("uvdiagram: %w", err)
+	}
 	db.layout.Store(lo)
 	db.built.Store(&stats)
 	if err := db.startConfiguredMaintainer(opts); err != nil {
@@ -503,11 +505,13 @@ func (db *DB) startConfiguredMaintainer(opts *Options) error {
 // fresh epoch with generation gen. stats receives the summed per-shard
 // indexing CPU time, the aggregate index shape and the wall clock since
 // t0. The layout is not yet (or no longer) required to be published;
-// the caller decides when the world sees it.
-func (db *DB) buildShards(lo *shardLayout, cr *core.CRState, stats *BuildStats, t0 time.Time, gen uint64) {
+// the caller decides when the world sees it. On error (a page size no
+// leaf page fits) no epoch is stored.
+func (db *DB) buildShards(lo *shardLayout, cr *core.CRState, stats *BuildStats, t0 time.Time, gen uint64) error {
 	type built struct {
 		ix  *core.UVIndex
 		dur time.Duration
+		err error
 	}
 	results := make([]built, len(lo.shards))
 	var wg sync.WaitGroup
@@ -515,11 +519,16 @@ func (db *DB) buildShards(lo *shardLayout, cr *core.CRState, stats *BuildStats, 
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ix, dur := core.BuildRegionCR(db.store, lo.shards[i].rect, cr, 1, db.bopts.Index)
-			results[i] = built{ix: ix, dur: dur}
+			ix, dur, err := core.BuildRegionCR(db.store, lo.shards[i].rect, cr, 1, db.bopts.Index)
+			results[i] = built{ix: ix, dur: dur, err: err}
 		}(i)
 	}
 	wg.Wait()
+	for _, r := range results {
+		if r.err != nil {
+			return r.err
+		}
+	}
 	shapes := make([]core.IndexStats, len(lo.shards))
 	for i := range lo.shards {
 		results[i].ix.SetReclaimDomain(db.egc)
@@ -529,6 +538,7 @@ func (db *DB) buildShards(lo *shardLayout, cr *core.CRState, stats *BuildStats, 
 	}
 	stats.TotalDur = time.Since(t0)
 	stats.Index = aggregateIndexStats(shapes)
+	return nil
 }
 
 // rtree returns the current shared helper R-tree.
