@@ -11,8 +11,8 @@ import (
 )
 
 // Reference (naive) derivation — the pre-optimization Algorithm 2,
-// retained verbatim as the equivalence oracle for the output-sensitive
-// fast path: the seed choice materializes the full (k+1)-NN up front, the
+// retained as the equivalence oracle for the output-sensitive fast
+// path: the seed choice sorts the whole population by brute force, the
 // radial sweep is re-evaluated from scratch on every MaxRadius /
 // Vertices use, and the id union builds a map per object. The optimized
 // path (DeriveCR, the Build workers) must produce bitwise-identical
@@ -22,33 +22,49 @@ import (
 // side of the speed ratio (BenchmarkDeriveCRSets in the root package is
 // the "after").
 
-// referenceSelectSeeds is the eager sectored seed choice: a full
-// (k+1)-NN query, then one pass over the materialized neighbors.
-func referenceSelectSeeds(tree *rtree.Tree, oi uncertain.Object, k, ks int) []int32 {
+// referenceSelectSeeds is the sectored seed choice by brute force,
+// with no R-tree: every live object sorted by (distmin from Oi's
+// center, id), the first k+1 kept, then one pass of the sector loop
+// over them. live is the live population (Oi among it).
+func referenceSelectSeeds(live []uncertain.Object, oi uncertain.Object, k, ks int) []int32 {
 	if k <= 0 {
 		k = DefaultSeedK
 	}
 	if ks <= 0 {
 		ks = DefaultSeedSectors
 	}
-	nbrs := tree.KNN(oi.Region.C, k+1)
+	type cand struct {
+		key float64
+		o   uncertain.Object
+	}
+	cands := make([]cand, len(live))
+	for i, o := range live {
+		cands[i] = cand{math.Max(0, oi.Region.C.Dist(o.Region.C)-o.Region.R), o}
+	}
+	sort.Slice(cands, func(a, b int) bool {
+		if cands[a].key != cands[b].key {
+			return cands[a].key < cands[b].key
+		}
+		return cands[a].o.ID < cands[b].o.ID
+	})
+	if len(cands) > k+1 {
+		cands = cands[:k+1]
+	}
 	seeds := make([]int32, 0, ks)
 	taken := make([]bool, ks)
-	found := 0
-	for _, nb := range nbrs {
-		if nb.Item.ID == oi.ID || oi.Region.Overlaps(nb.Item.MBC) {
+	for _, c := range cands {
+		if c.o.ID == oi.ID || oi.Region.Overlaps(c.o.Region) {
 			continue
 		}
-		dir := nb.Item.MBC.C.Sub(oi.Region.C)
+		dir := c.o.Region.C.Sub(oi.Region.C)
 		sector := int(geom.NormalizeAngle(dir.Angle()) / (2 * math.Pi) * float64(ks))
 		if sector >= ks {
 			sector = ks - 1
 		}
 		if !taken[sector] {
 			taken[sector] = true
-			seeds = append(seeds, nb.Item.ID)
-			found++
-			if found == ks {
+			seeds = append(seeds, c.o.ID)
+			if len(seeds) == ks {
 				break
 			}
 		}
@@ -235,9 +251,9 @@ func referenceCell(p *PossibleRegion, samples int) []int32 {
 
 // DeriveCRObjectsReference is the naive Algorithm 2 for one object —
 // the reference the optimized DeriveCRObjects/DeriveCR must match
-// bitwise.
+// bitwise. objs is the live population, which tree indexes.
 func DeriveCRObjectsReference(tree *rtree.Tree, oi uncertain.Object, objs []uncertain.Object, domain geom.Rect, k, ks, samples int) CRResult {
-	seeds := referenceSelectSeeds(tree, oi, k, ks)
+	seeds := referenceSelectSeeds(objs, oi, k, ks)
 	region := NewPossibleRegion(oi.Region.C, domain)
 	for _, id := range seeds {
 		region.AddObject(oi, objs[id])
@@ -267,6 +283,7 @@ func DeriveCRSetsReference(store *uncertain.Store, domain geom.Rect, tree *rtree
 	if tree == nil && opts.Strategy != StrategyBasic {
 		tree = BuildHelperRTree(store, opts.Fanout)
 	}
+	live := store.All()
 	crSets := make([][]int32, len(objs))
 	for i := range objs {
 		if !store.Alive(int32(i)) {
@@ -283,7 +300,7 @@ func DeriveCRSetsReference(store *uncertain.Store, domain geom.Rect, tree *rtree
 			}
 			crSets[i] = referenceCell(region, opts.CellSamples)
 		case StrategyIC, StrategyICR:
-			seeds := referenceSelectSeeds(tree, oi, opts.SeedK, opts.SeedSectors)
+			seeds := referenceSelectSeeds(live, oi, opts.SeedK, opts.SeedSectors)
 			region := NewPossibleRegion(oi.Region.C, domain)
 			for _, id := range seeds {
 				region.AddObject(oi, objs[id])

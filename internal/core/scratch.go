@@ -21,10 +21,13 @@ import (
 type DeriveScratch struct {
 	it     rtree.NNIterator
 	seeds  []int32
-	taken  []bool
-	ids    []int32 // I-pruning survivors
-	kept   []int32 // C-pruning survivors
-	sorted []int32 // sorted copy of seeds for the union merge
+	taken  []bool       // sectors seeded so far
+	run    []rtree.Item // one run of equal distmin off the browse
+	seedK  int          // k of the seed query in progress
+	pulled int          // neighbors consumed by it
+	ids    []int32      // I-pruning survivors
+	kept   []int32      // C-pruning survivors
+	sorted []int32      // sorted copy of seeds for the union merge
 	pts    []geom.Point
 	hull   geom.HullScratch
 	bounds []geom.Circle

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"uvdiagram/internal/geom"
 	"uvdiagram/internal/rtree"
@@ -23,13 +25,13 @@ const (
 // returned when sectors are empty — the initial region is then merely
 // larger (the paper notes this does not affect the later steps).
 //
-// Retrieval is output-sensitive: neighbors are pulled lazily from a
-// best-first incremental-NN browse of the R-tree (in exactly the order
-// a materialized k-NN would list them) and the pull stops as soon as
-// every sector is seeded — typically after a few dozen neighbors
-// instead of the k+1 the eager implementation always materialized. At
-// most k+1 neighbors are ever consumed, so the seed set is bitwise
-// identical to the eager form.
+// The k nearest are the first k+1 objects (Oi itself among them) in
+// (distmin, id) order: neighbors are pulled lazily from a best-first
+// incremental-NN browse of the R-tree, and each run of equal distmin the
+// browse pops is taken in id order, so an exact tie resolves the same
+// way whatever the tree's shape. The pull stops as soon as every sector
+// is seeded — typically after a few dozen neighbors instead of the k+1
+// the eager implementation always materialized.
 //
 // Objects whose uncertainty region overlaps Oi's are skipped: they
 // contribute no UV-edge (Section III-C), so taking one as a sector's
@@ -38,45 +40,68 @@ const (
 // in a 10k×10k domain) most objects overlap one or two neighbors, so
 // this filter is what keeps the pruning ratio at the reported ~90%.
 func (sc *DeriveScratch) selectSeeds(tree *rtree.Tree, oi uncertain.Object, k, ks int) {
+	sc.startSeeds(k, ks)
+	sc.it.Reset(tree, oi.Region.C)
+	nb, ok := sc.it.Next()
+	for ok {
+		// One run of equal keys, taken in id order.
+		key := nb.DistMin
+		run := sc.run[:0]
+		for ok && nb.DistMin == key {
+			run = append(run, nb.Item)
+			nb, ok = sc.it.Next()
+		}
+		sc.run = run
+		if len(run) > 1 {
+			slices.SortFunc(run, func(a, b rtree.Item) int { return cmp.Compare(a.ID, b.ID) })
+		}
+		for _, it := range run {
+			if sc.offerSeed(oi, it) {
+				return
+			}
+		}
+	}
+}
+
+// startSeeds resets the sector loop for one object; k and ks ≤ 0 mean
+// the paper's defaults.
+func (sc *DeriveScratch) startSeeds(k, ks int) {
 	if k <= 0 {
 		k = DefaultSeedK
 	}
 	if ks <= 0 {
 		ks = DefaultSeedSectors
 	}
+	sc.seedK, sc.pulled = k, 0
 	sc.seeds = sc.seeds[:0]
 	if cap(sc.taken) < ks {
 		sc.taken = make([]bool, ks)
 	} else {
 		sc.taken = sc.taken[:ks]
-		for i := range sc.taken {
-			sc.taken[i] = false
-		}
+		clear(sc.taken)
 	}
-	sc.it.Reset(tree, oi.Region.C)
-	found := 0
-	// k+1 because the query point is Oi's own center and Oi itself is
-	// excluded below.
-	for pulled := 0; pulled < k+1; pulled++ {
-		nb, ok := sc.it.Next()
-		if !ok {
-			break
-		}
-		if nb.Item.ID == oi.ID || oi.Region.Overlaps(nb.Item.MBC) {
-			continue
-		}
-		dir := nb.Item.MBC.C.Sub(oi.Region.C)
+}
+
+// offerSeed feeds the sector loop the next neighbor in (distmin, id)
+// order and reports whether the loop is done: every sector seeded, or
+// k+1 neighbors consumed (k+1 because the query point is Oi's own
+// center and Oi itself is excluded).
+func (sc *DeriveScratch) offerSeed(oi uncertain.Object, it rtree.Item) bool {
+	sc.pulled++
+	if it.ID != oi.ID && !oi.Region.Overlaps(it.MBC) {
+		ks := len(sc.taken)
+		dir := it.MBC.C.Sub(oi.Region.C)
 		sector := int(geom.NormalizeAngle(dir.Angle()) / (2 * math.Pi) * float64(ks))
 		if sector >= ks {
 			sector = ks - 1
 		}
 		if !sc.taken[sector] {
 			sc.taken[sector] = true
-			sc.seeds = append(sc.seeds, nb.Item.ID)
-			found++
-			if found == ks {
-				break
+			sc.seeds = append(sc.seeds, it.ID)
+			if len(sc.seeds) == ks {
+				return true
 			}
 		}
 	}
+	return sc.pulled == sc.seedK+1
 }
