@@ -122,6 +122,9 @@ func decodeLegacy(data []byte, opts *Options) (*DB, error) {
 			return nil, err
 		}
 	}
+	if err := checkStoredObjects(store, domain); err != nil {
+		return nil, err
+	}
 	// The layout comes from the stream: Options.Shards only affects
 	// freshly built databases, never a reopened one.
 	lo := newShardLayout(0, gx, gy, xs, ys)

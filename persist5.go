@@ -497,6 +497,9 @@ func Open(path string, opts *Options) (*DB, error) {
 		return fail(err)
 	}
 	store, err := uncertain.OpenStoreSnapshot(storePg, m.n, m.dead)
+	if err == nil {
+		err = checkStoredObjects(store, m.domain)
+	}
 	if err != nil {
 		return fail(snapErr(path, "%v", err))
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -412,6 +413,13 @@ func TestOpenSnapshotCorrupt(t *testing.T) {
 		return b
 	})
 	check("truncated-objects", func(b []byte) []byte { return b[:parts.Objects+4096+100] })
+	// A record that decodes cleanly but describes an object no Build or
+	// Insert accepts: centered outside the domain, or a NaN radius.
+	check("object-outside-domain", func(b []byte) []byte { return outOfDomainSnapshot(b, parts.Objects) })
+	check("object-nan-radius", func(b []byte) []byte {
+		binary.LittleEndian.PutUint64(b[parts.Objects+7*recStride+20:], math.Float64bits(math.NaN()))
+		return b
+	})
 	check("bad-version", func(b []byte) []byte {
 		binary.LittleEndian.PutUint32(b[4:], 99)
 		return b
@@ -444,6 +452,14 @@ func TestOpenSnapshotCorrupt(t *testing.T) {
 	}
 }
 
+// outOfDomainSnapshot moves object 7 of the snapshot b, whose object
+// section starts at objects, to x = 10⁷, far outside its domain.
+func outOfDomainSnapshot(b []byte, objects int) []byte {
+	const recStride = 192 // records of the default 20 bars
+	binary.LittleEndian.PutUint64(b[objects+7*recStride+4:], math.Float64bits(1e7))
+	return b
+}
+
 // FuzzOpenSnapshot feeds arbitrary bytes (seeded with a real snapshot,
 // a version-5 snapshot and a legacy stream) through Open in heap mode: whatever the corruption, Open must return
 // an error or a servable DB — never panic, never hang.
@@ -469,6 +485,11 @@ func FuzzOpenSnapshot(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(v5)
+	parts, err := uvdiagram.SnapshotPartsOf(data)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(outOfDomainSnapshot(append([]byte(nil), data...), parts.Objects))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		p := filepath.Join(t.TempDir(), "fuzz.uv5")
 		if err := os.WriteFile(p, b, 0o644); err != nil {

@@ -672,6 +672,26 @@ func checkObject(o Object) error {
 	return nil
 }
 
+// checkStoredObjects rejects a reopened store holding a live object no
+// Build or Insert would have accepted: not a finite circle, or centered
+// outside the domain. Derivation relies on every live center lying in
+// the domain (an empty seed sector's domain reach bounds where its
+// objects can be).
+func checkStoredObjects(store *uncertain.Store, domain Rect) error {
+	for i, o := range store.Dense() {
+		if !store.Alive(int32(i)) {
+			continue
+		}
+		if err := checkObject(o); err != nil {
+			return err
+		}
+		if !domain.Contains(o.Region.C) {
+			return fmt.Errorf("object %d center %v outside domain %v", o.ID, o.Region.C, domain)
+		}
+	}
+	return nil
+}
+
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // checkDomain rejects query points outside the engine's domain, whatever
