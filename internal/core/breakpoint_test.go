@@ -28,7 +28,7 @@ var seededRegions8000 = sync.OnceValue(func() []*PossibleRegion {
 	sc := NewDeriveScratch()
 	regions := make([]*PossibleRegion, len(objs))
 	for i, oi := range objs {
-		sc.selectSeeds(tree, oi, DefaultSeedK, DefaultSeedSectors)
+		sc.selectSeeds(tree, oi, cfg.Domain(), DefaultSeedK, DefaultSeedSectors)
 		regions[i] = NewPossibleRegion(oi.Region.C, cfg.Domain())
 		for _, id := range sc.seeds {
 			regions[i].AddObject(oi, objs[id])

@@ -106,9 +106,14 @@ func (o *BuildOptions) normalize() {
 }
 
 // BuildStats records construction cost and its components, matching the
-// breakdowns of Figures 7(b), 7(d) and 7(e). With Workers > 1 the phase
-// durations are summed CPU time across workers, while TotalDur remains
-// wall clock.
+// breakdowns of Figures 7(b), 7(d) and 7(e). With Workers > 1 the
+// derivation phases are summed across workers, while TotalDur remains
+// wall clock. SeedDur includes each derivation group's shared neighbor
+// walk (the list then also serves most I-pruning ranges, which PruneDur
+// charges per object). IndexDur is a sum of wall clocks too: a sharded
+// engine writes its shards concurrently and adds up their passes, so it
+// is neither CPU time nor elapsed time — at n = 8 000 with 4 shards on
+// 2 vCPUs it read 51–91 ms against 26–32 ms of elapsed write pass.
 type BuildStats struct {
 	Strategy Strategy
 	N        int
@@ -119,7 +124,7 @@ type BuildStats struct {
 	SeedDur   time.Duration // initPossibleRegion (seeds + initial region)
 	PruneDur  time.Duration // I- and C-pruning
 	RefineDur time.Duration // exact-cell generation (ICR/Basic)
-	IndexDur  time.Duration // Algorithm 3 inserts + page writes
+	IndexDur  time.Duration // Algorithm 3 inserts + page writes (per-shard wall clocks, summed)
 	TotalDur  time.Duration
 
 	SumI  int64 // Σ |I| over objects (I-pruning survivors)
@@ -201,12 +206,31 @@ type builder struct {
 	// profiles) is reused across the worker's whole object stream, so
 	// steady-state derivation allocates only the retained cr-sets.
 	sc    *DeriveScratch
+	group seedGroup // the current group's shared list
 	total deriveStats
 }
 
+// deriveGroup derives every member of one group (see leafGroups) into
+// crSets. Under the pruning strategies the members share one neighbor
+// list, collected by one walk of the helper R-tree and charged to the
+// seed phase.
+func (b *builder) deriveGroup(members []int32, crSets [][]int32) {
+	var g *seedGroup
+	if b.opts.Strategy != StrategyBasic {
+		ts := time.Now()
+		if b.group.collect(b.tree, b.objs, members) {
+			g = &b.group
+		}
+		b.total.seed += time.Since(ts)
+	}
+	for _, id := range members {
+		crSets[id] = b.deriveOne(int(id), g)
+	}
+}
+
 // deriveOne computes object i's cell representation (cr- or r-object
-// ids) according to the strategy.
-func (b *builder) deriveOne(i int) []int32 {
+// ids) according to the strategy; g is its group's list, if any.
+func (b *builder) deriveOne(i int, g *seedGroup) []int32 {
 	oi := b.objs[i]
 	var ids []int32
 	switch b.opts.Strategy {
@@ -219,7 +243,7 @@ func (b *builder) deriveOne(i int) []int32 {
 		}
 		b.sc.ids = ids
 	case StrategyICR, StrategyIC:
-		cr, ds, _ := deriveCR(b.tree, oi, b.objs, b.domain, b.opts.SeedK, b.opts.SeedSectors, b.opts.RegionSamples, b.opts.DisableCPrune, b.sc)
+		cr, ds, _ := deriveCR(b.tree, g, oi, b.objs, b.domain, b.opts.SeedK, b.opts.SeedSectors, b.opts.RegionSamples, b.opts.DisableCPrune, b.sc)
 		b.total.add(ds)
 		if b.opts.Strategy == StrategyIC {
 			return cr
@@ -303,11 +327,12 @@ func DeriveCRSets(store *uncertain.Store, domain geom.Rect, tree *rtree.Tree, op
 		tree = BuildHelperRTree(store, opts.Fanout)
 	}
 	crSets := make([][]int32, len(objs))
-	workers := derive.Each(len(objs), store.Alive, opts.Workers, pprof.Labels("engine", "uv", "stage", "derive"),
+	groups := leafGroups(tree, len(objs), store.Alive)
+	workers := derive.Each(len(groups), opts.Workers, pprof.Labels("engine", "uv", "stage", "derive"),
 		func() *builder {
 			return &builder{objs: objs, alive: store.Alive, domain: domain, tree: tree, opts: opts, sc: NewDeriveScratch()}
 		},
-		func(b *builder, i int) { crSets[i] = b.deriveOne(i) })
+		func(b *builder, u int) { b.deriveGroup(groups[u], crSets) })
 	var total deriveStats
 	for _, b := range workers {
 		total.add(b.total)
@@ -315,6 +340,36 @@ func DeriveCRSets(store *uncertain.Store, domain geom.Rect, tree *rtree.Tree, op
 	stats.SeedDur, stats.PruneDur, stats.RefineDur = total.seed, total.prune, total.refine
 	stats.SumI, stats.SumCR, stats.SumR = total.sumI, total.sumCR, total.sumR
 	return crSets, stats, nil
+}
+
+// leafGroups partitions the live ids in [0, n) into derivation groups:
+// the live items of each helper-R-tree leaf (nil tree: none), then one
+// singleton per live id the tree does not hold. A leaf is a compact
+// cluster of about a fanout's worth of objects, which is what lets its
+// members share their searches.
+func leafGroups(tree *rtree.Tree, n int, alive func(int32) bool) [][]int32 {
+	var groups [][]int32
+	seen := make([]bool, n)
+	if tree != nil {
+		for _, ids := range tree.LeafIDs() {
+			kept := ids[:0]
+			for _, id := range ids {
+				if id >= 0 && int(id) < n && !seen[id] && alive(id) {
+					seen[id] = true
+					kept = append(kept, id)
+				}
+			}
+			if len(kept) > 0 {
+				groups = append(groups, kept)
+			}
+		}
+	}
+	for i := range n {
+		if !seen[i] && alive(int32(i)) {
+			groups = append(groups, []int32{int32(i)})
+		}
+	}
+	return groups
 }
 
 // BuildRegionCR constructs a UV-index of the given cell order (1 = the

@@ -36,7 +36,7 @@ type CRResult struct {
 // DeriveScratch instead. Both produce bitwise-identical cr-sets.
 func DeriveCRObjects(tree *rtree.Tree, oi uncertain.Object, objs []uncertain.Object, domain geom.Rect, k, ks, samples int) CRResult {
 	sc := NewDeriveScratch()
-	cr, ds, nC := deriveCR(tree, oi, objs, domain, k, ks, samples, false, sc)
+	cr, ds, nC := deriveCR(tree, nil, oi, objs, domain, k, ks, samples, false, sc)
 	// The scratch is throwaway here, so its seeded region and seed list
 	// (in discovery order — deriveCR sorts a copy, not sc.seeds) can be
 	// handed out directly.

@@ -60,7 +60,7 @@ func TestDenseSeedsNeverOverlap(t *testing.T) {
 	tree := buildTestTree(objs)
 	var sc DeriveScratch
 	for i := 0; i < len(objs); i += 7 {
-		sc.selectSeeds(tree, objs[i], 100, 8)
+		sc.selectSeeds(tree, objs[i], geom.Square(1000), 100, 8)
 		for _, id := range sc.seeds {
 			if objs[i].Region.Overlaps(objs[id].Region) {
 				t.Fatalf("object %d got overlapping seed %d", i, id)

@@ -357,9 +357,12 @@ func BuildOrderK(store *uncertain.Store, domain geom.Rect, tree *rtree.Tree, k i
 		prune time.Duration
 		sumCR int64
 	}
-	workers := derive.Each(len(objs), store.Alive, opts.Workers, pprof.Labels("engine", "orderk", "stage", "derive"),
+	workers := derive.Each(len(objs), opts.Workers, pprof.Labels("engine", "orderk", "stage", "derive"),
 		func() *worker { return &worker{sc: NewDeriveScratch()} },
 		func(w *worker, i int) {
+			if !store.Alive(int32(i)) {
+				return
+			}
 			p0 := time.Now()
 			crSets[i], _ = DeriveOrderKCR(tree, objs[i], objs, domain, k, opts.RegionSamples, w.sc)
 			w.prune += time.Since(p0)

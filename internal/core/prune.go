@@ -15,10 +15,25 @@ import (
 // off the R-tree walk. MaxRadius reads the region's cached profile, so
 // the O(samples × constraints) re-sweep the eager implementation paid
 // here is gone.
-func iPruneInto(tree *rtree.Tree, oi uncertain.Object, region *PossibleRegion, samples int, ids []int32) []int32 {
+//
+// When oi's group list g (nil for none) lists every center within the
+// range — the radius plus oi's offset from the group's center is at
+// most its cover — the range is a filter of the list instead, with
+// dist[j] the distance from oi's center to item j's (seedsFromList's),
+// the same expression the tree walk evaluates. The ids then come in list
+// order rather than walk order; callers sort the survivors.
+func iPruneInto(tree *rtree.Tree, g *seedGroup, oi uncertain.Object, region *PossibleRegion, samples int, ids []int32, dist []float64) []int32 {
 	d := region.MaxRadius(samples)
 	radius := 2*d - oi.Region.R
 	if radius <= 0 {
+		return ids
+	}
+	if g != nil && radius+oi.Region.C.Dist(g.center) <= g.cover {
+		for j, it := range g.items {
+			if dist[j] <= radius && it.ID != oi.ID {
+				ids = append(ids, it.ID)
+			}
+		}
 		return ids
 	}
 	tree.CenterRangeFunc(geom.Circle{C: oi.Region.C, R: radius}, func(it rtree.Item) {

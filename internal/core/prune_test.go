@@ -25,7 +25,7 @@ func TestSelectSeeds(t *testing.T) {
 	tree := buildTestTree(objs)
 	oi := objs[50]
 	var sc DeriveScratch
-	sc.selectSeeds(tree, oi, 100, 8)
+	sc.selectSeeds(tree, oi, geom.Square(1000), 100, 8)
 	seeds := sc.seeds
 	if len(seeds) == 0 || len(seeds) > 8 {
 		t.Fatalf("got %d seeds", len(seeds))
@@ -72,7 +72,7 @@ func TestSelectSeedsSmallDataset(t *testing.T) {
 	objs := randObjects(rng, 3, 1000, 10)
 	tree := buildTestTree(objs)
 	var sc DeriveScratch
-	sc.selectSeeds(tree, objs[0], 300, 8)
+	sc.selectSeeds(tree, objs[0], geom.Square(1000), 300, 8)
 	seeds := sc.seeds
 	if len(seeds) > 2 {
 		t.Fatalf("got %d seeds from a 3-object dataset", len(seeds))
@@ -96,13 +96,13 @@ func TestIPruneSound(t *testing.T) {
 		tree := buildTestTree(objs)
 		i := rng.Intn(len(objs))
 		oi := objs[i]
-		sc.selectSeeds(tree, oi, 30, 8)
+		sc.selectSeeds(tree, oi, domain, 30, 8)
 		region := NewPossibleRegion(oi.Region.C, domain)
 		for _, id := range sc.seeds {
 			region.AddObject(oi, objs[id])
 		}
 		kept := map[int32]bool{}
-		for _, id := range iPruneInto(tree, oi, region, 256, nil) {
+		for _, id := range iPruneInto(tree, nil, oi, region, 256, nil, nil) {
 			kept[id] = true
 		}
 		for j := range objs {

@@ -27,6 +27,13 @@ import (
 // center, id), the first k+1 kept, then one pass of the sector loop
 // over them. live is the live population (Oi among it).
 func referenceSelectSeeds(live []uncertain.Object, oi uncertain.Object, k, ks int) []int32 {
+	seeds, _ := referenceSeedPulls(live, oi, k, ks)
+	return seeds
+}
+
+// referenceSeedPulls is referenceSelectSeeds that also returns how many
+// objects the sector loop consumed.
+func referenceSeedPulls(live []uncertain.Object, oi uncertain.Object, k, ks int) ([]int32, int) {
 	if k <= 0 {
 		k = DefaultSeedK
 	}
@@ -52,7 +59,9 @@ func referenceSelectSeeds(live []uncertain.Object, oi uncertain.Object, k, ks in
 	}
 	seeds := make([]int32, 0, ks)
 	taken := make([]bool, ks)
+	pulls := 0
 	for _, c := range cands {
+		pulls++
 		if c.o.ID == oi.ID || oi.Region.Overlaps(c.o.Region) {
 			continue
 		}
@@ -69,7 +78,7 @@ func referenceSelectSeeds(live []uncertain.Object, oi uncertain.Object, k, ks in
 			}
 		}
 	}
-	return seeds
+	return seeds, pulls
 }
 
 // referenceRadius is Radius through the SPECIFICATION: the domain

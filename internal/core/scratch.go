@@ -25,6 +25,9 @@ type DeriveScratch struct {
 	run    []rtree.Item // one run of equal distmin off the browse
 	seedK  int          // k of the seed query in progress
 	pulled int          // neighbors consumed by it
+	reach  []float64    // its sectors' domain reach, once needed
+	keyed  []keyedRef   // group-list entries within the seed radius
+	dist   []float64    // distance to every group-list item's center
 	ids    []int32      // I-pruning survivors
 	kept   []int32      // C-pruning survivors
 	sorted []int32      // sorted copy of seeds for the union merge
@@ -48,7 +51,7 @@ func NewDeriveScratch() *DeriveScratch { return &DeriveScratch{} }
 // registry retains it). The set is bitwise identical to
 // DeriveCRObjects(...).CR.
 func DeriveCR(tree *rtree.Tree, oi uncertain.Object, objs []uncertain.Object, domain geom.Rect, k, ks, samples int, sc *DeriveScratch) []int32 {
-	cr, _, _ := deriveCR(tree, oi, objs, domain, k, ks, samples, false, sc)
+	cr, _, _ := deriveCR(tree, nil, oi, objs, domain, k, ks, samples, false, sc)
 	return cr
 }
 
@@ -67,7 +70,7 @@ func DeriveCRFrom(tree *rtree.Tree, oi uncertain.Object, prev []int32, objs []un
 	for _, id := range prev {
 		region.AddObject(oi, objs[id])
 	}
-	sc.ids = iPruneInto(tree, oi, region, samples, sc.ids[:0])
+	sc.ids = iPruneInto(tree, nil, oi, region, samples, sc.ids[:0], nil)
 	kept := cPruneInto(sc.ids, oi, region, samples, objs, sc)
 	slices.Sort(kept)
 	sc.sorted = append(sc.sorted[:0], prev...)
@@ -76,10 +79,14 @@ func DeriveCRFrom(tree *rtree.Tree, oi uncertain.Object, prev []int32, objs []un
 
 // deriveCR runs seeds + pruning + merge with sc's buffers, returning
 // the retained cr-set, the build counters of this one object (seed and
-// prune time, |I|, |Ci|) and the C-pruning survivor count.
-func deriveCR(tree *rtree.Tree, oi uncertain.Object, objs []uncertain.Object, domain geom.Rect, k, ks, samples int, disableCPrune bool, sc *DeriveScratch) (cr []int32, ds deriveStats, nC int) {
+// prune time, |I|, |Ci|) and the C-pruning survivor count. g, when not
+// nil, is the shared list of oi's group: seeds and the I-pruning range
+// come from it where it suffices, and from the tree where it does not.
+func deriveCR(tree *rtree.Tree, g *seedGroup, oi uncertain.Object, objs []uncertain.Object, domain geom.Rect, k, ks, samples int, disableCPrune bool, sc *DeriveScratch) (cr []int32, ds deriveStats, nC int) {
 	ts := time.Now()
-	sc.selectSeeds(tree, oi, k, ks)
+	if g == nil || !sc.seedsFromList(g, oi, domain, k, ks) {
+		sc.selectSeeds(tree, oi, domain, k, ks)
+	}
 	region := &sc.region
 	region.Reset(oi.Region.C, domain)
 	for _, id := range sc.seeds {
@@ -87,7 +94,7 @@ func deriveCR(tree *rtree.Tree, oi uncertain.Object, objs []uncertain.Object, do
 	}
 	tp := time.Now()
 	ds.seed = tp.Sub(ts)
-	sc.ids = iPruneInto(tree, oi, region, samples, sc.ids[:0])
+	sc.ids = iPruneInto(tree, g, oi, region, samples, sc.ids[:0], sc.dist)
 	kept := sc.ids
 	if !disableCPrune {
 		kept = cPruneInto(sc.ids, oi, region, samples, objs, sc)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -50,9 +51,34 @@ func ringObjects(c geom.Point) []uncertain.Object {
 	return pointObjects(cs)
 }
 
+// groupPathSeeds derives every object's seeds the way Build does: one
+// shared list per helper-R-tree leaf, each member's seeds from it, and
+// the member's own browse where the list cannot settle them. It returns
+// the seeds by id and how many objects the list settled.
+func groupPathSeeds(tree *rtree.Tree, objs []uncertain.Object, domain geom.Rect, k, ks int) ([][]int32, int) {
+	all := func(int32) bool { return true }
+	out := make([][]int32, len(objs))
+	var g seedGroup
+	sc := NewDeriveScratch()
+	fromList := 0
+	for _, members := range leafGroups(tree, len(objs), all) {
+		listed := g.collect(tree, objs, members)
+		for _, id := range members {
+			if listed && sc.seedsFromList(&g, objs[id], domain, k, ks) {
+				fromList++
+			} else {
+				sc.selectSeeds(tree, objs[id], domain, k, ks)
+			}
+			out[id] = slices.Clone(sc.seeds)
+		}
+	}
+	return out, fromList
+}
+
 // TestSelectSeedsLattice: when every distance ties, the seeds are still
-// the brute-force (distmin, id) oracle's, at cuts (k+1) that fall
-// inside a run of equal keys and with every sector count.
+// the brute-force (distmin, id) oracle's, on the browse path and on the
+// group-list path, at cuts (k+1) that fall inside a run of equal keys
+// and with every sector count.
 func TestSelectSeedsLattice(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -66,14 +92,75 @@ func TestSelectSeedsLattice(t *testing.T) {
 		var sc DeriveScratch
 		for _, k := range []int{3, 6, 20, 300} {
 			for _, ks := range []int{4, 8, 12} {
+				listed, fromList := groupPathSeeds(tree, tc.objs, tc.domain, k, ks)
+				if fromList == 0 {
+					t.Errorf("%s k=%d ks=%d: the group lists settled no object", tc.name, k, ks)
+				}
 				for _, oi := range tc.objs {
 					want := referenceSelectSeeds(tc.objs, oi, k, ks)
-					sc.selectSeeds(tree, oi, k, ks)
+					sc.selectSeeds(tree, oi, tc.domain, k, ks)
 					if !slices.Equal(sc.seeds, want) {
 						t.Fatalf("%s k=%d ks=%d object %d: browse seeds %v, oracle %v", tc.name, k, ks, oi.ID, sc.seeds, want)
 					}
+					if !slices.Equal(listed[oi.ID], want) {
+						t.Fatalf("%s k=%d ks=%d object %d: group-path seeds %v, oracle %v", tc.name, k, ks, oi.ID, listed[oi.ID], want)
+					}
 				}
 			}
+		}
+	}
+}
+
+// jitteredObjects puts one small object at a random point of every
+// spacing-sided cell of the domain, so objects lie within one spacing
+// of each edge and each corner.
+func jitteredObjects(rng *rand.Rand, domain geom.Rect, spacing float64) []uncertain.Object {
+	var objs []uncertain.Object
+	for x := domain.Min.X; x < domain.Max.X; x += spacing {
+		for y := domain.Min.Y; y < domain.Max.Y; y += spacing {
+			c := geom.Pt(x+rng.Float64()*spacing, y+rng.Float64()*spacing)
+			objs = append(objs, uncertain.New(int32(len(objs)), geom.Circle{C: c, R: 0.02 * spacing}, nil))
+		}
+	}
+	return objs
+}
+
+// TestSeedReachStop: the browse stops once no open sector can still be
+// seeded — its distmin passed the domain reach of every open sector —
+// and the group lists settle edge objects the same way. Near edges and
+// corners, and in long thin domains, sectors facing out of the domain
+// stay empty; the seeds must still be the brute-force oracle's, and the
+// browse must consume fewer neighbors than the oracle's full loop.
+func TestSeedReachStop(t *testing.T) {
+	rng := rand.New(rand.NewSource(331))
+	for _, domain := range []geom.Rect{
+		{Max: geom.Pt(400, 400)},
+		{Max: geom.Pt(1000, 50)}, // 20:1
+		{Max: geom.Pt(50, 1000)}, // 1:20
+	} {
+		objs := jitteredObjects(rng, domain, 10)
+		tree := buildTestTree(objs)
+		var sc DeriveScratch
+		for _, ks := range []int{4, 8, 12} {
+			listed, _ := groupPathSeeds(tree, objs, domain, DefaultSeedK, ks)
+			pulls, oraclePulls := 0, 0
+			for _, oi := range objs {
+				want, n := referenceSeedPulls(objs, oi, DefaultSeedK, ks)
+				oraclePulls += n
+				sc.selectSeeds(tree, oi, domain, DefaultSeedK, ks)
+				pulls += sc.pulled
+				if !slices.Equal(sc.seeds, want) {
+					t.Fatalf("domain %v ks=%d object %d at %v: browse seeds %v, oracle %v", domain, ks, oi.ID, oi.Region.C, sc.seeds, want)
+				}
+				if !slices.Equal(listed[oi.ID], want) {
+					t.Fatalf("domain %v ks=%d object %d at %v: group-path seeds %v, oracle %v", domain, ks, oi.ID, oi.Region.C, listed[oi.ID], want)
+				}
+			}
+			if pulls >= oraclePulls {
+				t.Errorf("domain %v ks=%d: the browse consumed %d neighbors, the full loop %d", domain, ks, pulls, oraclePulls)
+			}
+			t.Logf("domain %v ks=%d: %.1f neighbors per object, %.1f without the reach stop", domain, ks,
+				float64(pulls)/float64(len(objs)), float64(oraclePulls)/float64(len(objs)))
 		}
 	}
 }

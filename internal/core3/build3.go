@@ -222,8 +222,7 @@ func Build3(objs []uncertain3.Object3, domain geom3.Box, opts Options3) (*OctInd
 		prune time.Duration
 		sumCR int64
 	}
-	everyID := func(int32) bool { return true } // no tombstones in 3D
-	workers := derive.Each(len(objs), everyID, opts.Workers, pprof.Labels("engine", "uv3", "stage", "derive"),
+	workers := derive.Each(len(objs), opts.Workers, pprof.Labels("engine", "uv3", "stage", "derive"),
 		func() *worker { return &worker{sc: NewDeriveScratch3()} },
 		func(w *worker, i int) {
 			p0 := time.Now()

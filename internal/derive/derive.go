@@ -25,15 +25,17 @@ import (
 	"sync/atomic"
 )
 
-// Each calls visit(w, id) exactly once for every id in [0, n) that
-// alive reports live, and returns the worker states for the caller to
-// merge. With workers > 1 that many goroutines pull ids off one shared
-// counter; otherwise the visits run inline on the caller's goroutine.
-// Every goroutine gets its own W from newWorker — its scratch arena and
-// stats — so visit needs no synchronization beyond writing to per-id
-// slots, and results cannot depend on the worker count. All visits run
-// under the given pprof labels. alive must be safe for concurrent use.
-func Each[W any](n int, alive func(int32) bool, workers int, labels pprof.LabelSet, newWorker func() *W, visit func(w *W, id int)) []*W {
+// Each calls visit(w, u) exactly once for every unit u in [0, units)
+// and returns the worker states for the caller to merge. A unit is
+// whatever the caller derives in one piece — one object id, or a group
+// of objects that share their searches — and the caller maps it to ids
+// (skipping tombstones). With workers > 1 that many goroutines pull
+// units off one shared counter; otherwise the visits run inline on the
+// caller's goroutine. Every goroutine gets its own W from newWorker —
+// its scratch arena and stats — so visit needs no synchronization
+// beyond writing to per-id slots, and results cannot depend on the
+// worker count. All visits run under the given pprof labels.
+func Each[W any](units, workers int, labels pprof.LabelSet, newWorker func() *W, visit func(w *W, unit int)) []*W {
 	if workers < 1 {
 		workers = 1
 	}
@@ -44,13 +46,11 @@ func Each[W any](n int, alive func(int32) bool, workers int, labels pprof.LabelS
 			w := newWorker()
 			states[slot] = w
 			for {
-				id := int(next.Add(1)) - 1
-				if id >= n {
+				u := int(next.Add(1)) - 1
+				if u >= units {
 					return
 				}
-				if alive(int32(id)) {
-					visit(w, id)
-				}
+				visit(w, u)
 			}
 		})
 	}

@@ -10,8 +10,9 @@ import (
 )
 
 // TestEachVisitsLiveIDsOnce drives the population driver at every
-// worker count the engines use: each live id is visited exactly once,
-// tombstoned slots are never touched, and the merged per-worker stats
+// worker count the engines use, with per-id units the way the order-k
+// and 3-D engines call it: each unit is visited exactly once, the
+// caller's tombstone filter leaves dead slots untouched, and the merged per-worker stats
 // equal the inline path's. Run under -race it is also the check that
 // private worker state plus per-id output slots need no locking.
 func TestEachVisitsLiveIDsOnce(t *testing.T) {
@@ -27,9 +28,12 @@ func TestEachVisitsLiveIDsOnce(t *testing.T) {
 	}
 	run := func(workers int) ([]*int, totals) {
 		out := make([]*int, n)
-		states := Each(n, alive, workers, pprof.Labels("test", "each"),
+		states := Each(n, workers, pprof.Labels("test", "each"),
 			func() *worker { return &worker{} },
 			func(w *worker, id int) {
+				if !alive(int32(id)) {
+					return
+				}
 				if out[id] != nil {
 					t.Errorf("workers=%d: id %d visited twice", workers, id)
 				}

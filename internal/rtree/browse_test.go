@@ -170,3 +170,54 @@ func TestCenterRangeFuncMatchesCenterRange(t *testing.T) {
 		}
 	}
 }
+
+// TestNearFuncMatchesBruteForce: NearFunc visits exactly the items
+// whose distmin from q is within the radius, and LeafIDs partitions the
+// tree's items into one group per leaf.
+func TestNearFuncMatchesBruteForce(t *testing.T) {
+	tree := browseTree(t, 300, 6)
+	var all []Item
+	tree.Search(tree.Bounds(), func(it Item) bool { all = append(all, it); return true })
+	rng := rand.New(rand.NewSource(6))
+	for trial := 0; trial < 25; trial++ {
+		q := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
+		radius := rng.Float64() * 300
+		want := map[int32]bool{}
+		for _, it := range all {
+			if max(0, q.Dist(it.MBC.C)-it.MBC.R) <= radius {
+				want[it.ID] = true
+			}
+		}
+		got := map[int32]bool{}
+		tree.NearFunc(q, radius, func(it Item) {
+			if got[it.ID] {
+				t.Fatalf("trial %d: item %d visited twice", trial, it.ID)
+			}
+			got[it.ID] = true
+		})
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d items visited, want %d", trial, len(got), len(want))
+		}
+		for id := range want {
+			if !got[id] {
+				t.Fatalf("trial %d: item %d missed", trial, id)
+			}
+		}
+	}
+	seen := map[int32]bool{}
+	leaves := tree.LeafIDs()
+	if len(leaves) != tree.LeafCount() {
+		t.Fatalf("%d leaf groups, %d leaves", len(leaves), tree.LeafCount())
+	}
+	for _, ids := range leaves {
+		for _, id := range ids {
+			if seen[id] {
+				t.Fatalf("id %d in two leaves", id)
+			}
+			seen[id] = true
+		}
+	}
+	if len(seen) != len(all) {
+		t.Fatalf("leaves hold %d ids, the tree %d items", len(seen), len(all))
+	}
+}

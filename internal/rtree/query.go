@@ -85,6 +85,58 @@ func (t *Tree) CenterRangeFunc(c geom.Circle, visit func(Item)) {
 	walk(hd.root)
 }
 
+// NearFunc visits, in depth-first leaf-walk order, every item whose
+// distmin from q — max(0, |q − c| − r), the NN browse's key — is at
+// most radius. Derivation collects one neighbor list per leaf group
+// with it.
+func (t *Tree) NearFunc(q geom.Point, radius float64, visit func(Item)) {
+	hd := t.hdr.Load()
+	if hd.size == 0 {
+		return
+	}
+	var walk func(n *node)
+	walk = func(n *node) {
+		if n.rect.MinDist(q) > radius {
+			return
+		}
+		if n.isLeaf() {
+			t.visitLeaf(n, func(it Item) {
+				if q.Dist(it.MBC.C)-it.MBC.R <= radius {
+					visit(it)
+				}
+			})
+			return
+		}
+		for _, ch := range n.children {
+			walk(ch)
+		}
+	}
+	walk(hd.root)
+}
+
+// LeafIDs returns the item ids of every leaf, one slice per leaf in
+// depth-first order: the groups of spatially close objects derivation
+// visits together. Each leaf costs one page read.
+func (t *Tree) LeafIDs() [][]int32 {
+	var out [][]int32
+	var walk func(n *node)
+	walk = func(n *node) {
+		if !n.isLeaf() {
+			for _, ch := range n.children {
+				walk(ch)
+			}
+			return
+		}
+		ids := make([]int32, 0, n.count)
+		t.visitLeaf(n, func(it Item) { ids = append(ids, it.ID) })
+		out = append(out, ids)
+	}
+	if hd := t.hdr.Load(); hd.size > 0 {
+		walk(hd.root)
+	}
+	return out
+}
+
 // Neighbor is a k-nearest-neighbor result: an item and its minimum
 // possible distance from the query point.
 type Neighbor struct {
