@@ -551,9 +551,14 @@ func (db *DB) maybeCompact() int {
 // compaction the new shard's own flag did not account for.)
 func (db *DB) autoCompact(lo *shardLayout, i int) {
 	sh := lo.shards[i]
-	defer sh.compacting.Store(false)
 	db.smu.RLock()
 	defer db.smu.RUnlock()
+	// Release the singleflight flag while still holding smu: a mutation
+	// that lands after this run then finds the flag clear, and its
+	// watermark check can arm the next run. Released after RUnlock, a
+	// mutation slipping in between saw the flag still set, and its slack
+	// stranded.
+	defer sh.compacting.Store(false)
 	// The watermark decision was made against THIS layout's shard; if a
 	// Reshard replaced the layout meanwhile, the new shard i was just
 	// freshly built (zero slack) and carries its own singleflight flag —
