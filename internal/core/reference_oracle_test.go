@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"uvdiagram/internal/geom"
@@ -48,11 +50,11 @@ func referenceSeedPulls(live []uncertain.Object, oi uncertain.Object, k, ks int)
 	for i, o := range live {
 		cands[i] = cand{math.Max(0, oi.Region.C.Dist(o.Region.C)-o.Region.R), o}
 	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].key != cands[b].key {
-			return cands[a].key < cands[b].key
+	slices.SortFunc(cands, func(a, b cand) int {
+		if a.key != b.key {
+			return cmp.Compare(a.key, b.key)
 		}
-		return cands[a].o.ID < cands[b].o.ID
+		return cmp.Compare(a.o.ID, b.o.ID)
 	})
 	if len(cands) > k+1 {
 		cands = cands[:k+1]

@@ -101,8 +101,7 @@ func (g *seedGroup) collect(tree *rtree.Tree, objs []uncertain.Object, members [
 	box := geom.Rect{Min: c0, Max: c0}
 	for _, id := range members[1:] {
 		c := objs[id].Region.C
-		box.Min.X, box.Min.Y = min(box.Min.X, c.X), min(box.Min.Y, c.Y)
-		box.Max.X, box.Max.Y = max(box.Max.X, c.X), max(box.Max.Y, c.Y)
+		box = box.Union(geom.Rect{Min: c, Max: c})
 	}
 	area := box.Area()
 	if area == 0 { // collinear members: a square on the longer side
@@ -152,8 +151,8 @@ func (sc *DeriveScratch) seedsFromList(g *seedGroup, oi uncertain.Object, domain
 	for j, it := range g.items {
 		d := c.Dist(it.MBC.C)
 		dist = append(dist, d)
-		if max(0, d-it.MBC.R) <= g.rho {
-			keyed = append(keyed, keyedRef{key: max(0, d-it.MBC.R), id: it.ID, ref: int32(j)})
+		if key := max(0, d-it.MBC.R); key <= g.rho {
+			keyed = append(keyed, keyedRef{key: key, id: it.ID, ref: int32(j)})
 		}
 	}
 	sc.dist, sc.keyed = dist, keyed

@@ -134,9 +134,9 @@ func jitteredObjects(rng *rand.Rand, domain geom.Rect, spacing float64) []uncert
 func TestSeedReachStop(t *testing.T) {
 	rng := rand.New(rand.NewSource(331))
 	for _, domain := range []geom.Rect{
-		{Max: geom.Pt(400, 400)},
-		{Max: geom.Pt(1000, 50)}, // 20:1
-		{Max: geom.Pt(50, 1000)}, // 1:20
+		{Max: geom.Pt(250, 250)},
+		{Max: geom.Pt(800, 40)}, // 20:1
+		{Max: geom.Pt(40, 800)}, // 1:20
 	} {
 		objs := jitteredObjects(rng, domain, 10)
 		tree := buildTestTree(objs)

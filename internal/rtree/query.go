@@ -61,28 +61,7 @@ func (t *Tree) CenterRange(c geom.Circle) []Item {
 // The visitor form lets hot callers (I-pruning) collect ids into their
 // own scratch buffers without materializing an []Item per call.
 func (t *Tree) CenterRangeFunc(c geom.Circle, visit func(Item)) {
-	hd := t.hdr.Load()
-	if hd.size == 0 {
-		return
-	}
-	var walk func(n *node)
-	walk = func(n *node) {
-		if n.rect.MinDist(c.C) > c.R {
-			return
-		}
-		if n.isLeaf() {
-			t.visitLeaf(n, func(it Item) {
-				if it.MBC.C.Dist(c.C) <= c.R {
-					visit(it)
-				}
-			})
-			return
-		}
-		for _, ch := range n.children {
-			walk(ch)
-		}
-	}
-	walk(hd.root)
+	t.walkWithin(c.C, c.R, func(it Item) bool { return it.MBC.C.Dist(c.C) <= c.R }, visit)
 }
 
 // NearFunc visits, in depth-first leaf-walk order, every item whose
@@ -90,6 +69,13 @@ func (t *Tree) CenterRangeFunc(c geom.Circle, visit func(Item)) {
 // most radius. Derivation collects one neighbor list per leaf group
 // with it.
 func (t *Tree) NearFunc(q geom.Point, radius float64, visit func(Item)) {
+	t.walkWithin(q, radius, func(it Item) bool { return q.Dist(it.MBC.C)-it.MBC.R <= radius }, visit)
+}
+
+// walkWithin visits, in depth-first leaf-walk order, every item that
+// keep accepts among the leaves whose MBR lies within radius of q. keep
+// must reject every item whose MBR lies farther than radius from q.
+func (t *Tree) walkWithin(q geom.Point, radius float64, keep func(Item) bool, visit func(Item)) {
 	hd := t.hdr.Load()
 	if hd.size == 0 {
 		return
@@ -101,7 +87,7 @@ func (t *Tree) NearFunc(q geom.Point, radius float64, visit func(Item)) {
 		}
 		if n.isLeaf() {
 			t.visitLeaf(n, func(it Item) {
-				if q.Dist(it.MBC.C)-it.MBC.R <= radius {
+				if keep(it) {
 					visit(it)
 				}
 			})
