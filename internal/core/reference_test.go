@@ -187,3 +187,51 @@ func TestMergeIDs(t *testing.T) {
 		t.Fatalf("mergeIDs(nil, nil) = %v, want empty", got)
 	}
 }
+
+// TestDeriveEquivalenceDynamicTree: the group path over a helper R-tree
+// that grew and shrank by single inserts and deletes — leaves of uneven
+// size and spread, tombstoned store slots — still derives the
+// reference's sets, sequentially and on 3 workers.
+func TestDeriveEquivalenceDynamicTree(t *testing.T) {
+	cfg := datagen.Config{N: 400, Side: 2000, Diameter: 40, Seed: 83}
+	store, err := uncertain.NewStore(datagen.Skewed(cfg, 400), pager.New(pager.DefaultPageSize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultBuildOptions()
+	opts.SeedK = 60
+	tree := BuildHelperRTree(store, 16)
+	rng := rand.New(rand.NewSource(84))
+	for i := 0; i < 120; i++ {
+		if id := int32(rng.Intn(store.Len())); store.Alive(id) && rng.Intn(2) == 0 {
+			o := store.Dense()[id]
+			if err := store.Delete(id); err != nil {
+				t.Fatal(err)
+			}
+			tree.Delete(id, o.Region)
+			continue
+		}
+		c := geom.Pt(rng.Float64()*cfg.Side, rng.Float64()*cfg.Side)
+		o := uncertain.New(int32(store.Len()), geom.Circle{C: c, R: 5 + rng.Float64()*30}, nil)
+		if err := store.Append(o); err != nil {
+			t.Fatal(err)
+		}
+		tree.Insert(rtree.Item{ID: o.ID, MBC: o.Region, Ptr: uint64(o.ID)})
+	}
+	want, err := DeriveCRSetsReference(store, cfg.Domain(), tree, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 3} {
+		opts.Workers = workers
+		got, _, err := DeriveCRSets(store, cfg.Domain(), tree, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if !equalIDSlices(got[i], want[i]) {
+				t.Fatalf("workers %d, object %d: cr-set %v, reference %v", workers, i, got[i], want[i])
+			}
+		}
+	}
+}
