@@ -1,17 +1,19 @@
 package uvdiagram
 
 import (
-	"sort"
 	"time"
 
+	"uvdiagram/internal/core"
 	"uvdiagram/internal/prob"
-	"uvdiagram/internal/uncertain"
 )
 
 // PNNViaRTree answers the same PNN query through the R-tree
 // branch-and-prune strategy of [14] — the baseline the paper compares
-// the UV-index against in Figure 6. Answers are identical to PNN; only
-// the retrieval cost differs.
+// the UV-index against in Figure 6. Only the retrieval cost differs:
+// the answers are bitwise identical to PNN's, because both paths hand
+// their candidate ids to the same fetch-and-integrate step
+// (core.AnswerFrom), which integrates them in one canonical order,
+// ascending id, whatever order the index walk produced them in.
 func (db *DB) PNNViaRTree(q Point) ([]Answer, QueryStats, error) {
 	var st QueryStats
 	t := db.egc.Pin()
@@ -26,37 +28,16 @@ func (db *DB) PNNViaRTree(q Point) ([]Answer, QueryStats, error) {
 	before := tree.Pager().Reads()
 	items, _ := tree.PNNCandidates(q)
 	st.IndexIOs = tree.Pager().Reads() - before
-	st.Candidates = len(items)
+	ids := make([]int32, len(items))
+	for i, it := range items {
+		ids[i] = it.ID
+	}
 	st.TraverseDur = time.Since(t0)
 
-	t1 := time.Now()
-	cands := make([]uncertain.Object, 0, len(items))
-	ids := make([]int32, 0, len(items))
-	for _, it := range items {
-		o, err := view.Fetch(it.ID)
-		if err != nil {
-			return nil, st, err
-		}
-		cands = append(cands, o)
-		ids = append(ids, it.ID)
-		st.ObjectIOs++
-	}
-	st.ObjectPages = view.Pages(ids)
-	st.RetrieveDur = time.Since(t1)
-
-	t2 := time.Now()
-	var sc prob.Scratch
-	ps := prob.ProbsScratch(cands, q, &sc)
-	st.CDFEvals, st.QuadCapped = sc.CDFEvals, sc.Capped
-	var answers []Answer
-	for i, p := range ps {
-		if p > 0 {
-			answers = append(answers, Answer{ID: cands[i].ID, Prob: p})
-		}
-	}
-	sort.Slice(answers, func(i, j int) bool { return answers[i].ID < answers[j].ID })
-	st.ProbDur = time.Since(t2)
-	return answers, st, nil
+	sc := db.queryScratch()
+	answers, err := core.AnswerFrom(view, q, ids, sc, &st)
+	db.scratch.Put(sc)
+	return answers, st, err
 }
 
 // Probabilities computes qualification probabilities for an explicit

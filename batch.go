@@ -31,13 +31,19 @@ func (o *BatchOptions) workers() int {
 // buffers and the probability-integration vectors are all reused, so a
 // steady-state PNN, single or batched, allocates only its answer slice.
 func (db *DB) pnnOn(ix *core.UVIndex, q Point) ([]Answer, QueryStats, error) {
-	sc, ok := db.scratch.Get().(*core.QueryScratch)
-	if !ok {
-		sc = new(core.QueryScratch)
-	}
+	sc := db.queryScratch()
 	answers, st, err := ix.PNNWith(q, sc)
 	db.scratch.Put(sc) // the answers are already copied out
 	return answers, st, err
+}
+
+// queryScratch draws a query scratch from the DB's pool; the caller
+// puts it back once its answers are copied out.
+func (db *DB) queryScratch() *core.QueryScratch {
+	if sc, ok := db.scratch.Get().(*core.QueryScratch); ok {
+		return sc
+	}
+	return new(core.QueryScratch)
 }
 
 // BufferPoolStats is the serving-side memory economy snapshot: the

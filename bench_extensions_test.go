@@ -30,7 +30,7 @@ func Benchmark_Ext_RNN(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				q := f.queries[i%len(f.queries)]
-				_, st := rnn.PossibleRNN(objs, f.db.RTree(), q, rnn.Options{})
+				_, st := rnn.PossibleRNN(objs, f.db.RTree(), q, nil)
 				cands += st.Candidates
 				answers += st.Answers
 			}
@@ -46,7 +46,7 @@ func Benchmark_Ext_RNN_Probabilities(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := f.queries[i%len(f.queries)]
-		rnn.Query(objs, f.db.RTree(), q, rnn.Options{})
+		rnn.Query(objs, f.db.RTree(), q, nil)
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sync/atomic"
@@ -345,33 +344,41 @@ func (ix *UVIndex) PNNWith(q geom.Point, sc *QueryScratch) ([]Answer, QueryStats
 		}
 	}
 	sc.candIDs = candIDs
-	// Canonical candidate order. A fresh build lists leaf tuples in id
-	// order already, but incremental maintenance (delete re-inserts,
-	// splits) appends out of order, and the probability integration's
-	// floating-point products depend on operand order — sorting keeps
-	// answers BITWISE identical to a fresh build over the same
-	// population.
-	slices.Sort(candIDs)
-	st.Candidates = len(candIDs)
 	st.TraverseDur = time.Since(t0)
 
-	// Phase 2: object retrieval.
+	answers, err := AnswerFrom(view, q, candIDs, sc, &st)
+	return answers, st, err
+}
+
+// AnswerFrom is the fetch-and-integrate half of a PNN over candidate
+// ids, shared by the UV-index (PNNWith) and the R-tree baseline. It
+// sorts ids in place, fetches the objects through view (one ObjectIO
+// each, counting the distinct ObjectPages), integrates their
+// qualification probabilities and returns the answers with p > 0, in
+// that sorted id order. It sets st's Candidates, retrieval and integration
+// fields. The sort is the canonical candidate order: the integration's
+// floating-point products depend on operand order, so whichever index
+// produced the set, and in whatever order (leaf tuples appended by
+// incremental maintenance, an R-tree walk), the same set gives
+// bitwise-identical answers.
+func AnswerFrom(view *uncertain.View, q geom.Point, ids []int32, sc *QueryScratch, st *QueryStats) ([]Answer, error) {
 	t1 := time.Now()
+	slices.Sort(ids)
+	st.Candidates = len(ids)
 	cands := sc.cands[:0]
 	sc.fetch.Reset()
-	for _, id := range candIDs {
+	for _, id := range ids {
 		o, err := view.FetchWith(id, &sc.fetch)
 		if err != nil {
-			return nil, st, err
+			return nil, err
 		}
 		cands = append(cands, o)
 		st.ObjectIOs++
 	}
-	st.ObjectPages = view.Pages(candIDs)
+	st.ObjectPages = view.Pages(ids)
 	sc.cands = cands
 	st.RetrieveDur = time.Since(t1)
 
-	// Phase 3: probability computation.
 	t2 := time.Now()
 	ps := prob.ProbsScratch(cands, q, &sc.prob)
 	st.CDFEvals, st.QuadCapped = sc.prob.CDFEvals, sc.prob.Capped
@@ -381,9 +388,8 @@ func (ix *UVIndex) PNNWith(q geom.Point, sc *QueryScratch) ([]Answer, QueryStats
 			answers = append(answers, Answer{ID: cands[i].ID, Prob: p})
 		}
 	}
-	slices.SortFunc(answers, func(a, b Answer) int { return cmp.Compare(a.ID, b.ID) })
 	st.ProbDur = time.Since(t2)
-	return answers, st, nil
+	return answers, nil
 }
 
 const infinity = 1e308

@@ -87,31 +87,7 @@ func (p *PossibleRegion) MaxRadiusK(samples, k int) float64 {
 	for i := range vals {
 		vals[i] = eval(2 * math.Pi * float64(i) / float64(samples))
 	}
-	return ringMax(vals, eval)
-}
-
-// ringMax returns the inflated maximum of the radial function eval,
-// given its values vals over the uniform angle ring 2πi/len(vals): the
-// best sample, improved by a golden-section polish around every local
-// maximum of the ring.
-func ringMax(vals []float64, eval func(phi float64) float64) float64 {
-	samples := len(vals)
-	best := 0.0
-	for i, v := range vals {
-		if v > best {
-			best = v
-		}
-		prev := vals[(i+samples-1)%samples]
-		next := vals[(i+1)%samples]
-		if v >= prev && v >= next {
-			lo := 2 * math.Pi * float64(i-1) / float64(samples)
-			hi := 2 * math.Pi * float64(i+1) / float64(samples)
-			if r := goldenMaxPhi(eval, lo, hi, 40); r > best {
-				best = r
-			}
-		}
-	}
-	return best * (1 + 1e-6)
+	return derive.RingMax(vals, eval)
 }
 
 // AreaK approximates the area of the order-k region by the radial
@@ -127,32 +103,6 @@ func (p *PossibleRegion) AreaK(samples, k int) float64 {
 		acc += r * r
 	}
 	return acc * math.Pi / float64(samples)
-}
-
-// goldenMaxPhi maximizes f on [lo, hi] by golden-section search,
-// returning the best value seen.
-func goldenMaxPhi(f func(float64) float64, lo, hi float64, iters int) float64 {
-	const invPhi = 0.6180339887498949
-	a, b := lo, hi
-	x1 := b - invPhi*(b-a)
-	x2 := a + invPhi*(b-a)
-	f1, f2 := f(x1), f(x2)
-	best := math.Max(f1, f2)
-	for i := 0; i < iters; i++ {
-		if f1 < f2 {
-			a, x1, f1 = x1, x2, f2
-			x2 = a + invPhi*(b-a)
-			f2 = f(x2)
-		} else {
-			b, x2, f2 = x2, x1, f1
-			x1 = b - invPhi*(b-a)
-			f1 = f(x1)
-		}
-		if v := math.Max(f1, f2); v > best {
-			best = v
-		}
-	}
-	return best
 }
 
 // orderKDeriver is the order-k engine's side of internal/derive for one
@@ -245,7 +195,7 @@ func (e *orderKDeriver) Range(radius float64, buf []int32) []int32 {
 // constraints.
 func (e *orderKDeriver) Bound(cands []int32) float64 {
 	e.tab.Activate(cands, e)
-	return ringMax(e.tab.Fold(e.k), e.radiusAt)
+	return derive.RingMax(e.tab.Fold(e.k), e.radiusAt)
 }
 
 // radiusAt evaluates the order-k radial function at angle phi over the

@@ -13,6 +13,7 @@ import (
 	"sort"
 	"time"
 
+	"uvdiagram/internal/derive"
 	"uvdiagram/internal/geom"
 	"uvdiagram/internal/rtree"
 	"uvdiagram/internal/uncertain"
@@ -49,7 +50,7 @@ func referenceMaxRadiusK(p *PossibleRegion, samples, k int) float64 {
 	for i := range vals {
 		vals[i] = eval(2 * math.Pi * float64(i) / float64(samples))
 	}
-	return ringMax(vals, eval)
+	return derive.RingMax(vals, eval)
 }
 
 // DeriveOrderKCRReference is the original allocating derivation of one

@@ -6,14 +6,16 @@
 // radial functions, the order-k cell is its k-th level, and nothing in
 // it depends on the dimension except how one bound is evaluated along
 // one direction. So the engines keep the geometry (constraint
-// construction, the per-direction arithmetic, seeds, range queries, the
-// max-radius polish) and this package owns the rest:
+// construction, the per-direction arithmetic, seeds, range queries) and
+// this package owns the rest:
 //
 //   - Each: the per-population driver (worker pool, private per-worker
 //     state, pprof labels);
 //   - Table: the per-object cache of bound rows over a fixed direction
 //     set and the k-th-smallest fold across the active rows;
-//   - Fixpoint: the seed → range(2d−r) → re-bound loop of Lemma 2.
+//   - Fixpoint: the seed → range(2d−r) → re-bound loop of Lemma 2;
+//   - RingMax: the sweep-and-polish maximum of a radial function, the
+//     region's max-radius bound (and the reverse-NN cutoff).
 //
 // The package imports only the standard library.
 package derive

@@ -258,3 +258,63 @@ func TestFixpointStopsAndClamps(t *testing.T) {
 		}
 	}
 }
+
+func TestGoldenMaxFindsMaximum(t *testing.T) {
+	f := func(x float64) float64 { return -(x - 2.3) * (x - 2.3) }
+	if got := GoldenMax(f, 0, 5, 60); math.Abs(got) > 1e-9 {
+		t.Fatalf("GoldenMax = %v, want ~0", got)
+	}
+}
+
+// TestRingMax: the polish finds a peak that falls between two ring
+// samples, a +Inf sample short-circuits, and the result is the best
+// value seen times (1+1e-6) exactly.
+func TestRingMax(t *testing.T) {
+	ring := func(n int, f func(float64) float64) []float64 {
+		vals := make([]float64, n)
+		for i := range vals {
+			vals[i] = f(2 * math.Pi * float64(i) / float64(n))
+		}
+		return vals
+	}
+
+	// A narrow bump of height 1.5 over a floor of 1, centered halfway
+	// between samples 3 and 4 of a 16-sample ring: the samples see the
+	// floor, the polish the peak.
+	const n = 16
+	peak := 2 * math.Pi * 3.5 / n
+	bump := func(phi float64) float64 {
+		d := math.Remainder(phi-peak, 2*math.Pi)
+		return 1 + 0.5*math.Exp(-d*d*400)
+	}
+	vals := ring(n, bump)
+	if best := slices.Max(vals); best > 1.01 {
+		t.Fatalf("fixture: a sample already sees the peak (%v)", best)
+	}
+	got := RingMax(vals, bump)
+	// Golden-section after PolishIters steps brackets the peak to
+	// (2·2π/n)·0.618⁴⁰; the bump is flat to 1e-12 within that.
+	if want := 1.5 * (1 + 1e-6); math.Abs(got-want) > 1e-9 {
+		t.Fatalf("RingMax over an off-sample peak = %v, want %v", got, want)
+	}
+
+	// A +Inf sample returns +Inf without polishing.
+	calls := 0
+	counted := func(phi float64) float64 { calls++; return 1 }
+	inf := []float64{1, 2, math.Inf(1), 2, 1}
+	if got := RingMax(inf, counted); !math.IsInf(got, 1) || calls != 0 {
+		t.Fatalf("RingMax with a +Inf sample = %v after %d polish probes, want +Inf after 0", got, calls)
+	}
+
+	// Exactly the best value times (1+1e-6): a ring whose polish can
+	// only find lower values returns its best sample, inflated.
+	inflate := 1 + 1e-6
+	flat := []float64{3, 1, 2, 1, 2.5, 1}
+	below := func(float64) float64 { return 0.5 }
+	if got, want := RingMax(flat, below), 3*inflate; got != want {
+		t.Fatalf("RingMax = %v, want best × (1+1e-6) = %v", got, want)
+	}
+	if got, want := RingMax(vals, func(float64) float64 { return 1.25 }), 1.25*inflate; got != want {
+		t.Fatalf("RingMax with a polished best = %v, want %v", got, want)
+	}
+}

@@ -38,7 +38,7 @@ func RunExtensions(sc Scale, progress func(string)) ([]*Table, error) {
 		var cutoff, cands, answers float64
 		for _, q := range queries {
 			t0 := time.Now()
-			_, st := rnn.PossibleRNN(objs, db.RTree(), q, rnn.Options{})
+			_, st := rnn.PossibleRNN(objs, db.RTree(), q, nil)
 			dur += time.Since(t0)
 			cutoff += st.Cutoff
 			cands += float64(st.Candidates)

@@ -57,7 +57,7 @@ func TestRNNDigest(t *testing.T) {
 			for i := 0; i < 150; i++ {
 				q := geom.Pt(rng.Float64()*side, rng.Float64()*side)
 				qr := []float64{0, 5, 40}[i%3]
-				ids, st := PossibleRNNUncertain(objs, tree, geom.Circle{C: q, R: qr}, Options{})
+				ids, st := PossibleRNNUncertain(objs, tree, geom.Circle{C: q, R: qr}, nil)
 				for _, id := range ids {
 					putFloat(h, float64(id))
 				}
@@ -65,7 +65,7 @@ func TestRNNDigest(t *testing.T) {
 					putFloat(h, v)
 				}
 				if i%10 == 0 {
-					ans, _ := Query(objs, tree, q, Options{})
+					ans, _ := Query(objs, tree, q, nil)
 					for _, a := range ans {
 						putFloat(h, float64(a.ID))
 						putFloat(h, a.Prob)

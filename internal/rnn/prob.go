@@ -19,20 +19,10 @@ import (
 // expectation is a deterministic polar quadrature over Oi's histogram
 // rings: radial nodes per pdf bin (midpoint rule on ring area) times
 // angular nodes. Objects that can never come within distmax(Oi,q) of a
-// position of Oi contribute a factor of exactly 1 and are skipped.
-func Prob(objs []uncertain.Object, id int32, q geom.Point, radialSteps, angularSteps int) float64 {
-	return ProbAlive(objs, id, q, radialSteps, angularSteps, nil)
-}
-
-// ProbAlive is Prob restricted to a live sub-population: competitors
-// for which alive returns false are skipped (nil means all live).
-func ProbAlive(objs []uncertain.Object, id int32, q geom.Point, radialSteps, angularSteps int, alive func(int32) bool) float64 {
-	if radialSteps <= 0 {
-		radialSteps = 3
-	}
-	if angularSteps <= 0 {
-		angularSteps = 48
-	}
+// position of Oi contribute a factor of exactly 1 and are skipped, and
+// so are competitors for which alive returns false (nil means all are
+// live). Query integrates with RadialSteps × AngularSteps nodes.
+func Prob(objs []uncertain.Object, id int32, q geom.Point, radialSteps, angularSteps int, alive func(int32) bool) float64 {
 	oi := objs[id]
 	relevant := relevantCompetitors(objs, oi, q, alive)
 

@@ -11,7 +11,7 @@ import (
 
 func TestProbLoneObjectIsOne(t *testing.T) {
 	objs := []uncertain.Object{obj(0, 100, 100, 15)}
-	if p := Prob(objs, 0, geom.Pt(0, 0), 4, 64); math.Abs(p-1) > 1e-12 {
+	if p := Prob(objs, 0, geom.Pt(0, 0), 4, 64, nil); math.Abs(p-1) > 1e-12 {
 		t.Fatalf("lone object probability = %v, want 1", p)
 	}
 }
@@ -19,12 +19,12 @@ func TestProbLoneObjectIsOne(t *testing.T) {
 func TestProbMatchesMonteCarlo(t *testing.T) {
 	objs := datagen.Uniform(datagen.Config{N: 12, Side: 400, Diameter: 80, Seed: 42})
 	q := geom.Pt(200, 200)
-	ids, _ := PossibleRNN(objs, nil, q, Options{})
+	ids, _ := PossibleRNN(objs, nil, q, nil)
 	if len(ids) == 0 {
 		t.Skip("no answers in this instance")
 	}
 	for _, id := range ids {
-		integ := Prob(objs, id, q, 4, 72)
+		integ := Prob(objs, id, q, 4, 72, nil)
 		mc := MonteCarlo(objs, id, q, 60000, 7)
 		if math.Abs(integ-mc) > 0.03 {
 			t.Fatalf("object %d: integration %v vs Monte-Carlo %v", id, integ, mc)
@@ -38,13 +38,13 @@ func TestProbZeroForBlockedObject(t *testing.T) {
 		obj(1, 50, 0, 1),
 	}
 	q := geom.Pt(0, 0)
-	if p := Prob(objs, 0, q, 6, 96); p != 0 {
+	if p := Prob(objs, 0, q, 6, 96, nil); p != 0 {
 		t.Fatalf("blocked object probability = %v, want 0", p)
 	}
 	// The far object (radius 10) can still come within ~40 of the
 	// blocker while q sits at ~50, so the blocker wins only about half
 	// of the possible worlds; cross-check against Monte Carlo.
-	p := Prob(objs, 1, q, 6, 96)
+	p := Prob(objs, 1, q, 6, 96, nil)
 	mc := MonteCarlo(objs, 1, q, 60000, 4)
 	if math.Abs(p-mc) > 0.03 {
 		t.Fatalf("blocker probability %v disagrees with Monte-Carlo %v", p, mc)
@@ -54,7 +54,7 @@ func TestProbZeroForBlockedObject(t *testing.T) {
 func TestProbPositiveForAnswers(t *testing.T) {
 	objs := datagen.Uniform(datagen.Config{N: 25, Side: 600, Diameter: 60, Seed: 17})
 	q := geom.Pt(300, 300)
-	ans, _ := Query(objs, buildTree(objs), q, Options{})
+	ans, _ := Query(objs, buildTree(objs), q, nil)
 	for _, a := range ans {
 		m := BruteForceMargin(objs, a.ID, q, 20)
 		if m > 2 && a.Prob <= 0 {
@@ -73,11 +73,11 @@ func TestPointMassProb(t *testing.T) {
 		uncertain.New(1, geom.Circle{C: geom.Pt(40, 0), R: 0}, nil),
 	}
 	q := geom.Pt(0, 0)
-	if p := Prob(objs, 0, q, 1, 1); math.Abs(p-1) > 1e-12 {
+	if p := Prob(objs, 0, q, 1, 1, nil); math.Abs(p-1) > 1e-12 {
 		t.Fatalf("near point probability = %v, want 1", p)
 	}
 	// Point 1 is 30 from point 0 and 40 from q, so q is not its NN.
-	if p := Prob(objs, 1, q, 1, 1); p != 0 {
+	if p := Prob(objs, 1, q, 1, 1, nil); p != 0 {
 		t.Fatalf("far point probability = %v, want 0", p)
 	}
 }

@@ -29,18 +29,35 @@
 // one constraint raises a minimum at most to the second minimum, so
 // every witness x ∈ P₋ᵢ has dist(x,q) ≤ d₂(φ) ≤ D₂, and therefore
 // every answer object satisfies distmin(Oi,q) ≤ D₂. Candidates are
-// collected with one R-tree range query of radius D₂.
+// collected with one R-tree walk (Tree.NearFunc) of radius D₂. D₂ is
+// the 2nd level of a lower envelope of radial functions, so it is found
+// by the same sweep-and-polish (derive.RingMax) that bounds an order-k
+// cell, the k-th level of such an envelope.
 //
 // The same bound caps the constraint pool: a constraint whose outside
 // region does not meet the disk Cir(q, D₂) cannot exclude any witness,
 // and its center must satisfy dist(q,cj) + rj < 2·D₂ to meet that disk,
-// so the pool is one more range query of radius 2·D₂.
+// so the pool keeps only those constraints.
+//
+// Accuracy. Five package constants fix the discretizations; none is a
+// setting:
+//
+//   - SweepSamples (720): directions of the cutoff sweep, which bracket
+//     each local maximum of d₂ before the polish;
+//   - VerifySamples (96): directions testing one candidate against
+//     P₋ᵢ, spread over the angle its disk subtends from q;
+//   - Refine (40): golden-section iterations polishing the best
+//     verification direction (the sweep's polish has the same length);
+//   - RadialSteps (3) and AngularSteps (48): the radial nodes per pdf
+//     bin and the angular nodes of Query's probability integration.
 package rnn
 
 import (
 	"math"
+	"slices"
 	"sort"
 
+	"uvdiagram/internal/derive"
 	"uvdiagram/internal/geom"
 	"uvdiagram/internal/rtree"
 	"uvdiagram/internal/uncertain"
@@ -53,55 +70,15 @@ type Answer struct {
 	Prob float64
 }
 
-// Options tune the PRNN evaluation; zero values select defaults.
-type Options struct {
-	// SweepSamples is the number of directions in the cutoff sweep
-	// (default 720). More samples tighten D₂.
-	SweepSamples int
-	// VerifySamples is the minimum number of directions used to test one
-	// candidate for intersection with P₋ᵢ (default 96).
-	VerifySamples int
-	// Refine is the number of golden-section iterations polishing each
-	// local maximum of the sweep and of the per-candidate margin
-	// (default 40).
-	Refine int
-	// RadialSteps is the number of radial quadrature nodes per pdf bin
-	// for probability integration (default 3).
-	RadialSteps int
-	// AngularSteps is the number of angular quadrature nodes for
-	// probability integration (default 48).
-	AngularSteps int
-	// SkipProbabilities answers the boolean query only, leaving every
-	// Answer.Prob zero.
-	SkipProbabilities bool
-	// Alive filters the population: objects for which it returns false
-	// are treated as nonexistent (tombstoned store slots). nil means
-	// every object is live. objs stays positionally indexed by ID, so
-	// dense slices with dead slots work unchanged.
-	Alive func(int32) bool
-}
-
-// alive reports whether id is live under the options' filter.
-func (o Options) alive(id int32) bool { return o.Alive == nil || o.Alive(id) }
-
-func (o Options) normalized() Options {
-	if o.SweepSamples <= 0 {
-		o.SweepSamples = 720
-	}
-	if o.VerifySamples <= 0 {
-		o.VerifySamples = 96
-	}
-	if o.Refine <= 0 {
-		o.Refine = 40
-	}
-	if o.RadialSteps <= 0 {
-		o.RadialSteps = 3
-	}
-	if o.AngularSteps <= 0 {
-		o.AngularSteps = 48
-	}
-	return o
-}
+// The accuracy constants, listed with what each bounds in the package
+// doc.
+const (
+	SweepSamples  = 720                // cutoff sweep directions
+	VerifySamples = 96                 // directions verifying one candidate
+	Refine        = derive.PolishIters // golden-section polish iterations
+	RadialSteps   = 3                  // integration nodes per pdf bin, radially
+	AngularSteps  = 48                 // integration nodes, angularly
+)
 
 // Stats reports the work done by one PRNN query.
 type Stats struct {
@@ -127,17 +104,13 @@ type qcon struct {
 	m      float64    // (|w|+s)/2: the minimum of t over all directions
 }
 
-func newQCon(q geom.Point, o uncertain.Object) qcon {
-	return newQConR(q, 0, o)
-}
-
-// newQConR builds the constraint for an UNCERTAIN query region
+// newQCon builds the constraint for an UNCERTAIN query region
 // Cir(q, qr): object Oi can have the query as a nearest neighbor at
 // position x only if distmin(Q, x) = dist(x, q) − qr stays below
 // dist(x, cj) + rj for every competitor, so the outside-region
 // condition is dist(x,q) − dist(x,cj) > rj + qr — the same UV-edge
 // with S = rj + qr. The point query is the qr = 0 special case.
-func newQConR(q geom.Point, qr float64, o uncertain.Object) qcon {
+func newQCon(q geom.Point, qr float64, o uncertain.Object) qcon {
 	w := q.Sub(o.Region.C)
 	n := w.Norm()
 	s := o.Region.R + qr
@@ -160,24 +133,25 @@ func (c qcon) bound(u geom.Point) (float64, bool) {
 func (c qcon) exists() bool { return c.normSq > c.s*c.s }
 
 // Query answers the PRNN query at q over the objects, using the R-tree
-// for candidate and pool collection. Answers are sorted by ID. tree may
-// be nil, in which case candidates are collected by scanning objs.
-func Query(objs []uncertain.Object, tree *rtree.Tree, q geom.Point, opt Options) ([]Answer, Stats) {
-	opt = opt.normalized()
-	ids, st := queryIDs(objs, tree, q, 0, opt)
+// for candidate collection, with each answer's probability. Answers are
+// sorted by ID. tree may be nil, in which case candidates are collected
+// by scanning objs. alive filters the population: objects for which it
+// returns false are treated as nonexistent (tombstoned store slots), and
+// nil means every object is live. objs stays positionally indexed by ID,
+// so dense slices with dead slots work unchanged.
+func Query(objs []uncertain.Object, tree *rtree.Tree, q geom.Point, alive func(int32) bool) ([]Answer, Stats) {
+	ids, st := queryIDs(objs, tree, q, 0, alive)
 	out := make([]Answer, len(ids))
 	for i, id := range ids {
-		out[i] = Answer{ID: id}
-		if !opt.SkipProbabilities {
-			out[i].Prob = ProbAlive(objs, id, q, opt.RadialSteps, opt.AngularSteps, opt.Alive)
-		}
+		out[i] = Answer{ID: id, Prob: Prob(objs, id, q, RadialSteps, AngularSteps, alive)}
 	}
 	return out, st
 }
 
-// PossibleRNN returns only the IDs of the PRNN answer objects.
-func PossibleRNN(objs []uncertain.Object, tree *rtree.Tree, q geom.Point, opt Options) ([]int32, Stats) {
-	return queryIDs(objs, tree, q, 0, opt.normalized())
+// PossibleRNN returns only the IDs of the PRNN answer objects, skipping
+// probability integration.
+func PossibleRNN(objs []uncertain.Object, tree *rtree.Tree, q geom.Point, alive func(int32) bool) ([]int32, Stats) {
+	return queryIDs(objs, tree, q, 0, alive)
 }
 
 // PossibleRNNUncertain answers the PRNN with an UNCERTAIN query object
@@ -187,22 +161,23 @@ func PossibleRNN(objs []uncertain.Object, tree *rtree.Tree, q geom.Point, opt Op
 // position is Oi's nearest neighbor; geometrically, the constraint
 // UV-edges gain S = rj + rq and everything else carries over (the
 // point query is the rq = 0 special case).
-func PossibleRNNUncertain(objs []uncertain.Object, tree *rtree.Tree, uq geom.Circle, opt Options) ([]int32, Stats) {
-	return queryIDs(objs, tree, uq.C, uq.R, opt.normalized())
+func PossibleRNNUncertain(objs []uncertain.Object, tree *rtree.Tree, uq geom.Circle, alive func(int32) bool) ([]int32, Stats) {
+	return queryIDs(objs, tree, uq.C, uq.R, alive)
 }
 
 // queryIDs is the shared pipeline: cutoff sweep → candidate range
 // query → exact per-candidate verification. qr is the query's own
 // uncertainty radius (0 for a point query).
-func queryIDs(objs []uncertain.Object, tree *rtree.Tree, q geom.Point, qr float64, opt Options) ([]int32, Stats) {
+func queryIDs(objs []uncertain.Object, tree *rtree.Tree, q geom.Point, qr float64, alive func(int32) bool) ([]int32, Stats) {
 	var st Stats
+	live := func(id int32) bool { return alive == nil || alive(id) }
 
 	cons := make([]qcon, 0, len(objs))
 	for i := range objs {
-		if !opt.alive(objs[i].ID) {
+		if !live(objs[i].ID) {
 			continue
 		}
-		if c := newQConR(q, qr, objs[i]); c.exists() {
+		if c := newQCon(q, qr, objs[i]); c.exists() {
 			cons = append(cons, c)
 		}
 	}
@@ -213,12 +188,27 @@ func queryIDs(objs []uncertain.Object, tree *rtree.Tree, q geom.Point, qr float6
 	// each direction touches only the few nearest objects.
 	sort.Slice(cons, func(a, b int) bool { return cons[a].m < cons[b].m })
 
-	d2 := cutoff(cons, opt.SweepSamples, opt.Refine)
+	d2 := cutoff(cons)
 	st.Cutoff = d2
 
-	cands := collect(objs, tree, q, d2, func(o uncertain.Object) bool {
-		return opt.alive(o.ID) && o.DistMin(q) <= d2
-	})
+	var cands []int32
+	if tree != nil && !math.IsInf(d2, 1) {
+		tree.NearFunc(q, d2, func(it rtree.Item) {
+			// The tree can be newer than objs (the DB captures its store
+			// view first): an id a concurrent insert added past the view
+			// is not part of this query's snapshot.
+			if int(it.ID) < len(objs) && live(it.ID) {
+				cands = append(cands, it.ID)
+			}
+		})
+		slices.Sort(cands)
+	} else {
+		for i := range objs {
+			if live(objs[i].ID) && objs[i].DistMin(q) <= d2 {
+				cands = append(cands, objs[i].ID)
+			}
+		}
+	}
 	st.Candidates = len(cands)
 
 	pool := cons
@@ -236,78 +226,29 @@ func queryIDs(objs []uncertain.Object, tree *rtree.Tree, q geom.Point, qr float6
 
 	var out []int32
 	for _, id := range cands {
-		if intersects(objs[id], q, qr, pool, d2, opt) {
+		if intersects(objs[id], q, qr, pool, d2) {
 			out = append(out, id)
 		}
 	}
 	st.Answers = len(out)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out, st
 }
 
-// collect gathers the IDs of objects passing keep, using the R-tree
-// when available and the radius is finite.
-func collect(objs []uncertain.Object, tree *rtree.Tree, q geom.Point, radius float64, keep func(uncertain.Object) bool) []int32 {
-	var ids []int32
-	if tree != nil && !math.IsInf(radius, 1) {
-		r := geom.Circle{C: q, R: radius}.BoundingRect()
-		for _, it := range tree.SearchCollect(r) {
-			// The tree can be newer than objs (the DB captures its store
-			// view first): an id a concurrent insert added past the view
-			// is not part of this query's snapshot.
-			if int(it.ID) < len(objs) && keep(objs[it.ID]) {
-				ids = append(ids, it.ID)
-			}
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		return ids
-	}
-	for i := range objs {
-		if keep(objs[i]) {
-			ids = append(ids, objs[i].ID)
-		}
-	}
-	return ids
-}
-
-// cutoff computes D₂ = max_φ d₂(φ) by a dense sweep followed by
-// golden-section polishing of each local maximum. The result is
-// inflated by a small relative factor: the cutoff is only a candidate
-// filter, so overestimating costs a few extra verifications while
-// underestimating could drop an answer.
-func cutoff(cons []qcon, samples, refine int) float64 {
+// cutoff computes D₂ = max_φ d₂(φ) by derive.RingMax's sweep over
+// SweepSamples directions. The result is inflated by a small relative
+// factor: the cutoff is only a candidate filter, so overestimating
+// costs a few extra verifications while underestimating could drop an
+// answer.
+func cutoff(cons []qcon) float64 {
 	if len(cons) < 2 {
 		return math.Inf(1)
 	}
 	eval := func(phi float64) float64 { return secondMin(cons, geom.PolarUnit(phi)) }
-
-	vals := make([]float64, samples)
-	for i := 0; i < samples; i++ {
-		vals[i] = eval(2 * math.Pi * float64(i) / float64(samples))
+	vals := make([]float64, SweepSamples)
+	for i := range vals {
+		vals[i] = eval(2 * math.Pi * float64(i) / SweepSamples)
 	}
-	best := 0.0
-	for i, v := range vals {
-		if math.IsInf(v, 1) {
-			return math.Inf(1)
-		}
-		if v > best {
-			best = v
-		}
-		// Polish local maxima: vals[i] ≥ both neighbors (cyclically).
-		prev := vals[(i+samples-1)%samples]
-		next := vals[(i+1)%samples]
-		if v >= prev && v >= next {
-			lo := 2 * math.Pi * float64(i-1) / float64(samples)
-			hi := 2 * math.Pi * float64(i+1) / float64(samples)
-			if r := goldenMax(eval, lo, hi, refine); r > best {
-				if math.IsInf(r, 1) {
-					return r
-				}
-				best = r
-			}
-		}
-	}
-	return best * (1 + 1e-6)
+	return derive.RingMax(vals, eval)
 }
 
 // secondMin returns the second-smallest radial bound over the
@@ -335,41 +276,13 @@ func secondMin(cons []qcon, u geom.Point) float64 {
 	return m2
 }
 
-// goldenMax maximizes f on [lo, hi] by golden-section search and
-// returns the best value seen (f need not be unimodal on the bracket;
-// the result is still a valid lower bound on the maximum, which is the
-// safe direction here).
-func goldenMax(f func(float64) float64, lo, hi float64, iters int) float64 {
-	const invPhi = 0.6180339887498949
-	a, b := lo, hi
-	x1 := b - invPhi*(b-a)
-	x2 := a + invPhi*(b-a)
-	f1, f2 := f(x1), f(x2)
-	best := math.Max(f1, f2)
-	for i := 0; i < iters; i++ {
-		if f1 < f2 {
-			a, x1, f1 = x1, x2, f2
-			x2 = a + invPhi*(b-a)
-			f2 = f(x2)
-		} else {
-			b, x2, f2 = x2, x1, f1
-			x1 = b - invPhi*(b-a)
-			f1 = f(x1)
-		}
-		if v := math.Max(f1, f2); v > best {
-			best = v
-		}
-	}
-	return best
-}
-
 // intersects reports whether Oi's uncertainty region intersects the
 // interior of P₋ᵢ. The disk is scanned over the angular span it
 // subtends from q; along each ray the nearest disk point is at
 // t_near(φ), and the ray meets the region iff t_near(φ) < R₋ᵢ(φ).
 // qr is the query's own uncertainty radius; the pool constraints
 // already carry it in their S terms.
-func intersects(oi uncertain.Object, q geom.Point, qr float64, pool []qcon, cap float64, opt Options) bool {
+func intersects(oi uncertain.Object, q geom.Point, qr float64, pool []qcon, cap float64) bool {
 	l := q.Dist(oi.Region.C)
 	if l <= oi.Region.R+qr {
 		// The query's region touches Oi's: a position of Oi coinciding
@@ -419,10 +332,7 @@ func intersects(oi uncertain.Object, q geom.Point, qr float64, pool []qcon, cap 
 		return radius(geom.PolarUnit(phi0+psi)) - tn
 	}
 
-	n := opt.VerifySamples
-	if n < 9 {
-		n = 9
-	}
+	const n = VerifySamples
 	bestPsi, bestVal := 0.0, math.Inf(-1)
 	for i := 0; i < n; i++ {
 		psi := -alpha + 2*alpha*float64(i)/float64(n-1)
@@ -437,5 +347,5 @@ func intersects(oi uncertain.Object, q geom.Point, qr float64, pool []qcon, cap 
 	step := 2 * alpha / float64(n-1)
 	lo := math.Max(-alpha, bestPsi-step)
 	hi := math.Min(alpha, bestPsi+step)
-	return goldenMax(margin, lo, hi, opt.Refine) > 0
+	return derive.GoldenMax(margin, lo, hi, Refine) > 0
 }

@@ -44,7 +44,7 @@ func containsID(ids []int32, id int32) bool {
 
 func TestSingleObjectAlwaysAnswer(t *testing.T) {
 	objs := []uncertain.Object{obj(0, 500, 500, 20)}
-	ans, st := Query(objs, buildTree(objs), geom.Pt(100, 100), Options{})
+	ans, st := Query(objs, buildTree(objs), geom.Pt(100, 100), nil)
 	if len(ans) != 1 || ans[0].ID != 0 {
 		t.Fatalf("lone object must be a PRNN answer, got %v", ans)
 	}
@@ -64,7 +64,7 @@ func TestBlockerExcludesFarObject(t *testing.T) {
 		obj(1, 50, 0, 1),   // blocker
 	}
 	q := geom.Pt(0, 0)
-	ans, _ := Query(objs, buildTree(objs), q, Options{})
+	ans, _ := Query(objs, buildTree(objs), q, nil)
 	ids := idsOf(ans)
 	if containsID(ids, 0) {
 		t.Fatalf("blocked object reported as PRNN answer: %v", ids)
@@ -79,7 +79,7 @@ func TestSymmetricPairBothAnswer(t *testing.T) {
 		obj(0, -60, 0, 5),
 		obj(1, 60, 0, 5),
 	}
-	ans, _ := Query(objs, buildTree(objs), geom.Pt(0, 0), Options{})
+	ans, _ := Query(objs, buildTree(objs), geom.Pt(0, 0), nil)
 	if len(ans) != 2 {
 		t.Fatalf("symmetric pair: want both objects as answers, got %v", ans)
 	}
@@ -94,7 +94,7 @@ func TestQInsideRegionIsAnswer(t *testing.T) {
 		obj(1, 3, 0, 1),
 		obj(2, -4, 1, 1),
 	}
-	ans, _ := Query(objs, buildTree(objs), geom.Pt(1, 1), Options{})
+	ans, _ := Query(objs, buildTree(objs), geom.Pt(1, 1), nil)
 	if !containsID(idsOf(ans), 0) {
 		t.Fatalf("object containing q must be an answer, got %v", ans)
 	}
@@ -109,7 +109,7 @@ func TestMatchesBruteForceRandom(t *testing.T) {
 		})
 		tree := buildTree(objs)
 		q := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
-		got, _ := PossibleRNN(objs, tree, q, Options{})
+		got, _ := PossibleRNN(objs, tree, q, nil)
 
 		const tol = 1.0 // margin band excluded from comparison
 		for i := range objs {
@@ -134,7 +134,7 @@ func TestCutoffLemma(t *testing.T) {
 			N: 40, Side: 1000, Diameter: 60, Seed: int64(100 + trial),
 		})
 		q := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
-		_, st := PossibleRNN(objs, buildTree(objs), q, Options{})
+		_, st := PossibleRNN(objs, buildTree(objs), q, nil)
 		for _, id := range BruteForceIDs(objs, q, 20) {
 			if m := BruteForceMargin(objs, id, q, 20); m <= 1.0 {
 				continue // boundary band: grid answer may be spurious
@@ -158,7 +158,7 @@ func TestPointDegenerationMatchesClassicRNN(t *testing.T) {
 			objs[i] = uncertain.New(int32(i), geom.Circle{C: pts[i], R: 0}, nil)
 		}
 		q := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
-		got, _ := PossibleRNN(objs, buildTree(objs), q, Options{})
+		got, _ := PossibleRNN(objs, buildTree(objs), q, nil)
 		want := PointRNN(pts, q)
 
 		// Exclude ties within tolerance (measure-zero for random data,
@@ -186,9 +186,9 @@ func TestPointDegenerationMatchesClassicRNN(t *testing.T) {
 
 func TestAnswersAreSubsetOfCandidates(t *testing.T) {
 	objs := datagen.Uniform(datagen.Config{N: 60, Side: 1000, Diameter: 50, Seed: 5})
-	ans, st := Query(objs, buildTree(objs), geom.Pt(500, 500), Options{SkipProbabilities: true})
-	if st.Answers != len(ans) {
-		t.Fatalf("stats answers %d != len(answers) %d", st.Answers, len(ans))
+	ids, st := PossibleRNN(objs, buildTree(objs), geom.Pt(500, 500), nil)
+	if st.Answers != len(ids) {
+		t.Fatalf("stats answers %d != len(answers) %d", st.Answers, len(ids))
 	}
 	if st.Candidates < st.Answers {
 		t.Fatalf("candidates %d < answers %d", st.Candidates, st.Answers)
@@ -201,8 +201,8 @@ func TestAnswersAreSubsetOfCandidates(t *testing.T) {
 func TestNilTreeScansAllObjects(t *testing.T) {
 	objs := datagen.Uniform(datagen.Config{N: 30, Side: 1000, Diameter: 50, Seed: 11})
 	q := geom.Pt(400, 600)
-	withTree, _ := PossibleRNN(objs, buildTree(objs), q, Options{})
-	without, _ := PossibleRNN(objs, nil, q, Options{})
+	withTree, _ := PossibleRNN(objs, buildTree(objs), q, nil)
+	without, _ := PossibleRNN(objs, nil, q, nil)
 	if len(withTree) != len(without) {
 		t.Fatalf("tree vs scan disagree: %v vs %v", withTree, without)
 	}
@@ -213,18 +213,11 @@ func TestNilTreeScansAllObjects(t *testing.T) {
 	}
 }
 
-func TestGoldenMaxFindsMaximum(t *testing.T) {
-	f := func(x float64) float64 { return -(x - 2.3) * (x - 2.3) }
-	if got := goldenMax(f, 0, 5, 60); math.Abs(got) > 1e-9 {
-		t.Fatalf("goldenMax = %v, want ~0", got)
-	}
-}
-
 func TestSecondMinBasics(t *testing.T) {
 	q := geom.Pt(0, 0)
 	cons := []qcon{
-		newQCon(q, obj(1, 10, 0, 1)),
-		newQCon(q, obj(2, 20, 0, 1)),
+		newQCon(q, 0, obj(1, 10, 0, 1)),
+		newQCon(q, 0, obj(2, 20, 0, 1)),
 	}
 	u := geom.Pt(1, 0)
 	m2 := secondMin(cons, u)
@@ -250,7 +243,7 @@ func TestQConBoundAgainstUVEdge(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		q := geom.Pt(rng.Float64()*100, rng.Float64()*100)
 		o := obj(0, rng.Float64()*100, rng.Float64()*100, rng.Float64()*10)
-		c := newQCon(q, o)
+		c := newQCon(q, 0, o)
 		if !c.exists() {
 			continue
 		}
@@ -281,11 +274,11 @@ func TestTreeNewerThanView(t *testing.T) {
 		u := geom.PolarUnit(2 * math.Pi * float64(i) / 8)
 		objs = append(objs, obj(int32(i), 500+100*u.X, 500+100*u.Y, 10))
 	}
-	want, st := PossibleRNN(objs, buildTree(objs), q, Options{})
+	want, st := PossibleRNN(objs, buildTree(objs), q, nil)
 	if math.IsInf(st.Cutoff, 1) {
 		t.Fatal("fixture: infinite cutoff, the tree is not consulted")
 	}
-	got, _ := PossibleRNN(objs, buildTree(append(objs[:8:8], obj(8, 505, 505, 10))), q, Options{})
+	got, _ := PossibleRNN(objs, buildTree(append(objs[:8:8], obj(8, 505, 505, 10))), q, nil)
 	if !slices.Equal(got, want) {
 		t.Fatalf("answers over a newer tree %v, over the view's own tree %v", got, want)
 	}

@@ -50,8 +50,8 @@ func TestUncertainQueryZeroRadiusMatchesPoint(t *testing.T) {
 	objs := datagen.Uniform(datagen.Config{N: 40, Side: 1000, Diameter: 50, Seed: 31})
 	tree := buildTree(objs)
 	for _, q := range []geom.Point{geom.Pt(500, 500), geom.Pt(120, 860)} {
-		a, _ := PossibleRNN(objs, tree, q, Options{})
-		b, _ := PossibleRNNUncertain(objs, tree, geom.Circle{C: q, R: 0}, Options{})
+		a, _ := PossibleRNN(objs, tree, q, nil)
+		b, _ := PossibleRNNUncertain(objs, tree, geom.Circle{C: q, R: 0}, nil)
 		if len(a) != len(b) {
 			t.Fatalf("q=%v: point %v vs zero-radius uncertain %v", q, a, b)
 		}
@@ -74,7 +74,7 @@ func TestUncertainQueryMatchesBruteForce(t *testing.T) {
 			C: geom.Pt(rng.Float64()*1000, rng.Float64()*1000),
 			R: rng.Float64() * 40,
 		}
-		got, _ := PossibleRNNUncertain(objs, tree, uq, Options{})
+		got, _ := PossibleRNNUncertain(objs, tree, uq, nil)
 		const tol = 1.0
 		for i := range objs {
 			m := bruteMarginUncertain(objs, objs[i].ID, uq, 24)
@@ -98,7 +98,7 @@ func TestUncertainQueryMonotoneInRadius(t *testing.T) {
 	q := geom.Pt(470, 530)
 	prev := 0
 	for _, qr := range []float64{0, 10, 40, 120, 400} {
-		ids, _ := PossibleRNNUncertain(objs, tree, geom.Circle{C: q, R: qr}, Options{})
+		ids, _ := PossibleRNNUncertain(objs, tree, geom.Circle{C: q, R: qr}, nil)
 		if len(ids) < prev {
 			t.Fatalf("answer count dropped from %d to %d at qr=%v", prev, len(ids), qr)
 		}
@@ -112,7 +112,7 @@ func TestUncertainQueryCoversOverlappingObjects(t *testing.T) {
 	objs := datagen.Uniform(datagen.Config{N: 60, Side: 1000, Diameter: 60, Seed: 13})
 	tree := buildTree(objs)
 	uq := geom.Circle{C: geom.Pt(500, 500), R: 150}
-	ids, _ := PossibleRNNUncertain(objs, tree, uq, Options{})
+	ids, _ := PossibleRNNUncertain(objs, tree, uq, nil)
 	for i := range objs {
 		if uq.Overlaps(objs[i].Region) && !containsID(ids, objs[i].ID) {
 			t.Fatalf("object %d overlaps the query region but is not an answer", i)

@@ -16,58 +16,12 @@ import (
 //     distmin(q, Oi) ≤ dminmax, pruning by the same bound.
 //
 // The two traversals re-read overlapping leaf pages; that repeated leaf
-// I/O is precisely the overhead the UV-index removes (Figure 6(b)).
-// The returned set is a superset of the exact answer set (the final
-// strict filter runs on the candidates' exact distances).
+// I/O is precisely the overhead the UV-index removes (Figure 6(b)), so
+// every visited leaf costs a page read here. The returned set is a
+// superset of the exact answer set (the final strict filter runs on the
+// candidates' exact distances).
 func (t *Tree) PNNCandidates(q geom.Point) (cands []Item, dminmax float64) {
-	hd := t.hdr.Load()
-	if hd.size == 0 {
-		return nil, math.Inf(1)
-	}
-	// Phase 1: find dminmax.
-	dminmax = math.Inf(1)
-	h := &pq{{key: hd.root.rect.MinDist(q), node: hd.root}}
-	for h.Len() > 0 {
-		e := heap.Pop(h).(pqEntry)
-		if e.key > dminmax {
-			break // every remaining entry is at least this far
-		}
-		if e.node.isLeaf() {
-			for _, it := range t.readLeaf(e.node) {
-				if d := q.Dist(it.MBC.C) + it.MBC.R; d < dminmax {
-					dminmax = d
-				}
-			}
-			continue
-		}
-		for _, c := range e.node.children {
-			if k := c.rect.MinDist(q); k <= dminmax {
-				heap.Push(h, pqEntry{key: k, node: c})
-			}
-		}
-	}
-
-	// Phase 2: collect all objects whose minimum distance is within the
-	// bound.
-	var walk func(n *node)
-	walk = func(n *node) {
-		if n.rect.MinDist(q) > dminmax {
-			return
-		}
-		if n.isLeaf() {
-			for _, it := range t.readLeaf(n) {
-				if math.Max(0, q.Dist(it.MBC.C)-it.MBC.R) <= dminmax {
-					cands = append(cands, it)
-				}
-			}
-			return
-		}
-		for _, c := range n.children {
-			walk(c)
-		}
-	}
-	walk(hd.root)
-	return cands, dminmax
+	return t.candidates(q, 1, t.readLeaf)
 }
 
 // KNNCandidates generalizes PNNCandidates to possible-k-NN retrieval:
@@ -77,6 +31,12 @@ func (t *Tree) PNNCandidates(q geom.Point) (cands []Item, dminmax float64) {
 // Leaves are read through the tree's memo (see leafMemo): a hit skips
 // the page read and the decode.
 func (t *Tree) KNNCandidates(q geom.Point, k int) (cands []Item, bound float64) {
+	return t.candidates(q, k, t.readLeafMemo)
+}
+
+// candidates is the two-phase walk behind PNNCandidates (k = 1) and
+// KNNCandidates, reading each visited leaf with read.
+func (t *Tree) candidates(q geom.Point, k int, read func(*node) []Item) (cands []Item, bound float64) {
 	hd := t.hdr.Load()
 	if hd.size == 0 || k <= 0 {
 		return nil, math.Inf(1)
@@ -111,7 +71,7 @@ func (t *Tree) KNNCandidates(q geom.Point, k int) (cands []Item, bound float64) 
 			break
 		}
 		if e.node.isLeaf() {
-			for _, it := range t.readLeafMemo(e.node) {
+			for _, it := range read(e.node) {
 				push(q.Dist(it.MBC.C) + it.MBC.R)
 			}
 			continue
@@ -131,7 +91,7 @@ func (t *Tree) KNNCandidates(q geom.Point, k int) (cands []Item, bound float64) 
 			return
 		}
 		if n.isLeaf() {
-			for _, it := range t.readLeafMemo(n) {
+			for _, it := range read(n) {
 				if math.Max(0, q.Dist(it.MBC.C)-it.MBC.R) <= bound {
 					cands = append(cands, it)
 				}
@@ -146,7 +106,7 @@ func (t *Tree) KNNCandidates(q geom.Point, k int) (cands []Item, bound float64) 
 	return cands, bound
 }
 
-// Small float max-heap helpers for KNNCandidates.
+// Small float max-heap helpers for candidates.
 func up(h []float64) {
 	i := len(h) - 1
 	for i > 0 {

@@ -1,6 +1,8 @@
 package uvdiagram
 
 import (
+	"fmt"
+
 	"uvdiagram/internal/rnn"
 )
 
@@ -28,7 +30,7 @@ func (db *DB) RNN(q Point) ([]RNNAnswer, RNNStats) {
 	// filter, captured before the tree so a concurrent delete can never
 	// present a tree candidate the view calls dead-but-listed.
 	view := db.store.View()
-	return rnn.Query(view.Dense(), db.rtree(), q, rnn.Options{Alive: view.Alive})
+	return rnn.Query(view.Dense(), db.rtree(), q, view.Alive)
 }
 
 // PossibleRNN returns only the IDs of the probabilistic reverse
@@ -37,17 +39,24 @@ func (db *DB) PossibleRNN(q Point) ([]int32, RNNStats) {
 	t := db.egc.Pin()
 	defer db.egc.Unpin(t)
 	view := db.store.View()
-	return rnn.PossibleRNN(view.Dense(), db.rtree(), q, rnn.Options{Alive: view.Alive})
+	return rnn.PossibleRNN(view.Dense(), db.rtree(), q, view.Alive)
 }
 
 // PossibleRNNUncertain answers the reverse nearest-neighbor query with
 // an UNCERTAIN query region (the reverse counterpart of the
 // uncertain-query NN setting of [29]): the IDs of every object with
 // non-zero probability that the query's true position is its nearest
-// neighbor. A zero radius reproduces PossibleRNN.
-func (db *DB) PossibleRNNUncertain(region Circle) ([]int32, RNNStats) {
+// neighbor. A zero radius reproduces PossibleRNN. The region must pass
+// the rule Build applies to an object's region (a finite center and a
+// finite radius ≥ 0); any other returns an error wrapping
+// ErrInvalidObject.
+func (db *DB) PossibleRNNUncertain(region Circle) ([]int32, RNNStats, error) {
+	if !validCircle(region) {
+		return nil, RNNStats{}, fmt.Errorf("%w: query region center %v, radius %v", ErrInvalidObject, region.C, region.R)
+	}
 	t := db.egc.Pin()
 	defer db.egc.Unpin(t)
 	view := db.store.View()
-	return rnn.PossibleRNNUncertain(view.Dense(), db.rtree(), region, rnn.Options{Alive: view.Alive})
+	ids, st := rnn.PossibleRNNUncertain(view.Dense(), db.rtree(), region, view.Alive)
+	return ids, st, nil
 }

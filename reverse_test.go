@@ -1,7 +1,9 @@
 package uvdiagram_test
 
 import (
+	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"uvdiagram"
@@ -49,5 +51,37 @@ func TestDBRNNProbabilitiesValid(t *testing.T) {
 		if ans[i-1].ID >= ans[i].ID {
 			t.Fatalf("answers not sorted by ID: %v", ans)
 		}
+	}
+}
+
+// TestPossibleRNNUncertainRejectsInvalidRegion: a query region Build
+// would refuse as an object's region — NaN or infinite radius, negative
+// radius, non-finite center — is an ErrInvalidObject error, not an
+// answer over the whole population, a sub-point region or a silent
+// empty set. A valid zero radius still equals PossibleRNN.
+func TestPossibleRNNUncertainRejectsInvalidRegion(t *testing.T) {
+	db, _ := buildSmallDB(t, 200, nil)
+	c := uvdiagram.Pt(1000, 1000)
+	for _, region := range []uvdiagram.Circle{
+		{C: c, R: math.NaN()},
+		{C: c, R: math.Inf(1)},
+		{C: c, R: -50},
+		{C: uvdiagram.Pt(math.NaN(), 1000), R: 5},
+		{C: uvdiagram.Pt(1000, math.Inf(-1)), R: 5},
+	} {
+		ids, _, err := db.PossibleRNNUncertain(region)
+		if !errors.Is(err, uvdiagram.ErrInvalidObject) {
+			t.Errorf("region %v: err = %v, want ErrInvalidObject", region, err)
+		}
+		if ids != nil {
+			t.Errorf("region %v: ids %v returned beside the error", region, ids)
+		}
+	}
+	got, _, err := db.PossibleRNNUncertain(uvdiagram.Circle{C: c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := db.PossibleRNN(c); !slices.Equal(got, want) {
+		t.Fatalf("zero radius: %v, PossibleRNN: %v", got, want)
 	}
 }

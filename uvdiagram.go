@@ -381,7 +381,7 @@ type DB struct {
 	// smu is the store-level lock of the two-level scheme (see the
 	// locking notes above).
 	smu     sync.RWMutex
-	scratch sync.Pool // of *core.QueryScratch, shared by single and batch PNN (see pnnOn)
+	scratch sync.Pool // of *core.QueryScratch, shared by single, batch and baseline PNN (see queryScratch)
 	// dscratch is the derivation scratch of the live mutation paths
 	// (Insert, Delete re-derivation). Guarded by smu held exclusively —
 	// exactly the sections that derive — so it is never shared.
@@ -659,17 +659,23 @@ func (e *DomainError) Is(target error) bool { return target == ErrOutOfDomain }
 // ErrInvalidObject is the sentinel every rejected object matches
 // through errors.Is: Build and Insert refuse an object whose center is
 // not a finite point or whose radius is negative or not finite, before
-// it reaches the store, the R-tree or a derivation.
+// it reaches the store, the R-tree or a derivation; PossibleRNNUncertain
+// refuses such a query region.
 var ErrInvalidObject = errors.New("uvdiagram: invalid object")
 
 // checkObject rejects an object whose uncertainty region is not a
 // finite circle; the error wraps ErrInvalidObject.
 func checkObject(o Object) error {
-	c, r := o.Region.C, o.Region.R
-	if !finite(c.X) || !finite(c.Y) || !finite(r) || r < 0 {
-		return fmt.Errorf("%w %d: center %v, radius %v", ErrInvalidObject, o.ID, c, r)
+	if !validCircle(o.Region) {
+		return fmt.Errorf("%w %d: center %v, radius %v", ErrInvalidObject, o.ID, o.Region.C, o.Region.R)
 	}
 	return nil
+}
+
+// validCircle reports whether c has a finite center and a finite
+// radius ≥ 0.
+func validCircle(c Circle) bool {
+	return finite(c.C.X) && finite(c.C.Y) && finite(c.R) && c.R >= 0
 }
 
 // checkStoredObjects rejects a reopened store holding a live object no

@@ -3,6 +3,7 @@ package uvdiagram_test
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"uvdiagram"
@@ -62,36 +63,49 @@ func TestBuildAndQuery(t *testing.T) {
 	}
 }
 
-// TestUVAgainstRTreeBaseline: both retrieval paths return identical
-// answers and probabilities; the UV-index must not read more leaf pages
-// than the R-tree baseline on average (the Figure 6(b) effect).
+// TestUVAgainstRTreeBaseline: both retrieval paths return bitwise
+// identical answers (ids and probabilities), and the UV-index must not
+// read more leaf pages than the R-tree baseline on average (the Figure
+// 6(b) effect). The second input is the serving benchmark's dataset:
+// n = 8 000 over 4 shards.
 func TestUVAgainstRTreeBaseline(t *testing.T) {
-	db, _ := buildSmallDB(t, 600, nil)
-	rng := rand.New(rand.NewSource(2))
-	var uvIOs, rtIOs int64
-	for k := 0; k < 50; k++ {
-		q := uvdiagram.Pt(rng.Float64()*2000, rng.Float64()*2000)
-		a1, s1, err := db.PNN(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a2, s2, err := db.PNNViaRTree(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(a1) != len(a2) {
-			t.Fatalf("query %v: UV %d answers, R-tree %d", q, len(a1), len(a2))
-		}
-		for i := range a1 {
-			if a1[i].ID != a2[i].ID || math.Abs(a1[i].Prob-a2[i].Prob) > 1e-9 {
-				t.Fatalf("query %v: answers differ: %v vs %v", q, a1, a2)
+	for _, tc := range []struct {
+		name    string
+		cfg     datagen.Config
+		shards  int
+		queries int
+	}{
+		{"n600", datagen.Config{N: 600, Side: 2000, Diameter: 30, Seed: 42}, 0, 50},
+		{"n8000-4shards", datagen.Config{N: 8000, Side: 10000, Seed: 20100301}, 4, 2000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db, err := uvdiagram.Build(datagen.Uniform(tc.cfg), tc.cfg.Domain(), &uvdiagram.Options{Shards: tc.shards})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		uvIOs += s1.IndexIOs
-		rtIOs += s2.IndexIOs
-	}
-	if uvIOs >= rtIOs {
-		t.Errorf("UV-index used %d leaf I/Os, R-tree %d — expected UV to win", uvIOs, rtIOs)
+			defer db.Close()
+			rng := rand.New(rand.NewSource(2))
+			var uvIOs, rtIOs int64
+			for k := 0; k < tc.queries; k++ {
+				q := uvdiagram.Pt(rng.Float64()*tc.cfg.Side, rng.Float64()*tc.cfg.Side)
+				a1, s1, err := db.PNN(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				a2, s2, err := db.PNNViaRTree(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(a1, a2) {
+					t.Fatalf("query %d %v: answers differ: UV %v, R-tree %v", k, q, a1, a2)
+				}
+				uvIOs += s1.IndexIOs
+				rtIOs += s2.IndexIOs
+			}
+			if uvIOs >= rtIOs {
+				t.Errorf("UV-index used %d leaf I/Os, R-tree %d — expected UV to win", uvIOs, rtIOs)
+			}
+		})
 	}
 }
 
