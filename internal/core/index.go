@@ -355,12 +355,12 @@ func (ix *UVIndex) PNNWith(q geom.Point, sc *QueryScratch) ([]Answer, QueryStats
 // sorts ids in place, fetches the objects through view (one ObjectIO
 // each, counting the distinct ObjectPages), integrates their
 // qualification probabilities and returns the answers with p > 0, in
-// that sorted id order. It sets st's Candidates, retrieval and integration
-// fields. The sort is the canonical candidate order: the integration's
-// floating-point products depend on operand order, so whichever index
-// produced the set, and in whatever order (leaf tuples appended by
-// incremental maintenance, an R-tree walk), the same set gives
-// bitwise-identical answers.
+// that sorted id order. It sets st's Candidates, retrieval and
+// integration fields. The sort is the canonical candidate order: the
+// integration's floating-point products depend on operand order, so
+// whichever index produced the set, and in whatever order (leaf tuples
+// appended by incremental maintenance, an R-tree walk), the same set
+// gives bitwise-identical answers.
 func AnswerFrom(view *uncertain.View, q geom.Point, ids []int32, sc *QueryScratch, st *QueryStats) ([]Answer, error) {
 	t1 := time.Now()
 	slices.Sort(ids)
