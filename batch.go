@@ -306,7 +306,7 @@ func (db *DB) BatchOrderK(qs []Point, k int, opts *BatchOptions) ([][]int32, err
 	tree := db.rtree()
 	out := make([][]int32, len(qs))
 	err := runBatch(len(qs), opts.workers(), func(i int) error {
-		ids, err := db.possibleKNN(tree, qs[i], k) // k-NN accepts out-of-domain points
+		ids, err := db.possibleKNN(tree, qs[i], k) // k-NN accepts finite out-of-domain points
 		out[i] = ids
 		return err
 	})

@@ -1,6 +1,7 @@
 package prob
 
 import (
+	"slices"
 	"sort"
 
 	"uvdiagram/internal/geom"
@@ -24,37 +25,35 @@ func KNNAnswerSet(objs []uncertain.Object, q geom.Point, k int) []int {
 		mins[i] = objs[i].DistMin(q)
 		maxes[i] = objs[i].DistMax(q)
 	}
-	return KNNAnswerSetDists(mins, maxes, k)
+	return KNNAnswerSetDists(nil, mins, maxes, k)
 }
 
 // KNNAnswerSetDists is KNNAnswerSet on precomputed distance bounds:
 // mins[i] and maxes[i] are distmin/distmax between q and object i. It
 // lets callers that already hold the objects' bounding circles (e.g.
-// R-tree leaf entries) answer without materializing the objects.
-func KNNAnswerSetDists(mins, maxes []float64, k int) []int {
+// R-tree leaf entries) answer without materializing the objects. The
+// indices are appended to dst, and maxes is sorted in place, so a
+// caller reusing its buffers answers without allocating.
+func KNNAnswerSetDists(dst []int, mins, maxes []float64, k int) []int {
 	n := len(mins)
 	if n == 0 || k <= 0 {
-		return nil
+		return dst
 	}
 	if k >= n {
-		out := make([]int, n)
-		for i := range out {
-			out[i] = i
+		for i := range n {
+			dst = append(dst, i)
 		}
-		return out
+		return dst
 	}
-	sorted := append([]float64(nil), maxes...)
-	sort.Float64s(sorted)
-
-	var ans []int
+	slices.Sort(maxes)
 	for i, dmin := range mins {
 		// Objects with distmax strictly below dmin are surely closer.
-		surelyCloser := sort.SearchFloat64s(sorted, dmin)
+		surelyCloser := sort.SearchFloat64s(maxes, dmin)
 		// Oi itself never counts: distmax(Oi) ≥ distmin(Oi) = dmin, so it
 		// is never in the strict prefix.
 		if surelyCloser <= k-1 {
-			ans = append(ans, i)
+			dst = append(dst, i)
 		}
 	}
-	return ans
+	return dst
 }

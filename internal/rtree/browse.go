@@ -15,21 +15,21 @@ import (
 // A heap entry is only a key and an index: items decoded from a leaf
 // land in the iterator's item buffer and nodes in its node buffer, so a
 // sift moves 16 bytes however large an Item is. The pop sequence is
-// bitwise identical to the prefix KNN would return for any k: the heap
-// below replicates container/heap's sift rules on the same keys pushed
+// bitwise identical to the prefix KNN would return for any k: nnHeap
+// replicates container/heap's sift rules on the same keys pushed
 // in the same order, so ties resolve exactly as they do in KNN. Reset
 // reuses every buffer and leaves are decoded straight off their pages,
 // making steady-state browsing allocation-free.
 type NNIterator struct {
 	t     *Tree
 	q     geom.Point
-	h     []nnEntry
+	h     nnHeap
 	items []Item  // leaf items decoded so far
 	nodes []*node // nodes pushed so far
 }
 
-// nnEntry is one browse-heap element: ref ≥ 0 names items[ref], ref < 0
-// names nodes[^ref].
+// nnEntry is one best-first heap element: ref ≥ 0 names items[ref],
+// ref < 0 names nodes[^ref] (the candidate walk pushes nodes only).
 type nnEntry struct {
 	key float64
 	ref int32
@@ -60,7 +60,7 @@ func (it *NNIterator) Reset(t *Tree, q geom.Point) {
 // time the traversal reaches it.
 func (it *NNIterator) Next() (Neighbor, bool) {
 	for len(it.h) > 0 {
-		e := it.pop()
+		e := it.h.pop()
 		if e.ref >= 0 {
 			return Neighbor{Item: it.items[e.ref], DistMin: e.key}, true
 		}
@@ -76,7 +76,7 @@ func (it *NNIterator) Next() (Neighbor, bool) {
 			item := fromTuple(pager.LeafTupleAt(page, i))
 			// KNN's key, math.Max(0, …): the builtin has the same NaN and
 			// signed-zero rules.
-			it.push(nnEntry{key: max(0, it.q.Dist(item.MBC.C)-item.MBC.R), ref: int32(len(it.items))})
+			it.h.push(nnEntry{key: max(0, it.q.Dist(item.MBC.C)-item.MBC.R), ref: int32(len(it.items))})
 			it.items = append(it.items, item)
 		}
 	}
@@ -84,18 +84,20 @@ func (it *NNIterator) Next() (Neighbor, bool) {
 }
 
 func (it *NNIterator) pushNode(key float64, n *node) {
-	it.push(nnEntry{key: key, ref: ^int32(len(it.nodes))})
+	it.h.push(nnEntry{key: key, ref: ^int32(len(it.nodes))})
 	it.nodes = append(it.nodes, n)
 }
 
-// push and pop replicate container/heap's Push/Pop (up/down sift order
-// included) without the interface boxing, so they are allocation-free
-// AND order-identical to the heap.Push/heap.Pop calls KNN makes with the
-// same keys — the property core's seed-selection bitwise-equivalence
-// bar rests on.
+// nnHeap is the allocation-free binary min-heap of the best-first walks
+// (NNIterator and the candidate walk). push and pop replicate
+// container/heap's Push/Pop (up/down sift order included) without the
+// interface boxing, so they are order-identical to the heap.Push/
+// heap.Pop calls KNN makes with the same keys — the property core's
+// seed-selection bitwise-equivalence bar rests on.
+type nnHeap []nnEntry
 
-func (it *NNIterator) push(e nnEntry) {
-	h := append(it.h, e)
+func (hp *nnHeap) push(e nnEntry) {
+	h := append(*hp, e)
 	j := len(h) - 1
 	for j > 0 {
 		i := (j - 1) / 2
@@ -105,11 +107,11 @@ func (it *NNIterator) push(e nnEntry) {
 		h[i], h[j] = h[j], h[i]
 		j = i
 	}
-	it.h = h
+	*hp = h
 }
 
-func (it *NNIterator) pop() nnEntry {
-	h := it.h
+func (hp *nnHeap) pop() nnEntry {
+	h := *hp
 	n := len(h) - 1
 	h[0], h[n] = h[n], h[0]
 	i := 0
@@ -127,6 +129,6 @@ func (it *NNIterator) pop() nnEntry {
 		h[i], h[j] = h[j], h[i]
 		i = j
 	}
-	it.h = h[:n]
+	*hp = h[:n]
 	return h[n]
 }

@@ -27,7 +27,7 @@ func TestKNNCandidatesMatchBruteForce(t *testing.T) {
 		}
 		sort.Float64s(maxes)
 		wantBound := maxes[k-1]
-		if math.Abs(bound-wantBound) > 1e-9 {
+		if bound != wantBound {
 			t.Fatalf("trial %d k=%d: bound %v, want %v", trial, k, bound, wantBound)
 		}
 		want := map[int32]bool{}

@@ -340,6 +340,32 @@ func TestServerErrorsInBand(t *testing.T) {
 	}
 }
 
+// TestPossibleKNNNonFiniteOverWire: a NaN or infinite query point fails
+// OpPossibleKNN and OpBatchKNN in-band with the out-of-domain error; the
+// connection survives, and a finite point outside the domain is still
+// answered.
+func TestPossibleKNNNonFiniteOverWire(t *testing.T) {
+	cli, srv := startServer(t, 500)
+	for _, q := range []uvdiagram.Point{uvdiagram.Pt(math.NaN(), 5), uvdiagram.Pt(math.Inf(1), 5), uvdiagram.Pt(5, math.Inf(-1))} {
+		if ids, err := cli.PossibleKNN(q, 3); err == nil || !strings.Contains(err.Error(), "outside domain") {
+			t.Fatalf("PossibleKNN(%v): %d ids, err %v", q, len(ids), err)
+		}
+		qs := []uvdiagram.Point{uvdiagram.Pt(100, 100), q}
+		if lists, err := cli.BatchPossibleKNN(qs, 3); err == nil || !strings.Contains(err.Error(), "query 1") || !strings.Contains(err.Error(), "outside domain") {
+			t.Fatalf("BatchPossibleKNN with %v: %d lists, err %v", q, len(lists), err)
+		}
+	}
+	outside := uvdiagram.Pt(-50, -50)
+	got, err := cli.PossibleKNN(outside, 3)
+	if err != nil {
+		t.Fatalf("PossibleKNN(%v) outside the domain: %v", outside, err)
+	}
+	want, err := srv.DB().PossibleKNN(outside, 3)
+	if err != nil || len(want) == 0 || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("PossibleKNN(%v) over the wire %v, local %v (%v)", outside, got, want, err)
+	}
+}
+
 func TestUnknownOpcode(t *testing.T) {
 	cli, _ := startServer(t, 10)
 	if _, err := cli.roundTrip(0xEE, nil); err == nil {

@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"uvdiagram/internal/core"
@@ -576,7 +578,9 @@ func (db *DB) autoCompact(lo *shardLayout, i int) {
 // Retrieval runs on the shared helper R-tree (which covers the full
 // live population): UV-index leaf lists only guarantee supersets for
 // k = 1 cells, so the branch-and-prune path generalizes while the
-// UV-index stays specialized for PNN.
+// UV-index stays specialized for PNN. q may lie outside the domain, but
+// a NaN or infinite coordinate fails with a *DomainError (matching
+// ErrOutOfDomain).
 func (db *DB) PossibleKNN(q Point, k int) ([]int32, error) {
 	t := db.egc.Pin()
 	defer db.egc.Unpin(t)
@@ -587,29 +591,42 @@ func (db *DB) PossibleKNN(q Point, k int) ([]int32, error) {
 // memo, single call or batch alike). The candidates' distance bounds
 // come straight from the leaf entries' bounding circles (identical to
 // the objects' regions), so the objects themselves are never
-// materialized.
+// materialized, and every buffer comes from knnScratches: a warm call
+// allocates only its result.
 func (db *DB) possibleKNN(tree *rtree.Tree, q Point, k int) ([]int32, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("uvdiagram: PossibleKNN needs k ≥ 1, got %d", k)
 	}
-	items, _ := tree.KNNCandidates(q, k)
-	mins := make([]float64, len(items))
-	maxes := make([]float64, len(items))
-	for i, it := range items {
+	if !finite(q.X) || !finite(q.Y) {
+		return nil, &DomainError{Point: q, Domain: db.domain}
+	}
+	sc := knnScratches.Get().(*knnScratch)
+	defer knnScratches.Put(sc)
+	sc.items, _ = tree.AppendKNNCandidates(sc.items[:0], q, k)
+	sc.mins, sc.maxes = sc.mins[:0], sc.maxes[:0]
+	for _, it := range sc.items {
 		d := q.Dist(it.MBC.C)
-		if d > it.MBC.R {
-			mins[i] = d - it.MBC.R
-		}
-		maxes[i] = d + it.MBC.R
+		sc.mins = append(sc.mins, max(0, d-it.MBC.R))
+		sc.maxes = append(sc.maxes, d+it.MBC.R)
 	}
-	idx := prob.KNNAnswerSetDists(mins, maxes, k)
-	out := make([]int32, len(idx))
-	for i, j := range idx {
-		out[i] = items[j].ID
+	sc.idx = prob.KNNAnswerSetDists(sc.idx[:0], sc.mins, sc.maxes, k)
+	out := make([]int32, len(sc.idx))
+	for i, j := range sc.idx {
+		out[i] = sc.items[j].ID
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out, nil
 }
+
+// knnScratch holds possibleKNN's per-call buffers: the candidates, their
+// distance bounds and the answer-set indices.
+type knnScratch struct {
+	items       []rtree.Item
+	mins, maxes []float64
+	idx         []int
+}
+
+var knnScratches = sync.Pool{New: func() any { return new(knnScratch) }}
 
 // TopKPNN returns the k objects most likely to be the nearest neighbor
 // of q, ordered by descending qualification probability (ties by ID) —

@@ -2,8 +2,10 @@ package uvdiagram_test
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"uvdiagram"
@@ -172,6 +174,61 @@ func TestPossibleKNN(t *testing.T) {
 	}
 	if _, err := db.PossibleKNN(uvdiagram.Pt(0, 0), 0); err == nil {
 		t.Error("k=0 accepted")
+	}
+}
+
+// TestPossibleKNNRejectsNonFinitePoint: a query point with a NaN or
+// infinite coordinate fails with an error matching ErrOutOfDomain, alone
+// and inside a batch; a finite point outside the domain is answered.
+func TestPossibleKNNRejectsNonFinitePoint(t *testing.T) {
+	db, _ := buildSmallDB(t, 500, nil)
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, q := range []uvdiagram.Point{
+		uvdiagram.Pt(nan, 5), uvdiagram.Pt(5, nan), uvdiagram.Pt(inf, 5),
+		uvdiagram.Pt(5, -inf), uvdiagram.Pt(-inf, inf),
+	} {
+		if ids, err := db.PossibleKNN(q, 3); !errors.Is(err, uvdiagram.ErrOutOfDomain) {
+			t.Errorf("PossibleKNN(%v): %d ids, err %v; want ErrOutOfDomain", q, len(ids), err)
+		}
+		qs := []uvdiagram.Point{uvdiagram.Pt(100, 100), q}
+		if lists, err := db.BatchOrderK(qs, 3, nil); !errors.Is(err, uvdiagram.ErrOutOfDomain) {
+			t.Errorf("BatchOrderK with %v: %d lists, err %v; want ErrOutOfDomain", q, len(lists), err)
+		}
+	}
+	outside := uvdiagram.Pt(-50, -50)
+	ids, err := db.PossibleKNN(outside, 3)
+	if err != nil || len(ids) == 0 {
+		t.Fatalf("PossibleKNN(%v) outside the domain: %d ids, err %v", outside, len(ids), err)
+	}
+	lists, err := db.BatchOrderK([]uvdiagram.Point{outside}, 3, nil)
+	if err != nil || !slices.Equal(lists[0], ids) {
+		t.Fatalf("BatchOrderK(%v) outside the domain: %v, err %v; want %v", outside, lists, err, ids)
+	}
+}
+
+// TestPossibleKNNAllocs: a warm PossibleKNN allocates only its result —
+// the candidate walk, its buffers and the answer-set step reuse pooled
+// scratch. An allocation count, so it does not depend on the host.
+func TestPossibleKNNAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates on its own")
+	}
+	db, _ := buildSmallDB(t, 4000, nil)
+	qs := datagen.Queries(64, 2000, 13)
+	for _, q := range qs { // warm the R-tree's leaf memo and the pools
+		if _, err := db.PossibleKNN(q, 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := db.PossibleKNN(qs[i%len(qs)], 4); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs > 1 {
+		t.Fatalf("warm PossibleKNN makes %v allocations per call, want ≤ 1 (its result)", allocs)
 	}
 }
 
