@@ -326,7 +326,7 @@ func (ix *OrderKIndex) BatchPossibleKNN(qs []Point, opts *BatchOptions) ([][]int
 	}
 	out := make([][]int32, len(qs))
 	err := runBatch(len(qs), opts.workers(), func(i int) error {
-		ids, _, err := ix.inner.PossibleKNN(qs[i])
+		ids, _, err := ix.possibleKNN(qs[i])
 		out[i] = ids
 		return err
 	})

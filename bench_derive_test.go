@@ -1,12 +1,11 @@
 package uvdiagram_test
 
 // Benchmarks of the output-sensitive derivation fast path and the
-// allocation-free batched query hot path, with allocation reporting —
-// the CI perf smoke stage runs BenchmarkDeriveCRSets against the
-// committed ns/op baseline (perf_baseline.json; see
-// TestDerivePerfSmoke). The naive reference's side of the ratio is
+// allocation-free batched query hot path, with allocation reporting.
+// The naive reference's side of the ratio is
 // BenchmarkDeriveCRSetsReference in internal/core (same n=800 fixture);
-// end to end the derivation shows up as setup_s and
+// CI gates that ratio in one process (TestDeriveRatio in
+// internal/core). End to end the derivation shows up as setup_s and
 // core.derive_us_per_obj of `go run ./bench`.
 
 import (
@@ -53,8 +52,7 @@ func getDeriveFixture(tb testing.TB, n int) *deriveFixture {
 }
 
 // BenchmarkDeriveCRSets is the whole-population derivation pass (the
-// phase dominating Build/Compact/Reshard) on the fast path. The CI perf
-// smoke compares its ns/op against perf_baseline.json.
+// phase dominating Build/Compact/Reshard) on the fast path.
 func BenchmarkDeriveCRSets(b *testing.B) {
 	f := getDeriveFixture(b, 800)
 	b.ReportAllocs()

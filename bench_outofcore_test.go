@@ -2,11 +2,10 @@ package uvdiagram_test
 
 // Benchmarks of the out-of-core serving path: batched PNN against a
 // database opened pager=mmap from a page-image snapshot — leaf
-// reads are zero-copy views into the mapped file. The CI perf smoke
-// stage runs TestOutOfCorePerfSmoke against the committed ns/query
-// baseline (perf_baseline.json); the heap-vs-mmap comparison end to end
-// is the cold-open workload of `go run ./bench` against pnn-serve
-// (setup_s, rss_mb, pnn_qps, pager.*).
+// reads are zero-copy views into the mapped file. CI gates the mapped
+// against a heap-opened copy in one process (TestOutOfCoreRatio); end
+// to end the comparison is the cold-open workload of `go run ./bench`
+// against pnn-serve (setup_s, rss_mb, pnn_qps, pager.*).
 
 import (
 	"os"

@@ -387,56 +387,64 @@ func TestOrderKIndexStaleAfterMutation(t *testing.T) {
 	}
 }
 
-// TestCompactDoesNotBlockQueries is the non-blocking guarantee: queries
-// issued WHILE Compact rebuilds the index must keep completing, with
-// latencies far below the rebuild duration (they'd approach it if the
-// swap held a lock queries contend on).
+// TestCompactDoesNotBlockQueries is the non-blocking guarantee, as a
+// count rather than a clock: Compact is parked inside its shadow build
+// with the store lock held, and 64 queries must still complete — with
+// the answers they gave before the rebuild started — before it is let
+// go. A query that contended on the rebuild's lock would never return.
 func TestCompactDoesNotBlockQueries(t *testing.T) {
 	cfg := datagen.Config{N: 400, Side: 8000, Diameter: 40, Seed: 31}
 	db, err := Build(datagen.Uniform(cfg), cfg.Domain(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	rng := rand.New(rand.NewSource(3))
-	qs := queryGrid(rng, 8000, 64)
-
-	compactDone := make(chan error, 1)
-	start := time.Now()
-	go func() { compactDone <- db.Compact(context.Background()) }()
-
-	var during int
-	var worst time.Duration
-	var compactDur time.Duration
-loop:
-	for {
-		q0 := time.Now()
-		if _, _, err := db.PNN(qs[during%len(qs)]); err != nil {
+	qs := queryGrid(rand.New(rand.NewSource(3)), 8000, 64)
+	before := make([]string, len(qs))
+	for i, q := range qs {
+		ans, _, err := db.PNN(q)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if lat := time.Since(q0); lat > worst {
-			worst = lat
-		}
-		during++
-		select {
-		case err := <-compactDone:
-			if err != nil {
-				t.Fatal(err)
-			}
-			compactDur = time.Since(start)
-			break loop
-		default:
-		}
+		before[i] = fmt.Sprint(ans)
 	}
 
-	if during < 10 {
-		t.Fatalf("only %d queries completed during a %v compaction — queries were blocked", during, compactDur)
+	parked, release := make(chan struct{}), make(chan struct{})
+	db.compactHook = func(shard int) {
+		if shard == -1 {
+			close(parked)
+			<-release
+		}
 	}
-	// A single PNN on this dataset is tens of microseconds; the rebuild
-	// is tens of milliseconds. Even with scheduler noise a query must
-	// never cost a meaningful fraction of the rebuild.
-	if compactDur > 20*time.Millisecond && worst > compactDur/2 {
-		t.Fatalf("worst query latency %v during a %v compaction — a query blocked on the rebuild", worst, compactDur)
+	compactDone := make(chan error, 1)
+	go func() { compactDone <- db.Compact(context.Background()) }()
+	<-parked
+
+	queried := make(chan error, 1)
+	go func() {
+		for i, q := range qs {
+			ans, _, err := db.PNN(q)
+			if err == nil && fmt.Sprint(ans) != before[i] {
+				err = fmt.Errorf("PNN(%v) = %v during the rebuild, %s before it", q, ans, before[i])
+			}
+			if err != nil {
+				queried <- err
+				return
+			}
+		}
+		queried <- nil
+	}()
+	select {
+	case err := <-queried:
+		close(release)
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		close(release)
+		t.Fatalf("%d queries did not complete while Compact was parked inside its shadow build — queries block on the rebuild", len(qs))
+	}
+	if err := <-compactDone; err != nil {
+		t.Fatal(err)
 	}
 }
 

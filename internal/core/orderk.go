@@ -5,11 +5,11 @@ import (
 	"math"
 	"runtime/pprof"
 	"slices"
-	"sort"
 	"time"
 
 	"uvdiagram/internal/derive"
 	"uvdiagram/internal/geom"
+	"uvdiagram/internal/prob"
 	"uvdiagram/internal/rtree"
 	"uvdiagram/internal/uncertain"
 )
@@ -345,8 +345,7 @@ func (ix *UVIndex) PossibleKNN(q geom.Point) ([]int32, QueryStats, error) {
 	st.IndexIOs = ios
 	st.LeafEntries = len(tuples)
 
-	// Possible-k-NN predicate over the candidates: count sure excluders
-	// by binary search over the sorted distmax values.
+	// Possible-k-NN predicate over the candidates.
 	maxes := make([]float64, len(tuples))
 	mins := make([]float64, len(tuples))
 	for i, t := range tuples {
@@ -354,17 +353,11 @@ func (ix *UVIndex) PossibleKNN(q geom.Point) ([]int32, QueryStats, error) {
 		maxes[i] = d + t.R
 		mins[i] = math.Max(0, d-t.R)
 	}
-	sorted := append([]float64(nil), maxes...)
-	sort.Float64s(sorted)
-
 	var ids []int32
-	for i := range tuples {
-		surelyCloser := sort.SearchFloat64s(sorted, mins[i])
-		if surelyCloser <= ix.orderK-1 {
-			ids = append(ids, tuples[i].ID)
-		}
+	for _, i := range prob.KNNAnswerSetDists(nil, mins, maxes, ix.orderK) {
+		ids = append(ids, tuples[i].ID)
 	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
+	slices.Sort(ids)
 	st.Candidates = len(ids)
 	st.TraverseDur = time.Since(t0)
 	return ids, st, nil

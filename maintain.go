@@ -207,8 +207,7 @@ type Maintainer struct {
 // StartMaintainer attaches a self-driving maintenance controller to the
 // database and starts its background sampling loop. It fails if the
 // options are invalid or a maintainer is already attached. Stop the
-// returned Maintainer to detach it. Databases built with
-// Options.Maintain get one started automatically.
+// returned Maintainer to detach it.
 func (db *DB) StartMaintainer(opts MaintainOptions) (*Maintainer, error) {
 	opts = opts.withDefaults()
 	if err := opts.validate(); err != nil {

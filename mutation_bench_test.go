@@ -1,8 +1,8 @@
 package uvdiagram
 
-// Mutation-path micro-benchmarks: the CI perf smoke drives these (see
-// perf_smoke_test.go) and the allocation report keeps the COW surgery
-// honest about per-op garbage.
+// Mutation-path micro-benchmarks: the allocation report keeps the COW
+// surgery honest about per-op garbage. CI gates Delete against Insert
+// in one process (TestMutationRatio).
 
 import (
 	"testing"

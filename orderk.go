@@ -109,6 +109,16 @@ func (ix *OrderKIndex) PossibleKNN(q Point) ([]int32, QueryStats, error) {
 	if err := ix.fresh(); err != nil {
 		return nil, QueryStats{}, err
 	}
+	return ix.possibleKNN(q)
+}
+
+// possibleKNN is the grid descent behind PossibleKNN,
+// BatchPossibleKNN and KNNProbs, after the freshness check; a point
+// outside the domain fails with a *DomainError.
+func (ix *OrderKIndex) possibleKNN(q Point) ([]int32, QueryStats, error) {
+	if err := checkDomain(ix.db.domain, q); err != nil {
+		return nil, QueryStats{}, err
+	}
 	return ix.inner.PossibleKNN(q)
 }
 
@@ -159,7 +169,7 @@ func (ix *OrderKIndex) KNNProbs(q Point, trials int, seed int64) ([]Answer, Quer
 	if err := ix.fresh(); err != nil {
 		return nil, QueryStats{}, err
 	}
-	ids, st, err := ix.inner.PossibleKNN(q)
+	ids, st, err := ix.possibleKNN(q)
 	if err != nil {
 		return nil, st, err
 	}

@@ -2,6 +2,7 @@ package uvdiagram_test
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"os"
 	"sort"
@@ -67,6 +68,28 @@ func TestOrderKProbsSumNearK(t *testing.T) {
 	// full object set sum to exactly k and non-answers get zero.
 	if math.Abs(sum-3) > 1e-9 {
 		t.Fatalf("answer probabilities sum to %v, want 3", sum)
+	}
+}
+
+// TestOrderKOutOfDomain: every order-k grid query at a point outside
+// the domain, NaN included, fails with an error matching
+// ErrOutOfDomain, like the DB's own queries.
+func TestOrderKOutOfDomain(t *testing.T) {
+	db, _ := buildSmallDB(t, 30, nil)
+	ix, err := db.NewOrderKIndex(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []uvdiagram.Point{uvdiagram.Pt(-5, 5), uvdiagram.Pt(math.NaN(), 5), uvdiagram.Pt(5, math.Inf(1))} {
+		if _, _, err := ix.PossibleKNN(q); !errors.Is(err, uvdiagram.ErrOutOfDomain) {
+			t.Errorf("PossibleKNN(%v): %v, want ErrOutOfDomain", q, err)
+		}
+		if _, err := ix.BatchPossibleKNN([]uvdiagram.Point{uvdiagram.Pt(5, 5), q}, nil); !errors.Is(err, uvdiagram.ErrOutOfDomain) {
+			t.Errorf("BatchPossibleKNN(…, %v): %v, want ErrOutOfDomain", q, err)
+		}
+		if _, _, err := ix.KNNProbs(q, 100, 1); !errors.Is(err, uvdiagram.ErrOutOfDomain) {
+			t.Errorf("KNNProbs(%v): %v, want ErrOutOfDomain", q, err)
+		}
 	}
 }
 

@@ -43,9 +43,6 @@ func openLegacy(path string, opts *Options) (*DB, error) {
 	if err != nil {
 		return nil, snapErr(path, "%v", err)
 	}
-	if err := db.startConfiguredMaintainer(opts); err != nil {
-		return nil, err
-	}
 	return db, nil
 }
 

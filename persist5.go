@@ -533,10 +533,6 @@ func Open(path string, opts *Options) (*DB, error) {
 	} else {
 		f.Close()
 	}
-	if err := db.startConfiguredMaintainer(opts); err != nil {
-		db.Close()
-		return nil, err
-	}
 	return db, nil
 }
 

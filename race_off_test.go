@@ -2,6 +2,6 @@
 
 package uvdiagram_test
 
-// raceEnabled reports whether the race detector is compiled in; the
-// perf smoke gate skips itself under -race (see race_on_test.go).
+// raceEnabled reports whether the race detector is compiled in (see
+// race_on_test.go).
 const raceEnabled = false

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"uvdiagram/internal/core"
-	"uvdiagram/internal/prob"
 	"uvdiagram/internal/rtree"
 )
 
@@ -336,6 +335,9 @@ func (db *DB) rederiveAll(ctx context.Context, kind string, recut func(old *shar
 		lo = recut(old)
 	}
 	// Shadow build: nothing below mutates the live epochs or the store.
+	if hook := db.compactHook; hook != nil {
+		hook(-1)
+	}
 	tree := core.BuildHelperRTree(db.store, db.bopts.Fanout)
 	tree.SetReclaimDomain(db.egc)
 	t0 := time.Now()
@@ -588,11 +590,12 @@ func (db *DB) PossibleKNN(q Point, k int) ([]int32, error) {
 }
 
 // possibleKNN answers against one pinned tree (through its decoded-leaf
-// memo, single call or batch alike). The candidates' distance bounds
-// come straight from the leaf entries' bounding circles (identical to
-// the objects' regions), so the objects themselves are never
-// materialized, and every buffer comes from knnScratches: a warm call
-// allocates only its result.
+// memo, single call or batch alike). The walk's candidates are the
+// answer: its bound is the k-th smallest distmax over all objects, so a
+// candidate (distmin ≤ bound) has fewer than k surely-closer objects —
+// prob.KNNAnswerSet's predicate — and every other object has at least
+// k. The candidate buffer comes from knnItems: a warm call allocates
+// only its result.
 func (db *DB) possibleKNN(tree *rtree.Tree, q Point, k int) ([]int32, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("uvdiagram: PossibleKNN needs k ≥ 1, got %d", k)
@@ -600,33 +603,19 @@ func (db *DB) possibleKNN(tree *rtree.Tree, q Point, k int) ([]int32, error) {
 	if !finite(q.X) || !finite(q.Y) {
 		return nil, &DomainError{Point: q, Domain: db.domain}
 	}
-	sc := knnScratches.Get().(*knnScratch)
-	defer knnScratches.Put(sc)
-	sc.items, _ = tree.AppendKNNCandidates(sc.items[:0], q, k)
-	sc.mins, sc.maxes = sc.mins[:0], sc.maxes[:0]
-	for _, it := range sc.items {
-		d := q.Dist(it.MBC.C)
-		sc.mins = append(sc.mins, max(0, d-it.MBC.R))
-		sc.maxes = append(sc.maxes, d+it.MBC.R)
-	}
-	sc.idx = prob.KNNAnswerSetDists(sc.idx[:0], sc.mins, sc.maxes, k)
-	out := make([]int32, len(sc.idx))
-	for i, j := range sc.idx {
-		out[i] = sc.items[j].ID
+	items := knnItems.Get().(*[]rtree.Item)
+	defer knnItems.Put(items)
+	*items, _ = tree.AppendKNNCandidates((*items)[:0], q, k)
+	out := make([]int32, len(*items))
+	for i, it := range *items {
+		out[i] = it.ID
 	}
 	slices.Sort(out)
 	return out, nil
 }
 
-// knnScratch holds possibleKNN's per-call buffers: the candidates, their
-// distance bounds and the answer-set indices.
-type knnScratch struct {
-	items       []rtree.Item
-	mins, maxes []float64
-	idx         []int
-}
-
-var knnScratches = sync.Pool{New: func() any { return new(knnScratch) }}
+// knnItems pools possibleKNN's candidate buffers.
+var knnItems = sync.Pool{New: func() any { return new([]rtree.Item) }}
 
 // TopKPNN returns the k objects most likely to be the nearest neighbor
 // of q, ordered by descending qualification probability (ties by ID) —

@@ -145,21 +145,17 @@ func GaussianPDF() *PDF { return uncertain.PaperGaussian() }
 func UniformPDF() *PDF { return uncertain.Uniform(uncertain.DefaultBins) }
 
 // Options tune index construction; zero values select the paper's
-// defaults (M=4000 non-leaf nodes, Tθ=1, 4 KB pages, k=300 seed
-// candidates in 8 sectors, R-tree fanout 100, strategy IC).
+// defaults (Tθ=1, 4 KB pages, k=300 seed candidates, strategy IC). Its
+// other parameters are fixed at the paper's values: M=4000 non-leaf
+// nodes, 8 seed sectors, R-tree fanout 100.
 type Options struct {
-	Strategy    Strategy
-	MaxNonLeaf  int     // M
-	SplitTheta  float64 // Tθ
-	PageSize    int
-	SeedK       int
-	SeedSectors int
-	Fanout      int
+	Strategy   Strategy
+	SplitTheta float64 // Tθ
+	PageSize   int
+	SeedK      int
 	// CellSamples is the angular resolution of exact-cell extraction
 	// (used by ICR and Basic).
 	CellSamples int
-	// RegionSamples is the angular resolution of the pruning bounds.
-	RegionSamples int
 	// Workers is the number of goroutines deriving objects' cr-sets;
 	// results are identical at any count. Build reads 0 as
 	// runtime.GOMAXPROCS (1 = sequential). The background rebuilds that
@@ -194,14 +190,6 @@ type Options struct {
 	// pagers and closes the file. Build ignores it, as does Open of a
 	// legacy version ≤ 4 stream (both are always in-heap). Answers are identical either way.
 	Pager string
-	// Maintain, when non-nil, attaches a self-driving maintenance
-	// controller to the database as soon as it is built or loaded: a
-	// background loop that samples LoadImbalance and reshards on
-	// sustained skew with two-threshold hysteresis, cooldown and
-	// backoff (see MaintainOptions; &MaintainOptions{} selects all
-	// defaults). Stop it via DB.Maintainer().Stop(). Nil means no
-	// controller — maintenance stays operator-driven.
-	Maintain *MaintainOptions
 }
 
 func (o *Options) shardCount() (int, error) {
@@ -243,9 +231,6 @@ func (o *Options) toBuildOptions() core.BuildOptions {
 		return b
 	}
 	b.Strategy = o.Strategy
-	if o.MaxNonLeaf > 0 {
-		b.Index.M = o.MaxNonLeaf
-	}
 	if o.SplitTheta > 0 {
 		b.Index.SplitTheta = o.SplitTheta
 	}
@@ -255,17 +240,8 @@ func (o *Options) toBuildOptions() core.BuildOptions {
 	if o.SeedK > 0 {
 		b.SeedK = o.SeedK
 	}
-	if o.SeedSectors > 0 {
-		b.SeedSectors = o.SeedSectors
-	}
-	if o.Fanout > 0 {
-		b.Fanout = o.Fanout
-	}
 	if o.CellSamples > 0 {
 		b.CellSamples = o.CellSamples
-	}
-	if o.RegionSamples > 0 {
-		b.RegionSamples = o.RegionSamples
 	}
 	if o.Workers > 0 {
 		b.Workers = o.Workers
@@ -388,9 +364,10 @@ type DB struct {
 	dscratch *core.DeriveScratch
 	// compactHook, when set (tests only, before any concurrency
 	// starts), is called by CompactShard after both of its locks are
-	// held and before the shadow build — the observation point the
-	// wall-clock-overlap test uses to prove disjoint compactions run
-	// inside their critical sections simultaneously.
+	// held and by Compact/Reshard (shard −1) once smu is held, each
+	// before its shadow build — the observation point that lets tests
+	// park a rebuild inside its critical section: disjoint compactions
+	// overlap, and queries complete while a full rebuild is parked.
 	compactHook func(shard int)
 	// maintObs is the maintenance-event observer (DB.OnMaintenance),
 	// fired synchronously from the Compact/CompactShard/Reshard paths.
@@ -484,20 +461,7 @@ func Build(objects []Object, domain Rect, opts *Options) (*DB, error) {
 	}
 	db.layout.Store(lo)
 	db.built.Store(&stats)
-	if err := db.startConfiguredMaintainer(opts); err != nil {
-		return nil, err
-	}
 	return db, nil
-}
-
-// startConfiguredMaintainer attaches the Options.Maintain controller to
-// a freshly built or loaded database, if one was requested.
-func (db *DB) startConfiguredMaintainer(opts *Options) error {
-	if opts == nil || opts.Maintain == nil {
-		return nil
-	}
-	_, err := db.StartMaintainer(*opts.Maintain)
-	return err
 }
 
 // buildShards shadow-builds every shard of lo's sub-grid from the given
