@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -37,6 +38,32 @@ func survivorReference(t *testing.T, all []Object, deadIDs []int32, domain Rect,
 // assertDBsEquivalent compares every query type bitwise between the
 // incrementally maintained database and the fresh-build reference.
 func assertDBsEquivalent(t *testing.T, label string, got, want *DB, qs []Point) {
+	t.Helper()
+	assertServingEquivalent(t, label, got, want, qs)
+	assertRNNEquivalent(t, label, got, want, qs, 0)
+}
+
+// assertRNNEquivalent compares RNN answers: the same ids, probabilities
+// bitwise equal or, with tol > 0, within tol.
+func assertRNNEquivalent(t *testing.T, label string, got, want *DB, qs []Point, tol float64) {
+	t.Helper()
+	for _, q := range qs {
+		gr, _ := got.RNN(q)
+		wr, _ := want.RNN(q)
+		same := len(gr) == len(wr)
+		for i := 0; same && i < len(gr); i++ {
+			g, w := gr[i].Prob, wr[i].Prob
+			same = gr[i].ID == wr[i].ID && (math.Float64bits(g) == math.Float64bits(w) || tol > 0 && math.Abs(g-w) <= tol)
+		}
+		if !same {
+			t.Fatalf("%s: RNN(%v) diverges: %v vs %v", label, q, gr, wr)
+		}
+	}
+}
+
+// assertServingEquivalent compares every query type but RNN bitwise:
+// PNN, TopKPNN, PossibleKNN and the batch engines.
+func assertServingEquivalent(t *testing.T, label string, got, want *DB, qs []Point) {
 	t.Helper()
 	if got.Len() != want.Len() {
 		t.Fatalf("%s: live count %d, want %d", label, got.Len(), want.Len())
@@ -77,12 +104,6 @@ func assertDBsEquivalent(t *testing.T, label string, got, want *DB, qs []Point) 
 		}
 		if fmt.Sprint(gk) != fmt.Sprint(wk) {
 			t.Fatalf("%s: PossibleKNN(%v) diverges: %v vs %v", label, q, gk, wk)
-		}
-
-		gr, _ := got.RNN(q)
-		wr, _ := want.RNN(q)
-		if fmt.Sprint(gr) != fmt.Sprint(wr) {
-			t.Fatalf("%s: RNN(%v) diverges: %v vs %v", label, q, gr, wr)
 		}
 	}
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"uvdiagram/internal/agrid"
@@ -91,13 +92,13 @@ func LoadUVIndex(r *wire.Reader, store *uncertain.Store) (*UVIndex, error) {
 	if n != store.Len() {
 		return nil, fmt.Errorf("core: index stores %d objects, store has %d", n, store.Len())
 	}
-	crSets := make([][]int32, n)
-	for i := range crSets {
-		ids, err := agrid.ReadIDs(r, n)
-		if err != nil {
-			return nil, fmt.Errorf("core: loading index registry: %w", err)
-		}
-		crSets[i] = ids
+	var dead []bool
+	if orderK == 1 {
+		dead = store.View().Tombstones()
+	}
+	crSets, err := DecodeCRSets(r, n, dead)
+	if err != nil {
+		return nil, fmt.Errorf("core: loading index registry: %w", err)
 	}
 	// NewCRState rebuilds the reverse cr-map (the delete path's dependency
 	// index); it is derived state, so the stream does not carry it.
@@ -109,4 +110,73 @@ func LoadUVIndex(r *wire.Reader, store *uncertain.Store) (*UVIndex, error) {
 		return nil, fmt.Errorf("core: loading index tree: %w", err)
 	}
 	return ix, nil
+}
+
+// DecodeCRSets reads the constraint registry of n objects as Save and
+// a snapshot's metadata write it — per object a u32 count followed by
+// that many u32 ids — and checks every id lies below n. Each set's
+// bytes are taken in one read, and the sets are windows of one exactly
+// sized array with cap == len (see CRState), so decoding makes two
+// allocations whatever n is.
+//
+// A non-nil dead (the n tombstones) also checks the invariants every
+// order-1 registry keeps through Build and every mutation: a tombstoned
+// object's set is empty, and a live object's set is strictly ascending
+// and names neither the object itself nor a tombstoned one. Order-k
+// sets are kept in derivation order, so their loader passes nil.
+func DecodeCRSets(r *wire.Reader, n int, dead []bool) ([][]int32, error) {
+	if dead != nil && len(dead) != n {
+		return nil, fmt.Errorf("%d tombstones for %d objects", len(dead), n)
+	}
+	// Pass 1, on a copy of the cursor: validate the counts and size the
+	// backing array.
+	scan := *r
+	total := 0
+	for i := 0; i < n; i++ {
+		k := int(scan.U32())
+		if k < 0 || k > n || k > scan.Remaining()/4 {
+			return nil, fmt.Errorf("object %d cr-set of %d exceeds object count %d", i, k, n)
+		}
+		scan.Take(4 * k)
+		total += k
+	}
+	if err := scan.Err(); err != nil {
+		return nil, err
+	}
+	// Pass 2: carve, fill and check.
+	back := make([]int32, total)
+	sets := make([][]int32, n)
+	o := 0
+	for i := range sets {
+		k := int(r.U32())
+		b := r.Take(4 * k)
+		ids := back[o : o+k : o+k]
+		o += k
+		if k == 0 {
+			continue
+		}
+		if dead != nil && dead[i] {
+			return nil, fmt.Errorf("tombstoned object %d has a cr-set of %d", i, k)
+		}
+		prev := -1
+		for j := range ids {
+			u := binary.LittleEndian.Uint32(b[4*j:])
+			v := int(u)
+			switch {
+			case u >= uint32(n):
+				return nil, fmt.Errorf("object %d cr-id %d out of range", i, u)
+			case dead == nil:
+			case v <= prev:
+				return nil, fmt.Errorf("object %d cr-set is not strictly ascending at %d", i, v)
+			case v == i:
+				return nil, fmt.Errorf("object %d cr-set names the object itself", i)
+			case dead[v]:
+				return nil, fmt.Errorf("object %d cr-set names tombstoned object %d", i, v)
+			}
+			prev = v
+			ids[j] = int32(v)
+		}
+		sets[i] = ids
+	}
+	return sets, r.Err()
 }

@@ -160,3 +160,22 @@ func DecodeObjectRecordInto(page []byte, buf []float64) (ObjectRecord, error) {
 	rec.Weights = buf
 	return rec, nil
 }
+
+// DecodeObjectRecordHeader is DecodeObjectRecord without decoding the
+// bars: rec.Weights is nil and bars holds the record's encoded bars, 8
+// bytes each (it aliases page). A reader that has seen the same bar
+// bytes before can reuse what it made of them.
+func DecodeObjectRecordHeader(page []byte) (rec ObjectRecord, bars []byte, err error) {
+	if len(page) < objectRecordHeader {
+		return rec, nil, fmt.Errorf("pager: object record too short (%d bytes)", len(page))
+	}
+	rec.ID = int32(binary.LittleEndian.Uint32(page))
+	rec.CX = math.Float64frombits(binary.LittleEndian.Uint64(page[4:]))
+	rec.CY = math.Float64frombits(binary.LittleEndian.Uint64(page[12:]))
+	rec.R = math.Float64frombits(binary.LittleEndian.Uint64(page[20:]))
+	n := int(binary.LittleEndian.Uint16(page[28:]))
+	if len(page) < objectRecordHeader+8*n {
+		return rec, nil, fmt.Errorf("pager: object record truncated")
+	}
+	return rec, page[objectRecordHeader : objectRecordHeader+8*n], nil
+}

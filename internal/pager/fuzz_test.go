@@ -2,6 +2,7 @@ package pager
 
 import (
 	"bytes"
+	"math"
 	"testing"
 )
 
@@ -54,8 +55,17 @@ func FuzzDecodeObjectRecord(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := DecodeObjectRecord(data)
+		hdr, bars, herr := DecodeObjectRecordHeader(data)
+		if (err == nil) != (herr == nil) {
+			t.Fatalf("DecodeObjectRecord error %v, header-only error %v", err, herr)
+		}
 		if err != nil {
 			return
+		}
+		if hdr.ID != rec.ID || math.Float64bits(hdr.CX) != math.Float64bits(rec.CX) ||
+			math.Float64bits(hdr.CY) != math.Float64bits(rec.CY) || math.Float64bits(hdr.R) != math.Float64bits(rec.R) ||
+			len(bars) != 8*len(rec.Weights) {
+			t.Fatalf("header-only decode %+v with %d bar bytes, full decode %+v", hdr, len(bars), rec)
 		}
 		out, err := DecodeObjectRecord(EncodeObjectRecord(rec))
 		if err != nil {

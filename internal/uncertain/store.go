@@ -1,6 +1,7 @@
 package uncertain
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"sync/atomic"
@@ -133,6 +134,8 @@ func OpenStoreSnapshot(pg *pager.Pager, n int, dead []bool) (*Store, error) {
 	v := &View{pg: pg, at: make([]recLoc, n), objs: make([]Object, n), dead: dead}
 	pdfs := make(map[string]*HistogramPDF)
 	var weights []float64
+	var prevBars []byte
+	var pdf *HistogramPDF
 	npages := pg.NumPages()
 	p, off := 0, 0
 	for i := 0; i < n; i++ {
@@ -147,21 +150,30 @@ func OpenStoreSnapshot(pg *pager.Pager, n int, dead []bool) (*Store, error) {
 		if size == 0 || size > len(page) {
 			return nil, fmt.Errorf("uncertain: snapshot object %d: no record fits page %d at offset %d", i, p, off)
 		}
-		rec, err := pager.DecodeObjectRecordInto(page[:size], weights[:0])
+		rec, bars, err := pager.DecodeObjectRecordHeader(page[:size])
 		if err != nil {
 			return nil, fmt.Errorf("uncertain: snapshot object %d (page %d, offset %d): %w", i, p, off, err)
 		}
 		if int(rec.ID) != i {
 			return nil, fmt.Errorf("uncertain: snapshot page %d, offset %d holds object %d, want %d", p, off, rec.ID, i)
 		}
-		weights = rec.Weights
-		bars := page[size-8*len(weights) : size]
-		pdf, ok := pdfs[string(bars)]
-		if !ok {
-			if pdf, err = NewHistogramPDF(weights); err != nil {
-				return nil, fmt.Errorf("uncertain: snapshot object %d: %w", i, err)
+		// Runs of records with the same bars — a whole population, when
+		// every object shares one pdf — reuse the previous pdf without
+		// decoding or hashing the bars again.
+		if pdf == nil || !bytes.Equal(bars, prevBars) {
+			var ok bool
+			if pdf, ok = pdfs[string(bars)]; !ok {
+				full, err := pager.DecodeObjectRecordInto(page[:size], weights[:0])
+				if err != nil {
+					return nil, fmt.Errorf("uncertain: snapshot object %d (page %d, offset %d): %w", i, p, off, err)
+				}
+				weights = full.Weights
+				if pdf, err = NewHistogramPDF(weights); err != nil {
+					return nil, fmt.Errorf("uncertain: snapshot object %d: %w", i, err)
+				}
+				pdfs[string(bars)] = pdf
 			}
-			pdfs[string(bars)] = pdf
+			prevBars = bars
 		}
 		v.at[i] = recLoc{page: pager.PageID(p), off: uint32(off)}
 		v.objs[i] = Object{
@@ -280,6 +292,10 @@ func (v *View) All() []Object {
 	}
 	return out
 }
+
+// Tombstones returns the view's tombstone flags indexed by dense id.
+// The slice is shared; callers must not modify it.
+func (v *View) Tombstones() []bool { return v.dead }
 
 // Dense returns the raw dense slice, dead slots included, so that
 // objs[id] addresses object id. Callers must not modify it and must

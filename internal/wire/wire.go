@@ -306,6 +306,18 @@ func (d *Reader) take(n int) []byte {
 	return out
 }
 
+// Take reads the next n raw bytes; the result aliases the payload. A
+// negative n or one past the end sets the sticky error and returns nil.
+func (d *Reader) Take(n int) []byte {
+	if n < 0 {
+		if d.err == nil {
+			d.err = fmt.Errorf("wire: negative length %d at offset %d", n, d.off)
+		}
+		return nil
+	}
+	return d.take(n)
+}
+
 // U8 reads a single byte.
 func (d *Reader) U8() byte {
 	b := d.take(1)

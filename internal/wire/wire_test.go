@@ -186,6 +186,22 @@ func TestReaderBytes(t *testing.T) {
 	}
 }
 
+// TestReaderTake: Take returns the next n bytes in place; a negative n
+// or one past the end sets the sticky error instead of slicing.
+func TestReaderTake(t *testing.T) {
+	r := NewReader([]byte{1, 2, 3, 4, 5})
+	if got := r.Take(3); !bytes.Equal(got, []byte{1, 2, 3}) || r.Remaining() != 2 {
+		t.Fatalf("Take(3) = %v, %d remaining", got, r.Remaining())
+	}
+	if got := r.Take(-1); got != nil || r.Err() == nil {
+		t.Fatalf("Take(-1) = %v, err %v", got, r.Err())
+	}
+	r = NewReader([]byte{1, 2})
+	if got := r.Take(3); got != nil || r.Err() == nil {
+		t.Fatalf("Take past the end = %v, err %v", got, r.Err())
+	}
+}
+
 func TestReaderStrBounds(t *testing.T) {
 	var b Buffer
 	b.U32(1000) // claims 1000 bytes, none present

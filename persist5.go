@@ -318,21 +318,8 @@ func parseSnapMeta(meta []byte, version uint32, metaOff, fileSize int64) (*snapM
 			return nil, fmt.Errorf("object %d has tombstone flag %d", i, flag)
 		}
 	}
-	m.crSets = make([][]int32, m.n)
-	for i := range m.crSets {
-		k := int(r.U32())
-		if k < 0 || k > m.n || k > r.Remaining()/4 {
-			return nil, fmt.Errorf("object %d cr-set of %d exceeds object count %d", i, k, m.n)
-		}
-		ids := make([]int32, k)
-		for j := range ids {
-			v := r.U32()
-			if int(v) >= m.n {
-				return nil, fmt.Errorf("object %d cr-id %d out of range", i, v)
-			}
-			ids[j] = int32(v)
-		}
-		m.crSets[i] = ids
+	if m.crSets, err = core.DecodeCRSets(r, m.n, m.dead); err != nil {
+		return nil, err
 	}
 	m.storePageSize, m.storePages = int(r.U32()), m.n
 	if version != dbVersionPadded {

@@ -9,6 +9,7 @@ import (
 // or compare, as byte offsets into the file.
 type SnapshotParts struct {
 	Dead        int // the first tombstone flag
+	Registry    int // object 0's cr-set: a u32 count, then the ids; object 1's follows
 	StorePages  int // the object page count (version 6 only)
 	Objects     int // the object pages
 	ObjectPages int // how many object pages there are
@@ -34,7 +35,8 @@ func SnapshotPartsOf(data []byte) (SnapshotParts, error) {
 		ObjectPages: m.storePages,
 		Index:       int(m.shards[0].off),
 	}
-	p.StorePages = p.Dead + m.n
+	p.Registry = p.Dead + m.n
+	p.StorePages = p.Registry
 	for _, ids := range m.crSets {
 		p.StorePages += 4 + 4*len(ids)
 	}
