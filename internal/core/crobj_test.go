@@ -30,10 +30,10 @@ type CRResult struct {
 // the possible region, so the overlap tests of Algorithm 5 must see
 // their constraints too.
 //
-// This convenience form allocates its own scratch and returns the full
-// result (region included); the hot paths — Build workers and the
-// Insert/Delete re-derivation — go through DeriveCR with a long-lived
-// DeriveScratch instead. Both produce bitwise-identical cr-sets.
+// This test-only form allocates its own scratch and returns the full
+// result (region included); Build's workers and the Insert/Delete
+// re-derivation run the same deriveCR with a long-lived DeriveScratch,
+// so both give bitwise-identical cr-sets.
 func DeriveCRObjects(tree *rtree.Tree, oi uncertain.Object, objs []uncertain.Object, domain geom.Rect, k, ks, samples int) CRResult {
 	sc := NewDeriveScratch()
 	cr, ds, nC := deriveCR(tree, nil, oi, objs, domain, k, ks, samples, false, sc)
@@ -51,46 +51,12 @@ func DeriveCRObjects(tree *rtree.Tree, oi uncertain.Object, objs []uncertain.Obj
 
 // mergeIDs returns the sorted union of two id slices without modifying
 // either input. It is the standalone form of the sort-merge union the
-// derivation hot path performs on scratch-owned, pre-sorted inputs
-// (mergeSorted); the old implementation built a map per call.
+// derivation performs on scratch-owned, pre-sorted inputs
+// (mergeSorted).
 func mergeIDs(a, b []int32) []int32 {
 	as := append(make([]int32, 0, len(a)), a...)
 	bs := append(make([]int32, 0, len(b)), b...)
 	slices.Sort(as)
 	slices.Sort(bs)
 	return mergeSorted(as, bs)
-}
-
-// mergeSorted returns the deduplicated union of two ascending-sorted id
-// slices as a freshly allocated sorted slice (duplicates within either
-// input are collapsed too).
-func mergeSorted(a, b []int32) []int32 {
-	out := make([]int32, 0, len(a)+len(b))
-	emit := func(v int32) {
-		if len(out) == 0 || out[len(out)-1] != v {
-			out = append(out, v)
-		}
-	}
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			emit(a[i])
-			i++
-		case b[j] < a[i]:
-			emit(b[j])
-			j++
-		default:
-			emit(a[i])
-			i++
-			j++
-		}
-	}
-	for ; i < len(a); i++ {
-		emit(a[i])
-	}
-	for ; j < len(b); j++ {
-		emit(b[j])
-	}
-	return out
 }

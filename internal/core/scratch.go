@@ -16,8 +16,8 @@ import (
 // the sorted-merge staging area — so that steady-state derivation
 // allocates nothing but the returned cr-set itself. A scratch is owned
 // by exactly one goroutine: Build gives each worker its own, and the DB
-// keeps one for the Insert/Delete re-derivation path (mutations hold
-// the store lock exclusively, so it is never shared).
+// keeps one for Insert and Delete, which derive with the same DeriveCR
+// (mutations hold the store lock exclusively, so it is never shared).
 type DeriveScratch struct {
 	it     rtree.NNIterator
 	seeds  []int32
@@ -45,36 +45,16 @@ type DeriveScratch struct {
 func NewDeriveScratch() *DeriveScratch { return &DeriveScratch{} }
 
 // DeriveCR is the output-sensitive Algorithm 2 used by the live
-// mutation paths (Insert and Delete re-derivation): seeds, I-/C-pruning
-// and the sorted-union merge, all through sc's buffers. Only the
+// mutation paths (Insert, and Delete's re-derivation of the dependents
+// that lost a tight constraint): seeds, I-/C-pruning and the
+// sorted-union merge, all through sc's buffers. It runs the deriveCR
+// that Build's workers run through DeriveCRSets, so a set derived here
+// is the set Build would derive over the same population. Only the
 // returned cr-set is freshly allocated — it outlives the scratch (the
-// registry retains it). The set is bitwise identical to
-// DeriveCRObjects(...).CR.
+// registry retains it).
 func DeriveCR(tree *rtree.Tree, oi uncertain.Object, objs []uncertain.Object, domain geom.Rect, k, ks, samples int, sc *DeriveScratch) []int32 {
 	cr, _, _ := deriveCR(tree, nil, oi, objs, domain, k, ks, samples, false, sc)
 	return cr
-}
-
-// DeriveCRFrom is region-restricted re-derivation: it rebuilds oi's
-// cr-set seeded from prev — the object's previous live members (sorted,
-// victims already stripped) — instead of a fresh incremental-NN browse.
-// The seeded region is the region of the surviving representation, so
-// I-pruning's search radius starts from the cell as it was and only
-// admits the candidates that can matter now that a tight constraint is
-// gone; the union with prev keeps the result a superset of what the
-// caller already covered. The tree must no longer contain the victims
-// (the delete path removes them from the R-tree before re-deriving).
-func DeriveCRFrom(tree *rtree.Tree, oi uncertain.Object, prev []int32, objs []uncertain.Object, domain geom.Rect, samples int, sc *DeriveScratch) []int32 {
-	region := &sc.region
-	region.Reset(oi.Region.C, domain)
-	for _, id := range prev {
-		region.AddObject(oi, objs[id])
-	}
-	sc.ids = iPruneInto(tree, nil, oi, region, samples, sc.ids[:0], nil)
-	kept := cPruneInto(sc.ids, oi, region, samples, objs, sc)
-	slices.Sort(kept)
-	sc.sorted = append(sc.sorted[:0], prev...)
-	return mergeSorted(kept, sc.sorted)
 }
 
 // deriveCR runs seeds + pruning + merge with sc's buffers, returning
@@ -106,4 +86,38 @@ func deriveCR(tree *rtree.Tree, g *seedGroup, oi uncertain.Object, objs []uncert
 	ds.prune = time.Since(tp)
 	ds.sumI, ds.sumCR = int64(len(sc.ids)), int64(len(cr))
 	return cr, ds, len(kept)
+}
+
+// mergeSorted returns the deduplicated union of two ascending-sorted id
+// slices as a freshly allocated sorted slice (duplicates within either
+// input are collapsed too).
+func mergeSorted(a, b []int32) []int32 {
+	out := make([]int32, 0, len(a)+len(b))
+	emit := func(v int32) {
+		if len(out) == 0 || out[len(out)-1] != v {
+			out = append(out, v)
+		}
+	}
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			emit(a[i])
+			i++
+		case b[j] < a[i]:
+			emit(b[j])
+			j++
+		default:
+			emit(a[i])
+			i++
+			j++
+		}
+	}
+	for ; i < len(a); i++ {
+		emit(a[i])
+	}
+	for ; j < len(b); j++ {
+		emit(b[j])
+	}
+	return out
 }

@@ -17,8 +17,8 @@ import (
 // tight keeps its representation (minus the victim) with no
 // re-derivation at all, because dropping a non-binding constraint
 // leaves the covered region bitwise unchanged. Only dependents that
-// lose a tight constraint see their cell grow and need fresh pruning
-// (DeriveCRFrom, seeded from the surviving members).
+// lose a tight constraint see their cell grow; they are re-derived
+// from scratch with DeriveCR, the derivation Insert and Build use.
 //
 // The registry is LAZY: a profile is built the first time a delete (or
 // insert repair) needs it, from the object's current cr-set, and then

@@ -1,7 +1,7 @@
 //go:build !race
 
-package uvdiagram_test
+package uvdiagram
 
-// raceEnabled reports whether the race detector is compiled in (see
+// RaceEnabled reports whether the race detector is compiled in (see
 // race_on_test.go).
-const raceEnabled = false
+const RaceEnabled = false

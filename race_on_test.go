@@ -1,7 +1,8 @@
 //go:build race
 
-package uvdiagram_test
+package uvdiagram
 
-// raceEnabled reports whether the race detector is compiled in; timing
-// gates skip themselves when it is.
-const raceEnabled = true
+// RaceEnabled reports whether the race detector is compiled in; timing
+// gates and long churn tests skip themselves when it is. It is exported
+// for the external test package, which reads it as raceEnabled.
+const RaceEnabled = true

@@ -78,9 +78,9 @@ func thousand(f func()) func() error {
 }
 
 // TestMutationRatio: over 180 delete+insert pairs on a steady 4-shard
-// population, a Delete must cost ≤ 5 Inserts (measured 3.0–3.8,
-// re-derivation and leaf surgery doubled 5.2–6.2) and re-derive ≤ 7
-// dependents (measured 4.63).
+// population, a Delete must cost ≤ 5 Inserts (measured 4.0–4.3,
+// re-derivation and leaf surgery doubled 5.7–6.3) and re-derive ≤ 7
+// dependents (measured 4.62).
 func TestMutationRatio(t *testing.T) {
 	db := gateDB(t, 7000, 7, 4)
 	var del, ins time.Duration

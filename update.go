@@ -38,11 +38,11 @@ import (
 //
 // Deletes are output-sensitive: the topology registry (core.Topology)
 // splits a victim's dependents into those whose boundary the victim
-// actually shaped (tight — re-derived, seeded from their surviving
-// members) and the rest, which keep their representation stripped of
-// the victim with no derivation at all. Any set of live constraint ids
-// is a sound conservative cell representation, so the split affects
-// slack and cost, never answers.
+// actually shaped (tight — re-derived from scratch with Insert's
+// derivation) and the rest, which keep their representation stripped
+// of the victim with no derivation at all. Any set of live constraint
+// ids is a sound conservative cell representation, so the split
+// affects slack and cost, never answers.
 
 // Insert adds a new uncertain object to a built database. The object's
 // ID must be the next dense ID (db.NextID(); deleted IDs are never
@@ -244,12 +244,19 @@ func (db *DB) deleteBatchLocked(ids []int32) error {
 			rederive = append(rederive, a)
 		}
 	}
-	// Region-restricted re-derivation for the tight dependents: seeded
-	// from the surviving members (no fresh NN browse), against the
-	// already victim-free tree. One derivation serves every shard.
+	// The tight dependents re-derive with Insert's derivation against
+	// the already victim-free tree: a fresh sector browse re-seeds every
+	// sector whose seed was a victim, so a set tracks the live population
+	// rather than every id it ever held. The fresh set need not contain
+	// the stripped one, and that is sound: the shards the old
+	// representation reached were marked above, the ones the fresh one
+	// reaches are marked below, and every marked shard strips the
+	// dependent and re-inserts it with Build's 4-point test. The tree
+	// holds no victim, so the set is sorted, excludes a itself and names
+	// no tombstoned object, as Open's registry decoder requires. One
+	// derivation serves every shard.
 	for _, a := range rederive {
-		freshSet := db.deriveCRFrom(tree, objs[a], db.cr.Of(a))
-		db.cr.Replace(a, freshSet)
+		db.cr.Replace(a, db.deriveCR(tree, objs[a]))
 		db.topo.Invalidate(a)
 	}
 	db.cr.Drop(ids)
@@ -494,24 +501,13 @@ func (db *DB) ReshardWith(ctx context.Context, strategy LayoutStrategy) error {
 // population with the DB's long-lived derivation scratch (callers hold
 // smu exclusively, so the scratch is never shared): steady-state
 // mutation re-derivation allocates only the returned, registry-retained
-// set. The set is bitwise identical to DeriveCRObjects'.
+// set. Insert and Delete both call it, and it runs Build's Algorithm 2.
 func (db *DB) deriveCR(tree *rtree.Tree, o Object) []int32 {
 	if db.dscratch == nil {
 		db.dscratch = core.NewDeriveScratch()
 	}
 	return core.DeriveCR(tree, o, db.store.Dense(), db.domain,
 		db.bopts.SeedK, db.bopts.SeedSectors, db.bopts.RegionSamples, db.dscratch)
-}
-
-// deriveCRFrom is the delete path's region-restricted re-derivation:
-// object o's fresh constraint set seeded from prev, its previous live
-// members (victims already stripped), instead of a fresh NN browse.
-func (db *DB) deriveCRFrom(tree *rtree.Tree, o Object, prev []int32) []int32 {
-	if db.dscratch == nil {
-		db.dscratch = core.NewDeriveScratch()
-	}
-	return core.DeriveCRFrom(tree, o, prev, db.store.Dense(), db.domain,
-		db.bopts.RegionSamples, db.dscratch)
 }
 
 // maybeCompact kicks off background compaction for every shard whose

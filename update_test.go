@@ -12,6 +12,9 @@ import (
 	"uvdiagram/internal/datagen"
 )
 
+// raceEnabled reports whether the race detector is compiled in.
+const raceEnabled = uvdiagram.RaceEnabled
+
 // TestInsertThenQuery: live inserts keep answers exactly equal to brute
 // force over the grown dataset.
 func TestInsertThenQuery(t *testing.T) {
