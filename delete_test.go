@@ -468,46 +468,3 @@ func TestCompactDoesNotBlockQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestAutoCompaction checks the CompactSlack watermark: enough churn
-// triggers a background epoch swap that clears the slack, with answers
-// unchanged.
-func TestAutoCompaction(t *testing.T) {
-	cfg := datagen.Config{N: 40, Side: 2000, Diameter: 40, Seed: 77}
-	objs := datagen.Uniform(cfg)
-	db, err := Build(objs, cfg.Domain(), &Options{CompactSlack: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	baselineEpoch := db.lo().epAt(0).gen
-
-	for id := int32(0); id < 12; id += 2 {
-		if err := db.Delete(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The watermark fires asynchronously; wait for the swap.
-	deadline := time.Now().Add(5 * time.Second)
-	for db.lo().epAt(0).gen == baselineEpoch {
-		if time.Now().After(deadline) {
-			t.Fatalf("auto-compaction never swapped the epoch (slack %d)", db.Index().Slack())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// Wait for the compaction goroutine to fully finish before letting
-	// the test tear down.
-	for db.lo().shards[0].compacting.Load() {
-		time.Sleep(time.Millisecond)
-	}
-	if got := db.Index().Slack(); got != 0 {
-		t.Fatalf("auto-compaction left slack %d", got)
-	}
-
-	var dead []int32
-	for id := int32(0); id < 12; id += 2 {
-		dead = append(dead, id)
-	}
-	ref := survivorReference(t, objs, dead, cfg.Domain(), nil)
-	rng := rand.New(rand.NewSource(1))
-	assertDBsEquivalent(t, "auto-compact", db, ref, queryGrid(rng, 2000, 8))
-}

@@ -62,12 +62,6 @@ type BuildOptions struct {
 	// every I-pruning survivor as a cr-object. Ablation knob: isolates
 	// the contribution of each pruning level (Figure 7(b)).
 	DisableCPrune bool
-	// CompactSlack, when positive, arms automatic compaction: once the
-	// live index's accumulated mutation slack (UVIndex.Slack) reaches
-	// this watermark, the DB rebuilds itself in the background and
-	// atomically swaps the fresh index in. 0 (the default) disables
-	// auto-compaction; explicit DB.Compact always works.
-	CompactSlack int
 }
 
 // DefaultBuildOptions mirrors Section VI-A.

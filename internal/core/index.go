@@ -73,10 +73,9 @@ type UVIndex struct {
 	// slack counts the leaf-list churn accumulated by live mutations
 	// since construction, weighted by the number of leaf-list ENTRIES
 	// actually touched (added or removed) rather than per object, so
-	// the CompactSlack watermark is scale-free: a delete that re-derives
-	// a hub object rewriting 400 leaf entries accrues 400, a boundary
-	// insert touching 3 leaves accrues 3. DBs use it as the compaction
-	// watermark.
+	// the count is scale-free: a delete that re-derives a hub object
+	// rewriting 400 leaf entries accrues 400, a boundary insert touching
+	// 3 leaves accrues 3.
 	slack atomic.Int64
 	// orderK is the order of the indexed cells: leaves list the objects
 	// whose ORDER-k UV-cell (the region where the object can be among
@@ -197,8 +196,8 @@ func (ix *UVIndex) RepReaches(id int32, crIDs []int32, r geom.Rect) bool {
 
 // Slack returns the accumulated live-mutation churn since construction:
 // the leaf entries InsertLeafLive and RemoveAndReinsertLive touched. A
-// freshly built or loaded index has slack 0. It is the signal behind
-// the CompactSlack auto-compaction watermark.
+// freshly built or loaded index has slack 0. It measures write churn,
+// not leaf-list bloat.
 func (ix *UVIndex) Slack() int64 { return ix.slack.Load() }
 
 // Gen returns the index's mutation generation, bumped by every

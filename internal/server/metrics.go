@@ -69,7 +69,6 @@ type serverMetrics struct {
 	pagerDisk   *metrics.Gauge
 	pagerVac    *metrics.Gauge
 	maintTicks  *metrics.Gauge
-	maintArms   *metrics.Gauge
 	maintPress  *metrics.Gauge
 }
 
@@ -112,7 +111,6 @@ func newServerMetrics() *serverMetrics {
 		pagerDisk:   set.Gauge("pager.disk_bytes"),
 		pagerVac:    set.Gauge("pager.vacuumed_bytes"),
 		maintTicks:  set.Gauge("maint.ticks"),
-		maintArms:   set.Gauge("maint.compact_arms"),
 		maintPress:  set.Gauge("maint.pressure"),
 	}
 	unknown := set.Counter("ops.unknown")
@@ -180,7 +178,6 @@ func (s *Server) MetricsSnapshot() []metrics.Value {
 	if mt := s.db.Maintainer(); mt != nil {
 		st := mt.Stats()
 		m.maintTicks.Set(float64(st.Ticks))
-		m.maintArms.Set(float64(st.CompactArms))
 		m.maintPress.Set(float64(st.Pressure))
 	}
 	return m.set.Snapshot()

@@ -497,12 +497,11 @@ func (s *Server) dispatch(op byte, payload []byte) ([]byte, error) {
 		// not derive insert ids from it.
 		b.I32(s.db.NextID())
 		// Appended after NextID: the spatial shard count and each
-		// shard's accumulated mutation slack (the per-shard compaction
-		// signal). Older clients stop reading before this. The whole
-		// layout block comes from ONE snapshot: Reshard may run
-		// concurrently (it takes no server lock), and mixing cuts from
-		// one layout with shard states from another would tear the
-		// frame.
+		// shard's accumulated mutation slack. Older clients stop
+		// reading before this. The whole layout block comes from ONE
+		// snapshot: Reshard may run concurrently (it takes no server
+		// lock), and mixing cuts from one layout with shard states from
+		// another would tear the frame.
 		snap := s.db.LayoutSnapshot()
 		b.U32(uint32(len(snap.Shards)))
 		for _, sh := range snap.Shards {

@@ -8,15 +8,14 @@ import (
 )
 
 // Self-driving maintenance. The engine has every maintenance primitive
-// its dynamic setting needs — watermark-armed per-shard compaction,
-// online Reshard, CompactAll — but they fire only when something calls
-// them. The Maintainer closes the loop: a single background goroutine
-// samples LoadImbalance and per-shard slack on a ticker and calls
-// Reshard itself when skew persists, with two-threshold hysteresis, a
-// sustain window, a cooldown and exponential backoff so churny
-// workloads can never make it thrash. A server holding thousands of
-// live moving-query subscriptions cannot pause for an operator; this is
-// the operator.
+// its dynamic setting needs — online Reshard, Compact, CompactShard,
+// CompactAll — but they fire only when something calls them. The
+// Maintainer closes the loop: a single background goroutine samples
+// LoadImbalance on a ticker and calls Reshard itself when skew
+// persists, with two-threshold hysteresis, a sustain window, a cooldown
+// and exponential backoff so churny workloads can never make it thrash.
+// A server holding thousands of live moving-query subscriptions cannot
+// pause for an operator; this is the operator.
 //
 // The control law, per tick:
 //
@@ -30,15 +29,12 @@ import (
 //     workload that keeps dipping into the band neither accumulates
 //     pressure toward a spurious reshard nor discards evidence of real
 //     sustained skew.
-//   - pressure ≥ SustainTicks and the cooldown has expired and no
-//     background shard compaction is in flight (a layout swap would
-//     retire the epochs those builds are about to publish): run
+//   - pressure ≥ SustainTicks and the cooldown has expired: run
 //     Reshard. Success resets pressure and starts the MinInterval
-//     cooldown; failure backs off exponentially up to MaxBackoff.
+//     cooldown; failure backs off exponentially from MinInterval up to
+//     maxBackoff × MinInterval.
 //
-// Each tick also re-runs the CompactSlack watermark check, so slack
-// stranded by a skipped background compaction (e.g. a layout swap won
-// the race) is re-armed even after writes stop.
+// Each tick also vacuums the pager (see Tick).
 
 // Maintenance event kinds (MaintEvent.Kind).
 const (
@@ -47,9 +43,8 @@ const (
 	MaintReshard = "reshard"
 	// MaintCompact is a full re-derivation rebuild (Compact).
 	MaintCompact = "compact"
-	// MaintCompactShard is one shard's shadow rebuild (CompactShard,
-	// CompactAll, or the background auto-compaction watermark); Shard is
-	// the shard index.
+	// MaintCompactShard is one shard's shadow rebuild (CompactShard or
+	// CompactAll); Shard is the shard index.
 	MaintCompactShard = "compact-shard"
 )
 
@@ -103,19 +98,21 @@ type MaintainOptions struct {
 	HighWater float64
 	// LowWater disarms the controller: imbalance at or below it resets
 	// the sustain pressure and the failure backoff (default 1.25, must
-	// be ≥ 1).
+	// be ≥ 1). Both watermarks must be finite.
 	LowWater float64
 	// SustainTicks is how many high-water ticks must accumulate —
 	// without an intervening dip below LowWater — before a reshard fires
 	// (default 3).
 	SustainTicks int
 	// MinInterval is the cooldown after a successful reshard; no
-	// controller-initiated reshard runs sooner (default 30s).
+	// controller-initiated reshard runs sooner (default 30s). It is also
+	// the first failure backoff, which doubles per failed reshard up to
+	// maxBackoff × MinInterval.
 	MinInterval time.Duration
-	// MaxBackoff caps the exponential backoff applied after failed
-	// reshards (default 8 × MinInterval).
-	MaxBackoff time.Duration
 }
+
+// maxBackoff caps the failure backoff, in multiples of MinInterval.
+const maxBackoff = 8
 
 // withDefaults fills zero fields with the documented defaults.
 func (o MaintainOptions) withDefaults() MaintainOptions {
@@ -134,15 +131,16 @@ func (o MaintainOptions) withDefaults() MaintainOptions {
 	if o.MinInterval <= 0 {
 		o.MinInterval = 30 * time.Second
 	}
-	if o.MaxBackoff <= 0 {
-		o.MaxBackoff = 8 * o.MinInterval
-	}
 	return o
 }
 
 // validate rejects a configuration whose thresholds cannot implement
 // hysteresis.
 func (o MaintainOptions) validate() error {
+	if !finite(o.LowWater) || !finite(o.HighWater) {
+		return fmt.Errorf("uvdiagram: maintain watermarks must be finite, got LowWater %g, HighWater %g",
+			o.LowWater, o.HighWater)
+	}
 	if o.LowWater < 1 {
 		return fmt.Errorf("uvdiagram: maintain LowWater %.3g < 1 (imbalance is never below 1)", o.LowWater)
 	}
@@ -161,12 +159,6 @@ type MaintainerStats struct {
 	Reshards uint64
 	// ReshardFailures counts failed or cancelled ones.
 	ReshardFailures uint64
-	// CompactArms counts background shard compactions the controller's
-	// slack sweep armed.
-	CompactArms uint64
-	// Deferrals counts reshard attempts postponed because a background
-	// shard compaction was in flight.
-	Deferrals uint64
 	// CooldownSkips counts ticks where sustained pressure wanted a
 	// reshard but the cooldown (or backoff) window had not expired.
 	CooldownSkips uint64
@@ -280,12 +272,6 @@ func (m *Maintainer) Tick() {
 	imb := db.LoadImbalance()
 	m.st.LastImbalance = imb
 
-	// Slack sweep: re-arm background compaction for shards stuck above
-	// the watermark. The mutation paths arm at write time; this closes
-	// the gap for slack stranded when writes stop or an arming race was
-	// lost to a layout swap.
-	m.st.CompactArms += uint64(db.maybeCompact())
-
 	// Storage sweep: release what the COW retire paths have freed since
 	// the last tick — heap page buffers for the GC, dead extents of an
 	// mmap-backed snapshot for the kernel. The frees themselves already
@@ -309,24 +295,9 @@ func (m *Maintainer) Tick() {
 		m.st.CooldownSkips++
 		return
 	}
-	if db.lo().anyCompacting() {
-		// An in-flight background shard compaction is about to publish
-		// an epoch into the current layout; a reshard now would retire
-		// it unseen. Pressure holds, so the reshard fires on the next
-		// clear tick.
-		m.st.Deferrals++
-		return
-	}
 	if err := db.Reshard(m.ctx); err != nil {
 		m.st.ReshardFailures++
-		if m.st.Backoff <= 0 {
-			m.st.Backoff = m.opts.MinInterval
-		} else if m.st.Backoff < m.opts.MaxBackoff {
-			m.st.Backoff *= 2
-			if m.st.Backoff > m.opts.MaxBackoff {
-				m.st.Backoff = m.opts.MaxBackoff
-			}
-		}
+		m.st.Backoff = min(max(2*m.st.Backoff, m.opts.MinInterval), maxBackoff*m.opts.MinInterval)
 		m.nextAllowed = m.now().Add(m.st.Backoff)
 		return
 	}

@@ -3,6 +3,7 @@ package uvdiagram
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -71,9 +72,12 @@ func TestMaintainOptionsValidate(t *testing.T) {
 		{LowWater: 0.5, HighWater: 2},   // imbalance is never below 1
 		{LowWater: 1.5, HighWater: 1.5}, // empty band
 		{LowWater: 1.5, HighWater: 1.2}, // inverted band
+		{HighWater: math.NaN()},         // never reshards
+		{LowWater: math.NaN()},          // never resets pressure
+		{HighWater: math.Inf(1)},        // never reshards
 	} {
 		if _, err := db.StartMaintainer(opts); err == nil {
-			t.Fatalf("StartMaintainer(%+v) accepted an invalid hysteresis band", opts)
+			t.Fatalf("StartMaintainer(%+v) accepted invalid watermarks", opts)
 		}
 	}
 	if db.Maintainer() != nil {
@@ -305,22 +309,64 @@ func TestDomainErrorsTyped(t *testing.T) {
 	}
 }
 
-// TestAutoCompactReshardRace hammers the background-compaction /
-// Reshard interleaving the singleflight fix targets: watermark-armed
-// shard compactions race layout swaps while a mutator churns. The
-// compacting flags must always release (re-armability), and the final
-// answers must match a fresh build of the same objects bit for bit.
-func TestAutoCompactReshardRace(t *testing.T) {
+// TestMaintainerBackoff drives the failure path: after Stop cancels the
+// controller's context every Reshard fails, so sustained-pressure ticks
+// past each backoff window must double the backoff from MinInterval up
+// to its 8× cap, and a tick at or below LowWater must reset it.
+func TestMaintainerBackoff(t *testing.T) {
+	db, cfg := buildMaintDB(t)
+	opts := maintTestOptions()
+	m, err := db.StartMaintainer(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Unix(1000, 0)
+	m.now = func() time.Time { return now }
+	m.Stop() // cancels m.ctx: every Reshard the controller runs fails
+
+	ids := addCluster(t, db, cfg, 3*cfg.N, 0.70, 0.70)
+	for k := 0; k < opts.SustainTicks-1; k++ {
+		m.Tick()
+	}
+	for i, want := range []time.Duration{1, 2, 4, 8, 8} {
+		m.Tick()
+		st := m.Stats()
+		if st.ReshardFailures != uint64(i+1) || st.Reshards != 0 || st.Backoff != want*opts.MinInterval {
+			t.Fatalf("failure %d: %d failures, %d reshards, backoff %v; want %d, 0, %v",
+				i+1, st.ReshardFailures, st.Reshards, st.Backoff, i+1, want*opts.MinInterval)
+		}
+		m.Tick() // inside the backoff window: held, no new attempt
+		if st := m.Stats(); st.ReshardFailures != uint64(i+1) {
+			t.Fatalf("failure %d: a tick inside the backoff window attempted a reshard", i+1)
+		}
+		now = now.Add(st.Backoff)
+	}
+
+	removeCluster(t, db, ids)
+	m.Tick()
+	if st := m.Stats(); st.Backoff != 0 || st.Pressure != 0 {
+		t.Fatalf("tick at imbalance %.2f left backoff %v, pressure %d; want both reset",
+			st.LastImbalance, st.Backoff, st.Pressure)
+	}
+}
+
+// TestCompactShardReshardRace runs a Reshard storm and a CompactAll
+// storm against delete+insert churn. Reshard swaps the layout under the
+// exclusive store lock and CompactShard holds it shared, so a shard
+// build can never publish into a retired layout or read a registry a
+// write is changing: the churned database must answer bitwise like a
+// fresh build of the survivors, sharded the same way or not at all.
+func TestCompactShardReshardRace(t *testing.T) {
 	cfg := datagen.Config{N: 200, Side: 2000, Diameter: 40, Seed: 7}
-	db, err := Build(datagen.Uniform(cfg), cfg.Domain(),
-		&Options{Shards: 4, CompactSlack: 16})
+	all := datagen.Uniform(cfg)
+	opts := &Options{Shards: 4}
+	db, err := Build(all, cfg.Domain(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { // layout-swap storm
+	storm := func(op func(context.Context) error) {
 		defer wg.Done()
 		for {
 			select {
@@ -328,94 +374,47 @@ func TestAutoCompactReshardRace(t *testing.T) {
 				return
 			default:
 			}
-			if err := db.Reshard(context.Background()); err != nil {
+			if err := op(context.Background()); err != nil {
 				t.Error(err)
 				return
 			}
 		}
-	}()
+	}
+	stopStorms := sync.OnceFunc(func() { close(stop); wg.Wait() })
+	defer stopStorms() // also on a t.Fatal below
+	wg.Add(2)
+	go storm(db.Reshard)
+	go storm(func(ctx context.Context) error { return db.CompactAll(ctx, 2) })
+
+	pairs := 150
+	if RaceEnabled {
+		pairs = 75 // the race CI step runs this five times
+	}
 	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 150; i++ { // churn keeps arming auto-compactions
+	var dead []int32
+	for range pairs {
 		id := int32(rng.Intn(int(db.NextID())))
 		if db.Alive(id) {
 			if err := db.Delete(id); err != nil {
 				t.Fatal(err)
 			}
+			dead = append(dead, id)
 		}
 		o := NewObject(db.NextID(), rng.Float64()*cfg.Side, rng.Float64()*cfg.Side, cfg.Diameter/2, nil)
 		if err := db.Insert(o); err != nil {
 			t.Fatal(err)
 		}
+		all = append(all, o)
 	}
-	close(stop)
-	wg.Wait()
+	stopStorms()
 
-	// Re-armability: the storm must not strand a compacting flag. A
-	// fresh clustered burst pushes ONE shard's slack over the per-shard
-	// watermark and the background compaction must clear it.
-	for i := 0; i < 40; i++ {
-		o := NewObject(db.NextID(),
-			(0.70+0.01*rng.Float64())*cfg.Side, (0.70+0.01*rng.Float64())*cfg.Side,
-			cfg.Diameter/2, nil)
-		if err := db.Insert(o); err != nil {
-			t.Fatal(err)
-		}
-	}
-	maxSlack := func() int64 {
-		var m int64
-		for _, st := range db.ShardStats() {
-			m = max(m, st.Slack)
-		}
-		return m
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for maxSlack() >= 16 {
-		if time.Now().After(deadline) {
-			t.Fatalf("auto-compaction never cleared per-shard slack %d: compacting flag stranded", maxSlack())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	// Answers must equal a clean single-shard build of the same state.
-	objs := make([]Object, 0, db.Len())
-	for id := int32(0); id < db.NextID(); id++ {
-		if o, err := db.Object(id); err == nil {
-			objs = append(objs, o)
-		}
-	}
-	ref, err := Build(reID(objs), db.Domain(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 32; i++ {
-		q := Pt(rng.Float64()*cfg.Side, rng.Float64()*cfg.Side)
-		got, _, err := db.PNN(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _, err := ref.PNN(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("query %v: %d answers vs reference %d", q, len(got), len(want))
-		}
-	}
-}
-
-// reID renumbers surviving objects densely so they can seed a fresh
-// reference Build (which requires ids 0..n-1).
-func reID(objs []Object) []Object {
-	out := make([]Object, len(objs))
-	for i, o := range objs {
-		o.ID = int32(i)
-		out[i] = o
-	}
-	return out
+	qs := queryGrid(rng, cfg.Side, 16)
+	assertDBsEquivalent(t, "vs same shards", db, survivorReference(t, all, dead, cfg.Domain(), opts), qs)
+	assertDBsEquivalent(t, "vs one shard", db, survivorReference(t, all, dead, cfg.Domain(), nil), qs)
 }
 
 // BenchmarkMaintainTick is the cost of one idle controller tick — a
-// LoadImbalance sample plus the slack sweep on a balanced database
+// LoadImbalance sample plus the pager vacuum on a balanced database
 // (the steady-state overhead a deployment pays every Interval).
 func BenchmarkMaintainTick(b *testing.B) {
 	cfg := datagen.Config{N: 400, Side: 2000, Diameter: 40, Seed: 97}

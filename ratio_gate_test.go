@@ -51,9 +51,10 @@ func TestContinuousMoveRatio(t *testing.T) {
 	}
 }
 
-// TestMaintainTickRatio: an idle Tick on a balanced 4-shard database
-// must cost ≤ 1.5 LoadImbalance calls (measured 0.91–1.18, doubled 1.90–2.02), allocate ≤
-// 3 times (measured 2) and read no page.
+// TestMaintainTickRatio: an idle Tick on a balanced 4-shard database —
+// one LoadImbalance sample and a pager vacuum — must cost ≤ 1.5
+// LoadImbalance calls (measured 0.91–1.18, doubled 1.90–2.02), allocate
+// ≤ 3 times (measured 2) and read no page.
 func TestMaintainTickRatio(t *testing.T) {
 	db := gateDB(t, 10000, 20100301, 4)
 	m, err := db.StartMaintainer(uvdiagram.MaintainOptions{Interval: time.Hour})

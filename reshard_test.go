@@ -443,7 +443,7 @@ func TestShardAwareBatchOrder(t *testing.T) {
 
 // TestEntryWeightedSlack: deleting a hub object must accrue slack
 // proportional to the leaf entries rewritten, not the object count —
-// the scale-free watermark property.
+// the slack count is scale-free.
 func TestEntryWeightedSlack(t *testing.T) {
 	cfg := datagen.Config{N: 60, Side: 2000, Diameter: 60, Seed: 23}
 	db, err := Build(datagen.Uniform(cfg), cfg.Domain(), nil)

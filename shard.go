@@ -57,8 +57,7 @@ type shard struct {
 	// always acquired after the DB's store-level lock (never the other
 	// way around), and multiple shard locks are taken in ascending
 	// shard order — see the locking notes on DB.
-	wmu        sync.Mutex
-	compacting atomic.Bool // per-shard auto-compaction singleflight
+	wmu sync.Mutex
 }
 
 // ep returns the shard's current epoch.
@@ -117,19 +116,6 @@ func (lo *shardLayout) epochs() []*indexEpoch {
 
 // lo returns the DB's current layout.
 func (db *DB) lo() *shardLayout { return db.layout.Load() }
-
-// anyCompacting reports whether any shard's background auto-compaction
-// singleflight flag is held. The maintenance controller defers a
-// reshard while one is in flight: the layout swap would retire the
-// epochs those shadow builds are about to publish, wasting their work.
-func (lo *shardLayout) anyCompacting() bool {
-	for i := range lo.shards {
-		if lo.shards[i].compacting.Load() {
-			return true
-		}
-	}
-	return false
-}
 
 // shardGrid factors s into the most square gx × gy grid (gx ≥ gy).
 func shardGrid(s int) (gx, gy int) {
@@ -311,8 +297,9 @@ type ShardStat struct {
 	Live int
 	// Slack is the leaf-list churn (entry-weighted) accumulated by
 	// incremental Insert/Delete traffic that actually touched this
-	// shard since its index was last (re)built — the per-shard
-	// compaction signal.
+	// shard since its index was last (re)built. It counts churn, not
+	// bloat: incremental maintenance keeps the leaf lists close to what
+	// CompactShard would rebuild.
 	Slack int64
 	// Gen counts this shard's epoch swaps (Compact/CompactShard).
 	Gen uint64

@@ -52,10 +52,9 @@ import (
 // index leaf lists are supersets of the true overlaps, so existing
 // entries stay valid; the new object is inserted with a freshly derived
 // cr-object representation into every shard its UV-cell reaches (only
-// those shards are locked and touched). Repeated inserts accumulate
-// slack in the touched shards' leaf lists (extra false positives, never
-// wrong answers); Compact — or the Options.CompactSlack per-shard
-// auto-compaction watermark — clears it.
+// those shards are locked and touched). Each insert adds to the touched
+// shards' slack counters (Slack, ShardStat.Slack) the leaf entries it
+// wrote; Insert starts no goroutine and never compacts.
 //
 // The store append, R-tree insert, registry append and leaf inserts
 // land together: if a later step fails its validation, the earlier ones
@@ -130,7 +129,6 @@ func (db *DB) Insert(o Object) error {
 		db.mstats.repaired.Add(int64(n))
 	}
 	db.mstats.inserts.Add(1)
-	db.maybeCompact()
 	return nil
 }
 
@@ -145,9 +143,9 @@ func (db *DB) Insert(o Object) error {
 // true overlaps. Answers stay exact.
 //
 // Like Insert, Delete needs no synchronization against queries (see
-// the package comment). Each delete adds slack proportional to the
-// leaf entries rewritten in the shards it touches; Compact (or the
-// CompactSlack watermark) clears it.
+// the package comment). Each delete adds to the touched shards' slack
+// counters the leaf entries it rewrote; Delete starts no goroutine and
+// never compacts.
 func (db *DB) Delete(id int32) error {
 	db.smu.Lock()
 	defer db.smu.Unlock()
@@ -299,7 +297,6 @@ func (db *DB) deleteBatchLocked(ids []int32) error {
 	db.mstats.dependents.Add(int64(len(affected)))
 	db.mstats.rederived.Add(int64(len(rederive)))
 	db.mstats.skipped.Add(int64(len(affected) - len(rederive)))
-	db.maybeCompact()
 	return nil
 }
 
@@ -384,16 +381,19 @@ func maxGen(lo *shardLayout) uint64 {
 
 // CompactShard shadow-rebuilds one shard's leaf structure from the
 // engine's current constraint registry and swaps it in, leaving the
-// other shards untouched: the rebuild clears the leaf-list slack
-// accumulated by incremental maintenance (stale entries, overflow
-// pages), bounded by the objects whose cells reach the shard rather
+// other shards untouched: the rebuild resets the shard's slack counter
+// and is bounded by the objects whose cells reach the shard rather
 // than the whole diagram. Constraint sets themselves are NOT re-derived
 // — that is the full Compact's (or Reshard's) job — which is what lets
 // CompactShard hold the store-level lock only SHARED: compactions of
 // disjoint shards run truly in parallel, serializing only against
-// Insert/Delete/Compact/Reshard. Queries are never blocked. This is the
-// unit of background auto-compaction.
+// Insert/Delete/Compact/Reshard. Queries are never blocked. A failed
+// build (a page size no leaf page fits) leaves the shard as it was.
 func (db *DB) CompactShard(ctx context.Context, i int) error {
+	// smu, even shared, excludes Insert, Delete and Reshard, which take
+	// it exclusively: the build reads a registry no write is changing,
+	// and no layout swap lands mid-build, so the fresh epoch can never
+	// be stored into a retired layout's shard.
 	db.smu.RLock()
 	defer db.smu.RUnlock()
 	if err := ctx.Err(); err != nil {
@@ -403,17 +403,6 @@ func (db *DB) CompactShard(ctx context.Context, i int) error {
 	if i < 0 || i >= len(lo.shards) {
 		return fmt.Errorf("uvdiagram: shard %d out of range [0, %d)", i, len(lo.shards))
 	}
-	return db.compactShardLocked(lo, i)
-}
-
-// compactShardLocked is CompactShard's body: the shadow build and epoch
-// swap of shard i of lo. The caller holds smu (shared suffices) and lo
-// is the layout current under that hold — smu is what keeps Reshard
-// (which takes it exclusively) from swapping the layout mid-build, so
-// the fresh epoch can never be stored into a retired layout's shard.
-// A failed build (a page size no leaf page fits) leaves the shard as it
-// was.
-func (db *DB) compactShardLocked(lo *shardLayout, i int) error {
 	sh := lo.shards[i]
 	sh.wmu.Lock()
 	defer sh.wmu.Unlock()
@@ -508,66 +497,6 @@ func (db *DB) deriveCR(tree *rtree.Tree, o Object) []int32 {
 	}
 	return core.DeriveCR(tree, o, db.store.Dense(), db.domain,
 		db.bopts.SeedK, db.bopts.SeedSectors, db.bopts.RegionSamples, db.dscratch)
-}
-
-// maybeCompact kicks off background compaction for every shard whose
-// accumulated slack reached the armed watermark, returning how many it
-// armed. Singleflight per shard: at most one auto-compaction runs per
-// shard at a time, several shards may compact in parallel (they hold
-// the store-level lock shared), and explicit mutations arriving
-// meanwhile simply serialize behind them. Every exit of the spawned
-// goroutine releases the singleflight flag, so a shard whose run was
-// skipped (layout swapped underneath it) stays re-armable — the
-// maintenance controller's tick also re-runs this check, so slack can
-// never strand once writes stop.
-func (db *DB) maybeCompact() int {
-	if db.bopts.CompactSlack <= 0 {
-		return 0
-	}
-	lo := db.lo()
-	armed := 0
-	for i := range lo.shards {
-		sh := lo.shards[i]
-		if sh.ep().index.Slack() < int64(db.bopts.CompactSlack) {
-			continue
-		}
-		if !sh.compacting.CompareAndSwap(false, true) {
-			continue
-		}
-		armed++
-		go db.autoCompact(lo, i)
-	}
-	return armed
-}
-
-// autoCompact runs one armed background shard compaction. The
-// layout-identity check happens UNDER the shared store lock: Reshard
-// swaps the layout only while holding smu exclusively, so once the
-// check passes the layout provably stays current for the whole shadow
-// build. (Checking before acquiring smu — as this path originally did —
-// left a window where a Reshard could land in between, making the build
-// target the NEW layout's shard i while the singleflight flag held was
-// the OLD shard's: never wrong answers, but wasted work and a
-// compaction the new shard's own flag did not account for.)
-func (db *DB) autoCompact(lo *shardLayout, i int) {
-	sh := lo.shards[i]
-	db.smu.RLock()
-	defer db.smu.RUnlock()
-	// Release the singleflight flag while still holding smu: a mutation
-	// that lands after this run then finds the flag clear, and its
-	// watermark check can arm the next run. Released after RUnlock, a
-	// mutation slipping in between saw the flag still set, and its slack
-	// stranded.
-	defer sh.compacting.Store(false)
-	// The watermark decision was made against THIS layout's shard; if a
-	// Reshard replaced the layout meanwhile, the new shard i was just
-	// freshly built (zero slack) and carries its own singleflight flag —
-	// skip rather than compact it redundantly. The deferred flag release
-	// keeps the old shard re-armable either way.
-	if db.lo() != lo {
-		return
-	}
-	db.compactShardLocked(lo, i) // a failure reaches OnMaintenance as the event's Err
 }
 
 // PossibleKNN returns the IDs of every object with non-zero probability

@@ -158,18 +158,11 @@ type Options struct {
 	CellSamples int
 	// Workers is the number of goroutines deriving objects' cr-sets;
 	// results are identical at any count. Build reads 0 as
-	// runtime.GOMAXPROCS (1 = sequential). The background rebuilds that
-	// run beside live readers (Compact, CompactShard, Reshard, the
-	// maintainer) use the value literally: 0 and 1 are both sequential.
+	// runtime.GOMAXPROCS (1 = sequential). The re-derivations that run
+	// beside live readers (Compact, Reshard, the maintainer's reshards)
+	// use the value literally: 0 and 1 are both sequential. CompactShard
+	// derives nothing, so it does not read Workers.
 	Workers int
-	// CompactSlack, when positive, arms automatic background
-	// compaction: once a shard's accumulated insert/delete slack —
-	// counted in leaf-list ENTRIES touched, so the watermark is
-	// scale-free — reaches this value, the DB rebuilds that shard
-	// off-thread and swaps it in atomically (see Compact and
-	// CompactShard; with one shard this is a whole-index rebuild). 0
-	// disables auto-compaction.
-	CompactSlack int
 	// Shards partitions the domain into a grid of spatial shards, each
 	// with its own sub-grid UV-index, epoch pointer, write mutex and
 	// slack counter. Point queries route to the owning shard; builds
@@ -245,9 +238,6 @@ func (o *Options) toBuildOptions() core.BuildOptions {
 	}
 	if o.Workers > 0 {
 		b.Workers = o.Workers
-	}
-	if o.CompactSlack > 0 {
-		b.CompactSlack = o.CompactSlack
 	}
 	return b
 }
