@@ -156,9 +156,9 @@ func runBatch(n, workers int, fn func(i int) error) error {
 	return runPool(n, workers, "query", fn)
 }
 
-// runPool is the bounded worker pool behind runBatch (and CompactAll);
+// runPool is the bounded worker pool behind runBatch and AdvanceAll;
 // label names one unit of work in the wrapped error ("query 3: …",
-// "shard 1: …").
+// "session 1: …").
 func runPool(n, workers int, label string, fn func(i int) error) error {
 	if workers > n {
 		workers = n

@@ -1,12 +1,9 @@
 package uvdiagram_test
 
-// Rebalance benchmarks: the per-event cost of an online Reshard (full
-// re-derivation + new layout, published with one pointer swap) and of
-// concurrent per-shard compaction at parallelism 1 vs 2. CI runs these
-// as the rebalance smoke stage (-bench 'Reshard|ConcurrentCompact').
-// These benchmarks and TestReshardBalancesSkew are what watches the
-// rebalance path; the end-to-end benchmark (bench/) has no reshard
-// workload.
+// Rebalance benchmark: the per-event cost of an online Reshard (full
+// re-derivation + new layout, published with one pointer swap). This
+// benchmark and TestReshardBalancesSkew are what watches the rebalance
+// path; the end-to-end benchmark (bench/) has no reshard workload.
 
 import (
 	"context"
@@ -47,22 +44,5 @@ func BenchmarkReshard(b *testing.B) {
 		if err := f.db.Reshard(context.Background()); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkConcurrentCompact measures CompactAll over every shard at
-// parallelism 1 versus 2 — the two-level locks let the P=2 rollout
-// overlap disjoint shadow builds.
-func BenchmarkConcurrentCompact(b *testing.B) {
-	for _, p := range []int{1, 2} {
-		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
-			f := rebalanceFixture(b, 800, 16)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := f.db.CompactAll(context.Background(), p); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

@@ -1,13 +1,12 @@
 package uvdiagram_test
 
-// Sharded-engine benchmarks: query routing overhead, mixed churn, and
-// per-shard compaction at several shard counts. CI runs these as the
-// sharded smoke stage (-bench 'Sharded'). They are what watches the
+// Sharded-engine benchmarks: query routing overhead and mixed churn at
+// several shard counts. CI runs these as the sharded smoke stage
+// (-bench 'Sharded'). They are what watches the
 // shard sweep; the end-to-end benchmark (bench/) serves one fixed
 // four-shard engine.
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
@@ -91,28 +90,6 @@ func BenchmarkShardedChurn(b *testing.B) {
 					if _, _, err := db.PNN(qs[i%len(qs)]); err != nil {
 						b.Fatal(err)
 					}
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkShardedCompact measures one CompactShard call (round-robin
-// over the shards): the maintenance unit whose pause is bounded by
-// shard size instead of the whole index.
-func BenchmarkShardedCompact(b *testing.B) {
-	for _, s := range []int{1, 4} {
-		b.Run(fmt.Sprintf("S=%d", s), func(b *testing.B) {
-			cfg := datagen.Config{N: 800, Side: benchSide, Diameter: 40, Seed: 7}
-			objs := datagen.Uniform(cfg)
-			db, err := uvdiagram.Build(objs, cfg.Domain(), &uvdiagram.Options{SeedK: 100, Shards: s})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := db.CompactShard(context.Background(), i%db.Shards()); err != nil {
-					b.Fatal(err)
 				}
 			}
 		})

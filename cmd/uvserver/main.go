@@ -33,8 +33,8 @@
 // shard layout win over -n, -seed, -shards and -layout, which only
 // shape a fresh build. With -shards S > 1 a fresh build splits the
 // domain into S spatial shards, each with its own sub-grid index, epoch
-// and slack counter — queries route to the owning shard, and compaction
-// is per-shard.
+// and slack counter — queries route to the owning shard, and a write's
+// leaf surgery touches only the shards its cells reach.
 package main
 
 import (

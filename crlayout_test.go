@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"path/filepath"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"uvdiagram/internal/datagen"
@@ -78,7 +80,7 @@ func assertInverseRegistry(t *testing.T, label string, db *DB) {
 // registry out as carved windows with cap == len, equal to the
 // append-built registry element for element. Then one seeded mutation
 // sequence — inserts (with the insert-repair's AddMember), deletes,
-// CompactShard, Compact and Reshard — runs in lockstep on the built and
+// Compact and Reshard — runs in lockstep on the built and
 // the opened databases. After every step each reverse map is the exact
 // inverse of its sets, the recorded sets agree across all three and the
 // answers are equal, so no append ever wrote into a neighbour's window.
@@ -158,8 +160,6 @@ func TestCRLayoutMutationSafety(t *testing.T) {
 			}
 			step(fmt.Sprintf("round %d delete %d", round, id), func(db *DB) error { return db.Delete(id) })
 		}
-		shard := rng.Intn(4)
-		step(fmt.Sprintf("round %d compact shard %d", round, shard), func(db *DB) error { return db.CompactShard(ctx, shard) })
 		checkRNN(fmt.Sprintf("round %d", round))
 	}
 	if repaired == 0 {
@@ -168,4 +168,102 @@ func TestCRLayoutMutationSafety(t *testing.T) {
 	step("compact", func(db *DB) error { return db.Compact(ctx) })
 	step("reshard", func(db *DB) error { return db.Reshard(ctx) })
 	checkRNN("reshard")
+}
+
+// TestSaveSnapshotDuringWrites: every writer holds the store lock
+// exclusively and SaveSnapshot holds it shared, so a save taken while
+// delete+insert pairs, Compact and Reshard run beside it records the
+// state between two writes. Each saved file must open with a reverse
+// map that inverts its sets, and must answer like a fresh build over
+// its own live objects: bitwise, but RNN to an ulp (see
+// TestCRLayoutMutationSafety).
+func TestSaveSnapshotDuringWrites(t *testing.T) {
+	cfg := datagen.Config{N: 200, Side: 2000, Diameter: 40, Seed: 17}
+	opts := &Options{Shards: 4}
+	all := datagen.Uniform(cfg)
+	db, err := Build(all, cfg.Domain(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The writer inserts these in order, so an object's id is its index
+	// in all.
+	rng := rand.New(rand.NewSource(18))
+	for id := cfg.N; id < cfg.N+2000; id++ {
+		all = append(all, NewObject(int32(id), rng.Float64()*cfg.Side, rng.Float64()*cfg.Side, cfg.Diameter/2, nil))
+	}
+	var compacts, reshards atomic.Int32
+	db.OnMaintenance(func(ev MaintEvent) {
+		switch {
+		case ev.Err != nil:
+		case ev.Kind == MaintCompact:
+			compacts.Add(1)
+		case ev.Kind == MaintReshard:
+			reshards.Add(1)
+		}
+	})
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		ctx := context.Background()
+		for i := 0; int(db.NextID()) < len(all); i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			var err error
+			switch i % 10 {
+			case 4:
+				err = db.Compact(ctx)
+			case 9:
+				err = db.Reshard(ctx)
+			default:
+				if id := int32(rng.Intn(int(db.NextID()))); db.Alive(id) {
+					err = db.Delete(id)
+				}
+				if err == nil {
+					err = db.Insert(all[db.NextID()])
+				}
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	stopWriter := sync.OnceFunc(func() { close(stop); <-done })
+	defer stopWriter()
+
+	qs := queryGrid(rand.New(rand.NewSource(19)), cfg.Side, 8)
+	var states []int32
+	for i := range 4 {
+		label := fmt.Sprintf("save %d", i)
+		path := filepath.Join(t.TempDir(), "db.uv6")
+		if err := db.SaveSnapshot(path); err != nil {
+			t.Fatal(err)
+		}
+		opened, err := Open(path, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		t.Cleanup(func() { opened.Close() })
+		assertInverseRegistry(t, label, opened)
+		n := opened.NextID()
+		var dead []int32
+		for id := range n {
+			if !opened.Alive(id) {
+				dead = append(dead, id)
+			}
+		}
+		ref := survivorReference(t, all[:n], dead, cfg.Domain(), opts)
+		assertServingEquivalent(t, label, opened, ref, qs)
+		assertRNNEquivalent(t, label, opened, ref, qs[:4], 1e-12)
+		states = append(states, n)
+	}
+	stopWriter()
+	t.Logf("next ids at the saves: %v; %d compacts, %d reshards", states, compacts.Load(), reshards.Load())
+	if states[0] == states[len(states)-1] || compacts.Load() == 0 || reshards.Load() == 0 {
+		t.Fatalf("writer did not run beside the saves: next ids %v, %d compacts, %d reshards",
+			states, compacts.Load(), reshards.Load())
+	}
 }

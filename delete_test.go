@@ -430,11 +430,9 @@ func TestCompactDoesNotBlockQueries(t *testing.T) {
 	}
 
 	parked, release := make(chan struct{}), make(chan struct{})
-	db.compactHook = func(shard int) {
-		if shard == -1 {
-			close(parked)
-			<-release
-		}
+	db.compactHook = func() {
+		close(parked)
+		<-release
 	}
 	compactDone := make(chan error, 1)
 	go func() { compactDone <- db.Compact(context.Background()) }()

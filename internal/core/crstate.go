@@ -26,8 +26,8 @@ import (
 // per direction at n = 8 000) for the life of the registry.
 //
 // Concurrency: CRState has no internal locking. The DB guards it with
-// its store-level lock — mutators hold it exclusively, shard
-// compactions hold it shared (they only read).
+// its store lock — writers hold it exclusively, SaveSnapshot holds it
+// shared (it only reads).
 type CRState struct {
 	crOf [][]int32 // per object: its cr-object ids (cell representation)
 	// revCR is the inverse of crOf: for each object j, the ids of the

@@ -171,25 +171,12 @@ func (ix *UVIndex) CR() *CRState { return ix.cr }
 // bookkeeping.
 func (ix *UVIndex) AttachCR(cr *CRState) { ix.cr = cr }
 
-// CellReaches reports whether object id's UV-cell — as represented by
-// its CURRENT constraint set — can overlap rectangle r (the 4-point
-// test of Algorithm 5). The representation is conservative under
-// incremental maintenance (inserts shrink true cells without narrowing
-// recorded constraint sets), so a false result is definitive while a
-// true result may be spurious. Spatial shard maintenance uses it to
-// bound rebuild work to the objects that can reach a shard's region.
-func (ix *UVIndex) CellReaches(id int32, r geom.Rect) bool {
-	if id < 0 || int(id) >= len(ix.cr.crOf) || !ix.store.Alive(id) {
-		return false
-	}
-	return ix.overlapsIDs(ix.store.At(int(id)), ix.cr.crOf[id], r)
-}
-
-// RepReaches is CellReaches with an explicit representation: whether a
-// cell represented by crIDs (typically freshly derived, not yet
-// recorded in the registry) can overlap rectangle r. Delete repair uses
-// it to pick the shards a grown cell must be re-inserted into before
-// the registry is updated.
+// RepReaches reports whether object id's UV-cell, as represented by
+// crIDs, can overlap rectangle r (the 4-point test of Algorithm 5). The
+// representation is conservative, so a false result is definitive while
+// a true result may be spurious. Delete repair uses it to pick the
+// shards a victim's or dependent's cell reaches, before and after the
+// registry changes.
 func (ix *UVIndex) RepReaches(id int32, crIDs []int32, r geom.Rect) bool {
 	return ix.overlapsIDs(ix.store.At(int(id)), crIDs, r)
 }

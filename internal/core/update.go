@@ -32,7 +32,7 @@ import (
 // the victim actually shaped their boundary. The price of both
 // operations is accumulated slack (extra false positives, never wrong
 // answers), counted in Slack weighted by the leaf-list entries
-// touched; a rebuild (DB.Compact, DB.CompactShard) resets the count.
+// touched; a rebuild (DB.Compact, DB.Reshard) resets the count.
 //
 // All live leaf surgery is COPY-ON-WRITE: a mutation path-copies the
 // nodes it changes, writes fresh leaf pages, and publishes the new
@@ -40,13 +40,13 @@ import (
 // writers — a query pinned on the old snapshot keeps a consistent
 // tree whose pages are retired through the epoch domain only once
 // every such reader has unpinned. Mutators themselves must still be
-// externally serialized per index (the per-shard wmu is that
-// writer-writer lock).
+// externally serialized per index (the DB's store lock, held
+// exclusively by every writer, is that writer-writer lock).
 //
 // The registry mutations (CRState) and the leaf surgery are separate
 // layers: a sharded engine updates the shared registry once under its
-// store-level lock and then runs InsertLeafLive / RemoveAndReinsertLive
-// on each shard its cells reach under that shard's write mutex. Both
+// store lock and then, still under it, runs InsertLeafLive /
+// RemoveAndReinsertLive on each shard its cells reach. Both
 // are one agrid write pass, the write path a build runs too.
 
 // publish installs the pass's tree, retires the replaced pages,

@@ -47,14 +47,13 @@ type serverMetrics struct {
 	pushFlush     *metrics.Histogram
 	slowConsumers *metrics.Counter
 
-	maintReshards      *metrics.Counter
-	maintCompacts      *metrics.Counter
-	maintShardCompacts *metrics.Counter
-	maintFailures      *metrics.Counter
-	maintReshardDur    *metrics.Histogram
-	maintCompactDur    *metrics.Histogram
-	imbBefore          *metrics.Gauge
-	imbAfter           *metrics.Gauge
+	maintReshards   *metrics.Counter
+	maintCompacts   *metrics.Counter
+	maintFailures   *metrics.Counter
+	maintReshardDur *metrics.Histogram
+	maintCompactDur *metrics.Histogram
+	imbBefore       *metrics.Gauge
+	imbAfter        *metrics.Gauge
 
 	// Snapshot-time gauges.
 	subActive   *metrics.Gauge
@@ -90,14 +89,13 @@ func newServerMetrics() *serverMetrics {
 		pushFlush:     set.Histogram("push.flush"),
 		slowConsumers: set.Counter("push.slow_consumer_disconnects"),
 
-		maintReshards:      set.Counter("maint.reshards"),
-		maintCompacts:      set.Counter("maint.compacts"),
-		maintShardCompacts: set.Counter("maint.shard_compacts"),
-		maintFailures:      set.Counter("maint.failures"),
-		maintReshardDur:    set.Histogram("maint.reshard"),
-		maintCompactDur:    set.Histogram("maint.compact"),
-		imbBefore:          set.Gauge("maint.last_imbalance_before"),
-		imbAfter:           set.Gauge("maint.last_imbalance_after"),
+		maintReshards:   set.Counter("maint.reshards"),
+		maintCompacts:   set.Counter("maint.compacts"),
+		maintFailures:   set.Counter("maint.failures"),
+		maintReshardDur: set.Histogram("maint.reshard"),
+		maintCompactDur: set.Histogram("maint.compact"),
+		imbBefore:       set.Gauge("maint.last_imbalance_before"),
+		imbAfter:        set.Gauge("maint.last_imbalance_after"),
 
 		subActive:   set.Gauge("sub.active"),
 		dbLive:      set.Gauge("db.live"),
@@ -149,9 +147,6 @@ func (m *serverMetrics) observeMaint(ev uvdiagram.MaintEvent) {
 		m.imbAfter.Set(ev.ImbalanceAfter)
 	case uvdiagram.MaintCompact:
 		m.maintCompacts.Inc()
-		m.maintCompactDur.Observe(ev.Dur)
-	case uvdiagram.MaintCompactShard:
-		m.maintShardCompacts.Inc()
 		m.maintCompactDur.Observe(ev.Dur)
 	}
 }

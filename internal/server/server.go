@@ -170,9 +170,19 @@ func (s *Server) Addr() net.Addr {
 }
 
 // Serve accepts connections until the listener is closed. It always
-// returns a non-nil error (net.ErrClosed after Close).
+// returns a non-nil error (net.ErrClosed after Close). Called after
+// Close, it closes lis and returns net.ErrClosed at once.
 func (s *Server) Serve(lis net.Listener) error {
 	s.lmu.Lock()
+	// Close closes s.closed before it takes lmu, so either it finds lis
+	// stored here and closes it, or this check sees s.closed closed.
+	select {
+	case <-s.closed:
+		s.lmu.Unlock()
+		lis.Close()
+		return net.ErrClosed
+	default:
+	}
 	s.lis = lis
 	s.lmu.Unlock()
 	for {

@@ -26,6 +26,16 @@ func startServer(t *testing.T, n int) (*Client, *Server) {
 		t.Fatal(err)
 	}
 	srv := New(db, t.Logf)
+	return serveForTest(t, srv), srv
+}
+
+// serveForTest starts srv on a loopback listener and dials it; both are
+// shut down with the test. It returns once Serve has registered the
+// listener, so srv.Addr() is set: the kernel accepts a Dial before
+// Serve runs at all. (A Ping round trip would order it too, but would
+// add a frame to the counts the metrics tests check exactly.)
+func serveForTest(t *testing.T, srv *Server) *Client {
+	t.Helper()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -35,6 +45,9 @@ func startServer(t *testing.T, n int) (*Client, *Server) {
 		defer close(done)
 		_ = srv.Serve(lis)
 	}()
+	for srv.Addr() == nil {
+		time.Sleep(time.Millisecond)
+	}
 	cli, err := Dial(lis.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +58,40 @@ func startServer(t *testing.T, n int) (*Client, *Server) {
 		<-done
 		srv.Wait()
 	})
-	return cli, srv
+	return cli
+}
+
+// TestServeAfterClose: Serve on a closed server must close the listener
+// and return net.ErrClosed instead of blocking in Accept, which a Close
+// racing ahead of Serve's listener registration used to leave it in.
+func TestServeAfterClose(t *testing.T) {
+	cfg := datagen.Config{N: 20, Side: 2000, Diameter: 30, Seed: 77}
+	db, err := uvdiagram.Build(datagen.Uniform(cfg), cfg.Domain(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(db, t.Logf)
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(lis) }()
+	select {
+	case err := <-served:
+		if !errors.Is(err, net.ErrClosed) {
+			t.Fatalf("Serve after Close = %v, want net.ErrClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Serve after Close did not return within 5 s")
+	}
+	if _, err := lis.Accept(); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("listener still open after Serve returned: Accept = %v", err)
+	}
 }
 
 func TestPingAndStats(t *testing.T) {
@@ -80,26 +126,7 @@ func TestShardedStatsOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(db, t.Logf)
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = srv.Serve(lis)
-	}()
-	cli, err := Dial(lis.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		cli.Close()
-		srv.Close()
-		<-done
-		srv.Wait()
-	})
+	cli := serveForTest(t, New(db, t.Logf))
 
 	st, err := cli.Stats()
 	if err != nil {

@@ -27,32 +27,6 @@ func startShardedServer(t *testing.T, n, shards int) (*Client, *Server, *uvdiagr
 	return serveForTest(t, srv), srv, db
 }
 
-// serveForTest starts srv on a loopback listener and dials it; both are
-// shut down with the test.
-func serveForTest(t *testing.T, srv *Server) *Client {
-	t.Helper()
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = srv.Serve(lis)
-	}()
-	cli, err := Dial(lis.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		cli.Close()
-		srv.Close()
-		<-done
-		srv.Wait()
-	})
-	return cli
-}
-
 func dialExtra(t *testing.T, srv *Server) *Client {
 	t.Helper()
 	cli, err := Dial(srv.Addr().String())

@@ -7,9 +7,9 @@ import (
 	"time"
 )
 
-// Self-driving maintenance. The engine has every maintenance primitive
-// its dynamic setting needs — online Reshard, Compact, CompactShard,
-// CompactAll — but they fire only when something calls them. The
+// Self-driving maintenance. The engine has the maintenance primitives
+// its dynamic setting needs — online Reshard and Compact — but they
+// fire only when something calls them. The
 // Maintainer closes the loop: a single background goroutine samples
 // LoadImbalance on a ticker and calls Reshard itself when skew
 // persists, with two-threshold hysteresis, a sustain window, a cooldown
@@ -38,24 +38,19 @@ import (
 
 // Maintenance event kinds (MaintEvent.Kind).
 const (
-	// MaintReshard is a full layout re-cut (Reshard/ReshardWith);
+	// MaintReshard is a full layout re-cut (Reshard);
 	// ImbalanceBefore/After are populated.
 	MaintReshard = "reshard"
 	// MaintCompact is a full re-derivation rebuild (Compact).
 	MaintCompact = "compact"
-	// MaintCompactShard is one shard's shadow rebuild (CompactShard or
-	// CompactAll); Shard is the shard index.
-	MaintCompactShard = "compact-shard"
 )
 
 // MaintEvent describes one completed maintenance action, fired
 // synchronously from the maintenance paths to the observer registered
 // with DB.OnMaintenance — the feed behind the server's maint.* metrics.
 type MaintEvent struct {
-	// Kind is MaintReshard, MaintCompact or MaintCompactShard.
+	// Kind is MaintReshard or MaintCompact.
 	Kind string
-	// Shard is the shard index for MaintCompactShard, -1 otherwise.
-	Shard int
 	// Dur is the action's wall clock.
 	Dur time.Duration
 	// ImbalanceBefore/After bracket a MaintReshard (equal on failure;

@@ -211,7 +211,7 @@ func TestMaintainerHysteresisSustained(t *testing.T) {
 }
 
 // TestMaintainEvents verifies the observer feed: every maintenance
-// path fires a typed event with its kind, shard and imbalance bracket.
+// path fires a typed event with its kind and imbalance bracket.
 func TestMaintainEvents(t *testing.T) {
 	db, cfg := buildMaintDB(t)
 	var mu sync.Mutex
@@ -229,12 +229,12 @@ func TestMaintainEvents(t *testing.T) {
 		return out
 	}
 
-	if err := db.CompactShard(context.Background(), 2); err != nil {
+	if err := db.Compact(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	evs := take()
-	if len(evs) != 1 || evs[0].Kind != MaintCompactShard || evs[0].Shard != 2 {
-		t.Fatalf("CompactShard events = %+v, want one compact-shard on shard 2", evs)
+	if len(evs) != 1 || evs[0].Kind != MaintCompact || evs[0].ImbalanceBefore != 0 || evs[0].ImbalanceAfter != 0 {
+		t.Fatalf("Compact events = %+v, want one compact without an imbalance bracket", evs)
 	}
 
 	addCluster(t, db, cfg, 2*cfg.N, 0.70, 0.70)
@@ -243,7 +243,7 @@ func TestMaintainEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	evs = take()
-	if len(evs) != 1 || evs[0].Kind != MaintReshard || evs[0].Shard != -1 {
+	if len(evs) != 1 || evs[0].Kind != MaintReshard {
 		t.Fatalf("Reshard events = %+v, want one reshard", evs)
 	}
 	if evs[0].ImbalanceBefore != before || evs[0].ImbalanceAfter >= before {
@@ -252,7 +252,7 @@ func TestMaintainEvents(t *testing.T) {
 	}
 
 	db.OnMaintenance(nil)
-	if err := db.CompactShard(context.Background(), 0); err != nil {
+	if err := db.Compact(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if evs := take(); len(evs) != 0 {
@@ -350,13 +350,13 @@ func TestMaintainerBackoff(t *testing.T) {
 	}
 }
 
-// TestCompactShardReshardRace runs a Reshard storm and a CompactAll
-// storm against delete+insert churn. Reshard swaps the layout under the
-// exclusive store lock and CompactShard holds it shared, so a shard
-// build can never publish into a retired layout or read a registry a
-// write is changing: the churned database must answer bitwise like a
-// fresh build of the survivors, sharded the same way or not at all.
-func TestCompactShardReshardRace(t *testing.T) {
+// TestCompactReshardRace runs a Compact storm and a Reshard storm
+// against delete+insert churn. Every one of them holds the store lock
+// exclusively, so no rebuild can publish into a retired layout or read
+// a registry a write is changing: the churned database must answer
+// bitwise like a fresh build of the survivors, sharded the same way or
+// not at all.
+func TestCompactReshardRace(t *testing.T) {
 	cfg := datagen.Config{N: 200, Side: 2000, Diameter: 40, Seed: 7}
 	all := datagen.Uniform(cfg)
 	opts := &Options{Shards: 4}
@@ -384,7 +384,7 @@ func TestCompactShardReshardRace(t *testing.T) {
 	defer stopStorms() // also on a t.Fatal below
 	wg.Add(2)
 	go storm(db.Reshard)
-	go storm(func(ctx context.Context) error { return db.CompactAll(ctx, 2) })
+	go storm(db.Compact)
 
 	pairs := 150
 	if RaceEnabled {

@@ -2,7 +2,7 @@ package uvdiagram_test
 
 // Concurrent-mutation property test: randomized interleaved
 // Insert/Delete traffic while reader goroutines hammer the full query
-// surface and a background goroutine compacts shards off-thread. No
+// surface and a background goroutine compacts and reshards. No
 // query may ever error or block, and once the writers quiesce the
 // incrementally maintained engine must answer PNN, TopK and order-k KNN
 // bitwise identically to a database freshly built over the surviving
@@ -79,7 +79,7 @@ func testConcurrentMutation(t *testing.T, shards, readers int) {
 		}(w)
 	}
 
-	// Off-thread shard compaction, racing the writer and the readers.
+	// Off-thread Compact and Reshard, racing the writer and the readers.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -90,8 +90,12 @@ func testConcurrentMutation(t *testing.T, shards, readers int) {
 				return
 			default:
 			}
-			if err := db.CompactShard(context.Background(), rng.Intn(shards)); err != nil {
-				fail(fmt.Errorf("compact: %w", err))
+			op, name := db.Compact, "compact"
+			if rng.Intn(2) == 0 {
+				op, name = db.Reshard, "reshard"
+			}
+			if err := op(context.Background()); err != nil {
+				fail(fmt.Errorf("%s: %w", name, err))
 				return
 			}
 		}

@@ -148,8 +148,9 @@ func alignUp(off int64) int64 {
 
 // SaveSnapshot writes the database as a version-6 page-image snapshot
 // to path (atomically: a temp file renamed into place), ready to be
-// served off-disk by Open. The caller must not run mutations
-// concurrently (queries are fine).
+// served off-disk by Open. Queries and writers may run beside it: it
+// holds the store lock shared and every writer holds it exclusively, so
+// the file records the state between two writes.
 func (db *DB) SaveSnapshot(path string) error {
 	db.smu.RLock()
 	defer db.smu.RUnlock()

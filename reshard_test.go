@@ -5,75 +5,17 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"uvdiagram/internal/datagen"
 )
 
-// TestDisjointCompactShardsOverlap proves the two-level locking claim:
-// two CompactShard calls on DISJOINT shards must both be inside their
-// shadow-build critical sections at the same wall-clock moment. Each
-// compaction's hook (called with the store-level read lock and the
-// shard's write mutex held) blocks until the other has also entered; a
-// lock scheme that serialized compactions — the old single write mutex
-// — would park the second caller outside and trip the timeout instead.
-func TestDisjointCompactShardsOverlap(t *testing.T) {
-	cfg := datagen.Config{N: 120, Side: 2000, Diameter: 40, Seed: 41}
-	db, err := Build(datagen.Uniform(cfg), cfg.Domain(), &Options{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const a, b = 0, 3 // opposite corners of the 2×2 grid
-	var entered atomic.Int32
-	var timedOut atomic.Bool
-	release := make(chan struct{})
-	db.compactHook = func(i int) {
-		if entered.Add(1) == 2 {
-			close(release)
-		}
-		select {
-		case <-release:
-		case <-time.After(30 * time.Second):
-			timedOut.Store(true)
-		}
-	}
-	type window struct{ start, end time.Time }
-	var wa, wb window
-	var wg sync.WaitGroup
-	run := func(shard int, w *window) {
-		defer wg.Done()
-		w.start = time.Now()
-		if err := db.CompactShard(context.Background(), shard); err != nil {
-			t.Error(err)
-		}
-		w.end = time.Now()
-	}
-	wg.Add(2)
-	go run(a, &wa)
-	go run(b, &wb)
-	wg.Wait()
-	if timedOut.Load() {
-		t.Fatal("compactions of disjoint shards serialized: the second never entered its critical section while the first held it")
-	}
-	if got := entered.Load(); got != 2 {
-		t.Fatalf("hook entered %d times, want 2", got)
-	}
-	// Both rendezvoused inside their critical sections, so the
-	// wall-clock windows must overlap; assert it explicitly.
-	if !(wa.start.Before(wb.end) && wb.start.Before(wa.end)) {
-		t.Fatalf("compaction windows do not overlap: %v–%v vs %v–%v", wa.start, wa.end, wb.start, wb.end)
-	}
-}
-
-// TestConcurrentCompactDuringChurn is the -race exercise of the
-// two-level locks under a realistic mix: query goroutines and a mutator
-// synchronized by an external RWMutex (the engine's contract, as the
-// server does it), while CompactAll rounds and explicit disjoint
-// CompactShard calls run with NO external lock at all. Afterwards the
-// database must answer bitwise identically to a single-shard engine
-// that saw the same mutation sequence.
+// TestConcurrentCompactDuringChurn is the -race exercise of the store
+// lock under a realistic mix: query goroutines and a mutator
+// synchronized by an external RWMutex (as the server does it), while
+// Compact and Reshard rounds run with NO external lock at all.
+// Afterwards the database must answer bitwise identically to a
+// single-shard engine that saw the same mutation sequence.
 func TestConcurrentCompactDuringChurn(t *testing.T) {
 	const side = 2000.0
 	cfg := datagen.Config{N: 100, Side: side, Diameter: 40, Seed: 61}
@@ -113,27 +55,17 @@ func TestConcurrentCompactDuringChurn(t *testing.T) {
 		}(w)
 	}
 
-	// Lock-free maintenance: rolling CompactAll rounds plus explicit
-	// disjoint CompactShard pairs.
+	// Maintenance outside the external lock: Compact and Reshard rounds.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for round := 0; round < 4; round++ {
-			if err := db.CompactAll(context.Background(), 2); err != nil {
-				errs <- err
-				return
+			for _, op := range []func(context.Context) error{db.Compact, db.Reshard} {
+				if err := op(context.Background()); err != nil {
+					errs <- err
+					return
+				}
 			}
-			var inner sync.WaitGroup
-			for _, sh := range []int{0, 3} {
-				inner.Add(1)
-				go func(sh int) {
-					defer inner.Done()
-					if err := db.CompactShard(context.Background(), sh); err != nil {
-						errs <- err
-					}
-				}(sh)
-			}
-			inner.Wait()
 		}
 	}()
 
@@ -274,7 +206,7 @@ func TestReshardBalancesSkew(t *testing.T) {
 
 // TestLoadUnifiesDivergentShardRegistries opens a pre-shared-registry
 // stream: shard 1 of the v3-divergent4 fixture carries constraint sets
-// that diverged from shard 0's (as the old per-shard CompactShard
+// that diverged from shard 0's (as the old per-shard compaction
 // re-derivation produced — see testdata/legacy/README.md). Open must
 // detect the divergence and rebuild that shard's leaf structure from
 // the unified registry, so post-load answers and delete bookkeeping

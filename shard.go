@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"uvdiagram/internal/core"
@@ -13,7 +12,7 @@ import (
 // Spatial sharding. The adaptive grid of the paper partitions the
 // domain naturally, so the engine can split the plane into a gx × gy
 // grid of shard rectangles, each owning an independent sub-grid
-// UV-index, epoch pointer, write mutex and slack counter:
+// UV-index, epoch pointer and slack counter:
 //
 //   - Point queries route to the owning shard with two boundary scans
 //     and read its epoch lock-free.
@@ -33,10 +32,9 @@ import (
 //     atomic pointer: an online re-shard (DB.Reshard) builds a complete
 //     new layout off to the side and publishes it with a single swap,
 //     so queries never observe a torn layout.
-//   - Maintenance (per-shard CompactShard) shadow-builds one shard at a
-//     time under the shard's own write mutex, so rebuild churn is
-//     bounded by the objects whose cells reach the shard — and
-//     compactions of DISJOINT shards run truly in parallel.
+//   - Maintenance (Compact, Reshard) re-derives the registry once and
+//     shadow-builds every shard's sub-grid in parallel, publishing each
+//     with one atomic epoch swap.
 //
 // One shard (the default) reproduces the pre-sharding engine exactly.
 
@@ -45,19 +43,12 @@ import (
 const MaxShards = 256
 
 // shard is one spatial partition of the engine: a rectangle of the
-// domain, the epoch pointer for the index state owning it, and the
-// level-2 write mutex of the two-level locking scheme.
+// domain and the epoch pointer for the index state owning it. Its leaf
+// structure and epoch change only under the DB's store lock held
+// exclusively (see the locking notes on DB).
 type shard struct {
 	rect  Rect
 	epoch atomic.Pointer[indexEpoch]
-	// wmu is a writer-writer lock for THIS shard's leaf structure and
-	// epoch pointer: copy-on-write Insert/Delete surgery and
-	// CompactShard swaps exclude each other here, while readers go
-	// through the atomically published pages and never take it. It is
-	// always acquired after the DB's store-level lock (never the other
-	// way around), and multiple shard locks are taken in ascending
-	// shard order — see the locking notes on DB.
-	wmu sync.Mutex
 }
 
 // ep returns the shard's current epoch.
@@ -299,9 +290,10 @@ type ShardStat struct {
 	// incremental Insert/Delete traffic that actually touched this
 	// shard since its index was last (re)built. It counts churn, not
 	// bloat: incremental maintenance keeps the leaf lists close to what
-	// CompactShard would rebuild.
+	// Compact would rebuild.
 	Slack int64
-	// Gen counts this shard's epoch swaps (Compact/CompactShard).
+	// Gen counts the epoch swaps (Compact/Reshard) since Build or Open;
+	// every shard of a layout shares it.
 	Gen uint64
 	// Index is the shape of the shard's sub-grid.
 	Index core.IndexStats

@@ -196,15 +196,13 @@ func TestShardCountInvariance(t *testing.T) {
 					mutate(ref)
 					assertShardInvariant(t, label+"/churned", db, ref, qs)
 
-					// Per-shard compaction clears the slack without changing
-					// any answer.
-					for i := 0; i < db.Shards(); i++ {
-						if err := db.CompactShard(context.Background(), i); err != nil {
-							t.Fatal(err)
-						}
+					// Compaction clears the slack without changing any
+					// answer.
+					if err := db.Compact(context.Background()); err != nil {
+						t.Fatal(err)
 					}
 					if got := db.Slack(); got != 0 {
-						t.Fatalf("%s: slack %d after compacting every shard", label, got)
+						t.Fatalf("%s: slack %d after compacting", label, got)
 					}
 					assertShardInvariant(t, label+"/compacted", db, ref, qs)
 
@@ -275,9 +273,9 @@ func TestShardContinuousInvariance(t *testing.T) {
 }
 
 // TestShardCompactDuringQueries hammers a sharded database with
-// concurrent queries while every shard is compacted one at a time;
-// answers must stay identical to a quiescent reference throughout
-// (race detector covers the epoch-swap publication).
+// concurrent queries while it is compacted and resharded; answers must
+// stay identical to a quiescent reference throughout (race detector
+// covers the epoch- and layout-swap publication).
 func TestShardCompactDuringQueries(t *testing.T) {
 	const side = 2000.0
 	cfg := datagen.Config{N: 120, Side: side, Diameter: 40, Seed: 31}
@@ -328,8 +326,8 @@ func TestShardCompactDuringQueries(t *testing.T) {
 		}(w)
 	}
 	for round := 0; round < 3; round++ {
-		for i := 0; i < db.Shards(); i++ {
-			if err := db.CompactShard(context.Background(), i); err != nil {
+		for _, op := range []func(context.Context) error{db.Compact, db.Reshard} {
+			if err := op(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 		}

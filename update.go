@@ -3,7 +3,6 @@ package uvdiagram
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -15,18 +14,13 @@ import (
 
 // Dynamic updates — the maintenance story the paper leaves as future
 // work. Insert and Delete mutate the current shard epochs incrementally;
-// Compact, CompactShard and Reshard construct fresh state
-// off-thread and publish it with atomic swaps, so concurrent queries
-// are never blocked by (and never observe a torn state from) a rebuild.
+// Compact and Reshard construct fresh state off-thread and publish it
+// with atomic swaps, so concurrent queries are never blocked by (and
+// never observe a torn state from) a rebuild.
 //
-// The two-level locking scheme (see the DB doc) splits mutations:
-// store, dense ids, constraint registry and the shared helper R-tree
-// change under the exclusive store-level lock; the per-shard leaf
-// surgery then takes only the write mutexes of the shards the mutated
-// UV-cells actually reach, in ascending shard order. CompactShard takes
-// the store-level lock SHARED plus its one shard's mutex, which is why
-// compactions of disjoint shards overlap in wall-clock while everything
-// stays serialized against Insert/Delete.
+// Every writer — Insert, Delete/BatchDelete, Compact, Reshard — holds
+// the store lock (see the DB doc) exclusively, so writes are serialized
+// and the per-shard leaf surgery needs no lock of its own.
 //
 // Concurrency contract: NO mutation requires external synchronization
 // against queries. Incremental maintenance is copy-on-write throughout
@@ -51,8 +45,8 @@ import (
 // Soundness: a new object only shrinks other objects' UV-cells, and
 // index leaf lists are supersets of the true overlaps, so existing
 // entries stay valid; the new object is inserted with a freshly derived
-// cr-object representation into every shard its UV-cell reaches (only
-// those shards are locked and touched). Each insert adds to the touched
+// cr-object representation into every shard its UV-cell reaches (the
+// others are left untouched). Each insert adds to the touched
 // shards' slack counters (Slack, ShardStat.Slack) the leaf entries it
 // wrote; Insert starts no goroutine and never compacts.
 //
@@ -90,26 +84,15 @@ func (db *DB) Insert(o Object) error {
 		return fmt.Errorf("uvdiagram: insert rolled back: %w", err)
 	}
 	lo := db.lo()
-	var applied []*shard
-	for i := range lo.shards {
-		sh := lo.shards[i]
-		// Lock only the shards the new cell's representation reaches —
-		// the same root-level 4-point test InsertLeafLive re-runs, so a
-		// skipped shard is one the insert provably cannot touch.
-		if len(lo.shards) > 1 && !sh.ep().index.CellReaches(o.ID, sh.rect) {
-			continue
-		}
-		sh.wmu.Lock()
-		_, err := sh.ep().index.InsertLeafLive(o.ID)
-		sh.wmu.Unlock()
-		if err != nil {
+	for i, sh := range lo.shards {
+		// A shard the new cell's representation cannot reach fails
+		// InsertLeafLive's root-level 4-point test and stays untouched.
+		if _, err := sh.ep().index.InsertLeafLive(o.ID); err != nil {
 			// Unwind the whole insert — strip the object from the shards
 			// already applied, then registry, tree and store — so a
 			// failed Insert leaves the database exactly as it was.
-			for _, ps := range applied {
-				ps.wmu.Lock()
+			for _, ps := range lo.shards[:i] {
 				_, _ = ps.ep().index.RemoveAndReinsertLive([]int32{o.ID}, nil)
-				ps.wmu.Unlock()
 			}
 			db.cr.RemoveLast()
 			tree.Delete(o.ID, o.Region)
@@ -118,7 +101,6 @@ func (db *DB) Insert(o Object) error {
 			}
 			return fmt.Errorf("uvdiagram: insert rolled back: %w", err)
 		}
-		applied = append(applied, sh)
 	}
 	// Opportunistic repair: fold the new constraint into every CACHED
 	// boundary profile it can clip, recording the new id in those
@@ -139,8 +121,8 @@ func (db *DB) Insert(o Object) error {
 // contained it, exactly those neighbors are re-derived (once, from the
 // engine-wide registry) and re-inserted into every shard their grown
 // cells reach — only the shards the victims' or dependents' cells reach
-// are locked and touched, keeping every leaf list a superset of the
-// true overlaps. Answers stay exact.
+// are touched, keeping every leaf list a superset of the true
+// overlaps. Answers stay exact.
 //
 // Like Insert, Delete needs no synchronization against queries (see
 // the package comment). Each delete adds to the touched shards' slack
@@ -279,11 +261,7 @@ func (db *DB) deleteBatchLocked(ids []int32) error {
 		if !touched[i] {
 			continue
 		}
-		sh := lo.shards[i]
-		sh.wmu.Lock()
-		_, err := sh.ep().index.RemoveAndReinsertLive(remove, affected)
-		sh.wmu.Unlock()
-		if err != nil {
+		if _, err := lo.shards[i].ep().index.RemoveAndReinsertLive(remove, affected); err != nil {
 			return err
 		}
 	}
@@ -309,20 +287,20 @@ func (db *DB) deleteBatchLocked(ids []int32) error {
 // every shard's sub-grid is then shadow-built in parallel and published
 // with one atomic epoch swap each. Queries are never blocked — they see
 // either the old or the new index, never a mixture. Concurrent Inserts
-// and Deletes serialize behind the compaction. For maintenance bounded
-// by one shard's size, use CompactShard (or CompactAll to roll over
-// every shard with bounded parallelism).
+// and Deletes serialize behind the compaction.
 func (db *DB) Compact(ctx context.Context) error {
 	return db.rederiveAll(ctx, MaintCompact, nil)
 }
 
-// rederiveAll is the full maintenance pass behind Compact and
-// ReshardWith: one re-derivation of every constraint set and a fresh
-// helper R-tree (the bulk-load drops the slack delete churn left
-// behind, and keeps the derivation's simulated-disk reads off the live
-// tree's I/O accounting), shadow-built into the current layout's shards
-// (recut == nil) or into the layout recut returns, which is then
-// published with ONE atomic layout-pointer swap.
+// rederiveAll is the full maintenance pass behind Compact and Reshard:
+// one re-derivation of every constraint set and a fresh helper R-tree
+// (the bulk-load drops the slack delete churn left behind, and keeps
+// the derivation's simulated-disk reads off the live tree's I/O
+// accounting), shadow-built into the current layout's shards (recut ==
+// nil) or into the layout recut returns, which is then published with
+// ONE atomic layout-pointer swap. Every fresh epoch gets the old
+// layout's generation plus one (all shards of a layout share one
+// generation: only this pass swaps epochs).
 func (db *DB) rederiveAll(ctx context.Context, kind string, recut func(old *shardLayout) *shardLayout) error {
 	db.smu.Lock()
 	defer db.smu.Unlock()
@@ -330,7 +308,7 @@ func (db *DB) rederiveAll(ctx context.Context, kind string, recut func(old *shar
 		return err
 	}
 	tstart := time.Now()
-	ev := MaintEvent{Kind: kind, Shard: -1}
+	ev := MaintEvent{Kind: kind}
 	old := db.lo()
 	lo := old
 	if recut != nil {
@@ -340,7 +318,7 @@ func (db *DB) rederiveAll(ctx context.Context, kind string, recut func(old *shar
 	}
 	// Shadow build: nothing below mutates the live epochs or the store.
 	if hook := db.compactHook; hook != nil {
-		hook(-1)
+		hook()
 	}
 	tree := core.BuildHelperRTree(db.store, db.bopts.Fanout)
 	tree.SetReclaimDomain(db.egc)
@@ -349,7 +327,7 @@ func (db *DB) rederiveAll(ctx context.Context, kind string, recut func(old *shar
 	var cr *core.CRState
 	if err == nil {
 		cr = core.NewCRState(crSets)
-		err = db.buildShards(lo, cr, &stats, t0, maxGen(old)+1)
+		err = db.buildShards(lo, cr, &stats, t0, old.epAt(0).gen+1)
 	}
 	if err == nil {
 		db.cr = cr
@@ -366,94 +344,6 @@ func (db *DB) rederiveAll(ctx context.Context, kind string, recut func(old *shar
 	return err
 }
 
-// maxGen returns the highest epoch generation across a layout's shards;
-// publishing every fresh epoch with maxGen+1 guarantees each shard sees
-// a generation different from its current one.
-func maxGen(lo *shardLayout) uint64 {
-	var max uint64
-	for i := range lo.shards {
-		if g := lo.shards[i].ep().gen; g > max {
-			max = g
-		}
-	}
-	return max
-}
-
-// CompactShard shadow-rebuilds one shard's leaf structure from the
-// engine's current constraint registry and swaps it in, leaving the
-// other shards untouched: the rebuild resets the shard's slack counter
-// and is bounded by the objects whose cells reach the shard rather
-// than the whole diagram. Constraint sets themselves are NOT re-derived
-// — that is the full Compact's (or Reshard's) job — which is what lets
-// CompactShard hold the store-level lock only SHARED: compactions of
-// disjoint shards run truly in parallel, serializing only against
-// Insert/Delete/Compact/Reshard. Queries are never blocked. A failed
-// build (a page size no leaf page fits) leaves the shard as it was.
-func (db *DB) CompactShard(ctx context.Context, i int) error {
-	// smu, even shared, excludes Insert, Delete and Reshard, which take
-	// it exclusively: the build reads a registry no write is changing,
-	// and no layout swap lands mid-build, so the fresh epoch can never
-	// be stored into a retired layout's shard.
-	db.smu.RLock()
-	defer db.smu.RUnlock()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	lo := db.lo()
-	if i < 0 || i >= len(lo.shards) {
-		return fmt.Errorf("uvdiagram: shard %d out of range [0, %d)", i, len(lo.shards))
-	}
-	sh := lo.shards[i]
-	sh.wmu.Lock()
-	defer sh.wmu.Unlock()
-	if hook := db.compactHook; hook != nil {
-		hook(i)
-	}
-	t0 := time.Now()
-	old := sh.ep()
-	ix, _, err := core.BuildRegionCR(db.store, sh.rect, db.cr, 1, db.bopts.Index)
-	if err != nil {
-		db.fireMaint(MaintEvent{Kind: MaintCompactShard, Shard: i, Dur: time.Since(t0), Err: err})
-		return err
-	}
-	ix.SetReclaimDomain(db.egc)
-	sh.epoch.Store(&indexEpoch{index: ix, gen: old.gen + 1})
-	// The full-build statistics snapshot keeps its phase timings; only
-	// the aggregate index shape is refreshed. CAS loop: concurrent
-	// shard compactions (CompactAll) hold the store lock shared, so a
-	// plain load-modify-store could lose the other's refresh — a failed
-	// CAS re-aggregates over the then-current epochs and retries.
-	for {
-		prev := db.built.Load()
-		stats := *prev
-		stats.Index = db.IndexStats()
-		if db.built.CompareAndSwap(prev, &stats) {
-			break
-		}
-	}
-	db.fireMaint(MaintEvent{Kind: MaintCompactShard, Shard: i, Dur: time.Since(t0)})
-	return nil
-}
-
-// CompactAll compacts every shard with CompactShard on a bounded worker
-// pool (parallelism ≤ 0 means one worker per CPU, capped at the shard
-// count). Workers hold the store-level lock shared and distinct shard
-// mutexes, so the per-shard shadow builds genuinely overlap; on failure
-// the remaining shards are skipped and the lowest-indexed error is
-// returned.
-func (db *DB) CompactAll(ctx context.Context, parallelism int) error {
-	n := len(db.lo().shards)
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	if parallelism > n {
-		parallelism = n
-	}
-	return runPool(n, parallelism, "shard", func(i int) error {
-		return db.CompactShard(ctx, i)
-	})
-}
-
 // Reshard re-cuts the shard layout online to match the LIVE object
 // distribution: it derives every constraint set once (a full
 // re-derivation, like Compact), builds the complete new layout's shard
@@ -464,21 +354,14 @@ func (db *DB) CompactAll(ctx context.Context, parallelism int) error {
 //
 // Reshard chooses cuts with the database's configured adaptive
 // strategy; a database built with the default equal strips reshards
-// with WeightedMedian — calling Reshard means asking for balance. Use
-// ReshardWith for an explicit strategy.
+// with WeightedMedian — calling Reshard means asking for balance.
 //
 // Answers are bitwise identical before and after: the layout only
 // changes which shard answers a point, never what the answer is.
-func (db *DB) Reshard(ctx context.Context) error { return db.ReshardWith(ctx, nil) }
-
-// ReshardWith is Reshard with an explicit layout strategy (nil selects
-// the adaptive default described on Reshard).
-func (db *DB) ReshardWith(ctx context.Context, strategy LayoutStrategy) error {
-	if strategy == nil {
-		strategy = db.strategy
-		if _, equal := strategy.(EqualStrips); equal || strategy == nil {
-			strategy = WeightedMedian{}
-		}
+func (db *DB) Reshard(ctx context.Context) error {
+	strategy := db.strategy
+	if _, equal := strategy.(EqualStrips); equal || strategy == nil {
+		strategy = WeightedMedian{}
 	}
 	return db.rederiveAll(ctx, MaintReshard, func(old *shardLayout) *shardLayout {
 		xs, ys := strategy.Cuts(db.domain, old.gx, old.gy, db.liveCenters())

@@ -46,11 +46,10 @@
 //
 // With Options.Shards > 1 the engine partitions the domain into a grid
 // of spatial shards, each owning an independent sub-grid UV-index,
-// epoch pointer, write mutex and slack counter (see shard.go). Point
-// queries route to the owning shard lock-free; builds parallelize
-// across shards; compaction becomes per-shard, bounding maintenance
-// churn by shard size — and compactions of disjoint shards run truly in
-// parallel under the two-level locking scheme. Where the grid cuts the
+// epoch pointer and slack counter (see shard.go). Point queries route
+// to the owning shard lock-free; builds and compactions parallelize
+// across shards, and a mutation's leaf surgery touches only the shards
+// the mutated cells reach. Where the grid cuts the
 // domain is a pluggable LayoutStrategy (equal strips by default,
 // weighted-median quantiles for skewed data), and DB.Reshard re-cuts a
 // live database online, publishing the whole new layout with one atomic
@@ -153,22 +152,17 @@ type Options struct {
 	SplitTheta float64 // Tθ
 	PageSize   int
 	SeedK      int
-	// CellSamples is the angular resolution of exact-cell extraction
-	// (used by ICR and Basic).
-	CellSamples int
 	// Workers is the number of goroutines deriving objects' cr-sets;
 	// results are identical at any count. Build reads 0 as
 	// runtime.GOMAXPROCS (1 = sequential). The re-derivations that run
 	// beside live readers (Compact, Reshard, the maintainer's reshards)
-	// use the value literally: 0 and 1 are both sequential. CompactShard
-	// derives nothing, so it does not read Workers.
+	// use the value literally: 0 and 1 are both sequential.
 	Workers int
 	// Shards partitions the domain into a grid of spatial shards, each
-	// with its own sub-grid UV-index, epoch pointer, write mutex and
-	// slack counter. Point queries route to the owning shard; builds
-	// parallelize across shards; compaction is per-shard. 0 or 1 keeps
-	// the single-shard engine. Answers are independent of the shard
-	// count.
+	// with its own sub-grid UV-index, epoch pointer and slack counter.
+	// Point queries route to the owning shard; builds and compactions
+	// parallelize across shards. 0 or 1 keeps the single-shard engine.
+	// Answers are independent of the shard count.
 	Shards int
 	// Layout picks where the shard grid cuts the domain: nil or
 	// EqualStrips{} for fixed equal-area strips, WeightedMedian{} for
@@ -233,9 +227,6 @@ func (o *Options) toBuildOptions() core.BuildOptions {
 	if o.SeedK > 0 {
 		b.SeedK = o.SeedK
 	}
-	if o.CellSamples > 0 {
-		b.CellSamples = o.CellSamples
-	}
 	if o.Workers > 0 {
 		b.Workers = o.Workers
 	}
@@ -245,8 +236,8 @@ func (o *Options) toBuildOptions() core.BuildOptions {
 // indexEpoch is one immutable-by-swap generation of a shard's index
 // state: the shard's sub-grid UV-index. Queries load the owning shard's
 // current epoch with one atomic pointer read and use it for their whole
-// execution; Compact, CompactShard and Reshard construct fresh
-// epochs off to the side and publish each with one atomic store, so a
+// execution; Compact and Reshard construct fresh epochs off to the
+// side and publish each with one atomic store, so a
 // query never observes a torn (half-swapped) index and is never blocked
 // by a rebuild (RCU-style). The helper R-tree is NOT part of the epoch:
 // it always covers the full live population whatever the shard, so the
@@ -258,10 +249,9 @@ func (o *Options) toBuildOptions() core.BuildOptions {
 // queries need no synchronization against them either.
 type indexEpoch struct {
 	index *core.UVIndex
-	// gen numbers the epoch: it increases by one at every Compact /
-	// CompactShard swap of this shard, letting long-lived
-	// sessions (ContinuousPNN) detect that the index they captured has
-	// been replaced.
+	// gen numbers the epoch: it increases by one at every Compact or
+	// Reshard, letting long-lived sessions (ContinuousPNN) detect that
+	// the index they captured has been replaced.
 	gen uint64
 }
 
@@ -271,30 +261,19 @@ type indexEpoch struct {
 //
 // # Locking
 //
-// Mutations use a two-level scheme:
-//
-//   - Level 1, the store-level lock (smu): guards the object store and
-//     dense-id allocation, the constraint registry and the shared
-//     helper R-tree. Insert/Delete/BatchDelete and the full-rebuild
-//     paths (Compact, Reshard) hold it EXCLUSIVELY;
-//     CompactShard/CompactAll hold it SHARED — they only read store and
-//     registry — which is what lets compactions of disjoint shards
-//     overlap in wall-clock.
-//   - Level 2, the per-shard write mutex (shard.wmu): guards one
-//     shard's leaf structure and epoch pointer. Insert/Delete take only
-//     the mutexes of the shards the mutated cells actually reach (in
-//     ascending shard order); CompactShard takes its one shard's.
-//
-// Lock order is always smu before shard mutexes, shard mutexes in
-// ascending index order, and never smu while holding a shard mutex.
+// One store lock (smu) guards everything a write changes: the object
+// store and dense-id allocation, the constraint registry, the shared
+// helper R-tree, the layout and every shard's leaf structure and epoch
+// pointer. Every writer — Insert, Delete/BatchDelete, Compact, Reshard
+// — holds it EXCLUSIVELY; SaveSnapshot holds it SHARED, so a save sees
+// the state between two writes and never a write half done.
 //
 // Queries take NO locks against ANY mutation — including Insert and
 // Delete. Every mutated structure is copy-on-write behind an atomic
 // pointer (the store's population view, the helper R-tree's header,
-// each shard index's tree snapshot), so the locks above only serialize
-// WRITERS against each other: smu and the shard mutexes form a
-// writer-writer hierarchy, and a reader never blocks on (or is blocked
-// by) any of them. Readers see each mutation atomically through a
+// each shard index's tree snapshot), so smu only serializes WRITERS
+// against each other, and a reader never blocks on (or is blocked by)
+// it. Readers see each mutation atomically through a
 // fixed publication order — on delete the R-tree shrinks first, then
 // the leaf tables publish per shard, then the store tombstones; on
 // insert the store appends first, then the R-tree and leaf tables —
@@ -312,8 +291,7 @@ type DB struct {
 	// Build uses it for the initial cuts.
 	strategy LayoutStrategy
 	// cr is the engine-wide constraint registry shared by every shard's
-	// index (see core.CRState). Guarded by smu: mutators exclusive,
-	// shard compactions shared.
+	// index (see core.CRState). Guarded by smu.
 	cr *core.CRState
 	// topo is the incremental topology registry riding alongside cr: per
 	// object, which cr-set members actually shape its UV-cell boundary
@@ -341,11 +319,9 @@ type DB struct {
 	// queries from ever seeing a torn layout.
 	layout atomic.Pointer[shardLayout]
 	// built snapshots the statistics of the last full construction pass
-	// (Build, Open, Compact/Reshard); per-shard compaction
-	// refreshes only the aggregated index shape.
+	// (Build, Open, Compact/Reshard).
 	built atomic.Pointer[BuildStats]
-	// smu is the store-level lock of the two-level scheme (see the
-	// locking notes above).
+	// smu is the store lock (see the locking notes above).
 	smu     sync.RWMutex
 	scratch sync.Pool // of *core.QueryScratch, shared by single, batch and baseline PNN (see queryScratch)
 	// dscratch is the derivation scratch of the live mutation paths
@@ -353,14 +329,13 @@ type DB struct {
 	// exactly the sections that derive — so it is never shared.
 	dscratch *core.DeriveScratch
 	// compactHook, when set (tests only, before any concurrency
-	// starts), is called by CompactShard after both of its locks are
-	// held and by Compact/Reshard (shard −1) once smu is held, each
-	// before its shadow build — the observation point that lets tests
-	// park a rebuild inside its critical section: disjoint compactions
-	// overlap, and queries complete while a full rebuild is parked.
-	compactHook func(shard int)
+	// starts), is called by Compact/Reshard once smu is held, before the
+	// shadow build — the observation point that lets tests park a
+	// rebuild inside its critical section and check that queries still
+	// complete.
+	compactHook func()
 	// maintObs is the maintenance-event observer (DB.OnMaintenance),
-	// fired synchronously from the Compact/CompactShard/Reshard paths.
+	// fired synchronously from the Compact/Reshard paths.
 	maintObs atomic.Pointer[func(MaintEvent)]
 	// maint is the attached self-driving maintenance controller, nil
 	// when none is running (see StartMaintainer).

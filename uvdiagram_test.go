@@ -119,7 +119,7 @@ func TestStrategiesProduceSameAnswers(t *testing.T) {
 	}
 	var baseline [][]uvdiagram.Answer
 	for _, strat := range []uvdiagram.Strategy{uvdiagram.IC, uvdiagram.ICR, uvdiagram.Basic} {
-		db, err := uvdiagram.Build(objs, cfg.Domain(), &uvdiagram.Options{Strategy: strat, CellSamples: 360})
+		db, err := uvdiagram.Build(objs, cfg.Domain(), &uvdiagram.Options{Strategy: strat})
 		if err != nil {
 			t.Fatal(err)
 		}
