@@ -27,9 +27,10 @@ func (o *BatchOptions) workers() int {
 
 // pnnOn is the one PNN body behind DB.PNN and the batch engine: it
 // answers q on the owning shard's index over a *core.QueryScratch drawn
-// from the DB's pool — candidate ids, fetched candidates, object decode
-// buffers and the probability-integration vectors are all reused, so a
-// steady-state PNN, single or batched, allocates only its answer slice.
+// from the DB's pool — candidate ids, fetched candidates and the
+// probability-integration vectors are all reused, and a fetch decodes
+// no pdf, so a steady-state PNN, single or batched, allocates only its
+// leaf tuples and its answer slice.
 func (db *DB) pnnOn(ix *core.UVIndex, q Point) ([]Answer, QueryStats, error) {
 	sc := db.queryScratch()
 	answers, st, err := ix.PNNWith(q, sc)

@@ -381,3 +381,46 @@ func TestOutOfDomainMatchesSentinel(t *testing.T) {
 		}
 	}
 }
+
+// TestPNNAllocs pins the allocations of a warm query at n = 4 000: a
+// DB.PNN, and each point of a BatchNN with one worker, allocates at
+// most 6 times. Fetching a candidate decodes no pdf, so nothing is
+// allocated per candidate; what is left per query is its answers, the
+// shard-merge result and the integration's per-query vectors.
+func TestPNNAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates on its own")
+	}
+	cfg := datagen.Config{N: 4000, Side: 10000, Diameter: datagen.DefaultDiameter, Seed: 20100301}
+	db, err := uvdiagram.Build(datagen.Uniform(cfg), cfg.Domain(), &uvdiagram.Options{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	qs := queryPoints(rand.New(rand.NewSource(46)), cfg.Side, 200)
+	pnn := func() {
+		for _, q := range qs {
+			if _, _, err := db.PNN(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	bopts := &uvdiagram.BatchOptions{Workers: 1}
+	batch := func() {
+		if _, err := db.BatchNN(qs, bopts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const bound = 6
+	for _, c := range []struct {
+		name string
+		run  func()
+	}{{"PNN", pnn}, {"BatchNN", batch}} {
+		c.run() // warm the pooled scratches
+		if per := testing.AllocsPerRun(5, c.run) / float64(len(qs)); per > bound {
+			t.Errorf("%s: %.2f allocations per query, want ≤ %d", c.name, per, bound)
+		} else {
+			t.Logf("%s: %.2f allocations per query", c.name, per)
+		}
+	}
+}

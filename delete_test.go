@@ -40,20 +40,18 @@ func survivorReference(t *testing.T, all []Object, deadIDs []int32, domain Rect,
 func assertDBsEquivalent(t *testing.T, label string, got, want *DB, qs []Point) {
 	t.Helper()
 	assertServingEquivalent(t, label, got, want, qs)
-	assertRNNEquivalent(t, label, got, want, qs, 0)
+	assertRNNEquivalent(t, label, got, want, qs)
 }
 
-// assertRNNEquivalent compares RNN answers: the same ids, probabilities
-// bitwise equal or, with tol > 0, within tol.
-func assertRNNEquivalent(t *testing.T, label string, got, want *DB, qs []Point, tol float64) {
+// assertRNNEquivalent compares RNN answers bitwise.
+func assertRNNEquivalent(t *testing.T, label string, got, want *DB, qs []Point) {
 	t.Helper()
 	for _, q := range qs {
 		gr, _ := got.RNN(q)
 		wr, _ := want.RNN(q)
 		same := len(gr) == len(wr)
 		for i := 0; same && i < len(gr); i++ {
-			g, w := gr[i].Prob, wr[i].Prob
-			same = gr[i].ID == wr[i].ID && (math.Float64bits(g) == math.Float64bits(w) || tol > 0 && math.Abs(g-w) <= tol)
+			same = gr[i].ID == wr[i].ID && math.Float64bits(gr[i].Prob) == math.Float64bits(wr[i].Prob)
 		}
 		if !same {
 			t.Fatalf("%s: RNN(%v) diverges: %v vs %v", label, q, gr, wr)

@@ -251,15 +251,14 @@ func (ix *UVIndex) leafAt(q geom.Point) (tuples []pager.LeafTuple, region geom.R
 }
 
 // QueryScratch carries the reusable buffers of the PNN hot path — the
-// candidate id list, the fetched-candidate slice, the object decode
-// pool and the probability-integration vectors — so a steady-state
-// batched query allocates only its returned answer slice. A scratch is
-// owned by one goroutine at a time; the batch engine pools them across
-// workers.
+// candidate id list, the fetched-candidate slice and the
+// probability-integration vectors. A fetch decodes no pdf (the store
+// holds one per bar list), so a scratch holds no pdfs either. A scratch
+// is owned by one goroutine at a time; the batch engine pools them
+// across workers.
 type QueryScratch struct {
 	candIDs []int32
 	cands   []uncertain.Object
-	fetch   uncertain.FetchScratch
 	prob    prob.Scratch
 }
 
@@ -352,9 +351,8 @@ func AnswerFrom(view *uncertain.View, q geom.Point, ids []int32, sc *QueryScratc
 	slices.Sort(ids)
 	st.Candidates = len(ids)
 	cands := sc.cands[:0]
-	sc.fetch.Reset()
 	for _, id := range ids {
-		o, err := view.FetchWith(id, &sc.fetch)
+		o, err := view.Fetch(id)
 		if err != nil {
 			return nil, err
 		}

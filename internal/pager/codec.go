@@ -132,33 +132,20 @@ func ObjectRecordLen(b []byte) int {
 
 // DecodeObjectRecord parses a record written by EncodeObjectRecord.
 func DecodeObjectRecord(page []byte) (ObjectRecord, error) {
-	return DecodeObjectRecordInto(page, nil)
+	rec, bars, err := DecodeObjectRecordHeader(page)
+	if err == nil {
+		rec.Weights = DecodeBars(bars)
+	}
+	return rec, err
 }
 
-// DecodeObjectRecordInto is DecodeObjectRecord appending the weights
-// into a caller-owned buffer (pass buf[:0] to reuse it): the query hot
-// path decodes one record per candidate and must not allocate per
-// fetch. A nil buffer allocates as before.
-func DecodeObjectRecordInto(page []byte, buf []float64) (ObjectRecord, error) {
-	var rec ObjectRecord
-	if len(page) < objectRecordHeader {
-		return rec, fmt.Errorf("pager: object record too short (%d bytes)", len(page))
+// DecodeBars decodes the encoded bars DecodeObjectRecordHeader returns.
+func DecodeBars(bars []byte) []float64 {
+	w := make([]float64, len(bars)/8)
+	for i := range w {
+		w[i] = math.Float64frombits(binary.LittleEndian.Uint64(bars[8*i:]))
 	}
-	rec.ID = int32(binary.LittleEndian.Uint32(page))
-	rec.CX = math.Float64frombits(binary.LittleEndian.Uint64(page[4:]))
-	rec.CY = math.Float64frombits(binary.LittleEndian.Uint64(page[12:]))
-	rec.R = math.Float64frombits(binary.LittleEndian.Uint64(page[20:]))
-	n := int(binary.LittleEndian.Uint16(page[28:]))
-	if len(page) < 30+8*n {
-		return rec, fmt.Errorf("pager: object record truncated")
-	}
-	off := 30
-	for i := 0; i < n; i++ {
-		buf = append(buf, math.Float64frombits(binary.LittleEndian.Uint64(page[off:])))
-		off += 8
-	}
-	rec.Weights = buf
-	return rec, nil
+	return w
 }
 
 // DecodeObjectRecordHeader is DecodeObjectRecord without decoding the

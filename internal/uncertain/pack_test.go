@@ -2,7 +2,6 @@ package uncertain
 
 import (
 	"bytes"
-	"math"
 	"sync"
 	"testing"
 
@@ -45,17 +44,11 @@ func reopenPacked(t *testing.T, pages [][]byte, n int, dead []bool) *Store {
 	return st
 }
 
-// sameObject compares bars to within the rounding a record's
-// re-normalisation on decode can add.
+// sameObject compares region and pdf bitwise.
 func sameObject(t *testing.T, got, want Object) {
 	t.Helper()
-	if got.ID != want.ID || got.Region != want.Region || got.PDF.Bins() != want.PDF.Bins() {
+	if got.ID != want.ID || got.Region != want.Region || !samePDF(got.PDF, want.PDF) {
 		t.Fatalf("object %d: got %+v, want %+v", want.ID, got, want)
-	}
-	for k := 0; k < want.PDF.Bins(); k++ {
-		if math.Abs(got.PDF.Bin(k)-want.PDF.Bin(k)) > 1e-15 {
-			t.Fatalf("object %d bin %d: %v vs %v", want.ID, k, got.PDF.Bin(k), want.PDF.Bin(k))
-		}
 	}
 }
 

@@ -22,46 +22,42 @@ type HistogramPDF struct {
 
 // NewHistogramPDF builds a pdf from raw non-negative ring masses,
 // normalizing them to sum to 1.
+//
+// Normalization is idempotent: NewHistogramPDF(p.Weights()) is p, bit
+// for bit, so a pdf round-trips through its stored record. Dividing by
+// a floating-point total moves each bar by up to half an ulp, and the
+// sum of the divided bars misses 1 by up to about 2n·2⁻⁵³ for n bars
+// (n−1 roundings in each of the two sums, one in the quotients). Weights
+// whose total is within n·2⁻⁵² of 1 are therefore taken as already
+// normalized and divided by exactly 1.
 func NewHistogramPDF(weights []float64) (*HistogramPDF, error) {
-	p := &HistogramPDF{}
-	if err := p.setWeights(weights); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// setWeights (re)normalizes weights into p, reusing p's buffers when
-// they are large enough — the pooled decode path of Store.FetchWith.
-// The arithmetic is exactly NewHistogramPDF's, so a reused pdf is
-// bitwise identical to a freshly allocated one.
-func (p *HistogramPDF) setWeights(weights []float64) error {
 	if len(weights) == 0 {
-		return fmt.Errorf("uncertain: histogram pdf needs at least one bin")
+		return nil, fmt.Errorf("uncertain: histogram pdf needs at least one bin")
 	}
 	total := 0.0
 	for i, w := range weights {
 		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			return fmt.Errorf("uncertain: bin %d has invalid weight %v", i, w)
+			return nil, fmt.Errorf("uncertain: bin %d has invalid weight %v", i, w)
 		}
 		total += w
 	}
 	if total <= 0 {
-		return fmt.Errorf("uncertain: histogram pdf has zero total mass")
+		return nil, fmt.Errorf("uncertain: histogram pdf has zero total mass")
+	}
+	if math.IsInf(total, 0) {
+		return nil, fmt.Errorf("uncertain: histogram pdf's total mass overflows")
 	}
 	n := len(weights)
-	if cap(p.bins) < n || cap(p.cum) < n+1 {
-		p.bins = make([]float64, n)
-		p.cum = make([]float64, n+1)
+	if math.Abs(total-1) <= float64(n)*0x1p-52 {
+		total = 1
 	}
-	p.bins = p.bins[:n]
-	p.cum = p.cum[:n+1]
-	p.cum[0] = 0
+	p := &HistogramPDF{bins: make([]float64, n), cum: make([]float64, n+1)}
 	for i, w := range weights {
 		p.bins[i] = w / total
 		p.cum[i+1] = p.cum[i] + p.bins[i]
 	}
 	p.cum[n] = 1
-	return nil
+	return p, nil
 }
 
 // Uniform returns the pdf of a position uniformly distributed over the

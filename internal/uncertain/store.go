@@ -17,7 +17,9 @@ import (
 // layout), so one 4 KB page holds 21 records of the default 20 bars.
 // Fetch goes through the pager and therefore counts toward
 // object-retrieval I/O; construction-time code uses the in-memory
-// accessors, which do not.
+// accessors, which do not. The record is the one source of an object's
+// pdf: appended and opened objects alike hold the pdf made from their
+// record's bars, one per distinct bar list (see decode).
 //
 // Deletion is a tombstone: the dense id space 0..Len()-1 never shrinks
 // or renumbers (leaf tuples, cr-sets and R-tree entries address objects
@@ -41,6 +43,13 @@ type Store struct {
 	// next Append.
 	lay  layout
 	tail pager.PageID
+	// pdfs interns one pdf per distinct bar list the store's records
+	// hold, keyed by the encoded bars; last is the pdf of lastBars, the
+	// bars of the most recent record decoded. lastBars aliases a page
+	// or an appended record, neither of which is ever rewritten.
+	pdfs     map[string]*HistogramPDF
+	last     *HistogramPDF
+	lastBars []byte
 }
 
 // View is one immutable population snapshot. All read accessors exist
@@ -90,7 +99,7 @@ func (l *layout) place(n int) (off int, fresh bool) {
 // returns the store. Objects must have dense IDs 0..n-1 and each record
 // must fit one page.
 func NewStore(objs []Object, pg *pager.Pager) (*Store, error) {
-	s := &Store{pg: pg, lay: layout{pageSize: pg.PageSize()}}
+	s := &Store{pg: pg, lay: layout{pageSize: pg.PageSize()}, pdfs: make(map[string]*HistogramPDF)}
 	n := len(objs)
 	s.hdr.Store(&View{pg: pg, at: make([]recLoc, 0, n), objs: make([]Object, 0, n), dead: make([]bool, 0, n)})
 	for _, o := range objs {
@@ -118,6 +127,30 @@ func encodeObject(o Object, pageSize int) ([]byte, error) {
 	return buf, nil
 }
 
+// decode returns the object a record holds. Its pdf is the store's one
+// pdf for the record's bars: the bars are decoded and normalized only
+// the first time the store sees them, and a run of records with the
+// previous record's bars — a whole population, when every object shares
+// one pdf — costs one comparison. Normalization is idempotent, so the
+// pdf is bitwise the one that was encoded.
+func (s *Store) decode(rec []byte) (Object, error) {
+	hdr, bars, err := pager.DecodeObjectRecordHeader(rec)
+	if err != nil {
+		return Object{}, err
+	}
+	if s.last == nil || !bytes.Equal(bars, s.lastBars) {
+		pdf, ok := s.pdfs[string(bars)]
+		if !ok {
+			if pdf, err = NewHistogramPDF(pager.DecodeBars(bars)); err != nil {
+				return Object{}, err
+			}
+			s.pdfs[string(bars)] = pdf
+		}
+		s.last, s.lastBars = pdf, bars
+	}
+	return Object{ID: hdr.ID, Region: geom.Circle{C: geom.Pt(hdr.CX, hdr.CY), R: hdr.R}, PDF: s.last}, nil
+}
+
 // OpenStoreSnapshot reattaches a store to a pager whose pages hold n
 // object records packed as layout places them (Pack writes such pages;
 // so did the one-record-per-page snapshots of earlier releases, whose
@@ -131,11 +164,8 @@ func OpenStoreSnapshot(pg *pager.Pager, n int, dead []bool) (*Store, error) {
 	} else if len(dead) != n {
 		return nil, fmt.Errorf("uncertain: snapshot tombstone array of %d, want %d", len(dead), n)
 	}
+	s := &Store{pg: pg, lay: layout{pageSize: pg.PageSize()}, pdfs: make(map[string]*HistogramPDF)}
 	v := &View{pg: pg, at: make([]recLoc, n), objs: make([]Object, n), dead: dead}
-	pdfs := make(map[string]*HistogramPDF)
-	var weights []float64
-	var prevBars []byte
-	var pdf *HistogramPDF
 	npages := pg.NumPages()
 	p, off := 0, 0
 	for i := 0; i < n; i++ {
@@ -150,37 +180,15 @@ func OpenStoreSnapshot(pg *pager.Pager, n int, dead []bool) (*Store, error) {
 		if size == 0 || size > len(page) {
 			return nil, fmt.Errorf("uncertain: snapshot object %d: no record fits page %d at offset %d", i, p, off)
 		}
-		rec, bars, err := pager.DecodeObjectRecordHeader(page[:size])
+		o, err := s.decode(page[:size])
 		if err != nil {
 			return nil, fmt.Errorf("uncertain: snapshot object %d (page %d, offset %d): %w", i, p, off, err)
 		}
-		if int(rec.ID) != i {
-			return nil, fmt.Errorf("uncertain: snapshot page %d, offset %d holds object %d, want %d", p, off, rec.ID, i)
-		}
-		// Runs of records with the same bars — a whole population, when
-		// every object shares one pdf — reuse the previous pdf without
-		// decoding or hashing the bars again.
-		if pdf == nil || !bytes.Equal(bars, prevBars) {
-			var ok bool
-			if pdf, ok = pdfs[string(bars)]; !ok {
-				full, err := pager.DecodeObjectRecordInto(page[:size], weights[:0])
-				if err != nil {
-					return nil, fmt.Errorf("uncertain: snapshot object %d (page %d, offset %d): %w", i, p, off, err)
-				}
-				weights = full.Weights
-				if pdf, err = NewHistogramPDF(weights); err != nil {
-					return nil, fmt.Errorf("uncertain: snapshot object %d: %w", i, err)
-				}
-				pdfs[string(bars)] = pdf
-			}
-			prevBars = bars
+		if int(o.ID) != i {
+			return nil, fmt.Errorf("uncertain: snapshot page %d, offset %d holds object %d, want %d", p, off, o.ID, i)
 		}
 		v.at[i] = recLoc{page: pager.PageID(p), off: uint32(off)}
-		v.objs[i] = Object{
-			ID:     rec.ID,
-			Region: geom.Circle{C: geom.Pt(rec.CX, rec.CY), R: rec.R},
-			PDF:    pdf,
-		}
+		v.objs[i] = o
 		if dead[i] {
 			v.nDead++
 		}
@@ -189,7 +197,6 @@ func OpenStoreSnapshot(pg *pager.Pager, n int, dead []bool) (*Store, error) {
 	if p != npages-1 {
 		return nil, fmt.Errorf("uncertain: snapshot store holds %d pages, its %d objects fill %d", npages, n, p+1)
 	}
-	s := &Store{pg: pg, lay: layout{pageSize: pg.PageSize()}}
 	s.hdr.Store(v)
 	return s, nil
 }
@@ -326,87 +333,32 @@ func (v *View) Pages(ids []int32) int64 {
 	return n
 }
 
-// Fetch reads object id's record from disk (one page read) and decodes
-// it. It is the query-time path, used so that object-retrieval I/O and
-// decode time are accounted realistically.
-func (s *Store) Fetch(id int32) (Object, error) {
-	return s.hdr.Load().FetchWith(id, nil)
-}
+// Fetch reads object id's record from disk (one page read), decodes its
+// header and checks that the record is id's. It is the query-time path,
+// so object-retrieval I/O is accounted as the paper does; the pdf is the
+// view's, the one the store interned for the record's bars.
+func (s *Store) Fetch(id int32) (Object, error) { return s.hdr.Load().Fetch(id) }
 
 // Fetch is Store.Fetch on one snapshot.
 func (v *View) Fetch(id int32) (Object, error) {
-	return v.FetchWith(id, nil)
-}
-
-// FetchScratch reuses the decode buffers of FetchWith across queries:
-// one weights staging buffer plus a grow-only pool of HistogramPDF
-// structs (every candidate fetched within one query needs its own live
-// pdf, so the pool hands out a fresh struct per fetch and Reset returns
-// them all). Objects fetched before a Reset must no longer be in use —
-// the PNN path copies what it returns (ids and probabilities) before
-// resetting. Single-goroutine state, like the other scratches.
-type FetchScratch struct {
-	weights []float64
-	pdfs    []*HistogramPDF
-	used    int
-}
-
-// Reset makes every pooled pdf reusable again.
-func (sc *FetchScratch) Reset() { sc.used = 0 }
-
-func (sc *FetchScratch) nextPDF() *HistogramPDF {
-	if sc.used == len(sc.pdfs) {
-		sc.pdfs = append(sc.pdfs, &HistogramPDF{})
-	}
-	p := sc.pdfs[sc.used]
-	sc.used++
-	return p
-}
-
-// FetchWith is Fetch through an optional decode scratch: the page read
-// (and its I/O accounting) is identical, but the weights buffer and the
-// pdf normalization arrays are reused instead of allocated per fetch.
-// A nil scratch allocates fresh, making it identical to Fetch; either
-// way the decoded object is bitwise identical.
-func (s *Store) FetchWith(id int32, sc *FetchScratch) (Object, error) {
-	return s.hdr.Load().FetchWith(id, sc)
-}
-
-// FetchWith is Store.FetchWith on one snapshot.
-func (v *View) FetchWith(id int32, sc *FetchScratch) (Object, error) {
 	if id < 0 || int(id) >= len(v.at) {
 		return Object{}, fmt.Errorf("uncertain: fetch of unknown object %d", id)
 	}
 	if v.dead[id] {
 		return Object{}, fmt.Errorf("uncertain: fetch of deleted object %d", id)
 	}
-	var buf []float64
-	if sc != nil {
-		buf = sc.weights[:0]
-	}
 	loc := v.at[id]
-	rec, err := pager.DecodeObjectRecordInto(v.pg.Read(loc.page)[loc.off:], buf)
+	rec, _, err := pager.DecodeObjectRecordHeader(v.pg.Read(loc.page)[loc.off:])
 	if err != nil {
 		return Object{}, fmt.Errorf("uncertain: object %d: %w", id, err)
 	}
 	if rec.ID != id {
 		return Object{}, fmt.Errorf("uncertain: page %d, offset %d holds object %d, want %d", loc.page, loc.off, rec.ID, id)
 	}
-	var pdf *HistogramPDF
-	if sc != nil {
-		sc.weights = rec.Weights
-		pdf = sc.nextPDF()
-		err = pdf.setWeights(rec.Weights)
-	} else {
-		pdf, err = NewHistogramPDF(rec.Weights)
-	}
-	if err != nil {
-		return Object{}, fmt.Errorf("uncertain: object %d: %w", id, err)
-	}
 	return Object{
 		ID:     rec.ID,
 		Region: geom.Circle{C: geom.Pt(rec.CX, rec.CY), R: rec.R},
-		PDF:    pdf,
+		PDF:    v.objs[id].PDF,
 	}, nil
 }
 
@@ -416,7 +368,9 @@ func (s *Store) Pager() *pager.Pager { return s.pg }
 // Append adds a new object's record to the store: into the unused end
 // of the last page when it fits there, else onto a fresh page. Its ID
 // must be the next dense id (current Len). Supports the incremental-
-// update extension of the UV-index.
+// update extension of the UV-index. The stored object is the record's
+// decode, so objects with equal bars share one pdf whether they were
+// appended or opened.
 //
 // The append extends the current view's backing arrays — and the last
 // page — in place: no published view's length covers the appended slot,
@@ -431,6 +385,10 @@ func (s *Store) Append(o Object) error {
 	if err != nil {
 		return err
 	}
+	stored, err := s.decode(rec)
+	if err != nil {
+		return fmt.Errorf("uncertain: object %d: %w", o.ID, err)
+	}
 	off, fresh := s.lay.place(len(rec))
 	if fresh {
 		s.tail = s.pg.Alloc(rec)
@@ -440,7 +398,7 @@ func (s *Store) Append(o Object) error {
 	s.hdr.Store(&View{
 		pg:    v.pg,
 		at:    append(v.at, recLoc{page: s.tail, off: uint32(off)}),
-		objs:  append(v.objs, o),
+		objs:  append(v.objs, stored),
 		dead:  append(v.dead, false),
 		nDead: v.nDead,
 	})

@@ -1,7 +1,6 @@
 package uncertain
 
 import (
-	"math"
 	"testing"
 
 	"uvdiagram/internal/geom"
@@ -18,9 +17,12 @@ func testObjects(n int) []Object {
 	return objs
 }
 
+// TestStoreRoundTrip: a fetched object is bitwise the stored one, and
+// objects with equal bars share one pdf (testObjects makes a pdf each).
 func TestStoreRoundTrip(t *testing.T) {
 	pg := pager.New(pager.DefaultPageSize)
 	objs := testObjects(10)
+	objs[7].PDF = Uniform(DefaultBins)
 	st, err := NewStore(objs, pg)
 	if err != nil {
 		t.Fatal(err)
@@ -35,13 +37,12 @@ func TestStoreRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := objs[i]
-		if got.ID != want.ID || got.Region != want.Region {
+		if got.ID != want.ID || got.Region != want.Region || !samePDF(got.PDF, want.PDF) {
 			t.Fatalf("object %d: got %+v, want %+v", i, got, want)
 		}
-		for k := 0; k < want.PDF.Bins(); k++ {
-			if math.Abs(got.PDF.Bin(k)-want.PDF.Bin(k)) > 1e-15 {
-				t.Fatalf("object %d bin %d: %v vs %v", i, k, got.PDF.Bin(k), want.PDF.Bin(k))
-			}
+		shared := i != 7 // object 7 alone has the Uniform bars
+		if got.PDF != st.At(int(i)).PDF || (got.PDF == st.At(0).PDF) != shared {
+			t.Fatalf("object %d: pdf %p, stored %p; object 0's %p", i, got.PDF, st.At(int(i)).PDF, st.At(0).PDF)
 		}
 	}
 	if pg.Reads() != 10 {

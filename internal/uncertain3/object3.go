@@ -24,7 +24,10 @@ type PDF3 struct {
 	cum  []float64 // cum[k] = Σ bins[<k]; len = len(bins)+1
 }
 
-// NewPDF3 normalizes the weights into a shell histogram.
+// NewPDF3 normalizes the weights into a shell histogram. Like
+// uncertain.NewHistogramPDF it is idempotent, so a pdf round-trips
+// through its stored bars bit for bit: weights whose total is within
+// n·2⁻⁵² of 1 are already normalized and are divided by exactly 1.
 func NewPDF3(weights []float64) (*PDF3, error) {
 	if len(weights) == 0 {
 		return nil, fmt.Errorf("uncertain3: empty pdf")
@@ -38,6 +41,12 @@ func NewPDF3(weights []float64) (*PDF3, error) {
 	}
 	if total <= 0 {
 		return nil, fmt.Errorf("uncertain3: pdf has zero mass")
+	}
+	if math.IsInf(total, 0) {
+		return nil, fmt.Errorf("uncertain3: pdf's total mass overflows")
+	}
+	if math.Abs(total-1) <= float64(len(weights))*0x1p-52 {
+		total = 1
 	}
 	p := &PDF3{bins: make([]float64, len(weights)), cum: make([]float64, len(weights)+1)}
 	for i, w := range weights {

@@ -3,6 +3,7 @@ package uncertain3
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -15,6 +16,9 @@ func TestNewPDF3Validation(t *testing.T) {
 	}
 	if _, err := NewPDF3([]float64{1, -1}); err == nil {
 		t.Fatal("negative weight accepted")
+	}
+	if _, err := NewPDF3([]float64{math.MaxFloat64, math.MaxFloat64}); err == nil {
+		t.Fatal("pdf whose mass overflows accepted")
 	}
 	if _, err := NewPDF3([]float64{0, 0}); err == nil {
 		t.Fatal("zero-mass pdf accepted")
@@ -117,5 +121,39 @@ func TestObject3SampleInsideRegion(t *testing.T) {
 	pt := New3(1, geom3.Sphere{C: geom3.P3(1, 2, 3), R: 0}, nil)
 	if p := pt.Sample(rng); p != geom3.P3(1, 2, 3) {
 		t.Fatalf("point sample = %v", p)
+	}
+}
+
+// TestPDF3RoundTrip: NewPDF3(p.Weights()) is p, bit for bit, so a DB3
+// loaded from its stream holds the pdfs that were saved.
+func TestPDF3RoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	pdfs := []*PDF3{Uniform3(DefaultBins), PaperGaussian3(), Gaussian3(7, 0.2)}
+	for range 2000 {
+		w := make([]float64, 1+rng.Intn(64))
+		for i := range w {
+			w[i] = math.Ldexp(1+rng.Float64(), rng.Intn(201)-100)
+		}
+		p, err := NewPDF3(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pdfs = append(pdfs, p)
+	}
+	same := func(x, y []float64) bool {
+		return slices.EqualFunc(x, y, func(u, v float64) bool { return math.Float64bits(u) == math.Float64bits(v) })
+	}
+	bad := 0
+	for _, p := range pdfs {
+		q, err := NewPDF3(p.Weights())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !same(p.bins, q.bins) || !same(p.cum, q.cum) {
+			bad++
+		}
+	}
+	if bad > 0 {
+		t.Errorf("%d of %d pdfs are not bitwise the same rebuilt from their weights", bad, len(pdfs))
 	}
 }

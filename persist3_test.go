@@ -2,7 +2,6 @@ package uvdiagram_test
 
 import (
 	"bytes"
-	"math"
 	"math/rand"
 	"os"
 	"testing"
@@ -65,7 +64,7 @@ func TestSaveLoad3RoundTrip(t *testing.T) {
 				t.Fatalf("%s: q=%v: %v vs %v after reload", tc.name, q, a, b)
 			}
 			for i := range a {
-				if a[i].ID != b[i].ID || math.Abs(a[i].Prob-b[i].Prob) > 1e-12 {
+				if a[i] != b[i] {
 					t.Fatalf("%s: q=%v answer %d: %v vs %v after reload", tc.name, q, i, a[i], b[i])
 				}
 			}

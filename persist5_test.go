@@ -36,22 +36,6 @@ func saveSnapshotDB(t testing.TB, n int, opts *uvdiagram.Options) (*uvdiagram.DB
 // the snapshot path must not lose that.
 func assertEquivalent(t *testing.T, want, got *uvdiagram.DB, seed int64) {
 	t.Helper()
-	assertEquivalentTol(t, want, got, seed, 0)
-}
-
-// assertEquivalentTol is assertEquivalent with a probability tolerance:
-// the legacy stream reader re-normalizes pdf histograms on load, which
-// may move probabilities by an ulp (snapshot paths use 0 — they
-// preserve page images exactly).
-func assertEquivalentTol(t *testing.T, want, got *uvdiagram.DB, seed int64, tol float64) {
-	t.Helper()
-	eq := func(a, b uvdiagram.Answer) bool {
-		if tol == 0 {
-			return a == b
-		}
-		d := a.Prob - b.Prob
-		return a.ID == b.ID && d <= tol && d >= -tol
-	}
 	rng := rand.New(rand.NewSource(seed))
 	qs := make([]uvdiagram.Point, 60)
 	for i := range qs {
@@ -67,7 +51,7 @@ func assertEquivalentTol(t *testing.T, want, got *uvdiagram.DB, seed int64, tol 
 			t.Fatalf("PNN(%v): %d answers vs %d", q, len(a1), len(a2))
 		}
 		for i := range a1 {
-			if !eq(a1[i], a2[i]) {
+			if a1[i] != a2[i] {
 				t.Fatalf("PNN(%v)[%d]: %v vs %v", q, i, a1[i], a2[i])
 			}
 		}
@@ -80,7 +64,7 @@ func assertEquivalentTol(t *testing.T, want, got *uvdiagram.DB, seed int64, tol 
 			t.Fatalf("TopKPNN(%v): %d answers vs %d", q, len(k1), len(k2))
 		}
 		for i := range k1 {
-			if !eq(k1[i], k2[i]) {
+			if k1[i] != k2[i] {
 				t.Fatalf("TopKPNN(%v)[%d]: %v vs %v", q, i, k1[i], k2[i])
 			}
 		}
@@ -109,7 +93,7 @@ func assertEquivalentTol(t *testing.T, want, got *uvdiagram.DB, seed int64, tol 
 			t.Fatalf("BatchNN[%d]: %d answers vs %d", i, len(b1[i]), len(b2[i]))
 		}
 		for j := range b1[i] {
-			if !eq(b1[i][j], b2[i][j]) {
+			if b1[i][j] != b2[i][j] {
 				t.Fatalf("BatchNN[%d][%d]: %v vs %v", i, j, b1[i][j], b2[i][j])
 			}
 		}
@@ -209,7 +193,7 @@ func TestOpenClassicStream(t *testing.T) {
 			t.Fatalf("%s: %d shards, %d live; want %d, %d",
 				fx.name, opened.Shards(), opened.Len(), fx.shards, fx.want.Len())
 		}
-		assertEquivalentTol(t, fx.want, opened, 17, 1e-9)
+		assertEquivalent(t, fx.want, opened, 17)
 		for _, d := range []*uvdiagram.DB{fx.want, opened} {
 			if err := d.Delete(12); err != nil {
 				t.Fatalf("%s: %v", fx.name, err)
@@ -218,7 +202,7 @@ func TestOpenClassicStream(t *testing.T) {
 				t.Fatalf("%s: %v", fx.name, err)
 			}
 		}
-		assertEquivalentTol(t, fx.want, opened, 19, 1e-9)
+		assertEquivalent(t, fx.want, opened, 19)
 		// Saving a legacy-opened database writes the current format.
 		assertEquivalent(t, opened, reopen(t, opened), 23)
 	}

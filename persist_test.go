@@ -178,9 +178,7 @@ func TestReshardPersistence(t *testing.T) {
 		}
 	}
 	assertEquivalent(t, db, re, 2)
-	// Answer IDs must match exactly; probabilities carry the PDF
-	// re-normalization noise the legacy reader has.
-	assertEquivalentTol(t, db, legacy, 2, 1e-9)
+	assertEquivalent(t, db, legacy, 2)
 
 	// Resharding a reopened database keeps working (no file carries a
 	// strategy — Reshard re-cuts adaptively from the live centers).

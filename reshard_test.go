@@ -259,11 +259,8 @@ func TestLoadUnifiesDivergentShardRegistries(t *testing.T) {
 			t.Fatalf("PNN(%v) diverges after unification: %v vs %v", q, a1, a2)
 		}
 		for j := range a1 {
-			if a1[j].ID != a2[j].ID {
-				t.Fatalf("PNN(%v) ids diverge after unification: %v vs %v", q, a1, a2)
-			}
-			if d := a1[j].Prob - a2[j].Prob; d > 1e-9 || d < -1e-9 {
-				t.Fatalf("PNN(%v) probability drifted after unification: %v vs %v", q, a1, a2)
+			if a1[j] != a2[j] {
+				t.Fatalf("PNN(%v) diverges after unification: %v vs %v", q, a1, a2)
 			}
 		}
 	}
