@@ -384,9 +384,10 @@ func TestOutOfDomainMatchesSentinel(t *testing.T) {
 
 // TestPNNAllocs pins the allocations of a warm query at n = 4 000: a
 // DB.PNN, and each point of a BatchNN with one worker, allocates at
-// most 6 times. Fetching a candidate decodes no pdf, so nothing is
-// allocated per candidate; what is left per query is its answers, the
-// shard-merge result and the integration's per-query vectors.
+// most 2 times. The leaf's tuples decode into the pooled query scratch
+// and fetching a candidate decodes no pdf, so nothing is allocated per
+// leaf page or per candidate; what is left per query is its answer
+// slice, made once at its length.
 func TestPNNAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime allocates on its own")
@@ -411,7 +412,7 @@ func TestPNNAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	const bound = 6
+	const bound = 2
 	for _, c := range []struct {
 		name string
 		run  func()

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"uvdiagram/internal/geom"
+	"uvdiagram/internal/pager"
 )
 
 // ContinuousPNN is a session for a moving PNN query point — the
@@ -31,6 +32,10 @@ type ContinuousPNN struct {
 	safe geom.Circle
 	gen  uint64 // index mutation generation the safe circle was computed at
 	st   ContinuousStats
+
+	// A recomputation's buffers, reused by the next one.
+	tuples []pager.LeafTuple
+	mins   []float64
 }
 
 // ContinuousStats counts the work saved by the safe region. The
@@ -110,10 +115,11 @@ func (c *ContinuousPNN) recompute(q geom.Point) error {
 	// re-evaluate rather than trust a torn answer set.
 	gen := c.ix.gen.Load()
 
-	tuples, region, _, ios, err := c.ix.leafAt(q)
+	tuples, region, _, ios, err := c.ix.leafAt(q, c.tuples)
 	if err != nil {
 		return err
 	}
+	c.tuples = tuples
 	if len(tuples) == 0 {
 		return fmt.Errorf("core: empty leaf at %v", q)
 	}
@@ -123,7 +129,10 @@ func (c *ContinuousPNN) recompute(q geom.Point) error {
 	// Two smallest distmax values give m₋ᵢ for every i in one pass.
 	m1, m2 := math.Inf(1), math.Inf(1)
 	arg1 := -1
-	mins := make([]float64, len(tuples))
+	if cap(c.mins) < len(tuples) {
+		c.mins = make([]float64, len(tuples))
+	}
+	mins := c.mins[:len(tuples)]
 	for i, t := range tuples {
 		d := q.Dist(geom.Pt(t.CX, t.CY))
 		mins[i] = math.Max(0, d-t.R)

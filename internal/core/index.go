@@ -224,9 +224,10 @@ func (s QueryStats) Total() time.Duration {
 // leafAt is the one leaf lookup behind PNN, PossibleKNN and the
 // continuous session: check q is in the domain, walk the in-memory
 // non-leaf nodes to the leaf containing q, and read and decode its page
-// list from the simulated disk. It returns the leaf's tuples, its
-// region, its depth and the number of page reads.
-func (ix *UVIndex) leafAt(q geom.Point) (tuples []pager.LeafTuple, region geom.Rect, depth int, ios int64, err error) {
+// list from the simulated disk into buf, which it truncates first. It
+// returns the leaf's tuples (buf, grown), its region, its depth and the
+// number of page reads.
+func (ix *UVIndex) leafAt(q geom.Point, buf []pager.LeafTuple) (tuples []pager.LeafTuple, region geom.Rect, depth int, ios int64, err error) {
 	region = ix.g.Domain()
 	if !region.Contains(q) {
 		return nil, region, 0, 0, fmt.Errorf("core: query point %v outside domain %v", q, region)
@@ -239,24 +240,24 @@ func (ix *UVIndex) leafAt(q geom.Point) (tuples []pager.LeafTuple, region geom.R
 		depth++
 	}
 	pg := ix.g.Pager()
+	tuples = buf[:0]
 	for _, pid := range n.Pages() {
-		ts, err := pager.DecodeLeafTuples(pg.Read(pid))
-		if err != nil {
+		if tuples, err = pager.AppendLeafTuples(tuples, pg.Read(pid)); err != nil {
 			return nil, region, depth, ios, fmt.Errorf("core: leaf page %d: %w", pid, err)
 		}
-		tuples = append(tuples, ts...)
 		ios++
 	}
 	return tuples, region, depth, ios, nil
 }
 
 // QueryScratch carries the reusable buffers of the PNN hot path — the
-// candidate id list, the fetched-candidate slice and the
-// probability-integration vectors. A fetch decodes no pdf (the store
-// holds one per bar list), so a scratch holds no pdfs either. A scratch
-// is owned by one goroutine at a time; the batch engine pools them
-// across workers.
+// leaf's decoded tuples, the candidate id list, the fetched-candidate
+// slice and the probability-integration vectors. A fetch decodes no
+// pdf (the store holds one per bar list), so a scratch holds no pdfs
+// either. A scratch is owned by one goroutine at a time; the batch
+// engine pools them across workers.
 type QueryScratch struct {
+	tuples  []pager.LeafTuple
 	candIDs []int32
 	cands   []uncertain.Object
 	prob    prob.Scratch
@@ -292,10 +293,11 @@ func (ix *UVIndex) PNNWith(q geom.Point, sc *QueryScratch) ([]Answer, QueryStats
 	// Phase 1: index traversal (non-leaf nodes are in memory; the leaf
 	// page list is read from disk).
 	t0 := time.Now()
-	tuples, _, depth, ios, err := ix.leafAt(q)
+	tuples, _, depth, ios, err := ix.leafAt(q, sc.tuples)
 	if err != nil {
 		return nil, st, err
 	}
+	sc.tuples = tuples
 	st.Depth = depth
 	st.IndexIOs = ios
 	st.LeafEntries = len(tuples)
@@ -364,9 +366,18 @@ func AnswerFrom(view *uncertain.View, q geom.Point, ids []int32, sc *QueryScratc
 	st.RetrieveDur = time.Since(t1)
 
 	t2 := time.Now()
-	ps := prob.ProbsScratch(cands, q, &sc.prob)
+	ps := prob.ProbsShared(view, cands, q, &sc.prob)
 	st.CDFEvals, st.QuadCapped = sc.prob.CDFEvals, sc.prob.Capped
+	n := 0
+	for _, p := range ps {
+		if p > 0 {
+			n++
+		}
+	}
 	var answers []Answer
+	if n > 0 {
+		answers = make([]Answer, 0, n)
+	}
 	for i, p := range ps {
 		if p > 0 {
 			answers = append(answers, Answer{ID: cands[i].ID, Prob: p})

@@ -89,7 +89,7 @@ func TestLeafListsAreSupersets(t *testing.T) {
 	ix, _ := buildIndex(t, objs, domain, StrategyIC)
 	for k := 0; k < 400; k++ {
 		q := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
-		tuples, _, _, _, err := ix.leafAt(q)
+		tuples, _, _, _, err := ix.leafAt(q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -337,7 +337,7 @@ func BuildOrderK(store *uncertain.Store, domain geom.Rect, tree *rtree.Tree, k i
 func (ix *UVIndex) PossibleKNN(q geom.Point) ([]int32, QueryStats, error) {
 	var st QueryStats
 	t0 := time.Now()
-	tuples, _, depth, ios, err := ix.leafAt(q)
+	tuples, _, depth, ios, err := ix.leafAt(q, nil)
 	if err != nil {
 		return nil, st, err
 	}

@@ -111,14 +111,14 @@ func TestCellRegionsAndLeafRegion(t *testing.T) {
 	if !found {
 		t.Error("object center not covered by its own cell regions")
 	}
-	_, leaf, _, _, err := ix.leafAt(c)
+	_, leaf, _, _, err := ix.leafAt(c, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !leaf.Contains(c) {
 		t.Error("leafAt returned a region not containing the point")
 	}
-	if _, _, _, _, err := ix.leafAt(geom.Pt(-1, -1)); err == nil {
+	if _, _, _, _, err := ix.leafAt(geom.Pt(-1, -1), nil); err == nil {
 		t.Error("outside point accepted")
 	}
 }

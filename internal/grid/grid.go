@@ -125,11 +125,10 @@ func clampInt(v, lo, hi int) int {
 func (g *Index) readCell(idx int) []pager.LeafTuple {
 	var out []pager.LeafTuple
 	for _, pid := range g.pages[idx] {
-		ts, err := pager.DecodeLeafTuples(g.pg.Read(pid))
-		if err != nil {
+		var err error
+		if out, err = pager.AppendLeafTuples(out, g.pg.Read(pid)); err != nil {
 			panic("grid: corrupt cell page: " + err.Error())
 		}
-		out = append(out, ts...)
 	}
 	return out
 }

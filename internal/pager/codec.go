@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // The binary page layouts used by the indexes. All integers are little
@@ -67,17 +68,19 @@ func LeafTupleAt(page []byte, i int) LeafTuple {
 	}
 }
 
-// DecodeLeafTuples parses a page written by EncodeLeafTuples.
-func DecodeLeafTuples(page []byte) ([]LeafTuple, error) {
+// AppendLeafTuples parses a page written by EncodeLeafTuples,
+// appending its tuples to dst, so a caller can decode into a buffer it
+// reuses.
+func AppendLeafTuples(dst []LeafTuple, page []byte) ([]LeafTuple, error) {
 	n, err := LeafTupleCount(page)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	ts := make([]LeafTuple, n)
-	for i := range ts {
-		ts[i] = LeafTupleAt(page, i)
+	dst = slices.Grow(dst, n)
+	for i := 0; i < n; i++ {
+		dst = append(dst, LeafTupleAt(page, i))
 	}
-	return ts, nil
+	return dst, nil
 }
 
 // TuplesPerPage returns how many leaf tuples fit in one page of the

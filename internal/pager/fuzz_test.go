@@ -11,13 +11,13 @@ func FuzzDecodeLeafTuples(f *testing.F) {
 	f.Add(EncodeLeafTuples(nil))
 	f.Add([]byte{0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ts, err := DecodeLeafTuples(data)
+		ts, err := AppendLeafTuples(nil, data)
 		if err != nil {
 			return
 		}
 		// Round trip: decoded tuples re-encode to a decodable page with
 		// identical content.
-		out, err := DecodeLeafTuples(EncodeLeafTuples(ts))
+		out, err := AppendLeafTuples(nil, EncodeLeafTuples(ts))
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}

@@ -71,7 +71,7 @@ func TestLeafTupleRoundTrip(t *testing.T) {
 			}
 		}
 		buf := EncodeLeafTuples(ts)
-		got, err := DecodeLeafTuples(buf)
+		got, err := AppendLeafTuples(nil, buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,11 +87,11 @@ func TestLeafTupleRoundTrip(t *testing.T) {
 }
 
 func TestDecodeLeafTuplesErrors(t *testing.T) {
-	if _, err := DecodeLeafTuples([]byte{1}); err == nil {
+	if _, err := AppendLeafTuples(nil, []byte{1}); err == nil {
 		t.Error("short page accepted")
 	}
 	// Count says 5 but no payload.
-	if _, err := DecodeLeafTuples([]byte{5, 0}); err == nil {
+	if _, err := AppendLeafTuples(nil, []byte{5, 0}); err == nil {
 		t.Error("truncated page accepted")
 	}
 }

@@ -9,10 +9,10 @@ import (
 
 // Scratch holds the reusable buffers of the probability integration —
 // the answer-set index list, the candidates' sweep state with the rings
-// behind it, and the quadrature's node tables and level vectors that
-// Probs used to allocate per query. Batch engines keep one per worker
-// (pooled through batchState) so steady-state PNN probability
-// computation allocates nothing. A scratch is single-goroutine state;
+// or the contracted table cells behind it, and the quadrature's node
+// tables and level vectors that Probs used to allocate per query. Batch
+// engines keep one per worker (pooled through batchState) so
+// steady-state PNN probability computation allocates nothing. A scratch is single-goroutine state;
 // slices returned through it are valid until the next call with the
 // same scratch.
 type Scratch struct {
@@ -23,6 +23,13 @@ type Scratch struct {
 	nodes  []float64 // F_a at the dyadic radii: node j, object a at [j·k+a]
 	surv   []float64 // G_a = Π_{b≠a} (1 − F_b) at the same nodes, same layout
 	levels []float64 // this level's sums, the last level's, its extrapolates
+	tw     []float64 // the table objects' w-polynomials, tableW each
+	cells  []float64 // their contracted cells, tableT per cell
+	ready  []bool    // which of those cells are contracted
+
+	// forceTables arms every object a table can serve through one,
+	// whatever its share (the tests' switch).
+	forceTables bool
 
 	// The last ProbsScratch call's cost in CDF evaluations (radii ×
 	// answer-set size) and whether its quadrature ran out of levels.
@@ -58,6 +65,16 @@ func Probs(objs []uncertain.Object, q geom.Point) []float64 {
 // to Probs. The arithmetic — and therefore every probability, bitwise —
 // is the same on both paths.
 func ProbsScratch(objs []uncertain.Object, q geom.Point, sc *Scratch) []float64 {
+	return ProbsShared(nil, objs, q, sc)
+}
+
+// ProbsShared is ProbsScratch for objects of view's population, whose
+// pdfs are the view's store's interned ones. An answer-set object whose
+// pdf at least tableMinShare of view's live objects hold, and whose
+// region is small against its distance from q (d ≥ 2R), has its
+// distance CDF evaluated through the pdf's table (table.go), within
+// parityTolF of the lens path. A nil view uses no table.
+func ProbsShared(view *uncertain.View, objs []uncertain.Object, q geom.Point, sc *Scratch) []float64 {
 	if sc == nil {
 		sc = &Scratch{}
 	}
@@ -103,8 +120,29 @@ func ProbsScratch(objs []uncertain.Object, q geom.Point, sc *Scratch) []float64 
 	}
 
 	sc.rings = sc.rings[:0]
+	tabled, cells := 0, 0
 	for _, i := range ans {
-		sw[i], sc.rings = sw[i].arm(objs[i], sc.rings)
+		if sw[i].tab = sc.tableFor(view, objs[i], sw[i].d); sw[i].tab != nil {
+			tabled++
+			cells += sw[i].tab.cells()
+		} else {
+			sw[i], sc.rings = sw[i].arm(objs[i], sc.rings)
+		}
+	}
+	if tabled > 0 {
+		tw := sc.floats(&sc.tw, tabled*tableW)
+		cs := sc.floats(&sc.cells, cells*tableT)
+		if cap(sc.ready) < cells {
+			sc.ready = make([]bool, cells)
+		}
+		ready := sc.ready[:cells]
+		for _, i := range ans {
+			if tab := sw[i].tab; tab != nil {
+				n := tab.cells()
+				sw[i].armTable(objs[i], tab, tw[:tableW], cs[:n*tableT], ready[:n])
+				tw, cs, ready = tw[tableW:], cs[n*tableT:], ready[n:]
+			}
+		}
 	}
 	p := Integrate(len(ans), lo, hi, func(a int, r float64) float64 {
 		return sw[ans[a]].cdf(r)

@@ -3,27 +3,12 @@ package prob
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
 	"uvdiagram/internal/geom"
 	"uvdiagram/internal/uncertain"
-)
-
-// Parity bars of the sweep kernel against the reference kernel
-// (ref_test.go), over every configuration family parityCase builds.
-const (
-	parityTolF = 1e-12 // max |ΔF| per DistanceCDF evaluation
-	parityTolP = 1e-9  // max |Δp| per Probs entry (bench/oracle.go's probTol)
-
-	// Both bars are flat while the region is not small against its
-	// distance, d/R ≤ parityCond. Beyond it neither kernel can hold
-	// 1e-12: the lens of a far, small disk is the difference of two
-	// areas of order d·R that agree down to order R², so each kernel —
-	// and the ulp of r itself — carries rounding of order ε·d/R in F,
-	// and the two differ by that much (measured: ≈ 8e-15·d/R, linear up
-	// to d/R = 1e8). There the bar scales with d/R.
-	parityCond = 50
 )
 
 // parityTol returns the |ΔF| bar for object o seen from q; a point
@@ -46,9 +31,16 @@ func parityPDF(rng *rand.Rand) *uncertain.HistogramPDF {
 	case 1:
 		return uncertain.Uniform(bins)
 	}
+	spike := rng.Intn(bins)
+	return spikedPDF(rng, bins, spike, rng.Intn(2) == 0)
+}
+
+// spikedPDF is parityPDF's spiky pdf, all its mass in bin spike, or its
+// gapped one: every other bin may carry mass too, and one bin is empty.
+func spikedPDF(rng *rand.Rand, bins, spike int, gapped bool) *uncertain.HistogramPDF {
 	w := make([]float64, bins)
-	w[rng.Intn(bins)] = 1 // spiky
-	if rng.Intn(2) == 0 { // gapped: every other bin may carry mass too
+	w[spike] = 1
+	if gapped {
 		for k := range w {
 			if rng.Intn(2) == 0 {
 				w[k] = rng.Float64()
@@ -63,6 +55,22 @@ func parityPDF(rng *rand.Rand) *uncertain.HistogramPDF {
 	}
 	return pdf
 }
+
+// parityShapes is one pdf of every parityPDF shape — Gaussian, uniform,
+// spiky and gapped at 1, 7, 20 and 50 bins — built once, so the table
+// tests build one table per shape.
+var parityShapes = sync.OnceValue(func() []*uncertain.HistogramPDF {
+	rng := rand.New(rand.NewSource(20100303))
+	var shapes []*uncertain.HistogramPDF
+	for _, bins := range []int{1, 7, 20, 50} {
+		shapes = append(shapes,
+			uncertain.Gaussian(bins, 0.1+rng.Float64()),
+			uncertain.Uniform(bins),
+			spikedPDF(rng, bins, rng.Intn(bins), false),
+			spikedPDF(rng, bins, rng.Intn(bins), true))
+	}
+	return shapes
+})
 
 // logUniform draws from [lo, hi] uniformly in the exponent.
 func logUniform(rng *rand.Rand, lo, hi float64) float64 {
@@ -205,58 +213,96 @@ func parityRadii(rng *rand.Rand, o uncertain.Object, q geom.Point) []float64 {
 // answer-set object's parityTol where that is larger). The measured
 // maxima are logged per family, overall and over the well-conditioned
 // (d/R ≤ parityCond) part where the flat bars apply.
+//
+// Each configuration is integrated once more with its pdfs swapped for
+// parityShapes ones, through the lens path and with tables forced on
+// for every object they can serve: the two must agree to the same |Δp|
+// bar. The families run in parallel, each on its own generator and
+// scratches, so the sample is the same however they are scheduled.
 func TestKernelParity(t *testing.T) {
 	perFamily := 2500
 	if testing.Short() || raceEnabled {
 		perFamily = 250
 	}
-	var sc Scratch
-	var rsc refScratch
 	for family, name := range parityFamilies {
-		rng := rand.New(rand.NewSource(20100301 + int64(family)))
-		var maxF, maxP, flatF, flatP float64
-		for c := 0; c < perFamily; c++ {
-			objs, q := parityCase(rng, family)
-			tolP := parityTolP
-			for _, o := range objs {
-				tolF := parityTol(o, q)
-				for _, r := range parityRadii(rng, o, q) {
-					got, want := DistanceCDF(o, q, r), refDistanceCDF(o, q, r)
-					df := math.Abs(got - want)
-					if math.IsNaN(got) || df > tolF {
-						t.Errorf("%s case %d: F(%v) = %v, reference %v (Δ %.3g > %.3g) for %v bins=%d at q=%v",
-							name, c, r, got, want, df, tolF, o.Region, o.PDF.Bins(), q)
-					}
-					maxF = math.Max(maxF, df)
-					if tolF == parityTolF {
-						flatF = math.Max(flatF, df)
-					}
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			kernelParityFamily(t, family, perFamily)
+		})
+	}
+}
+
+func kernelParityFamily(t *testing.T, family, perFamily int) {
+	name := parityFamilies[family]
+	var sc, lens, tabled Scratch
+	tabled.forceTables = true
+	var rsc refScratch
+	rng := rand.New(rand.NewSource(20100301 + int64(family)))
+	pick := rand.New(rand.NewSource(20100311 + int64(family)))
+	shapes := parityShapes()
+	var swapped []uncertain.Object
+	var maxF, maxP, flatF, flatP, maxT float64
+	for c := 0; c < perFamily; c++ {
+		objs, q := parityCase(rng, family)
+		tolP := parityTolP
+		for _, o := range objs {
+			tolF := parityTol(o, q)
+			for _, r := range parityRadii(rng, o, q) {
+				got, want := DistanceCDF(o, q, r), refDistanceCDF(o, q, r)
+				df := math.Abs(got - want)
+				if math.IsNaN(got) || df > tolF {
+					t.Errorf("%s case %d: F(%v) = %v, reference %v (Δ %.3g > %.3g) for %v bins=%d at q=%v",
+						name, c, r, got, want, df, tolF, o.Region, o.PDF.Bins(), q)
 				}
-			}
-			got := ProbsScratch(objs, q, &sc)
-			want := refProbs(objs, q, &rsc)
-			for i := range want {
-				if want[i] > 0 {
-					tolP = math.Max(tolP, parityTol(objs[i], q))
+				maxF = math.Max(maxF, df)
+				if tolF == parityTolF {
+					flatF = math.Max(flatF, df)
 				}
-			}
-			for i := range want {
-				dp := math.Abs(got[i] - want[i])
-				if math.IsNaN(got[i]) || dp > tolP {
-					t.Errorf("%s case %d: p[%d] = %v, reference %v (Δ %.3g > %.3g)", name, c, i, got[i], want[i], dp, tolP)
-				}
-				maxP = math.Max(maxP, dp)
-				if tolP == parityTolP {
-					flatP = math.Max(flatP, dp)
-				}
-			}
-			if t.Failed() {
-				t.FailNow()
 			}
 		}
-		t.Logf("%-16s %d cases: max |ΔF| = %.3g (%.3g at d/R ≤ %d), max |Δp| = %.3g (%.3g under the flat bar)",
-			name, perFamily, maxF, flatF, parityCond, maxP, flatP)
+		got := ProbsScratch(objs, q, &sc)
+		want := refProbs(objs, q, &rsc)
+		for i := range want {
+			if want[i] > 0 {
+				tolP = math.Max(tolP, parityTol(objs[i], q))
+			}
+		}
+		for i := range want {
+			dp := math.Abs(got[i] - want[i])
+			if math.IsNaN(got[i]) || dp > tolP {
+				t.Errorf("%s case %d: p[%d] = %v, reference %v (Δ %.3g > %.3g)", name, c, i, got[i], want[i], dp, tolP)
+			}
+			maxP = math.Max(maxP, dp)
+			if tolP == parityTolP {
+				flatP = math.Max(flatP, dp)
+			}
+		}
+
+		swapped = append(swapped[:0], objs...)
+		for i := range swapped {
+			swapped[i].PDF = shapes[pick.Intn(len(shapes))]
+		}
+		want = ProbsScratch(swapped, q, &lens)
+		got = ProbsScratch(swapped, q, &tabled)
+		tolP = parityTolP
+		for i := range want {
+			if want[i] > 0 {
+				tolP = math.Max(tolP, parityTol(swapped[i], q))
+			}
+		}
+		for i := range want {
+			dp := math.Abs(got[i] - want[i])
+			if math.IsNaN(got[i]) || dp > tolP {
+				t.Errorf("%s case %d, tables forced: p[%d] = %v, lens path %v (Δ %.3g > %.3g)", name, c, i, got[i], want[i], dp, tolP)
+			}
+			maxT = math.Max(maxT, dp)
+		}
+		if t.Failed() {
+			t.FailNow()
+		}
 	}
+	t.Logf("%-16s %d cases: max |ΔF| = %.3g (%.3g at d/R ≤ %d), max |Δp| = %.3g (%.3g under the flat bar), tables forced max |Δp| = %.3g",
+		name, perFamily, maxF, flatF, parityCond, maxP, flatP, maxT)
 }
 
 // TestProbsMatchMonteCarloShapes is TestProbsMatchMonteCarlo over the

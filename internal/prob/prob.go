@@ -24,6 +24,15 @@ type sweep struct {
 	d2       float64 // d²
 	area     float64 // πR²; 0 for a point object
 	rings    []ring
+
+	// An object armed through its pdf's table (armTable) evaluates F
+	// there instead of through rings.
+	tab   *cdfTable
+	R     float64
+	panel int       // the w-panel of R/d
+	tw    []float64 // T_0…T_{tableW−1} at R/d's place in the panel
+	cells []float64 // the cells' series contracted over w, tableT each
+	ready []bool    // the cells contracted so far
 }
 
 // ring is one term of the telescoped ring sum. Ring k of an n-bin pdf
@@ -87,6 +96,52 @@ func (s sweep) arm(o uncertain.Object, buf []ring) (sweep, []ring) {
 	return s, buf
 }
 
+// tableFor returns the table o's distance CDF from q is evaluated
+// through, or nil for the lens path: a table needs a region small
+// against its distance, d ≥ 2R, a pdf of at most tableMaxBins bins,
+// and at least tableMinShare live objects of view holding the pdf.
+func (sc *Scratch) tableFor(view *uncertain.View, o uncertain.Object, d float64) *cdfTable {
+	w := o.Region.R / d
+	if o.Region.R == 0 || !(w <= tableMaxW) || o.PDF.Bins() > tableMaxBins {
+		return nil
+	}
+	if !sc.forceTables && (view == nil || view.Share(o.PDF) < tableMinShare) {
+		return nil
+	}
+	return tableOf(o.PDF)
+}
+
+// armTable completes s for o through tab, with tw, cells and ready the
+// scratch's space for its per-(object, query) state.
+func (s *sweep) armTable(o uncertain.Object, tab *cdfTable, tw, cells []float64, ready []bool) {
+	s.R = o.Region.R
+	s.area = math.Pi * s.R * s.R
+	s.tab, s.tw, s.cells, s.ready = tab, tw, cells, ready
+	s.panel = tab.panel(s.R/s.d, tw)
+	clear(ready)
+}
+
+// tableCDF is cdf through the table, for distmin < r < distmax: the
+// cell of u = (r − d)/R, contracted over w on its first use, summed at
+// t = √(distance to the cell's outer edge).
+func (s *sweep) tableCDF(r float64) float64 {
+	tab := s.tab
+	u := (r - s.d) / s.R
+	a := math.Abs(u)
+	k := tab.cell(a)
+	c := k
+	if u > 0 {
+		c += tab.side + 1
+	}
+	cs := s.cells[c*tableT:][:tableT]
+	if !s.ready[c] {
+		tab.contract(c, s.panel, s.tw, cs)
+		s.ready[c] = true
+	}
+	f := clenshaw(cs, math.Sqrt(math.Max(tab.edge[k]-a, 0))*tab.scale[k]-1)
+	return math.Min(math.Max(f, 0), 1)
+}
+
 // cdf returns F(r) = P(dist(q, X) ≤ r), exact for the ring-histogram
 // pdf model: the telescoped sum of the lens areas between the disk
 // Cir(q, r) and the ring boundary disks, all at the hoisted centre
@@ -106,6 +161,9 @@ func (s *sweep) cdf(r float64) float64 {
 	}
 	if r >= s.max {
 		return 1
+	}
+	if s.tab != nil {
+		return s.tableCDF(r)
 	}
 	rs, apart, around := s.rings, math.Abs(s.d-r), s.d+r
 	j := 0

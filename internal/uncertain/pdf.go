@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 )
 
 // DefaultBins is the number of histogram bars used by the paper's
@@ -16,8 +18,34 @@ const DefaultBins = 20
 // [k/n, (k+1)/n). Within a ring the density is uniform per unit area.
 // Scaling to an object's actual radius is done by the callers.
 type HistogramPDF struct {
-	bins []float64 // normalized to sum to 1
-	cum  []float64 // cum[k] = sum of bins[0..k-1]; len = n+1
+	// mass holds the n bins, normalized to sum to 1, then the n+1
+	// cumulative sums, cum[k] = sum of bins[0..k-1]: one array, as a
+	// population may hold a pdf per object.
+	mass  []float64
+	shape atomic.Pointer[pdfShape] // nil until a store interns p or Derived runs
+}
+
+// pdfShape is what a pdf carries as a shape: its slot in the store
+// that interned it and the kernel's precomputation (Derived).
+type pdfShape struct {
+	// slot is the pdf's index in the shape list of the store that
+	// interned it (Store.decode); a pdf no store interned never matches
+	// its slot there (View.Share).
+	slot    int32
+	once    sync.Once
+	derived any
+}
+
+func (p *HistogramPDF) bins() []float64 { return p.mass[:len(p.mass)/2] }
+func (p *HistogramPDF) cum() []float64  { return p.mass[len(p.mass)/2:] }
+
+// shaped returns p's shape, making an empty one first if it has none.
+func (p *HistogramPDF) shaped() *pdfShape {
+	if s := p.shape.Load(); s != nil {
+		return s
+	}
+	p.shape.CompareAndSwap(nil, new(pdfShape))
+	return p.shape.Load()
 }
 
 // NewHistogramPDF builds a pdf from raw non-negative ring masses,
@@ -51,12 +79,13 @@ func NewHistogramPDF(weights []float64) (*HistogramPDF, error) {
 	if math.Abs(total-1) <= float64(n)*0x1p-52 {
 		total = 1
 	}
-	p := &HistogramPDF{bins: make([]float64, n), cum: make([]float64, n+1)}
+	p := &HistogramPDF{mass: make([]float64, 2*n+1)}
+	bins, cum := p.bins(), p.cum()
 	for i, w := range weights {
-		p.bins[i] = w / total
-		p.cum[i+1] = p.cum[i] + p.bins[i]
+		bins[i] = w / total
+		cum[i+1] = cum[i] + bins[i]
 	}
-	p.cum[n] = 1
+	cum[n] = 1
 	return p, nil
 }
 
@@ -106,15 +135,16 @@ func Gaussian(bins int, sigmaFrac float64) *HistogramPDF {
 func PaperGaussian() *HistogramPDF { return Gaussian(DefaultBins, 1.0/3.0) }
 
 // Bins returns the number of histogram bars.
-func (p *HistogramPDF) Bins() int { return len(p.bins) }
+func (p *HistogramPDF) Bins() int { return len(p.mass) / 2 }
 
 // Bin returns the probability mass of ring k.
-func (p *HistogramPDF) Bin(k int) float64 { return p.bins[k] }
+func (p *HistogramPDF) Bin(k int) float64 { return p.bins()[k] }
 
 // CumRadius returns P(ρ ≤ r) for the normalized radius r in [0, 1],
 // interpolating uniformly in area inside a ring.
 func (p *HistogramPDF) CumRadius(r float64) float64 {
-	n := len(p.bins)
+	bins, cum := p.bins(), p.cum()
+	n := len(bins)
 	if r <= 0 {
 		return 0
 	}
@@ -128,41 +158,51 @@ func (p *HistogramPDF) CumRadius(r float64) float64 {
 	a := float64(k) / float64(n)
 	b := float64(k+1) / float64(n)
 	frac := (r*r - a*a) / (b*b - a*a)
-	return p.cum[k] + p.bins[k]*frac
+	return cum[k] + bins[k]*frac
 }
 
 // SampleRadius draws a normalized radius in [0, 1] from the radial law.
 func (p *HistogramPDF) SampleRadius(rng *rand.Rand) float64 {
 	u := rng.Float64()
+	bins, cum := p.bins(), p.cum()
 	// Binary search the cumulative table.
-	lo, hi := 0, len(p.bins)
+	lo, hi := 0, len(bins)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if p.cum[mid+1] < u {
+		if cum[mid+1] < u {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
 	k := lo
-	if k >= len(p.bins) {
-		k = len(p.bins) - 1
+	if k >= len(bins) {
+		k = len(bins) - 1
 	}
-	n := float64(len(p.bins))
+	n := float64(len(bins))
 	a := float64(k) / n
 	b := float64(k+1) / n
 	var frac float64
-	if p.bins[k] > 0 {
-		frac = (u - p.cum[k]) / p.bins[k]
+	if bins[k] > 0 {
+		frac = (u - cum[k]) / bins[k]
 	}
 	// Uniform in area within the ring.
 	return math.Sqrt(a*a + frac*(b*b-a*a))
 }
 
+// Derived returns build(p), computed once per pdf: concurrent first
+// callers wait for the one computation and all get its result, and the
+// result lives as long as the pdf. It is how a kernel keeps per-shape
+// precomputation (prob's distance-CDF table) on the store's interned
+// pdf. Every call for one pdf must pass the same build.
+func (p *HistogramPDF) Derived(build func(*HistogramPDF) any) any {
+	s := p.shaped()
+	s.once.Do(func() { s.derived = build(p) })
+	return s.derived
+}
+
 // Weights returns a copy of the normalized bin masses (used by the page
 // encoders).
 func (p *HistogramPDF) Weights() []float64 {
-	w := make([]float64, len(p.bins))
-	copy(w, p.bins)
-	return w
+	return append([]float64(nil), p.bins()...)
 }

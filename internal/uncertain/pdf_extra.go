@@ -72,9 +72,9 @@ func Exponential(bins int, scale float64) (*HistogramPDF, error) {
 // E[ρ], computed from the histogram (area-uniform within each ring the
 // conditional mean of ρ on [a,b] is 2(b³−a³)/(3(b²−a²))).
 func (p *HistogramPDF) Mean() float64 {
-	n := len(p.bins)
+	n := p.Bins()
 	acc := 0.0
-	for k, w := range p.bins {
+	for k, w := range p.bins() {
 		if w == 0 {
 			continue
 		}

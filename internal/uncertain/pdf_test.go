@@ -133,7 +133,7 @@ func samePDF(a, b *HistogramPDF) bool {
 	same := func(x, y []float64) bool {
 		return slices.EqualFunc(x, y, func(u, v float64) bool { return math.Float64bits(u) == math.Float64bits(v) })
 	}
-	return same(a.bins, b.bins) && same(a.cum, b.cum)
+	return same(a.bins(), b.bins()) && same(a.cum(), b.cum())
 }
 
 // roundTrips reports whether p rebuilt from its stored bars is p, bit

@@ -50,6 +50,9 @@ type Store struct {
 	pdfs     map[string]*HistogramPDF
 	last     *HistogramPDF
 	lastBars []byte
+	// shapes lists the interned pdfs in interning order, each at its
+	// slot. It is append-only, so views share its backing array.
+	shapes []*HistogramPDF
 }
 
 // View is one immutable population snapshot. All read accessors exist
@@ -61,6 +64,12 @@ type View struct {
 	objs  []Object
 	dead  []bool // tombstones, indexed like objs
 	nDead int
+	// shapes is the store's shape list when the view was published and
+	// shares the live objects holding each shape, by slot. Every
+	// mutation publishes fresh counts, so a view's counts are a function
+	// of its live set alone.
+	shapes []*HistogramPDF
+	shares []int32
 }
 
 // recLoc addresses one record: its page and its byte offset there.
@@ -101,13 +110,34 @@ func (l *layout) place(n int) (off int, fresh bool) {
 func NewStore(objs []Object, pg *pager.Pager) (*Store, error) {
 	s := &Store{pg: pg, lay: layout{pageSize: pg.PageSize()}, pdfs: make(map[string]*HistogramPDF)}
 	n := len(objs)
-	s.hdr.Store(&View{pg: pg, at: make([]recLoc, 0, n), objs: make([]Object, 0, n), dead: make([]bool, 0, n)})
+	v := &View{pg: pg, at: make([]recLoc, 0, n), objs: make([]Object, 0, n), dead: make([]bool, 0, n)}
 	for _, o := range objs {
-		if err := s.Append(o); err != nil {
+		if err := s.add(v, o); err != nil {
 			return nil, err
 		}
 	}
+	s.publishCounted(v)
 	return s, nil
+}
+
+// publishCounted counts v's live objects per shape and publishes v.
+func (s *Store) publishCounted(v *View) {
+	v.shapes, v.shares = s.shapes, make([]int32, len(s.shapes))
+	for i, o := range v.objs {
+		if !v.dead[i] {
+			v.shares[o.PDF.shape.Load().slot]++
+		}
+	}
+	s.hdr.Store(v)
+}
+
+// sharesWith returns v's shape counts, extended to n shapes, with delta
+// added to pdf's: a fresh slice, as no two published views share one.
+func (v *View) sharesWith(n int, pdf *HistogramPDF, delta int32) []int32 {
+	shares := make([]int32, n)
+	copy(shares, v.shares)
+	shares[pdf.shape.Load().slot] += delta
+	return shares
 }
 
 func encodeObject(o Object, pageSize int) ([]byte, error) {
@@ -144,6 +174,8 @@ func (s *Store) decode(rec []byte) (Object, error) {
 			if pdf, err = NewHistogramPDF(pager.DecodeBars(bars)); err != nil {
 				return Object{}, err
 			}
+			pdf.shape.Store(&pdfShape{slot: int32(len(s.shapes))})
+			s.shapes = append(s.shapes, pdf)
 			s.pdfs[string(bars)] = pdf
 		}
 		s.last, s.lastBars = pdf, bars
@@ -197,7 +229,7 @@ func OpenStoreSnapshot(pg *pager.Pager, n int, dead []bool) (*Store, error) {
 	if p != npages-1 {
 		return nil, fmt.Errorf("uncertain: snapshot store holds %d pages, its %d objects fill %d", npages, n, p+1)
 	}
-	s.hdr.Store(v)
+	s.publishCounted(v)
 	return s, nil
 }
 
@@ -254,6 +286,16 @@ func (s *Store) Live() int { return s.hdr.Load().Live() }
 // Live is Store.Live on one snapshot.
 func (v *View) Live() int { return len(v.objs) - v.nDead }
 
+// Share returns how many of the view's live objects hold pdf, the
+// store's one interned pdf for their bar list. A pdf the store did not
+// intern is held by none.
+func (v *View) Share(pdf *HistogramPDF) int {
+	if sh := pdf.shape.Load(); sh != nil && int(sh.slot) < len(v.shapes) && v.shapes[sh.slot] == pdf {
+		return int(v.shares[sh.slot])
+	}
+	return 0
+}
+
 // Alive reports whether id names a live object.
 func (s *Store) Alive(id int32) bool { return s.hdr.Load().Alive(id) }
 
@@ -276,7 +318,8 @@ func (s *Store) Delete(id int32) error {
 	dead := make([]bool, len(v.dead))
 	copy(dead, v.dead)
 	dead[id] = true
-	s.hdr.Store(&View{pg: v.pg, at: v.at, objs: v.objs, dead: dead, nDead: v.nDead + 1})
+	s.hdr.Store(&View{pg: v.pg, at: v.at, objs: v.objs, dead: dead, nDead: v.nDead + 1,
+		shapes: v.shapes, shares: v.sharesWith(len(v.shapes), v.objs[id].PDF, -1)})
 	return nil
 }
 
@@ -378,6 +421,20 @@ func (s *Store) Pager() *pager.Pager { return s.pg }
 // snapshot readers never observe the write.
 func (s *Store) Append(o Object) error {
 	v := s.hdr.Load()
+	nv := &View{pg: v.pg, at: v.at, objs: v.objs, dead: v.dead, nDead: v.nDead}
+	if err := s.add(nv, o); err != nil {
+		return err
+	}
+	nv.shapes = s.shapes
+	nv.shares = v.sharesWith(len(s.shapes), nv.objs[o.ID].PDF, 1)
+	s.hdr.Store(nv)
+	return nil
+}
+
+// add writes o's record after the store's last one and appends the
+// stored object to v's arrays, in place: v is not published yet. Its
+// shape counts are left to the caller.
+func (s *Store) add(v *View, o Object) error {
 	if int(o.ID) != len(v.objs) {
 		return fmt.Errorf("uncertain: appended object has ID %d, want %d", o.ID, len(v.objs))
 	}
@@ -395,13 +452,9 @@ func (s *Store) Append(o Object) error {
 	} else {
 		s.pg.WriteAt(s.tail, off, rec)
 	}
-	s.hdr.Store(&View{
-		pg:    v.pg,
-		at:    append(v.at, recLoc{page: s.tail, off: uint32(off)}),
-		objs:  append(v.objs, stored),
-		dead:  append(v.dead, false),
-		nDead: v.nDead,
-	})
+	v.at = append(v.at, recLoc{page: s.tail, off: uint32(off)})
+	v.objs = append(v.objs, stored)
+	v.dead = append(v.dead, false)
 	return nil
 }
 
@@ -418,14 +471,17 @@ func (s *Store) RemoveLast() error {
 		return fmt.Errorf("uncertain: RemoveLast on empty store")
 	}
 	nv := &View{
-		pg:    v.pg,
-		at:    append([]recLoc(nil), v.at[:n-1]...),
-		objs:  append([]Object(nil), v.objs[:n-1]...),
-		dead:  append([]bool(nil), v.dead[:n-1]...),
-		nDead: v.nDead,
+		pg:     v.pg,
+		at:     append([]recLoc(nil), v.at[:n-1]...),
+		objs:   append([]Object(nil), v.objs[:n-1]...),
+		dead:   append([]bool(nil), v.dead[:n-1]...),
+		nDead:  v.nDead,
+		shapes: v.shapes,
+		shares: v.sharesWith(len(v.shapes), v.objs[n-1].PDF, -1),
 	}
 	if v.dead[n-1] {
 		nv.nDead--
+		nv.shares[v.objs[n-1].PDF.shape.Load().slot]++
 	}
 	s.hdr.Store(nv)
 	return nil
