@@ -177,7 +177,7 @@ func TestCDFTableConcurrentBuild(t *testing.T) {
 // paper-Gaussian candidates of radius 4–8 — placed as a served answer
 // set is, each region 2–3 radii from q: TestKernelRatio's own put q
 // inside or beside every region, where d < 2R and no table applies.
-// The bound sits between the ratio measured (3.2–3.6) and the ratio
+// The bound sits between the ratio measured (2.9–3.6) and the ratio
 // with the table path's work doubled (1.5–1.6).
 func TestCDFTableRatio(t *testing.T) {
 	perfgate.Skip(t)
