@@ -61,7 +61,7 @@ type BufferPoolStats struct {
 	// Deprecated: always 0 since the grid leaf cache was removed; kept only until bench/ is re-anchored.
 	LeafEvictions int64
 	// RTree* count the helper R-tree's leaf memo; they restart when a
-	// reshard or compaction swaps in a freshly built tree.
+	// compaction swaps in a freshly built tree.
 	RTreeHits      int64
 	RTreeMisses    int64
 	RTreeEvictions int64
@@ -120,7 +120,7 @@ func (db *DB) DropCaches() int64 {
 // pagers snapshots every pager serving the database: the object store,
 // each shard index and the helper R-tree.
 func (db *DB) pagers() []*pager.Pager {
-	lo := db.lo()
+	lo := db.layout
 	out := make([]*pager.Pager, 0, len(lo.shards)+2)
 	out = append(out, db.store.Pager())
 	for i := range lo.shards {
@@ -135,8 +135,9 @@ func (db *DB) pagers() []*pager.Pager {
 // extents of an mmap-backed snapshot are advised out of the OS page
 // cache. Safe concurrently with queries — the frees themselves already
 // ran post-grace through the epoch domain, Vacuum only releases the
-// storage they left behind. Returns the total bytes reclaimed. The
-// maintenance controller calls it every tick.
+// storage they left behind. Returns the total bytes reclaimed. Nothing
+// in the engine calls it periodically; a caller that wants freed
+// storage back calls it.
 func (db *DB) Vacuum() int64 {
 	var n int64
 	for _, pg := range db.pagers() {
@@ -203,19 +204,17 @@ func runPool(n, workers int, label string, fn func(i int) error) error {
 	return nil
 }
 
-// batchRoute pins the layout and every shard's epoch once for a whole
-// batch and resolves per-point routing: each point scatters to its
-// owning shard's index, and the positional result slots gather the
-// answers back in request order.
+// batchRoute pins every shard's epoch once for a whole batch and
+// resolves per-point routing: each point scatters to its owning shard's
+// index, and the positional result slots gather the answers back in
+// request order.
 type batchRoute struct {
 	db  *DB
-	lo  *shardLayout
 	eps []*indexEpoch
 }
 
 func (db *DB) route() batchRoute {
-	lo := db.lo()
-	return batchRoute{db: db, lo: lo, eps: lo.epochs()}
+	return batchRoute{db: db, eps: db.layout.epochs()}
 }
 
 // plan routes a whole batch in one pass: every point is
@@ -228,7 +227,7 @@ func (r batchRoute) plan(qs []Point) (owner []int, err error) {
 		if err := checkDomain(r.db.domain, q); err != nil {
 			return nil, fmt.Errorf("query %d: %w", i, err)
 		}
-		owner[i] = r.lo.shardIdx(q)
+		owner[i] = r.db.layout.shardIdx(q)
 	}
 	return owner, nil
 }
@@ -252,7 +251,7 @@ func (db *DB) BatchNN(qs []Point, opts *BatchOptions) ([][]Answer, error) {
 func (db *DB) batchPNN(qs []Point, opts *BatchOptions, keep func([]Answer) []Answer) ([][]Answer, error) {
 	t := db.egc.Pin() // one pin covers every worker's page reads
 	defer db.egc.Unpin(t)
-	rt := db.route() // one layout + epoch set for the whole batch
+	rt := db.route() // one epoch set for the whole batch
 	owner, err := rt.plan(qs)
 	if err != nil {
 		return nil, err

@@ -52,7 +52,7 @@ func getDeriveFixture(tb testing.TB, n int) *deriveFixture {
 }
 
 // BenchmarkDeriveCRSets is the whole-population derivation pass (the
-// phase dominating Build/Compact/Reshard) on the fast path.
+// phase dominating Build/Compact) on the fast path.
 func BenchmarkDeriveCRSets(b *testing.B) {
 	f := getDeriveFixture(b, 800)
 	b.ReportAllocs()

@@ -7,12 +7,12 @@
 //
 //	uvbuild [-n 30000] [-dataset uniform|skewed|utility|roads|rrlines]
 //	        [-strategy ic|icr|basic] [-diameter 40] [-sigma 2500]
-//	        [-theta 1.0] [-seed 1] [-shards 1] [-layout equal|median]
+//	        [-theta 1.0] [-seed 1] [-shards 1]
 //	        [-workers 0] [-snapshot db.uvsnap]
 //
-// With -shards S > 1 the domain is split into S spatial shards whose
-// sub-grid indexes are built in parallel from one derivation pass; the
-// report then adds a per-shard shape table.
+// With -shards S > 1 the domain is split into S equal-strip spatial
+// shards whose sub-grid indexes are built in parallel from one
+// derivation pass; the report then adds a per-shard shape table.
 //
 // With -snapshot, the built database is written as a page-image
 // snapshot (DB.SaveSnapshot) that uvdiagram.Open (and
@@ -42,7 +42,6 @@ func main() {
 	seedK := flag.Int("seedk", core.DefaultSeedK, "k of the seed k-NN query")
 	seed := flag.Int64("seed", 1, "random seed")
 	shards := flag.Int("shards", 1, "spatial shard count (1 = unsharded)")
-	layout := flag.String("layout", "equal", "shard layout strategy: equal, median (weighted-median cuts)")
 	workers := flag.Int("workers", 0, "derivation goroutines (0 = GOMAXPROCS, 1 = sequential)")
 	snapshot := flag.String("snapshot", "", "write the built database as a page-image snapshot (DB.SaveSnapshot) to this path")
 	flag.Parse()
@@ -78,18 +77,12 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown strategy %q", *strategy))
 	}
-	cuts, err := uvdiagram.LayoutByName(*layout)
-	if err != nil {
-		fatal(err)
-	}
-
 	db, err := uvdiagram.Build(objs, geom.Square(datagen.DefaultSide), &uvdiagram.Options{
 		Strategy:   strat,
 		SplitTheta: *theta,
 		SeedK:      *seedK,
 		Workers:    *workers,
 		Shards:     *shards,
-		Layout:     cuts,
 	})
 	if err != nil {
 		fatal(err)
@@ -121,7 +114,7 @@ func main() {
 	fmt.Printf("index          %d non-leaf (%.1f KB RAM), %d leaves, %d pages, depth %d, avg list %.1f\n",
 		ist.NonLeaf, float64(ist.MemBytes)/1024, ist.Leaves, ist.Pages, ist.MaxDepth, ist.AvgEntries)
 	if len(shardStats) > 1 {
-		fmt.Printf("shards         %d (layout %s)\n", len(shardStats), *layout)
+		fmt.Printf("shards         %d\n", len(shardStats))
 		for i, sh := range shardStats {
 			fmt.Printf("  shard %-3d    %v: %d live, %d leaves, %d pages, depth %d, %d entries\n",
 				i, sh.Rect, sh.Live, sh.Index.Leaves, sh.Index.Pages, sh.Index.MaxDepth, sh.Index.Entries)

@@ -6,12 +6,9 @@
 //
 //	uvserver [-addr :7031] [-n 10000] [-seed 1]
 //	         [-data db.uvsnap] [-pager mmap|heap]
-//	         [-shards 1] [-layout equal|median] [-window 64]
+//	         [-shards 1] [-window 64]
 //	         [-workers N] [-push-timeout 5s]
 //	         [-pprof localhost:6060]
-//	         [-maintain] [-maintain-interval 2s]
-//	         [-maintain-high 1.6] [-maintain-low 1.25]
-//	         [-maintain-sustain 3] [-maintain-cooldown 30s]
 //
 // With -pprof, the standard net/http/pprof endpoints are served on the
 // given address so a live server can be profiled in place
@@ -19,20 +16,14 @@
 // listener serves the full server metrics snapshot as expvar JSON under
 // /debug/vars (key "uvdiagram") — the HTTP twin of `uvclient metrics`.
 //
-// With -maintain, a self-driving maintenance controller samples shard
-// imbalance every -maintain-interval and reshards automatically when it
-// stays above -maintain-high for -maintain-sustain ticks, disarming
-// below -maintain-low (two-threshold hysteresis) with a
-// -maintain-cooldown between runs.
-//
 // With -data, the database file is opened with uvdiagram.Open instead
 // of generating data: a page-image snapshot (uvbuild
 // -snapshot) is served straight off the mmap'd file with zero rebuild
 // (-pager heap copies it into memory instead), and the logical streams
 // earlier releases wrote are still read. The file's population and
-// shard layout win over -n, -seed, -shards and -layout, which only
-// shape a fresh build. With -shards S > 1 a fresh build splits the
-// domain into S spatial shards, each with its own sub-grid index, epoch
+// shard layout win over -n, -seed and -shards, which only shape a fresh
+// build. With -shards S > 1 a fresh build splits the domain into S
+// equal-strip spatial shards, each with its own sub-grid index, epoch
 // and slack counter — queries route to the owning shard, and a write's
 // leaf surgery touches only the shards its cells reach.
 package main
@@ -59,16 +50,9 @@ func main() {
 	data := flag.String("data", "", "open a saved database file with uvdiagram.Open (snapshots serve off the file) instead of generating data")
 	pagerMode := flag.String("pager", "", "page-store backend for -data snapshots: mmap (default; zero-copy off the file) or heap (copy into memory)")
 	shards := flag.Int("shards", 1, "spatial shard count of a fresh build (ignored with -data; 1 = unsharded)")
-	layout := flag.String("layout", "equal", "shard layout strategy for a fresh build: equal, median")
 	window := flag.Int("window", 0, "per-connection in-flight request window (0 = default 64)")
 	workers := flag.Int("workers", 0, "server-wide query worker pool size (0 = GOMAXPROCS)")
 	pushTimeout := flag.Duration("push-timeout", 0, "per-write deadline for subscription pushes; a slower consumer is disconnected (0 = default 5s)")
-	maintain := flag.Bool("maintain", false, "run the self-driving maintenance controller")
-	maintInterval := flag.Duration("maintain-interval", 0, "maintenance sampling period (0 = default 2s)")
-	maintHigh := flag.Float64("maintain-high", 0, "imbalance high watermark arming a reshard (0 = default 1.6)")
-	maintLow := flag.Float64("maintain-low", 0, "imbalance low watermark disarming the controller (0 = default 1.25)")
-	maintSustain := flag.Int("maintain-sustain", 0, "high-water ticks required before a reshard fires (0 = default 3)")
-	maintCooldown := flag.Duration("maintain-cooldown", 0, "minimum interval between controller reshards (0 = default 30s)")
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "uvserver: ", log.LstdFlags)
@@ -93,12 +77,9 @@ func main() {
 	} else {
 		cfg := datagen.Config{N: *n, Seed: *seed}
 		objs := datagen.Uniform(cfg)
-		strat, err := uvdiagram.LayoutByName(*layout)
-		if err != nil {
-			logger.Fatal(err)
-		}
-		logger.Printf("building UV-index over %d objects (%d shards, %s layout)...", *n, *shards, strat.Name())
-		db, err = uvdiagram.Build(objs, cfg.Domain(), &uvdiagram.Options{Shards: *shards, Layout: strat})
+		logger.Printf("building UV-index over %d objects (%d shards)...", *n, *shards)
+		var err error
+		db, err = uvdiagram.Build(objs, cfg.Domain(), &uvdiagram.Options{Shards: *shards})
 		if err != nil {
 			logger.Fatal(err)
 		}
@@ -107,22 +88,6 @@ func main() {
 	if s := db.Shards(); s > 1 {
 		gx, gy := db.ShardGrid()
 		logger.Printf("spatial shards: %d (%d×%d grid)", s, gx, gy)
-	}
-
-	if *maintain {
-		opts := uvdiagram.MaintainOptions{
-			Interval:     *maintInterval,
-			HighWater:    *maintHigh,
-			LowWater:     *maintLow,
-			SustainTicks: *maintSustain,
-			MinInterval:  *maintCooldown,
-		}
-		if _, err := db.StartMaintainer(opts); err != nil {
-			logger.Fatal(err)
-		}
-		eff := db.Maintainer().Options()
-		logger.Printf("maintenance controller on: interval %v, watermarks %.2f/%.2f, sustain %d, cooldown %v",
-			eff.Interval, eff.HighWater, eff.LowWater, eff.SustainTicks, eff.MinInterval)
 	}
 
 	srv, err := server.NewWithConfig(db, server.Logf(logger),

@@ -14,16 +14,14 @@ import (
 // touches the session's shard invalidates the safe circle through the
 // shard index's mutation generation (mutations confined to other shards
 // provably cannot change answers here and leave the circle valid), a
-// Compact epoch swap or a Reshard layout swap transparently
-// re-opens the session against the fresh index, and a move across a
-// shard boundary re-opens it on the owning shard — so a stale answer
-// set is never served. The safe circle never extends past the leaf
+// Compact epoch swap transparently re-opens the session against the
+// fresh index, and a move across a shard boundary re-opens it on the
+// owning shard — so a stale answer set is never served. The safe circle never extends past the leaf
 // region, and therefore never past the shard, so staying inside it can
 // never cross a boundary.
 type ContinuousPNN struct {
 	db    *DB
-	lo    *shardLayout // layout the session routed through
-	si    int          // shard owning the current position
+	si    int // shard owning the current position
 	ep    *indexEpoch
 	sess  *core.ContinuousPNN
 	prior ContinuousStats // counters from sessions before epoch/shard swaps
@@ -41,14 +39,14 @@ func (db *DB) NewContinuousPNN(q Point) (*ContinuousPNN, error) {
 	}
 	t := db.egc.Pin()
 	defer db.egc.Unpin(t)
-	lo := db.lo()
+	lo := db.layout
 	si := lo.shardIdx(q)
 	ep := lo.epAt(si)
 	sess, err := ep.index.NewContinuousPNN(q)
 	if err != nil {
 		return nil, err
 	}
-	return &ContinuousPNN{db: db, lo: lo, si: si, ep: ep, sess: sess}, nil
+	return &ContinuousPNN{db: db, si: si, ep: ep, sess: sess}, nil
 }
 
 // Move advances the query point. It returns the current answer IDs
@@ -61,41 +59,40 @@ func (c *ContinuousPNN) Move(q Point) ([]int32, bool, error) {
 	}
 	t := c.db.egc.Pin()
 	defer c.db.egc.Unpin(t)
-	lo := c.db.lo()
+	lo := c.db.layout
 	si := lo.shardIdx(q)
-	return c.advance(lo, si, lo.epAt(si), q, true)
+	return c.advance(si, lo.epAt(si), q, true)
 }
 
 // Revalidate re-evaluates the session at its CURRENT position if — and
 // only if — the index state its safe circle was computed against has
-// changed: a mutation on the owning shard, a Compact epoch swap
-// or a Reshard layout swap. An untouched engine returns immediately on
-// atomic generation comparisons, so calling it after every database
-// write is cheap for the (typical) sessions the write did not affect.
-// It returns the current answer IDs (sorted, shared slice) and whether
-// a re-evaluation ran; unlike Move it does not count a move.
+// changed: a mutation on the owning shard or a Compact epoch swap. An
+// untouched engine returns immediately on atomic generation
+// comparisons, so calling it after every database write is cheap for
+// the (typical) sessions the write did not affect. It returns the
+// current answer IDs (sorted, shared slice) and whether a re-evaluation
+// ran; unlike Move it does not count a move.
 func (c *ContinuousPNN) Revalidate() ([]int32, bool, error) {
 	t := c.db.egc.Pin()
 	defer c.db.egc.Unpin(t)
-	lo := c.db.lo()
+	lo := c.db.layout
 	q := c.sess.Position()
 	si := lo.shardIdx(q)
-	return c.advance(lo, si, lo.epAt(si), q, false)
+	return c.advance(si, lo.epAt(si), q, false)
 }
 
 // advance is the ONE re-open + move path shared by Move, Revalidate and
-// DB.AdvanceAll. When the layout was replaced (Reshard), the point
-// crossed into another shard, or the shard's index was swapped
-// (Compact), the old session's safe circle argues about the
-// wrong index: the session re-opens on the owning shard's current
-// epoch, carrying the work counters forward. Otherwise the core
+// DB.AdvanceAll. When the point crossed into another shard or the
+// shard's index was swapped (Compact), the old session's safe circle
+// argues about the wrong index: the session re-opens on the owning
+// shard's current epoch, carrying the work counters forward. Otherwise the core
 // session's safe-circle check runs. Counters fold into prior only AFTER
 // a successful re-open: on failure (the fresh evaluation can fail, e.g.
 // on an out-of-domain point) the live session and its tallies stay
 // current, so the next successful call neither double-counts the folded
 // work nor leaves the session bound to a dead epoch forever.
-func (c *ContinuousPNN) advance(lo *shardLayout, si int, ep *indexEpoch, q Point, move bool) ([]int32, bool, error) {
-	if lo != c.lo || si != c.si || ep.gen != c.ep.gen {
+func (c *ContinuousPNN) advance(si int, ep *indexEpoch, q Point, move bool) ([]int32, bool, error) {
+	if si != c.si || ep.gen != c.ep.gen {
 		sess, err := ep.index.NewContinuousPNN(q)
 		if err != nil {
 			return nil, true, err
@@ -104,7 +101,7 @@ func (c *ContinuousPNN) advance(lo *shardLayout, si int, ep *indexEpoch, q Point
 		c.prior.Moves += st.Moves
 		c.prior.Recomputes += st.Recomputes
 		c.prior.IndexIOs += st.IndexIOs
-		c.lo, c.si, c.ep, c.sess = lo, si, ep, sess
+		c.si, c.ep, c.sess = si, ep, sess
 		if move {
 			c.prior.Moves++ // this Move, charged to the fresh session's caller
 		}

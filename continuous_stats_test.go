@@ -45,7 +45,7 @@ func answersMatch(t *testing.T, db *uvdiagram.DB, ids []int32, q uvdiagram.Point
 }
 
 // TestContinuousStatsExact walks one session through shard crossings,
-// churn, a Compact epoch swap, a Reshard layout swap, and both failure
+// churn, a Compact epoch swap, and both failure
 // paths (in-session recompute failure and re-open failure), asserting
 // after every step that the counters match the deterministic model —
 // in particular that a FAILED re-open leaves them untouched (the old
@@ -132,16 +132,12 @@ func TestContinuousStatsExact(t *testing.T) {
 	}
 	model.check(t, sess, "revalidate-idle")
 
-	// Phase 3: Compact swaps every epoch; Reshard swaps the layout. The
-	// session re-opens transparently, one recompute per swap crossing.
+	// Phase 3: Compact swaps every epoch. The session re-opens
+	// transparently, one recompute for the swap.
 	if err := db.Compact(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	move(q, "post-compact")
-	if err := db.Reshard(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	move(uvdiagram.Pt(q.X+1, q.Y), "post-reshard")
 
 	// Phase 4a: in-session failure. Park in the corner shard, then move
 	// out of the domain: the point clamps to the SAME shard, the core
@@ -178,9 +174,9 @@ func TestContinuousStatsExact(t *testing.T) {
 
 // TestAdvanceAllMatchesSequential drives two identical session fleets
 // through the same trajectories — one through the bulk shard-grouped
-// AdvanceAll path, one through sequential Move calls — across churn, a
-// Compact, and a Reshard, and asserts bitwise-identical answers,
-// identical recompute flags, and identical counters at every round.
+// AdvanceAll path, one through sequential Move calls — across churn and
+// a Compact, and asserts bitwise-identical answers, identical recompute
+// flags, and identical counters at every round.
 func TestAdvanceAllMatchesSequential(t *testing.T) {
 	cfg := datagen.Config{N: 300, Side: 2000, Diameter: 40, Seed: 99}
 	db, err := uvdiagram.Build(datagen.Uniform(cfg), cfg.Domain(), &uvdiagram.Options{Shards: 4})
@@ -256,7 +252,6 @@ func TestAdvanceAllMatchesSequential(t *testing.T) {
 		return db.Insert(uvdiagram.NewObject(db.NextID(), 500, 500, 10, nil))
 	})
 	step("compact", func() error { return db.Compact(context.Background()) })
-	step("reshard", func() error { return db.Reshard(context.Background()) })
 	step("bad-point", nil)
 	step("recover", nil)
 

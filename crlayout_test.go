@@ -79,9 +79,8 @@ func assertInverseRegistry(t *testing.T, label string, db *DB) {
 // TestCRLayoutMutationSafety: Build and Open (heap and mmap) lay the
 // registry out as carved windows with cap == len, equal to the
 // append-built registry element for element. Then one seeded mutation
-// sequence — inserts (with the insert-repair's AddMember), deletes,
-// Compact and Reshard — runs in lockstep on the built and
-// the opened databases. After every step each reverse map is the exact
+// sequence — inserts (with the insert-repair's AddMember), deletes and
+// Compact — runs in lockstep on the built and the opened databases. After every step each reverse map is the exact
 // inverse of its sets, the recorded sets agree across all three and the
 // answers are equal, so no append ever wrote into a neighbour's window.
 func TestCRLayoutMutationSafety(t *testing.T) {
@@ -164,13 +163,12 @@ func TestCRLayoutMutationSafety(t *testing.T) {
 		t.Fatal("no insert reached an existing object's constraint set; the sequence does not exercise AddMember")
 	}
 	step("compact", func(db *DB) error { return db.Compact(ctx) })
-	step("reshard", func(db *DB) error { return db.Reshard(ctx) })
-	checkRNN("reshard")
+	checkRNN("compact")
 }
 
 // TestSaveSnapshotDuringWrites: every writer holds the store lock
 // exclusively and SaveSnapshot holds it shared, so a save taken while
-// delete+insert pairs, Compact and Reshard run beside it records the
+// delete+insert pairs and Compact run beside it records the
 // state between two writes. Each saved file must open with a reverse
 // map that inverts its sets, and must answer like a fresh build over
 // the objects it holds, bitwise. The reference is built from what the
@@ -190,14 +188,10 @@ func TestSaveSnapshotDuringWrites(t *testing.T) {
 	for id := cfg.N; id < cfg.N+2000; id++ {
 		all = append(all, NewObject(int32(id), rng.Float64()*cfg.Side, rng.Float64()*cfg.Side, cfg.Diameter/2, nil))
 	}
-	var compacts, reshards atomic.Int32
+	var compacts atomic.Int32
 	db.OnMaintenance(func(ev MaintEvent) {
-		switch {
-		case ev.Err != nil:
-		case ev.Kind == MaintCompact:
+		if ev.Err == nil && ev.Kind == MaintCompact {
 			compacts.Add(1)
-		case ev.Kind == MaintReshard:
-			reshards.Add(1)
 		}
 	})
 	stop, done := make(chan struct{}), make(chan struct{})
@@ -214,8 +208,6 @@ func TestSaveSnapshotDuringWrites(t *testing.T) {
 			switch i % 10 {
 			case 4:
 				err = db.Compact(ctx)
-			case 9:
-				err = db.Reshard(ctx)
 			default:
 				if id := int32(rng.Intn(int(db.NextID()))); db.Alive(id) {
 					err = db.Delete(id)
@@ -265,9 +257,8 @@ func TestSaveSnapshotDuringWrites(t *testing.T) {
 		states = append(states, n)
 	}
 	stopWriter()
-	t.Logf("next ids at the saves: %v; %d compacts, %d reshards", states, compacts.Load(), reshards.Load())
-	if states[0] == states[len(states)-1] || compacts.Load() == 0 || reshards.Load() == 0 {
-		t.Fatalf("writer did not run beside the saves: next ids %v, %d compacts, %d reshards",
-			states, compacts.Load(), reshards.Load())
+	t.Logf("next ids at the saves: %v; %d compacts", states, compacts.Load())
+	if states[0] == states[len(states)-1] || compacts.Load() == 0 {
+		t.Fatalf("writer did not run beside the saves: next ids %v, %d compacts", states, compacts.Load())
 	}
 }

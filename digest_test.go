@@ -19,7 +19,7 @@ import (
 // SaveSnapshot file's SHA-256. Every cr-set, leaf list, R-tree page and
 // object record feeds the file, so a derivation change that moves any
 // of them fails here, which is the bar a pure performance change to
-// Build, Compact or Reshard must clear.
+// Build or Compact must clear.
 //
 // The digests are of amd64 builds: other architectures may fuse
 // multiply-adds and move a bound by an ulp.

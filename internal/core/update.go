@@ -32,7 +32,7 @@ import (
 // the victim actually shaped their boundary. The price of both
 // operations is accumulated slack (extra false positives, never wrong
 // answers), counted in Slack weighted by the leaf-list entries
-// touched; a rebuild (DB.Compact, DB.Reshard) resets the count.
+// touched; a rebuild (DB.Compact) resets the count.
 //
 // All live leaf surgery is COPY-ON-WRITE: a mutation path-copies the
 // nodes it changes, writes fresh leaf pages, and publishes the new

@@ -98,11 +98,9 @@ func chordGap(x float64) float64 {
 	return sum
 }
 
-// buildTable fits pdf's table: per (cell, panel), F at the tableT ×
-// tableW Chebyshev nodes of the first kind (none on a cell edge or at
-// w = 0) and their discrete cosine transform.
-func buildTable(pdf *uncertain.HistogramPDF) *cdfTable {
-	side := pdf.Bins()
+// newTable lays out the cells of a table for a pdf of side bins, with
+// no series fitted yet.
+func newTable(side int) *cdfTable {
 	tab := &cdfTable{side: side, edge: make([]float64, side+1), scale: make([]float64, side+1)}
 	inner := 0.0
 	for k := range tab.edge {
@@ -113,74 +111,95 @@ func buildTable(pdf *uncertain.HistogramPDF) *cdfTable {
 		tab.scale[k] = 2 / math.Sqrt(tab.edge[k]-inner)
 		inner = tab.edge[k]
 	}
-	rs := unitRings(pdf)
+	tab.coef = make([]float64, tab.cells()*tablePanels*tableT*tableW)
+	return tab
+}
 
-	var cosT [tableT][tableT]float64 // cos(j·θ_i)
-	var cosW [tableW][tableW]float64
-	var tNode [tableT]float64
-	var wNode [tableW]float64
+// buildTable fits pdf's table, every (cell, panel) by fit.
+func buildTable(pdf *uncertain.HistogramPDF) *cdfTable {
+	tab := newTable(pdf.Bins())
+	rs := unitRings(pdf)
+	for c := 0; c < tab.cells(); c++ {
+		for p := 0; p < tablePanels; p++ {
+			tab.fit(rs, c, p)
+		}
+	}
+	return tab
+}
+
+// chebNodes are the Chebyshev nodes of the first kind a fit samples at
+// (none on a cell edge or at w = 0), on [0, 1], and the cosines of
+// their discrete cosine transform.
+var chebNodes = func() (n struct {
+	cosT  [tableT][tableT]float64 // cos(j·θ_i)
+	cosW  [tableW][tableW]float64
+	tNode [tableT]float64
+	wNode [tableW]float64
+}) {
 	for i := 0; i < tableT; i++ {
 		th := math.Pi * (float64(i) + 0.5) / tableT
-		tNode[i] = (1 + math.Cos(th)) / 2 // times the cell's √width
-		for j := range cosT[i] {
-			cosT[i][j] = math.Cos(float64(j) * th)
+		n.tNode[i] = (1 + math.Cos(th)) / 2 // times the cell's √width
+		for j := range n.cosT[i] {
+			n.cosT[i][j] = math.Cos(float64(j) * th)
 		}
 	}
 	for l := 0; l < tableW; l++ {
 		ph := math.Pi * (float64(l) + 0.5) / tableW
-		wNode[l] = (1 + math.Cos(ph)) / 2
-		for k := range cosW[l] {
-			cosW[l][k] = math.Cos(float64(k) * ph)
+		n.wNode[l] = (1 + math.Cos(ph)) / 2
+		for k := range n.cosW[l] {
+			n.cosW[l][k] = math.Cos(float64(k) * ph)
 		}
 	}
+	return n
+}()
+
+// fit fits cell c, panel p of the table for the unit rings rs: F at the
+// tableT × tableW nodes of chebNodes and their discrete cosine
+// transform.
+func (tab *cdfTable) fit(rs []ring, c, p int) {
 	const block = tableT * tableW
+	nd := &chebNodes
 	pw := tableMaxW / tablePanels
-	tab.coef = make([]float64, tab.cells()*tablePanels*block)
 	var f [tableT][tableW]float64
 	var half [tableT][tableW]float64 // f transformed over w
-	for c := 0; c < tab.cells(); c++ {
-		k, sign := c, -1.0
-		if c > side {
-			k, sign = c-side-1, 1
-		}
-		edge, tau := tab.edge[k], 2/tab.scale[k]
-		for p := 0; p < tablePanels; p++ {
-			for i, tn := range tNode {
-				t := tn * tau
-				u := sign * (edge - t*t)
-				for l, wn := range wNode {
-					f[i][l] = farCDF(rs, u, (float64(p)+wn)*pw)
-				}
-			}
-			for i := range f {
-				for k := 0; k < tableW; k++ {
-					s := 0.0
-					for l := range f[i] {
-						s += f[i][l] * cosW[l][k]
-					}
-					half[i][k] = s * 2 / tableW
-				}
-			}
-			out := tab.coef[(c*tablePanels+p)*block:][:block]
-			for j := 0; j < tableT; j++ {
-				for k := 0; k < tableW; k++ {
-					s := 0.0
-					for i := range half {
-						s += half[i][k] * cosT[i][j]
-					}
-					s *= 2.0 / tableT
-					if j == 0 {
-						s /= 2
-					}
-					if k == 0 {
-						s /= 2
-					}
-					out[j*tableW+k] = s
-				}
-			}
+	k, sign := c, -1.0
+	if c > tab.side {
+		k, sign = c-tab.side-1, 1
+	}
+	edge, tau := tab.edge[k], 2/tab.scale[k]
+	for i, tn := range nd.tNode {
+		t := tn * tau
+		u := sign * (edge - t*t)
+		for l, wn := range nd.wNode {
+			f[i][l] = farCDF(rs, u, (float64(p)+wn)*pw)
 		}
 	}
-	return tab
+	for i := range f {
+		for k := 0; k < tableW; k++ {
+			s := 0.0
+			for l := range f[i] {
+				s += f[i][l] * nd.cosW[l][k]
+			}
+			half[i][k] = s * 2 / tableW
+		}
+	}
+	out := tab.coef[(c*tablePanels+p)*block:][:block]
+	for j := 0; j < tableT; j++ {
+		for k := 0; k < tableW; k++ {
+			s := 0.0
+			for i := range half {
+				s += half[i][k] * nd.cosT[i][j]
+			}
+			s *= 2.0 / tableT
+			if j == 0 {
+				s /= 2
+			}
+			if k == 0 {
+				s /= 2
+			}
+			out[j*tableW+k] = s
+		}
+	}
 }
 
 // cells returns the number of cells, both sides.

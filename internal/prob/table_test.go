@@ -111,11 +111,22 @@ func FuzzCDFTable(f *testing.F) {
 		const R = 1.0
 		o := uncertain.New(0, geom.Circle{C: geom.Pt(R/w, 0), R: R}, pdf)
 		q := geom.Pt(0, 0)
-		s := armedTable(o, q)
-		if s == nil {
+		s := reach(o, q)
+		if !(R/s.d <= tableMaxW) {
 			return // R/d rounded above ½
 		}
+		// Fit only the cell and panel the evaluation reads: the cell of u
+		// as tableCDF recomputes it from r.
+		tab := newTable(pdf.Bins())
+		n := tab.cells()
+		s.armTable(o, tab, make([]float64, tableW), make([]float64, n*tableT), make([]bool, n))
 		r := s.d + u*R
+		ur := (r - s.d) / R
+		c := tab.cell(math.Abs(ur))
+		if ur > 0 {
+			c += tab.side + 1
+		}
+		tab.fit(unitRings(pdf), c, s.panel)
 		got, want := s.cdf(r), DistanceCDF(o, q, r)
 		if df := math.Abs(got - want); math.IsNaN(got) || df > parityTol(o, q) {
 			t.Fatalf("%d bars %v, d/R = %v: table F(%v) = %v, lens path %v (Δ %.3g > %.3g)",

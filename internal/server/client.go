@@ -302,10 +302,10 @@ type Stats struct {
 	// pre-layout server that does not send them).
 	GridX, GridY int
 	// CutsX, CutsY are the layout's cut coordinates (GridX+1 and
-	// GridY+1 values; equal strips or adaptive weighted-median cuts).
+	// GridY+1 values; equal strips unless the served file stores other
+	// cuts).
 	CutsX, CutsY []float64
-	// ShardLive is each shard's live-object count in shard order — the
-	// load-balance signal DB.Reshard evens out.
+	// ShardLive is each shard's live-object count in shard order.
 	ShardLive []int
 }
 
@@ -358,7 +358,7 @@ func (c *Client) Stats() (Stats, error) {
 			}
 		}
 	}
-	// Layout block (appended by adaptive-layout servers): grid, cuts,
+	// Layout block (appended after the slack block): grid, cuts,
 	// per-shard live counts.
 	if r.Err() == nil && r.Remaining() >= 8 {
 		gx, gy := int(r.U32()), int(r.U32())

@@ -8,7 +8,7 @@ import (
 
 // Server observability: every request frame bumps a per-opcode counter,
 // the push path times its flushes and counts slow-consumer disconnects,
-// and the DB's maintenance observer feeds reshard/compaction events —
+// and the DB's maintenance observer feeds compaction events —
 // all lock-free atomics on the hot paths (see internal/metrics). The
 // flattened snapshot is served identically through the OpMetrics wire
 // opcode, Server.MetricsMap (the expvar feed) and `uvclient metrics`.
@@ -21,7 +21,7 @@ import (
 // response and push frames put into the write buffers. Frames per
 // syscall are then the sum of ops.* over conn.read_calls, and
 // conn.frames_out over conn.write_calls. Gauges (db.*, sub.*,
-// cache.*, maint.ticks…) are sampled at snapshot time from the live
+// cache.*, pager.*) are sampled at snapshot time from the live
 // engine.
 type serverMetrics struct {
 	set *metrics.Set
@@ -47,19 +47,14 @@ type serverMetrics struct {
 	pushFlush     *metrics.Histogram
 	slowConsumers *metrics.Counter
 
-	maintReshards   *metrics.Counter
 	maintCompacts   *metrics.Counter
 	maintFailures   *metrics.Counter
-	maintReshardDur *metrics.Histogram
 	maintCompactDur *metrics.Histogram
-	imbBefore       *metrics.Gauge
-	imbAfter        *metrics.Gauge
 
 	// Snapshot-time gauges.
 	subActive   *metrics.Gauge
 	dbLive      *metrics.Gauge
 	dbSlack     *metrics.Gauge
-	dbImbalance *metrics.Gauge
 	rtHits      *metrics.Gauge
 	rtMisses    *metrics.Gauge
 	rtEvict     *metrics.Gauge
@@ -67,8 +62,6 @@ type serverMetrics struct {
 	pagerWrites *metrics.Gauge
 	pagerDisk   *metrics.Gauge
 	pagerVac    *metrics.Gauge
-	maintTicks  *metrics.Gauge
-	maintPress  *metrics.Gauge
 }
 
 func newServerMetrics() *serverMetrics {
@@ -89,18 +82,13 @@ func newServerMetrics() *serverMetrics {
 		pushFlush:     set.Histogram("push.flush"),
 		slowConsumers: set.Counter("push.slow_consumer_disconnects"),
 
-		maintReshards:   set.Counter("maint.reshards"),
 		maintCompacts:   set.Counter("maint.compacts"),
 		maintFailures:   set.Counter("maint.failures"),
-		maintReshardDur: set.Histogram("maint.reshard"),
 		maintCompactDur: set.Histogram("maint.compact"),
-		imbBefore:       set.Gauge("maint.last_imbalance_before"),
-		imbAfter:        set.Gauge("maint.last_imbalance_after"),
 
 		subActive:   set.Gauge("sub.active"),
 		dbLive:      set.Gauge("db.live"),
 		dbSlack:     set.Gauge("db.slack"),
-		dbImbalance: set.Gauge("db.imbalance"),
 		rtHits:      set.Gauge("cache.rtree_hits"),
 		rtMisses:    set.Gauge("cache.rtree_misses"),
 		rtEvict:     set.Gauge("cache.rtree_evictions"),
@@ -108,8 +96,6 @@ func newServerMetrics() *serverMetrics {
 		pagerWrites: set.Gauge("pager.writes"),
 		pagerDisk:   set.Gauge("pager.disk_bytes"),
 		pagerVac:    set.Gauge("pager.vacuumed_bytes"),
-		maintTicks:  set.Gauge("maint.ticks"),
-		maintPress:  set.Gauge("maint.pressure"),
 	}
 	unknown := set.Counter("ops.unknown")
 	for i := 0; i < 256; i++ {
@@ -139,13 +125,7 @@ func (m *serverMetrics) observeMaint(ev uvdiagram.MaintEvent) {
 		m.maintFailures.Inc()
 		return
 	}
-	switch ev.Kind {
-	case uvdiagram.MaintReshard:
-		m.maintReshards.Inc()
-		m.maintReshardDur.Observe(ev.Dur)
-		m.imbBefore.Set(ev.ImbalanceBefore)
-		m.imbAfter.Set(ev.ImbalanceAfter)
-	case uvdiagram.MaintCompact:
+	if ev.Kind == uvdiagram.MaintCompact {
 		m.maintCompacts.Inc()
 		m.maintCompactDur.Observe(ev.Dur)
 	}
@@ -161,7 +141,6 @@ func (s *Server) MetricsSnapshot() []metrics.Value {
 	m.subActive.Set(float64(s.Subscriptions()))
 	m.dbLive.Set(float64(s.db.Len()))
 	m.dbSlack.Set(float64(s.db.Slack()))
-	m.dbImbalance.Set(s.db.LoadImbalance())
 	bp := s.db.BufferPoolStats()
 	m.rtHits.Set(float64(bp.RTreeHits))
 	m.rtMisses.Set(float64(bp.RTreeMisses))
@@ -170,11 +149,6 @@ func (s *Server) MetricsSnapshot() []metrics.Value {
 	m.pagerWrites.Set(float64(bp.PagerWrites))
 	m.pagerDisk.Set(float64(bp.DiskBytes))
 	m.pagerVac.Set(float64(bp.VacuumedBytes))
-	if mt := s.db.Maintainer(); mt != nil {
-		st := mt.Stats()
-		m.maintTicks.Set(float64(st.Ticks))
-		m.maintPress.Set(float64(st.Pressure))
-	}
 	return m.set.Snapshot()
 }
 

@@ -10,9 +10,9 @@
 // outlive in-flight readers). Server.mu only orders writes: Insert,
 // Delete and BatchDelete hold it exclusively, one at a time, and the
 // subscription engine holds it shared while it opens or revalidates a
-// session so no write lands mid-evaluation. DB.Compact and DB.Reshard
-// swap freshly built state in with one atomic store, so they run
-// WITHOUT the server lock and never block queries.
+// session so no write lands mid-evaluation. DB.Compact swaps freshly
+// built state in with one atomic store per shard, so it runs WITHOUT the
+// server lock and never blocks queries.
 //
 // Connections are pipelined: each connection runs a decode loop over a
 // buffered reader, a response-writer goroutine over a buffered writer,
@@ -132,7 +132,7 @@ func New(db *uvdiagram.DB, logf func(format string, args ...any)) *Server {
 // NewWithConfig wraps a built database with an explicit engine
 // configuration, rejecting invalid configurations (negative
 // PushTimeout). It registers itself as the database's maintenance
-// observer (DB.OnMaintenance), so reshard/compaction events land in the
+// observer (DB.OnMaintenance), so compaction events land in the
 // server's maint.* metrics; a caller-installed observer would be
 // replaced.
 func NewWithConfig(db *uvdiagram.DB, logf func(format string, args ...any), cfg Config) (*Server, error) {
@@ -508,30 +508,29 @@ func (s *Server) dispatch(op byte, payload []byte) ([]byte, error) {
 		b.I32(s.db.NextID())
 		// Appended after NextID: the spatial shard count and each
 		// shard's accumulated mutation slack. Older clients stop
-		// reading before this. The whole layout block comes from ONE
-		// snapshot: Reshard may run concurrently (it takes no server
-		// lock), and mixing cuts from one layout with shard states from
-		// another would tear the frame.
-		snap := s.db.LayoutSnapshot()
-		b.U32(uint32(len(snap.Shards)))
-		for _, sh := range snap.Shards {
+		// reading before this.
+		shards := s.db.ShardStats()
+		b.U32(uint32(len(shards)))
+		for _, sh := range shards {
 			b.U64(uint64(sh.Slack))
 		}
 		// Appended after the slack block: the shard grid dimensions,
-		// the layout's cut coordinates (gx+1 x-cuts, gy+1 y-cuts —
-		// equal strips or adaptive weighted-median/Reshard cuts), and
-		// each shard's live-object count (the load-balance signal;
-		// uvclient derives the max/mean imbalance factor from it).
-		// Older clients stop reading before this too.
-		b.U32(uint32(snap.GridX))
-		b.U32(uint32(snap.GridY))
-		for _, v := range snap.CutsX {
+		// the layout's cut coordinates (gx+1 x-cuts, gy+1 y-cuts — equal
+		// strips, or whatever cuts the opened file stores), and each
+		// shard's live-object count (uvclient derives the max/mean
+		// imbalance factor from it). Older clients stop reading before
+		// this too.
+		gx, gy := s.db.ShardGrid()
+		xs, ys := s.db.ShardCuts()
+		b.U32(uint32(gx))
+		b.U32(uint32(gy))
+		for _, v := range xs {
 			b.F64(v)
 		}
-		for _, v := range snap.CutsY {
+		for _, v := range ys {
 			b.F64(v)
 		}
-		for _, sh := range snap.Shards {
+		for _, sh := range shards {
 			b.U32(uint32(sh.Live))
 		}
 		return b.Bytes(), nil

@@ -2,8 +2,8 @@ package uvdiagram_test
 
 // Concurrent-mutation property test: randomized interleaved
 // Insert/Delete traffic while reader goroutines hammer the full query
-// surface and a background goroutine compacts and reshards. No
-// query may ever error or block, and once the writers quiesce the
+// surface and a background goroutine compacts. No query may ever
+// error or block, and once the writers quiesce the
 // incrementally maintained engine must answer PNN, TopK and order-k KNN
 // bitwise identically to a database freshly built over the surviving
 // population. Run with -race this doubles as the memory-model check for
@@ -79,23 +79,18 @@ func testConcurrentMutation(t *testing.T, shards, readers int) {
 		}(w)
 	}
 
-	// Off-thread Compact and Reshard, racing the writer and the readers.
+	// Off-thread Compact, racing the writer and the readers.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		rng := rand.New(rand.NewSource(99))
 		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			op, name := db.Compact, "compact"
-			if rng.Intn(2) == 0 {
-				op, name = db.Reshard, "reshard"
-			}
-			if err := op(context.Background()); err != nil {
-				fail(fmt.Errorf("%s: %w", name, err))
+			if err := db.Compact(context.Background()); err != nil {
+				fail(fmt.Errorf("compact: %w", err))
 				return
 			}
 		}

@@ -22,8 +22,7 @@ type OrderKIndex struct {
 	built    BuildStats
 	hasBuilt bool // false for loaded indexes: the stream carries no build stats
 	// snap pins the database state the order-k grid was built over,
-	// across every shard: a Compact or Reshard (epoch swap)
-	// or an incremental Insert/Delete (shard-index mutation) makes this
+	// across every shard: a Compact (epoch swap) or an incremental Insert/Delete (shard-index mutation) makes this
 	// grid stale — its leaf lists could miss new objects or still list
 	// deleted ones — so queries refuse to answer rather than be
 	// silently wrong.

@@ -19,7 +19,8 @@ import (
 // Version 2 added a per-object tombstone flag (version 1 implies every
 // object is live), version 3 the spatial shard grid (gx × gy) followed
 // by one index stream per shard, version 4 the layout's cut coordinates
-// for adaptive (weighted-median or resharded) layouts.
+// (streams of that version may hold cuts that are not equal strips; Open
+// keeps them).
 
 const (
 	dbMagic          = 0x55564442 // "UVDB"
@@ -48,7 +49,7 @@ func openLegacy(path string, opts *Options) (*DB, error) {
 
 // decodeLegacy rebuilds the database a version 1–4 stream describes;
 // every error it returns means the stream is malformed. opts only
-// affect future Inserts and Reshards; the index structure and shard
+// affect future Inserts and Compacts; the index structure and shard
 // layout come from the stream.
 func decodeLegacy(data []byte, opts *Options) (*DB, error) {
 	r := wire.NewReader(data)
@@ -124,7 +125,7 @@ func decodeLegacy(data []byte, opts *Options) (*DB, error) {
 	}
 	// The layout comes from the stream: Options.Shards only affects
 	// freshly built databases, never a reopened one.
-	lo := newShardLayout(0, gx, gy, xs, ys)
+	lo := newShardLayout(gx, gy, xs, ys)
 	indexes := make([]*core.UVIndex, len(lo.shards))
 	for i := range lo.shards {
 		if indexes[i], err = core.LoadUVIndex(r, store); err != nil {

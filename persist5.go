@@ -155,7 +155,7 @@ func (db *DB) SaveSnapshot(path string) error {
 	db.smu.RLock()
 	defer db.smu.RUnlock()
 
-	lo := db.lo()
+	lo := db.layout
 	eps := lo.epochs()
 	tree := db.rtree()
 	view := db.store.View()
@@ -492,7 +492,7 @@ func Open(path string, opts *Options) (*DB, error) {
 		return fail(snapErr(path, "%v", err))
 	}
 	reg := core.NewCRState(m.crSets)
-	lo := newShardLayout(0, m.gx, m.gy, m.xs, m.ys)
+	lo := newShardLayout(m.gx, m.gy, m.xs, m.ys)
 	indexes := make([]*core.UVIndex, len(lo.shards))
 	for i, sec := range m.shards {
 		pg, err := sectionPager(sec.off, sec.pageCount, sec.pageSize)
@@ -526,11 +526,11 @@ func Open(path string, opts *Options) (*DB, error) {
 
 // assembleDB wires the parts Open decoded — the store, one index per
 // shard of lo, the shared constraint registry and the helper R-tree —
-// into a serving DB. opts only affect future mutations and reshards.
+// into a serving DB. opts only affect future mutations and compactions.
 func assembleDB(store *uncertain.Store, domain Rect, lo *shardLayout, indexes []*core.UVIndex,
 	reg *core.CRState, tree *rtree.Tree, opts *Options) *DB {
 	bopts := opts.toBuildOptions()
-	db := &DB{store: store, domain: domain, bopts: bopts, strategy: opts.layout(), egc: epoch.NewDomain(), cr: reg}
+	db := &DB{store: store, domain: domain, bopts: bopts, egc: epoch.NewDomain(), cr: reg}
 	db.topo = core.NewTopology(reg.Len(), bopts.RegionSamples)
 	shapes := make([]core.IndexStats, len(indexes))
 	for i, ix := range indexes {
@@ -540,7 +540,7 @@ func assembleDB(store *uncertain.Store, domain Rect, lo *shardLayout, indexes []
 	}
 	tree.SetReclaimDomain(db.egc)
 	db.tree.Store(tree)
-	db.layout.Store(lo)
+	db.layout = lo
 	db.built.Store(&BuildStats{Strategy: bopts.Strategy, N: store.Live(), Index: aggregateIndexStats(shapes)})
 	return db
 }

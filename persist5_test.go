@@ -180,7 +180,7 @@ func TestOpenClassicStream(t *testing.T) {
 	}{
 		{"v2-single.uvdb", 1, lifecycleDB(t, nil)},
 		{"v3-equal4.uvdb", 4, lifecycleDB(t, &uvdiagram.Options{Shards: 4})},
-		{"v4-median4.uvdb", 4, medianDB(t)},
+		{"v4-median4.uvdb", 4, medianDB(t, &uvdiagram.Options{Shards: 4})},
 	} {
 		opened, err := uvdiagram.Open(legacyPath(fx.name), nil)
 		if err != nil {

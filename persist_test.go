@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"uvdiagram"
@@ -52,12 +53,13 @@ func lifecycleDB(t testing.TB, opts *uvdiagram.Options) *uvdiagram.DB {
 	return db
 }
 
-// medianDB rebuilds the database behind the v4-median4 fixture.
-func medianDB(t testing.TB) *uvdiagram.DB {
+// medianDB builds the population behind the v4-median4 fixture with
+// opts. The fixture's shards were cut at weighted medians of the object
+// centers, a build cuts equal strips; answers do not depend on the cuts.
+func medianDB(t testing.TB, opts *uvdiagram.Options) *uvdiagram.DB {
 	t.Helper()
 	cfg := datagen.Config{N: 80, Side: 2000, Diameter: 40, Seed: 13}
-	db, err := uvdiagram.Build(datagen.Skewed(cfg, 250), cfg.Domain(),
-		&uvdiagram.Options{Shards: 4, Layout: uvdiagram.WeightedMedian{}})
+	db, err := uvdiagram.Build(datagen.Skewed(cfg, 250), cfg.Domain(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,33 +160,50 @@ func implausibleGridStream() []byte {
 	return b.Bytes()
 }
 
-// TestReshardPersistence: an adaptively cut database round-trips
-// through a snapshot (cuts preserved, answers bitwise identical), and
-// the version-4 stream an earlier release saved of the same database
-// still opens to the same cuts and answers.
-func TestReshardPersistence(t *testing.T) {
-	db := medianDB(t)
-	xs1, ys1 := db.ShardCuts()
-	re := reopen(t, db)
-	defer re.Close()
+// TestStoredCutsPersist: the non-equal cuts of the v4-median4 stream
+// survive a save as a snapshot and a reopen under either pager, a
+// Compact and a delete+insert, and the reopened database answers
+// bitwise like a one-shard build of the same objects throughout.
+func TestStoredCutsPersist(t *testing.T) {
 	legacy, err := uvdiagram.Open(legacyPath("v4-median4.uvdb"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, db2 := range map[string]*uvdiagram.DB{"snapshot": re, "v4 stream": legacy} {
-		xs2, ys2 := db2.ShardCuts()
-		if fmt.Sprint(xs1) != fmt.Sprint(xs2) || fmt.Sprint(ys1) != fmt.Sprint(ys2) {
-			t.Fatalf("%s: cuts did not round-trip: %v/%v vs %v/%v", name, xs1, ys1, xs2, ys2)
-		}
+	xs, ys := legacy.ShardCuts()
+	if gx, gy := legacy.ShardGrid(); len(xs) != gx+1 || len(ys) != gy+1 || xs[1] == 1000 && ys[1] == 1000 {
+		t.Fatalf("fixture cuts %v/%v on a %d×%d grid: want the stream's non-equal cuts", xs, ys, gx, gy)
 	}
-	assertEquivalent(t, db, re, 2)
-	assertEquivalent(t, db, legacy, 2)
-
-	// Resharding a reopened database keeps working (no file carries a
-	// strategy — Reshard re-cuts adaptively from the live centers).
-	for _, db2 := range []*uvdiagram.DB{re, legacy} {
-		if err := db2.Reshard(context.Background()); err != nil {
+	path := filepath.Join(t.TempDir(), "median.uv5")
+	if err := legacy.SaveSnapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []string{"mmap", "heap"} {
+		db, err := uvdiagram.Open(path, &uvdiagram.Options{Pager: mode})
+		if err != nil {
+			t.Fatalf("%s: %v", mode, err)
+		}
+		defer db.Close()
+		ref := medianDB(t, nil)
+		check := func(stage string, seed int64) {
+			t.Helper()
+			if xs2, ys2 := db.ShardCuts(); !slices.Equal(xs, xs2) || !slices.Equal(ys, ys2) {
+				t.Fatalf("%s/%s: cuts %v/%v, want the stream's %v/%v", mode, stage, xs2, ys2, xs, ys)
+			}
+			assertEquivalent(t, ref, db, seed)
+		}
+		check("opened", 2)
+		if err := db.Compact(context.Background()); err != nil {
 			t.Fatal(err)
 		}
+		check("compacted", 3)
+		for _, d := range []*uvdiagram.DB{db, ref} {
+			if err := d.Delete(12); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Insert(uvdiagram.NewObject(d.NextID(), 1200, 600, 15, nil)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check("churned", 5)
 	}
 }

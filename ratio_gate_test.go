@@ -1,6 +1,7 @@
 package uvdiagram_test
 
 import (
+	"math"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -23,58 +24,60 @@ func gateDB(t *testing.T, side float64, seed int64, shards int) *uvdiagram.DB {
 	return db
 }
 
-// TestContinuousMoveRatio: a PNN at every 100th point of a smooth
-// seeded walk must cost ≥ 135 Moves along it (measured 161–214, doubled
-// 101–113), and the walk may recompute ≤ 1 180 times (measured 786).
+// TestContinuousMoveRatio: along a smooth seeded 20 000-step walk a
+// session may recompute ≤ 1 180 times (measured 786), and a Move that
+// stays inside its safe circle must cost ≤ 0.14 leaf descents
+// (DB.Partitions at a point, which runs no probability code; measured
+// 0.09–0.11, with the Move's work doubled 0.17–0.19).
 func TestContinuousMoveRatio(t *testing.T) {
 	db, rng := gateDB(t, 10000, 20100301, 1), rand.New(rand.NewSource(99))
 	walk := []uvdiagram.Point{uvdiagram.Pt(5000, 5000)}
 	for p := walk[0]; len(walk) < 20000; walk = append(walk, p) { // steps inside the 1–20 unit safe radii
 		p = uvdiagram.Pt(p.X+rng.Float64()-0.5, p.Y+rng.Float64()-0.5)
 	}
-	var recomputes int
-	r := 100 * perfgate.Ratio(t, func() (err error) {
-		for i := 0; i < len(walk) && err == nil; i += 100 {
-			_, _, err = db.PNN(walk[i])
-		}
-		return err
-	}, func() error {
-		sess, err := db.NewContinuousPNN(walk[0])
-		for i := 0; i < len(walk) && err == nil; i++ {
-			_, _, err = sess.Move(walk[i])
-		}
-		recomputes = sess.Stats().Recomputes
-		return err
-	})
-	if r < 135 || recomputes > 1180 {
-		t.Errorf("a PNN costs %.0f Moves, want ≥ 135; %d recomputes, want ≤ 1180", r, recomputes)
+	sess, err := db.NewContinuousPNN(walk[0])
+	for i := 0; i < len(walk) && err == nil; i++ {
+		_, _, err = sess.Move(walk[i])
 	}
-}
-
-// TestMaintainTickRatio: an idle Tick on a balanced 4-shard database —
-// one LoadImbalance sample and a pager vacuum — must cost ≤ 1.5
-// LoadImbalance calls (measured 0.91–1.18, doubled 1.90–2.02), allocate
-// ≤ 3 times (measured 2) and read no page.
-func TestMaintainTickRatio(t *testing.T) {
-	db := gateDB(t, 10000, 20100301, 4)
-	m, err := db.StartMaintainer(uvdiagram.MaintainOptions{Interval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Stop()
-	reads := db.BufferPoolStats().PagerReads
-	r := perfgate.Ratio(t, thousand(m.Tick), thousand(func() { db.LoadImbalance() }))
-	if allocs, reads := testing.AllocsPerRun(100, m.Tick), db.BufferPoolStats().PagerReads-reads; r > 1.5 || allocs > 3 || reads != 0 {
-		t.Errorf("a Tick costs %.2f LoadImbalance calls, want ≤ 1.5; %.0f allocs, want ≤ 3; %d page reads, want 0", r, allocs, reads)
+	if n := sess.Stats().Recomputes; n > 1180 {
+		t.Errorf("the walk recomputed %d times, want ≤ 1180", n)
 	}
-}
 
-func thousand(f func()) func() error {
-	return func() error {
-		for range 1000 {
-			f()
+	// Points strictly inside the walk's last safe circle: no Move to them
+	// recomputes.
+	safe := sess.SafeRegion()
+	if safe.R <= 0 {
+		t.Fatalf("no safe circle at %v", sess.Position())
+	}
+	inside := make([]uvdiagram.Point, 1000)
+	for i := range inside {
+		r, a := 0.9*safe.R*rng.Float64(), 2*math.Pi*rng.Float64()
+		inside[i] = uvdiagram.Pt(safe.C.X+r*math.Cos(a), safe.C.Y+r*math.Sin(a))
+	}
+	recomputes := sess.Stats().Recomputes
+	r := perfgate.Ratio(t, func() (err error) {
+		for range 20 {
+			for i := 0; i < len(inside) && err == nil; i++ {
+				_, _, err = sess.Move(inside[i])
+			}
+		}
+		return err
+	}, func() error {
+		for range 20 {
+			for _, p := range inside {
+				db.Partitions(uvdiagram.Rect{Min: p, Max: p})
+			}
 		}
 		return nil
+	})
+	if n := sess.Stats().Recomputes - recomputes; n != 0 {
+		t.Fatalf("%d Moves inside the safe circle recomputed", n)
+	}
+	if r > 0.14 {
+		t.Errorf("a Move inside its safe circle costs %.2f leaf descents, want ≤ 0.14", r)
 	}
 }
 

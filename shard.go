@@ -3,7 +3,6 @@ package uvdiagram
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync/atomic"
 
 	"uvdiagram/internal/core"
@@ -28,13 +27,13 @@ import (
 //     what finds those dependents — so a mutation updates bookkeeping
 //     once, and the per-shard work is exactly the leaf surgery in the
 //     shards the cells reach.
-//   - The whole layout (cut coordinates + shard states) sits behind one
-//     atomic pointer: an online re-shard (DB.Reshard) builds a complete
-//     new layout off to the side and publishes it with a single swap,
-//     so queries never observe a torn layout.
-//   - Maintenance (Compact, Reshard) re-derives the registry once and
-//     shadow-builds every shard's sub-grid in parallel, publishing each
-//     with one atomic epoch swap.
+//   - The layout (grid shape and cut coordinates) is fixed for the life
+//     of a database: Build cuts equal strips, Open restores the cuts
+//     stored in the file. Nothing replaces it afterwards, so a query
+//     reads it without synchronization.
+//   - Compact re-derives the registry once and shadow-builds every
+//     shard's sub-grid in parallel, publishing each with one atomic
+//     epoch swap.
 //
 // One shard (the default) reproduces the pre-sharding engine exactly.
 
@@ -54,25 +53,19 @@ type shard struct {
 // ep returns the shard's current epoch.
 func (sh *shard) ep() *indexEpoch { return sh.epoch.Load() }
 
-// shardLayout is one immutable generation of the shard layout: the grid
-// shape, the cut coordinates and the shard states. The DB publishes a
-// layout with one atomic pointer store (Build, Open, Reshard), so a
-// query routing through a loaded layout can never see half-updated
-// cuts or a shard slice that does not match them.
+// shardLayout is the shard layout: the grid shape, the cut coordinates
+// and the shard states. Build and Open set it before the DB is handed
+// out and nothing writes it afterwards; only the shards' epoch pointers
+// change.
 type shardLayout struct {
-	// gen numbers the layout: it increases by one at every Reshard, so
-	// long-lived sessions and order-k snapshots detect that the layout
-	// they captured has been replaced even if per-shard counters happen
-	// to match.
-	gen    uint64
 	gx, gy int
 	xs, ys []float64
 	shards []*shard
 }
 
 // newShardLayout lays out a gx × gy shard grid over the given cuts.
-func newShardLayout(gen uint64, gx, gy int, xs, ys []float64) *shardLayout {
-	lo := &shardLayout{gen: gen, gx: gx, gy: gy, xs: xs, ys: ys, shards: make([]*shard, gx*gy)}
+func newShardLayout(gx, gy int, xs, ys []float64) *shardLayout {
+	lo := &shardLayout{gx: gx, gy: gy, xs: xs, ys: ys, shards: make([]*shard, gx*gy)}
 	for r := 0; r < gy; r++ {
 		for c := 0; c < gx; c++ {
 			lo.shards[r*gx+c] = &shard{rect: Rect{
@@ -104,9 +97,6 @@ func (lo *shardLayout) epochs() []*indexEpoch {
 	}
 	return eps
 }
-
-// lo returns the DB's current layout.
-func (db *DB) lo() *shardLayout { return db.layout.Load() }
 
 // shardGrid factors s into the most square gx × gy grid (gx ≥ gy).
 func shardGrid(s int) (gx, gy int) {
@@ -149,142 +139,27 @@ func lastLE(cuts []float64, v float64) int {
 	return 0
 }
 
-// LayoutStrategy decides where a gx × gy shard grid cuts the domain.
-// The choice NEVER affects answers — objects are indexed in every shard
-// their UV-cell reaches, whatever the cuts — only how evenly load
-// spreads across shards. Implementations must return strictly
-// increasing cut slices of lengths gx+1 and gy+1 whose end elements are
-// exactly the domain bounds.
-type LayoutStrategy interface {
-	// Name is the strategy's stable identifier ("equal", "median").
-	Name() string
-	// Cuts computes the x and y cut coordinates for a gx × gy grid over
-	// domain, given the live objects' center points (which equal-area
-	// strategies may ignore).
-	Cuts(domain Rect, gx, gy int, centers []Point) (xs, ys []float64)
-}
-
-// EqualStrips is the fixed equal-area layout: every shard column and
-// row spans the same extent regardless of where the objects are. It is
-// the default, and the layout every pre-adaptive snapshot implies.
-type EqualStrips struct{}
-
-// Name implements LayoutStrategy.
-func (EqualStrips) Name() string { return "equal" }
-
-// Cuts implements LayoutStrategy.
-func (EqualStrips) Cuts(domain Rect, gx, gy int, _ []Point) (xs, ys []float64) {
-	return cuts(domain.Min.X, domain.Max.X, gx), cuts(domain.Min.Y, domain.Max.Y, gy)
-}
-
-// WeightedMedian cuts each axis at the i/n weighted quantiles of the
-// live object-center distribution, so every shard column (and row)
-// holds the same number of object centers. On skewed datasets this
-// evens per-shard population — and therefore leaf-list load, build
-// cost and compaction churn — where equal strips pile most objects
-// into a few hot shards. Degenerate distributions (too many identical
-// coordinates to separate) fall back to equal strips on that axis.
-type WeightedMedian struct{}
-
-// Name implements LayoutStrategy.
-func (WeightedMedian) Name() string { return "median" }
-
-// Cuts implements LayoutStrategy.
-func (WeightedMedian) Cuts(domain Rect, gx, gy int, centers []Point) (xs, ys []float64) {
-	vx := make([]float64, len(centers))
-	vy := make([]float64, len(centers))
-	for i, c := range centers {
-		vx[i] = c.X
-		vy[i] = c.Y
-	}
-	return quantileCuts(domain.Min.X, domain.Max.X, gx, vx),
-		quantileCuts(domain.Min.Y, domain.Max.Y, gy, vy)
-}
-
-// quantileCuts returns n+1 strictly increasing cuts splitting [lo, hi]
-// at the i/n quantiles of the samples, using midpoints between adjacent
-// order statistics so no sample sits exactly on a cut more often than
-// the data forces. If the sample distribution cannot produce strictly
-// increasing cuts (heavy ties, tiny n), it falls back to equal strips —
-// always safe, since cuts only steer balance, never correctness.
-func quantileCuts(lo, hi float64, n int, samples []float64) []float64 {
-	if n <= 1 || len(samples) == 0 {
-		return cuts(lo, hi, n)
-	}
-	s := append([]float64(nil), samples...)
-	sort.Float64s(s)
-	out := make([]float64, n+1)
-	out[0], out[n] = lo, hi
-	for i := 1; i < n; i++ {
-		k := i * len(s) / n
-		switch {
-		case k <= 0:
-			out[i] = s[0]
-		case k >= len(s):
-			out[i] = s[len(s)-1]
-		default:
-			out[i] = (s[k-1] + s[k]) / 2
-		}
-	}
-	for i := 1; i <= n; i++ {
-		if !(out[i] > out[i-1]) {
-			return cuts(lo, hi, n)
-		}
-	}
-	return out
-}
-
-// LayoutByName resolves a strategy name ("equal", "median"; empty means
-// equal) — the command-line front ends' flag parser.
-func LayoutByName(name string) (LayoutStrategy, error) {
-	switch name {
-	case "", "equal":
-		return EqualStrips{}, nil
-	case "median", "weighted-median":
-		return WeightedMedian{}, nil
-	}
-	return nil, fmt.Errorf("uvdiagram: unknown layout strategy %q (equal, median)", name)
-}
-
-// liveCenters collects the centers of the live objects (the input to
-// adaptive layout strategies).
-func (db *DB) liveCenters() []Point {
-	objs := db.store.Dense()
-	out := make([]Point, 0, db.store.Live())
-	for i := range objs {
-		if db.store.Alive(int32(i)) {
-			out = append(out, objs[i].Region.C)
-		}
-	}
-	return out
-}
-
 // Shards returns the number of spatial shards (1 unless the database
 // was built or loaded with Options.Shards > 1).
-func (db *DB) Shards() int { return len(db.lo().shards) }
+func (db *DB) Shards() int { return len(db.layout.shards) }
 
 // ShardGrid returns the shard layout as grid dimensions (gx columns ×
 // gy rows, row-major shard order).
-func (db *DB) ShardGrid() (gx, gy int) {
-	lo := db.lo()
-	return lo.gx, lo.gy
-}
+func (db *DB) ShardGrid() (gx, gy int) { return db.layout.gx, db.layout.gy }
 
 // ShardCuts returns copies of the layout's cut coordinates: gx+1
-// x-cuts and gy+1 y-cuts, ends equal to the domain bounds. With equal
-// strips they are evenly spaced; after a weighted-median Build or a
-// Reshard they follow the object distribution.
+// x-cuts and gy+1 y-cuts, ends equal to the domain bounds. A built
+// database has equal strips; an opened one has the cuts its file
+// stores.
 func (db *DB) ShardCuts() (xs, ys []float64) {
-	lo := db.lo()
-	return append([]float64(nil), lo.xs...), append([]float64(nil), lo.ys...)
+	return append([]float64(nil), db.layout.xs...), append([]float64(nil), db.layout.ys...)
 }
 
 // ShardStat describes one shard's live state.
 type ShardStat struct {
 	// Rect is the shard's region of the domain.
 	Rect Rect
-	// Live is the number of live objects whose center the shard owns —
-	// the load-balance signal Reshard evens out.
+	// Live is the number of live objects whose center the shard owns.
 	Live int
 	// Slack is the leaf-list churn (entry-weighted) accumulated by
 	// incremental Insert/Delete traffic that actually touched this
@@ -292,8 +167,8 @@ type ShardStat struct {
 	// bloat: incremental maintenance keeps the leaf lists close to what
 	// Compact would rebuild.
 	Slack int64
-	// Gen counts the epoch swaps (Compact/Reshard) since Build or Open;
-	// every shard of a layout shares it.
+	// Gen counts the epoch swaps (Compact) since Build or Open; every
+	// shard shares it.
 	Gen uint64
 	// Index is the shape of the shard's sub-grid.
 	Index core.IndexStats
@@ -301,38 +176,13 @@ type ShardStat struct {
 
 // ShardStats reports every shard's region, live-object count, slack and
 // index shape, in shard order.
-func (db *DB) ShardStats() []ShardStat { return db.LayoutSnapshot().Shards }
-
-// LayoutSnapshot is a consistent view of the shard layout and per-shard
-// state, all taken from ONE atomic layout load.
-type LayoutSnapshot struct {
-	// GridX, GridY are the grid dimensions (GridX*GridY shards,
-	// row-major).
-	GridX, GridY int
-	// CutsX, CutsY are copies of the layout's cut coordinates (GridX+1
-	// and GridY+1 values, ends equal to the domain bounds).
-	CutsX, CutsY []float64
-	// Shards is each shard's state in shard order.
-	Shards []ShardStat
-}
-
-// LayoutSnapshot reports the layout and every shard's state from one
-// layout load — callers that combine cuts with per-shard stats (the
-// wire Stats opcode) use this so a concurrent Reshard can never hand
-// them cuts from one layout and shard states from another.
-func (db *DB) LayoutSnapshot() LayoutSnapshot {
-	lo := db.lo()
+func (db *DB) ShardStats() []ShardStat {
+	lo := db.layout
 	live := shardLoads(lo, db.store.Dense(), db.store.Alive)
-	snap := LayoutSnapshot{
-		GridX: lo.gx,
-		GridY: lo.gy,
-		CutsX: append([]float64(nil), lo.xs...),
-		CutsY: append([]float64(nil), lo.ys...),
-	}
-	snap.Shards = make([]ShardStat, len(lo.shards))
+	out := make([]ShardStat, len(lo.shards))
 	for i := range lo.shards {
 		ep := lo.shards[i].ep()
-		snap.Shards[i] = ShardStat{
+		out[i] = ShardStat{
 			Rect:  lo.shards[i].rect,
 			Live:  live[i],
 			Slack: ep.index.Slack(),
@@ -340,7 +190,7 @@ func (db *DB) LayoutSnapshot() LayoutSnapshot {
 			Index: ep.index.Stats(),
 		}
 	}
-	return snap
+	return out
 }
 
 // shardLoads counts live object centers per owning shard.
@@ -354,37 +204,10 @@ func shardLoads(lo *shardLayout, objs []Object, alive func(int32) bool) []int {
 	return loads
 }
 
-// imbalance returns max/mean of the per-shard loads (1 = perfectly
-// even; 0 when empty).
-func imbalance(loads []int) float64 {
-	if len(loads) == 0 {
-		return 0
-	}
-	total, max := 0, 0
-	for _, v := range loads {
-		total += v
-		if v > max {
-			max = v
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	mean := float64(total) / float64(len(loads))
-	return float64(max) / mean
-}
-
-// LoadImbalance returns the max/mean ratio of per-shard live-object
-// counts: 1.0 is perfectly even, S means everything piled into one of
-// S shards. Reshard exists to push this back toward 1.
-func (db *DB) LoadImbalance() float64 {
-	return imbalance(shardLoads(db.lo(), db.store.Dense(), db.store.Alive))
-}
-
 // Slack returns the total mutation slack across all shards.
 func (db *DB) Slack() int64 {
 	var total int64
-	lo := db.lo()
+	lo := db.layout
 	for i := range lo.shards {
 		total += lo.shards[i].ep().index.Slack()
 	}
@@ -412,20 +235,18 @@ func aggregateIndexStats(sts []core.IndexStats) core.IndexStats {
 }
 
 // genSnap is a snapshot of the engine's mutation state across every
-// shard. The layout generation grows at every Reshard, epoch-swap
-// counters only grow, and between swaps each shard's index mutation
-// counter only grows, so the triple changes whenever the layout is
-// replaced or any shard mutates or compacts — derived snapshots
-// (order-k grids) compare it to detect staleness.
+// shard. Epoch-swap counters only grow, and between swaps each shard's
+// index mutation counter only grows, so the pair changes whenever any
+// shard mutates or compacts — derived snapshots (order-k grids) compare
+// it to detect staleness.
 type genSnap struct {
-	layout uint64 // layout generation (Reshard)
 	epochs uint64 // Σ per-shard epoch generation
 	muts   uint64 // Σ per-shard index mutation generation
 }
 
 func (db *DB) genSnap() genSnap {
-	lo := db.lo()
-	g := genSnap{layout: lo.gen}
+	lo := db.layout
+	var g genSnap
 	for i := range lo.shards {
 		ep := lo.shards[i].ep()
 		g.epochs += ep.gen

@@ -128,8 +128,7 @@ func assertShardInvariant(t *testing.T, label string, got, want *DB, qs []Point)
 // TestShardCountInvariance is the sharding soundness property: for
 // every construction strategy, on uniform AND skewed datasets, PNN /
 // BatchNN / TopK / KNN / Threshold answers — and delete-then-query
-// answers after interleaved churn, answers after per-shard compaction,
-// and answers after an online Reshard to weighted-median cuts — are
+// answers after interleaved churn and answers after compaction — are
 // bitwise identical across shard counts S ∈ {1, 2, 4, 8}.
 func TestShardCountInvariance(t *testing.T) {
 	const side = 2000.0
@@ -143,9 +142,9 @@ func TestShardCountInvariance(t *testing.T) {
 		strategies []Strategy
 	}{
 		{"uniform", datagen.Uniform(cfg), []Strategy{IC, ICR, Basic}},
-		// The skewed pile-up (σ = side/8) is the regime Reshard exists
-		// for; IC keeps the matrix affordable — strategy coverage comes
-		// from the uniform rows.
+		// The skewed pile-up (σ = side/8) loads the equal strips
+		// unevenly; IC keeps the matrix affordable — strategy coverage
+		// comes from the uniform rows.
 		{"skewed", datagen.Skewed(cfg, side/8), []Strategy{IC}},
 	}
 	for _, ds := range datasets {
@@ -206,18 +205,6 @@ func TestShardCountInvariance(t *testing.T) {
 					}
 					assertShardInvariant(t, label+"/compacted", db, ref, qs)
 
-					// An online Reshard to weighted-median cuts swaps the
-					// whole layout; answers before and after must be
-					// bitwise identical (the reference never resharded).
-					preGen := db.lo().gen
-					if err := db.Reshard(context.Background()); err != nil {
-						t.Fatal(err)
-					}
-					if got := db.lo().gen; got != preGen+1 {
-						t.Fatalf("%s: layout gen %d after Reshard, want %d", label, got, preGen+1)
-					}
-					assertShardInvariant(t, label+"/resharded", db, ref, qs)
-
 					// Rebuild the reference for the next iteration's pristine
 					// comparison.
 					ref, err = Build(objs, cfg.Domain(), &Options{Strategy: strat})
@@ -273,9 +260,9 @@ func TestShardContinuousInvariance(t *testing.T) {
 }
 
 // TestShardCompactDuringQueries hammers a sharded database with
-// concurrent queries while it is compacted and resharded; answers must
-// stay identical to a quiescent reference throughout (race detector
-// covers the epoch- and layout-swap publication).
+// concurrent queries while it is compacted; answers must stay identical
+// to a quiescent reference throughout (race detector covers the
+// epoch-swap publication).
 func TestShardCompactDuringQueries(t *testing.T) {
 	const side = 2000.0
 	cfg := datagen.Config{N: 120, Side: side, Diameter: 40, Seed: 31}
@@ -325,11 +312,9 @@ func TestShardCompactDuringQueries(t *testing.T) {
 			}
 		}(w)
 	}
-	for round := 0; round < 3; round++ {
-		for _, op := range []func(context.Context) error{db.Compact, db.Reshard} {
-			if err := op(context.Background()); err != nil {
-				t.Fatal(err)
-			}
+	for round := 0; round < 6; round++ {
+		if err := db.Compact(context.Background()); err != nil {
+			t.Fatal(err)
 		}
 	}
 	close(stop)
@@ -360,7 +345,7 @@ func TestShardLayoutRouting(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(8))
 	pts := shardQueryPoints(rng, 1000, 200)
-	lo := db.lo()
+	lo := db.layout
 	for _, q := range pts {
 		i := lo.shardIdx(q)
 		if !lo.shards[i].rect.Contains(q) {
@@ -428,5 +413,293 @@ func TestBuildWorkersInvariant(t *testing.T) {
 	}
 	if got := zero.BuildStats().Workers; got != 1 {
 		t.Errorf("Compact of a Workers-0 database derived with %d workers, want 1 (sequential)", got)
+	}
+}
+
+// TestConcurrentCompactDuringChurn is the -race exercise of the store
+// lock under a realistic mix: query goroutines and a mutator
+// synchronized by an external RWMutex (as the server does it), while
+// Compact rounds run with NO external lock at all.
+// Afterwards the database must answer bitwise identically to a
+// single-shard engine that saw the same mutation sequence.
+func TestConcurrentCompactDuringChurn(t *testing.T) {
+	const side = 2000.0
+	cfg := datagen.Config{N: 100, Side: side, Diameter: 40, Seed: 61}
+	objs := datagen.Uniform(cfg)
+	db, err := Build(objs, cfg.Domain(), &Options{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(9))
+	qs := shardQueryPoints(rng, side, 12)
+
+	var qmu sync.RWMutex // external query-vs-mutation sync, like the server
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				q := qs[(i+w)%len(qs)]
+				qmu.RLock()
+				_, _, err1 := db.PNN(q)
+				_, err2 := db.PossibleKNN(q, 3)
+				qmu.RUnlock()
+				if err1 != nil || err2 != nil {
+					errs <- fmt.Errorf("query during churn: %v / %v", err1, err2)
+					return
+				}
+			}
+		}(w)
+	}
+
+	// Maintenance outside the external lock: Compact rounds.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for round := 0; round < 8; round++ {
+			if err := db.Compact(context.Background()); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+
+	// The deterministic mutation sequence (replayed on the reference
+	// below). Interleaving with compaction is nondeterministic, but
+	// compaction never changes answers, so the end state is fixed.
+	mutate := func(d *DB, lock bool) {
+		mrng := rand.New(rand.NewSource(333))
+		for i := 0; i < 30; i++ {
+			if lock {
+				qmu.Lock()
+			}
+			var err error
+			if i%3 == 1 && d.Alive(int32(i)) {
+				err = d.Delete(int32(i))
+			} else {
+				o := NewObject(d.NextID(), mrng.Float64()*side, mrng.Float64()*side, 20, nil)
+				err = d.Insert(o)
+			}
+			if lock {
+				qmu.Unlock()
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}
+	mutate(db, true)
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	ref, err := Build(objs, cfg.Domain(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutate(ref, false)
+	assertShardInvariant(t, "post-churn-compact", db, ref, qs)
+}
+
+// TestLoadUnifiesDivergentShardRegistries opens a pre-shared-registry
+// stream: shard 1 of the v3-divergent4 fixture carries constraint sets
+// that diverged from shard 0's (as the old per-shard compaction
+// re-derivation produced — see testdata/legacy/README.md). Open must
+// detect the divergence and rebuild that shard's leaf structure from
+// the unified registry, so post-load answers and delete bookkeeping
+// stay exact. Every legacy fixture must come out sharing one registry.
+func TestLoadUnifiesDivergentShardRegistries(t *testing.T) {
+	const side = 2000.0
+	cfg := datagen.Config{N: 70, Side: side, Diameter: 40, Seed: 29}
+	objs := datagen.Uniform(cfg)
+	victim := int32(5) // the object whose set the fixture's shard 1 truncates
+	var db2 *DB
+	for _, name := range []string{"v2-single", "v3-equal4", "v4-median4", "v3-divergent4"} {
+		db, err := Open("testdata/legacy/"+name+".uvdb", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo := db.layout
+		for i := range lo.shards {
+			if lo.shards[i].ep().index.CR() != db.cr {
+				t.Fatalf("%s: shard %d does not share the engine registry after Open", name, i)
+			}
+		}
+		db2 = db
+	}
+	// Churn through the previously divergent object's neighborhood,
+	// then compare against a reference that saw the same mutations.
+	ref, err := Build(objs, cfg.Domain(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []*DB{db2, ref} {
+		if err := d.Delete(victim); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Delete(int32(11)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(6))
+	for i := 0; i < 24; i++ {
+		q := Pt(rng.Float64()*side, rng.Float64()*side)
+		a1, _, err := db2.PNN(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a2, _, err := ref.PNN(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(a1) != len(a2) {
+			t.Fatalf("PNN(%v) diverges after unification: %v vs %v", q, a1, a2)
+		}
+		for j := range a1 {
+			if a1[j] != a2[j] {
+				t.Fatalf("PNN(%v) diverges after unification: %v vs %v", q, a1, a2)
+			}
+		}
+	}
+}
+
+// TestShardAwareBatchOrder checks the batch route over several shards:
+// plan resolves every point to its owning shard, and the positional
+// results come back in request order whatever the worker count.
+func TestShardAwareBatchOrder(t *testing.T) {
+	const side = 2000.0
+	cfg := datagen.Config{N: 40, Side: side, Diameter: 40, Seed: 7}
+	db, err := Build(datagen.Uniform(cfg), cfg.Domain(), &Options{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	qs := shardQueryPoints(rng, side, 40)
+	rt := db.route()
+	owner, err := rt.plan(qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, q := range qs {
+		if owner[i] != db.layout.shardIdx(q) {
+			t.Fatalf("plan owner[%d] = %d, want %d", i, owner[i], db.layout.shardIdx(q))
+		}
+	}
+	pooled, err := db.BatchNN(qs, &BatchOptions{Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sequential, err := db.BatchNN(qs, &BatchOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(pooled) != fmt.Sprint(sequential) {
+		t.Fatal("3-worker sharded batch diverges from sequential execution")
+	}
+}
+
+// TestEntryWeightedSlack: deleting a hub object must accrue slack
+// proportional to the leaf entries rewritten, not the object count —
+// the slack count is scale-free.
+func TestEntryWeightedSlack(t *testing.T) {
+	cfg := datagen.Config{N: 60, Side: 2000, Diameter: 60, Seed: 23}
+	db, err := Build(datagen.Uniform(cfg), cfg.Domain(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dependents := len(db.Index().Dependents(30))
+	if err := db.Delete(30); err != nil {
+		t.Fatal(err)
+	}
+	slack := db.Slack()
+	// The delete removed the victim's entries and rewrote every
+	// dependent's entries; with ~60 overlapping objects each dependent
+	// holds multiple leaf entries, so entry-weighted slack must exceed
+	// the old per-object count (1 + dependents).
+	if slack <= int64(1+dependents) {
+		t.Fatalf("slack %d after deleting a hub with %d dependents — looks per-object, not entry-weighted", slack, dependents)
+	}
+
+	// The output-sensitive delete path must keep slack proportional to
+	// the entries actually touched: dependents that only got their set
+	// stripped (no re-derivation) still pay for their leaf rewrite, and
+	// shards a mutation provably cannot reach accrue NOTHING — their
+	// publish is a no-op, so slack and generation both stand still.
+	cfg4 := datagen.Config{N: 120, Side: 2000, Diameter: 30, Seed: 31}
+	db4, err := Build(datagen.Uniform(cfg4), cfg4.Domain(), &Options{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := db4.ShardStats()
+	// Find a victim whose delete provably stays inside one shard: its
+	// own representation, every dependent's current representation AND
+	// every dependent's victim-stripped representation (the largest
+	// region any post-delete rep can cover — fresh derivations only add
+	// members back) all reach the same single shard.
+	lo4 := db4.layout
+	reach := func(id int32, crIDs []int32, marks []bool) {
+		for si := range lo4.shards {
+			if lo4.shards[si].ep().index.RepReaches(id, crIDs, lo4.shards[si].rect) {
+				marks[si] = true
+			}
+		}
+	}
+	victim := int32(-1)
+	var touched []bool
+	for id := int32(0); int(id) < db4.Len(); id++ {
+		marks := make([]bool, len(lo4.shards))
+		reach(id, db4.cr.Of(id), marks)
+		for _, a := range db4.cr.Dependents(id) {
+			stripped := make([]int32, 0, len(db4.cr.Of(a)))
+			for _, m := range db4.cr.Of(a) {
+				if m != id {
+					stripped = append(stripped, m)
+				}
+			}
+			reach(a, db4.cr.Of(a), marks)
+			reach(a, stripped, marks)
+		}
+		n := 0
+		for _, m := range marks {
+			if m {
+				n++
+			}
+		}
+		if n == 1 {
+			victim, touched = id, marks
+			break
+		}
+	}
+	if victim < 0 {
+		t.Skip("no single-shard victim in this population")
+	}
+	if err := db4.Delete(victim); err != nil {
+		t.Fatal(err)
+	}
+	after := db4.ShardStats()
+	for si := range after {
+		delta := after[si].Slack - before[si].Slack
+		if touched[si] {
+			if delta <= 0 {
+				t.Fatalf("shard %d: mutation touched it but slack did not move (%d -> %d)", si, before[si].Slack, after[si].Slack)
+			}
+			continue
+		}
+		if delta != 0 {
+			t.Fatalf("shard %d: untouched by the mutation but accrued %d slack", si, delta)
+		}
 	}
 }

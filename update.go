@@ -14,11 +14,11 @@ import (
 
 // Dynamic updates — the maintenance story the paper leaves as future
 // work. Insert and Delete mutate the current shard epochs incrementally;
-// Compact and Reshard construct fresh state off-thread and publish it
-// with atomic swaps, so concurrent queries are never blocked by (and
-// never observe a torn state from) a rebuild.
+// Compact constructs fresh state off-thread and publishes it with atomic
+// swaps, so concurrent queries are never blocked by (and never observe a
+// torn state from) a rebuild.
 //
-// Every writer — Insert, Delete/BatchDelete, Compact, Reshard — holds
+// Every writer — Insert, Delete/BatchDelete, Compact — holds
 // the store lock (see the DB doc) exclusively, so writes are serialized
 // and the per-shard leaf surgery needs no lock of its own.
 //
@@ -83,7 +83,7 @@ func (db *DB) Insert(o Object) error {
 		}
 		return fmt.Errorf("uvdiagram: insert rolled back: %w", err)
 	}
-	lo := db.lo()
+	lo := db.layout
 	for i, sh := range lo.shards {
 		// A shard the new cell's representation cannot reach fails
 		// InsertLeafLive's root-level 4-point test and stays untouched.
@@ -166,7 +166,7 @@ func (db *DB) BatchDelete(ids []int32) error {
 // deleteBatchLocked removes validated, live ids with db.smu held
 // exclusively.
 func (db *DB) deleteBatchLocked(ids []int32) error {
-	lo := db.lo()
+	lo := db.layout
 	nsh := len(lo.shards)
 	// touched marks the shards whose leaf structure the batch can
 	// affect. A shard holds leaf entries for X only if X's CURRENT
@@ -289,37 +289,19 @@ func (db *DB) deleteBatchLocked(ids []int32) error {
 // either the old or the new index, never a mixture. Concurrent Inserts
 // and Deletes serialize behind the compaction.
 func (db *DB) Compact(ctx context.Context) error {
-	return db.rederiveAll(ctx, MaintCompact, nil)
-}
-
-// rederiveAll is the full maintenance pass behind Compact and Reshard:
-// one re-derivation of every constraint set and a fresh helper R-tree
-// (the bulk-load drops the slack delete churn left behind, and keeps
-// the derivation's simulated-disk reads off the live tree's I/O
-// accounting), shadow-built into the current layout's shards (recut ==
-// nil) or into the layout recut returns, which is then published with
-// ONE atomic layout-pointer swap. Every fresh epoch gets the old
-// layout's generation plus one (all shards of a layout share one
-// generation: only this pass swaps epochs).
-func (db *DB) rederiveAll(ctx context.Context, kind string, recut func(old *shardLayout) *shardLayout) error {
 	db.smu.Lock()
 	defer db.smu.Unlock()
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	tstart := time.Now()
-	ev := MaintEvent{Kind: kind}
-	old := db.lo()
-	lo := old
-	if recut != nil {
-		ev.ImbalanceBefore = db.LoadImbalance()
-		ev.ImbalanceAfter = ev.ImbalanceBefore
-		lo = recut(old)
-	}
 	// Shadow build: nothing below mutates the live epochs or the store.
 	if hook := db.compactHook; hook != nil {
 		hook()
 	}
+	// A fresh helper R-tree: the bulk-load drops the slack delete churn
+	// left behind, and keeps the derivation's simulated-disk reads off
+	// the live tree's I/O accounting.
 	tree := core.BuildHelperRTree(db.store, db.bopts.Fanout)
 	tree.SetReclaimDomain(db.egc)
 	t0 := time.Now()
@@ -327,46 +309,18 @@ func (db *DB) rederiveAll(ctx context.Context, kind string, recut func(old *shar
 	var cr *core.CRState
 	if err == nil {
 		cr = core.NewCRState(crSets)
-		err = db.buildShards(lo, cr, &stats, t0, old.epAt(0).gen+1)
+		// Every shard shares one epoch generation: only Compact swaps
+		// epochs.
+		err = db.buildShards(db.layout, cr, &stats, t0, db.layout.epAt(0).gen+1)
 	}
 	if err == nil {
 		db.cr = cr
 		db.topo = core.NewTopology(cr.Len(), db.bopts.RegionSamples)
 		db.tree.Store(tree)
-		if recut != nil {
-			db.layout.Store(lo) // the single publication point
-			ev.ImbalanceAfter = db.LoadImbalance()
-		}
 		db.built.Store(&stats)
 	}
-	ev.Dur, ev.Err = time.Since(tstart), err
-	db.fireMaint(ev)
+	db.fireMaint(MaintEvent{Kind: MaintCompact, Dur: time.Since(tstart), Err: err})
 	return err
-}
-
-// Reshard re-cuts the shard layout online to match the LIVE object
-// distribution: it derives every constraint set once (a full
-// re-derivation, like Compact), builds the complete new layout's shard
-// sub-grids off to the side, and publishes cuts and all shard epochs
-// with ONE atomic layout-pointer swap — queries route through either
-// the old layout or the new one, never a mixture, and are never
-// blocked. The grid dimensions stay; only the cut coordinates move.
-//
-// Reshard chooses cuts with the database's configured adaptive
-// strategy; a database built with the default equal strips reshards
-// with WeightedMedian — calling Reshard means asking for balance.
-//
-// Answers are bitwise identical before and after: the layout only
-// changes which shard answers a point, never what the answer is.
-func (db *DB) Reshard(ctx context.Context) error {
-	strategy := db.strategy
-	if _, equal := strategy.(EqualStrips); equal || strategy == nil {
-		strategy = WeightedMedian{}
-	}
-	return db.rederiveAll(ctx, MaintReshard, func(old *shardLayout) *shardLayout {
-		xs, ys := strategy.Cuts(db.domain, old.gx, old.gy, db.liveCenters())
-		return newShardLayout(old.gen+1, old.gx, old.gy, xs, ys)
-	})
 }
 
 // deriveCR derives object o's constraint set against the current live

@@ -49,12 +49,9 @@
 // epoch pointer and slack counter (see shard.go). Point queries route
 // to the owning shard lock-free; builds and compactions parallelize
 // across shards, and a mutation's leaf surgery touches only the shards
-// the mutated cells reach. Where the grid cuts the
-// domain is a pluggable LayoutStrategy (equal strips by default,
-// weighted-median quantiles for skewed data), and DB.Reshard re-cuts a
-// live database online, publishing the whole new layout with one atomic
-// pointer swap. Answers are identical to the single-shard engine bit
-// for bit, whatever the layout.
+// the mutated cells reach. Build cuts the grid into equal strips; Open
+// keeps the cuts stored in the file. Answers are identical to the
+// single-shard engine bit for bit, whatever the cuts.
 package uvdiagram
 
 import (
@@ -154,9 +151,9 @@ type Options struct {
 	SeedK      int
 	// Workers is the number of goroutines deriving objects' cr-sets;
 	// results are identical at any count. Build reads 0 as
-	// runtime.GOMAXPROCS (1 = sequential). The re-derivations that run
-	// beside live readers (Compact, Reshard, the maintainer's reshards)
-	// use the value literally: 0 and 1 are both sequential.
+	// runtime.GOMAXPROCS (1 = sequential). Compact, which re-derives
+	// beside live readers, uses the value literally: 0 and 1 are both
+	// sequential.
 	Workers int
 	// Shards partitions the domain into a grid of spatial shards, each
 	// with its own sub-grid UV-index, epoch pointer and slack counter.
@@ -164,12 +161,6 @@ type Options struct {
 	// parallelize across shards. 0 or 1 keeps the single-shard engine.
 	// Answers are independent of the shard count.
 	Shards int
-	// Layout picks where the shard grid cuts the domain: nil or
-	// EqualStrips{} for fixed equal-area strips, WeightedMedian{} for
-	// quantile cuts of the object-center distribution (skewed data).
-	// Reshard re-cuts a live database with an adaptive strategy at any
-	// time. The layout never affects answers, only load balance.
-	Layout LayoutStrategy
 	// Pager selects the page-store backend Open uses for a page-image
 	// snapshot: "mmap" (or empty, the default) maps the file
 	// read-only and serves zero-copy page reads off the mapping — the
@@ -205,13 +196,6 @@ func (o *Options) pagerMode() (string, error) {
 	}
 }
 
-func (o *Options) layout() LayoutStrategy {
-	if o == nil || o.Layout == nil {
-		return EqualStrips{}
-	}
-	return o.Layout
-}
-
 func (o *Options) toBuildOptions() core.BuildOptions {
 	b := core.DefaultBuildOptions()
 	if o == nil {
@@ -236,8 +220,8 @@ func (o *Options) toBuildOptions() core.BuildOptions {
 // indexEpoch is one immutable-by-swap generation of a shard's index
 // state: the shard's sub-grid UV-index. Queries load the owning shard's
 // current epoch with one atomic pointer read and use it for their whole
-// execution; Compact and Reshard construct fresh epochs off to the
-// side and publish each with one atomic store, so a
+// execution; Compact constructs fresh epochs off to the side and
+// publishes each with one atomic store, so a
 // query never observes a torn (half-swapped) index and is never blocked
 // by a rebuild (RCU-style). The helper R-tree is NOT part of the epoch:
 // it always covers the full live population whatever the shard, so the
@@ -249,9 +233,9 @@ func (o *Options) toBuildOptions() core.BuildOptions {
 // queries need no synchronization against them either.
 type indexEpoch struct {
 	index *core.UVIndex
-	// gen numbers the epoch: it increases by one at every Compact or
-	// Reshard, letting long-lived sessions (ContinuousPNN) detect that
-	// the index they captured has been replaced.
+	// gen numbers the epoch: it increases by one at every Compact,
+	// letting long-lived sessions (ContinuousPNN) detect that the index
+	// they captured has been replaced.
 	gen uint64
 }
 
@@ -263,9 +247,9 @@ type indexEpoch struct {
 //
 // One store lock (smu) guards everything a write changes: the object
 // store and dense-id allocation, the constraint registry, the shared
-// helper R-tree, the layout and every shard's leaf structure and epoch
-// pointer. Every writer — Insert, Delete/BatchDelete, Compact, Reshard
-// — holds it EXCLUSIVELY; SaveSnapshot holds it SHARED, so a save sees
+// helper R-tree and every shard's leaf structure and epoch pointer.
+// Every writer — Insert, Delete/BatchDelete, Compact — holds it
+// EXCLUSIVELY; SaveSnapshot holds it SHARED, so a save sees
 // the state between two writes and never a write half done.
 //
 // Queries take NO locks against ANY mutation — including Insert and
@@ -287,9 +271,6 @@ type DB struct {
 	store  *uncertain.Store
 	domain Rect
 	bopts  core.BuildOptions
-	// strategy is the configured layout strategy (Options.Layout);
-	// Build uses it for the initial cuts.
-	strategy LayoutStrategy
 	// cr is the engine-wide constraint registry shared by every shard's
 	// index (see core.CRState). Guarded by smu.
 	cr *core.CRState
@@ -297,7 +278,7 @@ type DB struct {
 	// object, which cr-set members actually shape its UV-cell boundary
 	// (core.Topology). It decides which delete dependents re-derive and
 	// which keep their stripped representation. Guarded by smu held
-	// exclusively; rebuilt fresh whenever cr is (Compact/Reshard).
+	// exclusively; rebuilt fresh whenever cr is (Compact).
 	topo *core.Topology
 	// egc is the epoch-based reclamation domain shared by the helper
 	// R-tree and every shard index: queries pin it around page reads,
@@ -312,14 +293,13 @@ type DB struct {
 	// tree is the shared helper R-tree over the full live population
 	// (pruning, k-NN and RNN retrieval are global no matter which shard
 	// runs them). Queries load it atomically; Insert/Delete mutate it
-	// in place under smu; Compact/Reshard swap in a fresh bulk-load.
+	// in place under smu; Compact swaps in a fresh bulk-load.
 	tree atomic.Pointer[rtree.Tree]
-	// layout is the current shard layout (cuts + shard states), swapped
-	// as a whole by Reshard — the single-pointer publication that keeps
-	// queries from ever seeing a torn layout.
-	layout atomic.Pointer[shardLayout]
+	// layout is the shard layout (cuts + shard states). Build and Open
+	// set it before the DB is returned; nothing writes it afterwards.
+	layout *shardLayout
 	// built snapshots the statistics of the last full construction pass
-	// (Build, Open, Compact/Reshard).
+	// (Build, Open, Compact).
 	built atomic.Pointer[BuildStats]
 	// smu is the store lock (see the locking notes above).
 	smu     sync.RWMutex
@@ -329,17 +309,14 @@ type DB struct {
 	// exactly the sections that derive — so it is never shared.
 	dscratch *core.DeriveScratch
 	// compactHook, when set (tests only, before any concurrency
-	// starts), is called by Compact/Reshard once smu is held, before the
+	// starts), is called by Compact once smu is held, before the
 	// shadow build — the observation point that lets tests park a
 	// rebuild inside its critical section and check that queries still
 	// complete.
 	compactHook func()
 	// maintObs is the maintenance-event observer (DB.OnMaintenance),
-	// fired synchronously from the Compact/Reshard paths.
+	// fired synchronously from Compact.
 	maintObs atomic.Pointer[func(MaintEvent)]
-	// maint is the attached self-driving maintenance controller, nil
-	// when none is running (see StartMaintainer).
-	maint atomic.Pointer[Maintainer]
 	// closer releases the snapshot backing (the file mapping) of a
 	// database opened with Open in mmap mode; nil otherwise. See Close.
 	closer func() error
@@ -358,15 +335,11 @@ func (db *DB) PagerMode() string {
 	return db.pagerMode
 }
 
-// Close stops the attached maintainer (if any) and releases the
-// snapshot file mapping of an mmap-backed database. It must only be
-// called once no queries or mutations are in flight: page reads served
-// off the mapping fault after it is unmapped. Idempotent; a no-op
-// (beyond stopping the maintainer) for in-heap databases.
+// Close releases the snapshot file mapping of an mmap-backed database.
+// It must only be called once no queries or mutations are in flight:
+// page reads served off the mapping fault after it is unmapped.
+// Idempotent; a no-op for in-heap databases.
 func (db *DB) Close() error {
-	if m := db.Maintainer(); m != nil {
-		m.Stop()
-	}
 	if c := db.closer; c != nil {
 		db.closer = nil
 		return c()
@@ -399,14 +372,9 @@ func Build(objects []Object, domain Rect, opts *Options) (*DB, error) {
 		return nil, err
 	}
 	bopts := opts.toBuildOptions()
-	db := &DB{store: store, domain: domain, bopts: bopts, strategy: opts.layout(), egc: epoch.NewDomain()}
+	db := &DB{store: store, domain: domain, bopts: bopts, egc: epoch.NewDomain()}
 	gx, gy := shardGrid(nshards)
-	var centers []Point
-	if _, equal := db.strategy.(EqualStrips); !equal {
-		centers = db.liveCenters() // equal strips never read the centers
-	}
-	xs, ys := db.strategy.Cuts(domain, gx, gy, centers)
-	lo := newShardLayout(0, gx, gy, xs, ys)
+	lo := newShardLayout(gx, gy, cuts(domain.Min.X, domain.Max.X, gx), cuts(domain.Min.Y, domain.Max.Y, gy))
 	tree := core.BuildHelperRTree(store, bopts.Fanout)
 	tree.SetReclaimDomain(db.egc)
 	db.tree.Store(tree)
@@ -424,7 +392,7 @@ func Build(objects []Object, domain Rect, opts *Options) (*DB, error) {
 	if err := db.buildShards(lo, db.cr, &stats, t0, 0); err != nil {
 		return nil, fmt.Errorf("uvdiagram: %w", err)
 	}
-	db.layout.Store(lo)
+	db.layout = lo
 	db.built.Store(&stats)
 	return db, nil
 }
@@ -433,9 +401,7 @@ func Build(objects []Object, domain Rect, opts *Options) (*DB, error) {
 // registry — in parallel, one goroutine per shard — and stores each
 // fresh epoch with generation gen. stats receives the summed per-shard
 // indexing CPU time, the aggregate index shape and the wall clock since
-// t0. The layout is not yet (or no longer) required to be published;
-// the caller decides when the world sees it. On error (a page size no
-// leaf page fits) no epoch is stored.
+// t0. On error (a page size no leaf page fits) no epoch is stored.
 func (db *DB) buildShards(lo *shardLayout, cr *core.CRState, stats *BuildStats, t0 time.Time, gen uint64) error {
 	type built struct {
 		ix  *core.UVIndex
@@ -496,7 +462,7 @@ func (db *DB) Object(id int32) (Object, error) {
 }
 
 // BuildStats returns the statistics of the last full construction pass
-// (Build, Open, Compact/Reshard). With shards, phase durations
+// (Build, Open, Compact). With shards, phase durations
 // are summed CPU time across shard builds and Index aggregates the
 // shard sub-grids.
 func (db *DB) BuildStats() BuildStats { return *db.built.Load() }
@@ -504,7 +470,7 @@ func (db *DB) BuildStats() BuildStats { return *db.built.Load() }
 // IndexStats returns the UV-index shape statistics, aggregated across
 // shards (counts sum, depth is the maximum).
 func (db *DB) IndexStats() core.IndexStats {
-	lo := db.lo()
+	lo := db.layout
 	if len(lo.shards) == 1 {
 		return lo.epAt(0).index.Stats()
 	}
@@ -523,7 +489,7 @@ func (db *DB) PNN(q Point) ([]Answer, QueryStats, error) {
 	if err := checkDomain(db.domain, q); err != nil {
 		return nil, QueryStats{}, err
 	}
-	return db.pnnOn(db.lo().epFor(q).index, q)
+	return db.pnnOn(db.layout.epFor(q).index, q)
 }
 
 // mutationCounters are the DB's atomic mutation-path tallies.
@@ -644,7 +610,7 @@ func checkDomain(domain Rect, q Point) error {
 // with their nearest-neighbor densities (Section V-C), gathered from
 // every shard r overlaps.
 func (db *DB) Partitions(r Rect) []Partition {
-	lo := db.lo()
+	lo := db.layout
 	if len(lo.shards) == 1 {
 		parts, _ := lo.epAt(0).index.Partitions(r)
 		return parts
@@ -665,7 +631,7 @@ func (db *DB) Partitions(r Rect) []Partition {
 // every shard the cell reaches.
 func (db *DB) CellArea(id int32) (float64, error) {
 	total := 0.0
-	lo := db.lo()
+	lo := db.layout
 	for i := range lo.shards {
 		a, err := lo.epAt(i).index.CellArea(id)
 		if err != nil {
@@ -679,7 +645,7 @@ func (db *DB) CellArea(id int32) (float64, error) {
 // CellRegions returns the leaf regions overlapping object id's UV-cell,
 // its displayable approximate extent, concatenated across shards.
 func (db *DB) CellRegions(id int32) []Rect {
-	lo := db.lo()
+	lo := db.layout
 	if len(lo.shards) == 1 {
 		return lo.epAt(0).index.CellRegions(id)
 	}
@@ -695,11 +661,11 @@ func (db *DB) CellRegions(id int32) []Rect {
 // ShardStats to enumerate the others. The pointer is the CURRENT
 // epoch's index; a Compact replaces it, so hold the result
 // only briefly.
-func (db *DB) Index() *core.UVIndex { return db.lo().epAt(0).index }
+func (db *DB) Index() *core.UVIndex { return db.layout.epAt(0).index }
 
 // RTree exposes the shared helper R-tree (the query baseline of
 // Figure 6), which covers the full live population. Like Index, it is
-// the current pointer; Compact and Reshard replace it.
+// the current pointer; Compact replaces it.
 func (db *DB) RTree() *rtree.Tree { return db.rtree() }
 
 // Store exposes the underlying object store.
