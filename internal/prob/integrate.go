@@ -71,8 +71,7 @@ func ProbsScratch(objs []uncertain.Object, q geom.Point, sc *Scratch) []float64 
 // ProbsShared is ProbsScratch for objects of view's population, whose
 // pdfs are the view's store's interned ones. An answer-set object whose
 // pdf at least tableMinShare of view's live objects hold, and whose
-// region is small against its distance from q (d ≥ 2R), has its
-// distance CDF evaluated through the pdf's table (table.go), within
+// region lies off q (d ≥ R/tableMaxW ≈ 1.036R), has its distance CDF evaluated through the pdf's table (table.go), within
 // parityTolF of the lens path. A nil view uses no table.
 func ProbsShared(view *uncertain.View, objs []uncertain.Object, q geom.Point, sc *Scratch) []float64 {
 	if sc == nil {

@@ -29,7 +29,7 @@ type sweep struct {
 	// there instead of through rings.
 	tab   *cdfTable
 	R     float64
-	panel int       // the w-panel of R/d
+	panel int       // the w-panel of R/d, fitted
 	tw    []float64 // T_0…T_{tableW−1} at R/d's place in the panel
 	cells []float64 // the cells' series contracted over w, tableT each
 	ready []bool    // the cells contracted so far
@@ -97,18 +97,23 @@ func (s sweep) arm(o uncertain.Object, buf []ring) (sweep, []ring) {
 }
 
 // tableFor returns the table o's distance CDF from q is evaluated
-// through, or nil for the lens path: a table needs a region small
-// against its distance, d ≥ 2R, a pdf of at most tableMaxBins bins,
+// through, or nil for the lens path: a table needs a region off q,
+// d ≥ R/tableMaxW, a pdf of at most tableMaxBins bins,
 // and at least tableMinShare live objects of view holding the pdf.
 func (sc *Scratch) tableFor(view *uncertain.View, o uncertain.Object, d float64) *cdfTable {
-	w := o.Region.R / d
-	if o.Region.R == 0 || !(w <= tableMaxW) || o.PDF.Bins() > tableMaxBins {
+	if !inTableDomain(o.Region.R, d) || o.PDF.Bins() > tableMaxBins {
 		return nil
 	}
 	if !sc.forceTables && (view == nil || view.Share(o.PDF) < tableMinShare) {
 		return nil
 	}
 	return tableOf(o.PDF)
+}
+
+// inTableDomain reports whether geometry lets a table serve a region of
+// radius R at distance d from q: R > 0 and R/d ≤ tableMaxW.
+func inTableDomain(R, d float64) bool {
+	return R > 0 && R/d <= tableMaxW
 }
 
 // armTable completes s for o through tab, with tw, cells and ready the
@@ -118,6 +123,7 @@ func (s *sweep) armTable(o uncertain.Object, tab *cdfTable, tw, cells []float64,
 	s.area = math.Pi * s.R * s.R
 	s.tab, s.tw, s.cells, s.ready = tab, tw, cells, ready
 	s.panel = tab.panel(s.R/s.d, tw)
+	tab.fitOnce(s.panel)
 	clear(ready)
 }
 
@@ -133,13 +139,23 @@ func (s *sweep) tableCDF(r float64) float64 {
 	if u > 0 {
 		c += tab.side + 1
 	}
-	cs := s.cells[c*tableT:][:tableT]
+	cs := (*[tableT]float64)(s.cells[c*tableT:])
 	if !s.ready[c] {
-		tab.contract(c, s.panel, s.tw, cs)
+		tab.contract(c, s.panel, s.tw, cs[:])
 		s.ready[c] = true
 	}
-	f := clenshaw(cs, math.Sqrt(math.Max(tab.edge[k]-a, 0))*tab.scale[k]-1)
-	return math.Min(math.Max(f, 0), 1)
+	t := tab.edge[k] - a
+	if t < 0 {
+		t = 0
+	}
+	f := clenshawPair(cs, math.Sqrt(t)*tab.scale[k]-1)
+	if f < 0 {
+		return 0
+	}
+	if f > 1 {
+		return 1
+	}
+	return f
 }
 
 // cdf returns F(r) = P(dist(q, X) ≤ r), exact for the ring-histogram

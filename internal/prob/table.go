@@ -2,41 +2,71 @@ package prob
 
 import (
 	"math"
+	"sync"
 
 	"uvdiagram/internal/geom"
 	"uvdiagram/internal/uncertain"
 )
 
-// The distance-CDF table. For an object whose region is small against
-// its distance from q, d ≥ 2R, the CDF F(r) of one pdf depends only on
-// u = (r − d)/R ∈ (−1, 1) and w = R/d ∈ (0, ½]. Its kinks are the ring
-// tangencies r = d ± R_j, the lines u = ±j/n, whatever w is (the third
-// tangency, r = R_j − d, needs d < R). So a table per pdf splits u into
-// cells at ±j/n, and w into tablePanels equal panels. In a cell F is
-// analytic but at the cell's outer edge |u| = e, where the lens of ring
+// The distance-CDF table. For an object whose region lies off q, d > R,
+// the CDF F(r) of one pdf depends only on u = (r − d)/R ∈ (−1, 1) and
+// w = R/d ∈ (0, 1). Its kinks are the ring tangencies r = d ± R_j, the
+// lines u = ±j/n, whatever w is (the third tangency, r = R_j − d, needs
+// d < R). So a table per pdf splits u into cells at ±j/n, a coarse pdf
+// each ring interval further so that no cell is wider than
+// 1/tableMinSide, and w ∈ [0, tableMaxW] into tablePanels panels that
+// narrow toward w = 1, where F's singularity in w, w = 2/(a_j − u),
+// closes on the corner u = −1. In a cell F is analytic but at a ring's
+// tangency, the cell's outer edge |u| = e, where the lens of ring
 // j = e·n turns tangent and grows like a power 3/2 of the distance; in
 // t = √(e − |u|) it is analytic there too. So each (cell, panel) holds
 // a tensor Chebyshev series in (t, w), fitted at Chebyshev nodes to F
-// evaluated by farCDF.
+// evaluated by farCDF. A panel is fitted, all its cells at once, by the
+// first query that reads it.
 //
 // A query contracts a touched cell over w once per (object, query) into
 // Scratch, so an evaluation is one square root and a tableT-term
-// Clenshaw sum. bounds.go holds the table's constants.
+// Chebyshev sum (clenshawPair). bounds.go holds the table's constants.
 
 // cdfTable is one pdf's table. On each side of u = 0 the cells split
-// |u| ∈ [0, 1] at the ring radii j/n, and the innermost cell is halved.
-// A cell's series in t converges at a rate set by the distance to the
-// next singularity against the cell's t-range: √2 ranges away for the
-// unhalved innermost cell (the first ring's far tangency, at −|u|),
-// which measured 1.7e-12 on a spiky pdf; at least two elsewhere. Cell k
-// of a side covers |u| up to edge[k]; cells 0…side are the u ≤ 0 side,
-// cells side+1… the u > 0 side.
+// |u| ∈ [0, 1] at the multiples of 1/side, which include the ring radii
+// j/n, and the innermost cell is halved. A cell's series in t converges
+// at a rate set by the distance to the next singularity against the
+// cell's t-range: √2 ranges away for the unhalved innermost cell (the
+// first ring's far tangency, at −|u|), which measured 1.7e-12 on a
+// spiky pdf; at least two elsewhere, but for a split cell: F is
+// analytic at its outer edge, and the next ring's tangency lies a
+// t-range or more off the real axis. Cell k of a side covers |u| up to
+// edge[k]; cells 0…side are the u ≤ 0 side, cells side+1… the u > 0
+// side.
 type cdfTable struct {
-	side  int       // ring-interval cells per side: the bins n
-	edge  []float64 // cell k's outer edge in |u|: 1/(2·side), then k/side
-	scale []float64 // 2/√(cell k's width): t onto [−1, 1] is t·scale − 1
-	coef  []float64 // cell c, panel p: tableT×tableW terms at (c·tablePanels+p)·tableT·tableW, t-major
+	side   int       // cells per side but the halved one: a multiple of the bins n, ≥ tableMinSide
+	edge   []float64 // cell k's outer edge in |u|: 1/(2·side), then k/side
+	scale  []float64 // 2/√(cell k's width): t onto [−1, 1] is t·scale − 1
+	rings  []ring    // the pdf's rings for R = 1, what the panels are fitted to
+	panels [tablePanels]tablePanel
 }
+
+// tablePanel is one w-panel's series, fitted on first use.
+type tablePanel struct {
+	once sync.Once
+	coef []float64 // cell c: tableT×tableW terms at c·tableT·tableW, t-major
+}
+
+// panelEdge are the w-panels' bounds: ⅛-wide panels up to ½, then each
+// 0.2·(1 − w) wide, so that panel p covers [panelEdge[p],
+// panelEdge[p+1]] and the last ends at tableMaxW.
+var panelEdge = func() (e [tablePanels + 1]float64) {
+	for p := 1; p < tablePanels; p++ {
+		if e[p-1] < 0.5 {
+			e[p] = float64(p) / 8
+		} else {
+			e[p] = 1 - 0.8*(1-e[p-1])
+		}
+	}
+	e[tablePanels] = tableMaxW
+	return e
+}()
 
 // cell returns the cell holding |u| = a on one side.
 func (tab *cdfTable) cell(a float64) int {
@@ -46,9 +76,10 @@ func (tab *cdfTable) cell(a float64) int {
 	return min(int(a*float64(tab.side)), tab.side-1) + 1
 }
 
-// tableOf returns pdf's table, built on first use and kept on the pdf.
+// tableOf returns pdf's table, laid out on first use and kept on the
+// pdf; its panels are fitted as queries read them (fitOnce).
 func tableOf(pdf *uncertain.HistogramPDF) *cdfTable {
-	return pdf.Derived(func(p *uncertain.HistogramPDF) any { return buildTable(p) }).(*cdfTable)
+	return pdf.Derived(func(p *uncertain.HistogramPDF) any { return newTable(p) }).(*cdfTable)
 }
 
 // unitRings returns pdf's ring terms for R = 1, as arm computes them.
@@ -58,12 +89,12 @@ func unitRings(pdf *uncertain.HistogramPDF) []ring {
 }
 
 // farCDF returns F at (u, w) with R = 1, d = 1/w, r = d + u, for
-// 0 < w ≤ ½: Σ_j c_j·area(disk(0, a_j) ∩ disk(q, r))/π. A crossing lens
-// is the sum of its two circular segments, each (ρ²/2)·(2θ − sin 2θ)
-// for half-angle θ, with the angles' sines and cosines multiplied out
-// in u and w so nothing cancels as d/R grows: the big circle's segment
-// is of order w, where the lens formula's area difference is of order
-// d·R.
+// 0 < w < 1, where no ring disk holds Cir(q, r):
+// Σ_j c_j·area(disk(0, a_j) ∩ disk(q, r))/π. A crossing lens is the sum
+// of its two circular segments, each (ρ²/2)·(2θ − sin 2θ) for
+// half-angle θ, with the angles' sines and cosines multiplied out in u
+// and w so nothing cancels as d/R grows: the big circle's segment is of
+// order w, where the lens formula's area difference is of order d·R.
 func farCDF(rs []ring, u, w float64) float64 {
 	acc := 0.0
 	for _, g := range rs {
@@ -98,10 +129,12 @@ func chordGap(x float64) float64 {
 	return sum
 }
 
-// newTable lays out the cells of a table for a pdf of side bins, with
-// no series fitted yet.
-func newTable(side int) *cdfTable {
-	tab := &cdfTable{side: side, edge: make([]float64, side+1), scale: make([]float64, side+1)}
+// newTable lays out pdf's table, with no panel fitted yet: side is the
+// bins n, times ⌈tableMinSide/n⌉ for a coarse pdf.
+func newTable(pdf *uncertain.HistogramPDF) *cdfTable {
+	n := pdf.Bins()
+	side := n * ((tableMinSide + n - 1) / n)
+	tab := &cdfTable{side: side, edge: make([]float64, side+1), scale: make([]float64, side+1), rings: unitRings(pdf)}
 	inner := 0.0
 	for k := range tab.edge {
 		tab.edge[k] = float64(k) / float64(side)
@@ -111,20 +144,21 @@ func newTable(side int) *cdfTable {
 		tab.scale[k] = 2 / math.Sqrt(tab.edge[k]-inner)
 		inner = tab.edge[k]
 	}
-	tab.coef = make([]float64, tab.cells()*tablePanels*tableT*tableW)
 	return tab
 }
 
-// buildTable fits pdf's table, every (cell, panel) by fit.
-func buildTable(pdf *uncertain.HistogramPDF) *cdfTable {
-	tab := newTable(pdf.Bins())
-	rs := unitRings(pdf)
-	for c := 0; c < tab.cells(); c++ {
-		for p := 0; p < tablePanels; p++ {
-			tab.fit(rs, c, p)
+// fitOnce fits every cell of panel p on the panel's first use: exactly
+// once, concurrent first callers wait for the one fit.
+func (tab *cdfTable) fitOnce(p int) {
+	pn := &tab.panels[p]
+	pn.once.Do(func() {
+		const block = tableT * tableW
+		coef := make([]float64, tab.cells()*block)
+		for c := 0; c < tab.cells(); c++ {
+			tab.fit(c, p, coef[c*block:][:block])
 		}
-	}
-	return tab
+		pn.coef = coef
+	})
 }
 
 // chebNodes are the Chebyshev nodes of the first kind a fit samples at
@@ -153,13 +187,11 @@ var chebNodes = func() (n struct {
 	return n
 }()
 
-// fit fits cell c, panel p of the table for the unit rings rs: F at the
-// tableT × tableW nodes of chebNodes and their discrete cosine
-// transform.
-func (tab *cdfTable) fit(rs []ring, c, p int) {
-	const block = tableT * tableW
+// fit fits cell c, panel p of the table into out: F at the tableT ×
+// tableW nodes of chebNodes and their discrete cosine transform.
+func (tab *cdfTable) fit(c, p int, out []float64) {
 	nd := &chebNodes
-	pw := tableMaxW / tablePanels
+	lo, pw := panelEdge[p], panelEdge[p+1]-panelEdge[p]
 	var f [tableT][tableW]float64
 	var half [tableT][tableW]float64 // f transformed over w
 	k, sign := c, -1.0
@@ -171,7 +203,7 @@ func (tab *cdfTable) fit(rs []ring, c, p int) {
 		t := tn * tau
 		u := sign * (edge - t*t)
 		for l, wn := range nd.wNode {
-			f[i][l] = farCDF(rs, u, (float64(p)+wn)*pw)
+			f[i][l] = farCDF(tab.rings, u, lo+wn*pw)
 		}
 	}
 	for i := range f {
@@ -183,7 +215,6 @@ func (tab *cdfTable) fit(rs []ring, c, p int) {
 			half[i][k] = s * 2 / tableW
 		}
 	}
-	out := tab.coef[(c*tablePanels+p)*block:][:block]
 	for j := 0; j < tableT; j++ {
 		for k := 0; k < tableW; k++ {
 			s := 0.0
@@ -208,9 +239,11 @@ func (tab *cdfTable) cells() int { return 2 * (tab.side + 1) }
 // panel returns the w-panel of w and the Chebyshev polynomials
 // T_0…T_{tableW−1} at w's place in it.
 func (tab *cdfTable) panel(w float64, tw []float64) int {
-	pw := tableMaxW / tablePanels
-	p := min(int(w/pw), tablePanels-1)
-	x := 2*(w-float64(p)*pw)/pw - 1
+	p := 0
+	for p < tablePanels-1 && w >= panelEdge[p+1] {
+		p++
+	}
+	x := 2*(w-panelEdge[p])/(panelEdge[p+1]-panelEdge[p]) - 1
 	tw[0], tw[1] = 1, x
 	for k := 2; k < tableW; k++ {
 		tw[k] = 2*x*tw[k-1] - tw[k-2]
@@ -218,10 +251,10 @@ func (tab *cdfTable) panel(w float64, tw []float64) int {
 	return p
 }
 
-// contract sums cell c's series of panel p over w, at the Chebyshev
-// values tw, into the tableT terms of its t-series.
+// contract sums cell c's series of fitted panel p over w, at the
+// Chebyshev values tw, into the tableT terms of its t-series.
 func (tab *cdfTable) contract(c, p int, tw, out []float64) {
-	blk := tab.coef[(c*tablePanels+p)*tableT*tableW:][:tableT*tableW]
+	blk := tab.panels[p].coef[c*tableT*tableW:][:tableT*tableW]
 	for j := range out[:tableT] {
 		row := blk[j*tableW:][:tableW]
 		s := 0.0
@@ -232,12 +265,21 @@ func (tab *cdfTable) contract(c, p int, tw, out []float64) {
 	}
 }
 
-// clenshaw sums the Chebyshev series cs at x.
-func clenshaw(cs []float64, x float64) float64 {
-	x2 := 2 * x
-	b1, b2 := 0.0, 0.0
-	for j := len(cs) - 1; j >= 1; j-- {
-		b1, b2 = x2*b1-b2+cs[j], b1
+// clenshawPair sums a cell's tableT-term Chebyshev series in t at x,
+// as its even and odd halves in y = T_2(x) = 2x² − 1:
+// T_2m(x) = T_m(y) and T_2m+1(x) = x·V_m(y), with V the Chebyshev
+// polynomials of the third kind (V_0 = 1, V_1 = 2y − 1, and T's
+// three-term recurrence). The halves' two Clenshaw recurrences are
+// independent, so their chain of dependent steps is half as long as
+// one recurrence over all terms, and each step subtracts b_{m+2} off
+// that chain.
+func clenshawPair(cs *[tableT]float64, x float64) float64 {
+	y := 2*x*x - 1
+	y2 := 2 * y
+	e1, e2, o1, o2 := 0.0, 0.0, 0.0, 0.0
+	for m := tableT/2 - 1; m >= 1; m-- {
+		e1, e2 = y2*e1+(cs[2*m]-e2), e1
+		o1, o2 = y2*o1+(cs[2*m+1]-o2), o1
 	}
-	return x*b1 - b2 + cs[0]
+	return y*e1 - e2 + cs[0] + x*((y2-1)*o1-o2+cs[1])
 }
