@@ -68,13 +68,13 @@ type BufferPoolStats struct {
 	PagerReads     int64 // page reads across all pagers
 	PagerWrites    int64
 	DiskBytes      int64 // simulated disk footprint across all pagers
-	VacuumedBytes  int64 // cumulative storage reclaimed by DB.Vacuum
 
 	// Out-of-core footprint (all zero for an in-heap database): bytes
 	// of snapshot sections served straight off the mapped file, how
 	// many of those are resident in physical memory right now
 	// (ResidentKnown false when the mincore probe is unsupported), and
-	// the heap bytes of the append-only COW tails.
+	// the heap bytes the mapped pagers hold now: pages allocated or
+	// rewritten since Open and not freed since.
 	MappedBytes   int64
 	ResidentBytes int64
 	ResidentKnown bool
@@ -90,15 +90,12 @@ func (db *DB) BufferPoolStats() BufferPoolStats {
 		st.PagerReads += pg.Reads()
 		st.PagerWrites += pg.Writes()
 		st.DiskBytes += pg.BytesOnDisk()
-		if fs, ok := pg.Store().(*pager.FileStore); ok {
-			st.MappedBytes += int64(fs.PageSize()) * int64(fs.BasePages())
-			res, known := fs.Resident()
-			st.ResidentBytes += res
-			st.ResidentKnown = st.ResidentKnown && known
-			st.TailBytes += fs.TailBytes()
-		}
+		st.MappedBytes += pg.MappedBytes()
+		res, known := pg.Resident()
+		st.ResidentBytes += res
+		st.ResidentKnown = st.ResidentKnown && known
+		st.TailBytes += pg.TailBytes()
 	}
-	st.VacuumedBytes = db.vacuumed.Load()
 	return st
 }
 
@@ -110,9 +107,7 @@ func (db *DB) BufferPoolStats() BufferPoolStats {
 func (db *DB) DropCaches() int64 {
 	var n int64
 	for _, pg := range db.pagers() {
-		if fs, ok := pg.Store().(*pager.FileStore); ok {
-			n += int64(fs.DropCaches())
-		}
+		n += int64(pg.DropCaches())
 	}
 	return n
 }
@@ -128,23 +123,6 @@ func (db *DB) pagers() []*pager.Pager {
 	}
 	out = append(out, db.rtree().Pager())
 	return out
-}
-
-// Vacuum reclaims the storage behind freed page slots across every
-// pager: heap buffers of freed slots are dropped for the GC, and dead
-// extents of an mmap-backed snapshot are advised out of the OS page
-// cache. Safe concurrently with queries — the frees themselves already
-// ran post-grace through the epoch domain, Vacuum only releases the
-// storage they left behind. Returns the total bytes reclaimed. Nothing
-// in the engine calls it periodically; a caller that wants freed
-// storage back calls it.
-func (db *DB) Vacuum() int64 {
-	var n int64
-	for _, pg := range db.pagers() {
-		n += pg.Vacuum()
-	}
-	db.vacuumed.Add(n)
-	return n
 }
 
 // runBatch executes fn(i) for i in [0, n) on a bounded worker pool. On

@@ -14,7 +14,7 @@ import (
 // leaf id lists, per-leaf page counts) and the raw page images
 // themselves, which the caller persists verbatim in manifest walk
 // order. Opening then just points a fresh tree at the existing pages
-// (typically an mmap-backed pager.FileStore over the snapshot file), so
+// (typically a pager mapped over the snapshot file), so
 // a database serves straight off disk with zero rebuild work and zero
 // resident heap for leaf payloads.
 //
@@ -23,7 +23,7 @@ import (
 // tree in the same depth-first order, so leaf k's pages are the next
 // count_k sequential ids. This works because a pager built from a
 // snapshot allocates ids 0,1,2,… in Alloc order (heap replay) or
-// addresses the file section directly (FileStore).
+// addresses the file section directly (pager.NewMapped).
 
 // SnapshotManifest serializes the index's structure — without the
 // constraint registry, which the engine persists once at the database

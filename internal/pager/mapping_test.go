@@ -41,13 +41,13 @@ func writeTempPages(t *testing.T, n, pageSize int) *Mapping {
 func TestFileStoreReadsAreZeroCopy(t *testing.T) {
 	const n, ps = 8, 128
 	m := writeTempPages(t, n, ps)
-	fs, err := NewFileStore(m, 0, n, ps)
+	p, err := NewMapped(m, 0, n, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewWithStore(fs)
-	if p.NumPages() != n || p.PageSize() != ps {
-		t.Fatalf("NumPages=%d PageSize=%d", p.NumPages(), p.PageSize())
+	if p.NumPages() != n || p.PageSize() != ps || p.MappedBytes() != n*ps || p.TailBytes() != 0 {
+		t.Fatalf("NumPages=%d PageSize=%d MappedBytes=%d TailBytes=%d",
+			p.NumPages(), p.PageSize(), p.MappedBytes(), p.TailBytes())
 	}
 	for i := 0; i < n; i++ {
 		got := p.Read(PageID(i))
@@ -66,11 +66,16 @@ func TestFileStoreReadsAreZeroCopy(t *testing.T) {
 func TestFileStoreCOWTail(t *testing.T) {
 	const n, ps = 4, 64
 	m := writeTempPages(t, n, ps)
-	fs, err := NewFileStore(m, 0, n, ps)
+	p, err := NewMapped(m, 0, n, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewWithStore(fs)
+	wantTail := func(pages int) {
+		t.Helper()
+		if got := p.TailBytes(); got != int64(pages*ps) {
+			t.Fatalf("TailBytes = %d, want %d", got, pages*ps)
+		}
+	}
 
 	// A reader holds page 1's mapped bytes.
 	old := p.Read(1)
@@ -85,12 +90,18 @@ func TestFileStoreCOWTail(t *testing.T) {
 	if got := p.Read(1); !bytes.Equal(got[:9], []byte("rewritten")) {
 		t.Fatalf("after WriteAt, Read = %q", got[:9])
 	}
+	wantTail(1)
 
-	// Free page 2 (grace period elapsed by assumption), then Alloc: the
-	// slot is reused with fresh heap bytes while the old view survives.
+	// Free page 2 (grace period elapsed by assumption): the view is
+	// dropped and holds no tail. Alloc reuses the slot with fresh heap
+	// bytes while the old view survives.
 	old2 := p.Read(2)
 	old2Copy := append([]byte(nil), old2...)
 	p.Free([]PageID{2})
+	if p.Peek(2) != nil {
+		t.Fatal("freed mapped slot still holds its view")
+	}
+	wantTail(1)
 	id := p.Alloc([]byte("reuse"))
 	if id != 2 {
 		t.Fatalf("Alloc reused slot %d, want 2", id)
@@ -101,121 +112,99 @@ func TestFileStoreCOWTail(t *testing.T) {
 	if got := p.Read(2); !bytes.Equal(got[:5], []byte("reuse")) {
 		t.Fatalf("reused slot content = %q", got[:5])
 	}
+	wantTail(2)
 
 	// Appending grows past the base region.
 	id = p.Alloc([]byte("tail"))
 	if int(id) != n {
 		t.Fatalf("tail alloc got id %d, want %d", id, n)
 	}
-	if fs.TailBytes() != 3*ps {
-		t.Fatalf("TailBytes = %d, want %d", fs.TailBytes(), 3*ps)
-	}
+	wantTail(3)
 
-	// Vacuum reclaims dead base extents without touching live slots.
-	p.Vacuum()
-	for i := 0; i < n; i++ {
-		if i == 1 || i == 2 {
-			continue
-		}
-		got := p.Read(PageID(i))
-		if int(binary.LittleEndian.Uint32(got)) != i {
-			t.Fatalf("page %d corrupted by Vacuum", i)
-		}
+	// Freeing heap pages gives their bytes back at once; the rewritten
+	// base page counts as heap, the untouched ones as mapped.
+	p.Free([]PageID{1, id})
+	wantTail(1)
+	p.Free([]PageID{0})
+	wantTail(1)
+	if p.NumPages() != n-2 || p.MappedBytes() != n*ps {
+		t.Fatalf("NumPages=%d MappedBytes=%d", p.NumPages(), p.MappedBytes())
+	}
+	if got := p.Read(3); int(binary.LittleEndian.Uint32(got)) != 3 || &got[0] != &m.Data()[3*ps] {
+		t.Fatal("live mapped page disturbed by frees")
 	}
 }
 
 func TestFileStoreSectionBounds(t *testing.T) {
 	m := writeTempPages(t, 4, 64)
-	if _, err := NewFileStore(m, 0, 5, 64); err == nil {
+	if _, err := NewMapped(m, 0, 5, 64); err == nil {
 		t.Error("section past the mapping accepted")
 	}
-	if _, err := NewFileStore(m, 128, 4, 64); err == nil {
+	if _, err := NewMapped(m, 128, 4, 64); err == nil {
 		t.Error("offset section past the mapping accepted")
 	}
-	fs, err := NewFileStore(m, 128, 2, 64)
+	p, err := NewMapped(m, 128, 2, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := fs.Read(0); int(binary.LittleEndian.Uint32(got)) != 2 {
+	if got := p.Read(0); int(binary.LittleEndian.Uint32(got)) != 2 {
 		t.Error("section offset not honored")
 	}
 }
 
-// TestHeapStoreLockFreeRead exercises concurrent lock-free reads
-// against allocation, slot reuse and vacuum under the epoch discipline
-// (readers only ever read ids they were handed, frees only cover ids no
-// reader holds). Run with -race.
+// TestHeapStoreLockFreeRead exercises concurrent lock-free reads against
+// allocation, free and slot reuse under the epoch discipline (readers
+// only ever read ids they were handed, frees only cover ids no reader
+// holds), on an in-heap and a mapped pager. Run with -race.
 func TestHeapStoreLockFreeRead(t *testing.T) {
-	p := New(64)
-	const readers = 4
-	// Stable pages every reader may read at any time.
-	stable := make([]PageID, 32)
-	for i := range stable {
-		stable[i] = p.Alloc([]byte{byte(i)})
+	const ps, nstable = 64, 32
+	heap := New(ps)
+	for i := 0; i < nstable; i++ {
+		page := make([]byte, ps)
+		page[ps-1] = byte(i + 1)
+		heap.Alloc(page)
 	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for r := 0; r < readers; r++ {
-		wg.Add(1)
-		go func(seed int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				id := stable[(i+seed)%len(stable)]
-				b := p.Read(id)
-				if b[0] != byte((i+seed)%len(stable)) {
-					t.Errorf("page %d content %d", id, b[0])
-					return
-				}
+	mapped, err := NewMapped(writeTempPages(t, nstable, ps), 0, nstable, ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, p := range map[string]*Pager{"heap": heap, "mapped": mapped} {
+		t.Run(name, func(t *testing.T) {
+			const readers = 4
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			for r := 0; r < readers; r++ {
+				wg.Add(1)
+				go func(seed int) {
+					defer wg.Done()
+					for i := 0; ; i++ {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						id := (i + seed) % nstable
+						// Both pagers end page i with byte i+1.
+						if b := p.Read(PageID(id)); b[ps-1] != byte(id+1) {
+							t.Errorf("page %d ends with %d", id, b[ps-1])
+							return
+						}
+					}
+				}(r)
 			}
-		}(r)
-	}
-	// Mutator: churn private pages (alloc, free, vacuum, reuse) while
-	// the readers hammer the stable ones.
-	for i := 0; i < 2000; i++ {
-		ids := []PageID{p.Alloc([]byte("a")), p.Alloc([]byte("b"))}
-		p.Free(ids)
-		if i%16 == 0 {
-			p.Vacuum()
-		}
-	}
-	close(stop)
-	wg.Wait()
-}
-
-func TestHeapStoreVacuum(t *testing.T) {
-	p := New(128)
-	a := p.Alloc([]byte("a"))
-	b := p.Alloc([]byte("b"))
-	p.Free([]PageID{a})
-	if got := p.Vacuum(); got != 128 {
-		t.Fatalf("Vacuum reclaimed %d bytes, want 128", got)
-	}
-	if got := p.Vacuum(); got != 0 {
-		t.Fatalf("second Vacuum reclaimed %d bytes, want 0", got)
-	}
-	// The freed slot is still reusable and the live page untouched.
-	if id := p.Alloc([]byte("c")); id != a {
-		t.Fatalf("Alloc after Vacuum = %d, want %d", id, a)
-	}
-	if got := p.Read(b); got[0] != 'b' {
-		t.Fatal("live page corrupted by Vacuum")
-	}
-}
-
-func TestPagerPeekDoesNotCount(t *testing.T) {
-	p := New(64)
-	id := p.Alloc([]byte("x"))
-	p.ResetStats()
-	if got := p.Peek(id); got[0] != 'x' {
-		t.Fatal("Peek content")
-	}
-	if p.Reads() != 0 {
-		t.Fatalf("Peek counted as %d reads", p.Reads())
+			// Mutator: churn private pages (alloc, write, free, reuse)
+			// while the readers hammer the stable ones.
+			for i := 0; i < 2000; i++ {
+				ids := []PageID{p.Alloc([]byte("a")), p.Alloc([]byte("b"))}
+				p.WriteAt(ids[0], 1, []byte("c"))
+				p.Free(ids)
+			}
+			close(stop)
+			wg.Wait()
+			if p.NumPages() != nstable {
+				t.Fatalf("NumPages = %d, want %d", p.NumPages(), nstable)
+			}
+		})
 	}
 }
 
@@ -223,24 +212,24 @@ func TestMappingDropAndResident(t *testing.T) {
 	const n = 64
 	ps := os.Getpagesize()
 	m := writeTempPages(t, n, ps)
-	fs, err := NewFileStore(m, 0, n, ps)
+	p, err := NewMapped(m, 0, n, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		_ = fs.Read(PageID(i))[0]
+		_ = p.Peek(PageID(i))[0]
 	}
-	if res, ok := fs.Resident(); ok && res == 0 {
+	if res, ok := p.Resident(); ok && res == 0 {
 		t.Error("no resident bytes after touching every page")
 	}
 	if m.Mapped() {
-		if dropped := fs.DropCaches(); dropped != n*ps {
+		if dropped := p.DropCaches(); dropped != n*ps {
 			t.Errorf("DropCaches advised %d bytes, want %d", dropped, n*ps)
 		}
 	}
 	// Pages must still read correctly after the drop (refault).
 	for i := 0; i < n; i++ {
-		got := fs.Read(PageID(i))
+		got := p.Peek(PageID(i))
 		if int(binary.LittleEndian.Uint32(got)) != i {
 			t.Fatalf("page %d corrupted by DropCaches", i)
 		}

@@ -10,7 +10,7 @@ import (
 const adviseDontNeed = 0
 
 // mapFile is the portable fallback: pread the whole file into one heap
-// buffer. FileStore's zero-copy slot views work identically over it;
+// buffer. A mapped pager's zero-copy slot views work identically over it;
 // only the resident-set economics differ (everything is heap), which
 // Mapping.Mapped reports so harnesses can label their numbers.
 func mapFile(f *os.File, size int) ([]byte, bool, error) {

@@ -3,12 +3,11 @@
 // payloads through a Pager, so the I/O numbers reported by the benchmark
 // harness (Figure 6(b) and friends) are counted at a single choke point.
 //
-// A Pager is a thin accounting shell over a Store backend. Two backends
-// exist: the in-heap HeapStore (every page a heap buffer — the
-// construction and default serving mode) and the mmap-backed FileStore
-// (page images served zero-copy out of a read-only file mapping, with an
-// in-heap append-only tail for pages written after open — the
-// out-of-core serving mode, see filestore.go).
+// A Pager keeps its pages in an atomically published slot array. A slot
+// holds a heap buffer, or — for a pager opened over a snapshot file with
+// NewMapped — a zero-copy view of a page image in the read-only Mapping
+// (the out-of-core serving mode, see mapping.go). Pages written after
+// open always go to heap buffers, so the mapping is never written.
 package pager
 
 import (
@@ -23,105 +22,68 @@ const DefaultPageSize = 4096
 // PageID names a page on the simulated disk.
 type PageID int32
 
-// Store is the page-storage backend of a Pager. Implementations share
-// the copy-on-write contract the index structures rely on: a freed
-// slot's old buffer is never rewritten while a reader can still reach
-// it — reusing a slot installs a FRESH buffer (heap) or points the slot
-// at a fresh tail buffer (file), so a reader that obtained a page
-// through Read keeps seeing the retired page's content without any
-// reader-side synchronization.
+// Pager is a simulated disk: a slot array of pages plus atomic I/O
+// counters. Reads are LOCK-FREE — one atomic load of the published slot
+// array plus an index — so a database served over the network can run
+// queries in parallel while an insert allocates pages. The publication
+// protocol makes this safe without a reader-side lock:
 //
-// Read is safe to call concurrently with Alloc/Free/WriteAt of OTHER
-// pages; Alloc/Free/WriteAt/Vacuum serialize against each other
-// internally. Freeing a page still reachable by a concurrent reader is
-// the caller's bug (the epoch domains guarantee the grace period for
-// the COW index paths).
-type Store interface {
-	// PageSize returns the page size in bytes.
-	PageSize() int
-	// NumPages returns the number of live (allocated, not freed) pages.
-	NumPages() int
-	// Read returns page id's buffer. The result is zero-copy (the live
-	// buffer, or a slice into the mapped file) and must be treated as
-	// read-only.
-	Read(id PageID) []byte
-	// Alloc stores data in a fresh page and returns its id, preferring a
-	// freed slot over growing the disk.
-	Alloc(data []byte) PageID
-	// WriteAt copies data into page id at byte off, leaving the rest of
-	// the page as it is. On a heap page the write is in place, so it is
-	// safe against concurrent readers of OTHER bytes of the page: the
-	// object store appends records into the unused end of its last page
-	// while queries read the records before them. The index paths never
-	// rewrite a reachable page (they Alloc a replacement and Free the
-	// old slot).
-	WriteAt(id PageID, off int, data []byte)
-	// Free returns page slots to the allocator.
-	Free(ids []PageID)
-	// Vacuum reclaims the storage behind freed slots — heap buffers are
-	// dropped for the GC, dead extents of a mapped file are advised out
-	// of the page cache — and returns the number of bytes reclaimed.
-	// Slot ids stay valid for reuse by Alloc.
-	Vacuum() int64
-}
-
-// Pager is a simulated disk: a Store plus atomic I/O counters. It is
-// safe for concurrent use under the Store contract above — reads are
-// lock-free, so a database served over the network can run queries in
-// parallel while an insert allocates pages.
+//   - Growing the array publishes a fresh slice header; a reader holding
+//     an older header cannot see (and, by the COW index invariant,
+//     cannot hold the id of) pages allocated after its load.
+//   - Free and slot reuse store into the SHARED backing array, but only
+//     after the epoch grace period guarantees no reader can reach that
+//     slot's id — concurrent reads of other elements never touch the
+//     written address. A reused slot gets a FRESH buffer, so a reader
+//     that obtained the old one through Read keeps its bytes.
+//   - A published page's bytes are immutable once a reader can reach
+//     them (Alloc copies; WriteAt only fills bytes no reader loads, and
+//     moves a mapped page to the heap before writing), so the data a
+//     reader dereferences is always the bytes that were there when its
+//     id was reachable.
+//
+// Freeing a page still reachable by a concurrent reader is the caller's
+// bug: the freed slot holds nil, so such a reader fails loudly. The
+// epoch domains guarantee the grace period for the COW index paths.
 type Pager struct {
-	store  Store
-	reads  atomic.Int64
-	writes atomic.Int64
+	pageSize int
+	slots    atomic.Pointer[[][]byte]
+	mu       sync.Mutex // serializes Alloc/Free/WriteAt; guards free and heap
+	free     []PageID
+	heap     int // slots holding a heap buffer
+	// m, off and base describe the mapped region of a NewMapped pager:
+	// slots 0..base-1 start as views of the base page images at byte
+	// off of m. m is nil for an in-heap pager.
+	m         *Mapping
+	off, base int
+	reads     atomic.Int64
+	writes    atomic.Int64
 }
 
 // New returns an empty in-heap pager with the given page size
 // (DefaultPageSize if size ≤ 0).
-func New(size int) *Pager { return NewWithStore(NewHeapStore(size)) }
-
-// NewWithStore returns a pager over an explicit backend.
-func NewWithStore(s Store) *Pager { return &Pager{store: s} }
-
-// Store exposes the backend (backend-specific operations such as
-// FileStore residency probes).
-func (p *Pager) Store() Store { return p.store }
+func New(size int) *Pager {
+	if size <= 0 {
+		size = DefaultPageSize
+	}
+	p := &Pager{pageSize: size}
+	p.slots.Store(new([][]byte))
+	return p
+}
 
 // PageSize returns the page size in bytes.
-func (p *Pager) PageSize() int { return p.store.PageSize() }
+func (p *Pager) PageSize() int { return p.pageSize }
 
 // NumPages returns the number of live (allocated, not freed) pages.
-func (p *Pager) NumPages() int { return p.store.NumPages() }
+func (p *Pager) NumPages() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(*p.slots.Load()) - len(p.free)
+}
 
 // BytesOnDisk returns the total simulated disk footprint.
 func (p *Pager) BytesOnDisk() int64 {
 	return int64(p.NumPages()) * int64(p.PageSize())
-}
-
-// Alloc writes data to a fresh page and returns its id, preferring a
-// freed slot over growing the disk. It counts as one write. data must
-// fit in a page.
-func (p *Pager) Alloc(data []byte) PageID {
-	id := p.store.Alloc(data)
-	p.writes.Add(1)
-	return id
-}
-
-// Free returns page slots to the allocator. The buffers themselves are
-// left untouched until the slot is reused (see Store); callers are
-// responsible for freeing a page only once no reader can still reach
-// its id (the epoch domains guarantee this for the COW index paths).
-func (p *Pager) Free(ids []PageID) {
-	if len(ids) == 0 {
-		return
-	}
-	p.store.Free(ids)
-}
-
-// WriteAt copies data into page id at byte off (see Store.WriteAt); one
-// write.
-func (p *Pager) WriteAt(id PageID, off int, data []byte) {
-	p.store.WriteAt(id, off, data)
-	p.writes.Add(1)
 }
 
 // Read returns the content of a page; one read. The returned slice is
@@ -129,20 +91,98 @@ func (p *Pager) WriteAt(id PageID, off int, data []byte) {
 // treat it as read-only.
 func (p *Pager) Read(id PageID) []byte {
 	p.reads.Add(1)
-	return p.store.Read(id)
+	return (*p.slots.Load())[id]
 }
 
 // Peek is Read without I/O accounting — the persistence and maintenance
 // paths use it so writing a snapshot does not pollute the query-side
 // read counters.
-func (p *Pager) Peek(id PageID) []byte { return p.store.Read(id) }
+func (p *Pager) Peek(id PageID) []byte { return (*p.slots.Load())[id] }
 
-// Vacuum reclaims the storage behind freed page slots (see
-// Store.Vacuum) and returns the number of bytes reclaimed. Callers must
-// only run it once the frees themselves were epoch-safe, which the
-// retire paths guarantee by construction: Free already runs after the
-// grace period.
-func (p *Pager) Vacuum() int64 { return p.store.Vacuum() }
+func checkFit(off int, data []byte, pageSize int) {
+	if off < 0 || off+len(data) > pageSize {
+		panic(fmt.Sprintf("pager: payload of %d bytes at offset %d exceeds page size %d", len(data), off, pageSize))
+	}
+}
+
+// Alloc copies data into a fresh heap page and returns its id,
+// preferring a freed slot over growing the disk. It counts as one
+// write. data must fit in a page.
+func (p *Pager) Alloc(data []byte) PageID {
+	checkFit(0, data, p.pageSize)
+	page := make([]byte, p.pageSize)
+	copy(page, data)
+	p.mu.Lock()
+	var id PageID
+	cur := p.slots.Load()
+	if n := len(p.free); n > 0 {
+		id = p.free[n-1]
+		p.free = p.free[:n-1]
+		(*cur)[id] = page
+	} else {
+		np := append(*cur, page)
+		id = PageID(len(np) - 1)
+		// Publish the longer header; older headers stay valid for the
+		// ids their readers can reach.
+		p.slots.Store(&np)
+	}
+	p.heap++
+	p.mu.Unlock()
+	p.writes.Add(1)
+	return id
+}
+
+// WriteAt copies data into page id at byte off, leaving the rest of the
+// page as it is; one write. On a heap page the write is in place, so it
+// is safe against concurrent readers of OTHER bytes of the page: the
+// object store appends records into the unused end of its last page
+// while queries read the records before them. A mapped page is
+// read-only, so it first moves to a fresh heap buffer — not safe
+// against a concurrent reader of that page — while the old bytes stay
+// visible to readers that already obtained them. The index paths never
+// rewrite a reachable page (they Alloc a replacement and Free the old
+// slot).
+func (p *Pager) WriteAt(id PageID, off int, data []byte) {
+	checkFit(off, data, p.pageSize)
+	p.writes.Add(1)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	cur := *p.slots.Load()
+	if cur[id] == nil {
+		panic(fmt.Sprintf("pager: write to freed page %d", id))
+	}
+	if p.mapped(cur, id) {
+		page := make([]byte, p.pageSize)
+		copy(page, cur[id])
+		cur[id] = page
+		p.heap++
+	}
+	copy(cur[id][off:], data)
+}
+
+// Free returns page slots to the allocator and releases their storage at
+// once: a heap buffer goes to the GC, a mapped view is dropped (its file
+// pages are clean, so the kernel evicts them first under memory
+// pressure). Callers free a page only once no reader can still reach
+// its id (the epoch domains guarantee this for the COW index paths).
+func (p *Pager) Free(ids []PageID) {
+	if len(ids) == 0 {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	cur := *p.slots.Load()
+	for _, id := range ids {
+		if cur[id] == nil {
+			panic(fmt.Sprintf("pager: page %d freed twice", id))
+		}
+		if !p.mapped(cur, id) {
+			p.heap--
+		}
+		cur[id] = nil
+	}
+	p.free = append(p.free, ids...)
+}
 
 // Reads returns the number of page reads since the last ResetStats.
 func (p *Pager) Reads() int64 { return p.reads.Load() }
@@ -154,119 +194,4 @@ func (p *Pager) Writes() int64 { return p.writes.Load() }
 func (p *Pager) ResetStats() {
 	p.reads.Store(0)
 	p.writes.Store(0)
-}
-
-// HeapStore keeps every page in a heap buffer. Reads are LOCK-FREE: the
-// page-slot array is published through an atomic pointer snapshot, so
-// Read is one atomic load plus an index. The publication protocol makes
-// this safe without a reader-side lock:
-//
-//   - Growing the array publishes a fresh slice header; a reader holding
-//     an older header simply cannot see (and, by the COW index
-//     invariant, cannot hold the id of) pages allocated after its load.
-//   - Reusing a freed slot stores a fresh buffer into the SHARED backing
-//     array, but only after the epoch grace period guarantees no reader
-//     can reach that slot's id — concurrent reads of other elements
-//     never touch the written address.
-//   - A published page's bytes are immutable once a reader can reach
-//     them (Alloc copies; WriteAt only fills bytes no reader loads), so
-//     the data a reader dereferences is always the bytes that were there
-//     when its id was reachable.
-type HeapStore struct {
-	pageSize int
-	pages    atomic.Pointer[[][]byte]
-	mu       sync.Mutex // serializes Alloc/Free/WriteAt/Vacuum
-	free     []PageID
-}
-
-// NewHeapStore returns an empty in-heap store with the given page size
-// (DefaultPageSize if size ≤ 0).
-func NewHeapStore(size int) *HeapStore {
-	if size <= 0 {
-		size = DefaultPageSize
-	}
-	s := &HeapStore{pageSize: size}
-	s.pages.Store(new([][]byte))
-	return s
-}
-
-// PageSize returns the page size in bytes.
-func (s *HeapStore) PageSize() int { return s.pageSize }
-
-// NumPages returns the number of live (allocated, not freed) pages.
-func (s *HeapStore) NumPages() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(*s.pages.Load()) - len(s.free)
-}
-
-// Read returns page id's buffer, lock-free.
-func (s *HeapStore) Read(id PageID) []byte { return (*s.pages.Load())[id] }
-
-func checkFit(off int, data []byte, pageSize int) {
-	if off < 0 || off+len(data) > pageSize {
-		panic(fmt.Sprintf("pager: payload of %d bytes at offset %d exceeds page size %d", len(data), off, pageSize))
-	}
-}
-
-// Alloc copies data into a fresh page buffer and returns its id. A
-// reused slot gets a NEW buffer: the old buffer is never rewritten, so
-// a reader that obtained it through Read keeps seeing the retired
-// page's content — the property copy-on-write leaf tables rely on.
-func (s *HeapStore) Alloc(data []byte) PageID {
-	checkFit(0, data, s.pageSize)
-	page := make([]byte, s.pageSize)
-	copy(page, data)
-	s.mu.Lock()
-	var id PageID
-	cur := s.pages.Load()
-	if n := len(s.free); n > 0 {
-		id = s.free[n-1]
-		s.free = s.free[:n-1]
-		// In-place element store into the shared backing array: no
-		// reader can hold this id (see the type comment), and readers of
-		// other elements never load this address.
-		(*cur)[id] = page
-	} else {
-		np := append(*cur, page)
-		id = PageID(len(np) - 1)
-		// Publish the longer header; older headers stay valid for the
-		// ids their readers can reach.
-		s.pages.Store(&np)
-	}
-	s.mu.Unlock()
-	return id
-}
-
-// Free returns page slots to the allocator; buffers are retained until
-// the slot is reused or Vacuum drops them.
-func (s *HeapStore) Free(ids []PageID) {
-	s.mu.Lock()
-	s.free = append(s.free, ids...)
-	s.mu.Unlock()
-}
-
-// WriteAt copies data into page id at byte off, in place.
-func (s *HeapStore) WriteAt(id PageID, off int, data []byte) {
-	checkFit(off, data, s.pageSize)
-	s.mu.Lock()
-	copy((*s.pages.Load())[id][off:], data)
-	s.mu.Unlock()
-}
-
-// Vacuum drops the buffers of freed slots so the GC can reclaim them
-// (Alloc installs a fresh buffer on reuse regardless). Returns the
-// bytes released.
-func (s *HeapStore) Vacuum() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cur := *s.pages.Load()
-	var n int64
-	for _, id := range s.free {
-		if cur[id] != nil {
-			cur[id] = nil
-			n += int64(s.pageSize)
-		}
-	}
-	return n
 }

@@ -56,6 +56,70 @@ func TestPagerOversizePanics(t *testing.T) {
 	New(8).Alloc(make([]byte, 9))
 }
 
+// TestFreeReleasesStorage checks that Free gives a page's buffer back at
+// once: the freed slot holds nothing, reusing it installs a fresh
+// buffer (a reader of the old one keeps its bytes), and a live page is
+// untouched.
+func TestFreeReleasesStorage(t *testing.T) {
+	p := New(128)
+	a := p.Alloc([]byte("a"))
+	b := p.Alloc([]byte("b"))
+	old := p.Read(a)
+	p.Free([]PageID{a})
+	if p.Peek(a) != nil {
+		t.Fatal("freed slot still holds its buffer")
+	}
+	if p.NumPages() != 1 {
+		t.Fatalf("NumPages = %d, want 1", p.NumPages())
+	}
+	if id := p.Alloc([]byte("c")); id != a {
+		t.Fatalf("Alloc after Free = %d, want %d", id, a)
+	}
+	if got := p.Read(a); got[0] != 'c' || &got[0] == &old[0] {
+		t.Fatal("reused slot did not get a fresh buffer")
+	}
+	if old[0] != 'a' {
+		t.Fatal("old buffer rewritten by slot reuse")
+	}
+	if got := p.Read(b); got[0] != 'b' {
+		t.Fatal("live page corrupted by Free")
+	}
+}
+
+// TestFreedPageMisusePanics checks that freeing a page twice or writing
+// to a freed page fails loudly instead of corrupting the free list or
+// dropping the write.
+func TestFreedPageMisusePanics(t *testing.T) {
+	for name, misuse := range map[string]func(p *Pager, id PageID){
+		"double free":    func(p *Pager, id PageID) { p.Free([]PageID{id}) },
+		"write to freed": func(p *Pager, id PageID) { p.WriteAt(id, 0, []byte("x")) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			p := New(64)
+			id := p.Alloc([]byte("x"))
+			p.Free([]PageID{id})
+			defer func() {
+				if recover() == nil {
+					t.Error("no panic")
+				}
+			}()
+			misuse(p, id)
+		})
+	}
+}
+
+func TestPagerPeekDoesNotCount(t *testing.T) {
+	p := New(64)
+	id := p.Alloc([]byte("x"))
+	p.ResetStats()
+	if got := p.Peek(id); got[0] != 'x' {
+		t.Fatal("Peek content")
+	}
+	if p.Reads() != 0 {
+		t.Fatalf("Peek counted as %d reads", p.Reads())
+	}
+}
+
 func TestLeafTupleRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 50; trial++ {

@@ -61,7 +61,7 @@ type serverMetrics struct {
 	pagerReads  *metrics.Gauge
 	pagerWrites *metrics.Gauge
 	pagerDisk   *metrics.Gauge
-	pagerVac    *metrics.Gauge
+	pagerTail   *metrics.Gauge
 }
 
 func newServerMetrics() *serverMetrics {
@@ -95,7 +95,7 @@ func newServerMetrics() *serverMetrics {
 		pagerReads:  set.Gauge("pager.reads"),
 		pagerWrites: set.Gauge("pager.writes"),
 		pagerDisk:   set.Gauge("pager.disk_bytes"),
-		pagerVac:    set.Gauge("pager.vacuumed_bytes"),
+		pagerTail:   set.Gauge("pager.tail_bytes"),
 	}
 	unknown := set.Counter("ops.unknown")
 	for i := 0; i < 256; i++ {
@@ -148,7 +148,7 @@ func (s *Server) MetricsSnapshot() []metrics.Value {
 	m.pagerReads.Set(float64(bp.PagerReads))
 	m.pagerWrites.Set(float64(bp.PagerWrites))
 	m.pagerDisk.Set(float64(bp.DiskBytes))
-	m.pagerVac.Set(float64(bp.VacuumedBytes))
+	m.pagerTail.Set(float64(bp.TailBytes))
 	return m.set.Snapshot()
 }
 

@@ -187,8 +187,8 @@ func (s *Store) decode(rec []byte) (Object, error) {
 // object records packed as layout places them (Pack writes such pages;
 // so did the one-record-per-page snapshots of earlier releases, whose
 // padding is zero too). Objects are decoded from the pages themselves —
-// no re-encoding or page writes happen, so the pager can be an
-// mmap-backed read-only FileStore — and objects with the same bars
+// no re-encoding or page writes happen, so the pager can serve the
+// pages straight off a read-only mapping — and objects with the same bars
 // share one decoded pdf. dead marks tombstoned slots (nil for none).
 func OpenStoreSnapshot(pg *pager.Pager, n int, dead []bool) (*Store, error) {
 	if dead == nil {

@@ -21,12 +21,12 @@ import (
 // UV-index and the helper R-tree, each section aligned to snapAlign,
 // preceded by a metadata blob (domain, layout, tombstones, constraint
 // registry, per-section manifests). Open of a snapshot then serves
-// STRAIGHT OFF THE FILE: the page sections become mmap-backed
-// pager.FileStores (zero-copy reads, no rebuild, no per-page heap), so
-// a database much larger than RAM opens in milliseconds and the kernel
-// pages leaf data in and out on demand. Open also reads the version-5
-// snapshots and the version ≤ 4 logical streams (see persist.go) of
-// earlier releases.
+// STRAIGHT OFF THE FILE: the page sections become pagers over one
+// read-only file mapping (pager.NewMapped: zero-copy reads, no
+// rebuild, no per-page heap), so a database much larger than RAM opens
+// in milliseconds and the kernel pages leaf data in and out on demand.
+// Open also reads the version-5 snapshots and the version ≤ 4 logical
+// streams (see persist.go) of earlier releases.
 //
 // File layout:
 //
@@ -43,7 +43,7 @@ import (
 // layout (each record at offset 0, the rest of its page zero), so one
 // decoder reads both. Page ids inside each section
 // are implicit sequential positions (the manifests record only per-leaf
-// counts), which is exactly how both the FileStore addresses the
+// counts), which is exactly how both a mapped pager addresses the
 // section and a heap replay re-allocates it.
 
 const (
@@ -443,7 +443,7 @@ func Open(path string, opts *Options) (*DB, error) {
 		return nil, snapErr(path, "metadata: %v", err)
 	}
 
-	// Materialize the page sections as pagers: FileStores over one
+	// Materialize the page sections as pagers: mapped pagers over one
 	// shared mapping (mmap mode) or heap replays (heap mode).
 	var mapping *pager.Mapping
 	fail := func(err error) (*DB, error) {
@@ -456,11 +456,11 @@ func Open(path string, opts *Options) (*DB, error) {
 	}
 	sectionPager := func(off int64, count, pageSize int) (*pager.Pager, error) {
 		if mapping != nil {
-			fs, err := pager.NewFileStore(mapping, int(off), count, pageSize)
+			pg, err := pager.NewMapped(mapping, int(off), count, pageSize)
 			if err != nil {
 				return nil, snapErr(path, "%v", err)
 			}
-			return pager.NewWithStore(fs), nil
+			return pg, nil
 		}
 		buf := make([]byte, int64(count)*int64(pageSize))
 		if _, err := f.ReadAt(buf, off); err != nil {
@@ -515,10 +515,8 @@ func Open(path string, opts *Options) (*DB, error) {
 		return fail(snapErr(path, "%v", err))
 	}
 	db := assembleDB(store, m.domain, lo, indexes, reg, tree, opts)
-	db.pagerMode = mode
-	if mapping != nil {
-		db.closer = mapping.Close
-	} else {
+	db.mapping = mapping
+	if mapping == nil {
 		f.Close()
 	}
 	return db, nil

@@ -287,9 +287,6 @@ type DB struct {
 	egc *epoch.Domain
 	// mstats counts mutation-path work (see MutationStats).
 	mstats mutationCounters
-	// vacuumed accumulates the bytes reclaimed by DB.Vacuum (for the
-	// metrics layer's pager.vacuumed_bytes gauge).
-	vacuumed atomic.Int64
 	// tree is the shared helper R-tree over the full live population
 	// (pruning, k-NN and RNN retrieval are global no matter which shard
 	// runs them). Queries load it atomically; Insert/Delete mutate it
@@ -317,22 +314,19 @@ type DB struct {
 	// maintObs is the maintenance-event observer (DB.OnMaintenance),
 	// fired synchronously from Compact.
 	maintObs atomic.Pointer[func(MaintEvent)]
-	// closer releases the snapshot backing (the file mapping) of a
-	// database opened with Open in mmap mode; nil otherwise. See Close.
-	closer func() error
-	// pagerMode records which page-store backend serves this database:
-	// "heap" for Build (and heap-mode Open), "mmap" for an
-	// mmap-backed Open.
-	pagerMode string
+	// mapping is the snapshot file mapping the pagers of a database
+	// opened with Open in mmap mode serve off; nil otherwise (Build,
+	// heap-mode Open). See Close.
+	mapping *pager.Mapping
 }
 
 // PagerMode reports which page-store backend serves the database:
 // "heap" (Build, heap-mode Open) or "mmap" (out-of-core Open).
 func (db *DB) PagerMode() string {
-	if db.pagerMode == "" {
+	if db.mapping == nil {
 		return pagerModeHeap
 	}
-	return db.pagerMode
+	return pagerModeMmap
 }
 
 // Close releases the snapshot file mapping of an mmap-backed database.
@@ -340,11 +334,10 @@ func (db *DB) PagerMode() string {
 // page reads served off the mapping fault after it is unmapped.
 // Idempotent; a no-op for in-heap databases.
 func (db *DB) Close() error {
-	if c := db.closer; c != nil {
-		db.closer = nil
-		return c()
+	if db.mapping == nil {
+		return nil
 	}
-	return nil
+	return db.mapping.Close()
 }
 
 // Build indexes the objects (dense IDs 0..n-1 required, every region a
