@@ -3,8 +3,9 @@ package uvdiagram
 // Bulk session advancement: the fleet-scale half of the continuous
 // moving-query engine. A server holding thousands of open ContinuousPNN
 // sessions advances (or, after a write, re-validates) all of them in
-// one pass through the batch engine's worker pool, under one epoch pin,
-// instead of paying a full routing round per session.
+// one pass through the batch engine's worker pool, under one epoch pin
+// and one database state, instead of paying a full routing round per
+// session.
 
 // AdvanceAll advances many moving-query sessions in one batch. qs[i] is
 // session i's new position; a nil qs re-validates every session at its
@@ -12,8 +13,8 @@ package uvdiagram
 // whose owning shard actually mutated re-evaluate, the rest return on
 // one atomic generation comparison and touch no pages).
 //
-// Every shard's epoch is pinned ONCE for the whole batch, and session
-// re-opens across epoch swaps are handled centrally here (the same
+// The database state is loaded ONCE for the whole batch, and session
+// re-opens across Compacts are handled centrally here (the same
 // advance path Move uses) rather than per-call.
 //
 // recomputed[i] reports whether session i re-evaluated its answer set;
@@ -38,8 +39,7 @@ func (db *DB) AdvanceAll(sessions []*ContinuousPNN, qs []Point, opts *BatchOptio
 	}
 	t := db.egc.Pin() // one pin covers every worker's page reads
 	defer db.egc.Unpin(t)
-	lo := db.layout
-	eps := lo.epochs()
+	st := db.state()
 	pos := func(i int) Point {
 		if qs == nil {
 			return sessions[i].Position()
@@ -59,8 +59,7 @@ func (db *DB) AdvanceAll(sessions []*ContinuousPNN, qs []Point, opts *BatchOptio
 			errs[i] = &DomainError{Point: p, Domain: db.domain}
 			return nil
 		}
-		si := lo.shardIdx(p)
-		_, recomputed[i], errs[i] = sessions[i].advance(si, eps[si], p, qs != nil)
+		_, recomputed[i], errs[i] = sessions[i].advance(st, p, qs != nil)
 		return nil // per-session errors land in errs; the batch never aborts
 	})
 	return recomputed, errs

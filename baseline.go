@@ -24,7 +24,7 @@ func (db *DB) PNNViaRTree(q Point) ([]Answer, QueryStats, error) {
 	// tombstones it, so candidates from whichever tree snapshot we load
 	// are always fetchable through a view captured first.
 	view := db.store.View()
-	tree := db.rtree()
+	tree := db.state().tree
 	before := tree.Pager().Reads()
 	items, _ := tree.PNNCandidates(q)
 	st.IndexIOs = tree.Pager().Reads() - before

@@ -73,8 +73,9 @@ type BufferPoolStats struct {
 	// of snapshot sections served straight off the mapped file, how
 	// many of those are resident in physical memory right now
 	// (ResidentKnown false when the mincore probe is unsupported), and
-	// the heap bytes the mapped pagers hold now: pages allocated or
-	// rewritten since Open and not freed since.
+	// the heap bytes the pagers of an mmap-opened database hold now:
+	// pages allocated or rewritten since Open and not freed since,
+	// including every page of the sections a Compact rebuilt.
 	MappedBytes   int64
 	ResidentBytes int64
 	ResidentKnown bool
@@ -84,9 +85,10 @@ type BufferPoolStats struct {
 // BufferPoolStats returns a snapshot of the buffer-pool counters.
 func (db *DB) BufferPoolStats() BufferPoolStats {
 	var st BufferPoolStats
-	st.RTreeHits, st.RTreeMisses, st.RTreeEvictions = db.rtree().MemoStats()
+	state := db.state()
+	st.RTreeHits, st.RTreeMisses, st.RTreeEvictions = state.tree.MemoStats()
 	st.ResidentKnown = true
-	for _, pg := range db.pagers() {
+	for _, pg := range db.pagers(state) {
 		st.PagerReads += pg.Reads()
 		st.PagerWrites += pg.Writes()
 		st.DiskBytes += pg.BytesOnDisk()
@@ -94,7 +96,9 @@ func (db *DB) BufferPoolStats() BufferPoolStats {
 		res, known := pg.Resident()
 		st.ResidentBytes += res
 		st.ResidentKnown = st.ResidentKnown && known
-		st.TailBytes += pg.TailBytes()
+		if db.mapping != nil {
+			st.TailBytes += pg.HeapBytes()
+		}
 	}
 	return st
 }
@@ -106,39 +110,31 @@ func (db *DB) BufferPoolStats() BufferPoolStats {
 // concurrently with queries.
 func (db *DB) DropCaches() int64 {
 	var n int64
-	for _, pg := range db.pagers() {
+	for _, pg := range db.pagers(db.state()) {
 		n += int64(pg.DropCaches())
 	}
 	return n
 }
 
-// pagers snapshots every pager serving the database: the object store,
-// each shard index and the helper R-tree.
-func (db *DB) pagers() []*pager.Pager {
-	lo := db.layout
-	out := make([]*pager.Pager, 0, len(lo.shards)+2)
+// pagers lists every pager serving the database in state st: the
+// object store, each shard index and the helper R-tree.
+func (db *DB) pagers(st *dbState) []*pager.Pager {
+	out := make([]*pager.Pager, 0, len(st.indexes)+2)
 	out = append(out, db.store.Pager())
-	for i := range lo.shards {
-		out = append(out, lo.epAt(i).index.Pager())
+	for _, ix := range st.indexes {
+		out = append(out, ix.Pager())
 	}
-	out = append(out, db.rtree().Pager())
-	return out
+	return append(out, st.tree.Pager())
 }
 
-// runBatch executes fn(i) for i in [0, n) on a bounded worker pool. On
-// failure it returns the lowest-indexed error recorded, wrapped with
-// that index; since the whole batch's results are discarded on any
-// error, queries not yet started are skipped once a failure is seen.
-// Per-index results are written by fn into caller-owned positional
-// slices, so the output order is deterministic and identical to a
-// sequential loop.
-func runBatch(n, workers int, fn func(i int) error) error {
-	return runPool(n, workers, "query", fn)
-}
-
-// runPool is the bounded worker pool behind runBatch and AdvanceAll;
-// label names one unit of work in the wrapped error ("query 3: …",
-// "session 1: …").
+// runPool executes fn(i) for i in [0, n) on a bounded worker pool — the
+// one pool behind the batch queries, AdvanceAll and the per-shard
+// sub-grid builds. On failure it returns the lowest-indexed error
+// recorded, wrapped with that index and label, which names one unit of
+// work ("query 3: …", "session 1: …", "shard 2: …"); units not yet
+// started are skipped once a failure is seen. fn writes per-index
+// results into caller-owned positional slices, so the output order is
+// deterministic and identical to a sequential loop.
 func runPool(n, workers int, label string, fn func(i int) error) error {
 	if workers > n {
 		workers = n
@@ -182,34 +178,6 @@ func runPool(n, workers int, label string, fn func(i int) error) error {
 	return nil
 }
 
-// batchRoute pins every shard's epoch once for a whole batch and
-// resolves per-point routing: each point scatters to its owning shard's
-// index, and the positional result slots gather the answers back in
-// request order.
-type batchRoute struct {
-	db  *DB
-	eps []*indexEpoch
-}
-
-func (db *DB) route() batchRoute {
-	return batchRoute{db: db, eps: db.layout.epochs()}
-}
-
-// plan routes a whole batch in one pass: every point is
-// domain-validated in REQUEST order (so the "error of the lowest
-// failing query" contract holds however the workers interleave) and
-// resolved to its owning shard exactly once.
-func (r batchRoute) plan(qs []Point) (owner []int, err error) {
-	owner = make([]int, len(qs))
-	for i, q := range qs {
-		if err := checkDomain(r.db.domain, q); err != nil {
-			return nil, fmt.Errorf("query %d: %w", i, err)
-		}
-		owner[i] = r.db.layout.shardIdx(q)
-	}
-	return owner, nil
-}
-
 // BatchNN answers N probabilistic nearest-neighbor queries with a
 // worker pool, one grid lookup per point, scatter-gathered by shard.
 // Results — and page reads — are identical to N sequential PNN calls in
@@ -224,19 +192,21 @@ func (db *DB) BatchNN(qs []Point, opts *BatchOptions) ([][]Answer, error) {
 }
 
 // batchPNN is the routed PNN loop behind BatchNN, BatchTopKPNN and
-// BatchThresholdNN: each point's full PNN answer passes through keep
-// (nil keeps it whole) before it is stored.
+// BatchThresholdNN: each point scatters to its owning shard's index in
+// one state loaded for the whole batch, and its full PNN answer passes
+// through keep (nil keeps it whole) before it is stored in its request
+// slot.
 func (db *DB) batchPNN(qs []Point, opts *BatchOptions, keep func([]Answer) []Answer) ([][]Answer, error) {
 	t := db.egc.Pin() // one pin covers every worker's page reads
 	defer db.egc.Unpin(t)
-	rt := db.route() // one epoch set for the whole batch
-	owner, err := rt.plan(qs)
+	indexes := db.state().indexes
+	owner, err := db.layout.plan(db.domain, qs)
 	if err != nil {
 		return nil, err
 	}
 	out := make([][]Answer, len(qs))
-	err = runBatch(len(qs), opts.workers(), func(i int) error {
-		answers, _, err := db.pnnOn(rt.eps[owner[i]].index, qs[i])
+	err = runPool(len(qs), opts.workers(), "query", func(i int) error {
+		answers, _, err := db.pnnOn(indexes[owner[i]], qs[i])
 		if err != nil {
 			return err
 		}
@@ -281,9 +251,9 @@ func (db *DB) BatchThresholdNN(qs []Point, tau float64, opts *BatchOptions) ([][
 func (db *DB) BatchOrderK(qs []Point, k int, opts *BatchOptions) ([][]int32, error) {
 	t := db.egc.Pin() // one pin covers every worker's page reads
 	defer db.egc.Unpin(t)
-	tree := db.rtree()
+	tree := db.state().tree
 	out := make([][]int32, len(qs))
-	err := runBatch(len(qs), opts.workers(), func(i int) error {
+	err := runPool(len(qs), opts.workers(), "query", func(i int) error {
 		ids, err := db.possibleKNN(tree, qs[i], k) // k-NN accepts finite out-of-domain points
 		out[i] = ids
 		return err
@@ -303,7 +273,7 @@ func (ix *OrderKIndex) BatchPossibleKNN(qs []Point, opts *BatchOptions) ([][]int
 		return nil, err
 	}
 	out := make([][]int32, len(qs))
-	err := runBatch(len(qs), opts.workers(), func(i int) error {
+	err := runPool(len(qs), opts.workers(), "query", func(i int) error {
 		ids, _, err := ix.possibleKNN(qs[i])
 		out[i] = ids
 		return err

@@ -13,9 +13,9 @@ import (
 // crSizes returns Σ|cr| and the p99 |cr| over db's live objects.
 func crSizes(db *DB) (sum, p99 int) {
 	var sizes []int
-	for id := range int32(db.cr.Len()) {
+	for id := range int32(db.state().cr.Len()) {
 		if db.Alive(id) {
-			sizes = append(sizes, len(db.cr.Of(id)))
+			sizes = append(sizes, len(db.state().cr.Of(id)))
 			sum += sizes[len(sizes)-1]
 		}
 	}

@@ -23,9 +23,9 @@
 // earlier releases wrote are still read. The file's population and
 // shard layout win over -n, -seed and -shards, which only shape a fresh
 // build. With -shards S > 1 a fresh build splits the domain into S
-// equal-strip spatial shards, each with its own sub-grid index, epoch
-// and slack counter — queries route to the owning shard, and a write's
-// leaf surgery touches only the shards its cells reach.
+// equal-strip spatial shards, each with its own sub-grid index —
+// queries route to the owning shard, and a write's leaf surgery touches
+// only the shards its cells reach.
 package main
 
 import (

@@ -14,17 +14,20 @@ import (
 // touches the session's shard invalidates the safe circle through the
 // shard index's mutation generation (mutations confined to other shards
 // provably cannot change answers here and leave the circle valid), a
-// Compact epoch swap transparently re-opens the session against the
-// fresh index, and a move across a shard boundary re-opens it on the
-// owning shard — so a stale answer set is never served. The safe circle never extends past the leaf
-// region, and therefore never past the shard, so staying inside it can
-// never cross a boundary.
+// Compact's new database state transparently re-opens the session
+// against the fresh index, and a move across a shard boundary re-opens
+// it on the owning shard — so a stale answer set is never served. The
+// safe circle never extends past the leaf region, and therefore never
+// past the shard, so staying inside it can never cross a boundary.
 type ContinuousPNN struct {
-	db    *DB
-	si    int // shard owning the current position
-	ep    *indexEpoch
+	db *DB
+	si int // shard owning the current position
+	// gen is the generation of the database state the session's index
+	// belongs to. Only the generation is kept, not the state, so an idle
+	// session does not hold a replaced state's indexes alive.
+	gen   uint64
 	sess  *core.ContinuousPNN
-	prior ContinuousStats // counters from sessions before epoch/shard swaps
+	prior ContinuousStats // counters from sessions before state/shard swaps
 }
 
 // ContinuousStats counts moves versus actual re-evaluations.
@@ -39,14 +42,13 @@ func (db *DB) NewContinuousPNN(q Point) (*ContinuousPNN, error) {
 	}
 	t := db.egc.Pin()
 	defer db.egc.Unpin(t)
-	lo := db.layout
-	si := lo.shardIdx(q)
-	ep := lo.epAt(si)
-	sess, err := ep.index.NewContinuousPNN(q)
+	st := db.state()
+	si := db.layout.shardIdx(q)
+	sess, err := st.indexes[si].NewContinuousPNN(q)
 	if err != nil {
 		return nil, err
 	}
-	return &ContinuousPNN{db: db, si: si, ep: ep, sess: sess}, nil
+	return &ContinuousPNN{db: db, si: si, gen: st.gen, sess: sess}, nil
 }
 
 // Move advances the query point. It returns the current answer IDs
@@ -59,14 +61,12 @@ func (c *ContinuousPNN) Move(q Point) ([]int32, bool, error) {
 	}
 	t := c.db.egc.Pin()
 	defer c.db.egc.Unpin(t)
-	lo := c.db.layout
-	si := lo.shardIdx(q)
-	return c.advance(si, lo.epAt(si), q, true)
+	return c.advance(c.db.state(), q, true)
 }
 
 // Revalidate re-evaluates the session at its CURRENT position if — and
 // only if — the index state its safe circle was computed against has
-// changed: a mutation on the owning shard or a Compact epoch swap. An
+// changed: a mutation on the owning shard or a Compact. An
 // untouched engine returns immediately on atomic generation
 // comparisons, so calling it after every database write is cheap for
 // the (typical) sessions the write did not affect. It returns the
@@ -75,33 +75,34 @@ func (c *ContinuousPNN) Move(q Point) ([]int32, bool, error) {
 func (c *ContinuousPNN) Revalidate() ([]int32, bool, error) {
 	t := c.db.egc.Pin()
 	defer c.db.egc.Unpin(t)
-	lo := c.db.layout
-	q := c.sess.Position()
-	si := lo.shardIdx(q)
-	return c.advance(si, lo.epAt(si), q, false)
+	return c.advance(c.db.state(), c.sess.Position(), false)
 }
 
 // advance is the ONE re-open + move path shared by Move, Revalidate and
-// DB.AdvanceAll. When the point crossed into another shard or the
-// shard's index was swapped (Compact), the old session's safe circle
-// argues about the wrong index: the session re-opens on the owning
-// shard's current epoch, carrying the work counters forward. Otherwise the core
-// session's safe-circle check runs. Counters fold into prior only AFTER
-// a successful re-open: on failure (the fresh evaluation can fail, e.g.
-// on an out-of-domain point) the live session and its tallies stay
-// current, so the next successful call neither double-counts the folded
-// work nor leaves the session bound to a dead epoch forever.
-func (c *ContinuousPNN) advance(si int, ep *indexEpoch, q Point, move bool) ([]int32, bool, error) {
-	if si != c.si || ep.gen != c.ep.gen {
-		sess, err := ep.index.NewContinuousPNN(q)
+// DB.AdvanceAll, against the database state st. When the point crossed
+// into another shard or st is not the state the session was opened in
+// (a Compact replaced it: states differ in generation), the old
+// session's safe circle argues about the wrong index: the session
+// re-opens on the owning shard's index in st, carrying the work
+// counters forward. Otherwise the core session's safe-circle check
+// runs, which compares the index's mutation generation. Counters fold
+// into prior only AFTER a successful re-open: on failure (the fresh
+// evaluation can fail, e.g. on an out-of-domain point) the live session
+// and its tallies stay current, so the next successful call neither
+// double-counts the folded work nor leaves the session bound to a dead
+// state forever.
+func (c *ContinuousPNN) advance(st *dbState, q Point, move bool) ([]int32, bool, error) {
+	si := c.db.layout.shardIdx(q)
+	if si != c.si || st.gen != c.gen {
+		sess, err := st.indexes[si].NewContinuousPNN(q)
 		if err != nil {
 			return nil, true, err
 		}
-		st := c.sess.Stats()
-		c.prior.Moves += st.Moves
-		c.prior.Recomputes += st.Recomputes
-		c.prior.IndexIOs += st.IndexIOs
-		c.si, c.ep, c.sess = si, ep, sess
+		old := c.sess.Stats()
+		c.prior.Moves += old.Moves
+		c.prior.Recomputes += old.Recomputes
+		c.prior.IndexIOs += old.IndexIOs
+		c.si, c.gen, c.sess = si, st.gen, sess
 		if move {
 			c.prior.Moves++ // this Move, charged to the fresh session's caller
 		}
@@ -122,7 +123,7 @@ func (c *ContinuousPNN) AnswerIDs() []int32 { return c.sess.AnswerIDs() }
 // computed at). A zero radius means every move re-evaluates.
 func (c *ContinuousPNN) SafeRegion() Circle { return c.sess.SafeRegion() }
 
-// Stats returns the session counters, accumulated across any epoch or
+// Stats returns the session counters, accumulated across any state or
 // shard swaps the session survived.
 func (c *ContinuousPNN) Stats() ContinuousStats {
 	st := c.sess.Stats()

@@ -22,15 +22,15 @@ import (
 // (carved) must have cap == len on its sets.
 func assertCarvedRegistry(t *testing.T, label string, db, want *DB, carved bool) {
 	t.Helper()
-	cr, n := db.cr, db.cr.Len()
-	if n != want.cr.Len() {
-		t.Fatalf("%s: registry of %d, want %d", label, n, want.cr.Len())
+	cr, n := db.state().cr, db.state().cr.Len()
+	if n != want.state().cr.Len() {
+		t.Fatalf("%s: registry of %d, want %d", label, n, want.state().cr.Len())
 	}
 	ref := make([][]int32, n)
 	for i := range n {
 		set := cr.Of(int32(i))
-		if !slices.Equal(set, want.cr.Of(int32(i))) {
-			t.Fatalf("%s: Of(%d) = %v, want %v", label, i, set, want.cr.Of(int32(i)))
+		if !slices.Equal(set, want.state().cr.Of(int32(i))) {
+			t.Fatalf("%s: Of(%d) = %v, want %v", label, i, set, want.state().cr.Of(int32(i)))
 		}
 		if carved && cap(set) != len(set) {
 			t.Fatalf("%s: Of(%d) has cap %d > len %d", label, i, cap(set), len(set))
@@ -55,11 +55,11 @@ func assertCarvedRegistry(t *testing.T, label string, db, want *DB, carved bool)
 func assertInverseRegistry(t *testing.T, label string, db *DB) {
 	t.Helper()
 	var fwd, rev [][2]int32
-	for i := range db.cr.Len() {
-		for _, j := range db.cr.Of(int32(i)) {
+	for i := range db.state().cr.Len() {
+		for _, j := range db.state().cr.Of(int32(i)) {
 			fwd = append(fwd, [2]int32{int32(i), j})
 		}
-		for _, a := range db.cr.Dependents(int32(i)) {
+		for _, a := range db.state().cr.Dependents(int32(i)) {
 			rev = append(rev, [2]int32{a, int32(i)})
 		}
 	}
@@ -119,8 +119,8 @@ func TestCRLayoutMutationSafety(t *testing.T) {
 			assertInverseRegistry(t, label+"/"+name, db)
 		}
 		for _, mode := range []string{"mmap", "heap"} {
-			for i := range built.cr.Len() {
-				if got, want := dbs[mode].cr.Of(int32(i)), built.cr.Of(int32(i)); !slices.Equal(got, want) {
+			for i := range built.state().cr.Len() {
+				if got, want := dbs[mode].state().cr.Of(int32(i)), built.state().cr.Of(int32(i)); !slices.Equal(got, want) {
 					t.Fatalf("%s: %s Of(%d) = %v, built %v", label, mode, i, got, want)
 				}
 			}
@@ -144,14 +144,14 @@ func TestCRLayoutMutationSafety(t *testing.T) {
 			c := built.store.At(rng.Intn(cfg.N)).Region.C
 			o := NewObject(built.NextID(), c.X+40*rng.Float64()-20, c.Y+40*rng.Float64()-20, 5+10*rng.Float64(), nil)
 			step(fmt.Sprintf("round %d insert %d", round, o.ID), func(db *DB) error { return db.Insert(o) })
-			for _, a := range built.cr.Dependents(o.ID) {
+			for _, a := range built.state().cr.Dependents(o.ID) {
 				if a < o.ID {
 					repaired++
 				}
 			}
 		}
 		for range 6 {
-			id := int32(rng.Intn(built.cr.Len()))
+			id := int32(rng.Intn(built.state().cr.Len()))
 			if !built.Alive(id) {
 				continue
 			}

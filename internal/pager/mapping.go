@@ -147,13 +147,10 @@ func (p *Pager) Resident() (int64, bool) {
 	return p.m.Resident(p.off, p.base*p.pageSize)
 }
 
-// TailBytes returns the bytes of the heap buffers a mapped pager holds
-// now: pages allocated or rewritten since open and not freed since (0
-// for an in-heap pager).
-func (p *Pager) TailBytes() int64 {
-	if p.m == nil {
-		return 0
-	}
+// HeapBytes returns the bytes of the heap buffers the pager holds now:
+// every live page of an in-heap pager; for a mapped pager, its tail —
+// the pages allocated or rewritten since open and not freed since.
+func (p *Pager) HeapBytes() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return int64(p.heap) * int64(p.pageSize)

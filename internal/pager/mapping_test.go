@@ -45,9 +45,9 @@ func TestFileStoreReadsAreZeroCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.NumPages() != n || p.PageSize() != ps || p.MappedBytes() != n*ps || p.TailBytes() != 0 {
-		t.Fatalf("NumPages=%d PageSize=%d MappedBytes=%d TailBytes=%d",
-			p.NumPages(), p.PageSize(), p.MappedBytes(), p.TailBytes())
+	if p.NumPages() != n || p.PageSize() != ps || p.MappedBytes() != n*ps || p.HeapBytes() != 0 {
+		t.Fatalf("NumPages=%d PageSize=%d MappedBytes=%d HeapBytes=%d",
+			p.NumPages(), p.PageSize(), p.MappedBytes(), p.HeapBytes())
 	}
 	for i := 0; i < n; i++ {
 		got := p.Read(PageID(i))
@@ -72,8 +72,8 @@ func TestFileStoreCOWTail(t *testing.T) {
 	}
 	wantTail := func(pages int) {
 		t.Helper()
-		if got := p.TailBytes(); got != int64(pages*ps) {
-			t.Fatalf("TailBytes = %d, want %d", got, pages*ps)
+		if got := p.HeapBytes(); got != int64(pages*ps) {
+			t.Fatalf("HeapBytes = %d, want %d", got, pages*ps)
 		}
 	}
 

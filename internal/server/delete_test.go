@@ -167,10 +167,11 @@ func TestMalformedDeleteIsolation(t *testing.T) {
 	}
 }
 
-// TestRebuildDuringQueries is the regression guard for the pre-epoch
-// data race: DB.Rebuild used to write db.index/db.built in place while
-// server goroutines read them. With the epoch swap this must be clean
-// under -race and queries must keep answering correctly throughout.
+// TestRebuildDuringQueries is the regression guard for an old data
+// race: a rebuild used to overwrite the index and its build statistics
+// in place while server goroutines read them. With the one atomic
+// database-state swap this must be clean under -race and queries must
+// keep answering correctly throughout.
 func TestRebuildDuringQueries(t *testing.T) {
 	_, srv := startServer(t, 60)
 	addr := srv.Addr().String()

@@ -394,9 +394,9 @@ func (s *Server) handleUnsubscribe(cs *connState, payload []byte) ([]byte, error
 // loop BEFORE the write's response is released: when an Insert or
 // Delete returns to its caller, every resulting delta is already on the
 // wire to every subscriber. The sweep is one bulk AdvanceAll pass —
-// shard-grouped, on the batch worker pool, re-opens across epoch/layout
-// swaps handled centrally — and sessions on shards the write did not
-// touch cost one atomic generation comparison each.
+// on the batch worker pool, re-opens after a Compact handled centrally —
+// and sessions on shards the write did not touch cost one atomic
+// generation comparison each.
 func (s *Server) notifySessions() {
 	s.submu.RLock()
 	if len(s.subs) == 0 {

@@ -3,7 +3,9 @@ package uvdiagram
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -167,4 +169,107 @@ func TestCompactRace(t *testing.T) {
 	qs := queryGrid(rng, cfg.Side, 16)
 	assertDBsEquivalent(t, "vs same shards", db, survivorReference(t, all, dead, cfg.Domain(), opts), qs)
 	assertDBsEquivalent(t, "vs one shard", db, survivorReference(t, all, dead, cfg.Domain(), nil), qs)
+}
+
+// TestCompactPublishesOnce races readers against a storm of Compacts on
+// an unchanging population. Compact publishes every shard index, the
+// R-tree and the registry in one state swap, so every ShardStats call
+// reads one generation across all shards, every BatchNN is bitwise the
+// answer taken before the storm, and a moving session's answer set is
+// PNN's at the same point after every move.
+func TestCompactPublishesOnce(t *testing.T) {
+	cfg := datagen.Config{N: 2000, Seed: 50}
+	db, err := Build(datagen.Uniform(cfg), cfg.Domain(), &Options{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	side := cfg.Domain().Max.X
+	rng := rand.New(rand.NewSource(50))
+	qs := queryGrid(rng, side, 32)
+	want, err := db.BatchNN(qs, &BatchOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantStr := fmt.Sprint(want) // shortest round-trip floats: equal strings are equal bits
+	sess, err := db.NewContinuousPNN(Pt(side/2, side/2))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const compacts = 20
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	reader := func(step func() error) {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if err := step(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}
+	wg.Add(3)
+	var lastGen uint64
+	go reader(func() error {
+		stats := db.ShardStats()
+		for i, s := range stats {
+			if s.Gen != stats[0].Gen {
+				return fmt.Errorf("ShardStats: shard %d at generation %d, shard 0 at %d", i, s.Gen, stats[0].Gen)
+			}
+		}
+		if stats[0].Gen < lastGen {
+			return fmt.Errorf("ShardStats: generation fell from %d to %d", lastGen, stats[0].Gen)
+		}
+		lastGen = stats[0].Gen
+		return nil
+	})
+	go reader(func() error {
+		got, err := db.BatchNN(qs, &BatchOptions{Workers: 2})
+		if err != nil {
+			return err
+		}
+		if gotStr := fmt.Sprint(got); gotStr != wantStr {
+			return fmt.Errorf("BatchNN during Compact: %s, want %s", gotStr, wantStr)
+		}
+		return nil
+	})
+	walk := rand.New(rand.NewSource(51))
+	go reader(func() error {
+		p := sess.Position()
+		q := Pt(min(max(p.X+walk.NormFloat64()*150, 0), side), min(max(p.Y+walk.NormFloat64()*150, 0), side))
+		if _, _, err := sess.Move(q); err != nil {
+			return err
+		}
+		answers, _, err := db.PNN(q)
+		if err != nil {
+			return err
+		}
+		ids := make([]int32, len(answers))
+		for i, a := range answers {
+			ids[i] = a.ID
+		}
+		slices.Sort(ids)
+		if !slices.Equal(sess.AnswerIDs(), ids) {
+			return fmt.Errorf("session at %v answers %v, PNN answers %v", q, sess.AnswerIDs(), ids)
+		}
+		return nil
+	})
+	for range compacts {
+		if err := db.Compact(context.Background()); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(done)
+	wg.Wait()
+	for i, s := range db.ShardStats() {
+		if s.Gen != compacts {
+			t.Fatalf("shard %d at generation %d after %d Compacts", i, s.Gen, compacts)
+		}
+	}
 }

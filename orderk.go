@@ -21,11 +21,11 @@ type OrderKIndex struct {
 	k        int
 	built    BuildStats
 	hasBuilt bool // false for loaded indexes: the stream carries no build stats
-	// snap pins the database state the order-k grid was built over,
-	// across every shard: a Compact (epoch swap) or an incremental Insert/Delete (shard-index mutation) makes this
-	// grid stale — its leaf lists could miss new objects or still list
-	// deleted ones — so queries refuse to answer rather than be
-	// silently wrong.
+	// snap pins the database state the order-k grid was built over: a
+	// Compact (a new state) or an incremental Insert/Delete (a shard
+	// index mutation) makes this grid stale — its leaf lists could miss
+	// new objects or still list deleted ones — so queries refuse to
+	// answer rather than be silently wrong.
 	snap genSnap
 }
 
@@ -48,11 +48,13 @@ func (db *DB) NewOrderKIndex(k int) (*OrderKIndex, error) {
 	// (the finished grid owns its pages and its queries need no pin).
 	t := db.egc.Pin()
 	defer db.egc.Unpin(t)
-	ix, stats, err := core.BuildOrderK(db.store, db.domain, db.rtree(), k, db.bopts)
+	st := db.state()
+	snap := st.genSnap() // before the build: a write during it leaves the grid stale
+	ix, stats, err := core.BuildOrderK(db.store, db.domain, st.tree, k, db.bopts)
 	if err != nil {
 		return nil, err
 	}
-	return &OrderKIndex{db: db, inner: ix, k: k, built: stats, hasBuilt: true, snap: db.genSnap()}, nil
+	return &OrderKIndex{db: db, inner: ix, k: k, built: stats, hasBuilt: true, snap: snap}, nil
 }
 
 // ErrStaleSnapshot is the sentinel matched by errors.Is when a
@@ -82,7 +84,7 @@ func (e *StaleSnapshotError) Is(target error) bool { return target == ErrStaleSn
 // fresh errors when the database has mutated since the order-k grid
 // was built.
 func (ix *OrderKIndex) fresh() error {
-	if ix.db.genSnap() != ix.snap {
+	if ix.db.state().genSnap() != ix.snap {
 		return &StaleSnapshotError{K: ix.k}
 	}
 	return nil
@@ -156,7 +158,7 @@ func LoadOrderKIndex(r io.Reader, db *DB) (*OrderKIndex, error) {
 			inner.OrderK(), d.Min.X, d.Max.X, d.Min.Y, d.Max.Y,
 			db.domain.Min.X, db.domain.Max.X, db.domain.Min.Y, db.domain.Max.Y)
 	}
-	return &OrderKIndex{db: db, inner: inner, k: inner.OrderK(), snap: db.genSnap()}, nil
+	return &OrderKIndex{db: db, inner: inner, k: inner.OrderK(), snap: db.state().genSnap()}, nil
 }
 
 // KNNProbs returns possible-k-NN answers with Monte-Carlo rank

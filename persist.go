@@ -131,9 +131,9 @@ func decodeLegacy(data []byte, opts *Options) (*DB, error) {
 		if indexes[i], err = core.LoadUVIndex(r, store); err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
-		if indexes[i].Domain() != lo.shards[i].rect {
+		if indexes[i].Domain() != lo.shards[i] {
 			return nil, fmt.Errorf("shard %d covers %v, layout expects %v",
-				i, indexes[i].Domain(), lo.shards[i].rect)
+				i, indexes[i].Domain(), lo.shards[i])
 		}
 	}
 	// Unify the per-shard registry copies into the one engine-wide

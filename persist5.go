@@ -156,8 +156,7 @@ func (db *DB) SaveSnapshot(path string) error {
 	defer db.smu.RUnlock()
 
 	lo := db.layout
-	eps := lo.epochs()
-	tree := db.rtree()
+	st := db.state()
 	view := db.store.View()
 	n := view.Len()
 	storePageSize := max(pager.DefaultPageSize, db.store.Pager().PageSize())
@@ -187,7 +186,7 @@ func (db *DB) SaveSnapshot(path string) error {
 	// The engine-wide constraint registry, once — not once per shard as
 	// the v≤4 index streams do.
 	for i := 0; i < n; i++ {
-		ids := db.cr.Of(int32(i))
+		ids := st.cr.Of(int32(i))
 		w.U32(uint32(len(ids)))
 		for _, id := range ids {
 			w.I32(id)
@@ -199,19 +198,19 @@ func (db *DB) SaveSnapshot(path string) error {
 		pg    *pager.Pager
 		pages []pager.PageID
 	}
-	sections := make([]section, 0, len(eps)+1)
+	sections := make([]section, 0, len(st.indexes)+1)
 	addSection := func(pg *pager.Pager, manifest []byte, pages []pager.PageID) {
 		w.U32(uint32(pg.PageSize()))
 		w.Str(string(manifest))
 		w.U32(uint32(len(pages)))
 		sections = append(sections, section{pg: pg, pages: pages})
 	}
-	for _, ep := range eps {
-		manifest, pages := ep.index.SnapshotManifest()
-		addSection(ep.index.Pager(), manifest, pages)
+	for _, ix := range st.indexes {
+		manifest, pages := ix.SnapshotManifest()
+		addSection(ix.Pager(), manifest, pages)
 	}
-	manifest, pages := tree.SnapshotManifest()
-	addSection(tree.Pager(), manifest, pages)
+	manifest, pages := st.tree.SnapshotManifest()
+	addSection(st.tree.Pager(), manifest, pages)
 	meta := w.Bytes()
 
 	tmp := path + ".tmp"
@@ -502,8 +501,8 @@ func Open(path string, opts *Options) (*DB, error) {
 		if indexes[i], err = core.OpenUVIndexSnapshot(sec.manifest, store, reg, pg); err != nil {
 			return fail(snapErr(path, "shard %d: %v", i, err))
 		}
-		if indexes[i].Domain() != lo.shards[i].rect {
-			return fail(snapErr(path, "shard %d covers %v, layout expects %v", i, indexes[i].Domain(), lo.shards[i].rect))
+		if indexes[i].Domain() != lo.shards[i] {
+			return fail(snapErr(path, "shard %d covers %v, layout expects %v", i, indexes[i].Domain(), lo.shards[i]))
 		}
 	}
 	rtPg, err := sectionPager(m.rt.off, m.rt.pageCount, m.rt.pageSize)
@@ -524,21 +523,24 @@ func Open(path string, opts *Options) (*DB, error) {
 
 // assembleDB wires the parts Open decoded — the store, one index per
 // shard of lo, the shared constraint registry and the helper R-tree —
-// into a serving DB. opts only affect future mutations and compactions.
+// into a serving DB whose state has generation 0. opts only affect
+// future mutations and compactions.
 func assembleDB(store *uncertain.Store, domain Rect, lo *shardLayout, indexes []*core.UVIndex,
 	reg *core.CRState, tree *rtree.Tree, opts *Options) *DB {
 	bopts := opts.toBuildOptions()
-	db := &DB{store: store, domain: domain, bopts: bopts, egc: epoch.NewDomain(), cr: reg}
-	db.topo = core.NewTopology(reg.Len(), bopts.RegionSamples)
+	db := &DB{store: store, domain: domain, bopts: bopts, egc: epoch.NewDomain(), layout: lo}
 	shapes := make([]core.IndexStats, len(indexes))
 	for i, ix := range indexes {
 		ix.SetReclaimDomain(db.egc)
-		lo.shards[i].epoch.Store(&indexEpoch{index: ix})
 		shapes[i] = ix.Stats()
 	}
 	tree.SetReclaimDomain(db.egc)
-	db.tree.Store(tree)
-	db.layout = lo
-	db.built.Store(&BuildStats{Strategy: bopts.Strategy, N: store.Live(), Index: aggregateIndexStats(shapes)})
+	db.cur.Store(&dbState{
+		indexes: indexes,
+		tree:    tree,
+		cr:      reg,
+		topo:    core.NewTopology(reg.Len(), bopts.RegionSamples),
+		built:   BuildStats{Strategy: bopts.Strategy, N: store.Live(), Index: aggregateIndexStats(shapes)},
+	})
 	return db
 }

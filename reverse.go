@@ -30,7 +30,7 @@ func (db *DB) RNN(q Point) ([]RNNAnswer, RNNStats) {
 	// filter, captured before the tree so a concurrent delete can never
 	// present a tree candidate the view calls dead-but-listed.
 	view := db.store.View()
-	return rnn.Query(view.Dense(), db.rtree(), q, view.Alive)
+	return rnn.Query(view.Dense(), db.state().tree, q, view.Alive)
 }
 
 // PossibleRNN returns only the IDs of the probabilistic reverse
@@ -39,7 +39,7 @@ func (db *DB) PossibleRNN(q Point) ([]int32, RNNStats) {
 	t := db.egc.Pin()
 	defer db.egc.Unpin(t)
 	view := db.store.View()
-	return rnn.PossibleRNN(view.Dense(), db.rtree(), q, view.Alive)
+	return rnn.PossibleRNN(view.Dense(), db.state().tree, q, view.Alive)
 }
 
 // PossibleRNNUncertain answers the reverse nearest-neighbor query with
@@ -57,6 +57,6 @@ func (db *DB) PossibleRNNUncertain(region Circle) ([]int32, RNNStats, error) {
 	t := db.egc.Pin()
 	defer db.egc.Unpin(t)
 	view := db.store.View()
-	ids, st := rnn.PossibleRNNUncertain(view.Dense(), db.rtree(), region, view.Alive)
+	ids, st := rnn.PossibleRNNUncertain(view.Dense(), db.state().tree, region, view.Alive)
 	return ids, st, nil
 }

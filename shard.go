@@ -3,7 +3,6 @@ package uvdiagram
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"uvdiagram/internal/core"
 )
@@ -11,10 +10,11 @@ import (
 // Spatial sharding. The adaptive grid of the paper partitions the
 // domain naturally, so the engine can split the plane into a gx × gy
 // grid of shard rectangles, each owning an independent sub-grid
-// UV-index, epoch pointer and slack counter:
+// UV-index:
 //
 //   - Point queries route to the owning shard with two boundary scans
-//     and read its epoch lock-free.
+//     and read its index from the one published database state
+//     (dbState) lock-free.
 //   - An object whose UV-cell spans a shard boundary is indexed in
 //     every shard it reaches (the root-level 4-point overlap test of
 //     Algorithm 5 drops it from the shards it cannot), so each shard's
@@ -32,8 +32,8 @@ import (
 //     stored in the file. Nothing replaces it afterwards, so a query
 //     reads it without synchronization.
 //   - Compact re-derives the registry once and shadow-builds every
-//     shard's sub-grid in parallel, publishing each with one atomic
-//     epoch swap.
+//     shard's sub-grid in parallel, publishing them all, with the
+//     R-tree and the registry, in one atomic state swap.
 //
 // One shard (the default) reproduces the pre-sharding engine exactly.
 
@@ -41,37 +41,25 @@ import (
 // point of diminishing returns for the paper's densities).
 const MaxShards = 256
 
-// shard is one spatial partition of the engine: a rectangle of the
-// domain and the epoch pointer for the index state owning it. Its leaf
-// structure and epoch change only under the DB's store lock held
-// exclusively (see the locking notes on DB).
-type shard struct {
-	rect  Rect
-	epoch atomic.Pointer[indexEpoch]
-}
-
-// ep returns the shard's current epoch.
-func (sh *shard) ep() *indexEpoch { return sh.epoch.Load() }
-
 // shardLayout is the shard layout: the grid shape, the cut coordinates
-// and the shard states. Build and Open set it before the DB is handed
-// out and nothing writes it afterwards; only the shards' epoch pointers
-// change.
+// and the shard rectangles, row-major. Build and Open set it before the
+// DB is handed out and nothing writes it afterwards. The shard indexes
+// live in the database state (dbState.indexes), in the same order.
 type shardLayout struct {
 	gx, gy int
 	xs, ys []float64
-	shards []*shard
+	shards []Rect
 }
 
 // newShardLayout lays out a gx × gy shard grid over the given cuts.
 func newShardLayout(gx, gy int, xs, ys []float64) *shardLayout {
-	lo := &shardLayout{gx: gx, gy: gy, xs: xs, ys: ys, shards: make([]*shard, gx*gy)}
+	lo := &shardLayout{gx: gx, gy: gy, xs: xs, ys: ys, shards: make([]Rect, gx*gy)}
 	for r := 0; r < gy; r++ {
 		for c := 0; c < gx; c++ {
-			lo.shards[r*gx+c] = &shard{rect: Rect{
+			lo.shards[r*gx+c] = Rect{
 				Min: Pt(xs[c], ys[r]),
 				Max: Pt(xs[c+1], ys[r+1]),
-			}}
+			}
 		}
 	}
 	return lo
@@ -83,19 +71,19 @@ func (lo *shardLayout) shardIdx(q Point) int {
 	return lastLE(lo.ys, q.Y)*lo.gx + lastLE(lo.xs, q.X)
 }
 
-// epFor returns the epoch of the shard owning q.
-func (lo *shardLayout) epFor(q Point) *indexEpoch { return lo.shards[lo.shardIdx(q)].ep() }
-
-// epAt returns shard i's epoch.
-func (lo *shardLayout) epAt(i int) *indexEpoch { return lo.shards[i].ep() }
-
-// epochs snapshots every shard's current epoch in shard order.
-func (lo *shardLayout) epochs() []*indexEpoch {
-	eps := make([]*indexEpoch, len(lo.shards))
-	for i := range lo.shards {
-		eps[i] = lo.shards[i].ep()
+// plan routes a whole batch in one pass: every point is
+// domain-validated in REQUEST order (so the "error of the lowest
+// failing query" contract holds however the workers interleave) and
+// resolved to its owning shard exactly once.
+func (lo *shardLayout) plan(domain Rect, qs []Point) (owner []int, err error) {
+	owner = make([]int, len(qs))
+	for i, q := range qs {
+		if err := checkDomain(domain, q); err != nil {
+			return nil, fmt.Errorf("query %d: %w", i, err)
+		}
+		owner[i] = lo.shardIdx(q)
 	}
-	return eps
+	return owner, nil
 }
 
 // shardGrid factors s into the most square gx × gy grid (gx ≥ gy).
@@ -167,8 +155,9 @@ type ShardStat struct {
 	// bloat: incremental maintenance keeps the leaf lists close to what
 	// Compact would rebuild.
 	Slack int64
-	// Gen counts the epoch swaps (Compact) since Build or Open; every
-	// shard shares it.
+	// Gen counts the Compacts since Build or Open: the generation of
+	// the database state every shard of one ShardStats call was read
+	// from.
 	Gen uint64
 	// Index is the shape of the shard's sub-grid.
 	Index core.IndexStats
@@ -177,17 +166,17 @@ type ShardStat struct {
 // ShardStats reports every shard's region, live-object count, slack and
 // index shape, in shard order.
 func (db *DB) ShardStats() []ShardStat {
+	st := db.state()
 	lo := db.layout
 	live := shardLoads(lo, db.store.Dense(), db.store.Alive)
 	out := make([]ShardStat, len(lo.shards))
-	for i := range lo.shards {
-		ep := lo.shards[i].ep()
+	for i, ix := range st.indexes {
 		out[i] = ShardStat{
-			Rect:  lo.shards[i].rect,
+			Rect:  lo.shards[i],
 			Live:  live[i],
-			Slack: ep.index.Slack(),
-			Gen:   ep.gen,
-			Index: ep.index.Stats(),
+			Slack: ix.Slack(),
+			Gen:   st.gen,
+			Index: ix.Stats(),
 		}
 	}
 	return out
@@ -207,9 +196,8 @@ func shardLoads(lo *shardLayout, objs []Object, alive func(int32) bool) []int {
 // Slack returns the total mutation slack across all shards.
 func (db *DB) Slack() int64 {
 	var total int64
-	lo := db.layout
-	for i := range lo.shards {
-		total += lo.shards[i].ep().index.Slack()
+	for _, ix := range db.state().indexes {
+		total += ix.Slack()
 	}
 	return total
 }
@@ -234,23 +222,21 @@ func aggregateIndexStats(sts []core.IndexStats) core.IndexStats {
 	return agg
 }
 
-// genSnap is a snapshot of the engine's mutation state across every
-// shard. Epoch-swap counters only grow, and between swaps each shard's
-// index mutation counter only grows, so the pair changes whenever any
-// shard mutates or compacts — derived snapshots (order-k grids) compare
-// it to detect staleness.
+// genSnap is a snapshot of the engine's mutation state: the state's
+// generation and the sum of its shard indexes' mutation generations.
+// A Compact publishes a state of a new generation, and within one state
+// each index's mutation counter only grows, so the pair changes whenever
+// any shard mutates or the database compacts — derived snapshots
+// (order-k grids) compare it to detect staleness.
 type genSnap struct {
-	epochs uint64 // Σ per-shard epoch generation
-	muts   uint64 // Σ per-shard index mutation generation
+	gen  uint64 // state generation
+	muts uint64 // Σ per-shard index mutation generation
 }
 
-func (db *DB) genSnap() genSnap {
-	lo := db.layout
-	var g genSnap
-	for i := range lo.shards {
-		ep := lo.shards[i].ep()
-		g.epochs += ep.gen
-		g.muts += ep.index.Gen()
+func (st *dbState) genSnap() genSnap {
+	g := genSnap{gen: st.gen}
+	for _, ix := range st.indexes {
+		g.muts += ix.Gen()
 	}
 	return g
 }

@@ -348,8 +348,8 @@ func TestShardLayoutRouting(t *testing.T) {
 	lo := db.layout
 	for _, q := range pts {
 		i := lo.shardIdx(q)
-		if !lo.shards[i].rect.Contains(q) {
-			t.Fatalf("point %v routed to shard %d with rect %v", q, i, lo.shards[i].rect)
+		if !lo.shards[i].Contains(q) {
+			t.Fatalf("point %v routed to shard %d with rect %v", q, i, lo.shards[i])
 		}
 	}
 	// Shard rects tile the domain area exactly.
@@ -401,7 +401,7 @@ func TestBuildWorkersInvariant(t *testing.T) {
 			ref, refBytes = db, raw
 			continue
 		}
-		if !db.cr.EqualCROf(ref.cr) {
+		if !db.state().cr.EqualCROf(ref.state().cr) {
 			t.Errorf("Workers %d: registry differs from the sequential build's", w)
 		}
 		if !bytes.Equal(raw, refBytes) {
@@ -532,9 +532,9 @@ func TestLoadUnifiesDivergentShardRegistries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lo := db.layout
-		for i := range lo.shards {
-			if lo.shards[i].ep().index.CR() != db.cr {
+		st := db.state()
+		for i, ix := range st.indexes {
+			if ix.CR() != st.cr {
 				t.Fatalf("%s: shard %d does not share the engine registry after Open", name, i)
 			}
 		}
@@ -588,8 +588,7 @@ func TestShardAwareBatchOrder(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(3))
 	qs := shardQueryPoints(rng, side, 40)
-	rt := db.route()
-	owner, err := rt.plan(qs)
+	owner, err := db.layout.plan(db.domain, qs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -652,7 +651,7 @@ func TestEntryWeightedSlack(t *testing.T) {
 	lo4 := db4.layout
 	reach := func(id int32, crIDs []int32, marks []bool) {
 		for si := range lo4.shards {
-			if lo4.shards[si].ep().index.RepReaches(id, crIDs, lo4.shards[si].rect) {
+			if db4.state().indexes[si].RepReaches(id, crIDs, lo4.shards[si]) {
 				marks[si] = true
 			}
 		}
@@ -661,15 +660,15 @@ func TestEntryWeightedSlack(t *testing.T) {
 	var touched []bool
 	for id := int32(0); int(id) < db4.Len(); id++ {
 		marks := make([]bool, len(lo4.shards))
-		reach(id, db4.cr.Of(id), marks)
-		for _, a := range db4.cr.Dependents(id) {
-			stripped := make([]int32, 0, len(db4.cr.Of(a)))
-			for _, m := range db4.cr.Of(a) {
+		reach(id, db4.state().cr.Of(id), marks)
+		for _, a := range db4.state().cr.Dependents(id) {
+			stripped := make([]int32, 0, len(db4.state().cr.Of(a)))
+			for _, m := range db4.state().cr.Of(a) {
 				if m != id {
 					stripped = append(stripped, m)
 				}
 			}
-			reach(a, db4.cr.Of(a), marks)
+			reach(a, db4.state().cr.Of(a), marks)
 			reach(a, stripped, marks)
 		}
 		n := 0

@@ -13,10 +13,10 @@ import (
 )
 
 // Dynamic updates — the maintenance story the paper leaves as future
-// work. Insert and Delete mutate the current shard epochs incrementally;
-// Compact constructs fresh state off-thread and publishes it with atomic
-// swaps, so concurrent queries are never blocked by (and never observe a
-// torn state from) a rebuild.
+// work. Insert and Delete mutate the current database state
+// incrementally; Compact constructs a fresh state off-thread and
+// publishes it with one atomic swap, so concurrent queries are never
+// blocked by (and never observe a torn state from) a rebuild.
 //
 // Every writer — Insert, Delete/BatchDelete, Compact — holds
 // the store lock (see the DB doc) exclusively, so writes are serialized
@@ -69,10 +69,11 @@ func (db *DB) Insert(o Object) error {
 	if err := db.store.Append(o); err != nil {
 		return err
 	}
-	tree := db.rtree()
+	st := db.state()
+	tree := st.tree
 	tree.Insert(rtree.Item{ID: o.ID, MBC: o.Region, Ptr: uint64(o.ID)})
 	crIDs := db.deriveCR(tree, o)
-	if err := db.cr.Append(o.ID, crIDs); err != nil {
+	if err := st.cr.Append(o.ID, crIDs); err != nil {
 		// Registry validation depends only on the id ordering, which the
 		// store append just established; a failure here means the
 		// engine's invariants are already broken — still roll back the
@@ -83,18 +84,17 @@ func (db *DB) Insert(o Object) error {
 		}
 		return fmt.Errorf("uvdiagram: insert rolled back: %w", err)
 	}
-	lo := db.layout
-	for i, sh := range lo.shards {
+	for i, ix := range st.indexes {
 		// A shard the new cell's representation cannot reach fails
 		// InsertLeafLive's root-level 4-point test and stays untouched.
-		if _, err := sh.ep().index.InsertLeafLive(o.ID); err != nil {
+		if _, err := ix.InsertLeafLive(o.ID); err != nil {
 			// Unwind the whole insert — strip the object from the shards
 			// already applied, then registry, tree and store — so a
 			// failed Insert leaves the database exactly as it was.
-			for _, ps := range lo.shards[:i] {
-				_, _ = ps.ep().index.RemoveAndReinsertLive([]int32{o.ID}, nil)
+			for _, applied := range st.indexes[:i] {
+				_, _ = applied.RemoveAndReinsertLive([]int32{o.ID}, nil)
 			}
-			db.cr.RemoveLast()
+			st.cr.RemoveLast()
 			tree.Delete(o.ID, o.Region)
 			if rerr := db.store.RemoveLast(); rerr != nil {
 				return fmt.Errorf("uvdiagram: insert failed at shard %d (%v) AND rollback failed: %w", i, err, rerr)
@@ -107,7 +107,7 @@ func (db *DB) Insert(o Object) error {
 	// representations. Repair only tightens reps (regions shrink), so no
 	// leaf surgery follows; objects without a cached profile are skipped
 	// — their reps, formed before o existed, stay sound as-is.
-	if n := db.topo.RepairOnInsert(db.cr, o, db.store.Dense(), db.store.Alive); n > 0 {
+	if n := st.topo.RepairOnInsert(st.cr, o, db.store.Dense(), db.store.Alive); n > 0 {
 		db.mstats.repaired.Add(int64(n))
 	}
 	db.mstats.inserts.Add(1)
@@ -166,8 +166,9 @@ func (db *DB) BatchDelete(ids []int32) error {
 // deleteBatchLocked removes validated, live ids with db.smu held
 // exclusively.
 func (db *DB) deleteBatchLocked(ids []int32) error {
-	lo := db.layout
-	nsh := len(lo.shards)
+	st := db.state()
+	rects := db.layout.shards
+	nsh := len(rects)
 	// touched marks the shards whose leaf structure the batch can
 	// affect. A shard holds leaf entries for X only if X's CURRENT
 	// registry representation reaches it (entries are created by the
@@ -177,21 +178,21 @@ func (db *DB) deleteBatchLocked(ids []int32) error {
 	// every entry to re-create.
 	touched := make([]bool, nsh)
 	mark := func(id int32, crIDs []int32) {
-		for i := range lo.shards {
-			if !touched[i] && lo.shards[i].ep().index.RepReaches(id, crIDs, lo.shards[i].rect) {
+		for i, ix := range st.indexes {
+			if !touched[i] && ix.RepReaches(id, crIDs, rects[i]) {
 				touched[i] = true
 			}
 		}
 	}
-	affected := db.cr.AffectedBy(ids)
+	affected := st.cr.AffectedBy(ids)
 	if nsh == 1 {
 		touched[0] = true
 	} else {
 		for _, id := range ids {
-			mark(id, db.cr.Of(id))
+			mark(id, st.cr.Of(id))
 		}
 		for _, a := range affected {
-			mark(a, db.cr.Of(a))
+			mark(a, st.cr.Of(a))
 		}
 	}
 	// Publication order (see the DB locking notes): R-tree deletes
@@ -200,7 +201,7 @@ func (db *DB) deleteBatchLocked(ids []int32) error {
 	// — then the per-shard leaf tables, and the store tombstones LAST,
 	// so a query's view captured before its tree loads always covers
 	// every id the tree can still hand it.
-	tree := db.rtree()
+	tree := st.tree
 	for _, id := range ids {
 		tree.Delete(id, db.store.At(int(id)).Region)
 	}
@@ -217,9 +218,9 @@ func (db *DB) deleteBatchLocked(ids []int32) error {
 	objs := db.store.Dense()
 	rederive := make([]int32, 0, len(affected))
 	for _, a := range affected {
-		prof := db.topo.Ensure(a, objs[a], db.cr.Of(a), objs, db.domain)
+		prof := st.topo.Ensure(a, objs[a], st.cr.Of(a), objs, db.domain)
 		tight := prof.AnyTight(ids)
-		db.cr.Strip(a, vic)
+		st.cr.Strip(a, vic)
 		if tight {
 			rederive = append(rederive, a)
 		}
@@ -236,18 +237,18 @@ func (db *DB) deleteBatchLocked(ids []int32) error {
 	// no tombstoned object, as Open's registry decoder requires. One
 	// derivation serves every shard.
 	for _, a := range rederive {
-		db.cr.Replace(a, db.deriveCR(tree, objs[a]))
-		db.topo.Invalidate(a)
+		st.cr.Replace(a, db.deriveCR(tree, objs[a]))
+		st.topo.Invalidate(a)
 	}
-	db.cr.Drop(ids)
+	st.cr.Drop(ids)
 	for _, id := range ids {
-		db.topo.Invalidate(id)
+		st.topo.Invalidate(id)
 	}
 	if nsh > 1 {
 		// Stripped and fresh representations cover GROWN cells: re-mark
 		// so reinsertion reaches every shard a grown cell now touches.
 		for _, a := range affected {
-			mark(a, db.cr.Of(a))
+			mark(a, st.cr.Of(a))
 		}
 	}
 	// Leaf surgery per touched shard: strip victims and dependents, then
@@ -257,11 +258,11 @@ func (db *DB) deleteBatchLocked(ids []int32) error {
 	remove := make([]int32, 0, len(ids)+len(affected))
 	remove = append(remove, ids...)
 	remove = append(remove, affected...)
-	for i := range lo.shards {
+	for i, ix := range st.indexes {
 		if !touched[i] {
 			continue
 		}
-		if _, err := lo.shards[i].ep().index.RemoveAndReinsertLive(remove, affected); err != nil {
+		if _, err := ix.RemoveAndReinsertLive(remove, affected); err != nil {
 			return err
 		}
 	}
@@ -283,11 +284,12 @@ func (db *DB) deleteBatchLocked(ids []int32) error {
 // the slack accumulated by Inserts and Deletes. The shadow build is
 // skipped if ctx is already cancelled when compaction starts (the build
 // itself is one uninterruptible pass). The live population is derived
-// once — a FULL re-derivation, refreshing every constraint set — and
-// every shard's sub-grid is then shadow-built in parallel and published
-// with one atomic epoch swap each. Queries are never blocked — they see
-// either the old or the new index, never a mixture. Concurrent Inserts
-// and Deletes serialize behind the compaction.
+// once — a FULL re-derivation, refreshing every constraint set, on
+// Options.Workers goroutines taken literally — and every shard's
+// sub-grid is then shadow-built in parallel. The new state is published
+// with one atomic swap: queries are never blocked, and see either the
+// old or the new state, never a mixture. Concurrent Inserts and Deletes
+// serialize behind the compaction.
 func (db *DB) Compact(ctx context.Context) error {
 	db.smu.Lock()
 	defer db.smu.Unlock()
@@ -295,29 +297,13 @@ func (db *DB) Compact(ctx context.Context) error {
 		return err
 	}
 	tstart := time.Now()
-	// Shadow build: nothing below mutates the live epochs or the store.
+	// Shadow build: nothing below mutates the live state or the store.
 	if hook := db.compactHook; hook != nil {
 		hook()
 	}
-	// A fresh helper R-tree: the bulk-load drops the slack delete churn
-	// left behind, and keeps the derivation's simulated-disk reads off
-	// the live tree's I/O accounting.
-	tree := core.BuildHelperRTree(db.store, db.bopts.Fanout)
-	tree.SetReclaimDomain(db.egc)
-	t0 := time.Now()
-	crSets, stats, err := core.DeriveCRSets(db.store, db.domain, tree, db.bopts)
-	var cr *core.CRState
+	st, err := db.rebuild(db.bopts, db.state().gen+1)
 	if err == nil {
-		cr = core.NewCRState(crSets)
-		// Every shard shares one epoch generation: only Compact swaps
-		// epochs.
-		err = db.buildShards(db.layout, cr, &stats, t0, db.layout.epAt(0).gen+1)
-	}
-	if err == nil {
-		db.cr = cr
-		db.topo = core.NewTopology(cr.Len(), db.bopts.RegionSamples)
-		db.tree.Store(tree)
-		db.built.Store(&stats)
+		db.cur.Store(st)
 	}
 	db.fireMaint(MaintEvent{Kind: MaintCompact, Dur: time.Since(tstart), Err: err})
 	return err
@@ -348,7 +334,7 @@ func (db *DB) deriveCR(tree *rtree.Tree, o Object) []int32 {
 func (db *DB) PossibleKNN(q Point, k int) ([]int32, error) {
 	t := db.egc.Pin()
 	defer db.egc.Unpin(t)
-	return db.possibleKNN(db.rtree(), q, k)
+	return db.possibleKNN(db.state().tree, q, k)
 }
 
 // possibleKNN answers against one pinned tree (through its decoded-leaf

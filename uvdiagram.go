@@ -45,11 +45,12 @@
 // protocol and its batch opcodes.
 //
 // With Options.Shards > 1 the engine partitions the domain into a grid
-// of spatial shards, each owning an independent sub-grid UV-index,
-// epoch pointer and slack counter (see shard.go). Point queries route
-// to the owning shard lock-free; builds and compactions parallelize
-// across shards, and a mutation's leaf surgery touches only the shards
-// the mutated cells reach. Build cuts the grid into equal strips; Open
+// of spatial shards, each owning an independent sub-grid UV-index (see
+// shard.go). The shard indexes, the helper R-tree and the constraint
+// registry form one database state behind one atomic pointer. Point
+// queries route to the owning shard lock-free; builds and compactions
+// parallelize across shards, and a mutation's leaf surgery touches only
+// the shards the mutated cells reach. Build cuts the grid into equal strips; Open
 // keeps the cuts stored in the file. Answers are identical to the
 // single-shard engine bit for bit, whatever the cuts.
 package uvdiagram
@@ -156,7 +157,7 @@ type Options struct {
 	// sequential.
 	Workers int
 	// Shards partitions the domain into a grid of spatial shards, each
-	// with its own sub-grid UV-index, epoch pointer and slack counter.
+	// with its own sub-grid UV-index.
 	// Point queries route to the owning shard; builds and compactions
 	// parallelize across shards. 0 or 1 keeps the single-shard engine.
 	// Answers are independent of the shard count.
@@ -217,25 +218,40 @@ func (o *Options) toBuildOptions() core.BuildOptions {
 	return b
 }
 
-// indexEpoch is one immutable-by-swap generation of a shard's index
-// state: the shard's sub-grid UV-index. Queries load the owning shard's
-// current epoch with one atomic pointer read and use it for their whole
-// execution; Compact constructs fresh epochs off to the side and
-// publishes each with one atomic store, so a
-// query never observes a torn (half-swapped) index and is never blocked
-// by a rebuild (RCU-style). The helper R-tree is NOT part of the epoch:
-// it always covers the full live population whatever the shard, so the
-// DB keeps one shared tree behind its own atomic pointer.
+// dbState is one immutable generation of the database's index state:
+// the shard indexes in layout order, the helper R-tree, the constraint
+// registry and topology cache every shard shares, and the statistics of
+// the construction pass that made them. The DB publishes it behind one
+// atomic pointer. A query loads it once and uses it for its whole
+// execution; Build, Open and Compact each construct a fresh state off
+// to the side and publish it with one store, so a query never observes
+// a torn (half-replaced) index set and is never blocked by a rebuild
+// (RCU-style).
 //
-// Incremental Insert/Delete mutate the CURRENT epochs copy-on-write
-// (bumping gen via each index's own mutation counter); the leaf-table
-// swap is atomic and retired pages outlive in-flight readers, so
-// queries need no synchronization against them either.
-type indexEpoch struct {
-	index *core.UVIndex
-	// gen numbers the epoch: it increases by one at every Compact,
-	// letting long-lived sessions (ContinuousPNN) detect that the index
-	// they captured has been replaced.
+// Insert and Delete do not replace the state: they mutate its indexes,
+// R-tree and registry in place, copy-on-write (see the DB locking
+// notes), and each index counts its own mutations (UVIndex.Gen).
+type dbState struct {
+	indexes []*core.UVIndex // one per shard, in layout order
+	// tree is the helper R-tree over the full live population (pruning,
+	// k-NN and RNN retrieval are global no matter which shard runs
+	// them).
+	tree *rtree.Tree
+	// cr is the engine-wide constraint registry shared by every shard's
+	// index (see core.CRState).
+	cr *core.CRState
+	// topo is the incremental topology registry riding alongside cr: per
+	// object, which cr-set members actually shape its UV-cell boundary
+	// (core.Topology). It decides which delete dependents re-derive and
+	// which keep their stripped representation.
+	topo *core.Topology
+	// built holds the statistics of the construction pass (Build, Open,
+	// Compact) that made this state.
+	built BuildStats
+	// gen numbers the state: 0 after Build or Open, one more at every
+	// Compact. Long-lived sessions (ContinuousPNN) and snapshot indexes
+	// (OrderKIndex) compare it to detect that the state they captured
+	// has been replaced.
 	gen uint64
 }
 
@@ -246,40 +262,36 @@ type indexEpoch struct {
 // # Locking
 //
 // One store lock (smu) guards everything a write changes: the object
-// store and dense-id allocation, the constraint registry, the shared
-// helper R-tree and every shard's leaf structure and epoch pointer.
+// store and dense-id allocation, and the current state's constraint
+// registry, topology cache, helper R-tree and shard leaf structures.
 // Every writer — Insert, Delete/BatchDelete, Compact — holds it
 // EXCLUSIVELY; SaveSnapshot holds it SHARED, so a save sees
 // the state between two writes and never a write half done.
 //
 // Queries take NO locks against ANY mutation — including Insert and
-// Delete. Every mutated structure is copy-on-write behind an atomic
-// pointer (the store's population view, the helper R-tree's header,
-// each shard index's tree snapshot), so smu only serializes WRITERS
-// against each other, and a reader never blocks on (or is blocked by)
-// it. Readers see each mutation atomically through a
-// fixed publication order — on delete the R-tree shrinks first, then
-// the leaf tables publish per shard, then the store tombstones; on
-// insert the store appends first, then the R-tree and leaf tables —
-// and a query that snapshots the store view BEFORE loading a tree
-// (see core's pnn) observes exactly the pre- or post-mutation answer,
-// never a hybrid. Replaced index pages are reclaimed through the DB's
-// epoch domain (egc): queries pin it for their page reads, and a page
-// slot is reused only after every reader pinned before the swap has
-// finished.
+// Delete. The state has one publication point, the cur pointer, which
+// only Build, Open and Compact store. Within a state every mutated
+// structure is copy-on-write behind an atomic pointer (the store's
+// population view, the helper R-tree's header, each shard index's tree
+// snapshot), so smu only serializes WRITERS against each other, and a
+// reader never blocks on (or is blocked by) it. Readers see each
+// mutation atomically through a fixed publication order — on delete
+// the R-tree shrinks first, then the leaf tables publish per shard,
+// then the store tombstones; on insert the store appends first, then
+// the R-tree and leaf tables — and a query that snapshots the store
+// view BEFORE loading a tree (see core's pnn) observes exactly the pre-
+// or post-mutation answer, never a hybrid. Replaced index pages are
+// reclaimed through the DB's epoch domain (egc): queries pin it for
+// their page reads, and a page slot is reused only after every reader
+// pinned before the swap has finished.
 type DB struct {
 	store  *uncertain.Store
 	domain Rect
 	bopts  core.BuildOptions
-	// cr is the engine-wide constraint registry shared by every shard's
-	// index (see core.CRState). Guarded by smu.
-	cr *core.CRState
-	// topo is the incremental topology registry riding alongside cr: per
-	// object, which cr-set members actually shape its UV-cell boundary
-	// (core.Topology). It decides which delete dependents re-derive and
-	// which keep their stripped representation. Guarded by smu held
-	// exclusively; rebuilt fresh whenever cr is (Compact).
-	topo *core.Topology
+	// cur is the published database state (see dbState). Build and Open
+	// store it before the DB is returned; afterwards only Compact
+	// replaces it.
+	cur atomic.Pointer[dbState]
 	// egc is the epoch-based reclamation domain shared by the helper
 	// R-tree and every shard index: queries pin it around page reads,
 	// COW mutations retire replaced pages into it, and a page slot is
@@ -287,17 +299,10 @@ type DB struct {
 	egc *epoch.Domain
 	// mstats counts mutation-path work (see MutationStats).
 	mstats mutationCounters
-	// tree is the shared helper R-tree over the full live population
-	// (pruning, k-NN and RNN retrieval are global no matter which shard
-	// runs them). Queries load it atomically; Insert/Delete mutate it
-	// in place under smu; Compact swaps in a fresh bulk-load.
-	tree atomic.Pointer[rtree.Tree]
-	// layout is the shard layout (cuts + shard states). Build and Open
-	// set it before the DB is returned; nothing writes it afterwards.
+	// layout is the shard layout (grid shape, cuts and shard
+	// rectangles). Build and Open set it before the DB is returned;
+	// nothing writes it afterwards.
 	layout *shardLayout
-	// built snapshots the statistics of the last full construction pass
-	// (Build, Open, Compact).
-	built atomic.Pointer[BuildStats]
 	// smu is the store lock (see the locking notes above).
 	smu     sync.RWMutex
 	scratch sync.Pool // of *core.QueryScratch, shared by single, batch and baseline PNN (see queryScratch)
@@ -320,8 +325,14 @@ type DB struct {
 	mapping *pager.Mapping
 }
 
+// state returns the current database state.
+func (db *DB) state() *dbState { return db.cur.Load() }
+
 // PagerMode reports which page-store backend serves the database:
-// "heap" (Build, heap-mode Open) or "mmap" (out-of-core Open).
+// "heap" (Build, heap-mode Open) or "mmap" (out-of-core Open). "mmap"
+// means the database was opened off a snapshot mapping; it stays so
+// after Compact has rebuilt the index and R-tree sections in the heap,
+// which BufferPoolStats then counts as tail bytes.
 func (db *DB) PagerMode() string {
 	if db.mapping == nil {
 		return pagerModeHeap
@@ -367,70 +378,66 @@ func Build(objects []Object, domain Rect, opts *Options) (*DB, error) {
 	bopts := opts.toBuildOptions()
 	db := &DB{store: store, domain: domain, bopts: bopts, egc: epoch.NewDomain()}
 	gx, gy := shardGrid(nshards)
-	lo := newShardLayout(gx, gy, cuts(domain.Min.X, domain.Max.X, gx), cuts(domain.Min.Y, domain.Max.Y, gy))
-	tree := core.BuildHelperRTree(store, bopts.Fanout)
-	tree.SetReclaimDomain(db.egc)
-	db.tree.Store(tree)
-	t0 := time.Now()
+	db.layout = newShardLayout(gx, gy, cuts(domain.Min.X, domain.Max.X, gx), cuts(domain.Min.Y, domain.Max.Y, gy))
 	dopts := bopts // db.bopts keeps Workers literal for the background rebuilds
 	if dopts.Workers == 0 {
 		dopts.Workers = runtime.GOMAXPROCS(0)
 	}
-	crSets, stats, err := core.DeriveCRSets(store, domain, tree, dopts)
+	st, err := db.rebuild(dopts, 0)
 	if err != nil {
-		return nil, err
-	}
-	db.cr = core.NewCRState(crSets)
-	db.topo = core.NewTopology(len(crSets), bopts.RegionSamples)
-	if err := db.buildShards(lo, db.cr, &stats, t0, 0); err != nil {
 		return nil, fmt.Errorf("uvdiagram: %w", err)
 	}
-	db.layout = lo
-	db.built.Store(&stats)
+	db.cur.Store(st)
 	return db, nil
 }
 
-// buildShards shadow-builds every shard of lo's sub-grid from the given
-// registry — in parallel, one goroutine per shard — and stores each
-// fresh epoch with generation gen. stats receives the summed per-shard
-// indexing CPU time, the aggregate index shape and the wall clock since
-// t0. On error (a page size no leaf page fits) no epoch is stored.
-func (db *DB) buildShards(lo *shardLayout, cr *core.CRState, stats *BuildStats, t0 time.Time, gen uint64) error {
-	type built struct {
-		ix  *core.UVIndex
-		dur time.Duration
-		err error
+// rebuild constructs a fresh state of generation gen from the live
+// objects, off to the side: a bulk-loaded helper R-tree, one derivation
+// of every constraint set on dopts.Workers goroutines, then every
+// shard's sub-grid from that one registry, one goroutine per shard. The
+// stats record the summed per-shard indexing CPU time, the aggregate
+// index shape and the wall clock from the derivation on. On error (a
+// page size no leaf page fits) nothing is returned.
+func (db *DB) rebuild(dopts core.BuildOptions, gen uint64) (*dbState, error) {
+	// A fresh tree: the bulk-load drops the slack delete churn left
+	// behind, and keeps the derivation's simulated-disk reads off the
+	// live tree's I/O accounting.
+	tree := core.BuildHelperRTree(db.store, db.bopts.Fanout)
+	tree.SetReclaimDomain(db.egc)
+	t0 := time.Now()
+	crSets, stats, err := core.DeriveCRSets(db.store, db.domain, tree, dopts)
+	if err != nil {
+		return nil, err
 	}
-	results := make([]built, len(lo.shards))
-	var wg sync.WaitGroup
-	for i := range lo.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			ix, dur, err := core.BuildRegionCR(db.store, lo.shards[i].rect, cr, 1, db.bopts.Index)
-			results[i] = built{ix: ix, dur: dur, err: err}
-		}(i)
+	cr := core.NewCRState(crSets)
+	rects := db.layout.shards
+	indexes := make([]*core.UVIndex, len(rects))
+	durs := make([]time.Duration, len(rects))
+	err = runPool(len(rects), len(rects), "shard", func(i int) error {
+		var err error
+		indexes[i], durs[i], err = core.BuildRegionCR(db.store, rects[i], cr, 1, db.bopts.Index)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	for _, r := range results {
-		if r.err != nil {
-			return r.err
-		}
-	}
-	shapes := make([]core.IndexStats, len(lo.shards))
-	for i := range lo.shards {
-		results[i].ix.SetReclaimDomain(db.egc)
-		lo.shards[i].epoch.Store(&indexEpoch{index: results[i].ix, gen: gen})
-		stats.IndexDur += results[i].dur
-		shapes[i] = results[i].ix.Stats()
+	shapes := make([]core.IndexStats, len(indexes))
+	for i, ix := range indexes {
+		ix.SetReclaimDomain(db.egc)
+		stats.IndexDur += durs[i]
+		shapes[i] = ix.Stats()
 	}
 	stats.TotalDur = time.Since(t0)
 	stats.Index = aggregateIndexStats(shapes)
-	return nil
+	return &dbState{
+		indexes: indexes,
+		tree:    tree,
+		cr:      cr,
+		topo:    core.NewTopology(cr.Len(), db.bopts.RegionSamples),
+		built:   stats,
+		gen:     gen,
+	}, nil
 }
-
-// rtree returns the current shared helper R-tree.
-func (db *DB) rtree() *rtree.Tree { return db.tree.Load() }
 
 // Len returns the number of live (indexed, non-deleted) objects.
 func (db *DB) Len() int { return db.store.Live() }
@@ -458,18 +465,18 @@ func (db *DB) Object(id int32) (Object, error) {
 // (Build, Open, Compact). With shards, phase durations
 // are summed CPU time across shard builds and Index aggregates the
 // shard sub-grids.
-func (db *DB) BuildStats() BuildStats { return *db.built.Load() }
+func (db *DB) BuildStats() BuildStats { return db.state().built }
 
 // IndexStats returns the UV-index shape statistics, aggregated across
 // shards (counts sum, depth is the maximum).
 func (db *DB) IndexStats() core.IndexStats {
-	lo := db.layout
-	if len(lo.shards) == 1 {
-		return lo.epAt(0).index.Stats()
+	indexes := db.state().indexes
+	if len(indexes) == 1 {
+		return indexes[0].Stats()
 	}
-	shapes := make([]core.IndexStats, len(lo.shards))
-	for i := range lo.shards {
-		shapes[i] = lo.epAt(i).index.Stats()
+	shapes := make([]core.IndexStats, len(indexes))
+	for i, ix := range indexes {
+		shapes[i] = ix.Stats()
 	}
 	return aggregateIndexStats(shapes)
 }
@@ -482,7 +489,7 @@ func (db *DB) PNN(q Point) ([]Answer, QueryStats, error) {
 	if err := checkDomain(db.domain, q); err != nil {
 		return nil, QueryStats{}, err
 	}
-	return db.pnnOn(db.layout.epFor(q).index, q)
+	return db.pnnOn(db.state().indexes[db.layout.shardIdx(q)], q)
 }
 
 // mutationCounters are the DB's atomic mutation-path tallies.
@@ -603,17 +610,17 @@ func checkDomain(domain Rect, q Point) error {
 // with their nearest-neighbor densities (Section V-C), gathered from
 // every shard r overlaps.
 func (db *DB) Partitions(r Rect) []Partition {
-	lo := db.layout
-	if len(lo.shards) == 1 {
-		parts, _ := lo.epAt(0).index.Partitions(r)
+	indexes := db.state().indexes
+	if len(indexes) == 1 {
+		parts, _ := indexes[0].Partitions(r)
 		return parts
 	}
 	var out []Partition
-	for i := range lo.shards {
-		if !lo.shards[i].rect.Overlaps(r) {
+	for i, ix := range indexes {
+		if !db.layout.shards[i].Overlaps(r) {
 			continue
 		}
-		parts, _ := lo.epAt(i).index.Partitions(r)
+		parts, _ := ix.Partitions(r)
 		out = append(out, parts...)
 	}
 	return out
@@ -624,9 +631,8 @@ func (db *DB) Partitions(r Rect) []Partition {
 // every shard the cell reaches.
 func (db *DB) CellArea(id int32) (float64, error) {
 	total := 0.0
-	lo := db.layout
-	for i := range lo.shards {
-		a, err := lo.epAt(i).index.CellArea(id)
+	for _, ix := range db.state().indexes {
+		a, err := ix.CellArea(id)
 		if err != nil {
 			return 0, err
 		}
@@ -638,28 +644,28 @@ func (db *DB) CellArea(id int32) (float64, error) {
 // CellRegions returns the leaf regions overlapping object id's UV-cell,
 // its displayable approximate extent, concatenated across shards.
 func (db *DB) CellRegions(id int32) []Rect {
-	lo := db.layout
-	if len(lo.shards) == 1 {
-		return lo.epAt(0).index.CellRegions(id)
+	indexes := db.state().indexes
+	if len(indexes) == 1 {
+		return indexes[0].CellRegions(id)
 	}
 	var out []Rect
-	for i := range lo.shards {
-		out = append(out, lo.epAt(i).index.CellRegions(id)...)
+	for _, ix := range indexes {
+		out = append(out, ix.CellRegions(id)...)
 	}
 	return out
 }
 
 // Index exposes the underlying UV-index for advanced use (experiment
-// harness, visualization). With shards it is shard 0's sub-grid; use
-// ShardStats to enumerate the others. The pointer is the CURRENT
-// epoch's index; a Compact replaces it, so hold the result
-// only briefly.
-func (db *DB) Index() *core.UVIndex { return db.layout.epAt(0).index }
+// harness, visualization). With shards it is shard 0's sub-grid; the
+// others are not exposed (ShardStats reports their shapes). The pointer
+// is the CURRENT state's index; a Compact replaces it, so hold the
+// result only briefly.
+func (db *DB) Index() *core.UVIndex { return db.state().indexes[0] }
 
 // RTree exposes the shared helper R-tree (the query baseline of
 // Figure 6), which covers the full live population. Like Index, it is
-// the current pointer; Compact replaces it.
-func (db *DB) RTree() *rtree.Tree { return db.rtree() }
+// the current state's pointer; Compact replaces it.
+func (db *DB) RTree() *rtree.Tree { return db.state().tree }
 
 // Store exposes the underlying object store.
 func (db *DB) Store() *uncertain.Store { return db.store }
